@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,13 +10,10 @@ import (
 	"testing"
 
 	"planardfs/internal/chaos"
-	"planardfs/internal/dfs"
-	"planardfs/internal/dist"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/guard"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
+	"planardfs/internal/pipeline"
 )
 
 // GuardEntry is one (family, case, n) admission-guard measurement. The
@@ -125,20 +123,13 @@ func measureGuardFamily(family string, n int) ([]GuardEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Charged pipeline rounds of the build the guard fronts, for the
+	// Charged DFS rounds of the pipeline build the guard fronts, for the
 	// overhead column.
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
-	_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+	res, err := pipeline.Run(context.Background(), in, pipeline.Options{})
 	if err != nil {
 		return nil, err
 	}
-	bt, err := spanning.BFSTree(in.G, root)
-	if err != nil {
-		return nil, err
-	}
-	cm := shortcut.PaperCost{D: bt.MaxDepth(), N: in.G.N()}
-	valid.PipelineRounds = dist.DFSBuildOps(in.G.N(), tr.Phases, tr.MaxJoinSubPhases).Rounds(cm, 1)
+	valid.PipelineRounds = res.DFSRounds
 	if valid.PipelineRounds > 0 {
 		valid.Overhead = float64(valid.GuardRounds) / float64(valid.PipelineRounds)
 	}

@@ -20,6 +20,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -213,10 +215,10 @@ func certifyRun(family string, n int, seed int64) error {
 	return nil
 }
 
-// recoveryRun executes one DFS build under the supervised recovery
-// runtime: the Theorem 2 pipeline perturbed by the fault plan, certified
-// by the DFS proof-labeling scheme, retried with decaying faults and
-// degraded to Awerbuch's token DFS if every pipeline attempt is rejected.
+// recoveryRun executes one Theorem 2 pipeline run with its DFS stage under
+// the fault plan: the Theorem 2 output is perturbed, certified by the DFS
+// proof-labeling scheme, retried with decaying faults and degraded to
+// Awerbuch's token DFS if every attempt is rejected.
 func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64) error {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
@@ -234,16 +236,18 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 		plan = planardfs.NewFaultPlan(chaosSeed, s)
 	}
 	fmt.Printf("supervised DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
-	parent, rep, err := planardfs.BuildDFSTreeWithRecovery(in, root, plan, planardfs.RecoveryPolicy{})
+	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{Plan: plan})
+	if res != nil && res.Recovery != nil {
+		printReport(res.Recovery)
+	}
+	if errors.Is(err, planardfs.ErrUnrecovered) {
+		return fmt.Errorf("recovery exhausted after %d attempts", len(res.Recovery.Attempts))
+	}
 	if err != nil {
 		return err
 	}
-	printReport(rep)
-	if rep.Outcome == planardfs.RecoveryFailed {
-		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
-	}
 	edges := 0
-	for _, p := range parent {
+	for _, p := range res.Parent {
 		if p >= 0 {
 			edges++
 		}

@@ -102,38 +102,38 @@ func NewGraphK(t *testing.T, n int) *Graph {
 	return g
 }
 
-// TestBuildDFSTreeGuarded pins the guarded build: a valid instance runs
-// the supervised pipeline to certification, a corrupted one ends as
-// rejected-input without executing any producer attempt.
+// TestBuildDFSTreeGuarded pins the guarded pipeline run: a valid instance
+// runs to certification, a corrupted one is rejected with the typed
+// witness before any later stage runs.
 func TestBuildDFSTreeGuarded(t *testing.T) {
 	in, err := NewGrid(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := OuterRoot(in)
-	parent, rep, err := BuildDFSTreeGuarded(context.Background(), in, root, GuardOptions{Seed: 11}, nil, RecoveryPolicy{})
+	guarded := PipelineOptions{Guard: &GuardOptions{Seed: 11}}
+	res, err := Run(context.Background(), in, guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != RecoveryCertified {
-		t.Fatalf("outcome %v, want certified", rep.Outcome)
+	if !res.Admission.OK || res.Recovery.Outcome != RecoveryCertified {
+		t.Fatalf("admission %v, outcome %v; want accepted and certified", res.Admission.OK, res.Recovery.Outcome)
 	}
-	if err := VerifyDFSTree(in.G, root, parent); err != nil {
+	if err := VerifyDFSTree(in.G, OuterRoot(in), res.Parent); err != nil {
 		t.Fatal(err)
 	}
 
-	bad := corruptedInstance(t)
-	_, rep, err = BuildDFSTreeGuarded(context.Background(), bad, OuterRoot(in), GuardOptions{Seed: 11}, nil, RecoveryPolicy{})
-	if err != nil {
-		t.Fatal(err)
+	res, err = Run(context.Background(), corruptedInstance(t), guarded)
+	if !errors.Is(err, ErrInputRejected) {
+		t.Fatalf("corrupted run error %v does not match ErrInputRejected", err)
 	}
-	if rep.Outcome != RecoveryRejectedInput || rep.Outcome.String() != "rejected-input" {
-		t.Fatalf("outcome %v, want rejected-input", rep.Outcome)
+	var re *GuardRejectionError
+	if !errors.As(err, &re) || re.Witness.Reason != "euler" {
+		t.Fatalf("want euler witness, got %v", err)
 	}
-	if len(rep.Attempts) != 0 {
-		t.Fatalf("rejected run executed %d producer attempts", len(rep.Attempts))
+	if res.Admission == nil || res.Admission.OK {
+		t.Fatal("rejecting verdict not reported")
 	}
-	if !errors.Is(rep.RejectionErr, ErrInputRejected) {
-		t.Fatalf("report rejection %v does not match ErrInputRejected", rep.RejectionErr)
+	if res.BFS != nil || res.Recovery != nil {
+		t.Fatal("a stage after admission ran on a rejected input")
 	}
 }

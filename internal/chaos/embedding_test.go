@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -119,48 +117,5 @@ func TestEmbeddingBurstDecay(t *testing.T) {
 	var nilPlan *Plan
 	if got := nilPlan.SpliceRotations(1, w.Rotations); got != 0 {
 		t.Fatalf("nil plan applied %d", got)
-	}
-}
-
-// TestRunWithRecoveryGuarded pins the guard stage of the supervised
-// runtime: a rejecting guard ends the run as rejected-input without any
-// producer attempt; an admitting guard falls through to certification.
-func TestRunWithRecoveryGuarded(t *testing.T) {
-	rejection := errors.New("bad input")
-	stage := Stage[int]{
-		Name:          "produce",
-		DefaultBudget: 4,
-		Run:           func(attempt, budget int) (int, int, error) { return 42, 1, nil },
-		Certify:       func(int) (Certification, error) { return Certification{OK: true}, nil },
-	}
-	res, rep, err := RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
-		return rejection, nil
-	}, stage, nil, Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Outcome != OutcomeRejectedInput || rep.Outcome.String() != "rejected-input" {
-		t.Fatalf("outcome %v, want rejected-input", rep.Outcome)
-	}
-	if len(rep.Attempts) != 0 || res != 0 {
-		t.Fatalf("rejected run executed producers: %d attempts, result %d", len(rep.Attempts), res)
-	}
-	if !errors.Is(rep.RejectionErr, rejection) || rep.Rejection == "" {
-		t.Fatalf("rejection not recorded: %q %v", rep.Rejection, rep.RejectionErr)
-	}
-
-	res, rep, err = RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
-		return nil, nil
-	}, stage, nil, Policy{})
-	if err != nil || res != 42 || rep.Outcome != OutcomeCertified {
-		t.Fatalf("admitted run: res=%d outcome=%v err=%v", res, rep.Outcome, err)
-	}
-
-	infra := errors.New("boom")
-	_, rep, err = RunWithRecoveryGuarded(context.Background(), func(context.Context) (error, error) {
-		return nil, infra
-	}, stage, nil, Policy{})
-	if !errors.Is(err, infra) || rep.Outcome != OutcomeFailed {
-		t.Fatalf("guard infra failure: outcome=%v err=%v", rep.Outcome, err)
 	}
 }

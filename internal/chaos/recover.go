@@ -93,11 +93,6 @@ const (
 	// OutcomeFailed: every attempt of every stage failed or was rejected;
 	// no result is returned.
 	OutcomeFailed
-	// OutcomeRejectedInput: the guard stage of a guarded run rejected the
-	// input before any producer attempt — the input itself is bad, which is
-	// a distinct verdict from a run that failed under faults. Appended after
-	// OutcomeFailed so the earlier outcome values stay stable.
-	OutcomeRejectedInput
 )
 
 func (o Outcome) String() string {
@@ -110,8 +105,6 @@ func (o Outcome) String() string {
 		return "degraded"
 	case OutcomeFailed:
 		return "failed"
-	case OutcomeRejectedInput:
-		return "rejected-input"
 	}
 	return "unknown"
 }
@@ -136,22 +129,7 @@ type Report struct {
 	Faults Counts
 	// Verdicts collects every distributed verdict run, in attempt order.
 	Verdicts []*cert.Verdict
-	// Rejection is the guard's rejection detail when Outcome is
-	// OutcomeRejectedInput, empty otherwise.
-	Rejection string
-	// RejectionErr is the guard's typed rejection error (e.g. a
-	// guard.RejectionError carrying the witness) when Outcome is
-	// OutcomeRejectedInput, nil otherwise.
-	RejectionErr error
 }
-
-// GuardFunc is the admission check of a guarded supervised run. It returns
-// (rejection, err): a non-nil rejection means the input itself is bad and
-// the run must end in OutcomeRejectedInput without executing any producer;
-// a non-nil err is an infrastructure failure. Both nil admits the input.
-// The package deliberately does not depend on internal/guard — the facade
-// adapts a guard validation into this shape.
-type GuardFunc func(ctx context.Context) (rejection error, err error)
 
 // RunWithRecovery supervises primary (and, when primary exhausts its
 // attempts, the optional fallback): each stage is retried up to
@@ -210,39 +188,6 @@ func RunWithRecoveryContext[T any](ctx context.Context, primary Stage[T], fallba
 	rep.Outcome = OutcomeFailed
 	finish(tr, sup, rep)
 	return zero, rep, nil
-}
-
-// RunWithRecoveryGuarded is RunWithRecoveryContext with an admission
-// guard in front: the guard runs once before any producer attempt, and a
-// rejection ends the run immediately with OutcomeRejectedInput — the
-// producers never see the bad input. A guard infrastructure error ends the
-// run as OutcomeFailed with the error. An admitted input proceeds through
-// the normal supervised retry/degrade loop.
-func RunWithRecoveryGuarded[T any](ctx context.Context, g GuardFunc, primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
-	var zero T
-	if g != nil {
-		tr := trace.OrNop(pol.Tracer)
-		sp := tr.StartSpan(trace.LayerChaos, "chaos.guard")
-		rejection, err := g(ctx)
-		if err != nil {
-			sp.End()
-			rep := &Report{Outcome: OutcomeFailed}
-			return zero, rep, err
-		}
-		if rejection != nil {
-			sp.SetAttr("rejected", 1)
-			rep := &Report{
-				Outcome:      OutcomeRejectedInput,
-				Rejection:    rejection.Error(),
-				RejectionErr: rejection,
-			}
-			finish(tr, sp, rep)
-			return zero, rep, nil
-		}
-		sp.SetAttr("rejected", 0)
-		sp.End()
-	}
-	return RunWithRecoveryContext(ctx, primary, fallback, pol)
 }
 
 // runStage retries one stage under the policy until an attempt is

@@ -14,8 +14,8 @@ import (
 // the matching internal/cert proof-labeling verifier (or a centralized
 // oracle where no scheme exists). The stage's pipeline-level counterpart —
 // the Theorem 2 separator DFS under structural faults, with Awerbuch as
-// fallback — is assembled at the facade (planardfs.BuildDFSTreeWithRecovery),
-// which owns the planarity machinery.
+// fallback — is the dfs stage of internal/pipeline, which owns the
+// planarity machinery.
 
 // network builds the stage network over g per the certification options.
 func stageNetwork(g *graph.Graph, opt cert.Options) *congest.Network {

@@ -43,23 +43,18 @@ type Trace struct {
 // every remaining component is computed (Theorem 1) and joined to the
 // partial DFS tree by the DFS-RULE (Lemma 2).
 func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*PartialTree, *Trace, error) {
-	return BuildTraced(g, emb, outerDart, root, nil)
+	return BuildWithSeparator(g, emb, outerDart, root, nil, separator.Find)
 }
 
-// BuildTraced is Build with the run recorded on tracer (nil disables
-// tracing): a dfs-layer span per recursion phase, the full separator and
-// lemma span structure of every per-component Theorem 1 call, and a
-// dfs-layer span per JOIN sub-phase, all stamped with the charged round
-// clock under the paper cost model.
-func BuildTraced(g *graph.Graph, emb *planar.Embedding, outerDart, root int, tracer trace.Tracer) (*PartialTree, *Trace, error) {
-	return BuildWithSeparator(g, emb, outerDart, root, tracer, separator.Find)
-}
-
-// BuildWithSeparator is BuildTraced with the per-component separator
-// computation swapped out: find runs on each remaining component's
-// restricted configuration (see separator.ForSubsetWith). The caller keeps
-// any engine-fallback policy inside find and may record its fallback count
-// on the returned Trace.
+// BuildWithSeparator is Build with the run recorded on tracer (nil
+// disables tracing) and the per-component separator computation swapped
+// out: find runs on each remaining component's restricted configuration
+// (see separator.ForSubsetWith). Tracing records a dfs-layer span per
+// recursion phase, the span structure of every per-component separator
+// call, and a dfs-layer span per JOIN sub-phase, all stamped with the
+// charged round clock under the paper cost model. The caller keeps any
+// engine-fallback policy inside find and may record its fallback count on
+// the returned Trace.
 func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root int, tracer trace.Tracer, find separator.FindFunc) (*PartialTree, *Trace, error) {
 	if !g.Connected() {
 		return nil, nil, fmt.Errorf("dfs: graph is not connected")

@@ -1,104 +1,52 @@
 package exp
 
 import (
+	"context"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
-	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
-	"planardfs/internal/spanning"
-	"planardfs/internal/weights"
 )
 
-// runTheorem2Pipeline drives the full Theorem 2 stack end to end on one
-// generated instance: spanning tree (certified), DFS tree under the
-// supervised recovery runtime, Theorem 1 cycle separator, and the
-// separator's proof-labeling certificate. It is the acceptance path for
-// the flat-substrate refactor — the same sequence must complete at
-// n >= 10^6 (see TestTheorem2PipelineMillion).
+// runTheorem2Pipeline drives the Theorem 2 pipeline (internal/pipeline)
+// end to end on one generated instance — BFS spanning tree, the Theorem 2
+// DFS (dfs.Build's algorithm) under the certify-retry runtime, the
+// Theorem 1 cycle separator and the three proof-labeling certifications —
+// and checks every stage's report.
 func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	t.Helper()
 	start := time.Now()
-	lap := func(stage string) {
-		t.Logf("%-12s %8.2fs", stage, time.Since(start).Seconds())
-		start = time.Now()
-	}
-
-	inst, err := gen.ByName(family, n, 1)
+	in, err := gen.ByName(family, n, 1)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	g, emb := inst.G, inst.Emb
-	lap("generate")
+	t.Logf("generate %8.2fs", time.Since(start).Seconds())
 
-	// Stage 1: spanning tree, certified by the proof-labeling scheme.
-	tree, err := spanning.BFSTree(g, 0)
+	start = time.Now()
+	res, err := pipeline.Run(context.Background(), in, pipeline.Options{})
 	if err != nil {
-		t.Fatalf("spanning: %v", err)
+		t.Fatalf("pipeline: %v", err)
 	}
-	labels := cert.ProveSpanningTree(tree)
-	verdict, err := cert.VerifySpanningTree(g, labels, cert.Options{})
-	if err != nil {
-		t.Fatalf("spanning verify: %v", err)
-	}
-	if !verdict.OK {
-		t.Fatalf("spanning tree rejected by %d verifiers", len(verdict.Rejectors))
-	}
-	lap("spanning")
+	t.Logf("pipeline %8.2fs n=%d phases=%d separator_calls=%d rounds=%d",
+		time.Since(start).Seconds(), in.G.N(), res.DFSTrace.Phases,
+		res.DFSTrace.SeparatorCalls, res.Rounds())
 
-	// Stage 2: DFS with recovery — the deep DFS producer supervised by the
-	// certify-retry runtime (fault-free here, so one certified attempt).
-	dfsStage := chaos.Stage[[]int]{
-		Name:          "dfs",
-		DefaultBudget: 10 * n,
-		Run: func(attempt, budget int) ([]int, int, error) {
-			dt, err := spanning.DeepDFSTree(g, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			return dt.Parent, dt.MaxDepth(), nil
-		},
-		Certify: chaos.DFSCertifier(g, 0, cert.Options{}),
+	if res.Recovery.Outcome != chaos.OutcomeCertified {
+		t.Fatalf("dfs stage ended %v, want certified", res.Recovery.Outcome)
 	}
-	_, rep, err := chaos.RunWithRecovery(dfsStage, nil, chaos.Policy{})
-	if err != nil {
-		t.Fatalf("supervised dfs: %v", err)
+	for _, v := range res.Verdicts {
+		if !v.OK {
+			t.Fatalf("%s certificate rejected by %d verifiers", v.Scheme, len(v.Rejectors))
+		}
 	}
-	if rep.Outcome != chaos.OutcomeCertified {
-		t.Fatalf("supervised dfs ended %v, want certified", rep.Outcome)
+	if bal := separator.VerifyBalance(in.G, res.Separator.Sep.Path); 3*bal > 2*in.G.N() {
+		t.Fatalf("separator unbalanced: largest side %d of %d", bal, in.G.N())
 	}
-	lap("dfs+recover")
-
-	// Stage 3: Theorem 1 cycle separator on the instance.
-	cfg, err := weights.NewConfig(g, emb, inst.OuterDart, tree)
-	if err != nil {
-		t.Fatalf("weights config: %v", err)
-	}
-	sep, err := separator.Find(cfg)
-	if err != nil {
-		t.Fatalf("separator: %v", err)
-	}
-	if bal := separator.VerifyBalance(g, sep.Path); 3*bal > 2*n {
-		t.Fatalf("separator unbalanced: largest side %d of %d", bal, n)
-	}
-	lap("separator")
-
-	// Stage 4: certify the separator with its proof-labeling scheme.
-	sepLabels, err := cert.ProveSeparator(g, sep)
-	if err != nil {
-		t.Fatalf("separator prove: %v", err)
-	}
-	sv, err := cert.VerifySeparator(g, sepLabels, cert.Options{})
-	if err != nil {
-		t.Fatalf("separator verify: %v", err)
-	}
-	if !sv.OK {
-		t.Fatalf("separator rejected by %d verifiers", len(sv.Rejectors))
-	}
-	lap("cert")
 }
 
 // TestTheorem2PipelineMedium keeps the pipeline wired in the ordinary test
@@ -110,13 +58,20 @@ func TestTheorem2PipelineMedium(t *testing.T) {
 	runTheorem2Pipeline(t, "cylinderish", 20_000)
 }
 
-// TestTheorem2PipelineMillion is the million-node acceptance run for the
-// flat substrate. It allocates several GB and runs for minutes, so it only
-// runs when PLANARDFS_SCALE=1 is set (the CI bench-scaling job sets it on
-// the nightly lane, not on PRs).
-func TestTheorem2PipelineMillion(t *testing.T) {
-	if os.Getenv("PLANARDFS_SCALE") == "" {
-		t.Skip("set PLANARDFS_SCALE=1 to run the million-node pipeline")
+// TestTheorem2PipelineScale is the large-n acceptance run. It runs only
+// when PLANARDFS_SCALE is set, to the vertex count to run (1 selects the
+// largest size the README reports as reached).
+func TestTheorem2PipelineScale(t *testing.T) {
+	env := os.Getenv("PLANARDFS_SCALE")
+	if env == "" {
+		t.Skip("set PLANARDFS_SCALE=1 (or a vertex count) to run the large pipeline")
 	}
-	runTheorem2Pipeline(t, "cylinderish", 1_000_000)
+	n, err := strconv.Atoi(env)
+	if err != nil {
+		t.Fatalf("PLANARDFS_SCALE=%q: %v", env, err)
+	}
+	if n <= 1 {
+		n = 300_000
+	}
+	runTheorem2Pipeline(t, "cylinderish", n)
 }

@@ -52,7 +52,7 @@ func TraceDFS(family string, n int, seed int64, rec *trace.Recorder) (*TraceSumm
 	fs := in.Emb.TraceFaces()
 	root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
 
-	_, dtr, err := dfs.BuildTraced(in.G, in.Emb, in.OuterDart, root, rec)
+	_, dtr, err := dfs.BuildWithSeparator(in.G, in.Emb, in.OuterDart, root, rec, separator.Find)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,252 @@
+// Package pipeline is the Theorem 2 pipeline as one ordered stage list:
+//
+//	admit (guard) → spanning (BFS) → dfs (supervised Theorem 2) → separator → certify
+//
+// The dfs stage runs the Theorem 2 build as the primary of the chaos
+// recovery runtime: the fault plan's structural faults corrupt its output,
+// the DFS proof-labeling scheme certifies every attempt, and Awerbuch's
+// message-level token DFS is the fallback. Every caller that builds a
+// certified decomposition — the planardfs facade, planard, the scale tests
+// and the bench CLIs — goes through Run, so the stages are wired once.
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"planardfs/internal/cert"
+	"planardfs/internal/chaos"
+	"planardfs/internal/dfs"
+	"planardfs/internal/dist"
+	"planardfs/internal/gen"
+	"planardfs/internal/guard"
+	"planardfs/internal/separator"
+	"planardfs/internal/sepengine"
+	"planardfs/internal/shortcut"
+	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
+	"planardfs/internal/weights"
+)
+
+// Options configure one run. The zero value runs the paper's defaults: no
+// admission guard, the Theorem 1 separator engine, a fault-free supervised
+// DFS and no tracing.
+type Options struct {
+	// Guard, when non-nil, runs the admission guard before any other
+	// stage. A nil Guard.Tracer inherits Tracer.
+	Guard *guard.Options
+	// Engine names the separator backend (sepengine registry) for both the
+	// per-component separators of the DFS and the whole-instance
+	// separator; empty selects the Theorem 1 engine. A soft engine failure
+	// (sepengine.ErrNoSeparator) on a DFS component falls back to Theorem 1
+	// for that component, counted in Result.DFSTrace.EngineFallbacks.
+	Engine string
+	// Plan injects deterministic faults into the dfs stage: structural
+	// faults into the Theorem 2 output, message-level faults into the
+	// Awerbuch fallback. Nil runs fault-free.
+	Plan *chaos.Plan
+	// MaxAttempts bounds the supervised attempts per DFS producer; 0 uses
+	// the recovery runtime's default.
+	MaxAttempts int
+	// Tracer receives the spans and metrics of every stage; nil disables
+	// tracing.
+	Tracer trace.Tracer
+}
+
+// Result is the account of a run, one report per stage. A failed run
+// returns the reports of the stages that completed.
+type Result struct {
+	// Root is the common root of both trees: the first vertex of the outer
+	// face, as the paper requires.
+	Root int
+	// Admission is the guard verdict; nil when Options.Guard is nil.
+	Admission *guard.Verdict
+	// BFS is the BFS spanning tree rooted at Root.
+	BFS *spanning.Tree
+	// Recovery is the supervised-recovery report of the dfs stage.
+	Recovery *chaos.Report
+	// DFSTrace is the phase structure of the last Theorem 2 attempt.
+	DFSTrace *dfs.Trace
+	// DFSRounds is the charged paper-model round cost of one Theorem 2
+	// build (the last attempt's).
+	DFSRounds int
+	// Parent is the certified DFS parent array (-1 at Root).
+	Parent []int
+	// DFS is the tree view of Parent: preorder intervals, binary-lifted
+	// LCA, subtree sizes.
+	DFS *spanning.Tree
+	// Separator is the validated whole-instance cycle separator.
+	Separator *sepengine.Result
+	// Verdicts are the certification verdicts in the order spanning, dfs,
+	// separator.
+	Verdicts []*cert.Verdict
+}
+
+// Rounds is the charged round cost of the build: the DFS stage plus every
+// certification prover, verifier and aggregation.
+func (r *Result) Rounds() int {
+	total := r.DFSRounds
+	for _, v := range r.Verdicts {
+		total += v.ProverRounds + v.VerifierRounds + v.AggRounds
+	}
+	return total
+}
+
+// ErrUnrecovered reports a dfs stage whose every supervised attempt failed
+// or was rejected, so no certified tree exists for the later stages.
+// Result.Recovery carries the attempts.
+var ErrUnrecovered = errors.New("pipeline: DFS stage exhausted its attempts without a certified tree")
+
+// Run executes the pipeline over in. The error is the admission guard's
+// typed rejection (matching guard.ErrRejected), ErrUnrecovered, a wrapped
+// ctx.Err() after cancellation, or an infrastructure failure of a stage.
+// ctx is consulted between stages and before every supervised attempt.
+func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
+	eng, err := sepengine.Get(opts.Engine)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	if opts.Guard != nil {
+		gopt := *opts.Guard
+		if gopt.Tracer == nil {
+			gopt.Tracer = opts.Tracer
+		}
+		v, err := guard.ValidateInstance(in, gopt)
+		if err != nil {
+			return res, fmt.Errorf("pipeline: admit: %w", err)
+		}
+		res.Admission = v
+		if err := v.Err(); err != nil {
+			return res, err
+		}
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
+	}
+
+	g := in.G
+	fs := in.Emb.TraceFaces()
+	res.Root = fs.FaceVertices(in.OuterFace())[0]
+	res.BFS, err = spanning.BFSTree(g, res.Root)
+	if err != nil {
+		return res, fmt.Errorf("pipeline: spanning: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+
+	if err := runDFS(ctx, in, eng, opts, res); err != nil {
+		return res, err
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+
+	cfg, err := weights.NewConfig(g, in.Emb, in.OuterDart, res.BFS)
+	if err != nil {
+		return res, fmt.Errorf("pipeline: configuration: %w", err)
+	}
+	res.Separator, err = eng.FindCycleSeparator(cfg, sepengine.Options{Tracer: opts.Tracer})
+	if err != nil {
+		return res, fmt.Errorf("pipeline: separator: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+
+	copt := cert.Options{Tracer: opts.Tracer}
+	certify := []struct {
+		scheme string
+		run    func() (*cert.Verdict, error)
+	}{
+		{"spanning", func() (*cert.Verdict, error) { return cert.CertifySpanningTree(g, res.BFS, copt) }},
+		{"dfs", func() (*cert.Verdict, error) { return cert.CertifyDFSTree(g, res.Root, res.Parent, copt) }},
+		{"separator", func() (*cert.Verdict, error) { return cert.CertifySeparator(g, res.Separator.Sep, copt) }},
+	}
+	for _, c := range certify {
+		v, err := c.run()
+		if err != nil {
+			return res, fmt.Errorf("pipeline: certify %s: %w", c.scheme, err)
+		}
+		res.Verdicts = append(res.Verdicts, v)
+	}
+	return res, nil
+}
+
+// runDFS is the dfs stage: the Theorem 2 build as the supervised primary,
+// its output perturbed by the plan's structural faults and certified per
+// attempt, with Awerbuch's token DFS as the fallback. It fills Recovery,
+// DFSTrace, DFSRounds, Parent and DFS.
+func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result) error {
+	g, n, root := in.G, in.G.N(), res.Root
+	copt := cert.Options{Tracer: opts.Tracer}
+	cm := shortcut.PaperCost{D: res.BFS.MaxDepth(), N: n}
+	fallbacks := 0
+	find := componentFinder(eng, opts.Tracer, &fallbacks)
+	var structural chaos.Counts
+	primary := chaos.Stage[[]int]{
+		Name:          "separator-pipeline",
+		DefaultBudget: 10*n + 100,
+		// The Theorem 2 build is a simulated (charged) stage: it reports
+		// the paper-model round cost but is not bound by the attempt
+		// budget. Its retries are driven by certification rejections of
+		// the structurally faulted output, which decay across attempts.
+		Run: func(attempt, budget int) ([]int, int, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			fallbacks = 0
+			pt, dtr, err := dfs.BuildWithSeparator(g, in.Emb, in.OuterDart, root, opts.Tracer, find)
+			if err != nil {
+				return nil, 0, err
+			}
+			dtr.EngineFallbacks = fallbacks
+			res.DFSTrace = dtr
+			parent := append([]int(nil), pt.Parent...)
+			structural.Structural += int64(opts.Plan.CorruptParents(attempt, root, parent))
+			res.DFSRounds = dist.DFSBuildOps(n, dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1)
+			return parent, res.DFSRounds, nil
+		},
+		Certify: chaos.DFSCertifier(g, root, copt),
+		Faults:  func() chaos.Counts { return structural },
+	}
+	fallback := chaos.AwerbuchDFS(g, root, opts.Plan, copt)
+	pol := chaos.Policy{MaxAttempts: opts.MaxAttempts, Tracer: opts.Tracer}
+	parent, rep, err := chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
+	res.Recovery = rep
+	if err != nil {
+		return fmt.Errorf("pipeline: dfs: %w", err)
+	}
+	if rep.Outcome == chaos.OutcomeFailed {
+		return fmt.Errorf("%w (%d attempts)", ErrUnrecovered, len(rep.Attempts))
+	}
+	res.Parent = parent
+	res.DFS, err = spanning.NewFromParents(root, parent)
+	if err != nil {
+		return fmt.Errorf("pipeline: dfs tree view: %w", err)
+	}
+	return nil
+}
+
+// componentFinder is the per-component separator of the dfs stage. The
+// Theorem 1 engine runs as separator.Find itself; any other engine runs
+// through the registry, and a soft failure on a component falls back to
+// Theorem 1, counted in *fallbacks, so the build stays total.
+func componentFinder(eng sepengine.Engine, tracer trace.Tracer, fallbacks *int) separator.FindFunc {
+	if eng.Name() == sepengine.DefaultEngine {
+		return separator.Find
+	}
+	return func(cfg *weights.Config) (*separator.Separator, error) {
+		r, err := eng.FindCycleSeparator(cfg, sepengine.Options{Tracer: tracer})
+		if err == nil {
+			return r.Sep, nil
+		}
+		if !errors.Is(err, sepengine.ErrNoSeparator) {
+			return nil, err
+		}
+		*fallbacks++
+		return separator.Find(cfg)
+	}
+}

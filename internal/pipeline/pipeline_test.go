@@ -1,0 +1,217 @@
+package pipeline
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"testing"
+
+	"planardfs/internal/chaos"
+	"planardfs/internal/dfs"
+	"planardfs/internal/gen"
+	"planardfs/internal/guard"
+	"planardfs/internal/sepengine"
+	"planardfs/internal/trace"
+)
+
+func instance(t *testing.T, family string, n int, seed int64) *gen.Instance {
+	t.Helper()
+	in, err := gen.ByName(family, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestRunTraceGolden pins the default run byte for byte: the JSONL trace
+// digests and charged rounds are the ones planard's hand-wired build
+// produced before it moved onto Run.
+func TestRunTraceGolden(t *testing.T) {
+	cases := []struct {
+		family string
+		n      int
+		seed   int64
+		digest string
+		rounds int
+	}{
+		{"grid", 100, 1, "5e71ef9fe878ce8e0b8a69bb161527e69d8c68faa9f5bbf70e7dd238813e7cad", 2462726},
+		{"stacked", 150, 7, "db1ec7aaf6a361a5bad1c56f3b177f5abc21085ff4950cf017b0f8d92b94cb73", 971992},
+	}
+	for _, c := range cases {
+		rec := trace.NewRecorder()
+		res, err := Run(context.Background(), instance(t, c.family, c.n, c.seed), Options{Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != c.digest {
+			t.Errorf("%s: trace digest %s, want %s", c.family, got, c.digest)
+		}
+		if res.Rounds() != c.rounds {
+			t.Errorf("%s: rounds %d, want %d", c.family, res.Rounds(), c.rounds)
+		}
+	}
+}
+
+// TestRunDefaultReports checks every stage report of a fault-free run.
+func TestRunDefaultReports(t *testing.T) {
+	in := instance(t, "stacked", 150, 7)
+	res, err := Run(context.Background(), in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admission != nil {
+		t.Fatal("admission ran without Options.Guard")
+	}
+	if res.Recovery.Outcome != chaos.OutcomeCertified || len(res.Recovery.Attempts) != 1 {
+		t.Fatalf("dfs stage %v after %d attempts, want certified after 1",
+			res.Recovery.Outcome, len(res.Recovery.Attempts))
+	}
+	pt, _, err := dfs.Build(in.G, in.Emb, in.OuterDart, res.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range pt.Parent {
+		if pt.Parent[v] != res.Parent[v] {
+			t.Fatalf("parent[%d] = %d, dfs.Build says %d", v, res.Parent[v], pt.Parent[v])
+		}
+	}
+	if res.DFS.Root != res.Root || res.BFS.Root != res.Root {
+		t.Fatal("trees not rooted at Root")
+	}
+	if res.DFSTrace.Phases == 0 || res.DFSTrace.EngineFallbacks != 0 {
+		t.Fatalf("dfs trace %+v", res.DFSTrace)
+	}
+	if res.Separator.Engine != sepengine.DefaultEngine {
+		t.Fatalf("separator engine %q", res.Separator.Engine)
+	}
+	want := res.DFSRounds
+	for i, scheme := range []string{"spanning", "dfs", "separator"} {
+		v := res.Verdicts[i]
+		if v.Scheme != scheme || !v.OK {
+			t.Fatalf("verdict %d: %s ok=%v, want %s accepted", i, v.Scheme, v.OK, scheme)
+		}
+		want += v.ProverRounds + v.VerifierRounds + v.AggRounds
+	}
+	if res.DFSRounds <= 0 || res.Rounds() != want {
+		t.Fatalf("rounds %d (dfs %d), want %d", res.Rounds(), res.DFSRounds, want)
+	}
+}
+
+// TestRunEngineDrivesDFSComponents pins that a non-default engine runs the
+// DFS stage's per-component separators as well as the whole-instance one.
+func TestRunEngineDrivesDFSComponents(t *testing.T) {
+	rec := trace.NewRecorder()
+	res, err := Run(context.Background(), instance(t, "stacked", 150, 7), Options{Engine: "lipton-tarjan", Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Separator.Engine != "lipton-tarjan" {
+		t.Fatalf("separator engine %q", res.Separator.Engine)
+	}
+	calls := 0
+	for _, sp := range rec.Spans() {
+		if sp.Name == "sepengine.lipton-tarjan" {
+			calls++
+		}
+	}
+	if calls < 2 {
+		t.Fatalf("engine charged %d times; the DFS components did not use it", calls)
+	}
+}
+
+// corrupted returns a grid whose rotation system has genus > 0: buildable,
+// but not a planar embedding.
+func corrupted(t *testing.T) *gen.Instance {
+	t.Helper()
+	w := gen.WireOf(instance(t, "grid", 16, 1))
+	for seed := int64(1); seed < 50; seed++ {
+		cw := *w
+		cw.Rotations = make([][]int, len(w.Rotations))
+		for v := range cw.Rotations {
+			cw.Rotations[v] = append([]int(nil), w.Rotations[v]...)
+		}
+		if chaos.NewPlan(seed, chaos.Spec{Structural: 4}).SpliceFaces(1, cw.Rotations) == 0 {
+			continue
+		}
+		bad, err := cw.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad.Emb.Genus() != 0 {
+			return bad
+		}
+	}
+	t.Fatal("no seed produced a genus-raising corruption")
+	return nil
+}
+
+// TestRunGuard pins the admit stage: an accepted input runs on, a rejected
+// one ends with the typed witness before any other stage runs.
+func TestRunGuard(t *testing.T) {
+	opts := Options{Guard: &guard.Options{Seed: 11}}
+	res, err := Run(context.Background(), instance(t, "grid", 16, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Admission.OK || len(res.Verdicts) != 3 {
+		t.Fatalf("admitted run: admission %v, %d verdicts", res.Admission.OK, len(res.Verdicts))
+	}
+
+	res, err = Run(context.Background(), corrupted(t), opts)
+	var re *guard.RejectionError
+	if !errors.Is(err, guard.ErrRejected) || !errors.As(err, &re) || re.Witness.Reason != "euler" {
+		t.Fatalf("corrupted input: %v, want an euler rejection", err)
+	}
+	if res.Admission == nil || res.BFS != nil || res.Recovery != nil {
+		t.Fatal("a stage after admission ran on a rejected input")
+	}
+}
+
+// TestRunFaultsStayCertified drives the dfs stage through structural
+// faults: the run retries or degrades, and every stage still certifies.
+func TestRunFaultsStayCertified(t *testing.T) {
+	in := instance(t, "grid", 36, 1)
+	plan := chaos.NewPlan(11, chaos.Spec{Structural: 3})
+	res, err := Run(context.Background(), in, Options{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch res.Recovery.Outcome {
+	case chaos.OutcomeCertifiedRetry, chaos.OutcomeDegraded:
+	default:
+		t.Fatalf("outcome %v, want retry or degraded", res.Recovery.Outcome)
+	}
+	if res.Recovery.Faults.Structural == 0 {
+		t.Fatal("no structural fault fired")
+	}
+	if err := dfs.IsDFSTree(in.G, res.Root, res.Parent); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Verdicts {
+		if !v.OK {
+			t.Fatalf("%s rejected", v.Scheme)
+		}
+	}
+}
+
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, instance(t, "grid", 36, 1), Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+}
+
+func TestRunUnknownEngine(t *testing.T) {
+	_, err := Run(context.Background(), instance(t, "grid", 36, 1), Options{Engine: "nope"})
+	var ue *sepengine.UnknownEngineError
+	if !errors.As(err, &ue) {
+		t.Fatalf("unknown engine: %v", err)
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/trace"
 )
@@ -277,16 +278,16 @@ func (s *Server) runJob(j *job) {
 
 	buildStart := nowNanos()
 	d, cached, err := s.store.do(ctx, hash, func() (*Decomp, error) {
-		d, err := buildDecomp(ctx, in, pipelineRequest{
-			plan:        plan,
-			maxAttempts: j.req.MaxAttempts,
-			tracer:      j.rec,
-			engine:      j.req.Engine,
+		res, err := pipeline.Run(ctx, in, pipeline.Options{
+			Engine:      j.req.Engine,
+			Plan:        plan,
+			MaxAttempts: j.req.MaxAttempts,
+			Tracer:      j.rec,
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-		d.Hash = hash // the store key, engine suffix included
+		d := newDecomp(hash, in, res)
 		d.BuildNanos = nowNanos() - buildStart
 		return d, nil
 	})

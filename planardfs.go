@@ -10,7 +10,8 @@
 //     components of at most 2n/3 vertices — in Õ(D) CONGEST rounds,
 //     partition-parallel (FindCycleSeparator, SeparatorsForPartition).
 //   - Theorem 2: deterministic construction of a DFS tree in Õ(D) CONGEST
-//     rounds (BuildDFSTree).
+//     rounds (BuildDFSTree), and the certified end-to-end pipeline around
+//     it (Run).
 //
 // Everything the algorithms depend on is implemented in this module:
 // combinatorial planar embeddings with face tracing and Jordan
@@ -40,6 +41,7 @@ import (
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/guard"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/planar"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
@@ -107,7 +109,7 @@ type (
 )
 
 // NewTraceRecorder returns an empty trace recorder. Pass it wherever a
-// Tracer is accepted (Config.Tracer, Network.Tracer, BuildDFSTreeTraced),
+// Tracer is accepted (Config.Tracer, Network.Tracer, PipelineOptions.Tracer),
 // then export with WriteJSONL, WriteChromeTrace or WriteMetrics.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
@@ -264,41 +266,33 @@ func BuildDFSTree(in *Instance, root int) (*DFSTree, *DFSTrace, error) {
 	return dfs.Build(in.G, in.Emb, in.OuterDart, root)
 }
 
-// BuildDFSTreeTraced is BuildDFSTree with the whole run — DFS phases, join
-// sub-phases, per-component separator computations and their lemma
-// subroutines, and the charged communication primitives — recorded on
-// tracer as round-stamped spans. A nil tracer disables tracing.
-func BuildDFSTreeTraced(in *Instance, root int, tracer Tracer) (*DFSTree, *DFSTrace, error) {
-	return dfs.BuildTraced(in.G, in.Emb, in.OuterDart, root, tracer)
-}
+// The Theorem 2 pipeline (internal/pipeline): one ordered stage list —
+// admission guard → BFS spanning tree → supervised Theorem 2 DFS (separator
+// engine, fault plan, certify-retry-degrade recovery) → whole-instance cycle
+// separator → spanning/DFS/separator certification — behind one entry
+// point. planard runs the same pipeline for every cold build.
+type (
+	// PipelineOptions configure a pipeline run; the zero value runs the
+	// paper's defaults (no guard, Theorem 1 engine, fault-free, untraced).
+	PipelineOptions = pipeline.Options
+	// PipelineResult carries the per-stage reports of a run: the guard
+	// verdict, the BFS tree, the recovery report and DFS trace, the
+	// certified DFS tree, the separator and the certification verdicts.
+	PipelineResult = pipeline.Result
+)
 
-// BuildDFSTreeWithEngine is BuildDFSTreeTraced with the per-component
-// separator computation run by the named engine (empty name selects the
-// default). A soft engine failure (ErrNoSeparator) on a component falls
-// back to the Theorem 1 engine for that component — the build stays total —
-// and the returned trace counts the fallbacks in EngineFallbacks.
-func BuildDFSTreeWithEngine(in *Instance, root int, engine string, tracer Tracer) (*DFSTree, *DFSTrace, error) {
-	eng, err := sepengine.Get(engine)
-	if err != nil {
-		return nil, nil, err
-	}
-	fallbacks := 0
-	find := func(cfg *Config) (*Separator, error) {
-		res, ferr := eng.FindCycleSeparator(cfg, SeparatorEngineOptions{Tracer: tracer})
-		if ferr == nil {
-			return res.Sep, nil
-		}
-		if !errors.Is(ferr, ErrNoSeparator) {
-			return nil, ferr
-		}
-		fallbacks++
-		return separator.Find(cfg)
-	}
-	pt, tr, err := dfs.BuildWithSeparator(in.G, in.Emb, in.OuterDart, root, tracer, find)
-	if tr != nil {
-		tr.EngineFallbacks = fallbacks
-	}
-	return pt, tr, err
+// ErrUnrecovered reports a pipeline run whose DFS stage exhausted every
+// supervised attempt without a certified tree; the result's Recovery
+// report carries the attempts.
+var ErrUnrecovered = pipeline.ErrUnrecovered
+
+// Run executes the Theorem 2 pipeline over the instance, rooted on its
+// outer face (OuterRoot). A guard rejection is an error matching
+// ErrInputRejected, a DFS stage that fails under faults is ErrUnrecovered,
+// and cancelling ctx stops the run between stages and supervised attempts.
+// On error the result still carries the reports of the stages that ran.
+func Run(ctx context.Context, in *Instance, opts PipelineOptions) (*PipelineResult, error) {
+	return pipeline.Run(ctx, in, opts)
 }
 
 // VerifyDFSTree checks the DFS property: parent must describe a spanning
@@ -392,7 +386,8 @@ func RunPartwiseSum(g *Graph, root int, part *Partition, value []int) ([]int, Ne
 // Deterministic fault injection and certified recovery (internal/chaos):
 // seeded fault plans perturb CONGEST runs reproducibly, and the supervised
 // runtime retries, degrades or fails explicitly — never returning an
-// uncertified result.
+// uncertified result. Run's DFS stage is supervised this way: pass a plan
+// in PipelineOptions.Plan and read the report from PipelineResult.Recovery.
 type (
 	// FaultPlan is a deterministic fault scenario: explicit faults plus a
 	// seeded randomized Spec, re-derived per recovery attempt.
@@ -401,9 +396,6 @@ type (
 	FaultSpec = chaos.Spec
 	// FaultCounts tallies faults that actually fired during a run.
 	FaultCounts = chaos.Counts
-	// RecoveryPolicy bounds the supervised runtime (attempts, round
-	// budgets, backoff, tracing).
-	RecoveryPolicy = chaos.Policy
 	// RecoveryReport is the full account of a supervised run: terminal
 	// outcome, per-attempt records, fired faults, and verdicts.
 	RecoveryReport = chaos.Report
@@ -417,9 +409,6 @@ const (
 	RecoveryCertifiedRetry = chaos.OutcomeCertifiedRetry
 	RecoveryDegraded       = chaos.OutcomeDegraded
 	RecoveryFailed         = chaos.OutcomeFailed
-	// RecoveryRejectedInput: the guard stage of a guarded run rejected the
-	// input before any producer attempt ran.
-	RecoveryRejectedInput = chaos.OutcomeRejectedInput
 )
 
 // NewFaultPlan returns a plan deriving spec-sized random faults from seed.
@@ -431,66 +420,9 @@ func NewFaultPlan(seed int64, spec FaultSpec) *FaultPlan {
 // "drops=2,corruptions=1,crashes=1,structural=4".
 func ParseFaultSpec(s string) (FaultSpec, error) { return chaos.ParseSpec(s) }
 
-// BuildDFSTreeWithRecovery constructs a DFS tree of the instance under the
-// supervised recovery runtime of internal/chaos. The primary stage is the
-// Theorem 2 separator pipeline, whose simulated output is perturbed by the
-// plan's structural faults (decaying across attempts) and certified by the
-// DFS proof-labeling scheme; if every primary attempt is rejected, the
-// runtime degrades to Awerbuch's message-level token DFS under the plan's
-// message-level faults. The returned parent array is valid only when the
-// report's Outcome is not RecoveryFailed. A nil plan supervises a
-// fault-free run.
-func BuildDFSTreeWithRecovery(in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	return BuildDFSTreeWithRecoveryContext(context.Background(), in, root, plan, pol)
-}
-
-// BuildDFSTreeWithRecoveryContext is BuildDFSTreeWithRecovery under a
-// cancellation context: cancelling ctx stops the supervised retry loop
-// mid-flight (the terminal outcome is an error wrapping ctx.Err(), never a
-// partial result). This is the form the serve layer's job cancellation and
-// graceful shutdown run through.
-func BuildDFSTreeWithRecoveryContext(ctx context.Context, in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	primary, fallback := dfsRecoveryStages(in, root, plan, pol)
-	return chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
-}
-
-// dfsRecoveryStages builds the supervised stage pair of the DFS recovery
-// runtime: the charged Theorem 2 pipeline as primary, Awerbuch's
-// message-level token DFS as fallback.
-func dfsRecoveryStages(in *Instance, root int, plan *FaultPlan, pol RecoveryPolicy) (chaos.Stage[[]int], chaos.Stage[[]int]) {
-	g := in.G
-	opt := CertOptions{Tracer: pol.Tracer}
-	var structural chaos.Counts
-	primary := chaos.Stage[[]int]{
-		Name:          "separator-pipeline",
-		DefaultBudget: 10*g.N() + 100,
-		// The pipeline is a simulated (charged) stage: it reports the
-		// paper-model round cost but is not bound by the attempt budget —
-		// its retries are driven by certification rejections of the
-		// structurally faulted output, which decay across attempts.
-		Run: func(attempt, budget int) ([]int, int, error) {
-			pt, dtr, err := dfs.Build(g, in.Emb, in.OuterDart, root)
-			if err != nil {
-				return nil, 0, err
-			}
-			parent := append([]int(nil), pt.Parent...)
-			structural.Structural += int64(plan.CorruptParents(attempt, root, parent))
-			bt, err := spanning.BFSTree(g, root)
-			if err != nil {
-				return nil, 0, err
-			}
-			rounds := DFSRounds(g.N(), dtr, PaperCost{D: bt.MaxDepth(), N: g.N()})
-			return parent, rounds, nil
-		},
-		Certify: chaos.DFSCertifier(g, root, opt),
-		Faults:  func() chaos.Counts { return structural },
-	}
-	fallback := chaos.AwerbuchDFS(g, root, plan, opt)
-	return primary, fallback
-}
-
 // Input validation (internal/guard): the admission subsystem that runs
-// before the Theorem 2 pipeline and rejects non-planar and
+// before the Theorem 2 pipeline (set PipelineOptions.Guard) and rejects
+// non-planar and
 // corrupted-embedding inputs with typed, certifiable verdicts — a
 // distributed rotation/endpoint consistency check, a one-sided-error
 // CONGEST planarity property tester, and the Euler-count certification,
@@ -531,22 +463,6 @@ func ValidateEmbedding(in *Instance, opt GuardOptions) (*GuardVerdict, error) {
 // edge-count or dense-region witness is found.
 func ValidatePlanarity(g *Graph, opt GuardOptions) (*GuardVerdict, error) {
 	return guard.ValidateGraph(g, opt)
-}
-
-// BuildDFSTreeGuarded is BuildDFSTreeWithRecoveryContext with the guard
-// run at admission: the instance is validated before any pipeline attempt,
-// and a rejection ends the run with RecoveryRejectedInput (the report
-// carries the typed rejection; no producer ever sees the bad input).
-func BuildDFSTreeGuarded(ctx context.Context, in *Instance, root int, gopt GuardOptions, plan *FaultPlan, pol RecoveryPolicy) ([]int, *RecoveryReport, error) {
-	primary, fallback := dfsRecoveryStages(in, root, plan, pol)
-	admit := func(context.Context) (error, error) {
-		v, err := guard.ValidateInstance(in, gopt)
-		if err != nil {
-			return nil, err
-		}
-		return v.Err(), nil
-	}
-	return chaos.RunWithRecoveryGuarded(ctx, admit, primary, &fallback, pol)
 }
 
 // Simulation-as-a-service (internal/serve): an embeddable HTTP job server

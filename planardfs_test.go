@@ -1,6 +1,7 @@
 package planardfs
 
 import (
+	"context"
 	"testing"
 )
 
@@ -180,16 +181,17 @@ func TestPublicRecoveryFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := OuterRoot(in)
+	ctx := context.Background()
 
 	// Fault-free supervision: one attempt, certified.
-	parent, rep, err := BuildDFSTreeWithRecovery(in, root, nil, RecoveryPolicy{})
+	res, err := Run(ctx, in, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != RecoveryCertified {
-		t.Fatalf("fault-free outcome = %v, want certified", rep.Outcome)
+	if res.Recovery.Outcome != RecoveryCertified {
+		t.Fatalf("fault-free outcome = %v, want certified", res.Recovery.Outcome)
 	}
-	if err := VerifyDFSTree(in.G, root, parent); err != nil {
+	if err := VerifyDFSTree(in.G, root, res.Parent); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,16 +204,17 @@ func TestPublicRecoveryFlow(t *testing.T) {
 	}
 	plan := NewFaultPlan(11, spec)
 	rec := NewTraceRecorder()
-	parent, rep, err = BuildDFSTreeWithRecovery(in, root, plan, RecoveryPolicy{Tracer: rec})
+	res, err = Run(ctx, in, PipelineOptions{Plan: plan, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Recovery
 	switch rep.Outcome {
 	case RecoveryCertifiedRetry, RecoveryDegraded:
 	default:
 		t.Fatalf("outcome = %v, want retry or degraded under structural faults", rep.Outcome)
 	}
-	if err := VerifyDFSTree(in.G, root, parent); err != nil {
+	if err := VerifyDFSTree(in.G, root, res.Parent); err != nil {
 		t.Fatalf("supervised run returned a non-DFS tree: %v", err)
 	}
 	if rep.Faults.Structural == 0 {

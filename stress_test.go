@@ -7,6 +7,7 @@ package planardfs
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -157,9 +158,9 @@ func TestStressDeterminism(t *testing.T) {
 }
 
 // TestStressTracedDeterminism locks the tracing subsystem's reproducibility
-// contract at the facade level: two same-input traced DFS runs must export
-// byte-identical JSONL and Chrome trace files, and tracing must not change
-// the constructed tree.
+// contract at the facade level: two same-input traced pipeline runs must
+// export byte-identical JSONL and Chrome trace files, and tracing must not
+// change the constructed tree.
 func TestStressTracedDeterminism(t *testing.T) {
 	n := 150
 	if !testing.Short() {
@@ -174,18 +175,18 @@ func TestStressTracedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (*TraceRecorder, *DFSTree) {
+	run := func() (*TraceRecorder, []int) {
 		rec := NewTraceRecorder()
-		tree, _, err := BuildDFSTreeTraced(in, root, rec)
+		res, err := Run(context.Background(), in, PipelineOptions{Tracer: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec, tree
+		return rec, res.Parent
 	}
-	rec1, tree1 := run()
+	rec1, parent1 := run()
 	rec2, _ := run()
 	for v := range plain.Parent {
-		if plain.Parent[v] != tree1.Parent[v] {
+		if plain.Parent[v] != parent1[v] {
 			t.Fatal("tracing changed the DFS tree")
 		}
 	}
