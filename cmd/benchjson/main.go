@@ -96,8 +96,6 @@ type Entry struct {
 // File is the schema of BENCH_congest.json.
 type File struct {
 	Schema    string  `json:"schema"`
-	Engine    string  `json:"engine"`
-	Workers   int     `json:"workers"`
 	GoVersion string  `json:"go_version"`
 	GOOS      string  `json:"goos"`
 	GOARCH    string  `json:"goarch"`
@@ -117,8 +115,6 @@ func run() error {
 	n := flag.Int("n", 1024, "approximate vertex count per instance")
 	families := flag.String("families", "grid,cylinderish,stacked", "comma-separated generator families")
 	programs := flag.String("programs", "bfs,pa,dfs", "comma-separated programs (bfs,pa,dfs)")
-	seq := flag.Bool("seq", false, "use the sequential reference engine")
-	workers := flag.Int("workers", 0, "worker count for the sharded engine (0 = NumCPU)")
 	certMode := flag.Bool("cert", false, "benchmark the certification layer instead of the round engine")
 	chaosMode := flag.Bool("chaos", false, "benchmark the supervised recovery runtime instead of the round engine")
 	serveMode := flag.Bool("serve", false, "benchmark the simulation service (cold build vs cached queries) instead of the round engine")
@@ -132,13 +128,13 @@ func run() error {
 	flag.Parse()
 
 	if *certMode {
-		return runCert(*out, *n, *families, *seq, *workers)
+		return runCert(*out, *n, *families)
 	}
 	if *chaosMode {
-		return runChaos(*out, *n, *families, *seq, *workers)
+		return runChaos(*out, *n, *families)
 	}
 	if *serveMode {
-		return runServe(*out, *n, *families, *workers)
+		return runServe(*out, *n, *families)
 	}
 	if *enginesMode {
 		return runEngines(*out, *families, *engineSizes)
@@ -149,19 +145,14 @@ func run() error {
 
 	file := File{
 		Schema:    "planardfs/bench-congest/v1",
-		Engine:    "parallel",
-		Workers:   *workers,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	if *seq {
-		file.Engine = "sequential"
-	}
 	for _, fam := range strings.Split(*families, ",") {
 		for _, prog := range strings.Split(*programs, ",") {
-			e, err := measure(prog, fam, *n, *seq, *workers)
+			e, err := measure(prog, fam, *n)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", prog, fam, err)
 			}
@@ -188,7 +179,7 @@ func run() error {
 				if sz > *scaleBFSMax {
 					continue
 				}
-				be, err := measure("bfs", fam, sz, *seq, *workers)
+				be, err := measure("bfs", fam, sz)
 				if err != nil {
 					return fmt.Errorf("bfs %s/%d: %w", fam, sz, err)
 				}
@@ -212,7 +203,7 @@ func run() error {
 	return os.WriteFile(*out, data, 0o644)
 }
 
-func measure(program, family string, n int, seq bool, workers int) (Entry, error) {
+func measure(program, family string, n int) (Entry, error) {
 	in, err := gen.ByName(family, n, 1)
 	if err != nil {
 		return Entry{}, err
@@ -251,8 +242,6 @@ func measure(program, family string, n int, seq bool, workers int) (Entry, error
 	var benchErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		nw := congest.New(g)
-		nw.Parallel = !seq
-		nw.Workers = workers
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := nw.Run(build(nw), budget); err != nil {
@@ -480,8 +469,6 @@ type CertEntry struct {
 // CertFile is the schema of BENCH_cert.json.
 type CertFile struct {
 	Schema    string      `json:"schema"`
-	Engine    string      `json:"engine"`
-	Workers   int         `json:"workers"`
 	GoVersion string      `json:"go_version"`
 	GOOS      string      `json:"goos"`
 	GOARCH    string      `json:"goarch"`
@@ -491,22 +478,17 @@ type CertFile struct {
 
 var certSchemes = []string{"spanning", "dfs", "separator", "embedding"}
 
-func runCert(out string, n int, families string, seq bool, workers int) error {
+func runCert(out string, n int, families string) error {
 	file := CertFile{
 		Schema:    "planardfs/bench-cert/v1",
-		Engine:    "parallel",
-		Workers:   workers,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	if seq {
-		file.Engine = "sequential"
-	}
 	for _, fam := range strings.Split(families, ",") {
 		for _, scheme := range certSchemes {
-			e, err := measureCert(scheme, fam, n, seq, workers)
+			e, err := measureCert(scheme, fam, n)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", scheme, fam, err)
 			}
@@ -553,8 +535,6 @@ type ChaosEntry struct {
 // ChaosFile is the schema of BENCH_chaos.json.
 type ChaosFile struct {
 	Schema    string       `json:"schema"`
-	Engine    string       `json:"engine"`
-	Workers   int          `json:"workers"`
 	GoVersion string       `json:"go_version"`
 	GOOS      string       `json:"goos"`
 	GOARCH    string       `json:"goarch"`
@@ -577,23 +557,18 @@ var chaosScenarios = []struct{ name, spec string }{
 	{"mixed", "drops=3,corruptions=2,crashes=1,horizon=24"},
 }
 
-func runChaos(out string, n int, families string, seq bool, workers int) error {
+func runChaos(out string, n int, families string) error {
 	file := ChaosFile{
 		Schema:    "planardfs/bench-chaos/v1",
-		Engine:    "parallel",
-		Workers:   workers,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	if seq {
-		file.Engine = "sequential"
-	}
 	for _, fam := range strings.Split(families, ",") {
 		for _, prog := range []string{"bfs", "awerbuch"} {
 			for _, sc := range chaosScenarios {
-				e, err := measureChaos(prog, fam, sc.name, sc.spec, n, seq, workers)
+				e, err := measureChaos(prog, fam, sc.name, sc.spec, n)
 				if err != nil {
 					return fmt.Errorf("%s/%s/%s: %w", prog, fam, sc.name, err)
 				}
@@ -622,13 +597,13 @@ func runChaos(out string, n int, families string, seq bool, workers int) error {
 // the DFS program) degradation to a fault-free fallback. The overhead
 // column is total supervised rounds over the fault-free rounds of the same
 // stage.
-func measureChaos(program, family, specName, spec string, n int, seq bool, workers int) (ChaosEntry, error) {
+func measureChaos(program, family, specName, spec string, n int) (ChaosEntry, error) {
 	in, err := gen.ByName(family, n, 1)
 	if err != nil {
 		return ChaosEntry{}, err
 	}
 	g := in.G
-	opt := cert.Options{Sequential: seq, Workers: workers}
+	var opt cert.Options
 	const seed = 1
 
 	var plan *chaos.Plan
@@ -711,13 +686,13 @@ func totalRounds(rep *chaos.Report) int {
 
 // measureCert prepares one correct output for the scheme and benchmarks the
 // full prove-and-verify certification of it.
-func measureCert(scheme, family string, n int, seq bool, workers int) (CertEntry, error) {
+func measureCert(scheme, family string, n int) (CertEntry, error) {
 	in, err := gen.ByName(family, n, 1)
 	if err != nil {
 		return CertEntry{}, err
 	}
 	g := in.G
-	opt := cert.Options{Sequential: seq, Workers: workers}
+	var opt cert.Options
 
 	var certify func() (*cert.Verdict, error)
 	switch scheme {

@@ -60,21 +60,21 @@ type ServeFile struct {
 	Entries   []ServeEntry `json:"entries"`
 }
 
+// serveWorkers is the worker-pool size of the measured server.
+const serveWorkers = 2
+
 // runServe measures each family at size n through a live server.
-func runServe(out string, n int, families string, workers int) error {
-	if workers <= 0 {
-		workers = 2
-	}
+func runServe(out string, n int, families string) error {
 	file := ServeFile{
 		Schema:    "planardfs/bench-serve/v1",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Workers:   workers,
+		Workers:   serveWorkers,
 	}
 	for _, fam := range strings.Split(families, ",") {
-		e, err := measureServe(fam, n, workers)
+		e, err := measureServe(fam, n, serveWorkers)
 		if err != nil {
 			return fmt.Errorf("serve/%s: %w", fam, err)
 		}

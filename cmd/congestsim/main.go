@@ -7,14 +7,14 @@
 //	congestsim -program awerbuch -family grid -n 400
 //	congestsim -program pa -parts 16 -in graph.json
 //	congestsim -program boruvka -family stacked -n 500
-//	congestsim -program bfs -seq                  # sequential reference engine
-//	congestsim -program awerbuch -workers 4       # sharded engine, fixed workers
 //	congestsim -program awerbuch -certify         # self-check the output tree
 //	congestsim -trace out.json -metrics           # Perfetto trace + metrics dump
 //
-// -seq selects the sequential reference engine; -workers pins the shard
-// count of the parallel engine (0 = NumCPU). -trace writes a Chrome
-// trace_event file of the run and -metrics prints the counter registry.
+// Every program runs on the simulator's one round schedule, which steps
+// only the nodes that received a message, sent one, or set a wake timer
+// (Borůvka's phase clock, fault-injection crash and stall-release rounds).
+// -trace writes a Chrome trace_event file of the run and -metrics prints
+// the counter registry.
 // -certify runs the distributed certification verifier on the program
 // output (bfs and awerbuch), reports the verdict, and exits nonzero on
 // rejection.
@@ -60,8 +60,6 @@ func run() error {
 	parts := flag.Int("parts", 8, "part count for -program pa / boruvka")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the run (load in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the metrics registry of the run")
-	seq := flag.Bool("seq", false, "use the sequential reference engine instead of the sharded one")
-	workers := flag.Int("workers", 0, "worker count for the sharded engine (0 = NumCPU)")
 	certify := flag.Bool("certify", false, "run the distributed certification verifier on the program output")
 	chaosSpec := flag.String("chaos", "", "deterministic fault-injection spec, e.g. \"drops=2,corruptions=1,crashes=1\"")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-plan seed for -chaos")
@@ -96,15 +94,11 @@ func run() error {
 	fmt.Printf("graph %s: n=%d m=%d\n", in.Name, g.N(), g.M())
 
 	nw := congest.New(g)
-	nw.Parallel = !*seq
-	nw.Workers = *workers
 	var rec *trace.Recorder
+	var copt cert.Options
 	if *traceOut != "" || *metrics {
 		rec = trace.NewRecorder()
 		nw.Tracer = rec
-	}
-	copt := cert.Options{Sequential: *seq, Workers: *workers}
-	if rec != nil {
 		copt.Tracer = rec
 	}
 	if *recoverRun {

@@ -77,26 +77,30 @@ func TestRecoverExitCodes(t *testing.T) {
 	}
 }
 
+// chaosGolden is the recorded output of the injected run below: two
+// crashes fire, and the DFS still covers the grid.
+const chaosGolden = `graph grid-16x16: n=256 m=480
+Awerbuch DFS: output verified
+chaos: fired drops=0 corruptions=0 stalls=0 linkdown=0 crashes=2 structural=0
+rounds=420 messages=869 words=1124 maxEdgeLoad=2 maxRoundWords=4 maxEdgeCongestion=1
+per-round messages: mean=2.1 peak=3 (round 17) busy=419/420 rounds
+`
+
+// TestChaosFlagDeterminism pins that a seeded fault plan fires faults and
+// reproduces its run byte for byte.
 func TestChaosFlagDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
 	bin := buildCLI(t, "planardfs/cmd/congestsim")
-	run := func(extra ...string) string {
-		args := append([]string{"-program", "bfs", "-n", "64",
-			"-chaos", "drops=2,stalls=1", "-chaos-seed", "9"}, extra...)
+	args := []string{"-program", "awerbuch", "-n", "256", "-chaos", "crashes=2", "-chaos-seed", "3"}
+	for i := 0; i < 2; i++ {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("%v: %v\n%s", args, err, out)
 		}
-		return string(out)
-	}
-	seq := run("-seq")
-	par := run("-workers", "3")
-	if seq != par {
-		t.Fatalf("same plan diverged across engines:\n--- seq ---\n%s--- workers ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "chaos: fired") {
-		t.Fatalf("injected run did not report fired faults:\n%s", seq)
+		if string(out) != chaosGolden {
+			t.Fatalf("run %d of %v diverged from the recorded output:\n--- got ---\n%s--- want ---\n%s", i, args, out, chaosGolden)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package analyze is the planarvet analyzer suite: custom go/analysis
 // analyzers that machine-check the invariants the repo's determinism and
 // CONGEST-model contracts rest on. The headline guarantees — byte-identical
-// inbox orderings between the sequential and sharded engines, trace
-// identity across runs, certification verdict equivalence — are all
+// inbox orderings and statistics across runs, trace identity across runs,
+// certification verdict equivalence — are all
 // statements about *reproducible execution*, and each has a class of Go
 // code that silently breaks it:
 //

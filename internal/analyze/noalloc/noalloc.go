@@ -1,11 +1,11 @@
 // Package noalloc defines the planarvet analyzer that polices the
 // zero-allocation hot paths.
 //
-// The simulator's steady-state loops — the CONGEST round step/deliver
-// pair, the planar face tracer, the DFS join deque, the triangulation
-// builder — run millions of times per experiment and are written against
-// epoch-stamped scratch arenas precisely so that the steady state
-// allocates nothing. That property is load-bearing (it is what keeps the
+// The simulator's steady-state loops — the CONGEST round loop and its
+// wake-timer heap, the planar face tracer, the DFS join deque, the
+// triangulation builder — run millions of times per experiment and are
+// written against epoch-stamped scratch arenas precisely so that the
+// steady state allocates nothing. That property is load-bearing (it is what keeps the
 // large-n benchmarks GC-quiet and the round loop's cost model honest) and
 // it is trivially easy to lose: one innocent fmt.Sprintf in an error
 // path, one closure capturing a loop variable, one map literal, and the

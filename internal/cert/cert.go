@@ -71,16 +71,8 @@ type Verdict struct {
 	Stats congest.Stats
 }
 
-// Options configure a certification run. The zero value runs the parallel
-// engine untraced.
+// Options configure a certification run. The zero value runs untraced.
 type Options struct {
-	// Sequential selects the sequential round engine; results are
-	// bit-identical either way (the engine-equivalence contract of the
-	// simulator extends to certification verdicts).
-	Sequential bool
-	// Workers overrides the sharded engine's worker count; 0 means one per
-	// CPU.
-	Workers int
 	// Tracer records cert-layer spans (prove/verify/aggregate) and the
 	// underlying network rounds; nil disables tracing.
 	Tracer trace.Tracer
@@ -93,8 +85,6 @@ func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
 	if maxWords > nw.MaxWords {
 		nw.MaxWords = maxWords
 	}
-	nw.Parallel = !o.Sequential
-	nw.Workers = o.Workers
 	nw.Tracer = o.Tracer
 	return nw
 }
@@ -123,11 +113,6 @@ type certNode struct {
 	accept bool
 	judged bool
 }
-
-// CongestEventDriven marks the program as purely message-driven: the
-// round-0 broadcast is the only spontaneous act (degree-0 vertices judge
-// immediately instead), and judging is triggered by the arriving labels.
-func (cn *certNode) CongestEventDriven() {}
 
 // Round implements congest.Node.
 func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {

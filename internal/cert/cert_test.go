@@ -1,7 +1,6 @@
 package cert_test
 
 import (
-	"reflect"
 	"testing"
 
 	"planardfs/internal/cert"
@@ -104,45 +103,6 @@ func TestCertifyAllFamilies(t *testing.T) {
 			}
 			if err := cert.CheckEmbedding(in.Emb); err != nil {
 				t.Fatalf("embedding oracle: %v", err)
-			}
-		})
-	}
-}
-
-// TestEngineEquivalence asserts the PR2 contract extends to certification:
-// verdicts (including network stats) are identical under the sequential
-// engine and the sharded engine at any worker count — on accepting runs and
-// on rejecting ones.
-func TestEngineEquivalence(t *testing.T) {
-	for _, fam := range []string{"grid", "stacked", "tree"} {
-		fam := fam
-		t.Run(fam, func(t *testing.T) {
-			in := instance(t, fam, 30)
-			sep := findSeparator(t, in)
-			labels, err := cert.ProveSeparator(in.G, sep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One accepting and one rejecting input.
-			bad := make([][]int, len(labels))
-			for v := range labels {
-				bad[v] = append([]int(nil), labels[v]...)
-			}
-			bad[len(bad)-1][0]++ // corrupt one root-id field
-			for _, lbs := range [][][]int{labels, bad} {
-				base, err := cert.VerifySeparator(in.G, lbs, cert.Options{Sequential: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, opt := range []cert.Options{{}, {Workers: 1}, {Workers: 3}} {
-					got, err := cert.VerifySeparator(in.G, lbs, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(base, got) {
-						t.Fatalf("engine mismatch (opt %+v):\nseq: %+v\ngot: %+v", opt, base, got)
-					}
-				}
 			}
 		})
 	}

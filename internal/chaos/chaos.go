@@ -7,8 +7,8 @@
 // sizing a randomized portion. Arm compiles the plan into per-(round,edge)
 // decisions and installs them on a congest.Network through the engine's
 // injection hook, so the same seed and plan perturb a run byte-identically
-// under the sequential and sharded engines (the trace-identity contract of
-// DESIGN.md §7 extends to injected runs).
+// every time (the trace-identity contract of DESIGN.md §7 extends to
+// injected runs).
 //
 // Determinism is the whole point: every decision is a pure function of
 // (seed, attempt, graph), drawn through an explicitly seeded rand.Rand —

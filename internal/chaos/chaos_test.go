@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -72,86 +71,11 @@ func TestNilPlanUnchanged(t *testing.T) {
 	}
 }
 
-// The trace-identity contract under injection: the same seed and plan must
-// produce byte-identical traces, stats, fault counts and outputs under the
-// sequential and sharded engines.
-func TestChaosTraceIdenticalAcrossEngines(t *testing.T) {
-	g := grid(t, 64)
-	plan := NewPlan(42, Spec{
-		Drops: 4, Corruptions: 3, Stalls: 3, LinkDowns: 1, Crashes: 1,
-		Protect: []int{0},
-	})
-	type result struct {
-		parent []int
-		rounds int
-		err    string
-		stats  congest.Stats
-		counts Counts
-		jsonl  []byte
-		chrome []byte
-	}
-	run := func(parallel bool, workers int) result {
-		rec := trace.NewRecorder()
-		nw := congest.New(g)
-		nw.Parallel = parallel
-		nw.Workers = workers
-		nw.Tracer = rec
-		inj := plan.Arm(nw, 1)
-		if inj == nil {
-			t.Fatal("plan with faults armed no injector")
-		}
-		nodes := congest.NewAwerbuchNodes(nw, 0)
-		rounds, err := nw.Run(nodes, 10*g.N()+100)
-		res := result{rounds: rounds, stats: nw.Stats(), counts: inj.Counts()}
-		if err != nil {
-			res.err = err.Error()
-		}
-		res.parent = make([]int, g.N())
-		for v := range res.parent {
-			res.parent[v] = nodes[v].(*congest.AwerbuchNode).ParentID
-		}
-		var j, c bytes.Buffer
-		if err := rec.WriteJSONL(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.WriteChromeTrace(&c); err != nil {
-			t.Fatal(err)
-		}
-		res.jsonl = j.Bytes()
-		res.chrome = c.Bytes()
-		return res
-	}
-	seq := run(false, 0)
-	if seq.counts.Total() == 0 {
-		t.Fatal("no faults fired; the scenario tests nothing")
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		par := run(true, workers)
-		if !reflect.DeepEqual(seq.parent, par.parent) || seq.rounds != par.rounds || seq.err != par.err {
-			t.Fatalf("workers=%d: output diverged (rounds %d vs %d, err %q vs %q)",
-				workers, seq.rounds, par.rounds, seq.err, par.err)
-		}
-		if !reflect.DeepEqual(seq.stats, par.stats) {
-			t.Fatalf("workers=%d: stats diverged", workers)
-		}
-		if seq.counts != par.counts {
-			t.Fatalf("workers=%d: fault counts diverged: %v vs %v", workers, seq.counts, par.counts)
-		}
-		if !bytes.Equal(seq.jsonl, par.jsonl) {
-			t.Fatalf("workers=%d: JSONL trace diverged", workers)
-		}
-		if !bytes.Equal(seq.chrome, par.chrome) {
-			t.Fatalf("workers=%d: Chrome trace diverged", workers)
-		}
-	}
-}
-
 // Explicit fault semantics on small graphs.
 
 func bfsRun(t *testing.T, g *graph.Graph, plan *Plan) (BFSOutput, *Injector, int, error) {
 	t.Helper()
 	nw := congest.New(g)
-	nw.Parallel = false
 	inj := plan.Arm(nw, 1)
 	nodes := congest.NewBFSNodes(nw, 0)
 	rounds, err := nw.Run(nodes, 10*g.N()+20)
@@ -182,7 +106,7 @@ func TestExplicitCrashPartitionsRun(t *testing.T) {
 	if out.Dist[4] != -1 {
 		t.Fatalf("dist[4] = %d, want unreached (-1)", out.Dist[4])
 	}
-	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{Sequential: true})
+	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +173,7 @@ func TestExplicitLinkDownNeverSilentlyWrong(t *testing.T) {
 	if inj.Counts().LinkDownDrops == 0 {
 		t.Fatal("link-down dropped nothing")
 	}
-	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{Sequential: true})
+	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +333,7 @@ func TestRecoveryInfrastructureError(t *testing.T) {
 func TestAwerbuchStageRecovers(t *testing.T) {
 	g := grid(t, 25)
 	plan := NewPlan(9, Spec{Drops: 2, Protect: []int{0}})
-	st := AwerbuchDFS(g, 0, plan, cert.Options{Sequential: true})
+	st := AwerbuchDFS(g, 0, plan, cert.Options{})
 	parent, rep, err := RunWithRecovery(st, nil, Policy{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -445,16 +369,14 @@ func TestBroadcastReport(t *testing.T) {
 		Attempts: make([]Attempt, 2),
 		Faults:   Counts{Drops: 3, Crashes: 1, Structural: 2},
 	}
-	for _, seqEngine := range []bool{true, false} {
-		got, err := BroadcastReport(g, 0, rep, cert.Options{Sequential: seqEngine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := *rep.WirePayload()
-		for v, p := range got {
-			if p != want {
-				t.Fatalf("vertex %d received %+v, want %+v", v, p, want)
-			}
+	got, err := BroadcastReport(g, 0, rep, cert.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *rep.WirePayload()
+	for v, p := range got {
+		if p != want {
+			t.Fatalf("vertex %d received %+v, want %+v", v, p, want)
 		}
 	}
 }

@@ -6,17 +6,18 @@ import (
 )
 
 // Injector is a fault plan compiled against one graph for one attempt. It
-// implements congest.Injector: the engines consult it per vertex in the
-// step phase (crash-stop) and per in-flight message in the delivery phase
-// (link-down, drop, corrupt, stall).
+// implements congest.Injector: the engine consults it for every stepped
+// vertex (crash-stop) and every in-flight message (link-down, drop,
+// corrupt, stall), and it wakes the vertices its round-scheduled events
+// concern — each crash-stopped vertex at its crash round, each stalled
+// message's receiver the round after its release — through the engine's
+// timer hook.
 //
 // All decision tables are built by compile before the run starts; the only
-// state mutated during a run is owned per-receiver (stall buffers, release
-// queues, fired-fault counters), which matches the engine's concurrency
-// contract — both engines invoke the delivery hooks for receiver dst only
-// from the worker owning dst — so sequential and sharded runs take
-// byte-identical decisions. An Injector is single-run: arm a fresh one per
-// attempt.
+// state mutated during a run is owned per receiver (stall buffers, release
+// queues, fired-fault counters) or per directed edge (scratch payloads), so
+// its decisions do not depend on which other vertices the schedule steps.
+// An Injector is single-run: arm a fresh one per attempt.
 type Injector struct {
 	g *graph.Graph
 
@@ -32,7 +33,10 @@ type Injector struct {
 	// round, at most one per round.
 	events [][]event
 
-	// Per-receiver mutable state, touched only by the receiver's worker.
+	// wake is the engine's timer hook, set by Schedule.
+	wake func(v, round int)
+
+	// Per-receiver mutable state.
 	stalled [][]stalledMsg
 	pending []int32
 	cnt     []Counts
@@ -59,6 +63,17 @@ type stalledMsg struct {
 
 var _ congest.Injector = (*Injector)(nil)
 
+// Schedule implements congest.Injector: it wakes every crash-stopped vertex
+// at its crash round and keeps the hook for stall releases.
+func (in *Injector) Schedule(wake func(v, round int)) {
+	in.wake = wake
+	for v, at := range in.crashAt {
+		if at != never {
+			wake(v, int(at))
+		}
+	}
+}
+
 // Crashed implements congest.Injector.
 func (in *Injector) Crashed(round, v int) bool {
 	at := in.crashAt[v]
@@ -66,7 +81,7 @@ func (in *Injector) Crashed(round, v int) bool {
 		return false
 	}
 	if int32(round) == at {
-		in.cnt[v].Crashes++ // step phase: v's worker owns cnt[v]
+		in.cnt[v].Crashes++
 	}
 	return true
 }
@@ -120,6 +135,7 @@ func (in *Injector) Deliver(round, src, srcPort, dst, dstPort int, msg congest.M
 			args:    ev.buf,
 		})
 		in.pending[dst]++
+		in.wake(dst, round+int(ev.stall)+1)
 		c.Stalls++
 		return msg, congest.FateStall
 	}

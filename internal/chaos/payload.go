@@ -76,10 +76,6 @@ type reportNode struct {
 	Report  ReportPayload
 }
 
-// CongestEventDriven marks the program as purely message-driven (the
-// flood is triggered by round 0 at the root and by receipt elsewhere).
-func (rn *reportNode) CongestEventDriven() {}
-
 // Round implements congest.Node.
 func (rn *reportNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	for _, in := range recv {

@@ -25,11 +25,12 @@ type delivery struct {
 }
 
 // observer records every delivery position without perturbing the run.
-// Sequential engine only: it appends to one shared slice.
 type observer struct {
 	g          *graph.Graph
 	deliveries []delivery
 }
+
+func (o *observer) Schedule(func(v, round int)) {}
 
 func (o *observer) Crashed(round, v int) bool { return false }
 
@@ -49,7 +50,6 @@ func (o *observer) Pending() bool { return false }
 func observeBFS(t *testing.T, g *graph.Graph, root int) []delivery {
 	t.Helper()
 	nw := congest.New(g)
-	nw.Parallel = false
 	obs := &observer{g: g}
 	nw.Injector = obs
 	if _, err := nw.Run(congest.NewBFSNodes(nw, root), 10*g.N()+20); err != nil {
@@ -93,7 +93,7 @@ func TestBFSEverySingleFaultIsSoundOnGrids(t *testing.T) {
 				if inj.Counts().Total() == 0 {
 					t.Fatalf("n=%d fault %+v missed its observed delivery", n, f)
 				}
-				v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{Sequential: true})
+				v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +137,7 @@ func TestPAEverySingleDropIsSound(t *testing.T) {
 		partOf[v] = v % 3
 		value[v] = v + 1
 	}
-	opt := cert.Options{Sequential: true}
+	opt := cert.Options{}
 
 	// Sanity: the fault-free stage run passes its own oracle.
 	obsStage := PartwiseSum(g, 0, partOf, value, nil, opt)
@@ -186,9 +186,8 @@ func TestPAEverySingleDropIsSound(t *testing.T) {
 // node programs) with an observing injector.
 func observePA(t *testing.T, g *graph.Graph, root int, partOf, value []int) []delivery {
 	t.Helper()
-	st := PartwiseSum(g, root, partOf, value, nil, cert.Options{Sequential: true})
+	st := PartwiseSum(g, root, partOf, value, nil, cert.Options{})
 	nw := congest.New(g)
-	nw.Parallel = false
 	obs := &observer{g: g}
 	nw.Injector = obs
 	tr, err := spanning.BFSTree(g, root)
@@ -227,7 +226,7 @@ func TestSeededPlansAlwaysClassify(t *testing.T) {
 			Horizon:     60, // dense: most plans hit live messages
 			Protect:     []int{0},
 		})
-		opt := cert.Options{Sequential: true, Tracer: rec}
+		opt := cert.Options{Tracer: rec}
 		primary := AwerbuchDFS(g, 0, plan, opt)
 		fallback := AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
 		parent, rep, err := RunWithRecovery(primary, &fallback, Policy{MaxAttempts: 3, Tracer: rec})

@@ -20,8 +20,6 @@ import (
 // network builds the stage network over g per the certification options.
 func stageNetwork(g *graph.Graph, opt cert.Options) *congest.Network {
 	nw := congest.New(g)
-	nw.Parallel = !opt.Sequential
-	nw.Workers = opt.Workers
 	nw.Tracer = opt.Tracer
 	return nw
 }

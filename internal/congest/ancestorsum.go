@@ -54,9 +54,6 @@ func NewAncestorSumNodes(nw *Network, parent []int, root int, value []int, op Ag
 	return nodes
 }
 
-// CongestEventDriven marks the program as purely message-driven.
-func (an *AncestorSumNode) CongestEventDriven() {}
-
 // Round implements Node.
 func (an *AncestorSumNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {

@@ -41,10 +41,6 @@ func NewAwerbuchNodes(nw *Network, root int) []Node {
 	return nodes
 }
 
-// CongestEventDriven marks the program as purely message-driven (the
-// token, VISITED and RETURN messages drive every transition).
-func (an *AwerbuchNode) CongestEventDriven() {}
-
 // Round implements Node.
 func (an *AwerbuchNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {

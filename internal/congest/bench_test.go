@@ -17,14 +17,6 @@ import (
 	"planardfs/internal/spanning"
 )
 
-var benchEngines = []struct {
-	name     string
-	parallel bool
-}{
-	{"seq", false},
-	{"par", true},
-}
-
 func benchGraph(b *testing.B, family string, n int) *graph.Graph {
 	b.Helper()
 	in, err := gen.ByName(family, n, 1)
@@ -38,21 +30,16 @@ func benchGraph(b *testing.B, family string, n int) *graph.Graph {
 // is silent and never done, so the run spans exactly b.N rounds and ends at
 // the round limit. Steady state must be allocation-free.
 func BenchmarkRunQuiescentRound(b *testing.B) {
-	for _, eng := range benchEngines {
-		b.Run(eng.name, func(b *testing.B) {
-			g := benchGraph(b, "grid", 1024)
-			nodes := make([]Node, g.N())
-			for i := range nodes {
-				nodes[i] = &silentNode{}
-			}
-			nw := New(g)
-			nw.Parallel = eng.parallel
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := nw.Run(nodes, b.N); !errors.Is(err, ErrRoundLimit) {
-				b.Fatal(err)
-			}
-		})
+	g := benchGraph(b, "grid", 1024)
+	nodes := make([]Node, g.N())
+	for i := range nodes {
+		nodes[i] = &silentNode{}
+	}
+	nw := New(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := nw.Run(nodes, b.N); !errors.Is(err, ErrRoundLimit) {
+		b.Fatal(err)
 	}
 }
 

@@ -47,9 +47,6 @@ func NewBFSNodes(nw *Network, root int) []Node {
 	return nodes
 }
 
-// CongestEventDriven marks the program as purely message-driven.
-func (bn *BFSNode) CongestEventDriven() {}
-
 // Round implements Node.
 func (bn *BFSNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {
@@ -104,9 +101,6 @@ func NewBroadcastNodes(nw *Network, parent []int, root, value int) []Node {
 	}
 	return nodes
 }
-
-// CongestEventDriven marks the program as purely message-driven.
-func (cn *CastNode) CongestEventDriven() {}
 
 // Round implements Node.
 func (cn *CastNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {

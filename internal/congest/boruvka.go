@@ -5,10 +5,11 @@ package congest
 // the 0/1 weight rule: only intra-part edges are ever chosen, so each part
 // ends with its own spanning tree).
 //
-// Phases are clocked by round arithmetic (every node knows n): each phase
-// exchanges fragment IDs (1 round), floods the fragment's minimum outgoing
-// intra-part edge (n rounds; edge IDs serve as distinct weights, so the
-// chosen edge set stays acyclic), bridges the chosen edge (1 round), and
+// Phases are clocked by round arithmetic (every node knows n) and the
+// node's wake timer (see NextWake). Each phase exchanges fragment IDs (1
+// round), floods the fragment's minimum outgoing intra-part edge (n
+// rounds; edge IDs serve as distinct weights, so the chosen edge set stays
+// acyclic), bridges the chosen edge (1 round), and
 // floods the merged fragment's new ID — the minimum member ID — over
 // fragment and forest edges (n+1 rounds). Fragment count halves per phase,
 // so O(log n) phases and O(n log n) rounds total — the classic unoptimized
@@ -78,6 +79,25 @@ func (bn *BoruvkaNode) edgeKey(p int) int {
 		a, b = b, a
 	}
 	return a*bn.info.N + b
+}
+
+// NextWake implements Waker. Within a phase the node acts spontaneously
+// only at offsets 0 (announce), 1 (seed the flood), n+2 (bridge), n+3
+// (seed the second flood) and 2n+3 (adopt the merged fragment); in between
+// it only reacts to messages. A node whose part is spanned sets no timer.
+func (bn *BoruvkaNode) NextWake(round int) int {
+	if bn.fragDone {
+		return -1
+	}
+	n := bn.info.N
+	r := round % (2*n + 4)
+	switch {
+	case r >= 1 && r <= n+1:
+		return round - r + n + 2
+	case r >= n+3 && r <= 2*n+2:
+		return round - r + 2*n + 3
+	}
+	return round + 1
 }
 
 // Round implements Node.

@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -288,36 +287,6 @@ func TestRoundLimit(t *testing.T) {
 	_, err := nw.Run([]Node{&silentNode{}, &silentNode{}}, 5)
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
-	}
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	g := gridGraph(t, 9, 9)
-	run := func(parallel bool) ([]int, Stats) {
-		nw := New(g)
-		nw.Parallel = parallel
-		if parallel {
-			nw.Workers = 4 // real sharding even on a single-CPU host
-		}
-		nodes := NewAwerbuchNodes(nw, 0)
-		if _, err := nw.Run(nodes, 10*g.N()); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]int, g.N())
-		for v := range out {
-			out[v] = nodes[v].(*AwerbuchNode).ParentID
-		}
-		return out, nw.Stats()
-	}
-	pPar, sPar := run(true)
-	pSeq, sSeq := run(false)
-	for v := range pPar {
-		if pPar[v] != pSeq[v] {
-			t.Fatalf("node %d: parallel parent %d != sequential %d", v, pPar[v], pSeq[v])
-		}
-	}
-	if !reflect.DeepEqual(sPar, sSeq) {
-		t.Fatalf("stats diverge: %+v vs %+v", sPar, sSeq)
 	}
 }
 

@@ -54,9 +54,6 @@ func NewConvergecastNodes(nw *Network, parent []int, root int, value []int, op A
 	return nodes
 }
 
-// CongestEventDriven marks the program as purely message-driven.
-func (cn *ConvergecastNode) CongestEventDriven() {}
-
 // Round implements Node.
 func (cn *ConvergecastNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {

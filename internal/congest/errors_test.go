@@ -12,7 +12,7 @@ import (
 // can read the strings anyway).
 
 // misbehaveNode violates a chosen sending rule at a chosen round; before
-// that it sends nothing.
+// that it sends nothing, so it wakes itself for that round.
 type misbehaveNode struct {
 	at   int
 	send func() []Outgoing
@@ -24,6 +24,8 @@ func (m *misbehaveNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	}
 	return nil, false
 }
+
+func (m *misbehaveNode) NextWake(round int) int { return m.at }
 
 // runMisbehaving runs a 2x2 grid where vertex 3 misbehaves at round 2.
 func runMisbehaving(t *testing.T, send func() []Outgoing) error {

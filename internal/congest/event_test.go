@@ -1,26 +1,44 @@
 package congest
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/trace"
 )
 
-// eventTrial runs one program family under a given schedule and returns
-// its per-vertex results plus the run statistics.
+// everyRound wraps a node with a wake timer for the next round, so the
+// engine steps it in every round: the step-every-node schedule expressed
+// through the one round loop.
+type everyRound struct{ Node }
+
+func (w everyRound) NextWake(round int) int { return round + 1 }
+
+// stepEveryRound returns nodes wrapped so each one is stepped every round.
+func stepEveryRound(nodes []Node) []Node {
+	out := make([]Node, len(nodes))
+	for v, nd := range nodes {
+		out[v] = everyRound{nd}
+	}
+	return out
+}
+
+// scheduleResult is one program run's round count, Stats and per-vertex
+// results.
 type scheduleResult struct {
 	rounds  int
 	stats   Stats
 	results [][3]int
 }
 
-// TestEventScheduleEquivalence locks the EventDriven contract: for every
-// built-in message-driven program, the event-driven schedule (quiescent
-// nodes skipped, sender-driven delivery) must produce rounds, Stats
-// (including the RoundMessages histogram) and per-node results identical
-// to the classic schedule that steps every node every round, under both
-// the sequential and the sharded-parallel classic engines.
+// TestEventScheduleEquivalence locks the Node contract the event schedule
+// relies on: for every built-in message-driven program, skipping quiescent
+// nodes must produce rounds, Stats (including the RoundMessages histogram)
+// and per-node results identical to stepping every node in every round,
+// because a step that receives nothing leaves a message-driven node's state
+// and done report unchanged.
 func TestEventScheduleEquivalence(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		family := "sparse"
@@ -35,20 +53,8 @@ func TestEventScheduleEquivalence(t *testing.T) {
 		g := in.G
 
 		// A BFS-tree parent array for the tree-structured programs, taken
-		// from a classic-schedule run so it cannot depend on the code under
-		// test.
-		parent := make([]int, g.N())
-		{
-			nw := New(g)
-			nw.StepAll = true
-			nodes := NewBFSNodes(nw, 0)
-			if _, err := nw.Run(nodes, 4*g.N()); err != nil {
-				t.Fatal(err)
-			}
-			for v := range parent {
-				parent[v] = nodes[v].(*BFSNode).ParentID
-			}
-		}
+		// from the reference BFS so it cannot depend on the code under test.
+		parent := g.BFS(0).Parent
 		value := make([]int, g.N())
 		partOf := make([]int, g.N())
 		for v := range value {
@@ -105,13 +111,14 @@ func TestEventScheduleEquivalence(t *testing.T) {
 		}
 
 		for _, prog := range programs {
-			run := func(stepAll, parallel bool, workers int) scheduleResult {
+			run := func(stepAll bool) scheduleResult {
 				nw := New(g)
-				nw.StepAll = stepAll
-				nw.Parallel = parallel
-				nw.Workers = workers
 				nodes, extract := prog.build(nw)
-				rounds, err := nw.Run(nodes, 16*g.N())
+				runNodes := nodes
+				if stepAll {
+					runNodes = stepEveryRound(nodes)
+				}
+				rounds, err := nw.Run(runNodes, 16*g.N())
 				if err != nil {
 					t.Fatalf("trial %d %s stepAll=%v: %v", trial, prog.name, stepAll, err)
 				}
@@ -121,62 +128,92 @@ func TestEventScheduleEquivalence(t *testing.T) {
 				}
 				return scheduleResult{rounds, nw.Stats(), res}
 			}
-			event := run(false, false, 0)
-			classicSeq := run(true, false, 0)
-			classicPar := run(true, true, 3+trial%4)
-			for _, classic := range []struct {
-				name string
-				r    scheduleResult
-			}{{"sequential", classicSeq}, {"parallel", classicPar}} {
-				if event.rounds != classic.r.rounds {
-					t.Fatalf("trial %d %s: event rounds %d != classic %s %d",
-						trial, prog.name, event.rounds, classic.name, classic.r.rounds)
-				}
-				if !reflect.DeepEqual(event.stats, classic.r.stats) {
-					t.Fatalf("trial %d %s: stats diverge from classic %s\nevent:   %+v\nclassic: %+v",
-						trial, prog.name, classic.name, event.stats, classic.r.stats)
-				}
-				if !reflect.DeepEqual(event.results, classic.r.results) {
-					t.Fatalf("trial %d %s: results diverge from classic %s", trial, prog.name, classic.name)
-				}
+			event := run(false)
+			stepAll := run(true)
+			if event.rounds != stepAll.rounds {
+				t.Fatalf("trial %d %s: event rounds %d != step-every-round %d",
+					trial, prog.name, event.rounds, stepAll.rounds)
+			}
+			if !reflect.DeepEqual(event.stats, stepAll.stats) {
+				t.Fatalf("trial %d %s: stats diverge from step-every-round\nevent:    %+v\nstep-all: %+v",
+					trial, prog.name, event.stats, stepAll.stats)
+			}
+			if !reflect.DeepEqual(event.results, stepAll.results) {
+				t.Fatalf("trial %d %s: results diverge from step-every-round", trial, prog.name)
 			}
 		}
 	}
 }
 
-// TestEventScheduleSelected pins the eligibility rule: all-EventDriven
-// programs select the event schedule, and a single non-marker node, an
-// injector, or the StepAll override fall back to the classic schedule.
-func TestEventScheduleSelected(t *testing.T) {
-	in, err := gen.ByName("sparse", 32, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := in.G
-	build := func(nw *Network) []Node { return NewBFSNodes(nw, 0) }
+// TestTraceIdenticalAcrossEngines locks the determinism contract of the
+// tracing subsystem: the trace is driven only from the per-round accounting
+// after delivery, so skipping quiescent nodes and stepping every node every
+// round must produce byte-identical trace exports and equal stats on the
+// same workload, and so must two runs of the same schedule.
+func TestTraceIdenticalAcrossEngines(t *testing.T) {
+	g := gridGraph(t, 9, 9)
+	run := func(stepAll bool) (*trace.Recorder, Stats) {
+		rec := trace.NewRecorder()
+		wrap := func(nodes []Node) []Node {
+			if stepAll {
+				return stepEveryRound(nodes)
+			}
+			return nodes
+		}
 
-	nw := New(g)
-	nodes := build(nw)
-	e := newEngine(nw, nodes)
-	if !e.event {
-		t.Fatal("all-EventDriven run did not select the event schedule")
-	}
-	e.stop()
+		nw := New(g)
+		nw.Tracer = rec
+		if _, err := nw.Run(wrap(NewAwerbuchNodes(nw, 0)), 10*g.N()); err != nil {
+			t.Fatal(err)
+		}
+		awe := nw.Stats()
 
-	nw = New(g)
-	nw.StepAll = true
-	e = newEngine(nw, build(nw))
-	if e.event {
-		t.Fatal("StepAll run selected the event schedule")
+		// A second program on the same recorder: the pipelined PA sum over
+		// a BFS tree, exercising multi-word messages and the per-round
+		// congestion counters.
+		parent := g.BFS(0).Parent
+		partOf := make([]int, g.N())
+		value := make([]int, g.N())
+		for v := range value {
+			value[v] = 1
+		}
+		nw2 := New(g)
+		nw2.Tracer = rec
+		if _, err := nw2.Run(wrap(NewPANodes(nw2, parent, 0, partOf, value, OpSum)), 100*g.N()); err != nil {
+			t.Fatal(err)
+		}
+		return rec, awe
 	}
-	e.stop()
 
-	nw = New(g)
-	nodes = build(nw)
-	nodes[7] = &chatterNode{deg: g.Degree(7), stopRound: 0}
-	e = newEngine(nw, nodes)
-	if e.event {
-		t.Fatal("run with a non-EventDriven node selected the event schedule")
+	export := func(rec *trace.Recorder) (jsonl, chrome []byte) {
+		var bj, bc bytes.Buffer
+		if err := rec.WriteJSONL(&bj); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteChromeTrace(&bc); err != nil {
+			t.Fatal(err)
+		}
+		return bj.Bytes(), bc.Bytes()
 	}
-	e.stop()
+	recEvent, stEvent := run(false)
+	jEvent, cEvent := export(recEvent)
+	if len(recEvent.Spans()) == 0 {
+		t.Fatal("trace is empty")
+	}
+	for _, other := range []struct {
+		name    string
+		stepAll bool
+	}{{"repeated event-schedule run", false}, {"step-every-round run", true}} {
+		rec, st := run(other.stepAll)
+		if !reflect.DeepEqual(stEvent, st) {
+			t.Fatalf("stats diverge from %s:\nevent: %+v\nother: %+v", other.name, stEvent, st)
+		}
+		j, c := export(rec)
+		if !bytes.Equal(jEvent, j) {
+			t.Fatalf("JSONL trace differs from %s", other.name)
+		}
+		if !bytes.Equal(cEvent, c) {
+			t.Fatalf("Chrome trace differs from %s", other.name)
+		}
+	}
 }

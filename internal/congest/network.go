@@ -2,10 +2,15 @@
 // nodes, one per graph vertex, exchanging O(log n)-bit messages over graph
 // edges in lockstep rounds.
 //
-// A simulation is deterministic: nodes step in a fixed logical order, and
-// the parallel engine (persistent worker goroutines over fixed vertex
-// shards with a barrier per phase) produces results bit-identical to the
-// sequential engine.
+// A simulation is deterministic and runs on one schedule. Each round steps,
+// in ascending vertex order, exactly the nodes that can act: every node in
+// round 0, then the receivers of the previous round's messages, the
+// previous round's senders (so streamed follow-ups such as end markers
+// fire), and the nodes whose wake timer names the round. Everything else is
+// quiescent and skipped, so a run costs O(messages + wake-ups + n) steps
+// rather than O(n × rounds). Wake timers are set by round-scheduled
+// programs (see Waker) and by an attached Injector (crash rounds and stall
+// releases, see inject.go).
 //
 // Bandwidth is enforced: per round, at most one message may cross each edge
 // in each direction, and each message carries at most MaxWords words, a word
@@ -13,17 +18,15 @@
 // than silently under-counting rounds.
 //
 // The round loop is allocation-free in the steady state. All engine state —
-// the epoch-stamped port arrays, the receiver-driven delivery table, the
-// double-buffered inboxes, the per-worker stat shards — is allocated once
-// per Run; see DESIGN.md §8 for the internals.
+// the epoch-stamped port arrays, the routing table, the inboxes, the step
+// queues and the timer heap — is allocated once per Run and recycled; see
+// DESIGN.md §8 for the internals.
 package congest
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"planardfs/internal/graph"
 	"planardfs/internal/trace"
@@ -51,12 +54,18 @@ type Outgoing struct {
 	Msg  Message
 }
 
-// Node is a per-vertex CONGEST program. Round is called once per round with
-// the messages delivered this round (sent by neighbours in the previous
-// round); it returns the messages to send and whether the node has halted.
-// A halted node's Round is still called (it may be woken by late messages);
-// the network stops when every node reports done in a round with no
-// messages in flight.
+// Node is a per-vertex CONGEST program. Round is called with the messages
+// delivered this round (sent by neighbours in the previous round); it
+// returns the messages to send and whether the node has halted. The
+// network stops when every node reports done in a round with no messages
+// in flight.
+//
+// Round is called in round 0, in every round in which messages arrive, in
+// the round after the node sent, and at the rounds its wake timer names
+// (see Waker). In any other round the node is not stepped, so a program
+// must not depend on being called there: a step that receives nothing must
+// leave its state and its done report unchanged unless it is a timed step.
+// A halted node is still stepped when messages arrive.
 //
 // The recv slice is owned by the engine and recycled across rounds; a node
 // that retains messages beyond the current Round call must copy them.
@@ -64,20 +73,16 @@ type Node interface {
 	Round(round int, recv []Incoming) (send []Outgoing, done bool)
 }
 
-// EventDriven is an optional marker for Node programs that are purely
-// message-driven: after round 0, a step in which the node receives no
-// messages and emits none must leave its state (and its done report)
-// unchanged until the next message arrives. When every node of a run
-// implements the marker and no Injector is attached, the engine skips
-// quiescent nodes entirely, so the simulation costs O(messages + n)
-// instead of O(n × rounds) — the difference between hours and seconds for
-// deep convergecasts on million-vertex graphs. Round-scheduled programs
-// that act spontaneously at fixed round offsets (e.g. BoruvkaNode) must
-// not implement it.
-type EventDriven interface {
+// Waker is implemented by round-scheduled programs that act at fixed round
+// offsets instead of only in response to messages (BoruvkaNode's phase
+// clock, the guard's ball probe). After every step of such a node the
+// engine calls NextWake; a result later than round sets the node's wake
+// timer, and the node is stepped at that round whether or not a message
+// arrives. Any other result sets no timer. A pending timer never delays
+// termination.
+type Waker interface {
 	Node
-	// CongestEventDriven is a marker only; it is never called.
-	CongestEventDriven()
+	NextWake(round int) int
 }
 
 // NodeInfo is the local knowledge every CONGEST node starts with: its own
@@ -109,36 +114,21 @@ type Network struct {
 	// MaxWords bounds the size of a single message in words
 	// (1 word = ceil(log2 n) bits). Default 4.
 	MaxWords int
-	// Parallel selects the sharded round engine (persistent workers, one
-	// vertex shard each, a barrier per phase).
-	Parallel bool
-	// Workers overrides the worker count of the sharded engine; 0 means
-	// runtime.NumCPU(). Results are identical for every worker count, so
-	// this is a performance/testing knob, not a semantic one.
-	Workers int
 	// Tracer receives per-round spans and message/congestion metrics; nil
-	// (or trace.Nop) disables instrumentation at zero cost. The tracer is
-	// only driven from the sequential merge section of the round loop,
-	// so traces are identical under both engines.
+	// (or trace.Nop) disables instrumentation at zero cost.
 	Tracer trace.Tracer
 	// Injector intercepts the run at the fault-injection points (crash
-	// checks in the step phase, per-message rulings in the delivery
-	// phase); nil disables injection with no hook overhead. See inject.go
-	// for the determinism/concurrency contract.
+	// checks when a node steps, per-message rulings on delivery); nil
+	// disables injection with no hook overhead. See inject.go for the
+	// timer and determinism contract.
 	Injector Injector
-	// StepAll forces the classic schedule that steps every node every
-	// round, even when all programs implement EventDriven. Results are
-	// bit-identical either way (the equivalence tests enforce this); the
-	// flag exists for those tests and as an escape hatch.
-	StepAll bool
 
 	stats Stats
 }
 
-// New returns a network over g with default settings (4-word messages,
-// parallel engine).
+// New returns a network over g with default settings (4-word messages).
 func New(g *graph.Graph) *Network {
-	return &Network{G: g, MaxWords: 4, Parallel: true}
+	return &Network{G: g, MaxWords: 4}
 }
 
 // Stats returns instrumentation from the last Run. The RoundMessages slice
@@ -176,96 +166,61 @@ func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 		return 0, fmt.Errorf("%w (got %d)", ErrInvalidRoundLimit, maxRounds)
 	}
 	nw.stats = Stats{}
-	e := newEngine(nw, nodes)
-	defer e.stop()
-	return e.run(maxRounds)
-}
-
-// Engine phases; each round is one step barrier followed by one delivery
-// barrier.
-const (
-	phaseStep = iota
-	phaseDeliver
-)
-
-// delivEntry describes one potential delivery into a receiver: the sender,
-// the sender-side port (whose epoch stamp says whether a message is pending
-// this round), and the receiving port. Entries are laid out per receiver in
-// ascending sender order, so receiver-driven delivery reproduces the
-// sender-major inbox ordering of the sequential scan byte for byte.
-type delivEntry struct {
-	src      int32
-	srcPort  int32
-	recvPort int32
-}
-
-// shardStats accumulates one worker's delivery statistics for one round;
-// shards are merged in worker-index order after the barrier, so totals are
-// deterministic. Padded to a cache line to avoid false sharing.
-type shardStats struct {
-	msgs    int64
-	words   int64
-	maxCong int64
-	_       [5]int64
+	return newEngine(nw, nodes, maxRounds).run()
 }
 
 // engine is the per-Run state of the round loop. Every slice is allocated
 // once here; the steady-state loop allocates nothing (the only amortized
-// growth is the RoundMessages histogram and the inbox capacity ramp-up,
-// both of which stabilise).
+// growth is the RoundMessages histogram and the inbox, queue and timer
+// capacity ramp-up, all of which stabilise).
 type engine struct {
-	nw       *Network
-	nodes    []Node
-	n        int
-	maxWords int
-	inj      Injector // nil when no faults are injected
+	nw        *Network
+	nodes     []Node
+	wakers    []Waker // wakers[v] is nodes[v] if it is a Waker; nil when no node is
+	n         int
+	maxWords  int
+	maxRounds int
+	inj       Injector // nil when no faults are injected
 
 	// Flat per-(vertex,port) state: port p of vertex v lives at flat index
 	// off[v]+p; off has length n+1, so off[v+1]-off[v] is the degree of v.
 	off       []int
+	peer      []int32 // vertex at the far end of the port
+	rport     []int32 // that vertex's port for the same edge
 	portEpoch []int   // last round v sent on the port (-1 = never)
 	portMsg   []int32 // index into outboxes[v] of that round's message
 	portLoad  []int64 // messages delivered into the port over the run
 
-	// deliv[off[w]+k] is the k-th potential delivery into w.
-	deliv []delivEntry
-
-	// Double-buffered inboxes: nodes read inboxCur during the step phase
-	// while delivery fills inboxNxt; the buffers swap at the end of each
-	// round so slice capacity is recycled instead of reallocated.
-	inboxCur [][]Incoming
-	inboxNxt [][]Incoming
+	// inbox[v] collects the messages v receives this round; v reads it
+	// when stepped next round, after which its backing is recycled.
+	inbox    [][]Incoming
 	outboxes [][]Outgoing
 	dones    []bool
-	errs     []error
+	notDone  int
 
-	round int
-	phase int
+	round  int
+	queued []int   // round in which the vertex was last queued (-1 = never)
+	active []int32 // vertices stepped this round, ascending
+	next   []int32 // vertices queued for next round
+	// timers is a binary min-heap of pending wake-ups keyed
+	// round<<32 | vertex, so equal-round entries pop in vertex order. It is
+	// hand-rolled because container/heap boxes every pushed value.
+	timers []uint64
+	// armed[v] is the round of v's own pending wake timer (Wakers only),
+	// so repeating an unchanged NextWake does not grow the heap.
+	armed []int
 
-	chunk  int
-	shards []shardStats
-	start  []chan struct{} // nil when sequential
-	wg     sync.WaitGroup
-
-	// Event-driven scheduler state (see EventDriven); unused when the
-	// classic every-node-every-round schedule is in effect.
-	event     bool
-	peer      []int32 // peer[off[v]+p]: vertex at the far end of port p
-	rport     []int32 // rport[off[v]+p]: that vertex's receiving port
-	evStamp   []int   // round the vertex was last queued for (-1 = never)
-	evActive  []int32
-	evNext    []int32
-	evSenders []int32
+	roundMsgs, roundWords, roundCong int64
 }
 
-func newEngine(nw *Network, nodes []Node) *engine {
+func newEngine(nw *Network, nodes []Node, maxRounds int) *engine {
 	g := nw.G
 	n := g.N()
 	maxWords := nw.MaxWords
 	if maxWords <= 0 {
 		maxWords = 4
 	}
-	e := &engine{nw: nw, nodes: nodes, n: n, maxWords: maxWords, inj: nw.Injector}
+	e := &engine{nw: nw, nodes: nodes, n: n, maxWords: maxWords, maxRounds: maxRounds, inj: nw.Injector}
 
 	e.off = make([]int, n+1)
 	for v := 0; v < n; v++ {
@@ -279,329 +234,317 @@ func newEngine(nw *Network, nodes []Node) *engine {
 	e.portMsg = make([]int32, ports)
 	e.portLoad = make([]int64, ports)
 
-	// The port index of every edge at each endpoint.
-	portAtU := make([]int, g.M())
-	portAtV := make([]int, g.M())
+	// Routing: the port index of every edge at each endpoint, then the far
+	// end of every port.
+	portAtU := make([]int32, g.M())
+	portAtV := make([]int32, g.M())
 	for v := 0; v < n; v++ {
 		for p, id := range g.IncidentEdges(v) {
 			if u, _ := g.EndpointsOf(int(id)); u == int32(v) {
-				portAtU[id] = p
+				portAtU[id] = int32(p)
 			} else {
-				portAtV[id] = p
+				portAtV[id] = int32(p)
 			}
 		}
 	}
-	// Receiver-driven delivery table. Scanning senders in ascending order
-	// lays out each receiver's entries in ascending sender order.
-	e.deliv = make([]delivEntry, ports)
-	cursor := make([]int, n)
-	copy(cursor, e.off[:n])
-	for u := 0; u < n; u++ {
-		for up, id := range g.IncidentEdges(u) {
-			ed := g.EdgeByID(int(id))
-			w := ed.Other(u)
-			rp := portAtU[id]
-			if ed.U != w {
-				rp = portAtV[id]
+	e.peer = make([]int32, ports)
+	e.rport = make([]int32, ports)
+	for v := 0; v < n; v++ {
+		for p, id := range g.IncidentEdges(v) {
+			u, w := g.EndpointsOf(int(id))
+			fp := e.off[v] + p
+			if u == int32(v) {
+				e.peer[fp], e.rport[fp] = w, portAtV[id]
+			} else {
+				e.peer[fp], e.rport[fp] = u, portAtU[id]
 			}
-			e.deliv[cursor[w]] = delivEntry{src: int32(u), srcPort: int32(up), recvPort: int32(rp)}
-			cursor[w]++
 		}
 	}
 
-	e.inboxCur = make([][]Incoming, n)
-	e.inboxNxt = make([][]Incoming, n)
+	e.inbox = make([][]Incoming, n)
 	e.outboxes = make([][]Outgoing, n)
 	e.dones = make([]bool, n)
-	e.errs = make([]error, n)
-
-	// The event-driven schedule applies only when every program has opted
-	// in via the EventDriven marker and no injector is attached (crashes
-	// and stall releases are round-scheduled externally, so every node
-	// must be driven every round under injection).
-	if nw.Injector == nil && !nw.StepAll {
-		e.event = true
-		for _, nd := range nodes {
-			if _, ok := nd.(EventDriven); !ok {
-				e.event = false
-				break
+	e.notDone = n
+	e.queued = make([]int, n)
+	for i := range e.queued {
+		e.queued[i] = -1
+	}
+	e.active = make([]int32, 0, n)
+	e.next = make([]int32, 0, n)
+	for v, nd := range nodes {
+		if w, ok := nd.(Waker); ok {
+			if e.wakers == nil {
+				e.wakers = make([]Waker, n)
+				e.armed = make([]int, n)
 			}
-		}
-	}
-	if e.event {
-		// Sender-side routing: invert the delivery table so a sender can
-		// push its pending messages without scanning idle receivers.
-		e.peer = make([]int32, ports)
-		e.rport = make([]int32, ports)
-		for w := 0; w < n; w++ {
-			for k := e.off[w]; k < e.off[w+1]; k++ {
-				d := e.deliv[k]
-				sf := e.off[d.src] + int(d.srcPort)
-				e.peer[sf] = int32(w)
-				e.rport[sf] = d.recvPort
-			}
-		}
-		e.evStamp = make([]int, n)
-		for i := range e.evStamp {
-			e.evStamp[i] = -1
-		}
-		e.evActive = make([]int32, 0, n)
-		e.evNext = make([]int32, 0, n)
-		e.evSenders = make([]int32, 0, n)
-		e.shards = make([]shardStats, 1)
-		return e
-	}
-
-	workers := nw.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if !nw.Parallel || workers > n {
-		workers = 1
-	}
-	e.chunk = 1
-	if workers > 1 {
-		e.chunk = (n + workers - 1) / workers
-		workers = (n + e.chunk - 1) / e.chunk
-	}
-	e.shards = make([]shardStats, workers)
-	if workers > 1 {
-		e.start = make([]chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			e.start[w] = make(chan struct{})
-			go e.workerLoop(w)
+			e.wakers[v] = w
 		}
 	}
 	return e
 }
 
-// stop shuts down the persistent workers (a no-op for the sequential
-// engine).
-func (e *engine) stop() {
-	for _, c := range e.start {
-		close(c)
-	}
-}
-
-// workerLoop runs one persistent worker over a fixed vertex shard. The
-// coordinator writes e.phase and e.round before signalling, so the channel
-// receive orders those writes before the phase body.
-func (e *engine) workerLoop(w int) {
-	lo := w * e.chunk
-	hi := lo + e.chunk
-	if hi > e.n {
-		hi = e.n
-	}
-	for range e.start[w] {
-		if e.phase == phaseStep {
-			for v := lo; v < hi; v++ {
-				e.step(v)
-			}
-		} else {
-			e.deliver(&e.shards[w], lo, hi)
-		}
-		e.wg.Done()
-	}
-}
-
-func (e *engine) runPhase(ph int) {
-	if e.start == nil {
-		if ph == phaseStep {
-			for v := 0; v < e.n; v++ {
-				e.step(v)
-			}
-		} else {
-			e.deliver(&e.shards[0], 0, e.n)
-		}
+// wakeAt sets a wake-up: v is stepped at the given round whether or not a
+// message arrives. Rounds not after the current one, or past the budget,
+// are ignored; a wake-up at the budget itself still collects stall
+// releases in the last round. It is the timer hook handed to the Injector.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) wakeAt(v, round int) {
+	if round <= e.round || round > e.maxRounds {
 		return
 	}
-	e.phase = ph
-	e.wg.Add(len(e.start))
-	for _, c := range e.start {
-		c <- struct{}{}
+	h := append(e.timers, uint64(round)<<32|uint64(v)) //planarvet:allocok amortized: the heap backing is reused across pops, capacity ramps up once then stabilises
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
 	}
-	e.wg.Wait()
+	e.timers = h
+}
+
+// popTimer removes and returns the earliest pending wake-up.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) popTimer() uint64 {
+	h := e.timers
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.timers = h
+	return top
+}
+
+// queue adds v to the next round's step set once.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) queue(v int) {
+	if e.queued[v] != e.round {
+		e.queued[v] = e.round
+		e.next = append(e.next, int32(v)) //planarvet:allocok presized to n by newEngine and deduplicated per round, append stays in capacity
+	}
 }
 
 // step advances one node and validates its sends. A valid send stamps the
 // sender-side port with the current round and records the outbox index, so
-// delivery can find pending messages without touching edge tables. This is
-// half of the steady-state round loop: everything it writes lives in
-// arrays allocated by newEngine, and the only constructions are the
-// protocol-error values on the abort path.
+// delivery can find pending messages without touching edge tables.
+// Everything it writes lives in arrays allocated by newEngine; the only
+// constructions are the protocol-error values on the abort path.
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
-func (e *engine) step(v int) {
+func (e *engine) step(v int) error {
 	if e.inj != nil && e.inj.Crashed(e.round, v) {
 		// Crash-stop: the program is not called, nothing is sent (stale
 		// epoch stamps deliver nothing), and the vertex counts as done.
 		e.outboxes[v] = nil
-		e.dones[v] = true
-		return
+		e.setDone(v, true)
+		return nil
 	}
-	send, done := e.nodes[v].Round(e.round, e.inboxCur[v])
+	send, done := e.nodes[v].Round(e.round, e.inbox[v])
 	base := e.off[v]
 	deg := e.off[v+1] - base
 	for i, out := range send {
 		if out.Port < 0 || out.Port >= deg {
-			e.errs[v] = &ProtocolError{Kind: ErrInvalidPort, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			return
+			return &ProtocolError{Kind: ErrInvalidPort, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
 		}
 		fp := base + out.Port
 		if e.portEpoch[fp] == e.round {
-			e.errs[v] = &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			return
+			return &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
 		}
 		if out.Msg.Words() > e.maxWords {
 			//planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			e.errs[v] = &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: out.Port,
+			return &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: out.Port,
 				Words: out.Msg.Words(), Limit: e.maxWords}
-			return
 		}
 		e.portEpoch[fp] = e.round
 		e.portMsg[fp] = int32(i)
 	}
 	e.outboxes[v] = send
-	e.dones[v] = done
+	e.setDone(v, done)
+	if e.wakers != nil && e.wakers[v] != nil {
+		if at := e.wakers[v].NextWake(e.round); at > e.round && at != e.armed[v] {
+			e.armed[v] = at
+			e.wakeAt(v, at)
+		}
+	}
+	return nil
 }
 
-// deliver routes pending messages into the receivers [lo,hi). It only
-// reads state written before the phase barrier (epoch stamps, outboxes)
-// and only writes receiver-owned state (inboxNxt, portLoad) plus its own
-// shard, so shards never contend.
+func (e *engine) setDone(v int, done bool) {
+	if e.dones[v] != done {
+		e.dones[v] = done
+		if done {
+			e.notDone--
+		} else {
+			e.notDone++
+		}
+	}
+}
+
+// deliver pushes sender u's messages of this round to their receivers and
+// queues the receivers for the next round. Iterating senders in ascending
+// order and each sender's ports in ascending order lays every inbox out in
+// ascending (sender, sender port) order.
 //
 // Per-round edge congestion needs no per-edge bookkeeping: an edge carries
 // two messages in a round exactly when the receiver of one direction also
 // sent on the same port, which is one epoch-stamp comparison.
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
-func (e *engine) deliver(ws *shardStats, lo, hi int) {
-	ws.msgs, ws.words, ws.maxCong = 0, 0, 0
-	round := e.round
-	for w := lo; w < hi; w++ {
-		base := e.off[w]
-		deg := e.off[w+1] - base
-		inb := e.inboxNxt[w][:0]
-		for k := 0; k < deg; k++ {
-			d := e.deliv[base+k]
-			sf := e.off[d.src] + int(d.srcPort)
-			if e.portEpoch[sf] != round {
-				continue
-			}
-			msg := e.outboxes[d.src][e.portMsg[sf]].Msg
-			rp := int(d.recvPort)
-			if e.inj != nil {
-				m, fate := e.inj.Deliver(round, int(d.src), int(d.srcPort), w, rp, msg)
-				if fate != FateDeliver {
-					continue // dropped or stalled: not delivered this round
-				}
-				msg = m
-			}
-			inb = append(inb, Incoming{Port: rp, Msg: msg}) //planarvet:allocok amortized: inboxNxt backing is recycled by the round-end buffer swap, capacity ramps up once then stabilises
-			ws.msgs++
-			ws.words += int64(msg.Words())
-			e.portLoad[base+rp]++
-			if e.portEpoch[base+rp] == round {
-				ws.maxCong = 2
-			} else if ws.maxCong < 1 {
-				ws.maxCong = 1
-			}
+func (e *engine) deliver(u int) {
+	base := e.off[u]
+	deg := e.off[u+1] - base
+	for p := 0; p < deg; p++ {
+		fp := base + p
+		if e.portEpoch[fp] != e.round {
+			continue
 		}
+		w := int(e.peer[fp])
+		rp := int(e.rport[fp])
+		msg := e.outboxes[u][e.portMsg[fp]].Msg
 		if e.inj != nil {
-			// Stalled messages whose delay expires this round land after
-			// the regular deliveries, still receiver-owned and in a fixed
-			// order, so injected runs stay engine-identical.
-			prev := len(inb)
-			inb = e.inj.Released(round, w, inb)
-			for _, in := range inb[prev:] {
-				ws.msgs++
-				ws.words += int64(in.Msg.Words())
-				e.portLoad[base+in.Port]++
+			m, fate := e.inj.Deliver(e.round, u, p, w, rp, msg)
+			if fate != FateDeliver {
+				continue // dropped or stalled: not delivered this round
 			}
+			msg = m
 		}
-		e.inboxNxt[w] = inb
+		e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok amortized: inbox backing is recycled after every step, capacity ramps up once then stabilises
+		e.queue(w)
+		e.roundMsgs++
+		e.roundWords += int64(msg.Words())
+		wp := e.off[w] + rp
+		e.portLoad[wp]++
+		if e.portEpoch[wp] == e.round {
+			e.roundCong = 2
+		} else if e.roundCong < 1 {
+			e.roundCong = 1
+		}
 	}
 }
 
-func (e *engine) run(maxRounds int) (int, error) {
-	nw := e.nw
-	tr := trace.OrNop(nw.Tracer)
+// runRound executes one round: it steps the active set, delivers the
+// round's messages, collects the wake-ups due next round, and makes the
+// next round's step set active. With an Injector attached, every vertex
+// woken for the next round first receives the stalled messages the
+// injector releases to it, after the round's regular deliveries.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func (e *engine) runRound() error {
+	e.roundMsgs, e.roundWords, e.roundCong = 0, 0, 0
+	e.next = e.next[:0]
+	// Steps run in ascending vertex order, so the first protocol error by
+	// vertex order aborts the run.
+	for _, v := range e.active {
+		if err := e.step(int(v)); err != nil {
+			return err
+		}
+		e.inbox[v] = e.inbox[v][:0]
+	}
+	// Delivery waits until every node has stepped, so a receiver later in
+	// the order cannot read this round's messages before next round.
+	for _, u := range e.active {
+		if len(e.outboxes[u]) > 0 {
+			// A sender steps again next round even if nothing reaches it.
+			e.queue(int(u))
+			e.deliver(int(u))
+		}
+	}
+	for prev := -1; len(e.timers) > 0 && int(e.timers[0]>>32) == e.round+1; {
+		v := int(uint32(e.popTimer()))
+		if v == prev {
+			continue // a duplicate wake-up: equal keys pop back to back
+		}
+		prev = v
+		if e.inj != nil {
+			base := e.off[v]
+			inb := e.inj.Released(e.round, v, e.inbox[v])
+			for _, in := range inb[len(e.inbox[v]):] {
+				e.roundMsgs++
+				e.roundWords += int64(in.Msg.Words())
+				e.portLoad[base+in.Port]++
+			}
+			e.inbox[v] = inb
+		}
+		e.queue(v)
+	}
+	slices.Sort(e.next)
+	e.active, e.next = e.next, e.active
+	return nil
+}
+
+// start makes every vertex active for round 0 and lets the injector set
+// its wake-ups.
+func (e *engine) start() {
+	for v := 0; v < e.n; v++ {
+		e.active = append(e.active, int32(v))
+	}
+	if e.inj != nil {
+		e.inj.Schedule(e.wakeAt)
+	}
+}
+
+func (e *engine) run() (int, error) {
+	tr := trace.OrNop(e.nw.Tracer)
 	traced := tr.Enabled()
-	if e.event {
-		return e.runEvent(maxRounds, tr, traced)
-	}
-
+	e.start()
 	for e.round = 0; ; e.round++ {
-		if e.round >= maxRounds {
-			return e.round, &RoundLimitError{Limit: maxRounds}
+		if e.round >= e.maxRounds {
+			return e.round, &RoundLimitError{Limit: e.maxRounds}
 		}
-		e.runPhase(phaseStep)
-		for v := 0; v < e.n; v++ {
-			if e.errs[v] != nil {
-				return e.round, e.errs[v]
-			}
+		if err := e.runRound(); err != nil {
+			return e.round, err
 		}
-		e.runPhase(phaseDeliver)
-
-		// Merge worker shards in index order: the totals are sums and
-		// maxima of per-worker accumulators over disjoint receiver ranges,
-		// so they equal the sequential engine's byte for byte.
-		var roundMsgs, roundWords, roundCong int64
-		for i := range e.shards {
-			s := &e.shards[i]
-			roundMsgs += s.msgs
-			roundWords += s.words
-			if s.maxCong > roundCong {
-				roundCong = s.maxCong
-			}
-		}
-		e.accountRound(roundMsgs, roundWords, roundCong, tr, traced)
-
-		e.inboxCur, e.inboxNxt = e.inboxNxt, e.inboxCur
-
-		if roundMsgs == 0 && (e.inj == nil || !e.inj.Pending()) {
-			all := true
-			for v := 0; v < e.n; v++ {
-				if !e.dones[v] {
-					all = false
-					break
-				}
-			}
-			if all {
-				break
-			}
+		e.accountRound(tr, traced)
+		if e.roundMsgs == 0 && e.notDone == 0 && (e.inj == nil || !e.inj.Pending()) {
+			break
 		}
 	}
-
 	return e.finishRun(tr, traced)
 }
 
 // accountRound folds one round's delivery totals into the run statistics
-// and emits the per-round trace span; it is shared by both schedules so
-// traces and stats are byte-identical across them.
-func (e *engine) accountRound(roundMsgs, roundWords, roundCong int64, tr trace.Tracer, traced bool) {
+// and emits the per-round trace span.
+func (e *engine) accountRound(tr trace.Tracer, traced bool) {
 	nw := e.nw
-	nw.stats.Messages += roundMsgs
-	nw.stats.Words += roundWords
-	if roundCong > nw.stats.MaxEdgeCongestion {
-		nw.stats.MaxEdgeCongestion = roundCong
+	nw.stats.Messages += e.roundMsgs
+	nw.stats.Words += e.roundWords
+	if e.roundCong > nw.stats.MaxEdgeCongestion {
+		nw.stats.MaxEdgeCongestion = e.roundCong
 	}
-	if roundWords > nw.stats.MaxRoundWords {
-		nw.stats.MaxRoundWords = roundWords
+	if e.roundWords > nw.stats.MaxRoundWords {
+		nw.stats.MaxRoundWords = e.roundWords
 	}
-	nw.stats.RoundMessages = append(nw.stats.RoundMessages, roundMsgs)
+	nw.stats.RoundMessages = append(nw.stats.RoundMessages, e.roundMsgs)
 	nw.stats.Rounds = e.round + 1
 	if traced {
 		sp := tr.StartSpan(trace.LayerNetwork, "round")
-		sp.SetAttr("msgs", roundMsgs)
-		sp.SetAttr("words", roundWords)
+		sp.SetAttr("msgs", e.roundMsgs)
+		sp.SetAttr("words", e.roundWords)
 		tr.Advance(1)
 		sp.End()
 		tr.Count("congest.rounds", 1)
-		tr.Count("congest.messages", roundMsgs)
-		tr.Count("congest.words", roundWords)
-		tr.Observe("congest.msgs_per_round", roundMsgs)
-		tr.Sample("congest.msgs_per_round", roundMsgs)
+		tr.Count("congest.messages", e.roundMsgs)
+		tr.Count("congest.words", e.roundWords)
+		tr.Observe("congest.msgs_per_round", e.roundMsgs)
+		tr.Sample("congest.msgs_per_round", e.roundMsgs)
 	}
 }
 
@@ -629,96 +572,4 @@ func (e *engine) finishRun(tr trace.Tracer, traced bool) (int, error) {
 		tr.SetGauge("congest.max_edge_load", nw.stats.MaxEdgeLoad)
 	}
 	return nw.stats.Rounds, nil
-}
-
-// runEvent is the event-driven schedule: only nodes that received a
-// message this round (or sent one last round, so streamed follow-ups like
-// end markers still fire) are stepped; everything else is provably
-// quiescent under the EventDriven contract. Delivery is sender-driven —
-// iterating the round's senders in ascending order lays each receiver's
-// inbox out in ascending (sender, sender-port) order, byte-identical to
-// the receiver-driven scan of the classic schedule.
-func (e *engine) runEvent(maxRounds int, tr trace.Tracer, traced bool) (int, error) {
-	active := e.evActive[:0]
-	for v := 0; v < e.n; v++ {
-		active = append(active, int32(v))
-	}
-	next := e.evNext[:0]
-	notDone := e.n
-
-	for e.round = 0; ; e.round++ {
-		if e.round >= maxRounds {
-			return e.round, &RoundLimitError{Limit: maxRounds}
-		}
-
-		// Step phase over the active set (ascending, so the first protocol
-		// error by vertex order wins, as in the classic schedule).
-		senders := e.evSenders[:0]
-		for _, v32 := range active {
-			v := int(v32)
-			wasDone := e.dones[v]
-			e.step(v)
-			if e.errs[v] != nil {
-				return e.round, e.errs[v]
-			}
-			if e.dones[v] != wasDone {
-				if e.dones[v] {
-					notDone--
-				} else {
-					notDone++
-				}
-			}
-			e.inboxCur[v] = e.inboxCur[v][:0]
-			if len(e.outboxes[v]) > 0 {
-				senders = append(senders, v32)
-			}
-		}
-
-		// Delivery phase: push each sender's stamped ports to the peers.
-		var roundMsgs, roundWords, roundCong int64
-		next = next[:0]
-		for _, u32 := range senders {
-			u := int(u32)
-			if e.evStamp[u] != e.round {
-				e.evStamp[u] = e.round
-				next = append(next, u32)
-			}
-			base := e.off[u]
-			deg := e.off[u+1] - base
-			for p := 0; p < deg; p++ {
-				fp := base + p
-				if e.portEpoch[fp] != e.round {
-					continue
-				}
-				w := int(e.peer[fp])
-				rp := int(e.rport[fp])
-				msg := e.outboxes[u][e.portMsg[fp]].Msg
-				e.inboxCur[w] = append(e.inboxCur[w], Incoming{Port: rp, Msg: msg})
-				if e.evStamp[w] != e.round {
-					e.evStamp[w] = e.round
-					next = append(next, int32(w))
-				}
-				roundMsgs++
-				roundWords += int64(msg.Words())
-				wp := e.off[w] + rp
-				e.portLoad[wp]++
-				if e.portEpoch[wp] == e.round {
-					roundCong = 2
-				} else if roundCong < 1 {
-					roundCong = 1
-				}
-			}
-		}
-		slices.Sort(next)
-
-		e.accountRound(roundMsgs, roundWords, roundCong, tr, traced)
-
-		if roundMsgs == 0 && notDone == 0 {
-			break
-		}
-		active, next = next, active
-	}
-
-	e.evActive, e.evNext = active, next
-	return e.finishRun(tr, traced)
 }

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -91,30 +90,6 @@ func TestInvalidRoundLimit(t *testing.T) {
 		}
 		if errors.Is(err, ErrRoundLimit) {
 			t.Fatalf("Run(nodes, %d) reported a round-limit overrun: %v", bad, err)
-		}
-	}
-}
-
-// Regression for the epoch-stamped duplicate-port detection: two sends on
-// one port in one round must be rejected under both engines, including on a
-// graph large enough that the parallel path actually shards.
-func TestDuplicatePortRejectedBothEngines(t *testing.T) {
-	g := gridGraph(t, 16, 16) // large enough for the sharded engine on any CPU count
-	for _, parallel := range []bool{false, true} {
-		nodes := make([]Node, g.N())
-		for i := range nodes {
-			nodes[i] = &silentNode{}
-		}
-		nodes[0] = &doubleSender{}
-		nw := New(g)
-		nw.Parallel = parallel
-		nw.Workers = 4 // force real sharding regardless of host CPU count
-		_, err := nw.Run(nodes, 10)
-		if err == nil {
-			t.Fatalf("parallel=%v: two messages on one port in one round accepted", parallel)
-		}
-		if !strings.Contains(err.Error(), "two messages on port") {
-			t.Fatalf("parallel=%v: wrong error: %v", parallel, err)
 		}
 	}
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // saturatorNode sends one preallocated message on every port each round and
-// never halts. It deliberately does NOT implement EventDriven, so the
-// classic step/deliver engine — the annotated noalloc pair — runs it.
+// never halts, so it is stepped every round as last round's sender.
 type saturatorNode struct {
 	out []Outgoing
 }
@@ -17,59 +16,69 @@ func (c *saturatorNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	return c.out, false
 }
 
+// tickNode receives nothing and sends nothing; its wake timer alone steps
+// it, every other round.
+type tickNode struct{ steps int }
+
+func (c *tickNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
+	c.steps++
+	return nil, false
+}
+
+func (c *tickNode) NextWake(round int) int { return round + 2 }
+
 // TestRoundLoopZeroAlloc is the runtime gate behind the
-// //planarvet:noalloc annotations on (*engine).step and (*engine).deliver:
-// once the double-buffered inboxes have ramped up to their steady-state
-// capacity, a full round (step barrier, delivery barrier, buffer swap)
-// performs zero allocations even with every edge saturated in both
-// directions.
+// //planarvet:noalloc annotations on the round loop (runRound, step,
+// deliver, queue and the wake-timer heap): once the inboxes, step queues
+// and timer heap have ramped up to their steady-state capacity, a full
+// round performs zero allocations even with every edge saturated in both
+// directions and a timer firing every other round.
 func TestRoundLoopZeroAlloc(t *testing.T) {
-	g := graph.New(4)
+	g := graph.New(5) // vertex 4 is isolated: only its timer can step it
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 3)
 	g.MustAddEdge(3, 0)
 	g.MustAddEdge(0, 2)
 
-	nw := New(g)
-	nw.Parallel = false // single shard: the measurement must not see goroutine churn
 	nodes := make([]Node, g.N())
-	for v := range nodes {
+	for v := 0; v < 4; v++ {
 		out := make([]Outgoing, g.Degree(v))
 		for p := range out {
 			out[p] = Outgoing{Port: p, Msg: Message{Kind: 7}}
 		}
 		nodes[v] = &saturatorNode{out: out}
 	}
+	tick := &tickNode{}
+	nodes[4] = tick
 
-	e := newEngine(nw, nodes)
-	defer e.stop()
-	if e.event {
-		t.Fatal("classic engine expected: saturatorNode must not be EventDriven")
-	}
+	e := newEngine(New(g), nodes, 1<<20)
+	e.start()
 	oneRound := func() {
-		e.runPhase(phaseStep)
-		e.runPhase(phaseDeliver)
-		e.inboxCur, e.inboxNxt = e.inboxNxt, e.inboxCur
+		if err := e.runRound(); err != nil {
+			t.Fatal(err)
+		}
 		e.round++
 	}
-	// Two warm-up rounds grow BOTH inbox buffers to steady-state capacity
-	// (each round fills only the next-round buffer before the swap).
-	oneRound()
-	oneRound()
-	for v := 0; v < e.n; v++ {
-		if e.errs[v] != nil {
-			t.Fatalf("warm-up round failed at vertex %d: %v", v, e.errs[v])
-		}
+	// Warm-up rounds grow the inboxes, queues and timer heap to their
+	// steady-state capacity.
+	for i := 0; i < 4; i++ {
+		oneRound()
 	}
 
-	allocs := testing.AllocsPerRun(100, oneRound)
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, oneRound)
 	if allocs != 0 {
 		t.Fatalf("steady-state round allocates %.1f times, want 0", allocs)
 	}
-	for v := 0; v < e.n; v++ {
-		if got, want := len(e.inboxCur[v]), g.Degree(v); got != want {
+	for v := 0; v < 4; v++ {
+		if got, want := len(e.inbox[v]), g.Degree(v); got != want {
 			t.Fatalf("vertex %d received %d messages, want %d", v, got, want)
 		}
+	}
+	// Round 0 plus every even round of the 4 warm-up and 1+runs measured
+	// rounds (AllocsPerRun adds one warm-up call of its own).
+	if want := (4 + 1 + runs + 1) / 2; tick.steps != want {
+		t.Fatalf("timer node stepped %d times over %d rounds, want %d", tick.steps, e.round, want)
 	}
 }

@@ -112,12 +112,6 @@ func NewPANodes(nw *Network, parent []int, root int, partOf, value []int, op Agg
 	return nodes
 }
 
-// CongestEventDriven marks the program as purely message-driven: every
-// send is triggered either by round 0, by a received message, or by the
-// node's own send in the previous round (pair streams and their end
-// markers), so a quiet node stays quiet until woken.
-func (pn *PANode) CongestEventDriven() {}
-
 // Round implements Node.
 func (pn *PANode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {

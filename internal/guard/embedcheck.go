@@ -34,7 +34,7 @@ import (
 //
 // One message per edge per direction, 3 argument words plus the kind word
 // (within the default 4-word CONGEST budget), judged on arrival: the
-// program is event-driven and completes in O(1) rounds. Accept bits are
+// program is purely message-driven and completes in O(1) rounds. Accept bits are
 // folded into a global verdict with one single-part OpMin aggregation,
 // exactly like the internal/cert verifiers.
 
@@ -53,11 +53,6 @@ type rotNode struct {
 	accept bool
 	judged bool
 }
-
-// CongestEventDriven marks the program as purely message-driven: the
-// round-0 broadcast is the only spontaneous act, and judging is triggered
-// by the arriving link triples.
-func (rn *rotNode) CongestEventDriven() {}
 
 // Round implements congest.Node.
 func (rn *rotNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {

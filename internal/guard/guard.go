@@ -13,7 +13,8 @@
 //     permutation of its neighbours) and exchanges one word-bounded
 //     message per incident edge so both endpoints agree the link exists
 //     and each lists the other at a valid rotation position (dart
-//     involution and retarget detection). The program is event-driven.
+//     involution and retarget detection). The program is purely
+//     message-driven.
 //  3. planarity testing — a CONGEST property tester in the
 //     Levi–Medina–Ron style with one-sided error: planar inputs are
 //     always accepted; non-planar inputs are rejected when a concrete
@@ -170,19 +171,9 @@ func (v *Verdict) addCheck(name string, ok bool, rounds int, messages int64) {
 	v.Messages += messages
 }
 
-// Options configure a validation run. The zero value runs the parallel
-// engine with the default tester budget (16 seeded centers, radius-1
-// balls) untraced.
+// Options configure a validation run. The zero value runs the default
+// tester budget (16 seeded centers, radius-1 balls) untraced.
 type Options struct {
-	// Sequential selects the sequential round engine; verdicts are
-	// bit-identical either way.
-	Sequential bool
-	// Workers overrides the sharded engine's worker count; 0 means one per
-	// CPU.
-	Workers int
-	// StepAll forces the classic schedule even for event-driven programs;
-	// the engine-equivalence tests run the guard under both.
-	StepAll bool
 	// Tracer records guard spans and the underlying network rounds; nil
 	// disables tracing.
 	Tracer trace.Tracer
@@ -208,10 +199,7 @@ func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
 	if maxWords > nw.MaxWords {
 		nw.MaxWords = maxWords
 	}
-	nw.Parallel = !o.Sequential
-	nw.Workers = o.Workers
 	nw.Tracer = o.Tracer
-	nw.StepAll = o.StepAll
 	return nw
 }
 

@@ -13,21 +13,9 @@ import (
 // sweepSizes is the small-n sweep of the acceptance property tests.
 var sweepSizes = []int{4, 10, 17}
 
-// engines enumerates the engine configurations every verdict must agree
-// across: sequential, sharded-parallel, and the classic schedule forced
-// on event-driven programs.
-var engines = []struct {
-	name string
-	opt  func(Options) Options
-}{
-	{"sequential", func(o Options) Options { o.Sequential = true; return o }},
-	{"parallel", func(o Options) Options { return o }},
-	{"stepall", func(o Options) Options { o.StepAll = true; return o }},
-}
-
 // TestGuardAcceptsFamilies pins the one-sided-error contract: every
-// generator family instance is accepted by the full validation under every
-// engine, and the centralized oracle agrees.
+// generator family instance is accepted by the full validation, and the
+// centralized oracle agrees.
 func TestGuardAcceptsFamilies(t *testing.T) {
 	for _, fam := range gen.Families {
 		for _, n := range sweepSizes {
@@ -35,18 +23,15 @@ func TestGuardAcceptsFamilies(t *testing.T) {
 			if err != nil || in.G.M() == 0 {
 				continue
 			}
-			for _, eng := range engines {
-				opt := eng.opt(Options{Seed: 11, Exhaustive: true})
-				v, err := ValidateInstance(in, opt)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", in.Name, eng.name, err)
-				}
-				if !v.OK {
-					t.Fatalf("%s/%s: planar instance rejected: %+v", in.Name, eng.name, v.Witness)
-				}
-				if v.Err() != nil {
-					t.Fatalf("%s/%s: accepting verdict has error", in.Name, eng.name)
-				}
+			v, err := ValidateInstance(in, Options{Seed: 11, Exhaustive: true})
+			if err != nil {
+				t.Fatalf("%s: %v", in.Name, err)
+			}
+			if !v.OK {
+				t.Fatalf("%s: planar instance rejected: %+v", in.Name, v.Witness)
+			}
+			if v.Err() != nil {
+				t.Fatalf("%s: accepting verdict has error", in.Name)
 			}
 			if w := OracleTest(in.G, Options{Seed: 11, Exhaustive: true}); w != nil {
 				t.Fatalf("%s: oracle rejected a planar instance: %+v", in.Name, w)
@@ -67,7 +52,7 @@ func corruptRotations(in *gen.Instance, seed int64, apply func(*chaos.Plan, [][]
 }
 
 // TestGuardRejectsRetargetedDarts pins that dart retargeting is rejected
-// with a rotation or endpoint witness under every engine.
+// with a rotation or endpoint witness.
 func TestGuardRejectsRetargetedDarts(t *testing.T) {
 	for _, fam := range []string{"grid", "wheel", "polygon", "stacked", "tree"} {
 		in, err := gen.ByName(fam, 12, 3)
@@ -80,21 +65,19 @@ func TestGuardRejectsRetargetedDarts(t *testing.T) {
 		if rot == nil {
 			t.Fatalf("%s: retarget applied nothing", fam)
 		}
-		for _, eng := range engines {
-			v, err := ValidateRotations(in.G, rot, eng.opt(Options{Seed: 11, Exhaustive: true}))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", fam, eng.name, err)
-			}
-			if v.OK {
-				t.Fatalf("%s/%s: retargeted rotation accepted", fam, eng.name)
-			}
-			if r := v.Witness.Reason; r != ReasonRotation && r != ReasonEndpoint {
-				t.Fatalf("%s/%s: reason %q, want rotation or endpoint-mismatch", fam, eng.name, r)
-			}
-			var re *RejectionError
-			if err := v.Err(); !errors.Is(err, ErrRejected) || !errors.As(err, &re) {
-				t.Fatalf("%s/%s: rejection error does not match ErrRejected", fam, eng.name)
-			}
+		v, err := ValidateRotations(in.G, rot, Options{Seed: 11, Exhaustive: true})
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		if v.OK {
+			t.Fatalf("%s: retargeted rotation accepted", fam)
+		}
+		if r := v.Witness.Reason; r != ReasonRotation && r != ReasonEndpoint {
+			t.Fatalf("%s: reason %q, want rotation or endpoint-mismatch", fam, r)
+		}
+		var re *RejectionError
+		if err := v.Err(); !errors.Is(err, ErrRejected) || !errors.As(err, &re) {
+			t.Fatalf("%s: rejection error does not match ErrRejected", fam)
 		}
 	}
 }
@@ -220,17 +203,15 @@ func TestGuardDenseRegion(t *testing.T) {
 	if g.M() > 3*g.N()-6 {
 		t.Fatalf("plant is globally dense: m=%d, the edge-count stage would mask the ball test", g.M())
 	}
-	for _, eng := range engines {
-		v, err := ValidateGraph(g, eng.opt(Options{Seed: 11, Exhaustive: true}))
-		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		if v.OK || v.Witness.Reason != ReasonDenseRegion {
-			t.Fatalf("%s: K7 plant verdict OK=%v reason=%v, want dense-region", eng.name, v.OK, v.Witness)
-		}
-		if v.Witness.M <= v.Witness.Bound {
-			t.Fatalf("%s: witness numbers do not violate the bound: %+v", eng.name, v.Witness)
-		}
+	v, err := ValidateGraph(g, Options{Seed: 11, Exhaustive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.OK || v.Witness.Reason != ReasonDenseRegion {
+		t.Fatalf("K7 plant verdict OK=%v reason=%v, want dense-region", v.OK, v.Witness)
+	}
+	if v.Witness.M <= v.Witness.Bound {
+		t.Fatalf("witness numbers do not violate the bound: %+v", v.Witness)
 	}
 }
 

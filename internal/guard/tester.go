@@ -40,9 +40,9 @@ const (
 )
 
 // ballNode is the per-vertex program of one ball probe. It is
-// round-scheduled (not event-driven): membership counts are final once
-// every flood message has landed, which the program detects by the round
-// number, so it must be stepped every round.
+// round-scheduled: membership counts are final once every flood message
+// has landed, which the program detects by the round number, so an adopted
+// member sets a wake timer for round radius+2 (see NextWake).
 type ballNode struct {
 	deg    int
 	center bool
@@ -127,6 +127,16 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 		}
 	}
 	return out, bn.reported
+}
+
+// NextWake implements congest.Waker: an adopted member that has not
+// reported wakes at round radius+2, when its ball's flood is complete; from
+// then on, its children's reports wake it.
+func (bn *ballNode) NextWake(round int) int {
+	if !bn.adopted || bn.reported || round >= bn.radius+2 {
+		return -1
+	}
+	return bn.radius + 2
 }
 
 // announce broadcasts the adoption: a grow on every port, with the

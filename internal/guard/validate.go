@@ -71,9 +71,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 	if err != nil {
 		return nil, fmt.Errorf("guard: rotation stage accepted an unbuildable rotation system: %w", err)
 	}
-	ev, err := cert.VerifyEmbedding(g, cert.ProveEmbedding(emb), cert.Options{
-		Sequential: opt.Sequential, Workers: opt.Workers, Tracer: opt.Tracer,
-	})
+	ev, err := cert.VerifyEmbedding(g, cert.ProveEmbedding(emb), cert.Options{Tracer: opt.Tracer})
 	if err != nil {
 		return nil, fmt.Errorf("guard: euler certification: %w", err)
 	}

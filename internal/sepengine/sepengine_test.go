@@ -136,7 +136,7 @@ func TestEngineMatrixLarge(t *testing.T) {
 					continue
 				}
 				checkResult(t, cfg, res, label)
-				verdict, err := cert.CertifySeparator(cfg.G, res.Sep, cert.Options{Sequential: true})
+				verdict, err := cert.CertifySeparator(cfg.G, res.Sep, cert.Options{})
 				if err != nil {
 					t.Fatalf("%s: PLS error: %v", label, err)
 				}

@@ -181,10 +181,9 @@ func RunPATraced(g *graph.Graph, root int, part *Partition, value []int, op cong
 	return RunPAOn(nw, root, part, value, op)
 }
 
-// RunPAOn is RunPA over a caller-configured network: engine selection
-// (Parallel/Workers), word budget and tracer are taken from nw as-is. The
-// certification subsystem uses it to keep a whole prove/verify/aggregate
-// run on one engine configuration.
+// RunPAOn is RunPA over a caller-configured network: the word budget and
+// tracer are taken from nw as-is. The certification subsystem uses it to
+// keep a whole prove/verify/aggregate run on one network configuration.
 func RunPAOn(nw *congest.Network, root int, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
 	g := nw.G
 	tree, err := spanning.BFSTree(g, root)
