@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"planardfs/internal/dist"
@@ -49,12 +50,14 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 // BuildWithSeparator is Build with the run recorded on tracer (nil
 // disables tracing) and the per-component separator computation swapped
 // out: find runs on each remaining component's restricted configuration
-// (see separator.ForSubsetWith). Tracing records a dfs-layer span per
-// recursion phase, the span structure of every per-component separator
-// call, and a dfs-layer span per JOIN sub-phase, all stamped with the
-// charged round clock under the paper cost model. The caller keeps any
-// engine-fallback policy inside find and may record its fallback count on
-// the returned Trace.
+// (see separator.ForSubsetWith). Each restriction is built around a dart
+// found inside its component (outerRegionDart) and the join state is
+// allocated once per build, so a component costs its own size, not n.
+// Tracing records a dfs-layer span per recursion phase, the span
+// structure of every per-component separator call, and a dfs-layer span
+// per JOIN sub-phase, all stamped with the charged round clock under the
+// paper cost model. The caller keeps any engine-fallback policy inside
+// find and may record its fallback count on the returned Trace.
 func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root int, tracer trace.Tracer, find separator.FindFunc) (*PartialTree, *Trace, error) {
 	if !g.Connected() {
 		return nil, nil, fmt.Errorf("dfs: graph is not connected")
@@ -73,8 +76,11 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 		buildSpan = tracer.StartSpan(trace.LayerDFS, "dfs.build")
 		defer buildSpan.End()
 	}
-	outerFace := emb.OuterFaceOf(outerDart)
+	fs := emb.TraceFaces()
+	outerVerts := fs.FaceVertices(int(fs.FaceOf[outerDart]))
+	outerInTree := false
 	pt := NewPartialTree(g.N(), root)
+	sc := newJoinScratch(g.N())
 	tr := &Trace{SeparatorPhases: map[separator.Phase]int{}}
 	for !pt.Complete() {
 		tr.Phases++
@@ -82,6 +88,9 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			return nil, nil, fmt.Errorf("dfs: did not converge")
 		}
 		comps := remainingComponents(g, pt)
+		if !outerInTree {
+			outerInTree = anyAdded(pt, outerVerts)
+		}
 		maxC := 0
 		for _, c := range comps {
 			if len(c) > maxC {
@@ -100,13 +109,13 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			if tracer.Enabled() {
 				septr = tracer
 			}
-			sep, err := separator.ForSubsetWith(emb, outerFace, comp, septr, find)
+			sep, err := separator.ForSubsetWith(emb, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, septr, find)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
 			}
 			tr.SeparatorCalls++
 			tr.SeparatorPhases[sep.Phase]++
-			st, err := joinSeparator(g, pt, comp, sep.Path, m)
+			st, err := joinSeparator(g, pt, comp, sep.Path, m, sc)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d join: %w", tr.Phases, err)
 			}
@@ -128,6 +137,50 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 		return nil, nil, fmt.Errorf("dfs: output invalid: %w", err)
 	}
 	return pt, tr, nil
+}
+
+// outerRegionDart returns, in O(Σ deg(comp)), a dart with its tail in
+// comp, a component of G − T_d, whose face lies in the parent's outer
+// region once G is cut down to G[comp]: the dart comp's restriction is
+// built around (planar.Embedding.RestrictTo; DESIGN.md §17 has the
+// proof). V − comp is connected, since T_d is and every other component
+// touches it, so every parent face touching V − comp merges into one
+// region. That region holds the face of any dart into T_d, and it holds
+// the outer face once one outer-face vertex lies outside comp.
+// outerInTree reports that the outer face meets T_d. Until it does, the
+// outer face's vertices all lie in one component, which gets outerDart
+// itself.
+func outerRegionDart(emb *planar.Embedding, pt *PartialTree, comp []int, outerDart int, outerInTree bool) int {
+	if !outerInTree {
+		if _, ok := slices.BinarySearch(comp, emb.TailOf(outerDart)); ok {
+			return outerDart
+		}
+	}
+	for _, u := range comp {
+		d0 := emb.FirstDart(u)
+		if d0 < 0 {
+			continue
+		}
+		for d := d0; ; {
+			if pt.Has(emb.HeadOf(d)) {
+				return d
+			}
+			if d = emb.NextCW(d); d == d0 {
+				break
+			}
+		}
+	}
+	return -1
+}
+
+// anyAdded reports whether some vertex of vs is in the partial tree.
+func anyAdded(pt *PartialTree, vs []int) bool {
+	for _, v := range vs {
+		if pt.Has(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // remainingComponents lists the connected components of G minus the partial

@@ -20,10 +20,12 @@ type JoinStats struct {
 	Remaining []int
 }
 
-// joinScratch holds the flat per-vertex state of one JOIN-PROBLEM. All
-// arrays are sized n and allocated once per invocation; the epoch-stamped
-// ones (seen/vis/set) are reset in O(1) between sub-phases and components
-// by bumping the epoch instead of clearing.
+// joinScratch holds the flat per-vertex state of the JOIN-PROBLEMs of one
+// build. The arrays are sized n and allocated once per build, so a join
+// costs its component, not the graph: inComp and missing are set and
+// cleared over the component's own vertices, and the epoch-stamped arrays
+// (seen/vis/set) are reset in O(1) between sub-phases and components by
+// bumping the epoch instead of clearing.
 type joinScratch struct {
 	inComp  []bool
 	missing []bool
@@ -60,15 +62,23 @@ func newJoinScratch(n int) *joinScratch {
 // from there, and the root path holding the most separator vertices is
 // attached.
 func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
-	return joinSeparator(g, pt, comp, sep, nil)
+	sorted := append([]int(nil), comp...)
+	sort.Ints(sorted)
+	return joinSeparator(g, pt, sorted, sep, nil, newJoinScratch(g.N()))
 }
 
-// joinSeparator is JoinSeparator with per-sub-phase spans on m: each
-// sub-phase charges the Lemma 2 budget (spanning forest, re-root, LCA,
-// the two PA problems of the DFS-RULE, and marking the attached path)
-// and records the remaining separator count.
-func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter) (*JoinStats, error) {
-	sc := newJoinScratch(g.N())
+// joinSeparator is JoinSeparator on the build's scratch sc, for a comp
+// sorted ascending, with per-sub-phase spans on m: each sub-phase charges
+// the Lemma 2 budget (spanning forest, re-root, LCA, the two PA problems
+// of the DFS-RULE, and marking the attached path) and records the
+// remaining separator count. It leaves sc clear for the next component.
+func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter, sc *joinScratch) (*JoinStats, error) {
+	defer func() {
+		for _, v := range comp {
+			sc.inComp[v] = false
+			sc.missing[v] = false
+		}
+	}()
 	for _, v := range comp {
 		if pt.Has(v) {
 			return nil, fmt.Errorf("dfs: component vertex %d already added", v)
@@ -108,7 +118,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			subSpan.SetAttr("remaining", int64(missingCnt))
 		}
 		// Components of the not-yet-added part of comp.
-		for _, x := range componentsWithin(g, sc, pt) {
+		for _, x := range componentsWithin(g, comp, sc, pt) {
 			holds := false
 			for _, v := range x {
 				if sc.missing[v] {
@@ -154,22 +164,24 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 }
 
 // componentsWithin returns the connected components of the not-yet-added
-// vertices of the component set, each sorted ascending. Roots are scanned
-// in ascending vertex order, so the component order is deterministic.
-func componentsWithin(g *graph.Graph, sc *joinScratch, pt *PartialTree) [][]int {
+// vertices of comp, each sorted ascending. comp is sorted, so roots are
+// scanned in ascending vertex order and the component order is
+// deterministic.
+func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTree) [][]int {
 	sc.epoch++
 	ep := sc.epoch
 	var comps [][]int
-	for v := 0; v < g.N(); v++ {
-		if !sc.inComp[v] || sc.seenEp[v] == ep || pt.Has(v) {
+	for _, v := range comp {
+		if sc.seenEp[v] == ep || pt.Has(v) {
 			continue
 		}
-		var comp []int
+		var part []int
+		//planarvet:narrowok v is a vertex id, < n and graph.New bounds n to MaxInt32
 		sc.queue = append(sc.queue[:0], int32(v))
 		sc.seenEp[v] = ep
 		for qi := 0; qi < len(sc.queue); qi++ {
 			x := int(sc.queue[qi])
-			comp = append(comp, x)
+			part = append(part, x)
 			for _, id := range g.IncidentEdges(x) {
 				w := g.Other(int(id), x)
 				if sc.inComp[w] && sc.seenEp[w] != ep && !pt.Has(w) {
@@ -179,8 +191,8 @@ func componentsWithin(g *graph.Graph, sc *joinScratch, pt *PartialTree) [][]int 
 				}
 			}
 		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
+		sort.Ints(part)
+		comps = append(comps, part)
 	}
 	return comps
 }

@@ -1,8 +1,10 @@
 package dfs
 
 import (
+	"runtime"
 	"testing"
 
+	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 )
 
@@ -46,5 +48,35 @@ func TestJoinDequeZeroAlloc(t *testing.T) {
 	}
 	if len(sc.order) != len(x) {
 		t.Fatalf("BFS settled %d vertices, want %d", len(sc.order), len(x))
+	}
+}
+
+// TestBuildAllocScalesLinearly gates the per-component cost of the build:
+// a phase runs a separator and a join for each of its components, so any
+// per-component array sized by the whole graph makes the bytes allocated
+// per vertex grow with n. On stacked triangulations, whose phases hold
+// hundreds of components, the figure at n = 8000 may be at most twice the
+// figure at n = 1000.
+func TestBuildAllocScalesLinearly(t *testing.T) {
+	perVertex := func(n int) float64 {
+		in, err := gen.StackedTriangulation(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0]
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, _, err := Build(in.G, in.Emb, in.OuterDart, root); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perVertex(1000), perVertex(8000)
+	t.Logf("dfs.Build allocates %.1f KB/vertex at n=1000, %.1f KB/vertex at n=8000 (%.2f×)",
+		small/1024, large/1024, large/small)
+	if large > 2*small {
+		t.Fatalf("bytes per vertex grow %.2f× from n=1000 to n=8000, want <= 2×", large/small)
 	}
 }

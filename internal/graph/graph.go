@@ -22,6 +22,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -343,7 +344,7 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int, error) {
 			}
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(cand)
 	sub := NewWithCapacity(len(vs), len(cand))
 	for _, id := range cand {
 		sub.MustAddEdge(idx[int(g.endU[id])], idx[int(g.endV[id])])

@@ -14,30 +14,31 @@ type Restriction struct {
 	Emb *Embedding
 	// Orig maps sub-vertex -> original vertex.
 	Orig []int
-	// Sub maps original vertex -> sub-vertex (-1 if absent).
-	Sub []int
 	// OuterDart is a dart of the sub-embedding lying on the face that
-	// contains the parent embedding's outer region, or -1 if the subgraph
+	// contains the face of the parent dart RestrictTo was given (the
+	// parent's outer region, as callers choose it), or -1 if the subgraph
 	// has no edges.
 	OuterDart int
 }
 
-// RestrictTo returns the embedding induced on the given vertices. The outer
-// face of the restriction is the sub-face whose region contains the parent
-// outer face: sub-faces are unions of parent faces merged across edges not
-// present in the subgraph (and around absent vertices), so the sub-face
-// containing the parent outer face is found by a union–find over parent
-// faces.
-func (emb *Embedding) RestrictTo(vs []int, outerFace int) (*Restriction, error) {
-	g := emb.g
-	sub, orig, err := g.InducedSubgraph(vs)
+// RestrictTo returns the embedding induced on the given vertices, with
+// the sub-face containing the given parent dart's face as its outer face.
+// dart must have its tail in vs; it is ignored when vs induces no edge.
+//
+// Sub-faces are unions of parent faces merged across the darts the
+// subgraph drops. In the parent, the face of dart d fills the corner
+// between prev[d] and d at Tail(d), so the sub-face holding it is the face
+// of the first kept dart at or clockwise after d. Finding it costs O(deg),
+// and the whole restriction costs O(Σ deg(vs)) with no array sized by the
+// parent graph. Callers name a dart whose face lies in the parent's outer
+// region: the DFS build knows one locally (see dfs.Build), everyone else
+// asks OuterRegionDart.
+func (emb *Embedding) RestrictTo(vs []int, dart int) (*Restriction, error) {
+	sub, orig, err := emb.g.InducedSubgraph(vs)
 	if err != nil {
 		return nil, err
 	}
-	subOf := make([]int, g.N())
-	for i := range subOf {
-		subOf[i] = -1
-	}
+	subOf := make(map[int]int, len(orig))
 	for i, v := range orig {
 		subOf[v] = i
 	}
@@ -48,10 +49,10 @@ func (emb *Embedding) RestrictTo(vs []int, outerFace int) (*Restriction, error) 
 		if d0 < 0 {
 			continue
 		}
+		orders[i] = make([]int, 0, emb.g.Degree(v))
 		for d := d0; ; {
-			w := int(emb.headD[d])
-			if subOf[w] >= 0 {
-				orders[i] = append(orders[i], subOf[w])
+			if w, ok := subOf[int(emb.headD[d])]; ok {
+				orders[i] = append(orders[i], w)
 			}
 			d = emb.next[d]
 			if d == d0 {
@@ -63,46 +64,68 @@ func (emb *Embedding) RestrictTo(vs []int, outerFace int) (*Restriction, error) 
 	if err != nil {
 		return nil, err
 	}
-	res := &Restriction{G: sub, Emb: semb, Orig: orig, Sub: subOf, OuterDart: -1}
+	res := &Restriction{G: sub, Emb: semb, Orig: orig, OuterDart: -1}
 	if sub.M() == 0 {
 		return res, nil
 	}
-	// Merge parent faces across absent edges.
+	if dart < 0 || dart >= len(emb.next) {
+		return nil, fmt.Errorf("planar: outer dart %d out of range", dart)
+	}
+	su, ok := subOf[emb.TailOf(dart)]
+	if !ok {
+		return nil, fmt.Errorf("planar: outer dart %d has tail %d outside the restriction", dart, emb.TailOf(dart))
+	}
+	for d := dart; ; {
+		if sw, ok := subOf[emb.HeadOf(d)]; ok {
+			sid, _ := sub.EdgeID(su, sw) // sub is induced, so the edge is there
+			res.OuterDart = DartFrom(sub, sid, su)
+			return res, nil
+		}
+		d = int(emb.next[d])
+		if d == dart {
+			break
+		}
+	}
+	return nil, fmt.Errorf("planar: outer dart %d has tail %d with no edge in the restriction", dart, emb.TailOf(dart))
+}
+
+// OuterRegionDart returns a parent dart with both endpoints in vs whose
+// face lies in the region of the parent outer face once the edges not
+// induced by vs are dropped — the dart RestrictTo needs when the caller
+// knows nothing local about vs. It returns -1 if vs induces no edge.
+// Sub-faces are unions of parent faces merged across absent edges, so
+// the region is found by a union–find over all parent faces: O(n + m).
+func (emb *Embedding) OuterRegionDart(vs []int, outerFace int) (int, error) {
+	g := emb.g
+	in := make([]bool, g.N())
+	for _, v := range vs {
+		if v < 0 || v >= g.N() {
+			return -1, fmt.Errorf("planar: vertex %d out of range", v)
+		}
+		in[v] = true
+	}
 	fs := emb.TraceFaces()
+	if outerFace < 0 || outerFace >= fs.Count() {
+		return -1, fmt.Errorf("planar: outer face %d out of range", outerFace)
+	}
 	uf := graph.NewUnionFind(fs.Count())
 	for e := 0; e < g.M(); e++ {
-		ed := g.EdgeByID(e)
-		if subOf[ed.U] < 0 || subOf[ed.V] < 0 {
+		u, v := g.EndpointsOf(e)
+		if !in[u] || !in[v] {
 			uf.Union(int(fs.FaceOf[2*e]), int(fs.FaceOf[2*e+1]))
 		}
 	}
 	outerClass := uf.Find(outerFace)
-	// Find a kept dart bordering the merged outer region, and map it to the
-	// corresponding sub-dart.
 	for e := 0; e < g.M(); e++ {
-		ed := g.EdgeByID(e)
-		su, sv := subOf[ed.U], subOf[ed.V]
-		if su < 0 || sv < 0 {
+		u, v := g.EndpointsOf(e)
+		if !in[u] || !in[v] {
 			continue
 		}
-		sid, ok := sub.EdgeID(su, sv)
-		if !ok {
-			return nil, fmt.Errorf("planar: induced edge {%d,%d} missing", su, sv)
-		}
-		for dir := 0; dir < 2; dir++ {
-			d := 2*e + dir
-			if uf.Find(int(fs.FaceOf[d])) != outerClass {
-				continue
+		for d := 2 * e; d < 2*e+2; d++ {
+			if uf.Find(int(fs.FaceOf[d])) == outerClass {
+				return d, nil
 			}
-			// Dart 2e goes U->V; the matching sub-dart goes su->sv. Edge
-			// normalization may swap endpoints, so use DartFrom.
-			from := ed.U
-			if dir == 1 {
-				from = ed.V
-			}
-			res.OuterDart = DartFrom(sub, sid, subOf[from])
-			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("planar: no sub-dart borders the outer region")
+	return -1, nil
 }

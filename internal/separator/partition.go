@@ -45,9 +45,15 @@ func ForSubset(emb *planar.Embedding, outerFace int, vs []int) (*Separator, erro
 
 // ForSubsetTraced is ForSubset with the run recorded on tr (nil disables
 // tracing): the restricted configuration carries the tracer, so the whole
-// separator phase structure of the subset lands in the trace.
+// separator phase structure of the subset lands in the trace. The
+// restriction's outer face is the one containing the parent outer face
+// (planar.Embedding.OuterRegionDart).
 func ForSubsetTraced(emb *planar.Embedding, outerFace int, vs []int, tr trace.Tracer) (*Separator, error) {
-	return ForSubsetWith(emb, outerFace, vs, tr, Find)
+	dart, err := emb.OuterRegionDart(vs, outerFace)
+	if err != nil {
+		return nil, err
+	}
+	return ForSubsetWith(emb, dart, vs, tr, Find)
 }
 
 // FindFunc computes a cycle separator of a configuration's graph. Find is
@@ -55,12 +61,17 @@ func ForSubsetTraced(emb *planar.Embedding, outerFace int, vs []int, tr trace.Tr
 // backends to this shape so the DFS pipeline can run any engine.
 type FindFunc func(cfg *weights.Config) (*Separator, error)
 
-// ForSubsetWith is ForSubsetTraced with the separator computation swapped
-// out: the subset is restricted, configured and rooted exactly as in the
-// Theorem 1 path, then find runs on the restricted configuration and its
-// result is mapped back to original vertex IDs.
-func ForSubsetWith(emb *planar.Embedding, outerFace int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
-	res, err := emb.RestrictTo(vs, outerFace)
+// ForSubsetWith computes a cycle separator of the subgraph induced by vs
+// with find, in original vertex IDs. outerDart is a parent dart whose tail
+// is in vs and whose face lies in the region the restriction's outer face
+// should contain (planar.Embedding.RestrictTo): the subset is restricted
+// around it, configured, and BFS-rooted on the restricted outer face
+// exactly as in the Theorem 1 path, then find runs on the restricted
+// configuration. Nothing here is sized by the parent graph, so a caller
+// that knows such a dart locally — the DFS build does — pays for the
+// subset only.
+func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
+	res, err := emb.RestrictTo(vs, outerDart)
 	if err != nil {
 		return nil, err
 	}
