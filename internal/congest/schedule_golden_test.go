@@ -73,9 +73,10 @@ func (o *goldenOut) digest(t *testing.T) string {
 // for every built-in node program, the guard's ball probe and rotation
 // check, the certification label exchange, and injected runs that fire
 // every fault kind. The digests were recorded on the three-schedule engine
-// this one replaced, so a mismatch is a change in observable behaviour
-// (rounds, inbox order, stats, trace output), never a digest to refresh
-// silently.
+// this one replaced (the chaos/pa-all-kinds row on the map-based PANode
+// before its flat rewrite), so a mismatch is a change in observable
+// behaviour (rounds, inbox order, stats, trace output), never a digest to
+// refresh silently.
 func TestScheduleGolden(t *testing.T) {
 	rows := []struct {
 		name string
@@ -119,6 +120,9 @@ func TestScheduleGolden(t *testing.T) {
 		{"chaos/awerbuch-crash", func(t *testing.T, o *goldenOut) {
 			runInjected(t, o, "awerbuch", "sparse", 60, 4, 30, []chaos.Kind{chaos.Crash})
 		}, "stats=da305d785a03fada results=0d253a7e0aac6665 jsonl=e8fa242fcb714a40 chrome=512b56a3484d269a counts=ceba9cad73cf2300"},
+		{"chaos/pa-all-kinds", func(t *testing.T, o *goldenOut) {
+			runInjected(t, o, "pa", "stacked", 90, 1, 2, []chaos.Kind{chaos.Drop, chaos.Corrupt, chaos.Stall})
+		}, "stats=31106dd0e0703abd results=b4a0152bbdb821da jsonl=dde95eaa286fce16 chrome=430a13aca2dec927 counts=0e31bb53d7712cd6"},
 		{"chaos/awerbuch-recovery", runAwerbuchRecovery, "stats=e3b0c44298fc1c14 results=ea9c3b9c1622f4cc jsonl=7930a72c3626bf4c chrome=e3387a012df696bb counts=ba59d4def0d01cd5"},
 	}
 	for _, row := range rows {
@@ -407,10 +411,24 @@ func (s *sendLog) Round(round int, recv []congest.Incoming) ([]congest.Outgoing,
 }
 
 func buildProgram(nw *congest.Network, program string) ([]congest.Node, func(congest.Node) any) {
-	if program == "bfs" {
+	switch program {
+	case "bfs":
 		return congest.NewBFSNodes(nw, 0), func(nd congest.Node) any {
 			b := nd.(*congest.BFSNode)
 			return [2]int{b.Dist, b.ParentID}
+		}
+	case "pa":
+		// Five parts over the centralized BFS tree, as in runPrograms.
+		g := nw.G
+		value := make([]int, g.N())
+		partOf := make([]int, g.N())
+		for v := range value {
+			value[v] = (v * 2654435761) % 1000
+			partOf[v] = v % 5
+		}
+		return congest.NewPANodes(nw, g.BFS(0).Parent, 0, partOf, value, congest.OpSum), func(nd congest.Node) any {
+			p := nd.(*congest.PANode)
+			return [2]any{p.Result, p.HasResult}
 		}
 	}
 	return congest.NewAwerbuchNodes(nw, 0), func(nd congest.Node) any {
