@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -314,5 +315,32 @@ func TestNodeInfoPortTo(t *testing.T) {
 	}
 	if info.PortTo(999) != -1 {
 		t.Fatal("PortTo of non-neighbour should be -1")
+	}
+}
+
+// TestPAPartsBelowIsASet checks the sorted part list that routes the
+// downcast against the set it replaces: in-order, repeated and
+// out-of-order (corrupted) part ids must give the same membership.
+func TestPAPartsBelowIsASet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var c paChild
+		set := map[int]bool{}
+		for i := rng.Intn(40); i > 0; i-- {
+			p := rng.Intn(30)
+			if rng.Intn(4) == 0 {
+				p ^= 0x5a5 // a corrupted id, out of order
+			}
+			c.addBelow(p)
+			set[p] = true
+		}
+		if !sort.IntsAreSorted(c.below) || len(c.below) != len(set) {
+			t.Fatalf("trial %d: below %v is not the sorted set of %d ids", trial, c.below, len(set))
+		}
+		for p := -1; p < 0x600; p++ {
+			if c.hasBelow(p) != set[p] {
+				t.Fatalf("trial %d: hasBelow(%d) = %v, want %v", trial, p, c.hasBelow(p), set[p])
+			}
+		}
 	}
 }
