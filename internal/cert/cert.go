@@ -103,81 +103,84 @@ func validateLabels(n int, labels [][]int, words int) error {
 	return nil
 }
 
+// judgeFunc decides vertex v's verdict from the labels it received, got[p]
+// on port p (nil where nothing arrived). One judge serves every vertex of a
+// run.
+type judgeFunc func(v int, got [][]int) bool
+
 // certNode is the verifier program of every scheme: broadcast the label,
 // collect the neighbours' labels, judge once, halt.
 type certNode struct {
-	deg    int
-	label  []int
-	judge  func(got [][]int) bool
-	got    [][]int
+	v      int
+	judge  judgeFunc
+	got    [][]int            // got[port]: the label received on port
+	out    []congest.Outgoing // the round-0 broadcast, one message per port
 	accept bool
 	judged bool
 }
 
 // Round implements congest.Node.
 func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
-	if round == 0 && cn.deg > 0 {
-		out := make([]congest.Outgoing, cn.deg)
-		for p := range out {
-			out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgCertLabel, Args: cn.label}}
-		}
-		return out, false
+	if round == 0 && len(cn.out) > 0 {
+		return cn.out, false
 	}
 	if !cn.judged {
 		for _, in := range recv {
-			if in.Msg.Kind == msgCertLabel && in.Port >= 0 && in.Port < cn.deg {
+			if in.Msg.Kind == msgCertLabel && in.Port >= 0 && in.Port < len(cn.got) {
 				cn.got[in.Port] = in.Msg.Args
 			}
 		}
-		// The received label slices point into the senders' outboxes, which
-		// stay untouched during this step phase; judging here (not later)
-		// respects the engine's recv-recycling contract.
-		cn.accept = cn.judge(cn.got)
+		// The received label slices are the senders' labels, which no step
+		// mutates; judging here (not later) respects the engine's
+		// recv-recycling contract.
+		cn.accept = cn.judge(cn.v, cn.got)
 		cn.judged = true
 	}
 	return nil, true
 }
 
 // runExchange executes the two-round label exchange and returns the
-// per-vertex accept bits (1 accept, 0 reject).
-func runExchange(g *graph.Graph, labels [][]int, words int, judge func(v int, got [][]int) bool, opt Options) (accepts []int, rounds int, stats congest.Stats, err error) {
+// per-vertex accept bits (1 accept, 0 reject). The nodes, their receive
+// tables and their round-0 broadcasts are carved from three flat arrays.
+func runExchange(g *graph.Graph, labels [][]int, words int, judge judgeFunc, opt Options) (accepts []int, rounds int, stats congest.Stats, err error) {
 	n := g.N()
 	nw := opt.network(g, words+1)
+	cns := make([]certNode, n)
 	nodes := make([]congest.Node, n)
-	cns := make([]*certNode, n)
-	for v := 0; v < n; v++ {
-		v := v
-		cn := &certNode{
-			deg:   g.Degree(v),
-			label: labels[v],
-			got:   make([][]int, g.Degree(v)),
-			judge: func(got [][]int) bool { return judge(v, got) },
+	got := make([][]int, 2*g.M())
+	out := make([]congest.Outgoing, 2*g.M())
+	base := 0
+	for v := range cns {
+		end := base + g.Degree(v)
+		cns[v] = certNode{v: v, judge: judge, got: got[base:end:end], out: out[base:end:end]}
+		for p := range cns[v].out {
+			cns[v].out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgCertLabel, Args: labels[v]}}
 		}
-		cns[v] = cn
-		nodes[v] = cn
+		nodes[v] = &cns[v]
+		base = end
 	}
 	rounds, err = nw.Run(nodes, 8)
 	if err != nil {
 		return nil, 0, congest.Stats{}, err
 	}
 	accepts = make([]int, n)
-	for v, cn := range cns {
-		if cn.accept {
+	for v := range cns {
+		if cns[v].accept {
 			accepts[v] = 1
 		}
 	}
 	return accepts, rounds, nw.Stats(), nil
 }
 
-// aggregate runs one single-part part-wise aggregation of value under op on
-// a network configured per the options, returning the aggregate and its
-// measured round count.
-func aggregate(g *graph.Graph, value []int, op congest.AggOp, opt Options) (int, int, error) {
+// aggregate runs one single-part part-wise aggregation of value under op
+// over tree on a network configured per the options, returning the
+// aggregate and its measured round count.
+func aggregate(g *graph.Graph, tree *spanning.Tree, value []int, op congest.AggOp, opt Options) (int, int, error) {
 	part, err := shortcut.NewPartition(make([]int, g.N()))
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), 0, part, value, op)
+	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, value, op)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -185,35 +188,33 @@ func aggregate(g *graph.Graph, value []int, op congest.AggOp, opt Options) (int,
 }
 
 // chargeProver charges the prover phase's documented op budget under the
-// paper cost model (BFS-tree depth standing in for the diameter) and
+// paper cost model (the BFS tree's depth standing in for the diameter) and
 // advances the trace clock accordingly.
-func chargeProver(g *graph.Graph, tr trace.Tracer, ops dist.Ops, words int) (int, error) {
-	tree, err := spanning.BFSTree(g, 0)
-	if err != nil {
-		return 0, err
-	}
+func chargeProver(g *graph.Graph, tree *spanning.Tree, tr trace.Tracer, ops dist.Ops, words int) int {
 	rounds := ops.Rounds(shortcut.PaperCost{D: tree.MaxDepth(), N: g.N()}, 1)
 	sp := tr.StartSpan(trace.LayerCert, "cert.prove")
 	sp.SetAttr("rounds", int64(rounds))
 	sp.SetAttr("label_words", int64(words))
 	tr.Advance(int64(rounds))
 	sp.End()
-	return rounds, nil
+	return rounds
 }
 
 // certify drives the common scheme pipeline: validate label shape, charge
-// the prover, run the label exchange, aggregate the verdicts.
-func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge func(v int, got [][]int) bool, prover dist.Ops, opt Options) (*Verdict, error) {
+// the prover, run the label exchange, aggregate the verdicts. One BFS tree
+// from vertex 0 serves both the prover charge and the aggregation.
+func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge judgeFunc, prover dist.Ops, opt Options) (*Verdict, error) {
 	if err := validateLabels(g.N(), labels, words); err != nil {
 		return nil, err
 	}
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "cert."+scheme)
 	defer sp.End()
-	proverRounds, err := chargeProver(g, tr, prover, words)
+	tree, err := spanning.BFSTree(g, 0)
 	if err != nil {
 		return nil, err
 	}
+	proverRounds := chargeProver(g, tree, tr, prover, words)
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
 	accepts, vrounds, stats, err := runExchange(g, labels, words, judge, opt)
 	if err != nil {
@@ -222,7 +223,7 @@ func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge fun
 	}
 	vsp.SetAttr("rounds", int64(vrounds))
 	vsp.End()
-	verdict, err := finishVerdict(g, scheme, accepts, opt, tr)
+	verdict, err := finishVerdict(g, tree, scheme, accepts, opt, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -236,9 +237,9 @@ func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge fun
 }
 
 // finishVerdict aggregates the accept bits into the global verdict.
-func finishVerdict(g *graph.Graph, scheme string, accepts []int, opt Options, tr trace.Tracer) (*Verdict, error) {
+func finishVerdict(g *graph.Graph, tree *spanning.Tree, scheme string, accepts []int, opt Options, tr trace.Tracer) (*Verdict, error) {
 	asp := tr.StartSpan(trace.LayerCert, "cert.aggregate")
-	min, arounds, err := aggregate(g, accepts, congest.OpMin, opt)
+	min, arounds, err := aggregate(g, tree, accepts, congest.OpMin, opt)
 	if err != nil {
 		asp.End()
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
+	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -64,10 +65,11 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "cert.embedding")
 	defer sp.End()
-	proverRounds, err := chargeProver(g, tr, dist.Ops{PA: 1, TreeAgg: 3}, embWords)
+	tree, err := spanning.BFSTree(g, 0)
 	if err != nil {
 		return nil, err
 	}
+	proverRounds := chargeProver(g, tree, tr, dist.Ops{PA: 1, TreeAgg: 3}, embWords)
 	judge := func(v int, got [][]int) bool {
 		deg, fl := labels[v][0], labels[v][1]
 		if deg != g.Degree(v) {
@@ -99,7 +101,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 		contrib[v] = 2 - labels[v][0] + 2*labels[v][1]
 	}
 	esp := tr.StartSpan(trace.LayerCert, "cert.euler-sum")
-	eulerSum, srounds, err := aggregate(g, contrib, congest.OpSum, opt)
+	eulerSum, srounds, err := aggregate(g, tree, contrib, congest.OpSum, opt)
 	if err != nil {
 		esp.End()
 		return nil, err
@@ -112,7 +114,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 			accepts[v] = 0
 		}
 	}
-	verdict, err := finishVerdict(g, "embedding", accepts, opt, tr)
+	verdict, err := finishVerdict(g, tree, "embedding", accepts, opt, tr)
 	if err != nil {
 		return nil, err
 	}

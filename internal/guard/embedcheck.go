@@ -6,6 +6,7 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
 	"planardfs/internal/shortcut"
+	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -171,7 +172,11 @@ func runRotationCheck(g *graph.Graph, rot [][]int, opt Options) (rejectors []int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), 0, part, accepts, congest.OpMin)
+	tree, err := spanning.BFSTree(g, 0)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("guard: rotation aggregation: %w", err)
+	}
+	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, accepts, congest.OpMin)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: rotation aggregation: %w", err)
 	}

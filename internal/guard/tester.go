@@ -7,6 +7,7 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
 	"planardfs/internal/shortcut"
+	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -212,7 +213,11 @@ func runEdgeCountCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), 0, part, degs, congest.OpSum)
+	tree, err := spanning.BFSTree(g, 0)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
+	}
+	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, degs, congest.OpSum)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
 	}

@@ -176,21 +176,23 @@ func RunPA(g *graph.Graph, root int, part *Partition, value []int, op congest.Ag
 // tracing), so every simulated round lands in the trace as a network-layer
 // span with message and congestion counters.
 func RunPATraced(g *graph.Graph, root int, part *Partition, value []int, op congest.AggOp, tracer trace.Tracer) (*PAResult, error) {
-	nw := congest.New(g)
-	nw.Tracer = tracer
-	return RunPAOn(nw, root, part, value, op)
-}
-
-// RunPAOn is RunPA over a caller-configured network: the word budget and
-// tracer are taken from nw as-is. The certification subsystem uses it to
-// keep a whole prove/verify/aggregate run on one network configuration.
-func RunPAOn(nw *congest.Network, root int, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
-	g := nw.G
 	tree, err := spanning.BFSTree(g, root)
 	if err != nil {
 		return nil, err
 	}
-	nodes := congest.NewPANodes(nw, tree.Parent, root, part.PartOf, value, op)
+	nw := congest.New(g)
+	nw.Tracer = tracer
+	return RunPAOn(nw, tree, part, value, op)
+}
+
+// RunPAOn is RunPA over a caller-configured network and a caller-built
+// spanning tree of its graph: the word budget and tracer are taken from nw
+// as-is, and the aggregation runs over tree from tree.Root. The
+// certification subsystem uses it to keep a whole prove/verify/aggregate
+// run on one network configuration and one BFS tree.
+func RunPAOn(nw *congest.Network, tree *spanning.Tree, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
+	g := nw.G
+	nodes := congest.NewPANodes(nw, tree.Parent, tree.Root, part.PartOf, value, op)
 	rounds, err := nw.Run(nodes, 20*(tree.MaxDepth()+part.K()+10))
 	if err != nil {
 		return nil, err
