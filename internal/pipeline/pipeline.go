@@ -98,9 +98,15 @@ func (r *Result) Rounds() int {
 // Result.Recovery carries the attempts.
 var ErrUnrecovered = errors.New("pipeline: DFS stage exhausted its attempts without a certified tree")
 
+// ErrNoDFSVerdict reports a dfs stage that accepted a tree without a
+// passing DFS verdict as the last one it collected, so the certify stage
+// has no verdict to reuse. Result.Recovery carries the verdicts.
+var ErrNoDFSVerdict = errors.New("pipeline: DFS stage accepted a tree without a passing DFS verdict")
+
 // Run executes the pipeline over in. The error is the admission guard's
-// typed rejection (matching guard.ErrRejected), ErrUnrecovered, a wrapped
-// ctx.Err() after cancellation, or an infrastructure failure of a stage.
+// typed rejection (matching guard.ErrRejected), ErrUnrecovered,
+// ErrNoDFSVerdict, a wrapped ctx.Err() after cancellation, or an
+// infrastructure failure of a stage.
 // ctx is consulted between stages and before every supervised attempt.
 func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 	eng, err := sepengine.Get(opts.Engine)
@@ -137,7 +143,8 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	if err := runDFS(ctx, in, eng, opts, res); err != nil {
+	dfsVerdict, err := runDFS(ctx, in, eng, opts, res)
+	if err != nil {
 		return res, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -162,7 +169,9 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		run    func() (*cert.Verdict, error)
 	}{
 		{"spanning", func() (*cert.Verdict, error) { return cert.CertifySpanningTree(g, res.BFS, copt) }},
-		{"dfs", func() (*cert.Verdict, error) { return cert.CertifyDFSTree(g, res.Root, res.Parent, copt) }},
+		// The dfs stage certified the accepted tree with the same labels,
+		// judge and network; its verdict stands.
+		{"dfs", func() (*cert.Verdict, error) { return dfsVerdict, nil }},
 		{"separator", func() (*cert.Verdict, error) { return cert.CertifySeparator(g, res.Separator.Sep, copt) }},
 	}
 	for _, c := range certify {
@@ -178,8 +187,9 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 // runDFS is the dfs stage: the Theorem 2 build as the supervised primary,
 // its output perturbed by the plan's structural faults and certified per
 // attempt, with Awerbuch's token DFS as the fallback. It fills Recovery,
-// DFSTrace, DFSRounds, Parent and DFS.
-func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result) error {
+// DFSTrace, DFSRounds, Parent and DFS, and returns the accepted attempt's
+// DFS verdict.
+func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result) (*cert.Verdict, error) {
 	g, n, root := in.G, in.G.N(), res.Root
 	copt := cert.Options{Tracer: opts.Tracer}
 	cm := shortcut.PaperCost{D: res.BFS.MaxDepth(), N: n}
@@ -217,17 +227,36 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 	parent, rep, err := chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
 	res.Recovery = rep
 	if err != nil {
-		return fmt.Errorf("pipeline: dfs: %w", err)
+		return nil, fmt.Errorf("pipeline: dfs: %w", err)
 	}
 	if rep.Outcome == chaos.OutcomeFailed {
-		return fmt.Errorf("%w (%d attempts)", ErrUnrecovered, len(rep.Attempts))
+		return nil, fmt.Errorf("%w (%d attempts)", ErrUnrecovered, len(rep.Attempts))
+	}
+	verdict, err := acceptedDFSVerdict(rep)
+	if err != nil {
+		return nil, err
 	}
 	res.Parent = parent
 	res.DFS, err = spanning.NewFromParents(root, parent)
 	if err != nil {
-		return fmt.Errorf("pipeline: dfs tree view: %w", err)
+		return nil, fmt.Errorf("pipeline: dfs tree view: %w", err)
 	}
-	return nil
+	return verdict, nil
+}
+
+// acceptedDFSVerdict returns the verdict of the attempt the recovery
+// runtime accepted. The runtime stops at the first accepted attempt, and
+// both producers are certified by chaos.DFSCertifier, so that verdict is
+// the last one collected and a passing DFS verdict.
+func acceptedDFSVerdict(rep *chaos.Report) (*cert.Verdict, error) {
+	if len(rep.Verdicts) == 0 {
+		return nil, fmt.Errorf("%w (no verdicts after %d attempts)", ErrNoDFSVerdict, len(rep.Attempts))
+	}
+	v := rep.Verdicts[len(rep.Verdicts)-1]
+	if v == nil || v.Scheme != "dfs" || !v.OK {
+		return nil, fmt.Errorf("%w (last of %d verdicts is not an accepting dfs verdict)", ErrNoDFSVerdict, len(rep.Verdicts))
+	}
+	return v, nil
 }
 
 // componentFinder is the per-component separator of the dfs stage. The
