@@ -151,6 +151,9 @@ func guardRow(family, kind string, size int, g *graph.Graph, rot [][]int, wantOK
 	if err != nil {
 		return Row{}, err
 	}
+	// guard_rounds and guard_messages are the CONGEST cost of the guard's
+	// distributed checks under the pinned options; reason is the witness
+	// class of a rejection.
 	det := Fields{
 		"n":              g.N(),
 		"m":              g.M(),

@@ -98,7 +98,9 @@ func serveRow(family string, size int) (Row, error) {
 		return Row{}, err
 	}
 
-	// Cached queries over one warm HTTP client.
+	// Cached queries over one warm HTTP client, each measured in ns per
+	// HTTP round trip; the lca and separator speedups are the cold build's
+	// server-side wall time (submit to done) over that query's.
 	client := &http.Client{}
 	coldNS := int64(sum.BuildMicros) * 1000
 	host := Fields{"cold_build_ns": coldNS}
@@ -145,6 +147,8 @@ func serveRow(family string, size int) (Row, error) {
 		}
 	}
 
+	// The cache counts cover the whole run: one miss plus the
+	// resubmissions. The queue waits are those of the resubmission burst.
 	m := s.Metrics()
 	hits := m.Counter("serve.cache.hits") + m.Counter("serve.cache.joined")
 	misses := m.Counter("serve.cache.misses")
@@ -158,7 +162,7 @@ func serveRow(family string, size int) (Row, error) {
 			"n":            sum.N,
 			"m":            sum.M,
 			"hash":         fin.Hash,
-			"rounds":       sum.Rounds,
+			"rounds":       sum.Rounds, // charged paper-model rounds of the build
 			"cache_hits":   hits,
 			"cache_misses": misses,
 			"hit_rate":     ratio(hits, hits+misses),

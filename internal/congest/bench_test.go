@@ -6,7 +6,9 @@ package congest
 // report 0 allocs/op there: the round loop's only amortized growth is the
 // RoundMessages histogram. The program benchmarks measure full runs of
 // BFS flooding, part-wise aggregation, and the Awerbuch message-level DFS;
-// cmd/benchjson emits the same measurements as BENCH_congest.json.
+// `benchjson -mode congest` (the default mode) records the same runs in
+// BENCH_congest.json, with rounds and messages under det and ns, bytes and
+// allocs per op under host.
 
 import (
 	"errors"
