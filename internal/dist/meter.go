@@ -59,7 +59,9 @@ func (m *Meter) Charge(layer trace.Layer, name string, ops Ops, attrs ...trace.A
 	}
 	tr := m.Tr
 	sp := tr.StartSpan(layer, name)
-	prim := func(pname string, count int, op shortcut.Op) {
+	// Counter names are constants: building them per charge would cost
+	// two string allocations per primitive on every traced subroutine.
+	prim := func(pname, opsName, roundsName string, count int, op shortcut.Op) {
 		if count == 0 {
 			return
 		}
@@ -69,12 +71,12 @@ func (m *Meter) Charge(layer trace.Layer, name string, ops Ops, attrs ...trace.A
 		ps.SetAttr("rounds", rounds)
 		tr.Advance(rounds)
 		ps.End()
-		tr.Count("ops."+pname, int64(count))
-		tr.Count("rounds."+pname, rounds)
+		tr.Count(opsName, int64(count))
+		tr.Count(roundsName, rounds)
 	}
-	prim("pa", ops.PA, shortcut.OpPA)
-	prim("treeagg", ops.TreeAgg, shortcut.OpTreeAgg)
-	prim("local", ops.Local, shortcut.OpLocal)
+	prim("pa", "ops.pa", "rounds.pa", ops.PA, shortcut.OpPA)
+	prim("treeagg", "ops.treeagg", "rounds.treeagg", ops.TreeAgg, shortcut.OpTreeAgg)
+	prim("local", "ops.local", "rounds.local", ops.Local, shortcut.OpLocal)
 	charged := int64(ops.Rounds(m.CM, m.K))
 	sp.SetAttr("charged_rounds", charged)
 	for _, a := range attrs {

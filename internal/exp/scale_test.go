@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -50,12 +51,20 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 }
 
 // TestTheorem2PipelineMedium keeps the pipeline wired in the ordinary test
-// suite at a size that finishes in seconds.
+// suite at sizes that finish in seconds: a wide cylinderish grid and a
+// square grid, whose high diameter makes the Lemma 17 picks tall.
 func TestTheorem2PipelineMedium(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run skipped in -short")
 	}
-	runTheorem2Pipeline(t, "cylinderish", 20_000)
+	for _, c := range []struct {
+		family string
+		n      int
+	}{{"cylinderish", 20_000}, {"grid", 40_000}} {
+		t.Run(fmt.Sprintf("%s-%d", c.family, c.n), func(t *testing.T) {
+			runTheorem2Pipeline(t, c.family, c.n)
+		})
+	}
 }
 
 // TestTheorem2PipelineScale is the large-n acceptance run. It runs only

@@ -308,6 +308,15 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// CheckVertex returns the error InducedSubgraph reports for a vertex
+// outside [0, N()), or nil.
+func (g *Graph) CheckVertex(v int) error {
+	if v < 0 || v >= g.n {
+		return fmt.Errorf("graph: vertex %d out of range", v)
+	}
+	return nil
+}
+
 // InducedSubgraph returns the subgraph induced by the given vertices,
 // along with the mapping from new vertex index to original vertex.
 // Vertices are renumbered 0..len(vs)-1 in the order given (duplicates
@@ -318,8 +327,8 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int, error) {
 	idx := make(map[int]int, len(vs))
 	orig := make([]int, len(vs))
 	for i, v := range vs {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: vertex %d out of range", v)
+		if err := g.CheckVertex(v); err != nil {
+			return nil, nil, err
 		}
 		if _, dup := idx[v]; dup {
 			return nil, nil, fmt.Errorf("graph: duplicate vertex %d", v)
@@ -333,6 +342,7 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int, error) {
 	// the global edge-ID insertion order exactly.
 	var cand []int32
 	for _, v := range vs {
+		//planarvet:narrowok v passed CheckVertex above, so v < n and New bounds n to MaxInt32
 		v32 := int32(v)
 		for _, id := range g.inc[g.off[v]:g.off[v+1]] {
 			w := g.endU[id] + g.endV[id] - v32

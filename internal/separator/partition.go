@@ -71,13 +71,18 @@ type FindFunc func(cfg *weights.Config) (*Separator, error)
 // that knows such a dart locally — the DFS build does — pays for the
 // subset only.
 func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
+	if len(vs) == 1 {
+		// A single vertex is its own separator and find never runs, so
+		// there is nothing to restrict or configure.
+		v := vs[0]
+		if err := emb.Graph().CheckVertex(v); err != nil {
+			return nil, err
+		}
+		return &Separator{Path: []int{v}, EndA: v, EndB: v, Phase: PhaseTree}, nil
+	}
 	res, err := emb.RestrictTo(vs, outerDart)
 	if err != nil {
 		return nil, err
-	}
-	if res.G.N() == 1 {
-		v := res.Orig[0]
-		return &Separator{Path: []int{v}, EndA: v, EndB: v, Phase: PhaseTree}, nil
 	}
 	if !res.G.Connected() {
 		return nil, fmt.Errorf("separator: subset induces a disconnected subgraph")

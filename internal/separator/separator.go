@@ -10,8 +10,9 @@
 package separator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
@@ -193,9 +194,10 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 		}, nil
 	}
 
-	w := make(map[int]int, len(fund))
-	for _, e := range fund {
-		w[e] = cfg.Weight(e)
+	// w[i] is the weight of fund[i].
+	w := make([]int, len(fund))
+	for i, e := range fund {
+		w[i] = cfg.Weight(e)
 	}
 	inRange := func(x int) bool { return 3*x >= n && 3*x <= 2*n }
 
@@ -204,8 +206,8 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	m.Charge(trace.LayerLemma, "lemma10.range-queries", dist.PAProblemOps().Times(3),
 		trace.Attr{Key: "faces", Val: int64(len(fund))})
 	sp3.End()
-	for _, e := range fund {
-		if inRange(w[e]) {
+	for i, e := range fund {
+		if inRange(w[i]) {
 			ec := cfg.Classify(e)
 			return &Separator{
 				Path:  cfg.Tree.TPath(ec.U, ec.V),
@@ -238,15 +240,15 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	}
 
 	// Phase 4: some face is heavy (> 2n/3).
-	var heavy []int
-	for _, e := range fund {
-		if 3*w[e] > 2*n {
+	var heavy, heavyW []int
+	for i, e := range fund {
+		if 3*w[i] > 2*n {
 			heavy = append(heavy, e)
+			heavyW = append(heavyW, w[i])
 		}
 	}
 	if len(heavy) > 0 {
-		e := pickInnermost(cfg, heavy, w)
-		return phase4(cfg, cfg.Classify(e), n, opt, m)
+		return phase4(cfg, pickInnermost(cfg, heavy, heavyW), n, opt, m)
 	}
 
 	// Phase 5: every face is light (< n/3).
@@ -318,12 +320,8 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 	// and close through its far endpoint.
 	m.Charge(trace.LayerLemma, "lemma17.hidden-fallback", dist.NotContainedOps(n),
 		trace.Attr{Key: "hiding", Val: int64(len(hiding))})
-	f := pickOutermostAmong(cfg, hiding)
-	fe := cfg.G.EdgeByID(f)
-	z2 := fe.U
-	if cfg.PiL[fe.V] > cfg.PiL[fe.U] {
-		z2 = fe.V
-	}
+	// The far endpoint is the one later in the LEFT order: the canonical V.
+	z2 := pickOutermostAmong(cfg, hiding).V
 	return &Separator{
 		Path:  cfg.Tree.TPath(ec.U, z2),
 		EndA:  ec.U,
@@ -340,8 +338,7 @@ func phase5(cfg *weights.Config, fund []int, n int, opt Options, m *dist.Meter) 
 	sp := m.Start(trace.LayerSeparator, "phase5.all-light")
 	defer sp.End()
 	m.Charge(trace.LayerLemma, "lemma17.outermost-face", dist.NotContainedOps(n))
-	e := pickOutermostAmong(cfg, fund)
-	ec := cfg.Classify(e)
+	ec := pickOutermostAmong(cfg, fund)
 	// Count the face extent from the interval characterization.
 	insideCnt := len(cfg.InsideNodes(ec))
 	borderCnt := len(cfg.BorderNodes(ec))
@@ -360,56 +357,59 @@ func phase5(cfg *weights.Config, fund []int, n int, opt Options, m *dist.Meter) 
 	return phase5Virtual(cfg, ec, n, opt)
 }
 
-// pickInnermost returns a candidate edge whose face contains no other
-// candidate's face. Weights are non-decreasing under containment, so the
-// search walks down from a minimum-weight candidate.
-func pickInnermost(cfg *weights.Config, cand []int, w map[int]int) int {
-	sorted := append([]int(nil), cand...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if w[sorted[i]] != w[sorted[j]] {
-			return w[sorted[i]] < w[sorted[j]]
+// pickInnermost returns the case of a candidate edge whose face contains
+// no other candidate's face; cand[i] has weight w[i]. Weights are
+// non-decreasing under containment, so the walk down the containment
+// order starts at a minimum-weight candidate (lowest ID among equals).
+// Faces inside a face need not form a chain, so the walk stays; each
+// candidate is classified once for all its steps.
+func pickInnermost(cfg *weights.Config, cand, w []int) weights.EdgeCase {
+	type item struct {
+		ec weights.EdgeCase
+		w  int
+	}
+	items := make([]item, len(cand))
+	for i, e := range cand {
+		items[i] = item{cfg.Classify(e), w[i]}
+	}
+	slices.SortFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
 		}
-		return sorted[i] < sorted[j]
+		return cmp.Compare(a.ec.E, b.ec.E)
 	})
-	cur := sorted[0]
-	for steps := 0; steps <= len(sorted); steps++ {
-		found := -1
-		ecCur := cfg.Classify(cur)
-		for _, f := range sorted {
-			if f != cur && cfg.EdgeContainedInFace(ecCur, f) {
-				found = f
+	cur := items[0].ec
+	for steps := 0; steps <= len(items); steps++ {
+		found := false
+		for _, it := range items {
+			if cfg.FaceContains(cur, it.ec) {
+				cur, found = it.ec, true
 				break
 			}
 		}
-		if found < 0 {
+		if !found {
 			return cur
 		}
-		cur = found
 	}
 	return cur
 }
 
-// pickOutermostAmong returns a candidate edge whose face is contained in no
-// other candidate's face, walking up the containment order.
-func pickOutermostAmong(cfg *weights.Config, cand []int) int {
-	cur := cand[0]
-	for steps := 0; steps <= len(cand); steps++ {
-		found := -1
-		for _, f := range cand {
-			if f == cur {
-				continue
-			}
-			if cfg.EdgeContainedInFace(cfg.Classify(f), cur) {
-				found = f
-				break
-			}
+// pickOutermostAmong returns the case of the candidate edge whose face is
+// contained in no other candidate's face (Lemma 17). Fundamental faces are
+// laminar — each is a subtree of the dual tree T* — so the faces that
+// contain F_{cand[0]} form a chain under containment, and the answer is
+// its top whatever the order of cand[1:]. One scan finds it: a candidate
+// whose face contains the current top lies on the chain above it and
+// becomes the new top. Each candidate is classified once and nothing is
+// allocated.
+func pickOutermostAmong(cfg *weights.Config, cand []int) weights.EdgeCase {
+	top := cfg.Classify(cand[0])
+	for _, f := range cand[1:] {
+		if ec := cfg.Classify(f); cfg.FaceContains(ec, top) {
+			top = ec
 		}
-		if found < 0 {
-			return cur
-		}
-		cur = found
 	}
-	return cur
+	return top
 }
 
 // pathLen returns the number of vertices on the T-path between u and v.

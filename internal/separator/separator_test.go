@@ -235,6 +235,36 @@ func TestForSubsetSingleVertex(t *testing.T) {
 	}
 }
 
+// TestForSubsetWithSingleVertex pins the single-vertex path of
+// ForSubsetWith: it answers without running find, and a vertex outside the
+// graph gets the error the restriction's InducedSubgraph reports.
+func TestForSubsetWithSingleVertex(t *testing.T) {
+	in, err := gen.Grid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFind := func(*weights.Config) (*Separator, error) {
+		t.Fatal("find ran on a single vertex")
+		return nil, nil
+	}
+	for v := 0; v < in.G.N(); v++ {
+		sep, err := ForSubsetWith(in.Emb, -1, []int{v}, nil, noFind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sep.Path) != 1 || sep.Path[0] != v || sep.EndA != v || sep.EndB != v || sep.Phase != PhaseTree {
+			t.Fatalf("ForSubsetWith({%d}) = %+v, want the tree-phase path [%d]", v, sep, v)
+		}
+	}
+	for _, v := range []int{-1, in.G.N(), 1 << 40} {
+		_, err := ForSubsetWith(in.Emb, -1, []int{v}, nil, noFind)
+		_, _, want := in.G.InducedSubgraph([]int{v})
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("ForSubsetWith({%d}) error %v, InducedSubgraph reports %v", v, err, want)
+		}
+	}
+}
+
 func TestForSubsetDisconnected(t *testing.T) {
 	in, err := gen.Grid(4, 4)
 	if err != nil {

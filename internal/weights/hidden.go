@@ -1,27 +1,26 @@
 package weights
 
-// EdgeContainedInFace reports whether the face of fundamental edge f
-// (≠ the case's edge) is contained in the fundamental face of ec: both
-// endpoints of f lie on the border or strictly inside F_e, and neither
-// endpoint of ec's edge is strictly inside F_f. The second condition
-// excludes the degenerate nesting where C_f runs along F_e's border and its
-// region engulfs the closing edge of F_e (then V(F_f) ⊆ V(F_e) as node sets
-// even though F_f ⊋ F_e as regions).
-func (cfg *Config) EdgeContainedInFace(ec EdgeCase, f int) bool {
-	fd := cfg.G.EdgeByID(f)
-	if id, ok := cfg.G.EdgeID(ec.U, ec.V); ok && id == f {
+// FaceContains reports whether the fundamental face of inner (≠ outer's
+// edge) is contained in the fundamental face of outer: both endpoints of
+// inner lie on the border or strictly inside F_outer, and neither endpoint
+// of outer is strictly inside F_inner. The second condition excludes the
+// degenerate nesting where C_inner runs along F_outer's border and its
+// region engulfs the closing edge of F_outer (then V(F_inner) ⊆ V(F_outer)
+// as node sets even though F_inner ⊋ F_outer as regions). Both cases come
+// from Classify, so the test does no per-face work of its own.
+func (cfg *Config) FaceContains(outer, inner EdgeCase) bool {
+	if outer.E == inner.E {
 		return false
 	}
-	b1, i1 := cfg.InFace(ec, fd.U)
-	b2, i2 := cfg.InFace(ec, fd.V)
+	b1, i1 := cfg.InFace(outer, inner.U)
+	b2, i2 := cfg.InFace(outer, inner.V)
 	if !(b1 || i1) || !(b2 || i2) {
 		return false
 	}
-	ecF := cfg.Classify(f)
-	if _, uIn := cfg.InFace(ecF, ec.U); uIn {
+	if _, uIn := cfg.InFace(inner, outer.U); uIn {
 		return false
 	}
-	if _, vIn := cfg.InFace(ecF, ec.V); vIn {
+	if _, vIn := cfg.InFace(inner, outer.V); vIn {
 		return false
 	}
 	return true
@@ -32,11 +31,10 @@ func (cfg *Config) EdgeContainedInFace(ec EdgeCase, f int) bool {
 // strictly inside F_f, and either no endpoint of f is the augmentation
 // endpoint U, or an endpoint is U but some node of T_U ∩ F_e escapes F_f.
 func (cfg *Config) Hides(ec EdgeCase, z, f int) bool {
-	fd := cfg.G.EdgeByID(f)
-	if !cfg.EdgeContainedInFace(ec, f) {
+	ecF := cfg.Classify(f)
+	if !cfg.FaceContains(ec, ecF) {
 		return false
 	}
-	ecF := cfg.Classify(f)
 	if _, inside := cfg.InFace(ecF, z); !inside {
 		return false
 	}
@@ -46,7 +44,7 @@ func (cfg *Config) Hides(ec EdgeCase, z, f int) bool {
 	if _, uInside := cfg.InFace(ecF, ec.U); uInside {
 		return false
 	}
-	if fd.U != ec.U && fd.V != ec.U {
+	if ecF.U != ec.U && ecF.V != ec.U {
 		return true // condition (1)
 	}
 	// Condition (2), prefix-scoped: f (incident to U) hides z unless the

@@ -20,16 +20,24 @@ type EdgeCase struct {
 	// Z is the first vertex after U on the T-path to V (the path child of
 	// U) when Ancestor; -1 otherwise.
 	Z int
+	// W is the apex of the face's T-path: the LCA of U and V, which is U
+	// itself when Ancestor. Classify computes it once so membership tests
+	// do not repeat the LCA query.
+	W int
+	// E is the ID of the case's fundamental edge.
+	E int
 }
 
 // Classify determines the case of the fundamental edge with ID e.
 func (cfg *Config) Classify(e int) EdgeCase {
 	u, v := cfg.Canonical(e)
-	ec := EdgeCase{U: u, V: v, Z: -1, UseLeft: true}
+	ec := EdgeCase{U: u, V: v, Z: -1, W: u, E: e, UseLeft: true}
 	if cfg.Tree.IsAncestor(u, v) {
 		ec.Ancestor = true
 		ec.Z = cfg.Tree.MustFirstOnPath(u, v)
 		ec.UseLeft = cfg.TPosOf(u, v) > cfg.TPosOf(u, ec.Z)
+	} else {
+		ec.W = cfg.Tree.LCA(u, v)
 	}
 	return ec
 }
@@ -159,8 +167,7 @@ func (cfg *Config) GroundTruthWeight(e int) (int, error) {
 	if ec.Ancestor {
 		return cnt, nil
 	}
-	w := cfg.Tree.LCA(ec.U, ec.V)
-	return cnt + cfg.Tree.Depth[ec.V] - cfg.Tree.Depth[w] + 1, nil
+	return cnt + cfg.Tree.Depth[ec.V] - cfg.Tree.Depth[ec.W] + 1, nil
 }
 
 // InFace reports where z stands relative to the real fundamental face of
@@ -175,11 +182,10 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 			return true, false
 		}
 	} else {
-		w := t.LCA(ec.U, ec.V)
-		if t.IsAncestor(z, ec.U) && t.IsAncestor(w, z) {
+		if t.IsAncestor(z, ec.U) && t.IsAncestor(ec.W, z) {
 			return true, false
 		}
-		if t.IsAncestor(z, ec.V) && t.IsAncestor(w, z) {
+		if t.IsAncestor(z, ec.V) && t.IsAncestor(ec.W, z) {
 			return true, false
 		}
 	}
