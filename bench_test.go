@@ -13,6 +13,7 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/exp"
 	"planardfs/internal/shortcut"
+	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -216,8 +217,14 @@ func BenchmarkE8PartwiseAggregation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tree, err := spanning.BFSTree(in.G, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rec := trace.NewRecorder()
-	if _, err := shortcut.RunPATraced(in.G, 0, part, value, congest.OpSum, rec); err != nil {
+	nw := congest.New(in.G)
+	nw.Tracer = rec
+	if _, err := shortcut.RunPAOn(nw, tree, part, value, congest.OpSum); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(rec.Counter("congest.rounds")), "traced-pa-rounds")

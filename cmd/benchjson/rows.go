@@ -223,8 +223,7 @@ func certRow(scheme, family string, size int) (Row, error) {
 // separatorConfig is the weight configuration the separator schemes run
 // on: a BFS tree rooted on the outer face.
 func separatorConfig(in *gen.Instance) (*weights.Config, error) {
-	fs := in.Emb.TraceFaces()
-	tree, err := spanning.BFSTree(in.G, fs.FaceVertices(in.OuterFace())[0])
+	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
 	if err != nil {
 		return nil, err
 	}

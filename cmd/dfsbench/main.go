@@ -192,8 +192,7 @@ func certifyRun(family string, n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	pt, _, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
 	if err != nil {
 		return err
@@ -224,8 +223,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	var plan *planardfs.FaultPlan
 	if spec != "" {
 		s, err := planardfs.ParseFaultSpec(spec)

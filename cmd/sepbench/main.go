@@ -226,9 +226,7 @@ func certifyRun(family string, n int, seed int64, engine string) error {
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
-	tree, err := spanning.BFSTree(in.G, root)
+	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
 	if err != nil {
 		return err
 	}
@@ -309,9 +307,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
-	tree, err := spanning.BFSTree(in.G, root)
+	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
 	if err != nil {
 		return err
 	}
@@ -325,11 +321,11 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 		if err != nil {
 			return err
 		}
-		s.Protect = []int{root} // the root survives: crashes land elsewhere
+		s.Protect = []int{tree.Root} // the root survives: crashes land elsewhere
 		plan = chaos.NewPlan(chaosSeed, s)
 	}
 	rounds := planardfs.SeparatorRounds(in.G.N(), planardfs.PaperCost{D: tree.MaxDepth(), N: in.G.N()}, 1)
-	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
+	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), tree.Root)
 	primary := separatorStage(in, cfg, rounds, plan)
 	fallback := separatorStage(in, cfg, rounds, nil) // fault-free baseline
 	sep, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})

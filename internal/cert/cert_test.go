@@ -24,8 +24,7 @@ func instance(t *testing.T, family string, n int) *gen.Instance {
 // tree rooted on the outer face.
 func findSeparator(t *testing.T, in *gen.Instance) *separator.Separator {
 	t.Helper()
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	tr, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		t.Fatal(err)

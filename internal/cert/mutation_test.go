@@ -107,8 +107,7 @@ func TestDFSMutations(t *testing.T) {
 func TestSeparatorMutations(t *testing.T) {
 	in := gridInstance(t)
 	g := in.G
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	tr, err := spanning.BFSTree(g, root)
 	if err != nil {
 		t.Fatal(err)

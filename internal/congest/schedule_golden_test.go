@@ -321,8 +321,7 @@ func runGuardRotation(t *testing.T, o *goldenOut) {
 // goldenSeparator finds a Theorem 1 cycle separator with a BFS tree rooted
 // on the outer face.
 func goldenSeparator(t *testing.T, in *gen.Instance) *separator.Separator {
-	fs := in.Emb.TraceFaces()
-	tr, err := spanning.BFSTree(in.G, fs.FaceVertices(in.OuterFace())[0])
+	tr, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,9 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 // paper cost model. The caller keeps any engine-fallback policy inside
 // find and may record its fallback count on the returned Trace.
 func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root int, tracer trace.Tracer, find separator.FindFunc) (*PartialTree, *Trace, error) {
+	if err := g.CheckVertex(root); err != nil {
+		return nil, nil, err
+	}
 	if !g.Connected() {
 		return nil, nil, fmt.Errorf("dfs: graph is not connected")
 	}

@@ -17,7 +17,7 @@ func TestBuildProperty(t *testing.T) {
 			return false
 		}
 		fs := in.Emb.TraceFaces()
-		outs := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))
+		outs := fs.FaceVertices(int(fs.FaceOf[in.OuterDart]))
 		root := outs[int(uint64(seed)%uint64(len(outs)))]
 		pt, tr, err := Build(in.G, in.Emb, in.OuterDart, root)
 		if err != nil {
@@ -41,8 +41,7 @@ func TestPartialTreeDepthsConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+		root := in.Emb.FaceRoot(in.OuterDart)
 		pt, _, err := Build(in.G, in.Emb, in.OuterDart, root)
 		if err != nil {
 			return false

@@ -92,8 +92,7 @@ func TestIsDFSTreeDetectsCrossEdge(t *testing.T) {
 
 func buildOn(t *testing.T, in *gen.Instance) (*PartialTree, *Trace) {
 	t.Helper()
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	pt, tr, err := Build(in.G, in.Emb, in.OuterDart, root)
 	if err != nil {
 		t.Fatalf("%s: %v", in.Name, err)
@@ -215,8 +214,7 @@ func TestAsSpanningTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	pt, _, err := Build(in.G, in.Emb, in.OuterDart, root)
 	if err != nil {
 		t.Fatal(err)

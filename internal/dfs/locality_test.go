@@ -33,9 +33,8 @@ func TestOuterRegionDartMatchesUnionFind(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := in.Emb.TraceFaces()
-		outerFace := int(fs.FaceOf[in.OuterDart])
-		outerVerts := fs.FaceVertices(outerFace)
-		for _, root := range []int{outerVerts[0], in.G.N() / 2} {
+		outerVerts := fs.FaceVertices(int(fs.FaceOf[in.OuterDart]))
+		for _, root := range []int{in.Emb.FaceRoot(in.OuterDart), in.G.N() / 2} {
 			name := fmt.Sprintf("%s/n=%d/seed=%d/root=%d", c.family, c.n, c.seed, root)
 			g, emb := in.G, in.Emb
 			pt := NewPartialTree(g.N(), root)
@@ -51,7 +50,7 @@ func TestOuterRegionDartMatchesUnionFind(t *testing.T) {
 					if dart == in.OuterDart && !pt.Has(emb.HeadOf(dart)) {
 						viaOuterDart++
 					}
-					ref, err := emb.OuterRegionDart(comp, outerFace)
+					ref, err := emb.OuterRegionDart(comp, in.OuterDart)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

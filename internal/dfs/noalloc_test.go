@@ -63,7 +63,7 @@ func TestBuildAllocScalesLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := in.Emb.TraceFaces().FaceVertices(in.OuterFace())[0]
+		root := in.Emb.FaceRoot(in.OuterDart)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

@@ -15,8 +15,7 @@ func TestLCADistributedMatchesTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+		root := in.Emb.FaceRoot(in.OuterDart)
 		tr, err := spanning.DeepDFSTree(in.G, root)
 		if err != nil {
 			t.Fatal(err)

@@ -40,8 +40,7 @@ func E2(families []string, sizes []int, seed int64) ([]E2Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			fs := in.Emb.TraceFaces()
-			root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+			root := in.Emb.FaceRoot(in.OuterDart)
 			pt, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
 			if err != nil {
 				return nil, err
@@ -96,9 +95,7 @@ func E7(families []string, n int, seed int64) ([]E7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
-		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, in.Emb.FaceRoot(in.OuterDart))
 		if err != nil {
 			return nil, err
 		}
@@ -130,9 +127,7 @@ func E9(families []string, n int, seed int64) ([]E9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
-		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, in.Emb.FaceRoot(in.OuterDart))
 		if err != nil {
 			return nil, err
 		}

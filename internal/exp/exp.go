@@ -22,8 +22,7 @@ var DefaultFamilies = []string{"grid", "cylinderish", "stacked", "sparse", "poly
 // configFor builds the standard configuration of an instance: BFS spanning
 // tree rooted on the outer face.
 func configFor(in *gen.Instance, kind string) (*weights.Config, error) {
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	var tr *spanning.Tree
 	var err error
 	switch kind {

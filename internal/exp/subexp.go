@@ -28,9 +28,7 @@ func E5(families []string, n int, seed int64) ([]E5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
-		tr, err := spanning.DeepDFSTree(in.G, root)
+		tr, err := spanning.DeepDFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
 		if err != nil {
 			return nil, err
 		}
@@ -88,8 +86,7 @@ func E6(families []string, n int, seed int64) ([]E6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+		root := in.Emb.FaceRoot(in.OuterDart)
 		tr, err := spanning.DeepDFSTree(in.G, root)
 		if err != nil {
 			return nil, err

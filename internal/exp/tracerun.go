@@ -49,8 +49,7 @@ func TraceDFS(family string, n int, seed int64, rec *trace.Recorder) (*TraceSumm
 	if err != nil {
 		return nil, err
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 
 	_, dtr, err := dfs.BuildWithSeparator(in.G, in.Emb, in.OuterDart, root, rec, separator.Find)
 	if err != nil {

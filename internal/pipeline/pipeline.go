@@ -133,8 +133,12 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 	}
 
 	g := in.G
-	fs := in.Emb.TraceFaces()
-	res.Root = fs.FaceVertices(in.OuterFace())[0]
+	if g.M() == 0 {
+		// The root rule reads the outer face through a dart, and an
+		// edgeless instance has none.
+		return res, fmt.Errorf("pipeline: spanning: instance has no edges")
+	}
+	res.Root = in.Emb.FaceRoot(in.OuterDart)
 	res.BFS, err = spanning.BFSTree(g, res.Root)
 	if err != nil {
 		return res, fmt.Errorf("pipeline: spanning: %w", err)

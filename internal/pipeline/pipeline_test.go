@@ -220,6 +220,23 @@ func TestRunUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestRunEdgeless checks that an unguarded run over a single vertex, an
+// instance with no dart to name its outer face, returns an error before
+// the spanning stage instead of panicking in the root rule.
+func TestRunEdgeless(t *testing.T) {
+	in, err := gen.PathTree(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), in, Options{})
+	if err == nil {
+		t.Fatal("edgeless instance accepted")
+	}
+	if res.BFS != nil || res.Recovery != nil {
+		t.Fatal("a stage ran on an edgeless instance")
+	}
+}
+
 // TestDFSVerdictIsCertifiedOnce checks the verdict the certify stage takes
 // from the dfs stage against the certification it replaced: it must equal,
 // field by field, an independent cert.CertifyDFSTree of the returned tree,

@@ -92,6 +92,24 @@ func (fs *Faces) Cycles() [][]int {
 	return out
 }
 
+// FaceRoot returns the tail of the smallest dart on d's face. TraceFaces
+// starts every cycle at its smallest dart, so this is the first vertex
+// FaceVertices lists for the face of d, found by one walk around that face
+// without tracing the others. Passed the outer dart, it is the root every
+// configuration hangs from (the paper attaches its virtual root r₀ on the
+// outer face). d must be a dart of emb.
+//
+//planarvet:noalloc TestFaceRootZeroAlloc
+func (emb *Embedding) FaceRoot(d int) int {
+	least := d
+	for x := emb.FaceNext(d); x != d; x = emb.FaceNext(x) {
+		if x < least {
+			least = x
+		}
+	}
+	return emb.TailOf(least)
+}
+
 // FaceVertices returns the vertices on face f in traversal order (a vertex
 // may repeat if the face boundary visits it more than once).
 func (fs *Faces) FaceVertices(f int) []int {

@@ -90,12 +90,13 @@ func (emb *Embedding) RestrictTo(vs []int, dart int) (*Restriction, error) {
 }
 
 // OuterRegionDart returns a parent dart with both endpoints in vs whose
-// face lies in the region of the parent outer face once the edges not
-// induced by vs are dropped — the dart RestrictTo needs when the caller
-// knows nothing local about vs. It returns -1 if vs induces no edge.
-// Sub-faces are unions of parent faces merged across absent edges, so
-// the region is found by a union–find over all parent faces: O(n + m).
-func (emb *Embedding) OuterRegionDart(vs []int, outerFace int) (int, error) {
+// face lies in the region of the face of outerDart (the parent outer face)
+// once the edges not induced by vs are dropped — the dart RestrictTo needs
+// when the caller knows nothing local about vs. It returns -1 if vs
+// induces no edge. Sub-faces are unions of parent faces merged across
+// absent edges, so the region is found by a union–find over all parent
+// faces: O(n + m).
+func (emb *Embedding) OuterRegionDart(vs []int, outerDart int) (int, error) {
 	g := emb.g
 	in := make([]bool, g.N())
 	for _, v := range vs {
@@ -104,10 +105,10 @@ func (emb *Embedding) OuterRegionDart(vs []int, outerFace int) (int, error) {
 		}
 		in[v] = true
 	}
-	fs := emb.TraceFaces()
-	if outerFace < 0 || outerFace >= fs.Count() {
-		return -1, fmt.Errorf("planar: outer face %d out of range", outerFace)
+	if outerDart < 0 || outerDart >= len(emb.next) {
+		return -1, fmt.Errorf("planar: outer dart %d out of range", outerDart)
 	}
+	fs := emb.TraceFaces()
 	uf := graph.NewUnionFind(fs.Count())
 	for e := 0; e < g.M(); e++ {
 		u, v := g.EndpointsOf(e)
@@ -115,7 +116,7 @@ func (emb *Embedding) OuterRegionDart(vs []int, outerFace int) (int, error) {
 			uf.Union(int(fs.FaceOf[2*e]), int(fs.FaceOf[2*e+1]))
 		}
 	}
-	outerClass := uf.Find(outerFace)
+	outerClass := uf.Find(int(fs.FaceOf[outerDart]))
 	for e := 0; e < g.M(); e++ {
 		u, v := g.EndpointsOf(e)
 		if !in[u] || !in[v] {

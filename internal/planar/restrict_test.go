@@ -7,7 +7,7 @@ import (
 )
 
 // k4Embedded returns the embedded K4 of TestGenusOfK4Rotations with the
-// outer face designated below the bottom edge.
+// outer face designated below the bottom edge, by its dart 1->0.
 func k4Embedded(t *testing.T) (*graph.Graph, *Embedding, int) {
 	t.Helper()
 	g := graph.New(4)
@@ -27,15 +27,14 @@ func k4Embedded(t *testing.T) (*graph.Graph, *Embedding, int) {
 		t.Fatal(err)
 	}
 	id, _ := g.EdgeID(0, 1)
-	outer := emb.OuterFaceOf(DartFrom(g, id, 1))
-	return g, emb, outer
+	return g, emb, DartFrom(g, id, 1)
 }
 
 // restrictOuter restricts emb to vs around the dart OuterRegionDart names
-// for the parent outer face.
-func restrictOuter(t *testing.T, emb *Embedding, vs []int, outerFace int) *Restriction {
+// for the parent outer face, given by its dart outerDart.
+func restrictOuter(t *testing.T, emb *Embedding, vs []int, outerDart int) *Restriction {
 	t.Helper()
-	dart, err := emb.OuterRegionDart(vs, outerFace)
+	dart, err := emb.OuterRegionDart(vs, outerDart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestRestrictToSingleVertex(t *testing.T) {
 }
 
 // wheel6 returns the wheel with rim 0..5 and hub 6, with the outer face
-// designated outside the rim.
+// designated outside the rim by its dart 1->0.
 func wheel6(t *testing.T) (*Embedding, int) {
 	t.Helper()
 	g := graph.New(7)
@@ -159,7 +158,7 @@ func wheel6(t *testing.T) (*Embedding, int) {
 		t.Fatal(err)
 	}
 	id, _ := g.EdgeID(0, 1)
-	return emb, emb.OuterFaceOf(DartFrom(g, id, 1))
+	return emb, DartFrom(g, id, 1)
 }
 
 func TestRestrictToInnerRegion(t *testing.T) {

@@ -47,7 +47,6 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 	if !g.Connected() {
 		return nil, fmt.Errorf("separator: graph is not connected")
 	}
-	outerFace := emb.OuterFaceOf(outerDart)
 	d := &Decomposition{}
 	all := make([]int, g.N())
 	for i := range all {
@@ -63,7 +62,7 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 			d.Leaves++
 			return node, nil
 		}
-		sep, err := ForSubset(emb, outerFace, vs)
+		sep, err := ForSubset(emb, outerDart, vs)
 		if err != nil {
 			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
 		}

@@ -25,8 +25,7 @@ func findOn(t *testing.T, family string, n int, seed int64) (*graph.Graph, *sepa
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	tr, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,9 @@ type PartResult struct {
 // restrictions of emb; per-part spanning trees are BFS trees rooted on the
 // part's outer face.
 func ForPartition(emb *planar.Embedding, outerDart int, part *shortcut.Partition) ([]*PartResult, error) {
-	outerFace := emb.OuterFaceOf(outerDart)
 	out := make([]*PartResult, 0, part.K())
 	for i, vs := range part.Parts {
-		sep, err := ForSubset(emb, outerFace, vs)
+		sep, err := ForSubset(emb, outerDart, vs)
 		if err != nil {
 			return nil, fmt.Errorf("part %d: %w", i, err)
 		}
@@ -38,22 +37,15 @@ func ForPartition(emb *planar.Embedding, outerDart int, part *shortcut.Partition
 }
 
 // ForSubset computes a cycle separator of the subgraph induced by vs
-// (which must be connected), returned in original vertex IDs.
-func ForSubset(emb *planar.Embedding, outerFace int, vs []int) (*Separator, error) {
-	return ForSubsetTraced(emb, outerFace, vs, nil)
-}
-
-// ForSubsetTraced is ForSubset with the run recorded on tr (nil disables
-// tracing): the restricted configuration carries the tracer, so the whole
-// separator phase structure of the subset lands in the trace. The
-// restriction's outer face is the one containing the parent outer face
-// (planar.Embedding.OuterRegionDart).
-func ForSubsetTraced(emb *planar.Embedding, outerFace int, vs []int, tr trace.Tracer) (*Separator, error) {
-	dart, err := emb.OuterRegionDart(vs, outerFace)
+// (which must be connected), returned in original vertex IDs. outerDart
+// is a dart on the parent outer face; the restriction's outer face is the
+// one containing it (planar.Embedding.OuterRegionDart).
+func ForSubset(emb *planar.Embedding, outerDart int, vs []int) (*Separator, error) {
+	dart, err := emb.OuterRegionDart(vs, outerDart)
 	if err != nil {
 		return nil, err
 	}
-	return ForSubsetWith(emb, dart, vs, tr, Find)
+	return ForSubsetWith(emb, dart, vs, nil, Find)
 }
 
 // FindFunc computes a cycle separator of a configuration's graph. Find is
@@ -71,7 +63,10 @@ type FindFunc func(cfg *weights.Config) (*Separator, error)
 // that knows such a dart locally — the DFS build does — pays for the
 // subset only.
 func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
-	if len(vs) == 1 {
+	switch len(vs) {
+	case 0:
+		return nil, fmt.Errorf("separator: empty subset")
+	case 1:
 		// A single vertex is its own separator and find never runs, so
 		// there is nothing to restrict or configure.
 		v := vs[0]
@@ -88,9 +83,7 @@ func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Trac
 		return nil, fmt.Errorf("separator: subset induces a disconnected subgraph")
 	}
 	// Root on the restricted outer face.
-	fs := res.Emb.TraceFaces()
-	root := fs.FaceVertices(int(fs.FaceOf[res.OuterDart]))[0]
-	tree, err := spanning.BFSTree(res.G, root)
+	tree, err := spanning.BFSTree(res.G, res.Emb.FaceRoot(res.OuterDart))
 	if err != nil {
 		return nil, err
 	}

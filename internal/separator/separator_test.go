@@ -13,8 +13,7 @@ import (
 // kind ("bfs" or "dfs"), rooted on the outer face.
 func buildConfig(t *testing.T, in *gen.Instance, kind string) *weights.Config {
 	t.Helper()
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	var tr *spanning.Tree
 	var err error
 	if kind == "bfs" {
@@ -226,7 +225,7 @@ func TestForSubsetSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep, err := ForSubset(in.Emb, in.OuterFace(), []int{4})
+	sep, err := ForSubset(in.Emb, in.OuterDart, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,8 @@ func TestForSubsetSingleVertex(t *testing.T) {
 
 // TestForSubsetWithSingleVertex pins the single-vertex path of
 // ForSubsetWith: it answers without running find, and a vertex outside the
-// graph gets the error the restriction's InducedSubgraph reports.
+// graph gets the error the restriction's InducedSubgraph reports. An empty
+// subset, which has no outer dart to root on, is an error too.
 func TestForSubsetWithSingleVertex(t *testing.T) {
 	in, err := gen.Grid(3, 3)
 	if err != nil {
@@ -263,6 +263,9 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 			t.Fatalf("ForSubsetWith({%d}) error %v, InducedSubgraph reports %v", v, err, want)
 		}
 	}
+	if _, err := ForSubsetWith(in.Emb, -1, nil, nil, noFind); err == nil {
+		t.Fatal("ForSubsetWith accepted an empty subset")
+	}
 }
 
 func TestForSubsetDisconnected(t *testing.T) {
@@ -270,7 +273,7 @@ func TestForSubsetDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ForSubset(in.Emb, in.OuterFace(), []int{0, 15}); err == nil {
+	if _, err := ForSubset(in.Emb, in.OuterDart, []int{0, 15}); err == nil {
 		t.Fatal("disconnected subset accepted")
 	}
 }

@@ -24,8 +24,7 @@ func buildConfig(t testing.TB, family string, n int, seed int64) *weights.Config
 	if err != nil {
 		t.Fatalf("%s/%d: %v", family, n, err)
 	}
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.OuterFace())[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	tr, err := spanning.BFSTree(in.G, root)
 	if err != nil {
 		t.Fatal(err)

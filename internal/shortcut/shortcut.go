@@ -26,7 +26,6 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
 	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
 )
 
 // Partition is a vertex partition with connected parts.
@@ -169,20 +168,11 @@ type PAResult struct {
 // program over the BFS tree of g rooted at root, aggregating value with op
 // per part of the partition.
 func RunPA(g *graph.Graph, root int, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
-	return RunPATraced(g, root, part, value, op, nil)
-}
-
-// RunPATraced is RunPA with the network attached to tracer (nil disables
-// tracing), so every simulated round lands in the trace as a network-layer
-// span with message and congestion counters.
-func RunPATraced(g *graph.Graph, root int, part *Partition, value []int, op congest.AggOp, tracer trace.Tracer) (*PAResult, error) {
 	tree, err := spanning.BFSTree(g, root)
 	if err != nil {
 		return nil, err
 	}
-	nw := congest.New(g)
-	nw.Tracer = tracer
-	return RunPAOn(nw, tree, part, value, op)
+	return RunPAOn(congest.New(g), tree, part, value, op)
 }
 
 // RunPAOn is RunPA over a caller-configured network and a caller-built

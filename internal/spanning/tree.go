@@ -103,6 +103,9 @@ func NewFromParents(root int, parent []int) (*Tree, error) {
 // BFSTree returns the BFS spanning tree of g rooted at root. The graph must
 // be connected.
 func BFSTree(g *graph.Graph, root int) (*Tree, error) {
+	if err := g.CheckVertex(root); err != nil {
+		return nil, err
+	}
 	res := g.BFS(root)
 	for v, d := range res.Dist {
 		if d < 0 {
@@ -117,6 +120,9 @@ func BFSTree(g *graph.Graph, root int) (*Tree, error) {
 // Θ(n) even when the graph diameter is small, which is the stress case for
 // the paper's subroutines.
 func DeepDFSTree(g *graph.Graph, root int) (*Tree, error) {
+	if err := g.CheckVertex(root); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	parent := make([]int, n)
 	visited := make([]bool, n)

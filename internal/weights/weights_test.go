@@ -31,8 +31,7 @@ func configsUnderTest(t *testing.T) []*Config {
 	var cfgs []*Config
 	for _, in := range instances {
 		// Root must lie on the outer face: use a vertex of the outer face.
-		fs := in.Emb.TraceFaces()
-		root := fs.FaceVertices(in.OuterFace())[0]
+		root := in.Emb.FaceRoot(in.OuterDart)
 		bt, err := spanning.BFSTree(in.G, root)
 		if err != nil {
 			t.Fatal(err)
@@ -392,8 +391,7 @@ func TestFundamentalEdgesCount(t *testing.T) {
 
 func ExampleConfig_Weight() {
 	in, _ := gen.Grid(3, 3)
-	fs := in.Emb.TraceFaces()
-	root := fs.FaceVertices(in.Emb.OuterFaceOf(in.OuterDart))[0]
+	root := in.Emb.FaceRoot(in.OuterDart)
 	tr, _ := spanning.BFSTree(in.G, root)
 	cfg, _ := NewConfig(in.G, in.Emb, in.OuterDart, tr)
 	e := cfg.FundamentalEdges()[0]

@@ -156,8 +156,7 @@ const (
 // OuterRoot returns a vertex on the instance's outer face, the natural root
 // for spanning trees (the paper requires the root on the outer face).
 func OuterRoot(in *Instance) int {
-	fs := in.Emb.TraceFaces()
-	return fs.FaceVertices(in.OuterFace())[0]
+	return in.Emb.FaceRoot(in.OuterDart)
 }
 
 // NewConfig builds a planar configuration over the instance with a spanning
@@ -237,7 +236,7 @@ func NewPartition(partOf []int) (*Partition, error) {
 // SeparatorForSubset computes a cycle separator of the subgraph induced by
 // vs (which must be connected), in original vertex IDs.
 func SeparatorForSubset(in *Instance, vs []int) (*Separator, error) {
-	return separator.ForSubset(in.Emb, in.OuterFace(), vs)
+	return separator.ForSubset(in.Emb, in.OuterDart, vs)
 }
 
 // Decomposition is a recursive separator decomposition tree.

@@ -2,6 +2,7 @@ package planardfs
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -225,5 +226,52 @@ func TestPublicRecoveryFlow(t *testing.T) {
 	}
 	if len(rep.Verdicts) == 0 {
 		t.Fatal("no distributed verdicts recorded")
+	}
+}
+
+// TestOutOfRangeRoot checks that every facade call taking a root rejects
+// one outside the graph with an error instead of panicking.
+func TestOutOfRangeRoot(t *testing.T) {
+	in, err := NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func(root int) error
+	}{
+		{"NewConfig/BFS", func(root int) error {
+			_, err := NewConfig(in, TreeBFS, root)
+			return err
+		}},
+		{"NewConfig/DeepDFS", func(root int) error {
+			_, err := NewConfig(in, TreeDeepDFS, root)
+			return err
+		}},
+		{"BuildDFSTree", func(root int) error {
+			_, _, err := BuildDFSTree(in, root)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		for _, root := range []int{-1, in.G.N()} {
+			t.Run(fmt.Sprintf("%s/root=%d", c.name, root), func(t *testing.T) {
+				if err := c.call(root); err == nil {
+					t.Fatal("out-of-range root accepted")
+				}
+			})
+		}
+	}
+}
+
+// TestSeparatorForSubsetEmpty checks that the facade rejects an empty
+// subset with an error.
+func TestSeparatorForSubsetEmpty(t *testing.T) {
+	in, err := NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SeparatorForSubset(in, nil); err == nil {
+		t.Fatal("empty subset accepted")
 	}
 }
