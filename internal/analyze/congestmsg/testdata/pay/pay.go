@@ -50,9 +50,9 @@ type Excused struct {
 func (p *Excused) AppendWords(dst []int) []int { return dst }
 func (p *Excused) LoadWords(words []int)       {}
 
-// FaultReport mirrors the chaos recovery-report broadcast payload: the
-// outcome, attempt count and per-kind fault tallies as fixed-width
-// integers. Bounded, never flagged.
+// FaultReport is a report-shaped payload: an outcome, an attempt count
+// and per-kind fault tallies as fixed-width integers. Bounded, never
+// flagged.
 type FaultReport struct {
 	Outcome       int
 	Attempts      int

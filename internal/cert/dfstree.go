@@ -32,36 +32,16 @@ const dfsWords = 3
 // order.
 func ProveDFSTree(g *graph.Graph, root int, parent []int) ([][]int, error) {
 	// The spanning constructor validates the tree shape (reachability,
-	// cycles, root convention); its children order is ascending vertex id,
-	// the same order the preorder below uses.
+	// cycles, root convention) and numbers the preorder with children in
+	// ascending vertex id.
 	t, err := spanning.NewFromParents(root, parent)
 	if err != nil {
 		return nil, err
 	}
-	n := t.N()
-	tin := make([]int, n)
-	tout := make([]int, n)
-	timer := 0
-	type frame struct{ v, ci int }
-	stack := []frame{{root, 0}}
-	tin[root] = timer
-	timer++
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.ci < len(t.Children(f.v)) {
-			c := int(t.Children(f.v)[f.ci])
-			f.ci++
-			tin[c] = timer
-			timer++
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		tout[f.v] = timer
-		stack = stack[:len(stack)-1]
-	}
-	labels := make([][]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = []int{parent[v], tin[v], tout[v]}
+	labels := make([][]int, t.N())
+	for v := range labels {
+		tin, tout := t.Interval(v)
+		labels[v] = []int{parent[v], tin, tout}
 	}
 	return labels, nil
 }

@@ -250,7 +250,7 @@ func TestRecoveryOutcomeCertified(t *testing.T) {
 func TestRecoveryOutcomeCertifiedRetryWithBackoff(t *testing.T) {
 	rec := trace.NewRecorder()
 	res, rep, err := RunWithRecovery(syntheticStage("p", 3, nil), nil,
-		Policy{MaxAttempts: 3, BaseBudget: 100, BackoffFactor: 2, Tracer: rec})
+		Policy{MaxAttempts: 3, Tracer: rec})
 	if err != nil || res != 3 {
 		t.Fatalf("res = %d, err = %v", res, err)
 	}
@@ -360,39 +360,6 @@ func mustTree(t *testing.T, root int, parent []int) *spanning.Tree {
 		t.Fatalf("certified parent array is not a tree: %v", err)
 	}
 	return tr
-}
-
-func TestBroadcastReport(t *testing.T) {
-	g := grid(t, 16)
-	rep := &Report{
-		Outcome:  OutcomeCertifiedRetry,
-		Attempts: make([]Attempt, 2),
-		Faults:   Counts{Drops: 3, Crashes: 1, Structural: 2},
-	}
-	got, err := BroadcastReport(g, 0, rep, cert.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := *rep.WirePayload()
-	for v, p := range got {
-		if p != want {
-			t.Fatalf("vertex %d received %+v, want %+v", v, p, want)
-		}
-	}
-}
-
-// Payload round trip: the wire form is lossless.
-func TestReportPayloadRoundTrip(t *testing.T) {
-	p := &ReportPayload{Outcome: 2, Attempts: 5, Drops: 1, Corruptions: 2, Stalls: 3, LinkDownDrops: 4, Crashes: 5, Structural: 6}
-	msg := congest.Pack(msgChaosReport, p)
-	if msg.Words() != reportWords+1 {
-		t.Fatalf("wire size = %d words, want %d", msg.Words(), reportWords+1)
-	}
-	var q ReportPayload
-	congest.Unpack(msg, &q)
-	if q != *p {
-		t.Fatalf("round trip: %+v != %+v", q, *p)
-	}
 }
 
 // Cancellation: the supervisor must stop retrying mid-flight the moment the

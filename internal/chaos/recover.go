@@ -49,8 +49,8 @@ func FromVerdict(v *cert.Verdict) Certification {
 type Stage[T any] struct {
 	// Name identifies the stage in reports and traces.
 	Name string
-	// DefaultBudget is the round budget of the first attempt when the
-	// policy does not set one.
+	// DefaultBudget is the round budget of the first attempt; the budget
+	// doubles after each failed or rejected attempt.
 	DefaultBudget int
 	// Run executes one attempt under a round budget, returning the result
 	// and the rounds consumed (measured or charged). An error marks the
@@ -68,12 +68,6 @@ type Stage[T any] struct {
 type Policy struct {
 	// MaxAttempts is the attempt budget per stage; 0 means 3.
 	MaxAttempts int
-	// BaseBudget is the round budget of a stage's first attempt; 0 defers
-	// to the stage's DefaultBudget.
-	BaseBudget int
-	// BackoffFactor multiplies the round budget after each failed or
-	// rejected attempt; 0 means 2.
-	BackoffFactor int
 	// Tracer receives LayerChaos spans and chaos.* counters; nil disables.
 	Tracer trace.Tracer
 }
@@ -198,14 +192,7 @@ func runStage[T any](ctx context.Context, st Stage[T], pol Policy, tr trace.Trac
 	if attempts <= 0 {
 		attempts = 3
 	}
-	backoff := pol.BackoffFactor
-	if backoff <= 0 {
-		backoff = 2
-	}
-	budget := pol.BaseBudget
-	if budget <= 0 {
-		budget = st.DefaultBudget
-	}
+	budget := st.DefaultBudget
 	if budget <= 0 {
 		budget = 1
 	}
@@ -238,7 +225,7 @@ func runStage[T any](ctx context.Context, st Stage[T], pol Policy, tr trace.Trac
 			sp.SetAttr("accepted", 0)
 			sp.End()
 			rep.Attempts = append(rep.Attempts, at)
-			budget *= backoff
+			budget *= 2
 			continue
 		}
 		cn, cerr := st.Certify(res)
@@ -266,7 +253,7 @@ func runStage[T any](ctx context.Context, st Stage[T], pol Policy, tr trace.Trac
 		if cn.OK {
 			return res, true, nil
 		}
-		budget *= backoff
+		budget *= 2
 	}
 	return zero, false, nil
 }

@@ -178,12 +178,9 @@ type Options struct {
 	// disables tracing.
 	Tracer trace.Tracer
 
-	// Seed derives the tester's ball centers. The same seed always samples
-	// the same centers, so verdicts are reproducible.
+	// Seed derives the tester's min(n, 16) ball centers. The same seed
+	// always samples the same centers, so verdicts are reproducible.
 	Seed int64
-	// Centers is the number of sampled ball centers per run; 0 means
-	// min(n, 16). Ignored when Exhaustive is set.
-	Centers int
 	// Radius is the ball radius of the density tester; 0 means 1, values
 	// above 8 are clamped.
 	Radius int
@@ -220,12 +217,5 @@ func (o Options) centers(n int) int {
 	if o.Exhaustive {
 		return n
 	}
-	c := o.Centers
-	if c <= 0 {
-		c = 16
-	}
-	if c > n {
-		c = n
-	}
-	return c
+	return min(n, 16)
 }

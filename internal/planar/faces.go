@@ -121,33 +121,6 @@ func (fs *Faces) FaceVertices(f int) []int {
 	return out
 }
 
-// FacesAtVertex returns the distinct faces incident to v, in rotation order
-// of first incidence.
-func (fs *Faces) FacesAtVertex(v int) []int {
-	var out []int
-	d := fs.emb.first[v]
-	if d < 0 {
-		return out
-	}
-	for x := d; ; {
-		f := int(fs.FaceOf[x])
-		dup := false
-		for _, o := range out {
-			if o == f {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, f)
-		}
-		x = fs.emb.next[x]
-		if x == d {
-			return out
-		}
-	}
-}
-
 // Genus returns the Euler genus of the embedding, assuming the underlying
 // graph is connected: g = (2 - V + E - F) / 2.
 func (emb *Embedding) Genus() int {

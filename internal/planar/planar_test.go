@@ -1,7 +1,6 @@
 package planar
 
 import (
-	"sort"
 	"testing"
 
 	"planardfs/internal/graph"
@@ -300,16 +299,6 @@ func TestNeighborOrder(t *testing.T) {
 	want := []int{2, 1}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("NeighborOrder(0) = %v, want %v", got, want)
-	}
-}
-
-func TestFacesAtVertex(t *testing.T) {
-	_, emb := triangleInstance(t)
-	fs := emb.TraceFaces()
-	at0 := fs.FacesAtVertex(0)
-	sort.Ints(at0)
-	if len(at0) != 2 {
-		t.Fatalf("vertex 0 should touch both faces, got %v", at0)
 	}
 }
 

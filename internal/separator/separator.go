@@ -208,11 +208,11 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	sp3.End()
 	for i, e := range fund {
 		if inRange(w[i]) {
-			ec := cfg.Classify(e)
+			u, v := cfg.Canonical(e)
 			return &Separator{
-				Path:  cfg.Tree.TPath(ec.U, ec.V),
-				EndA:  ec.U,
-				EndB:  ec.V,
+				Path:  cfg.Tree.TPath(u, v),
+				EndA:  u,
+				EndB:  v,
 				Phase: PhaseDirect,
 			}, nil
 		}
@@ -228,12 +228,12 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 		if opt.DisableLongPath {
 			break
 		}
-		ec := cfg.Classify(e)
-		if 3*pathLen(cfg, ec.U, ec.V) >= n {
+		u, v := cfg.Canonical(e)
+		if 3*pathLen(cfg, u, v) >= n {
 			return &Separator{
-				Path:  cfg.Tree.TPath(ec.U, ec.V),
-				EndA:  ec.U,
-				EndB:  ec.V,
+				Path:  cfg.Tree.TPath(u, v),
+				EndA:  u,
+				EndB:  v,
 				Phase: PhaseLongPath,
 			}, nil
 		}

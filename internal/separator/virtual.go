@@ -115,11 +115,6 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 	return exhaustive(cfg, n)
 }
 
-// rootFaceCandidates lists the vertices ℰ-compatible with the root (sharing
-// a face with it), excluding the root and its neighbours, ordered by
-// |π_ℓ(x) − n/2| — the face weight of the virtual edge root→x grows with
-// the swept prefix, so candidates near the middle of the LEFT order land in
-// range first.
 // extremeLeafCandidates is the paper's literal Lemma 8 candidate set: the
 // extreme leaves of T_U and T_V outside the face, falling back to the
 // endpoints (used by the DisableVirtualSweep ablation).
@@ -154,6 +149,11 @@ func extremeLeafCandidates(cfg *weights.Config, ec weights.EdgeCase) []int {
 	return out
 }
 
+// rootFaceCandidates lists the vertices ℰ-compatible with the root (sharing
+// a face with it), excluding the root and its neighbours, ordered by
+// |π_ℓ(x) − n/2| — the face weight of the virtual edge root→x grows with
+// the swept prefix, so candidates near the middle of the LEFT order land in
+// range first.
 func rootFaceCandidates(cfg *weights.Config) []int {
 	root := cfg.Tree.Root
 	n := cfg.G.N()

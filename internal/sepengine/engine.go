@@ -62,9 +62,6 @@ type Options struct {
 	// Margin is the randomized engine's safety band margin; 0 selects the
 	// default 0.03.
 	Margin float64
-	// Ablation toggles design elements of the theorem1 engine (ignored by
-	// the others).
-	Ablation separator.Options
 }
 
 // Result is a validated engine output.

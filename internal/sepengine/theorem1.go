@@ -25,7 +25,7 @@ func (theorem1Engine) FindCycleSeparator(cfg *weights.Config, opts Options) (*Re
 		c.Tracer = opts.Tracer
 		run = &c
 	}
-	sep, err := separator.FindWithOptions(run, opts.Ablation)
+	sep, err := separator.Find(run)
 	if err != nil {
 		return nil, err
 	}

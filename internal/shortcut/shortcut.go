@@ -179,9 +179,16 @@ func RunPA(g *graph.Graph, root int, part *Partition, value []int, op congest.Ag
 // spanning tree of its graph: the word budget and tracer are taken from nw
 // as-is, and the aggregation runs over tree from tree.Root. The
 // certification subsystem uses it to keep a whole prove/verify/aggregate
-// run on one network configuration and one BFS tree.
+// run on one network configuration and one BFS tree. It rejects a value
+// array or a partition whose length is not the graph's vertex count.
 func RunPAOn(nw *congest.Network, tree *spanning.Tree, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
 	g := nw.G
+	if len(value) != g.N() {
+		return nil, fmt.Errorf("shortcut: %d values for %d vertices", len(value), g.N())
+	}
+	if len(part.PartOf) != g.N() {
+		return nil, fmt.Errorf("shortcut: partition of %d vertices for %d vertices", len(part.PartOf), g.N())
+	}
 	nodes := congest.NewPANodes(nw, tree.Parent, tree.Root, part.PartOf, value, op)
 	rounds, err := nw.Run(nodes, 20*(tree.MaxDepth()+part.K()+10))
 	if err != nil {

@@ -125,6 +125,19 @@ func TestRunPAMatchesReference(t *testing.T) {
 	}
 }
 
+// RunPA rejects a value array or a partition whose length is not the
+// graph's vertex count instead of indexing past it.
+func TestRunPARejectsMismatchedLengths(t *testing.T) {
+	g, p := stripePartition(t, 4, 4, 2)
+	if _, err := RunPA(g, 0, p, []int{1}, congest.OpSum); err == nil {
+		t.Fatal("short value array accepted")
+	}
+	_, small := stripePartition(t, 2, 2, 2)
+	if _, err := RunPA(g, 0, small, make([]int, g.N()), congest.OpSum); err == nil {
+		t.Fatal("partition of another graph accepted")
+	}
+}
+
 // Property: RunPA matches the reference on random stripe widths and values.
 func TestRunPAProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -374,19 +374,6 @@ func (t *Tree) ReRoot(newRoot int) (*Tree, error) {
 	return nt, nil
 }
 
-// SubtreeRangeVertex returns any vertex v whose subtree size lies in
-// [lo, hi], or -1 if none exists. (Note: a vertex with subtree size in
-// [n/3, 2n/3] need not exist — e.g. a star — which is why the tree case of
-// the separator algorithm falls back to the centroid; see Centroid.)
-func (t *Tree) SubtreeRangeVertex(lo, hi int) int {
-	for v := 0; v < len(t.Parent); v++ {
-		if s := int(t.size[v]); s >= lo && s <= hi {
-			return v
-		}
-	}
-	return -1
-}
-
 // Centroid returns a vertex whose removal leaves components of size at most
 // n/2: walk from the root towards the heaviest child while some child
 // subtree exceeds n/2. The tree path from the root to the centroid is a

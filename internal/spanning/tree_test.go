@@ -320,17 +320,6 @@ func TestDFSOrderSiblingSymmetry(t *testing.T) {
 	}
 }
 
-func TestSubtreeRangeVertex(t *testing.T) {
-	tr := sampleTree(t)
-	v := tr.SubtreeRangeVertex(3, 6)
-	if v == -1 || tr.SubtreeSize(v) < 3 || tr.SubtreeSize(v) > 6 {
-		t.Fatalf("SubtreeRangeVertex = %d", v)
-	}
-	if tr.SubtreeRangeVertex(7, 9) != -1 {
-		t.Fatal("impossible range should return -1")
-	}
-}
-
 func TestPathUpNonAncestorErrors(t *testing.T) {
 	tr := sampleTree(t)
 	if _, err := tr.PathUp(4, 3); err == nil {

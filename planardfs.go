@@ -196,7 +196,7 @@ type (
 	// side masks, balance, cycle length and charged round cost.
 	SeparatorEngineResult = sepengine.Result
 	// SeparatorEngineOptions carry per-call engine knobs (tracer, seed,
-	// sampling rate, ablations).
+	// sampling rate, margin).
 	SeparatorEngineOptions = sepengine.Options
 )
 
@@ -359,6 +359,9 @@ func AwerbuchRounds(n int) int { return dist.AwerbuchRounds(n) }
 // CONGEST program and returns the resulting DFS parent array and the
 // network statistics.
 func RunAwerbuchDFS(g *Graph, root int) ([]int, NetworkStats, error) {
+	if err := g.CheckVertex(root); err != nil {
+		return nil, NetworkStats{}, err
+	}
 	nw := congest.New(g)
 	nodes := congest.NewAwerbuchNodes(nw, root)
 	if _, err := nw.Run(nodes, 10*g.N()+100); err != nil {
@@ -432,8 +435,8 @@ type (
 	GuardVerdict = guard.Verdict
 	// GuardWitness is the concrete evidence attached to a rejection.
 	GuardWitness = guard.Witness
-	// GuardOptions configure a validation run (engine, tester seed and
-	// ball budget, tracing).
+	// GuardOptions configure a validation run (tester seed, ball radius,
+	// exhaustive sweep, tracing).
 	GuardOptions = guard.Options
 	// GuardReason classifies a rejection (shape, disconnected, rotation,
 	// endpoint-mismatch, edge-count, dense-region, euler).

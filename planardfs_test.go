@@ -236,28 +236,47 @@ func TestOutOfRangeRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	part, err := NewPartition(make([]int, in.G.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	calls := []struct {
 		name string
 		call func(root int) error
+		// exact requires the error to be the graph's own vertex check,
+		// returned before any network is built.
+		exact bool
 	}{
 		{"NewConfig/BFS", func(root int) error {
 			_, err := NewConfig(in, TreeBFS, root)
 			return err
-		}},
+		}, false},
 		{"NewConfig/DeepDFS", func(root int) error {
 			_, err := NewConfig(in, TreeDeepDFS, root)
 			return err
-		}},
+		}, false},
 		{"BuildDFSTree", func(root int) error {
 			_, _, err := BuildDFSTree(in, root)
 			return err
-		}},
+		}, false},
+		{"RunAwerbuchDFS", func(root int) error {
+			_, _, err := RunAwerbuchDFS(in.G, root)
+			return err
+		}, true},
+		{"RunPartwiseSum", func(root int) error {
+			_, _, err := RunPartwiseSum(in.G, root, part, make([]int, in.G.N()))
+			return err
+		}, true},
 	}
 	for _, c := range calls {
 		for _, root := range []int{-1, in.G.N()} {
 			t.Run(fmt.Sprintf("%s/root=%d", c.name, root), func(t *testing.T) {
-				if err := c.call(root); err == nil {
+				err := c.call(root)
+				if err == nil {
 					t.Fatal("out-of-range root accepted")
+				}
+				if want := in.G.CheckVertex(root); c.exact && err.Error() != want.Error() {
+					t.Fatalf("error = %q, want %q", err, want)
 				}
 			})
 		}
