@@ -77,23 +77,25 @@ func (h *Histogram) Clone() *Histogram {
 
 // WriteMetrics writes a human-readable table of every counter, gauge and
 // histogram to w, names sorted, suitable for the -metrics flag of the CLIs.
+// It prints one MetricsSnapshot.
 func (r *Recorder) WriteMetrics(w io.Writer) error {
-	if names := r.CounterNames(); len(names) > 0 {
+	m := r.MetricsSnapshot()
+	if len(m.Counters) > 0 {
 		fmt.Fprintf(w, "%-40s %14s\n", "counter", "value")
-		for _, name := range names {
-			fmt.Fprintf(w, "%-40s %14d\n", name, r.Counter(name))
+		for _, c := range m.Counters {
+			fmt.Fprintf(w, "%-40s %14d\n", c.Name, c.Value)
 		}
 	}
-	if names := r.GaugeNames(); len(names) > 0 {
+	if len(m.Gauges) > 0 {
 		fmt.Fprintf(w, "%-40s %14s\n", "gauge", "value")
-		for _, name := range names {
-			fmt.Fprintf(w, "%-40s %14d\n", name, r.Gauge(name))
+		for _, g := range m.Gauges {
+			fmt.Fprintf(w, "%-40s %14d\n", g.Name, g.Value)
 		}
 	}
-	for _, name := range r.HistogramNames() {
-		h := r.Histogram(name)
+	for _, nh := range m.Histograms {
+		h := nh.Hist
 		fmt.Fprintf(w, "histogram %s: n=%d sum=%d min=%d max=%d mean=%.2f\n",
-			name, h.N, h.Sum, h.Min, h.Max, h.Mean())
+			nh.Name, h.N, h.Sum, h.Min, h.Max, h.Mean())
 		for i, c := range h.Counts {
 			if c == 0 {
 				continue

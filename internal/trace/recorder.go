@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // SpanEvent is one recorded (closed or still-open) span.
 type SpanEvent struct {
@@ -26,14 +23,48 @@ type SamplePoint struct {
 	Val   int64
 }
 
+// pageSpans is the number of span records per page. A page is allocated
+// once, when the first span that lands on it starts, and never moves, so
+// a record's address is a stable span handle.
+const pageSpans = 512
+
+// inlineAttrs is the number of attributes a span record holds inline;
+// every network and primitive span and most charge spans fit.
+const inlineAttrs = 2
+
+// spanRecord is one span's storage on its page and, by pointer, the Span
+// handle StartSpan returns. The id, parent, layer, name and start fields
+// are written once by StartSpan and never again; end, the attributes and
+// nattr change later under the recorder lock.
+type spanRecord struct {
+	r      *Recorder
+	id     int
+	parent int
+	layer  Layer
+	name   string
+	start  int64
+	end    int64
+	// nattr counts the attributes: the first inlineAttrs live in inline,
+	// the rest in overflow, in SetAttr order.
+	nattr    int
+	inline   [inlineAttrs]Attr
+	overflow []Attr
+}
+
+type spanPage [pageSpans]spanRecord
+
 // Recorder implements Tracer by recording everything in memory. A Recorder
 // is safe for concurrent use; recorded state is deterministic for
 // deterministic workloads (sequential IDs, explicit clock, no wall time).
 type Recorder struct {
-	mu       sync.Mutex
-	clock    int64
-	spans    []SpanEvent
-	stack    []int // IDs of open spans, innermost last
+	mu    sync.Mutex
+	clock int64
+	pages []*spanPage
+	nspan int
+	// nattr is the total attribute count over all spans, the size of the
+	// single backing array Spans hands out.
+	nattr    int
+	stack    []*spanRecord // open spans, innermost last
 	counters map[string]int64
 	gauges   map[string]int64
 	hists    map[string]*Histogram
@@ -53,49 +84,79 @@ func NewRecorder() *Recorder {
 // Enabled implements Tracer.
 func (r *Recorder) Enabled() bool { return true }
 
-type recorderSpan struct {
-	r  *Recorder
-	id int
-}
-
-// StartSpan implements Tracer.
+// StartSpan implements Tracer. The returned Span is a pointer to the
+// span's record, so handing it out boxes nothing.
+//
+//planarvet:noalloc TestRecorderSpanZeroAlloc
 func (r *Recorder) StartSpan(layer Layer, name string) Span {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := len(r.spans)
-	parent := -1
-	if len(r.stack) > 0 {
-		parent = r.stack[len(r.stack)-1]
+	s := r.open(layer, name)
+	r.mu.Unlock()
+	return s
+}
+
+// open appends a span record at the current clock and pushes it on the
+// open stack. The caller holds r.mu.
+//
+//planarvet:noalloc TestRecorderSpanZeroAlloc
+func (r *Recorder) open(layer Layer, name string) *spanRecord {
+	if r.nspan%pageSpans == 0 {
+		r.pages = append(r.pages, new(spanPage)) //planarvet:allocok one page per pageSpans spans; pages never move, so amortized over the page
 	}
-	r.spans = append(r.spans, SpanEvent{
-		ID: id, Parent: parent, Layer: layer, Name: name,
-		Start: r.clock, End: -1,
-	})
-	r.stack = append(r.stack, id)
-	return recorderSpan{r: r, id: id}
+	s := recordAt(r.pages, r.nspan)
+	s.r, s.id, s.parent = r, r.nspan, -1
+	if len(r.stack) > 0 {
+		s.parent = r.stack[len(r.stack)-1].id
+	}
+	s.layer, s.name, s.start, s.end = layer, name, r.clock, -1
+	r.nspan++
+	r.stack = append(r.stack, s) //planarvet:allocok amortized: the stack backing is reused, capacity ramps up to the nesting depth once
+	return s
 }
 
-func (s recorderSpan) SetAttr(key string, val int64) {
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	ev := &s.r.spans[s.id]
-	ev.Attrs = append(ev.Attrs, Attr{Key: key, Val: val})
+// SetAttr implements Span.
+//
+//planarvet:noalloc TestRecorderSpanZeroAlloc
+func (s *spanRecord) SetAttr(key string, val int64) {
+	r := s.r
+	r.mu.Lock()
+	if s.nattr < inlineAttrs {
+		s.inline[s.nattr] = Attr{Key: key, Val: val}
+	} else {
+		s.overflow = append(s.overflow, Attr{Key: key, Val: val}) //planarvet:allocok only attributes past the inline ones, which few spans carry
+	}
+	s.nattr++
+	r.nattr++
+	r.mu.Unlock()
 }
 
-func (s recorderSpan) End() {
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	ev := &s.r.spans[s.id]
-	if ev.End < 0 {
-		ev.End = s.r.clock
+// End implements Span: it closes the span at the current clock (a second
+// End keeps the first stamp) and removes it from the open stack.
+//
+//planarvet:noalloc TestRecorderSpanZeroAlloc
+func (s *spanRecord) End() {
+	r := s.r
+	r.mu.Lock()
+	if s.end < 0 {
+		s.end = r.clock
 	}
 	// Pop the span from the open stack (normally the innermost).
-	for i := len(s.r.stack) - 1; i >= 0; i-- {
-		if s.r.stack[i] == s.id {
-			s.r.stack = append(s.r.stack[:i], s.r.stack[i+1:]...)
+	for i := len(r.stack) - 1; i >= 0; i-- {
+		if r.stack[i] == s {
+			copy(r.stack[i:], r.stack[i+1:])
+			r.stack = r.stack[:len(r.stack)-1]
 			break
 		}
 	}
+	r.mu.Unlock()
+}
+
+// attrsInto copies the span's attributes, in SetAttr order, into dst,
+// which has room for nattr of them. Overflow is the overflow slice as of
+// the snapshot the caller reads under.
+func (s *spanRecord) attrsInto(dst []Attr, nattr int, overflow []Attr) {
+	n := copy(dst, s.inline[:min(nattr, inlineAttrs)])
+	copy(dst[n:], overflow)
 }
 
 // Advance implements Tracer.
@@ -145,17 +206,31 @@ func (r *Recorder) Sample(name string, val int64) {
 	r.mu.Unlock()
 }
 
+// recordAt returns the record of span id on pages.
+func recordAt(pages []*spanPage, id int) *spanRecord {
+	return &pages[id/pageSpans][id%pageSpans]
+}
+
 // Spans returns a copy of the recorded spans, open spans closed at the
-// current clock.
+// current clock. Every span's Attrs is a window of one backing array.
 func (r *Recorder) Spans() []SpanEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanEvent, len(r.spans))
-	copy(out, r.spans)
-	for i := range out {
-		if out[i].End < 0 {
-			out[i].End = r.clock
+	out := make([]SpanEvent, r.nspan)
+	attrs := make([]Attr, r.nattr)
+	for id := range out {
+		s := recordAt(r.pages, id)
+		end := s.end
+		if end < 0 {
+			end = r.clock
 		}
+		ev := SpanEvent{ID: id, Parent: s.parent, Layer: s.layer, Name: s.name, Start: s.start, End: end}
+		if s.nattr > 0 {
+			ev.Attrs = attrs[:s.nattr:s.nattr]
+			s.attrsInto(ev.Attrs, s.nattr, s.overflow)
+			attrs = attrs[s.nattr:]
+		}
+		out[id] = ev
 	}
 	return out
 }
@@ -185,56 +260,16 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return h.Clone()
 }
 
-// CounterNames returns the sorted names of all counters.
-func (r *Recorder) CounterNames() []string { return r.sortedKeys(kindCounter) }
-
-// GaugeNames returns the sorted names of all gauges.
-func (r *Recorder) GaugeNames() []string { return r.sortedKeys(kindGauge) }
-
-// HistogramNames returns the sorted names of all histograms.
-func (r *Recorder) HistogramNames() []string { return r.sortedKeys(kindHist) }
-
 // SampleNames returns the sorted names of all time series.
-func (r *Recorder) SampleNames() []string { return r.sortedKeys(kindSample) }
+func (r *Recorder) SampleNames() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sortedMapKeys(r.samples)
+}
 
 // Samples returns a copy of the named time series.
 func (r *Recorder) Samples(name string) []SamplePoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]SamplePoint(nil), r.samples[name]...)
-}
-
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHist
-	kindSample
-)
-
-func (r *Recorder) sortedKeys(kind metricKind) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	switch kind {
-	case kindCounter:
-		for k := range r.counters {
-			out = append(out, k)
-		}
-	case kindGauge:
-		for k := range r.gauges {
-			out = append(out, k)
-		}
-	case kindHist:
-		for k := range r.hists {
-			out = append(out, k)
-		}
-	case kindSample:
-		for k := range r.samples {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -44,6 +44,11 @@ type NamedHistogram struct {
 func (r *Recorder) MetricsSnapshot() *MetricsSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.metricsLocked()
+}
+
+// metricsLocked builds the metrics snapshot; the caller holds r.mu.
+func (r *Recorder) metricsLocked() *MetricsSnapshot {
 	s := &MetricsSnapshot{
 		Clock:      r.clock,
 		Counters:   make([]NamedValue, 0, len(r.counters)),
