@@ -78,16 +78,18 @@ type Options struct {
 	Tracer trace.Tracer
 }
 
-// network builds a CONGEST network over g configured per the options, with
-// at least maxWords words of per-message bandwidth.
-func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
+// network builds the CONGEST network one certification runs its label
+// exchange and its aggregations on, so they share one round engine. Each
+// program sets the word budget it needs before it runs.
+func (o Options) network(g *graph.Graph) *congest.Network {
 	nw := congest.New(g)
-	if maxWords > nw.MaxWords {
-		nw.MaxWords = maxWords
-	}
 	nw.Tracer = o.Tracer
 	return nw
 }
+
+// aggWords is the word budget of the verdict and sum aggregations, the
+// default CONGEST budget; the label exchange raises it to fit its label.
+const aggWords = 4
 
 // validateLabels checks the structural shape of a label assignment; field
 // values stay adversarial and are judged by the verifier nodes.
@@ -139,12 +141,14 @@ func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 	return nil, true
 }
 
-// runExchange executes the two-round label exchange and returns the
-// per-vertex accept bits (1 accept, 0 reject). The nodes, their receive
-// tables and their round-0 broadcasts are carved from three flat arrays.
-func runExchange(g *graph.Graph, labels [][]int, words int, judge judgeFunc, opt Options) (accepts []int, rounds int, stats congest.Stats, err error) {
+// runExchange executes the two-round label exchange on nw, with room for
+// the label and its kind word, and returns the per-vertex accept bits (1
+// accept, 0 reject). The nodes, their receive tables and their round-0
+// broadcasts are carved from three flat arrays.
+func runExchange(nw *congest.Network, labels [][]int, words int, judge judgeFunc) (accepts []int, rounds int, stats congest.Stats, err error) {
+	g := nw.G
 	n := g.N()
-	nw := opt.network(g, words+1)
+	nw.MaxWords = max(aggWords, words+1)
 	cns := make([]certNode, n)
 	nodes := make([]congest.Node, n)
 	got := make([][]int, 2*g.M())
@@ -173,14 +177,14 @@ func runExchange(g *graph.Graph, labels [][]int, words int, judge judgeFunc, opt
 }
 
 // aggregate runs one single-part part-wise aggregation of value under op
-// over tree on a network configured per the options, returning the
-// aggregate and its measured round count.
-func aggregate(g *graph.Graph, tree *spanning.Tree, value []int, op congest.AggOp, opt Options) (int, int, error) {
-	part, err := shortcut.NewPartition(make([]int, g.N()))
+// over tree on nw, returning the aggregate and its measured round count.
+func aggregate(nw *congest.Network, tree *spanning.Tree, value []int, op congest.AggOp) (int, int, error) {
+	part, err := shortcut.NewPartition(make([]int, nw.G.N()))
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, value, op)
+	nw.MaxWords = aggWords
+	res, err := shortcut.RunPAOn(nw, tree, part, value, op)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -202,7 +206,8 @@ func chargeProver(g *graph.Graph, tree *spanning.Tree, tr trace.Tracer, ops dist
 
 // certify drives the common scheme pipeline: validate label shape, charge
 // the prover, run the label exchange, aggregate the verdicts. One BFS tree
-// from vertex 0 serves both the prover charge and the aggregation.
+// from vertex 0 serves both the prover charge and the aggregation, and one
+// network runs both the exchange and the aggregation.
 func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge judgeFunc, prover dist.Ops, opt Options) (*Verdict, error) {
 	if err := validateLabels(g.N(), labels, words); err != nil {
 		return nil, err
@@ -216,14 +221,15 @@ func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge jud
 	}
 	proverRounds := chargeProver(g, tree, tr, prover, words)
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	accepts, vrounds, stats, err := runExchange(g, labels, words, judge, opt)
+	nw := opt.network(g)
+	accepts, vrounds, stats, err := runExchange(nw, labels, words, judge)
 	if err != nil {
 		vsp.End()
 		return nil, err
 	}
 	vsp.SetAttr("rounds", int64(vrounds))
 	vsp.End()
-	verdict, err := finishVerdict(g, tree, scheme, accepts, opt, tr)
+	verdict, err := finishVerdict(nw, tree, scheme, accepts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +242,10 @@ func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge jud
 	return verdict, nil
 }
 
-// finishVerdict aggregates the accept bits into the global verdict.
-func finishVerdict(g *graph.Graph, tree *spanning.Tree, scheme string, accepts []int, opt Options, tr trace.Tracer) (*Verdict, error) {
+// finishVerdict aggregates the accept bits on nw into the global verdict.
+func finishVerdict(nw *congest.Network, tree *spanning.Tree, scheme string, accepts []int, tr trace.Tracer) (*Verdict, error) {
 	asp := tr.StartSpan(trace.LayerCert, "cert.aggregate")
-	min, arounds, err := aggregate(g, tree, accepts, congest.OpMin, opt)
+	min, arounds, err := aggregate(nw, tree, accepts, congest.OpMin)
 	if err != nil {
 		asp.End()
 		return nil, err

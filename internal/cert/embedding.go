@@ -53,7 +53,9 @@ func ProveEmbedding(emb *planar.Embedding) [][]int {
 
 // VerifyEmbedding runs the embedding verifier on an arbitrary (possibly
 // adversarial) label assignment. The graph must have at least one edge
-// (dart-traced faces are undefined on an edgeless graph).
+// (dart-traced faces are undefined on an edgeless graph). One network runs
+// the label exchange, the Euler-sum aggregation and the verdict
+// aggregation.
 func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
 	n := g.N()
 	if g.M() == 0 {
@@ -86,7 +88,8 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 		return true
 	}
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	accepts, vrounds, stats, err := runExchange(g, labels, embWords, judge, opt)
+	nw := opt.network(g)
+	accepts, vrounds, stats, err := runExchange(nw, labels, embWords, judge)
 	if err != nil {
 		vsp.End()
 		return nil, err
@@ -101,7 +104,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 		contrib[v] = 2 - labels[v][0] + 2*labels[v][1]
 	}
 	esp := tr.StartSpan(trace.LayerCert, "cert.euler-sum")
-	eulerSum, srounds, err := aggregate(g, tree, contrib, congest.OpSum, opt)
+	eulerSum, srounds, err := aggregate(nw, tree, contrib, congest.OpSum)
 	if err != nil {
 		esp.End()
 		return nil, err
@@ -114,7 +117,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 			accepts[v] = 0
 		}
 	}
-	verdict, err := finishVerdict(g, tree, "embedding", accepts, opt, tr)
+	verdict, err := finishVerdict(nw, tree, "embedding", accepts, tr)
 	if err != nil {
 		return nil, err
 	}

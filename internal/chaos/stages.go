@@ -17,7 +17,8 @@ import (
 // fallback — is the dfs stage of internal/pipeline, which owns the
 // planarity machinery.
 
-// network builds the stage network over g per the certification options.
+// stageNetwork builds a fresh network over g for one attempt of a stage,
+// traced per the certification options.
 func stageNetwork(g *graph.Graph, opt cert.Options) *congest.Network {
 	nw := congest.New(g)
 	nw.Tracer = opt.Tracer

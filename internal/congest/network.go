@@ -19,8 +19,10 @@
 //
 // The round loop is allocation-free in the steady state. All engine state —
 // the epoch-stamped port arrays, the routing table, the inboxes, the step
-// queues and the timer heap — is allocated once per Run and recycled; see
-// DESIGN.md §8 for the internals.
+// queues and the timer heap — is allocated once per Network, by its first
+// Run, and reset in place by every later Run over the same graph; see
+// DESIGN.md §8 for the internals. A Network is not safe for concurrent
+// Runs.
 package congest
 
 import (
@@ -124,6 +126,7 @@ type Network struct {
 	Injector Injector
 
 	stats Stats
+	eng   *engine // built by the first Run, reused by later ones
 }
 
 // New returns a network over g with default settings (4-word messages).
@@ -157,6 +160,10 @@ var ErrInvalidRoundLimit = errors.New("congest: round limit must be positive")
 // Run executes the nodes until global termination (all nodes done and no
 // messages in flight) or until maxRounds rounds have elapsed. It returns
 // the number of rounds executed. maxRounds must be positive.
+//
+// The first Run builds the Network's round engine, and later Runs over the
+// same graph reset it in place; a Run after G was replaced or gained edges
+// rebuilds it. A Network is therefore not safe for concurrent Runs.
 func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 	n := nw.G.N()
 	if len(nodes) != n {
@@ -165,16 +172,34 @@ func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 	if maxRounds <= 0 {
 		return 0, fmt.Errorf("%w (got %d)", ErrInvalidRoundLimit, maxRounds)
 	}
-	nw.stats = Stats{}
-	return newEngine(nw, nodes, maxRounds).run()
+	nw.stats = Stats{RoundMessages: nw.stats.RoundMessages[:0]}
+	e := nw.engine()
+	e.reset(nw, nodes, maxRounds)
+	rounds, err := e.run()
+	e.release()
+	return rounds, err
 }
 
-// engine is the per-Run state of the round loop. Every slice is allocated
-// once here; the steady-state loop allocates nothing (the only amortized
-// growth is the RoundMessages histogram and the inbox, queue and timer
-// capacity ramp-up, all of which stabilise).
+// engine returns the Network's round engine, building it on the first Run
+// and whenever G is not the graph it was built for: another graph, or the
+// same one after AddEdge (edges are only ever added, so M detects it).
+func (nw *Network) engine() *engine {
+	if e := nw.eng; e != nil && e.g == nw.G && e.m == nw.G.M() {
+		return e
+	}
+	nw.eng = newEngine(nw.G)
+	return nw.eng
+}
+
+// engine is the round loop's state. newEngine allocates every slice once
+// per Network; reset readies them for the next Run in place, and the
+// steady-state loop allocates nothing (the only amortized growth is the
+// RoundMessages histogram and the timer heap's capacity ramp-up, both of
+// which stabilise and carry over to later Runs).
 type engine struct {
 	nw        *Network
+	g         *graph.Graph // the graph the routing tables were built for
+	m         int          // its edge count then
 	nodes     []Node
 	wakers    []Waker // wakers[v] is nodes[v] if it is a Waker; nil when no node is
 	n         int
@@ -184,12 +209,16 @@ type engine struct {
 
 	// Flat per-(vertex,port) state: port p of vertex v lives at flat index
 	// off[v]+p; off has length n+1, so off[v+1]-off[v] is the degree of v.
+	// off, peer, rport and portEdge are the routing, built once; the rest
+	// is reset every Run.
 	off       []int
 	peer      []int32 // vertex at the far end of the port
 	rport     []int32 // that vertex's port for the same edge
+	portEdge  []int32 // id of the port's edge
 	portEpoch []int   // last round v sent on the port (-1 = never)
 	portMsg   []int32 // index into outboxes[v] of that round's message
 	portLoad  []int64 // messages delivered into the port over the run
+	edgeLoad  []int64 // per-edge sum of portLoad, filled by finishRun
 
 	// inbox[v] collects the messages v receives this round; v reads it
 	// when stepped next round, after which its backing is recycled.
@@ -207,20 +236,20 @@ type engine struct {
 	// hand-rolled because container/heap boxes every pushed value.
 	timers []uint64
 	// armed[v] is the round of v's own pending wake timer (Wakers only),
-	// so repeating an unchanged NextWake does not grow the heap.
-	armed []int
+	// so repeating an unchanged NextWake does not grow the heap. It and
+	// wakerBuf, the backing of wakers, are allocated by the first Run with
+	// a Waker.
+	armed    []int
+	wakerBuf []Waker
 
 	roundMsgs, roundWords, roundCong int64
 }
 
-func newEngine(nw *Network, nodes []Node, maxRounds int) *engine {
-	g := nw.G
+// newEngine builds the routing tables of g and allocates the per-run
+// arrays; reset fills them before each Run.
+func newEngine(g *graph.Graph) *engine {
 	n := g.N()
-	maxWords := nw.MaxWords
-	if maxWords <= 0 {
-		maxWords = 4
-	}
-	e := &engine{nw: nw, nodes: nodes, n: n, maxWords: maxWords, maxRounds: maxRounds, inj: nw.Injector}
+	e := &engine{g: g, m: g.M(), n: n}
 
 	e.off = make([]int, n+1)
 	for v := 0; v < n; v++ {
@@ -228,14 +257,12 @@ func newEngine(nw *Network, nodes []Node, maxRounds int) *engine {
 	}
 	ports := e.off[n]
 	e.portEpoch = make([]int, ports)
-	for i := range e.portEpoch {
-		e.portEpoch[i] = -1
-	}
 	e.portMsg = make([]int32, ports)
 	e.portLoad = make([]int64, ports)
+	e.edgeLoad = make([]int64, g.M())
 
 	// Routing: the port index of every edge at each endpoint, then the far
-	// end of every port.
+	// end and the edge of every port.
 	portAtU := make([]int32, g.M())
 	portAtV := make([]int32, g.M())
 	for v := 0; v < n; v++ {
@@ -249,10 +276,12 @@ func newEngine(nw *Network, nodes []Node, maxRounds int) *engine {
 	}
 	e.peer = make([]int32, ports)
 	e.rport = make([]int32, ports)
+	e.portEdge = make([]int32, ports)
 	for v := 0; v < n; v++ {
 		for p, id := range g.IncidentEdges(v) {
 			u, w := g.EndpointsOf(int(id))
 			fp := e.off[v] + p
+			e.portEdge[fp] = id
 			if u == int32(v) {
 				e.peer[fp], e.rport[fp] = w, portAtV[id]
 			} else {
@@ -261,26 +290,88 @@ func newEngine(nw *Network, nodes []Node, maxRounds int) *engine {
 		}
 	}
 
+	// Inboxes are carved from one array with a slot per port: a vertex
+	// receives at most one message per port in a round, so only an
+	// injector's stall releases can outgrow a vertex's run of slots, and
+	// append then moves that inbox to a backing of its own.
+	slots := make([]Incoming, ports)
 	e.inbox = make([][]Incoming, n)
+	for v := 0; v < n; v++ {
+		e.inbox[v] = slots[e.off[v]:e.off[v]:e.off[v+1]]
+	}
 	e.outboxes = make([][]Outgoing, n)
 	e.dones = make([]bool, n)
-	e.notDone = n
 	e.queued = make([]int, n)
+	e.active = make([]int32, 0, n)
+	e.next = make([]int32, 0, n)
+	return e
+}
+
+// reset readies the engine for a Run of nodes on nw: it takes the word
+// budget, tracer and injector from nw as they are now and returns every
+// per-run array to its initial state, keeping the routing and all capacity.
+//
+//planarvet:noalloc TestNetworkRunReuseAllocs
+func (e *engine) reset(nw *Network, nodes []Node, maxRounds int) {
+	e.nw, e.nodes, e.maxRounds, e.inj = nw, nodes, maxRounds, nw.Injector
+	e.maxWords = nw.MaxWords
+	if e.maxWords <= 0 {
+		e.maxWords = 4
+	}
+	for i := range e.portEpoch {
+		e.portEpoch[i] = -1
+	}
+	clear(e.portMsg)
+	clear(e.portLoad)
+	clear(e.dones)
+	e.notDone = e.n
 	for i := range e.queued {
 		e.queued[i] = -1
 	}
-	e.active = make([]int32, 0, n)
-	e.next = make([]int32, 0, n)
+	for v := range e.inbox {
+		e.inbox[v] = e.inbox[v][:0]
+	}
+	e.active, e.next, e.timers = e.active[:0], e.next[:0], e.timers[:0]
+	e.round = 0
+	e.roundMsgs, e.roundWords, e.roundCong = 0, 0, 0
+	e.wakers = nil
 	for v, nd := range nodes {
 		if w, ok := nd.(Waker); ok {
 			if e.wakers == nil {
-				e.wakers = make([]Waker, n)
-				e.armed = make([]int, n)
+				e.wakers = e.wakerTable()
 			}
 			e.wakers[v] = w
 		}
 	}
-	return e
+}
+
+// wakerTable returns the wakers backing cleared and armed zeroed,
+// allocating both on first use.
+func (e *engine) wakerTable() []Waker {
+	if e.wakerBuf == nil {
+		e.wakerBuf = make([]Waker, e.n)
+		e.armed = make([]int, e.n)
+	}
+	clear(e.wakerBuf)
+	clear(e.armed)
+	return e.wakerBuf
+}
+
+// release ends a Run: it drops every reference to the run's node programs
+// and messages (outboxes, inbox slots up to capacity, wakers, injector), so
+// an idle Network does not pin the last run's Args.
+//
+//planarvet:noalloc TestNetworkRunReuseAllocs
+func (e *engine) release() {
+	e.nw, e.nodes, e.inj = nil, nil, nil
+	clear(e.outboxes)
+	for _, in := range e.inbox {
+		clear(in[:cap(in)])
+	}
+	if e.wakers != nil {
+		clear(e.wakers)
+		e.wakers = nil
+	}
 }
 
 // wakeAt sets a wake-up: v is stepped at the given round whether or not a
@@ -426,7 +517,7 @@ func (e *engine) deliver(u int) {
 			}
 			msg = m
 		}
-		e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok amortized: inbox backing is recycled after every step, capacity ramps up once then stabilises
+		e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok presized to the degree by newEngine and recycled after every step; only injector releases can outgrow it, once
 		e.queue(w)
 		e.roundMsgs++
 		e.roundWords += int64(msg.Words())
@@ -552,12 +643,10 @@ func (e *engine) accountRound(tr trace.Tracer, traced bool) {
 // edge is the sum of its two directions) and emits the end-of-run gauges.
 func (e *engine) finishRun(tr trace.Tracer, traced bool) (int, error) {
 	nw := e.nw
-	g := nw.G
-	edgeLoad := make([]int64, g.M())
-	for v := 0; v < e.n; v++ {
-		for p, id := range g.IncidentEdges(v) {
-			edgeLoad[id] += e.portLoad[e.off[v]+p]
-		}
+	edgeLoad := e.edgeLoad
+	clear(edgeLoad)
+	for fp, id := range e.portEdge {
+		edgeLoad[id] += e.portLoad[fp]
 	}
 	for _, l := range edgeLoad {
 		if l > nw.stats.MaxEdgeLoad {

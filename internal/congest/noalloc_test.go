@@ -29,10 +29,10 @@ func (c *tickNode) NextWake(round int) int { return round + 2 }
 
 // TestRoundLoopZeroAlloc is the runtime gate behind the
 // //planarvet:noalloc annotations on the round loop (runRound, step,
-// deliver, queue and the wake-timer heap): once the inboxes, step queues
-// and timer heap have ramped up to their steady-state capacity, a full
-// round performs zero allocations even with every edge saturated in both
-// directions and a timer firing every other round.
+// deliver, queue and the wake-timer heap): once the timer heap has ramped
+// up to its steady-state capacity, a full round performs zero allocations
+// even with every edge saturated in both directions and a timer firing
+// every other round.
 func TestRoundLoopZeroAlloc(t *testing.T) {
 	g := graph.New(5) // vertex 4 is isolated: only its timer can step it
 	g.MustAddEdge(0, 1)
@@ -52,7 +52,8 @@ func TestRoundLoopZeroAlloc(t *testing.T) {
 	tick := &tickNode{}
 	nodes[4] = tick
 
-	e := newEngine(New(g), nodes, 1<<20)
+	e := newEngine(g)
+	e.reset(New(g), nodes, 1<<20)
 	e.start()
 	oneRound := func() {
 		if err := e.runRound(); err != nil {
@@ -60,8 +61,7 @@ func TestRoundLoopZeroAlloc(t *testing.T) {
 		}
 		e.round++
 	}
-	// Warm-up rounds grow the inboxes, queues and timer heap to their
-	// steady-state capacity.
+	// Warm-up rounds grow the timer heap to its steady-state capacity.
 	for i := 0; i < 4; i++ {
 		oneRound()
 	}
@@ -80,5 +80,55 @@ func TestRoundLoopZeroAlloc(t *testing.T) {
 	// rounds (AllocsPerRun adds one warm-up call of its own).
 	if want := (4 + 1 + runs + 1) / 2; tick.steps != want {
 		t.Fatalf("timer node stepped %d times over %d rounds, want %d", tick.steps, e.round, want)
+	}
+}
+
+// onceNode sends one preallocated message on every port in round 0 and
+// halts; it keeps no state, so the same nodes serve any number of Runs.
+type onceNode struct {
+	out []Outgoing
+}
+
+func (c *onceNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
+	if round == 0 {
+		return c.out, true
+	}
+	return nil, true
+}
+
+// TestNetworkRunReuseAllocs is the runtime gate behind the
+// //planarvet:noalloc annotations on the engine's reset path (reset and
+// release): once a Network has run a one-round exchange, running it again
+// allocates nothing on grids of n = 1024 and n = 4096 alike, because the
+// routing tables, the per-run arrays, the inbox capacity and the round
+// histogram all carry over.
+func TestNetworkRunReuseAllocs(t *testing.T) {
+	perRun := func(side int) float64 {
+		g := gridGraph(t, side, side)
+		nodes := make([]Node, g.N())
+		for v := range nodes {
+			out := make([]Outgoing, g.Degree(v))
+			for p := range out {
+				out[p] = Outgoing{Port: p, Msg: Message{Kind: 3, Args: []int{v}}}
+			}
+			nodes[v] = &onceNode{out: out}
+		}
+		nw := New(g)
+		run := func() {
+			rounds, err := nw.Run(nodes, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds != 2 || nw.stats.Messages != int64(2*g.M()) {
+				t.Fatalf("run took %d rounds and %d messages, want 2 and %d", rounds, nw.stats.Messages, 2*g.M())
+			}
+		}
+		run() // builds the engine
+		return testing.AllocsPerRun(20, run)
+	}
+	for _, side := range []int{32, 64} {
+		if allocs := perRun(side); allocs != 0 {
+			t.Errorf("n=%d: a reused Run allocates %.1f times, want 0", side*side, allocs)
+		}
 	}
 }

@@ -134,15 +134,15 @@ func buildRotNode(info congest.NodeInfo, rot []int) *rotNode {
 }
 
 // runRotationCheck executes the distributed rotation/endpoint check over
-// the claimed rotations and aggregates the verdict. It returns the
-// rejecting vertices (nil on acceptance) with the measured cost.
-func runRotationCheck(g *graph.Graph, rot [][]int, opt Options) (rejectors []int, rounds int, messages int64, err error) {
-	n := g.N()
+// the claimed rotations on nw and aggregates the verdict over tree. It
+// returns the rejecting vertices (nil on acceptance) with the measured
+// cost.
+func runRotationCheck(nw *congest.Network, tree *spanning.Tree, rot [][]int, opt Options) (rejectors []int, rounds int, messages int64, err error) {
+	n := nw.G.N()
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.rotation")
 	defer sp.End()
 
-	nw := opt.network(g, 4)
 	nodes := make([]congest.Node, n)
 	rns := make([]*rotNode, n)
 	for v := 0; v < n; v++ {
@@ -172,11 +172,7 @@ func runRotationCheck(g *graph.Graph, rot [][]int, opt Options) (rejectors []int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	tree, err := spanning.BFSTree(g, 0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("guard: rotation aggregation: %w", err)
-	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, accepts, congest.OpMin)
+	res, err := shortcut.RunPAOn(nw, tree, part, accepts, congest.OpMin)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: rotation aggregation: %w", err)
 	}

@@ -189,13 +189,11 @@ type Options struct {
 	Exhaustive bool
 }
 
-// network builds a CONGEST network configured per the options with at
-// least maxWords words of bandwidth.
-func (o Options) network(g *graph.Graph, maxWords int) *congest.Network {
+// network builds the CONGEST network one validation runs all its node
+// programs on: the rotation exchange, both aggregations and every ball
+// probe fit the default 4-word messages, so they share its round engine.
+func (o Options) network(g *graph.Graph) *congest.Network {
 	nw := congest.New(g)
-	if maxWords > nw.MaxWords {
-		nw.MaxWords = maxWords
-	}
 	nw.Tracer = o.Tracer
 	return nw
 }

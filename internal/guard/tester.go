@@ -175,19 +175,16 @@ func centersFor(n int, opt Options) []int {
 	return out
 }
 
-// probeBall runs one ball program and returns the center's measurement.
-func probeBall(g *graph.Graph, center, radius int, opt Options) (nS, mS2, rounds int, messages int64, err error) {
-	n := g.N()
-	nw := opt.network(g, 3)
-	nodes := make([]congest.Node, n)
-	var cn *ballNode
-	for v := 0; v < n; v++ {
-		bn := &ballNode{deg: g.Degree(v), center: v == center, radius: radius, dist: -1, parentPort: -1}
-		if bn.center {
-			cn = bn
-		}
-		nodes[v] = bn
+// probeBall runs one ball program on nw and returns the center's
+// measurement. balls holds the per-vertex programs, which nodes lists; every
+// probe resets them in place, keeping their child-port backings.
+func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, center, radius int) (nS, mS2, rounds int, messages int64, err error) {
+	g := nw.G
+	for v := range balls {
+		balls[v] = ballNode{deg: g.Degree(v), center: v == center, radius: radius, dist: -1, parentPort: -1,
+			childPorts: balls[v].childPorts[:0]}
 	}
+	cn := &balls[center]
 	r, err := nw.Run(nodes, 2*radius+16)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d: %w", center, err)
@@ -198,9 +195,10 @@ func probeBall(g *graph.Graph, center, radius int, opt Options) (nS, mS2, rounds
 	return cn.nS, cn.mS2, r, nw.Stats().Messages, nil
 }
 
-// runEdgeCountCheck aggregates the degree sum distributively and applies
-// the global planar bound. A nil witness means acceptance.
-func runEdgeCountCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error) {
+// runEdgeCountCheck aggregates the degree sum distributively on nw over
+// tree and applies the global planar bound. A nil witness means acceptance.
+func runEdgeCountCheck(nw *congest.Network, tree *spanning.Tree, opt Options) (*Witness, int, int64, error) {
+	g := nw.G
 	n := g.N()
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.edge-count")
@@ -213,11 +211,7 @@ func runEdgeCountCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	tree, err := spanning.BFSTree(g, 0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
-	}
-	res, err := shortcut.RunPAOn(opt.network(g, 0), tree, part, degs, congest.OpSum)
+	res, err := shortcut.RunPAOn(nw, tree, part, degs, congest.OpSum)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
 	}
@@ -234,10 +228,11 @@ func runEdgeCountCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error
 	return nil, res.Rounds, res.Stats.Messages, nil
 }
 
-// runDensityCheck probes every center's ball in sequence and applies the
-// planar density bound to each induced subgraph. A nil witness means no
-// ball was dense.
-func runDensityCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error) {
+// runDensityCheck probes every center's ball in sequence on nw and applies
+// the planar density bound to each induced subgraph. A nil witness means no
+// ball was dense. The probes share one flat array of ball programs.
+func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, error) {
+	g := nw.G
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.density")
 	defer sp.End()
@@ -245,10 +240,15 @@ func runDensityCheck(g *graph.Graph, opt Options) (*Witness, int, int64, error) 
 	centers := centersFor(g.N(), opt)
 	sp.SetAttr("centers", int64(len(centers)))
 	sp.SetAttr("radius", int64(radius))
+	balls := make([]ballNode, g.N())
+	nodes := make([]congest.Node, g.N())
+	for v := range nodes {
+		nodes[v] = &balls[v]
+	}
 	rounds := 0
 	var messages int64
 	for _, c := range centers {
-		nS, mS2, r, msgs, err := probeBall(g, c, radius, opt)
+		nS, mS2, r, msgs, err := probeBall(nw, balls, nodes, c, radius)
 		if err != nil {
 			return nil, rounds, messages, err
 		}

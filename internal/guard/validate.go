@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
+	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -42,8 +44,16 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 		return v, nil
 	}
 
+	// One network and one BFS tree serve every distributed stage below
+	// (the Euler certification builds its own).
+	nw := opt.network(g)
+	tree, err := aggregationTree(g)
+	if err != nil {
+		return nil, err
+	}
+
 	// Distributed rotation/endpoint consistency.
-	rejectors, rounds, msgs, err := runRotationCheck(g, rot, opt)
+	rejectors, rounds, msgs, err := runRotationCheck(nw, tree, rot, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +67,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 	}
 
 	// Planarity property tester (graph-level, one-sided error).
-	if !testerStages(v, g, opt) {
+	if !testerStages(v, nw, tree, opt) {
 		return v, nil
 	}
 	if err := v.testerErr; err != nil {
@@ -102,7 +112,11 @@ func ValidateGraph(g *graph.Graph, opt Options) (*Verdict, error) {
 	if !connectivityStage(v, g) {
 		return v, nil
 	}
-	if !testerStages(v, g, opt) {
+	tree, err := aggregationTree(g)
+	if err != nil {
+		return nil, err
+	}
+	if !testerStages(v, opt.network(g), tree, opt) {
 		return v, nil
 	}
 	if err := v.testerErr; err != nil {
@@ -139,11 +153,22 @@ func connectivityStage(v *Verdict, g *graph.Graph) bool {
 	return false
 }
 
-// testerStages runs the distributed edge-count and ball-density stages.
-// It returns false when validation must stop; infrastructure errors are
-// parked on the verdict for the caller to surface.
-func testerStages(v *Verdict, g *graph.Graph, opt Options) bool {
-	w, rounds, msgs, err := runEdgeCountCheck(g, opt)
+// aggregationTree builds the BFS tree from vertex 0 that the rotation and
+// edge-count aggregations run over.
+func aggregationTree(g *graph.Graph) (*spanning.Tree, error) {
+	tree, err := spanning.BFSTree(g, 0)
+	if err != nil {
+		return nil, fmt.Errorf("guard: aggregation tree: %w", err)
+	}
+	return tree, nil
+}
+
+// testerStages runs the distributed edge-count and ball-density stages on
+// nw, aggregating over tree. It returns false when validation must stop;
+// infrastructure errors are parked on the verdict for the caller to
+// surface.
+func testerStages(v *Verdict, nw *congest.Network, tree *spanning.Tree, opt Options) bool {
+	w, rounds, msgs, err := runEdgeCountCheck(nw, tree, opt)
 	if err != nil {
 		v.testerErr = err
 		return false
@@ -153,7 +178,7 @@ func testerStages(v *Verdict, g *graph.Graph, opt Options) bool {
 		v.reject(*w)
 		return false
 	}
-	w, rounds, msgs, err = runDensityCheck(g, opt)
+	w, rounds, msgs, err = runDensityCheck(nw, opt)
 	if err != nil {
 		v.testerErr = err
 		return false

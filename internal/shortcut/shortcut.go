@@ -180,9 +180,21 @@ func RunPA(g *graph.Graph, root int, part *Partition, value []int, op congest.Ag
 // as-is, and the aggregation runs over tree from tree.Root. The
 // certification subsystem uses it to keep a whole prove/verify/aggregate
 // run on one network configuration and one BFS tree. It rejects a value
-// array or a partition whose length is not the graph's vertex count.
+// array, a partition or a tree whose length is not the graph's vertex
+// count, and a tree whose root or parents are not vertices of the graph.
 func RunPAOn(nw *congest.Network, tree *spanning.Tree, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
 	g := nw.G
+	if len(tree.Parent) != g.N() {
+		return nil, fmt.Errorf("shortcut: spanning tree of %d vertices for %d vertices", len(tree.Parent), g.N())
+	}
+	if tree.Root < 0 || tree.Root >= g.N() {
+		return nil, fmt.Errorf("shortcut: tree root %d out of range [0,%d)", tree.Root, g.N())
+	}
+	for v, p := range tree.Parent {
+		if v != tree.Root && (p < 0 || p >= g.N()) {
+			return nil, fmt.Errorf("shortcut: tree parent %d of vertex %d out of range [0,%d)", p, v, g.N())
+		}
+	}
 	if len(value) != g.N() {
 		return nil, fmt.Errorf("shortcut: %d values for %d vertices", len(value), g.N())
 	}

@@ -8,6 +8,7 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
+	"planardfs/internal/spanning"
 )
 
 func TestNewPartitionValidation(t *testing.T) {
@@ -135,6 +136,33 @@ func TestRunPARejectsMismatchedLengths(t *testing.T) {
 	_, small := stripePartition(t, 2, 2, 2)
 	if _, err := RunPA(g, 0, small, make([]int, g.N()), congest.OpSum); err == nil {
 		t.Fatal("partition of another graph accepted")
+	}
+	// A spanning tree of another graph: the 2x2 grid's BFS tree on the
+	// 4x4 grid's network, then trees with a root or a parent outside it.
+	gSmall, _ := stripePartition(t, 2, 2, 2)
+	smallTree, err := spanning.BFSTree(gSmall, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewPartition(make([]int, g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigTree, err := spanning.BFSTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badParent := append([]int(nil), bigTree.Parent...)
+	badParent[5] = g.N()
+	for _, tree := range []*spanning.Tree{
+		smallTree,
+		{Root: g.N(), Parent: bigTree.Parent},
+		{Root: -1, Parent: bigTree.Parent},
+		{Root: 0, Parent: badParent},
+	} {
+		if _, err := RunPAOn(congest.New(g), tree, single, make([]int, g.N()), congest.OpSum); err == nil {
+			t.Fatalf("tree with root %d and %d parents accepted on a %d-vertex network", tree.Root, len(tree.Parent), g.N())
+		}
 	}
 }
 
