@@ -54,23 +54,33 @@ func bfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 
 // VerifyBFSTree runs the BFS-tree verifier on an arbitrary (possibly
 // adversarial) label assignment.
-func VerifyBFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	n := g.N()
-	judge := func(v int, got [][]int) bool {
-		return bfsJudge(v, n, g.Neighbors(v), labels[v], got)
+func (vf *Verifier) VerifyBFSTree(labels [][]int) (*Verdict, error) {
+	n := vf.g.N()
+	judge := func(v int, nb []int, got [][]int) bool {
+		return bfsJudge(v, n, nb, labels[v], got)
 	}
-	return certify(g, "bfs", labels, bfsWords, judge,
-		dist.Ops{PA: 1, TreeAgg: 1}, opt)
+	return vf.certify("bfs", labels, bfsWords, judge, dist.Ops{PA: 1, TreeAgg: 1})
 }
 
 // CertifyBFSTree proves and verifies that the claimed (parent, dist)
-// arrays describe a BFS tree of g rooted at root.
-func CertifyBFSTree(g *graph.Graph, root int, parent, distArr []int, opt Options) (*Verdict, error) {
-	if len(parent) != g.N() || len(distArr) != g.N() {
+// arrays describe a BFS tree of the Verifier's graph rooted at root.
+func (vf *Verifier) CertifyBFSTree(root int, parent, distArr []int) (*Verdict, error) {
+	if n := vf.g.N(); len(parent) != n || len(distArr) != n {
 		return nil, fmt.Errorf("cert: %d parents and %d dists for a graph of %d vertices",
-			len(parent), len(distArr), g.N())
+			len(parent), len(distArr), n)
 	}
-	return VerifyBFSTree(g, ProveBFSTree(root, parent, distArr), opt)
+	return vf.VerifyBFSTree(ProveBFSTree(root, parent, distArr))
+}
+
+// VerifyBFSTree runs the BFS-tree verifier on a fresh Verifier of g.
+func VerifyBFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).VerifyBFSTree(labels)
+}
+
+// CertifyBFSTree proves and verifies the claimed BFS tree on a fresh
+// Verifier of g.
+func CertifyBFSTree(g *graph.Graph, root int, parent, distArr []int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).CertifyBFSTree(root, parent, distArr)
 }
 
 // CheckBFSTree is the centralized oracle: the claim matches an actual BFS

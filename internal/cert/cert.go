@@ -28,7 +28,6 @@ package cert
 
 import (
 	"fmt"
-	"sort"
 
 	"planardfs/internal/congest"
 	"planardfs/internal/dist"
@@ -78,13 +77,118 @@ type Options struct {
 	Tracer trace.Tracer
 }
 
-// network builds the CONGEST network one certification runs its label
-// exchange and its aggregations on, so they share one round engine. Each
-// program sets the word budget it needs before it runs.
-func (o Options) network(g *graph.Graph) *congest.Network {
-	nw := congest.New(g)
-	nw.Tracer = o.Tracer
-	return nw
+// Verifier is the certification context of one graph: every scheme it
+// runs shares one CONGEST network (and so one round engine), one BFS
+// spanning tree from vertex 0 — the tree the prover charge is priced on and
+// the verdict aggregations run over — one single-part aggregation program
+// over that tree, one neighbour table and one set of label-exchange node
+// programs. Each is built on first use and reset in place by every later
+// run, so certifying several structures of the same graph, or the attempts
+// of a supervised stage, pays the setup once. Verdicts, rounds, statistics
+// and traces are exactly those of the one-shot Certify*/Verify*/Prove*
+// functions, which each run on a fresh Verifier.
+//
+// A Verifier keeps no reference to a run's labels once the run returns. It
+// is not safe for concurrent use.
+type Verifier struct {
+	g      *graph.Graph
+	tracer trace.Tracer
+
+	nw   *congest.Network
+	tree *spanning.Tree // BFS tree from vertex 0
+	agg  *shortcut.Aggregator
+
+	// nbr holds every vertex's neighbours in port order, vertex v's at
+	// nbr[off[v]:off[v+1]]; the exchange's receive tables and broadcasts
+	// are carved per vertex from got and out the same way.
+	off     []int
+	nbr     []int
+	cns     []certNode
+	nodes   []congest.Node
+	got     [][]int
+	out     []congest.Outgoing
+	accepts []int
+}
+
+// NewVerifier returns the certification context of g, traced per opt. It
+// builds nothing until a run needs it.
+func NewVerifier(g *graph.Graph, opt Options) *Verifier {
+	return &Verifier{g: g, tracer: opt.Tracer}
+}
+
+// Graph returns the graph the Verifier certifies structures of.
+func (vf *Verifier) Graph() *graph.Graph { return vf.g }
+
+// Options returns the options the Verifier was built with.
+func (vf *Verifier) Options() Options { return Options{Tracer: vf.tracer} }
+
+// Network returns the network every run of the Verifier executes on,
+// traced per its options. A caller may run its own node programs on it
+// between certifications; each certification sets the word budget it
+// needs.
+func (vf *Verifier) Network() *congest.Network {
+	if vf.nw == nil {
+		vf.nw = congest.New(vf.g)
+		vf.nw.Tracer = vf.tracer
+	}
+	return vf.nw
+}
+
+// Neighbors returns v's neighbours in port order as a row of the
+// Verifier's neighbour table; the slice must not be modified.
+func (vf *Verifier) Neighbors(v int) []int {
+	vf.neighborTable()
+	return vf.nbr[vf.off[v]:vf.off[v+1]:vf.off[v+1]]
+}
+
+// neighborTable fills off and nbr from the graph's incidence lists on
+// first use.
+func (vf *Verifier) neighborTable() {
+	if vf.nbr != nil {
+		return
+	}
+	g := vf.g
+	vf.off = make([]int, g.N()+1)
+	vf.nbr = make([]int, 0, 2*g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, id := range g.IncidentEdges(u) {
+			vf.nbr = append(vf.nbr, g.Other(int(id), u))
+		}
+		vf.off[u+1] = len(vf.nbr)
+	}
+}
+
+// bfsTree returns the BFS spanning tree from vertex 0, building it on
+// first use.
+func (vf *Verifier) bfsTree() (*spanning.Tree, error) {
+	if vf.tree == nil {
+		tree, err := spanning.BFSTree(vf.g, 0)
+		if err != nil {
+			return nil, err
+		}
+		vf.tree = tree
+	}
+	return vf.tree, nil
+}
+
+// Aggregate folds value under op into one aggregate with a single-part
+// part-wise aggregation over the BFS tree from vertex 0, on the Verifier's
+// network at the default 4-word budget, and returns the aggregate with
+// its measured round count; Network().Stats() holds the run's statistics.
+// The aggregation program is built on the first call and reset in place
+// by later ones.
+func (vf *Verifier) Aggregate(value []int, op congest.AggOp) (agg, rounds int, err error) {
+	if vf.agg == nil {
+		tree, err := vf.bfsTree()
+		if err != nil {
+			return 0, 0, err
+		}
+		if vf.agg, err = shortcut.NewAggregator(vf.Network(), tree); err != nil {
+			return 0, 0, err
+		}
+	}
+	vf.Network().MaxWords = aggWords
+	return vf.agg.Run(value, op)
 }
 
 // aggWords is the word budget of the verdict and sum aggregations, the
@@ -105,16 +209,17 @@ func validateLabels(n int, labels [][]int, words int) error {
 	return nil
 }
 
-// judgeFunc decides vertex v's verdict from the labels it received, got[p]
-// on port p (nil where nothing arrived). One judge serves every vertex of a
-// run.
-type judgeFunc func(v int, got [][]int) bool
+// judgeFunc decides vertex v's verdict from its neighbours nb and the
+// labels it received, got[p] on port p (nil where nothing arrived). One
+// judge serves every vertex of a run.
+type judgeFunc func(v int, nb []int, got [][]int) bool
 
 // certNode is the verifier program of every scheme: broadcast the label,
 // collect the neighbours' labels, judge once, halt.
 type certNode struct {
 	v      int
 	judge  judgeFunc
+	nb     []int              // nb[port]: the neighbour on port
 	got    [][]int            // got[port]: the label received on port
 	out    []congest.Outgoing // the round-0 broadcast, one message per port
 	accept bool
@@ -135,60 +240,68 @@ func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 		// The received label slices are the senders' labels, which no step
 		// mutates; judging here (not later) respects the engine's
 		// recv-recycling contract.
-		cn.accept = cn.judge(cn.v, cn.got)
+		cn.accept = cn.judge(cn.v, cn.nb, cn.got)
 		cn.judged = true
 	}
 	return nil, true
 }
 
-// runExchange executes the two-round label exchange on nw, with room for
-// the label and its kind word, and returns the per-vertex accept bits (1
-// accept, 0 reject). The nodes, their receive tables and their round-0
-// broadcasts are carved from three flat arrays.
-func runExchange(nw *congest.Network, labels [][]int, words int, judge judgeFunc) (accepts []int, rounds int, stats congest.Stats, err error) {
-	g := nw.G
-	n := g.N()
-	nw.MaxWords = max(aggWords, words+1)
-	cns := make([]certNode, n)
-	nodes := make([]congest.Node, n)
-	got := make([][]int, 2*g.M())
-	out := make([]congest.Outgoing, 2*g.M())
-	base := 0
-	for v := range cns {
-		end := base + g.Degree(v)
-		cns[v] = certNode{v: v, judge: judge, got: got[base:end:end], out: out[base:end:end]}
-		for p := range cns[v].out {
-			cns[v].out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgCertLabel, Args: labels[v]}}
+// exchangeNodes returns the label-exchange programs, carving the nodes,
+// their receive tables and their round-0 broadcasts from flat arrays on
+// first use.
+func (vf *Verifier) exchangeNodes() []certNode {
+	if vf.cns == nil {
+		n := vf.g.N()
+		vf.neighborTable()
+		vf.cns = make([]certNode, n)
+		vf.nodes = make([]congest.Node, n)
+		vf.got = make([][]int, len(vf.nbr))
+		vf.out = make([]congest.Outgoing, len(vf.nbr))
+		vf.accepts = make([]int, n)
+		for v := range vf.cns {
+			lo, hi := vf.off[v], vf.off[v+1]
+			vf.cns[v] = certNode{v: v, nb: vf.nbr[lo:hi:hi], got: vf.got[lo:hi:hi], out: vf.out[lo:hi:hi]}
+			for p := range vf.cns[v].out {
+				vf.cns[v].out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgCertLabel}}
+			}
+			vf.nodes[v] = &vf.cns[v]
 		}
-		nodes[v] = &cns[v]
-		base = end
 	}
-	rounds, err = nw.Run(nodes, 8)
+	return vf.cns
+}
+
+// runExchange executes the two-round label exchange on the Verifier's
+// network, with room for the label and its kind word, and returns the
+// per-vertex accept bits (1 accept, 0 reject). The accept bits live in the
+// Verifier and are overwritten by its next exchange.
+func (vf *Verifier) runExchange(labels [][]int, words int, judge judgeFunc) (accepts []int, rounds int, stats congest.Stats, err error) {
+	nw := vf.Network()
+	nw.MaxWords = max(aggWords, words+1)
+	cns := vf.exchangeNodes()
+	for v := range cns {
+		cn := &cns[v]
+		cn.judge, cn.judged = judge, false
+		for p := range cn.out {
+			cn.out[p].Msg.Args = labels[v]
+		}
+	}
+	rounds, err = nw.Run(vf.nodes, 8)
+	// Drop the run's labels and judge, so an idle Verifier pins neither.
+	clear(vf.got)
+	for p := range vf.out {
+		vf.out[p].Msg.Args = nil
+	}
+	for v := range cns {
+		cns[v].judge = nil
+	}
 	if err != nil {
 		return nil, 0, congest.Stats{}, err
 	}
-	accepts = make([]int, n)
+	accepts = vf.accepts
 	for v := range cns {
-		if cns[v].accept {
-			accepts[v] = 1
-		}
+		accepts[v] = boolToInt(cns[v].accept)
 	}
 	return accepts, rounds, nw.Stats(), nil
-}
-
-// aggregate runs one single-part part-wise aggregation of value under op
-// over tree on nw, returning the aggregate and its measured round count.
-func aggregate(nw *congest.Network, tree *spanning.Tree, value []int, op congest.AggOp) (int, int, error) {
-	part, err := shortcut.NewPartition(make([]int, nw.G.N()))
-	if err != nil {
-		return 0, 0, err
-	}
-	nw.MaxWords = aggWords
-	res, err := shortcut.RunPAOn(nw, tree, part, value, op)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Values[0], res.Rounds, nil
 }
 
 // chargeProver charges the prover phase's documented op budget under the
@@ -205,31 +318,30 @@ func chargeProver(g *graph.Graph, tree *spanning.Tree, tr trace.Tracer, ops dist
 }
 
 // certify drives the common scheme pipeline: validate label shape, charge
-// the prover, run the label exchange, aggregate the verdicts. One BFS tree
-// from vertex 0 serves both the prover charge and the aggregation, and one
-// network runs both the exchange and the aggregation.
-func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge judgeFunc, prover dist.Ops, opt Options) (*Verdict, error) {
+// the prover, run the label exchange, aggregate the verdicts. The BFS tree
+// from vertex 0 prices the prover charge and carries the aggregation.
+func (vf *Verifier) certify(scheme string, labels [][]int, words int, judge judgeFunc, prover dist.Ops) (*Verdict, error) {
+	g := vf.g
 	if err := validateLabels(g.N(), labels, words); err != nil {
 		return nil, err
 	}
-	tr := trace.OrNop(opt.Tracer)
+	tr := trace.OrNop(vf.tracer)
 	sp := tr.StartSpan(trace.LayerCert, "cert."+scheme)
 	defer sp.End()
-	tree, err := spanning.BFSTree(g, 0)
+	tree, err := vf.bfsTree()
 	if err != nil {
 		return nil, err
 	}
 	proverRounds := chargeProver(g, tree, tr, prover, words)
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	nw := opt.network(g)
-	accepts, vrounds, stats, err := runExchange(nw, labels, words, judge)
+	accepts, vrounds, stats, err := vf.runExchange(labels, words, judge)
 	if err != nil {
 		vsp.End()
 		return nil, err
 	}
 	vsp.SetAttr("rounds", int64(vrounds))
 	vsp.End()
-	verdict, err := finishVerdict(nw, tree, scheme, accepts, tr)
+	verdict, err := vf.finishVerdict(scheme, accepts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -242,23 +354,23 @@ func certify(g *graph.Graph, scheme string, labels [][]int, words int, judge jud
 	return verdict, nil
 }
 
-// finishVerdict aggregates the accept bits on nw into the global verdict.
-func finishVerdict(nw *congest.Network, tree *spanning.Tree, scheme string, accepts []int, tr trace.Tracer) (*Verdict, error) {
+// finishVerdict aggregates the accept bits into the global verdict.
+func (vf *Verifier) finishVerdict(scheme string, accepts []int, tr trace.Tracer) (*Verdict, error) {
 	asp := tr.StartSpan(trace.LayerCert, "cert.aggregate")
-	min, arounds, err := aggregate(nw, tree, accepts, congest.OpMin)
+	min, arounds, err := vf.Aggregate(accepts, congest.OpMin)
 	if err != nil {
 		asp.End()
 		return nil, err
 	}
 	asp.SetAttr("rounds", int64(arounds))
 	asp.End()
+	// Ascending by construction.
 	var rejectors []int
 	for v, a := range accepts {
 		if a == 0 {
 			rejectors = append(rejectors, v)
 		}
 	}
-	sort.Ints(rejectors)
 	ok := min == 1
 	if ok != (len(rejectors) == 0) {
 		return nil, fmt.Errorf("cert: aggregated verdict disagrees with local verdicts")

@@ -1,7 +1,8 @@
 package cert
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"planardfs/internal/dfs"
 	"planardfs/internal/dist"
@@ -46,6 +47,9 @@ func ProveDFSTree(g *graph.Graph, root int, parent []int) ([][]int, error) {
 	return labels, nil
 }
 
+// interval is a child's claimed preorder interval [lo, hi).
+type interval struct{ lo, hi int }
+
 // dfsJudge is the local DFS-tree predicate at v.
 func dfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 	par, tin, tout := own[0], own[1], own[2]
@@ -56,8 +60,7 @@ func dfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 		return false
 	}
 	parSeen := par == -1
-	type iv struct{ lo, hi int }
-	var kids []iv
+	var kids []interval
 	for p := range nb {
 		o := got[p]
 		if len(o) != dfsWords {
@@ -74,7 +77,7 @@ func dfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 		}
 		if o[0] == v {
 			treeEdge = true
-			kids = append(kids, iv{olo, ohi})
+			kids = append(kids, interval{olo, ohi})
 		}
 		if !treeEdge {
 			// Non-tree edge: one endpoint must be an ancestor of the other.
@@ -86,7 +89,7 @@ func dfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 	if !parSeen {
 		return false
 	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].lo < kids[j].lo })
+	slices.SortFunc(kids, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 	cursor := tin + 1
 	for _, k := range kids {
 		if k.lo != cursor || k.hi <= k.lo {
@@ -99,23 +102,33 @@ func dfsJudge(v, n int, nb []int, own []int, got [][]int) bool {
 
 // VerifyDFSTree runs the DFS-tree verifier on an arbitrary (possibly
 // adversarial) label assignment.
-func VerifyDFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	n := g.N()
-	judge := func(v int, got [][]int) bool {
-		return dfsJudge(v, n, g.Neighbors(v), labels[v], got)
+func (vf *Verifier) VerifyDFSTree(labels [][]int) (*Verdict, error) {
+	n := vf.g.N()
+	judge := func(v int, nb []int, got [][]int) bool {
+		return dfsJudge(v, n, nb, labels[v], got)
 	}
-	return certify(g, "dfs", labels, dfsWords, judge,
-		dist.DFSOrderOps(n).Plus(dist.Ops{TreeAgg: 1}), opt)
+	return vf.certify("dfs", labels, dfsWords, judge, dist.DFSOrderOps(n).Plus(dist.Ops{TreeAgg: 1}))
 }
 
 // CertifyDFSTree proves and verifies that the parent array is a DFS tree of
-// g rooted at root.
-func CertifyDFSTree(g *graph.Graph, root int, parent []int, opt Options) (*Verdict, error) {
-	labels, err := ProveDFSTree(g, root, parent)
+// the Verifier's graph rooted at root.
+func (vf *Verifier) CertifyDFSTree(root int, parent []int) (*Verdict, error) {
+	labels, err := ProveDFSTree(vf.g, root, parent)
 	if err != nil {
 		return nil, err
 	}
-	return VerifyDFSTree(g, labels, opt)
+	return vf.VerifyDFSTree(labels)
+}
+
+// VerifyDFSTree runs the DFS-tree verifier on a fresh Verifier of g.
+func VerifyDFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).VerifyDFSTree(labels)
+}
+
+// CertifyDFSTree proves and verifies that the parent array is a DFS tree of
+// g rooted at root, on a fresh Verifier.
+func CertifyDFSTree(g *graph.Graph, root int, parent []int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).CertifyDFSTree(root, parent)
 }
 
 // CheckDFSTree is the centralized oracle: the ancestry check of every graph

@@ -7,7 +7,6 @@ import (
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -53,10 +52,11 @@ func ProveEmbedding(emb *planar.Embedding) [][]int {
 
 // VerifyEmbedding runs the embedding verifier on an arbitrary (possibly
 // adversarial) label assignment. The graph must have at least one edge
-// (dart-traced faces are undefined on an edgeless graph). One network runs
-// the label exchange, the Euler-sum aggregation and the verdict
-// aggregation.
-func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+// (dart-traced faces are undefined on an edgeless graph). The label
+// exchange, the Euler-sum aggregation and the verdict aggregation all run
+// on the Verifier's network.
+func (vf *Verifier) VerifyEmbedding(labels [][]int) (*Verdict, error) {
+	g := vf.g
 	n := g.N()
 	if g.M() == 0 {
 		return nil, fmt.Errorf("cert: embedding certification needs at least one edge")
@@ -64,17 +64,17 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 	if err := validateLabels(n, labels, embWords); err != nil {
 		return nil, err
 	}
-	tr := trace.OrNop(opt.Tracer)
+	tr := trace.OrNop(vf.tracer)
 	sp := tr.StartSpan(trace.LayerCert, "cert.embedding")
 	defer sp.End()
-	tree, err := spanning.BFSTree(g, 0)
+	tree, err := vf.bfsTree()
 	if err != nil {
 		return nil, err
 	}
 	proverRounds := chargeProver(g, tree, tr, dist.Ops{PA: 1, TreeAgg: 3}, embWords)
-	judge := func(v int, got [][]int) bool {
+	judge := func(v int, nb []int, got [][]int) bool {
 		deg, fl := labels[v][0], labels[v][1]
-		if deg != g.Degree(v) {
+		if deg != len(nb) {
 			return false
 		}
 		if fl < 0 || fl > deg {
@@ -88,8 +88,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 		return true
 	}
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	nw := opt.network(g)
-	accepts, vrounds, stats, err := runExchange(nw, labels, embWords, judge)
+	accepts, vrounds, stats, err := vf.runExchange(labels, embWords, judge)
 	if err != nil {
 		vsp.End()
 		return nil, err
@@ -104,7 +103,7 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 		contrib[v] = 2 - labels[v][0] + 2*labels[v][1]
 	}
 	esp := tr.StartSpan(trace.LayerCert, "cert.euler-sum")
-	eulerSum, srounds, err := aggregate(nw, tree, contrib, congest.OpSum)
+	eulerSum, srounds, err := vf.Aggregate(contrib, congest.OpSum)
 	if err != nil {
 		esp.End()
 		return nil, err
@@ -113,11 +112,9 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 	esp.SetAttr("sum", int64(eulerSum))
 	esp.End()
 	if eulerSum != 4 {
-		for v := range accepts {
-			accepts[v] = 0
-		}
+		clear(accepts)
 	}
-	verdict, err := finishVerdict(nw, tree, "embedding", accepts, tr)
+	verdict, err := vf.finishVerdict("embedding", accepts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -132,9 +129,30 @@ func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, err
 	return verdict, nil
 }
 
-// CertifyEmbedding proves and verifies the Euler sanity of emb.
+// CertifyEmbedding proves and verifies the Euler sanity of emb, an
+// embedding of the Verifier's graph.
+func (vf *Verifier) CertifyEmbedding(emb *planar.Embedding) (*Verdict, error) {
+	if emb == nil {
+		return nil, fmt.Errorf("cert: nil embedding")
+	}
+	if emb.Graph() != vf.g {
+		return nil, fmt.Errorf("cert: embedding of another graph")
+	}
+	return vf.VerifyEmbedding(ProveEmbedding(emb))
+}
+
+// VerifyEmbedding runs the embedding verifier on a fresh Verifier of g.
+func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).VerifyEmbedding(labels)
+}
+
+// CertifyEmbedding proves and verifies the Euler sanity of emb on a fresh
+// Verifier of its graph.
 func CertifyEmbedding(emb *planar.Embedding, opt Options) (*Verdict, error) {
-	return VerifyEmbedding(emb.Graph(), ProveEmbedding(emb), opt)
+	if emb == nil {
+		return nil, fmt.Errorf("cert: nil embedding")
+	}
+	return NewVerifier(emb.Graph(), opt).CertifyEmbedding(emb)
 }
 
 // CheckEmbedding is the centralized oracle: the embedding's own validation

@@ -7,7 +7,6 @@ import (
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
 	"planardfs/internal/separator"
-	"planardfs/internal/spanning"
 )
 
 // The cycle-separator scheme. Label layout (11 words), field indices below:
@@ -94,10 +93,14 @@ func SeparatorSides(g *graph.Graph, path []int) ([]int, error) {
 	return side, nil
 }
 
-// ProveSeparator assigns the separator labels: a BFS spanning tree from
+// ProveSeparator assigns the separator labels: the BFS spanning tree from
 // vertex 0, the path positions, the greedy side assignment, and the
 // per-subtree class counts.
-func ProveSeparator(g *graph.Graph, sep *separator.Separator) ([][]int, error) {
+func (vf *Verifier) ProveSeparator(sep *separator.Separator) ([][]int, error) {
+	if sep == nil {
+		return nil, fmt.Errorf("cert: nil separator")
+	}
+	g := vf.g
 	n := g.N()
 	if len(sep.Path) == 0 {
 		return nil, fmt.Errorf("cert: empty separator path")
@@ -119,20 +122,22 @@ func ProveSeparator(g *graph.Graph, sep *separator.Separator) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := spanning.BFSTree(g, 0)
+	tree, err := vf.bfsTree()
 	if err != nil {
 		return nil, err
 	}
-	// Subtree class counts, children before parents (descending depth).
+	// Subtree class counts, children before parents: every subtree follows
+	// its root in preorder, so reverse preorder visits it first.
 	order := make([]int, n)
 	for v := range order {
-		order[v] = v
+		tin, _ := tree.Interval(v)
+		order[tin] = v
 	}
-	sort.Slice(order, func(i, j int) bool { return tree.Depth[order[i]] > tree.Depth[order[j]] })
 	sS := make([]int, n)
 	sA := make([]int, n)
 	sB := make([]int, n)
-	for _, v := range order {
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
 		sS[v] += boolToInt(side[v] == 0)
 		sA[v] += boolToInt(side[v] == 1)
 		sB[v] += boolToInt(side[v] == 2)
@@ -158,6 +163,12 @@ func ProveSeparator(g *graph.Graph, sep *separator.Separator) ([][]int, error) {
 			pos[v], side[v], L, cntA, cntB, sS[v], sA[v], sB[v]}
 	}
 	return labels, nil
+}
+
+// ProveSeparator assigns the separator labels of sep on a fresh Verifier
+// of g.
+func ProveSeparator(g *graph.Graph, sep *separator.Separator) ([][]int, error) {
+	return NewVerifier(g, Options{}).ProveSeparator(sep)
 }
 
 // sepJudge is the local separator predicate at v.
@@ -222,24 +233,35 @@ func sepJudge(v, n int, nb []int, own []int, got [][]int) bool {
 
 // VerifySeparator runs the separator verifier on an arbitrary (possibly
 // adversarial) label assignment.
-func VerifySeparator(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	n := g.N()
-	judge := func(v int, got [][]int) bool {
-		return sepJudge(v, n, g.Neighbors(v), labels[v], got)
+func (vf *Verifier) VerifySeparator(labels [][]int) (*Verdict, error) {
+	n := vf.g.N()
+	judge := func(v int, nb []int, got [][]int) bool {
+		return sepJudge(v, n, nb, labels[v], got)
 	}
-	return certify(g, "separator", labels, sepWords, judge,
-		dist.SpanningForestOps(n).Plus(dist.Ops{PA: 2, TreeAgg: 3}), opt)
+	return vf.certify("separator", labels, sepWords, judge,
+		dist.SpanningForestOps(n).Plus(dist.Ops{PA: 2, TreeAgg: 3}))
 }
 
 // CertifySeparator proves and verifies the separator property of sep: its
-// path is simple with consecutive vertices adjacent in g, and removing it
-// leaves components of at most 2n/3 vertices.
-func CertifySeparator(g *graph.Graph, sep *separator.Separator, opt Options) (*Verdict, error) {
-	labels, err := ProveSeparator(g, sep)
+// path is simple with consecutive vertices adjacent in the Verifier's
+// graph, and removing it leaves components of at most 2n/3 vertices.
+func (vf *Verifier) CertifySeparator(sep *separator.Separator) (*Verdict, error) {
+	labels, err := vf.ProveSeparator(sep)
 	if err != nil {
 		return nil, err
 	}
-	return VerifySeparator(g, labels, opt)
+	return vf.VerifySeparator(labels)
+}
+
+// VerifySeparator runs the separator verifier on a fresh Verifier of g.
+func VerifySeparator(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).VerifySeparator(labels)
+}
+
+// CertifySeparator proves and verifies the separator property of sep on a
+// fresh Verifier of g.
+func CertifySeparator(g *graph.Graph, sep *separator.Separator, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).CertifySeparator(sep)
 }
 
 // CheckSeparator is the centralized oracle for the certified separator

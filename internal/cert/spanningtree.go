@@ -67,22 +67,36 @@ func spanningJudge(v, n int, nb []int, own []int, got [][]int, words int) bool {
 
 // VerifySpanningTree runs the spanning-tree verifier on an arbitrary
 // (possibly adversarial) label assignment.
-func VerifySpanningTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	n := g.N()
-	judge := func(v int, got [][]int) bool {
-		return spanningJudge(v, n, g.Neighbors(v), labels[v], got, spanningWords)
+func (vf *Verifier) VerifySpanningTree(labels [][]int) (*Verdict, error) {
+	n := vf.g.N()
+	judge := func(v int, nb []int, got [][]int) bool {
+		return spanningJudge(v, n, nb, labels[v], got, spanningWords)
 	}
-	return certify(g, "spanning", labels, spanningWords, judge,
-		dist.Ops{PA: 1, TreeAgg: 1}, opt)
+	return vf.certify("spanning", labels, spanningWords, judge, dist.Ops{PA: 1, TreeAgg: 1})
 }
 
 // CertifySpanningTree proves and verifies that t is a rooted spanning tree
-// of g.
-func CertifySpanningTree(g *graph.Graph, t *spanning.Tree, opt Options) (*Verdict, error) {
-	if t.N() != g.N() {
-		return nil, fmt.Errorf("cert: tree over %d vertices for a graph of %d", t.N(), g.N())
+// of the Verifier's graph.
+func (vf *Verifier) CertifySpanningTree(t *spanning.Tree) (*Verdict, error) {
+	if t == nil {
+		return nil, fmt.Errorf("cert: nil spanning tree")
 	}
-	return VerifySpanningTree(g, ProveSpanningTree(t), opt)
+	if t.N() != vf.g.N() {
+		return nil, fmt.Errorf("cert: tree over %d vertices for a graph of %d", t.N(), vf.g.N())
+	}
+	return vf.VerifySpanningTree(ProveSpanningTree(t))
+}
+
+// VerifySpanningTree runs the spanning-tree verifier on a fresh Verifier
+// of g.
+func VerifySpanningTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).VerifySpanningTree(labels)
+}
+
+// CertifySpanningTree proves and verifies that t is a rooted spanning tree
+// of g on a fresh Verifier.
+func CertifySpanningTree(g *graph.Graph, t *spanning.Tree, opt Options) (*Verdict, error) {
+	return NewVerifier(g, opt).CertifySpanningTree(t)
 }
 
 // CheckSpanningTree is the centralized oracle: t is a spanning tree of g

@@ -1,0 +1,158 @@
+package cert_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"planardfs/internal/cert"
+	"planardfs/internal/gen"
+	"planardfs/internal/graph"
+	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
+)
+
+// certRun is one certification, runnable on a shared Verifier or through
+// the one-shot package functions with the given options.
+type certRun struct {
+	name    string
+	shared  func(vf *cert.Verifier) (*cert.Verdict, error)
+	oneShot func(opt cert.Options) (*cert.Verdict, error)
+	ok      bool
+}
+
+// mutate copies labels and bumps word w of vertex v.
+func mutate(labels [][]int, v, w int) [][]int {
+	out := make([][]int, len(labels))
+	for u := range labels {
+		out[u] = append([]int(nil), labels[u]...)
+	}
+	out[v][w]++
+	return out
+}
+
+// certRuns lists accepting and mutated-label rejecting runs of every
+// scheme over in.
+func certRuns(t *testing.T, in *gen.Instance) []certRun {
+	t.Helper()
+	g := in.G
+	n := g.N()
+	bfs, err := spanning.BFSTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := spanning.DeepDFSTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep := findSeparator(t, in)
+	spanLabels := cert.ProveSpanningTree(bfs)
+	bfsLabels := cert.ProveBFSTree(0, bfs.Parent, bfs.Depth)
+	dfsLabels, err := cert.ProveDFSTree(g, 0, deep.Parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sepLabels, err := cert.ProveSeparator(g, sep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	embLabels := cert.ProveEmbedding(in.Emb)
+
+	verify := func(name string, labels [][]int, ok bool,
+		shared func(*cert.Verifier, [][]int) (*cert.Verdict, error),
+		oneShot func(*graph.Graph, [][]int, cert.Options) (*cert.Verdict, error)) certRun {
+		return certRun{
+			name:    name,
+			shared:  func(vf *cert.Verifier) (*cert.Verdict, error) { return shared(vf, labels) },
+			oneShot: func(opt cert.Options) (*cert.Verdict, error) { return oneShot(g, labels, opt) },
+			ok:      ok,
+		}
+	}
+	return []certRun{
+		{"certify-spanning", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifySpanningTree(bfs) },
+			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifySpanningTree(g, bfs, opt) }, true},
+		{"certify-bfs", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyBFSTree(0, bfs.Parent, bfs.Depth) },
+			func(opt cert.Options) (*cert.Verdict, error) {
+				return cert.CertifyBFSTree(g, 0, bfs.Parent, bfs.Depth, opt)
+			}, true},
+		{"certify-dfs", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyDFSTree(0, deep.Parent) },
+			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifyDFSTree(g, 0, deep.Parent, opt) }, true},
+		{"certify-separator", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifySeparator(sep) },
+			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifySeparator(g, sep, opt) }, true},
+		{"certify-embedding", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyEmbedding(in.Emb) },
+			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifyEmbedding(in.Emb, opt) }, true},
+		verify("bad-spanning-root", mutate(spanLabels, n-1, 0), false,
+			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+		verify("bad-spanning-depth", mutate(spanLabels, n/2, 2), false,
+			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+		verify("bad-bfs-dist", mutate(bfsLabels, n-1, 2), false,
+			(*cert.Verifier).VerifyBFSTree, cert.VerifyBFSTree),
+		verify("bad-dfs-interval", mutate(dfsLabels, n/3, 2), false,
+			(*cert.Verifier).VerifyDFSTree, cert.VerifyDFSTree),
+		verify("bad-separator-count", mutate(sepLabels, 0, 9), false,
+			(*cert.Verifier).VerifySeparator, cert.VerifySeparator),
+		verify("bad-embedding-leader", mutate(embLabels, 1, 1), false,
+			(*cert.Verifier).VerifyEmbedding, cert.VerifyEmbedding),
+		verify("short-labels", spanLabels[1:], false,
+			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+	}
+}
+
+// TestVerifierMatchesOneShot runs every scheme's accepting and rejecting
+// certifications on one shared Verifier per graph, in the listed order and
+// in two seeded interleavings (so runs follow rejections and other
+// schemes), against the one-shot package functions in the same order:
+// errors, verdicts (rejectors, rounds, statistics) and the JSONL traces of
+// the whole sequence must be identical.
+func TestVerifierMatchesOneShot(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		n      int
+	}{{"stacked", 70}, {"grid", 64}, {"wheel", 20}, {"cylinderish", 150}} {
+		t.Run(fmt.Sprintf("%s-%d", tc.family, tc.n), func(t *testing.T) {
+			in := instance(t, tc.family, tc.n)
+			runs := certRuns(t, in)
+			orders := [][]int{nil, nil, nil}
+			for i := range runs {
+				orders[0] = append(orders[0], i)
+			}
+			for s := 1; s < len(orders); s++ {
+				orders[s] = rand.New(rand.NewSource(int64(s))).Perm(len(runs))
+			}
+			for oi, order := range orders {
+				sharedRec, oneRec := trace.NewRecorder(), trace.NewRecorder()
+				vf := cert.NewVerifier(in.G, cert.Options{Tracer: sharedRec})
+				for _, i := range order {
+					r := runs[i]
+					got, gerr := r.shared(vf)
+					want, werr := r.oneShot(cert.Options{Tracer: oneRec})
+					if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+						t.Fatalf("order %d, %s: shared error %v, one-shot error %v", oi, r.name, gerr, werr)
+					}
+					if werr != nil {
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("order %d, %s: shared verdict\n%+v\none-shot verdict\n%+v", oi, r.name, got, want)
+					}
+					if got.OK != r.ok {
+						t.Fatalf("order %d, %s: verdict OK=%v, want %v", oi, r.name, got.OK, r.ok)
+					}
+				}
+				var sharedJSONL, oneJSONL bytes.Buffer
+				if err := sharedRec.WriteJSONL(&sharedJSONL); err != nil {
+					t.Fatal(err)
+				}
+				if err := oneRec.WriteJSONL(&oneJSONL); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sharedJSONL.Bytes(), oneJSONL.Bytes()) {
+					t.Fatalf("order %d: shared and one-shot JSONL traces differ (%d vs %d bytes)",
+						oi, sharedJSONL.Len(), oneJSONL.Len())
+				}
+			}
+		})
+	}
+}

@@ -29,6 +29,14 @@ func stageNetwork(g *graph.Graph, opt cert.Options) *congest.Network {
 // plan's message-level faults, certified by the DFS proof-labeling scheme.
 // Its result is the claimed parent array.
 func AwerbuchDFS(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[[]int] {
+	return AwerbuchDFSOn(cert.NewVerifier(g, opt), root, plan)
+}
+
+// AwerbuchDFSOn is AwerbuchDFS certified on the caller's Verifier. Each
+// attempt still runs on a fresh network of the Verifier's graph, traced
+// per its options.
+func AwerbuchDFSOn(vf *cert.Verifier, root int, plan *Plan) Stage[[]int] {
+	g, opt := vf.Graph(), vf.Options()
 	var fired Counts
 	return Stage[[]int]{
 		Name:          "awerbuch",
@@ -50,23 +58,30 @@ func AwerbuchDFS(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[[
 			}
 			return parent, rounds, nil
 		},
-		Certify: DFSCertifier(g, root, opt),
+		Certify: DFSCertifierOn(vf, root),
 		Faults:  func() Counts { return fired },
 	}
 }
 
 // DFSCertifier judges a claimed DFS parent array with the DFS
-// proof-labeling scheme. Malformed arrays (cycles, orphans, out-of-range
-// parents) fail the prover's structural validation before any network
-// runs; that is an explicit rejection of the claim, not an infrastructure
-// error.
+// proof-labeling scheme, certifying every claim on one fresh Verifier of
+// g. Malformed arrays (cycles, orphans, out-of-range parents) fail the
+// prover's structural validation before any network runs; that is an
+// explicit rejection of the claim, not an infrastructure error.
 func DFSCertifier(g *graph.Graph, root int, opt cert.Options) func([]int) (Certification, error) {
+	return DFSCertifierOn(cert.NewVerifier(g, opt), root)
+}
+
+// DFSCertifierOn is DFSCertifier on the caller's Verifier, so a caller
+// that certifies more of the same graph shares its network, BFS tree and
+// programs with every DFS claim.
+func DFSCertifierOn(vf *cert.Verifier, root int) func([]int) (Certification, error) {
 	return func(parent []int) (Certification, error) {
-		labels, err := cert.ProveDFSTree(g, root, parent)
+		labels, err := cert.ProveDFSTree(vf.Graph(), root, parent)
 		if err != nil {
 			return Certification{Detail: "structural precheck: " + err.Error()}, nil
 		}
-		v, err := cert.VerifyDFSTree(g, labels, opt)
+		v, err := vf.VerifyDFSTree(labels)
 		if err != nil {
 			return Certification{}, err
 		}
@@ -83,8 +98,9 @@ type BFSOutput struct {
 // BFSTreeStage is the flooding BFS as a supervised stage under the plan's
 // message-level faults, certified by the BFS-tree proof-labeling scheme —
 // the gap judge rejects the shallow-but-wrong spanning trees a dropped
-// announce can leave behind.
+// announce can leave behind. Every attempt is certified on one Verifier.
 func BFSTreeStage(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[BFSOutput] {
+	vf := cert.NewVerifier(g, opt)
 	var fired Counts
 	return Stage[BFSOutput]{
 		Name:          "bfs",
@@ -109,7 +125,7 @@ func BFSTreeStage(g *graph.Graph, root int, plan *Plan, opt cert.Options) Stage[
 			return out, rounds, nil
 		},
 		Certify: func(out BFSOutput) (Certification, error) {
-			v, err := cert.VerifyBFSTree(g, cert.ProveBFSTree(root, out.Parent, out.Dist), opt)
+			v, err := vf.VerifyBFSTree(cert.ProveBFSTree(root, out.Parent, out.Dist))
 			if err != nil {
 				return Certification{}, err
 			}

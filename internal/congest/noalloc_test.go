@@ -132,3 +132,51 @@ func TestNetworkRunReuseAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPAProgramReuseAllocs is the runtime gate behind the
+// //planarvet:noalloc annotation on PAProgram.Reset: once a PA program has
+// run a single-part aggregation, resetting it and running it again on the
+// same Network allocates nothing on grids of n = 1024 and n = 4096 alike —
+// the queues, part sets, finals, outboxes and the argument arena are
+// rewound in place, so the cost does not grow with n.
+func TestPAProgramReuseAllocs(t *testing.T) {
+	perRun := func(side int) float64 {
+		g := gridGraph(t, side, side)
+		n := g.N()
+		parent := make([]int, n)
+		for v := range parent {
+			// A spanning tree of the grid: up the first column, then left
+			// along each row.
+			switch {
+			case v == 0:
+				parent[v] = -1
+			case v%side == 0:
+				parent[v] = v - side
+			default:
+				parent[v] = v - 1
+			}
+		}
+		partOf := make([]int, n)
+		value := make([]int, n)
+		for v := range value {
+			value[v] = v % 7
+		}
+		nw := New(g)
+		prog := NewPAProgram(nw, parent, 0)
+		run := func() {
+			if _, err := nw.Run(prog.Reset(partOf, value, OpSum), 20*(2*side+11)); err != nil {
+				t.Fatal(err)
+			}
+			if r := prog.Node(n - 1); !r.HasResult || r.Result != prog.Node(0).Result {
+				t.Fatalf("vertex %d holds %d (has=%v), root %d", n-1, r.Result, r.HasResult, prog.Node(0).Result)
+			}
+		}
+		run() // builds the engine and the root's finals
+		return testing.AllocsPerRun(10, run)
+	}
+	for _, side := range []int{32, 64} {
+		if allocs := perRun(side); allocs != 0 {
+			t.Errorf("n=%d: a reused single-part aggregation allocates %.1f times, want 0", side*side, allocs)
+		}
+	}
+}

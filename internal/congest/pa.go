@@ -118,7 +118,7 @@ func (a *paWords) pack(kind int, p paPair) Message {
 // Completion takes O(depth + k) rounds for k parts.
 //
 // The state is flat: per-child state lives in a slice indexed by child, a
-// port→child table routes upcast messages, and NewPANodes carves every
+// port→child table routes upcast messages, and NewPAProgram carves every
 // node's fixed state and its reused outbox from shared backing arrays.
 type PANode struct {
 	op         AggOp
@@ -147,10 +147,22 @@ type PANode struct {
 	HasResult bool
 }
 
-// NewPANodes builds the part-wise aggregation programs. parent describes a
-// spanning tree of the whole network rooted at root; partOf and value give
-// each node's part and input.
-func NewPANodes(nw *Network, parent []int, root int, partOf, value []int, op AggOp) []Node {
+// PAProgram is the set of part-wise aggregation programs of one network
+// over one spanning tree. NewPAProgram builds the tree-shaped state once —
+// the node array, the children and their queue backings, the port tables,
+// the outboxes and the argument arena — and Reset readies it for another
+// aggregation in place, so a caller that aggregates repeatedly over the same
+// tree pays the setup once. The programs are not safe for concurrent runs.
+type PAProgram struct {
+	pns   []PANode
+	nodes []Node
+	words *paWords
+}
+
+// NewPAProgram builds the aggregation programs of nw over the spanning tree
+// described by parent and rooted at root. Reset must set their parts,
+// values and operator before each run.
+func NewPAProgram(nw *Network, parent []int, root int) *PAProgram {
 	g := nw.G
 	n := g.N()
 	// Children by counting sort, so each vertex's children are a contiguous
@@ -189,25 +201,19 @@ func NewPANodes(nw *Network, parent []int, root int, partOf, value []int, op Agg
 	ports := make([]int32, 2*g.M())
 	outBack := make([]Outgoing, n+len(kids))
 	// A single-part run sends at most 2(n-1) pairs of two words: one chunk.
-	words := &paWords{chunk: 4*n + 4}
-	pns := make([]PANode, n)
-	nodes := make([]Node, n)
+	prog := &PAProgram{pns: make([]PANode, n), nodes: make([]Node, n), words: &paWords{chunk: 4*n + 4}}
 	portBase, outBase := 0, 0
 	for v := 0; v < n; v++ {
 		inc := g.IncidentEdges(v)
 		nk := first[v+1] - first[v]
-		pn := &pns[v]
+		pn := &prog.pns[v]
 		*pn = PANode{
-			op:         op,
-			part:       partOf[v],
-			value:      value[v],
 			parentPort: -1,
 			isRoot:     v == root,
-			ownPending: true,
 			kids:       kids[first[v]:first[v+1]:first[v+1]],
 			portChild:  ports[portBase : portBase+len(inc) : portBase+len(inc)],
 			out:        outBack[outBase : outBase : outBase+1+nk],
-			words:      words,
+			words:      prog.words,
 		}
 		portBase += len(inc)
 		outBase += 1 + nk
@@ -226,9 +232,48 @@ func NewPANodes(nw *Network, parent []int, root int, partOf, value []int, op Agg
 				}
 			}
 		}
-		nodes[v] = pn
+		prog.nodes[v] = pn
 	}
-	return nodes
+	return prog
+}
+
+// Reset readies every program for an aggregation of value under op, with
+// partOf giving each node's part, and returns the nodes to run. It rewinds
+// all run state in place — the children's queues, part sets and end flags,
+// the pending, done and result flags, the root's finals and the argument
+// arena — whether the previous run finished or was aborted. The previous
+// run must be over: the arena is overwritten from its start.
+//
+//planarvet:noalloc TestPAProgramReuseAllocs
+func (p *PAProgram) Reset(partOf, value []int, op AggOp) []Node {
+	p.words.buf = p.words.buf[:0]
+	for v := range p.pns {
+		pn := &p.pns[v]
+		pn.op, pn.part, pn.value = op, partOf[v], value[v]
+		pn.ownPending, pn.upDone, pn.recvEnd = true, false, false
+		pn.finals = pn.finals[:0]
+		pn.Result, pn.HasResult = 0, false
+		pn.out = pn.out[:0]
+		for i := range pn.kids {
+			c := &pn.kids[i]
+			c.buf.items, c.buf.head = c.buf.items[:0], 0
+			c.down.items, c.down.head = c.down.items[:0], 0
+			c.below = c.below[:0]
+			c.ended, c.downEnd = false, false
+		}
+	}
+	return p.nodes
+}
+
+// Node returns the program of vertex v, whose Result and HasResult hold
+// the outcome of the last run.
+func (p *PAProgram) Node(v int) *PANode { return &p.pns[v] }
+
+// NewPANodes builds the part-wise aggregation programs for one run. parent
+// describes a spanning tree of the whole network rooted at root; partOf and
+// value give each node's part and input.
+func NewPANodes(nw *Network, parent []int, root int, partOf, value []int, op AggOp) []Node {
+	return NewPAProgram(nw, parent, root).Reset(partOf, value, op)
 }
 
 // child returns the state of the child on port, or nil if port leads to

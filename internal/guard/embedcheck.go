@@ -3,10 +3,9 @@ package guard
 import (
 	"fmt"
 
+	"planardfs/internal/cert"
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -43,13 +42,15 @@ import (
 // [senderID, senderDeg, posOfReceiverInSenderRotation].
 const msgGuardLink = 1
 
-// rotNode is the per-vertex checker program.
+// rotNode is the per-vertex checker program. Every vertex's neighbour row,
+// rotation positions, outbox and message arguments are carved from flat
+// arrays shared by the run.
 type rotNode struct {
-	info    congest.NodeInfo
-	deg     int
+	nb      []int // nb[p] is the neighbour on port p
 	localOK bool
-	// posOf[p] is the index of Neighbors[p] in the claimed rotation, or -1.
+	// posOf[p] is the index of nb[p] in the claimed rotation, or -1.
 	posOf  []int
+	out    []congest.Outgoing // the round-0 link messages, one per port
 	got    int
 	accept bool
 	judged bool
@@ -57,65 +58,58 @@ type rotNode struct {
 
 // Round implements congest.Node.
 func (rn *rotNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
+	deg := len(rn.nb)
 	if round == 0 {
-		if rn.deg == 0 {
+		rn.accept = rn.localOK
+		if deg == 0 {
 			// Isolated vertex: nothing to exchange; the local half is the
 			// whole judgment (connectivity is rejected elsewhere).
-			rn.accept = rn.localOK
 			rn.judged = true
 			return nil, true
 		}
-		out := make([]congest.Outgoing, rn.deg)
-		for p := range out {
-			out[p] = congest.Outgoing{Port: p, Msg: congest.Message{
-				Kind: msgGuardLink,
-				Args: []int{rn.info.ID, rn.deg, rn.posOf[p]},
-			}}
-		}
-		rn.accept = rn.localOK
-		return out, false
+		return rn.out, false
 	}
 	if rn.judged {
 		return nil, true
 	}
 	for _, in := range recv {
-		if in.Msg.Kind != msgGuardLink || in.Port < 0 || in.Port >= rn.deg {
+		if in.Msg.Kind != msgGuardLink || in.Port < 0 || in.Port >= deg {
 			rn.accept = false
 			continue
 		}
 		a := in.Msg.Args
 		// Judge on arrival: the args slice points into the sender's
 		// outbox, which is stable during this step phase only.
-		if len(a) != 3 || a[0] != rn.info.Neighbors[in.Port] || a[2] < 0 || a[2] >= a[1] {
+		if len(a) != 3 || a[0] != rn.nb[in.Port] || a[2] < 0 || a[2] >= a[1] {
 			rn.accept = false
 		}
 		rn.got++
 	}
-	if rn.got >= rn.deg {
+	if rn.got >= deg {
 		rn.judged = true
 		return nil, true
 	}
 	return nil, false
 }
 
-// buildRotNode precomputes the local half of the check for vertex v.
-func buildRotNode(info congest.NodeInfo, rot []int) *rotNode {
-	rn := &rotNode{info: info, deg: len(info.Neighbors)}
-	rn.posOf = make([]int, rn.deg)
+// checkRotation precomputes the local half of the check from the claimed
+// rotation: it fills posOf and sets localOK. portOf is a work array with one
+// zero slot per vertex, which it uses to map a neighbour to its port plus
+// one and leaves zeroed again.
+func (rn *rotNode) checkRotation(rot []int, portOf []int) {
+	for p, w := range rn.nb {
+		portOf[w] = p + 1
+	}
 	for p := range rn.posOf {
 		rn.posOf[p] = -1
 	}
-	port := make(map[int]int, rn.deg)
-	for p, w := range info.Neighbors {
-		port[w] = p
-	}
-	rn.localOK = len(rot) == rn.deg
+	rn.localOK = len(rot) == len(rn.nb)
 	for i, w := range rot {
-		p, isNbr := port[w]
-		if !isNbr {
-			rn.localOK = false
+		if w < 0 || w >= len(portOf) || portOf[w] == 0 {
+			rn.localOK = false // non-neighbour entry
 			continue
 		}
+		p := portOf[w] - 1
 		if rn.posOf[p] != -1 {
 			rn.localOK = false // duplicate entry (simple graph: one dart per neighbour)
 			continue
@@ -130,55 +124,68 @@ func buildRotNode(info congest.NodeInfo, rot []int) *rotNode {
 			}
 		}
 	}
-	return rn
+	for _, w := range rn.nb {
+		portOf[w] = 0
+	}
 }
 
 // runRotationCheck executes the distributed rotation/endpoint check over
-// the claimed rotations on nw and aggregates the verdict over tree. It
-// returns the rejecting vertices (nil on acceptance) with the measured
-// cost.
-func runRotationCheck(nw *congest.Network, tree *spanning.Tree, rot [][]int, opt Options) (rejectors []int, rounds int, messages int64, err error) {
+// the claimed rotations on vf's network and aggregates the verdict over
+// its BFS tree. It returns the rejecting vertices (nil on acceptance) with
+// the measured cost.
+func runRotationCheck(vf *cert.Verifier, rot [][]int, opt Options) (rejectors []int, rounds int, messages int64, err error) {
+	nw := vf.Network()
 	n := nw.G.N()
+	ports := 2 * nw.G.M()
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.rotation")
 	defer sp.End()
 
+	rns := make([]rotNode, n)
 	nodes := make([]congest.Node, n)
-	rns := make([]*rotNode, n)
-	for v := 0; v < n; v++ {
+	posOf := make([]int, ports)
+	out := make([]congest.Outgoing, ports)
+	args := make([]int, 3*ports)
+	portOf := make([]int, n)
+	base := 0
+	for v := range rns {
 		var claimed []int
 		if v < len(rot) {
 			claimed = rot[v]
 		}
-		rn := buildRotNode(nw.Info(v), claimed)
-		rns[v] = rn
+		nb := vf.Neighbors(v)
+		end := base + len(nb)
+		rn := &rns[v]
+		*rn = rotNode{nb: nb, posOf: posOf[base:end:end], out: out[base:end:end]}
+		rn.checkRotation(claimed, portOf)
+		for p := range rn.out {
+			a := args[3*(base+p) : 3*(base+p)+3 : 3*(base+p)+3]
+			a[0], a[1], a[2] = v, len(nb), rn.posOf[p]
+			rn.out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgGuardLink, Args: a}}
+		}
 		nodes[v] = rn
+		base = end
 	}
 	r1, err := nw.Run(nodes, 8)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: rotation exchange: %w", err)
 	}
-	st := nw.Stats()
 	rounds = r1
-	messages = st.Messages
+	messages = nw.Stats().Messages
 
 	accepts := make([]int, n)
-	for v, rn := range rns {
-		if rn.accept && rn.judged {
+	for v := range rns {
+		if rns[v].accept && rns[v].judged {
 			accepts[v] = 1
 		}
 	}
-	part, err := shortcut.NewPartition(make([]int, n))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	res, err := shortcut.RunPAOn(nw, tree, part, accepts, congest.OpMin)
+	agg, r2, err := vf.Aggregate(accepts, congest.OpMin)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: rotation aggregation: %w", err)
 	}
-	rounds += res.Rounds
-	messages += res.Stats.Messages
-	if res.Values[0] == 1 {
+	rounds += r2
+	messages += nw.Stats().Messages
+	if agg == 1 {
 		sp.SetAttr("ok", 1)
 		return nil, rounds, messages, nil
 	}

@@ -37,8 +37,6 @@ import (
 	"errors"
 	"fmt"
 
-	"planardfs/internal/congest"
-	"planardfs/internal/graph"
 	"planardfs/internal/trace"
 )
 
@@ -187,15 +185,6 @@ type Options struct {
 	// Exhaustive sweeps every vertex as a ball center instead of sampling
 	// — the deterministic mode the corpus gate and fixtures rely on.
 	Exhaustive bool
-}
-
-// network builds the CONGEST network one validation runs all its node
-// programs on: the rotation exchange, both aggregations and every ball
-// probe fit the default 4-word messages, so they share its round engine.
-func (o Options) network(g *graph.Graph) *congest.Network {
-	nw := congest.New(g)
-	nw.Tracer = o.Tracer
-	return nw
 }
 
 // radius returns the effective ball radius.

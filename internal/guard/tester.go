@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"planardfs/internal/cert"
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -195,9 +194,11 @@ func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, cent
 	return cn.nS, cn.mS2, r, nw.Stats().Messages, nil
 }
 
-// runEdgeCountCheck aggregates the degree sum distributively on nw over
-// tree and applies the global planar bound. A nil witness means acceptance.
-func runEdgeCountCheck(nw *congest.Network, tree *spanning.Tree, opt Options) (*Witness, int, int64, error) {
+// runEdgeCountCheck aggregates the degree sum distributively on vf's
+// network over its BFS tree and applies the global planar bound. A nil
+// witness means acceptance.
+func runEdgeCountCheck(vf *cert.Verifier, opt Options) (*Witness, int, int64, error) {
+	nw := vf.Network()
 	g := nw.G
 	n := g.N()
 	tr := trace.OrNop(opt.Tracer)
@@ -207,15 +208,11 @@ func runEdgeCountCheck(nw *congest.Network, tree *spanning.Tree, opt Options) (*
 	for v := 0; v < n; v++ {
 		degs[v] = g.Degree(v)
 	}
-	part, err := shortcut.NewPartition(make([]int, n))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	res, err := shortcut.RunPAOn(nw, tree, part, degs, congest.OpSum)
+	m2, rounds, err := vf.Aggregate(degs, congest.OpSum)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
 	}
-	m2 := res.Values[0]
+	messages := nw.Stats().Messages
 	sp.SetAttr("m2", int64(m2))
 	if n >= 3 && m2 > 6*n-12 {
 		return &Witness{
@@ -223,9 +220,9 @@ func runEdgeCountCheck(nw *congest.Network, tree *spanning.Tree, opt Options) (*
 			Detail: fmt.Sprintf("%d edges on %d vertices exceeds the planar bound %d", m2/2, n, 3*n-6),
 			Vertex: -1,
 			N:      n, M: m2 / 2, Bound: 3*n - 6,
-		}, res.Rounds, res.Stats.Messages, nil
+		}, rounds, messages, nil
 	}
-	return nil, res.Rounds, res.Stats.Messages, nil
+	return nil, rounds, messages, nil
 }
 
 // runDensityCheck probes every center's ball in sequence on nw and applies

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"planardfs/internal/cert"
-	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -44,16 +42,12 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 		return v, nil
 	}
 
-	// One network and one BFS tree serve every distributed stage below
-	// (the Euler certification builds its own).
-	nw := opt.network(g)
-	tree, err := aggregationTree(g)
-	if err != nil {
-		return nil, err
-	}
+	// One certification context serves every distributed stage below:
+	// one network, one BFS tree and one aggregation program.
+	vf := cert.NewVerifier(g, cert.Options{Tracer: opt.Tracer})
 
 	// Distributed rotation/endpoint consistency.
-	rejectors, rounds, msgs, err := runRotationCheck(nw, tree, rot, opt)
+	rejectors, rounds, msgs, err := runRotationCheck(vf, rot, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +61,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 	}
 
 	// Planarity property tester (graph-level, one-sided error).
-	if !testerStages(v, nw, tree, opt) {
+	if !testerStages(v, vf, opt) {
 		return v, nil
 	}
 	if err := v.testerErr; err != nil {
@@ -81,7 +75,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 	if err != nil {
 		return nil, fmt.Errorf("guard: rotation stage accepted an unbuildable rotation system: %w", err)
 	}
-	ev, err := cert.VerifyEmbedding(g, cert.ProveEmbedding(emb), cert.Options{Tracer: opt.Tracer})
+	ev, err := vf.VerifyEmbedding(cert.ProveEmbedding(emb))
 	if err != nil {
 		return nil, fmt.Errorf("guard: euler certification: %w", err)
 	}
@@ -112,11 +106,7 @@ func ValidateGraph(g *graph.Graph, opt Options) (*Verdict, error) {
 	if !connectivityStage(v, g) {
 		return v, nil
 	}
-	tree, err := aggregationTree(g)
-	if err != nil {
-		return nil, err
-	}
-	if !testerStages(v, opt.network(g), tree, opt) {
+	if !testerStages(v, cert.NewVerifier(g, cert.Options{Tracer: opt.Tracer}), opt) {
 		return v, nil
 	}
 	if err := v.testerErr; err != nil {
@@ -153,22 +143,12 @@ func connectivityStage(v *Verdict, g *graph.Graph) bool {
 	return false
 }
 
-// aggregationTree builds the BFS tree from vertex 0 that the rotation and
-// edge-count aggregations run over.
-func aggregationTree(g *graph.Graph) (*spanning.Tree, error) {
-	tree, err := spanning.BFSTree(g, 0)
-	if err != nil {
-		return nil, fmt.Errorf("guard: aggregation tree: %w", err)
-	}
-	return tree, nil
-}
-
 // testerStages runs the distributed edge-count and ball-density stages on
-// nw, aggregating over tree. It returns false when validation must stop;
-// infrastructure errors are parked on the verdict for the caller to
-// surface.
-func testerStages(v *Verdict, nw *congest.Network, tree *spanning.Tree, opt Options) bool {
-	w, rounds, msgs, err := runEdgeCountCheck(nw, tree, opt)
+// vf's network, aggregating over its BFS tree. It returns false when
+// validation must stop; infrastructure errors are parked on the verdict
+// for the caller to surface.
+func testerStages(v *Verdict, vf *cert.Verifier, opt Options) bool {
+	w, rounds, msgs, err := runEdgeCountCheck(vf, opt)
 	if err != nil {
 		v.testerErr = err
 		return false
@@ -178,7 +158,7 @@ func testerStages(v *Verdict, nw *congest.Network, tree *spanning.Tree, opt Opti
 		v.reject(*w)
 		return false
 	}
-	w, rounds, msgs, err = runDensityCheck(nw, opt)
+	w, rounds, msgs, err = runDensityCheck(vf.Network(), opt)
 	if err != nil {
 		v.testerErr = err
 		return false

@@ -147,7 +147,11 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	dfsVerdict, err := runDFS(ctx, in, eng, opts, res)
+	// One certification context serves every DFS attempt and the certify
+	// stage; it builds its network, tree and programs at the first DFS
+	// certification.
+	vf := cert.NewVerifier(g, cert.Options{Tracer: opts.Tracer})
+	dfsVerdict, err := runDFS(ctx, in, eng, opts, res, vf)
 	if err != nil {
 		return res, err
 	}
@@ -167,16 +171,15 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	copt := cert.Options{Tracer: opts.Tracer}
 	certify := []struct {
 		scheme string
 		run    func() (*cert.Verdict, error)
 	}{
-		{"spanning", func() (*cert.Verdict, error) { return cert.CertifySpanningTree(g, res.BFS, copt) }},
+		{"spanning", func() (*cert.Verdict, error) { return vf.CertifySpanningTree(res.BFS) }},
 		// The dfs stage certified the accepted tree with the same labels,
-		// judge and network; its verdict stands.
+		// judge and Verifier; its verdict stands.
 		{"dfs", func() (*cert.Verdict, error) { return dfsVerdict, nil }},
-		{"separator", func() (*cert.Verdict, error) { return cert.CertifySeparator(g, res.Separator.Sep, copt) }},
+		{"separator", func() (*cert.Verdict, error) { return vf.CertifySeparator(res.Separator.Sep) }},
 	}
 	for _, c := range certify {
 		v, err := c.run()
@@ -192,10 +195,9 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 // its output perturbed by the plan's structural faults and certified per
 // attempt, with Awerbuch's token DFS as the fallback. It fills Recovery,
 // DFSTrace, DFSRounds, Parent and DFS, and returns the accepted attempt's
-// DFS verdict.
-func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result) (*cert.Verdict, error) {
+// DFS verdict. Both producers' attempts are certified on vf.
+func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result, vf *cert.Verifier) (*cert.Verdict, error) {
 	g, n, root := in.G, in.G.N(), res.Root
-	copt := cert.Options{Tracer: opts.Tracer}
 	cm := shortcut.PaperCost{D: res.BFS.MaxDepth(), N: n}
 	fallbacks := 0
 	find := componentFinder(eng, opts.Tracer, &fallbacks)
@@ -223,10 +225,10 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 			res.DFSRounds = dist.DFSBuildOps(n, dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1)
 			return parent, res.DFSRounds, nil
 		},
-		Certify: chaos.DFSCertifier(g, root, copt),
+		Certify: chaos.DFSCertifierOn(vf, root),
 		Faults:  func() chaos.Counts { return structural },
 	}
-	fallback := chaos.AwerbuchDFS(g, root, opts.Plan, copt)
+	fallback := chaos.AwerbuchDFSOn(vf, root, opts.Plan)
 	pol := chaos.Policy{MaxAttempts: opts.MaxAttempts, Tracer: opts.Tracer}
 	parent, rep, err := chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
 	res.Recovery = rep
@@ -250,7 +252,7 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 
 // acceptedDFSVerdict returns the verdict of the attempt the recovery
 // runtime accepted. The runtime stops at the first accepted attempt, and
-// both producers are certified by chaos.DFSCertifier, so that verdict is
+// both producers are certified by chaos.DFSCertifierOn, so that verdict is
 // the last one collected and a passing DFS verdict.
 func acceptedDFSVerdict(rep *chaos.Report) (*cert.Verdict, error) {
 	if len(rep.Verdicts) == 0 {

@@ -177,23 +177,13 @@ func RunPA(g *graph.Graph, root int, part *Partition, value []int, op congest.Ag
 
 // RunPAOn is RunPA over a caller-configured network and a caller-built
 // spanning tree of its graph: the word budget and tracer are taken from nw
-// as-is, and the aggregation runs over tree from tree.Root. The
-// certification subsystem uses it to keep a whole prove/verify/aggregate
-// run on one network configuration and one BFS tree. It rejects a value
-// array, a partition or a tree whose length is not the graph's vertex
+// as-is, and the aggregation runs over tree from tree.Root. It rejects a
+// value array, a partition or a tree whose length is not the graph's vertex
 // count, and a tree whose root or parents are not vertices of the graph.
 func RunPAOn(nw *congest.Network, tree *spanning.Tree, part *Partition, value []int, op congest.AggOp) (*PAResult, error) {
 	g := nw.G
-	if len(tree.Parent) != g.N() {
-		return nil, fmt.Errorf("shortcut: spanning tree of %d vertices for %d vertices", len(tree.Parent), g.N())
-	}
-	if tree.Root < 0 || tree.Root >= g.N() {
-		return nil, fmt.Errorf("shortcut: tree root %d out of range [0,%d)", tree.Root, g.N())
-	}
-	for v, p := range tree.Parent {
-		if v != tree.Root && (p < 0 || p >= g.N()) {
-			return nil, fmt.Errorf("shortcut: tree parent %d of vertex %d out of range [0,%d)", p, v, g.N())
-		}
+	if err := checkTree(g, tree); err != nil {
+		return nil, err
 	}
 	if len(value) != g.N() {
 		return nil, fmt.Errorf("shortcut: %d values for %d vertices", len(value), g.N())
@@ -201,18 +191,93 @@ func RunPAOn(nw *congest.Network, tree *spanning.Tree, part *Partition, value []
 	if len(part.PartOf) != g.N() {
 		return nil, fmt.Errorf("shortcut: partition of %d vertices for %d vertices", len(part.PartOf), g.N())
 	}
-	nodes := congest.NewPANodes(nw, tree.Parent, tree.Root, part.PartOf, value, op)
-	rounds, err := nw.Run(nodes, 20*(tree.MaxDepth()+part.K()+10))
+	prog := congest.NewPAProgram(nw, tree.Parent, tree.Root)
+	rounds, err := runPA(nw, prog, part.PartOf, value, op, paBudget(tree, part.K()))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		pn := nodes[v].(*congest.PANode)
-		if !pn.HasResult {
-			return nil, fmt.Errorf("shortcut: node %d missing PA result", v)
-		}
-		out[v] = pn.Result
+	for v := range out {
+		out[v] = prog.Node(v).Result
 	}
 	return &PAResult{Values: out, Rounds: rounds, Stats: nw.Stats()}, nil
+}
+
+// checkTree rejects a spanning tree whose length is not g's vertex count,
+// or whose root or non-root parents are not vertices of g.
+func checkTree(g *graph.Graph, tree *spanning.Tree) error {
+	if len(tree.Parent) != g.N() {
+		return fmt.Errorf("shortcut: spanning tree of %d vertices for %d vertices", len(tree.Parent), g.N())
+	}
+	if tree.Root < 0 || tree.Root >= g.N() {
+		return fmt.Errorf("shortcut: tree root %d out of range [0,%d)", tree.Root, g.N())
+	}
+	for v, p := range tree.Parent {
+		if v != tree.Root && (p < 0 || p >= g.N()) {
+			return fmt.Errorf("shortcut: tree parent %d of vertex %d out of range [0,%d)", p, v, g.N())
+		}
+	}
+	return nil
+}
+
+// paBudget is the round limit of a k-part aggregation over tree.
+func paBudget(tree *spanning.Tree, k int) int { return 20 * (tree.MaxDepth() + k + 10) }
+
+// runPA resets prog for an aggregation of value under op over the parts
+// partOf, runs it on nw and checks that every node received its part's
+// aggregate.
+func runPA(nw *congest.Network, prog *congest.PAProgram, partOf, value []int, op congest.AggOp, maxRounds int) (int, error) {
+	nodes := prog.Reset(partOf, value, op)
+	rounds, err := nw.Run(nodes, maxRounds)
+	if err != nil {
+		return 0, err
+	}
+	for v := range nodes {
+		if !prog.Node(v).HasResult {
+			return 0, fmt.Errorf("shortcut: node %d missing PA result", v)
+		}
+	}
+	return rounds, nil
+}
+
+// Aggregator runs single-part aggregations over one spanning tree on one
+// network: every vertex learns the aggregate of all values. It builds the
+// PA programs once and resets them in place for every Run, so repeated
+// aggregations over the same tree — a certification's verdict and sum
+// folds, the admission guard's checks — pay the program setup once. An
+// Aggregator is not safe for concurrent use.
+type Aggregator struct {
+	nw        *congest.Network
+	prog      *congest.PAProgram
+	partOf    []int // all zero: one part
+	maxRounds int
+}
+
+// NewAggregator builds the single-part aggregation programs of nw over
+// tree, rejecting a tree that is not over nw's vertices (see RunPAOn).
+func NewAggregator(nw *congest.Network, tree *spanning.Tree) (*Aggregator, error) {
+	if err := checkTree(nw.G, tree); err != nil {
+		return nil, err
+	}
+	return &Aggregator{
+		nw:        nw,
+		prog:      congest.NewPAProgram(nw, tree.Parent, tree.Root),
+		partOf:    make([]int, nw.G.N()),
+		maxRounds: paBudget(tree, 1),
+	}, nil
+}
+
+// Run aggregates value under op on the Aggregator's network, with its word
+// budget and tracer as they are now, and returns the aggregate with the
+// measured round count. It yields what RunPAOn yields for a one-part
+// partition over the same tree; nw.Stats() holds the run's statistics.
+func (a *Aggregator) Run(value []int, op congest.AggOp) (agg, rounds int, err error) {
+	if len(value) != len(a.partOf) {
+		return 0, 0, fmt.Errorf("shortcut: %d values for %d vertices", len(value), len(a.partOf))
+	}
+	rounds, err = runPA(a.nw, a.prog, a.partOf, value, op, a.maxRounds)
+	if err != nil {
+		return 0, 0, err
+	}
+	return a.prog.Node(0).Result, rounds, nil
 }

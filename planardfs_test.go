@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"planardfs/internal/cert"
 )
 
 func TestPublicSeparatorFlow(t *testing.T) {
@@ -292,5 +294,42 @@ func TestSeparatorForSubsetEmpty(t *testing.T) {
 	}
 	if _, err := SeparatorForSubset(in, nil); err == nil {
 		t.Fatal("empty subset accepted")
+	}
+}
+
+// TestCertifyRejectsNilInputs: a nil tree, separator or embedding is an
+// error from the certification facade and the cert package alike, not a
+// nil dereference.
+func TestCertifyRejectsNilInputs(t *testing.T) {
+	in, err := NewGrid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		call func() (*CertVerdict, error)
+	}{
+		{"CertifySpanningTree", func() (*CertVerdict, error) { return CertifySpanningTree(in.G, nil, CertOptions{}) }},
+		{"CertifySeparator", func() (*CertVerdict, error) { return CertifySeparator(in.G, nil, CertOptions{}) }},
+		{"CertifyEmbedding", func() (*CertVerdict, error) { return CertifyEmbedding(nil, CertOptions{}) }},
+		{"cert.CertifySpanningTree", func() (*CertVerdict, error) { return cert.CertifySpanningTree(in.G, nil, cert.Options{}) }},
+		{"cert.CertifySeparator", func() (*CertVerdict, error) { return cert.CertifySeparator(in.G, nil, cert.Options{}) }},
+		{"cert.CertifyEmbedding", func() (*CertVerdict, error) { return cert.CertifyEmbedding(nil, cert.Options{}) }},
+		{"Verifier.CertifyEmbedding", func() (*CertVerdict, error) {
+			return cert.NewVerifier(in.G, cert.Options{}).CertifyEmbedding(nil)
+		}},
+	}
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			v, err := c.call()
+			if err == nil || v != nil {
+				t.Fatalf("got verdict %v, error %v; want an error", v, err)
+			}
+		})
 	}
 }
