@@ -277,14 +277,9 @@ func chaosRow(program, family, spec string, size int) (Row, error) {
 	var opt cert.Options
 	const seed = 1
 
-	var plan *chaos.Plan
-	if spec != "" {
-		s, err := chaos.ParseSpec(spec)
-		if err != nil {
-			return Row{}, err
-		}
-		s.Protect = []int{0} // the root survives: crashes land elsewhere
-		plan = chaos.NewPlan(seed, s)
+	plan, err := chaos.PlanFor(spec, seed, 0) // the root survives: crashes land elsewhere
+	if err != nil {
+		return Row{}, err
 	}
 
 	supervise := func(p *chaos.Plan) (*chaos.Report, error) {

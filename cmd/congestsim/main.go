@@ -35,6 +35,7 @@ import (
 
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
+	"planardfs/internal/cli"
 	"planardfs/internal/congest"
 	"planardfs/internal/dfs"
 	"planardfs/internal/gen"
@@ -66,18 +67,15 @@ func run() error {
 	recoverRun := flag.Bool("recover", false, "execute under the supervised recovery runtime (certify, retry, degrade)")
 	flag.Parse()
 
-	var plan *chaos.Plan
-	if *chaosSpec != "" {
-		spec, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
-			return err
-		}
-		spec.Protect = []int{0} // the root survives: crashes elsewhere
-		plan = chaos.NewPlan(*chaosSeed, spec)
+	if *parts < 1 {
+		return fmt.Errorf("-parts must be at least 1 (got %d)", *parts)
+	}
+	plan, err := chaos.PlanFor(*chaosSpec, *chaosSeed, 0) // the root survives: crashes elsewhere
+	if err != nil {
+		return err
 	}
 
 	var in *gen.Instance
-	var err error
 	if *inFile != "" {
 		data, rerr := os.ReadFile(*inFile)
 		if rerr != nil {
@@ -105,7 +103,7 @@ func run() error {
 		if err := runSupervised(*program, g, *parts, plan, copt); err != nil {
 			return err
 		}
-		return exportTrace(rec, *traceOut, *metrics)
+		return cli.WriteTrace(os.Stdout, rec, *traceOut, *metrics)
 	}
 	var inj *chaos.Injector
 	if plan != nil {
@@ -137,7 +135,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			if err := printVerdict(v); err != nil {
+			if err := cli.PrintVerdicts(os.Stdout, v); err != nil {
 				return err
 			}
 		}
@@ -159,17 +157,12 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			if err := printVerdict(v); err != nil {
+			if err := cli.PrintVerdicts(os.Stdout, v); err != nil {
 				return err
 			}
 		}
 	case "pa":
-		partOf := make([]int, g.N())
-		value := make([]int, g.N())
-		for v := range partOf {
-			partOf[v] = v % *parts
-			value[v] = 1
-		}
+		partOf, value := sumParts(g.N(), *parts)
 		part, err := shortcut.NewPartition(partOf)
 		if err != nil {
 			return err
@@ -238,32 +231,19 @@ func run() error {
 		fmt.Printf("per-round messages: mean=%.1f peak=%d (round %d) busy=%d/%d rounds\n",
 			float64(st.Messages)/float64(len(st.RoundMessages)), peak, peakAt, busy, len(st.RoundMessages))
 	}
-	return exportTrace(rec, *traceOut, *metrics)
+	return cli.WriteTrace(os.Stdout, rec, *traceOut, *metrics)
 }
 
-// exportTrace writes the Chrome trace and metrics dump, when requested.
-func exportTrace(rec *trace.Recorder, traceOut string, metrics bool) error {
-	if rec == nil {
-		return nil
+// sumParts returns the -program pa input: vertex v in part v mod parts,
+// every value 1.
+func sumParts(n, parts int) (partOf, value []int) {
+	partOf = make([]int, n)
+	value = make([]int, n)
+	for v := range partOf {
+		partOf[v] = v % parts
+		value[v] = 1
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s\n", traceOut)
-	}
-	if metrics {
-		rec.WriteMetrics(os.Stdout)
-	}
-	return nil
+	return partOf, value
 }
 
 // runSupervised executes the program under the supervised recovery runtime
@@ -282,12 +262,7 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 		fallback := chaos.AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
 		_, rep, err = chaos.RunWithRecovery(primary, &fallback, pol)
 	case "pa":
-		partOf := make([]int, g.N())
-		value := make([]int, g.N())
-		for v := range partOf {
-			partOf[v] = v % parts
-			value[v] = 1
-		}
+		partOf, value := sumParts(g.N(), parts)
 		st := chaos.PartwiseSum(g, 0, partOf, value, plan, opt)
 		_, rep, err = chaos.RunWithRecovery(st, nil, pol)
 	default:
@@ -296,41 +271,9 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	cli.PrintReport(os.Stdout, rep)
 	if rep.Outcome == chaos.OutcomeFailed {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
-	}
-	return nil
-}
-
-// printReport dumps a supervised run's report on stdout.
-func printReport(rep *chaos.Report) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
-// printVerdict reports one certification verdict on stdout and returns an
-// error on rejection, so a rejected -certify run exits nonzero.
-func printVerdict(v *cert.Verdict) error {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
-	if !v.OK {
-		return fmt.Errorf("certification rejected by %d vertices", len(v.Rejectors))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -36,6 +37,14 @@ func moduleRoot(t *testing.T) string {
 	}
 	return filepath.Dir(gomod)
 }
+
+// certifyGolden is the recorded stdout of a clean awerbuch -certify run.
+const certifyGolden = `graph grid-10x10: n=100 m=180
+Awerbuch DFS: output verified
+certify dfs: ACCEPT labelWords=3 proverRounds=14903 verifierRounds=2 aggRounds=39 msgs=360
+rounds=199 messages=360 words=459 maxEdgeLoad=2 maxRoundWords=4 maxEdgeCongestion=1
+per-round messages: mean=1.8 peak=3 (round 11) busy=198/199 rounds
+`
 
 func TestRecoverExitCodes(t *testing.T) {
 	if testing.Short() {
@@ -74,6 +83,32 @@ func TestRecoverExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "REJECT") && !strings.Contains(string(out), "not a tree") {
 		t.Fatalf("expected an explicit rejection:\n%s", out)
+	}
+
+	// A clean -certify run exits zero and prints its verdict as recorded.
+	stdout, err := exec.Command(bin, "-program", "awerbuch", "-family", "grid", "-n", "100", "-certify").Output()
+	if err != nil {
+		t.Fatalf("clean -certify run failed: %v\n%s", err, stdout)
+	}
+	if string(stdout) != certifyGolden {
+		t.Fatalf("-certify diverged from the recorded output:\n--- got ---\n%s--- want ---\n%s", stdout, certifyGolden)
+	}
+
+	// A part count below one is a usage error, reported before any run on
+	// both the plain and the supervised path, never a panic.
+	for _, args := range [][]string{
+		{"-program", "pa", "-n", "36", "-parts", "0"},
+		{"-program", "pa", "-n", "36", "-parts", "-2"},
+		{"-program", "pa", "-n", "36", "-parts", "0", "-recover"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("%v: want exit status 1, got %v:\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "-parts must be at least 1") || strings.Contains(string(out), "graph ") {
+			t.Fatalf("%v: want the -parts error before any run:\n%s", args, out)
+		}
 	}
 }
 

@@ -5,18 +5,24 @@
 //
 //	dfsbench -experiment e2 [-sizes 64,256,1024] [-families grid,stacked]
 //	dfsbench -trace out.json -metrics   # instrumented run, Perfetto-loadable
-//	dfsbench -certify                   # self-check one DFS run end to end
+//	dfsbench -certify                   # one guarded, certified pipeline run
 //	dfsbench -recover -chaos structural=4 -chaos-seed 7
 //	                                    # supervised run under injected faults
 //	dfsbench -guard -experiment e2      # admission-guard every instance first
 //
 // -guard validates every (family, size) instance with the admission guard
 // (internal/guard) before the run and exits nonzero printing the typed
-// witness on rejection.
+// witness on rejection. -certify always guards the one instance it runs,
+// so -guard adds nothing to it.
 //
-// -certify exits nonzero when a verifier rejects; -recover exits nonzero
-// when the supervised runtime exhausts its attempts without a certified
-// (or degraded-but-certified) tree.
+// -certify runs the Theorem 2 pipeline (planardfs.Run) with the admission
+// guard on one instance and prints the guard's admission line and the
+// spanning-tree, DFS and separator verdicts. It exits nonzero when the
+// guard rejects, when the Theorem 2 tree is not certified on its first
+// attempt (printing the recovery report instead of the verdicts), or when
+// a verifier rejects; -recover exits nonzero when the supervised
+// runtime exhausts its attempts without a certified (or
+// degraded-but-certified) tree.
 package main
 
 import (
@@ -24,13 +30,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"planardfs"
-	"planardfs/internal/cert"
-	"planardfs/internal/dfs"
+	"planardfs/internal/chaos"
+	"planardfs/internal/cli"
 	"planardfs/internal/exp"
 	"planardfs/internal/gen"
 	"planardfs/internal/trace"
@@ -50,21 +56,22 @@ func run() error {
 	seed := flag.Int64("seed", 1, "base seed")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of one instrumented DFS run (load in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the metrics registry of the instrumented run")
-	certify := flag.Bool("certify", false, "run the Theorem 2 DFS on one instance and certify its output (embedding + DFS tree)")
+	certify := flag.Bool("certify", false, "run the guarded Theorem 2 pipeline on one instance and print its admission and certification verdicts (spanning tree + DFS tree + separator)")
 	chaosSpec := flag.String("chaos", "", "fault spec for -recover, e.g. structural=4 (see internal/chaos.ParseSpec)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed deriving the deterministic fault plan")
 	recoverRun := flag.Bool("recover", false, "run one supervised DFS (certify, retry with backoff, degrade to Awerbuch); exits nonzero on recovery exhaustion")
 	guardRun := flag.Bool("guard", false, "validate every instance with the admission guard before running; exits nonzero printing the witness on rejection")
 	flag.Parse()
 
-	sizes, err := parseInts(*sizesFlag)
+	sizes, err := cli.ParseInts(*sizesFlag)
 	if err != nil {
 		return err
 	}
 	fams := strings.Split(*famFlag, ",")
 
-	if *guardRun {
-		if err := guardAdmit(fams, sizes, *seed); err != nil {
+	// A -certify run admits the one instance it certifies itself.
+	if *guardRun && (!*certify || *recoverRun) {
+		if err := cli.GuardAdmit(os.Stdout, os.Stderr, fams, sizes, *seed); err != nil {
 			return err
 		}
 	}
@@ -85,24 +92,7 @@ func run() error {
 		}
 		fmt.Printf("traced DFS run: %s n=%d m=%d phases=%d rounds=%d spans=%d layers=%v\n",
 			sum.Family, sum.N, sum.M, sum.DFS.Phases, sum.Rounds, sum.Spans, sum.Layers)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := rec.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("trace written to %s\n", *traceOut)
-		}
-		if *metrics {
-			rec.WriteMetrics(os.Stdout)
-		}
-		return nil
+		return cli.WriteTrace(os.Stdout, rec, *traceOut, *metrics)
 	}
 
 	switch *experiment {
@@ -184,34 +174,45 @@ func run() error {
 	return nil
 }
 
-// certifyRun builds the Theorem 2 DFS tree on one generated instance and
-// runs the distributed certification verifiers on the embedding and the
-// resulting tree, printing one verdict line per scheme.
+// certifyRun runs the Theorem 2 pipeline with the admission guard on one
+// generated instance and prints the admission line, then one verdict line
+// per certification scheme: spanning tree, DFS tree and separator.
 func certifyRun(family string, n int, seed int64) error {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
 		return err
 	}
-	root := in.Emb.FaceRoot(in.OuterDart)
-	pt, _, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+	fmt.Printf("certifying DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), planardfs.OuterRoot(in))
+	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{
+		Guard: &planardfs.GuardOptions{Seed: seed},
+	})
+	if res != nil && res.Admission != nil {
+		if err := cli.PrintAdmission(os.Stdout, os.Stderr, in, res.Admission); err != nil {
+			return err
+		}
+	}
+	if res != nil && res.Recovery != nil {
+		if err := requireFirstAttempt(os.Stdout, res.Recovery); err != nil {
+			return err
+		}
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("certifying DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
-	ev, err := cert.CertifyEmbedding(in.Emb, cert.Options{})
-	if err != nil {
-		return err
+	return cli.PrintVerdicts(os.Stdout, res.Verdicts...)
+}
+
+// requireFirstAttempt fails a -certify run unless its Theorem 2 tree was
+// certified on the first attempt. Without a fault plan any other outcome
+// means the verifier rejected the Theorem 2 tree, and the dfs stage's
+// retry or Awerbuch fallback would otherwise hide that behind an accepted
+// verdict. The recovery report is printed on w to show the rejections.
+func requireFirstAttempt(w io.Writer, rep *planardfs.RecoveryReport) error {
+	if rep.Outcome == planardfs.RecoveryCertified {
+		return nil
 	}
-	printVerdict(ev)
-	dv, err := cert.CertifyDFSTree(in.G, root, pt.Parent, cert.Options{})
-	if err != nil {
-		return err
-	}
-	printVerdict(dv)
-	if !ev.OK || !dv.OK {
-		return fmt.Errorf("certification rejected the run")
-	}
-	return nil
+	cli.PrintReport(w, rep)
+	return fmt.Errorf("the Theorem 2 DFS tree was not certified (outcome=%s)", rep.Outcome)
 }
 
 // recoveryRun executes one Theorem 2 pipeline run with its DFS stage under
@@ -223,20 +224,15 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	root := in.Emb.FaceRoot(in.OuterDart)
-	var plan *planardfs.FaultPlan
-	if spec != "" {
-		s, err := planardfs.ParseFaultSpec(spec)
-		if err != nil {
-			return err
-		}
-		s.Protect = []int{root} // the root survives: crashes land elsewhere
-		plan = planardfs.NewFaultPlan(chaosSeed, s)
+	root := planardfs.OuterRoot(in)
+	plan, err := chaos.PlanFor(spec, chaosSeed, root) // the root survives: crashes land elsewhere
+	if err != nil {
+		return err
 	}
 	fmt.Printf("supervised DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
 	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{Plan: plan})
 	if res != nil && res.Recovery != nil {
-		printReport(res.Recovery)
+		cli.PrintReport(os.Stdout, res.Recovery)
 	}
 	if errors.Is(err, planardfs.ErrUnrecovered) {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(res.Recovery.Attempts))
@@ -252,69 +248,4 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	}
 	fmt.Printf("recovered DFS tree: %d tree edges\n", edges)
 	return nil
-}
-
-// printReport summarizes a supervised run, one line per attempt.
-func printReport(rep *planardfs.RecoveryReport) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
-// printVerdict reports one certification verdict on stdout.
-func printVerdict(v *cert.Verdict) {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
-}
-
-// guardAdmit validates every (family, size) instance the run will touch
-// with the admission guard. A rejection prints the typed witness and fails
-// the command before any experiment runs on the bad input.
-func guardAdmit(fams []string, sizes []int, seed int64) error {
-	for _, fam := range fams {
-		for _, n := range sizes {
-			in, err := gen.ByName(fam, n, seed)
-			if err != nil {
-				return err
-			}
-			v, err := planardfs.ValidateEmbedding(in, planardfs.GuardOptions{Seed: seed})
-			if err != nil {
-				return err
-			}
-			if !v.OK {
-				fmt.Fprintf(os.Stderr, "guard: REJECT %s n=%d reason=%s detail=%q\n",
-					in.Name, in.G.N(), v.Witness.Reason, v.Witness.Detail)
-				return fmt.Errorf("input rejected by the admission guard: %w", v.Err())
-			}
-			fmt.Printf("guard: accept %s n=%d rounds=%d msgs=%d\n",
-				in.Name, in.G.N(), v.Rounds, v.Messages)
-		}
-	}
-	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		x, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, x)
-	}
-	return out, nil
 }

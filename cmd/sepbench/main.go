@@ -1,5 +1,5 @@
 // Command sepbench prints the separator experiment tables (E1, E3, E4, E8,
-// E10, E12 of EXPERIMENTS.md).
+// E10, E12, E13 of EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -31,12 +31,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"planardfs"
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
+	"planardfs/internal/cli"
 	"planardfs/internal/exp"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
@@ -76,14 +76,14 @@ func run() error {
 		return nil
 	}
 
-	sizes, err := parseInts(*sizesFlag)
+	sizes, err := cli.ParseInts(*sizesFlag)
 	if err != nil {
 		return err
 	}
 	fams := strings.Split(*famFlag, ",")
 
 	if *guardRun {
-		if err := guardAdmit(fams, sizes, *seed); err != nil {
+		if err := cli.GuardAdmit(os.Stdout, os.Stderr, fams, sizes, *seed); err != nil {
 			return err
 		}
 	}
@@ -104,24 +104,7 @@ func run() error {
 		}
 		fmt.Printf("traced separator run: %s n=%d sepLen=%d phase=%s rounds=%d spans=%d\n",
 			fams[0], sizes[len(sizes)-1], len(sep.Path), sep.Phase, rec.Now(), len(rec.Spans()))
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := rec.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("trace written to %s\n", *traceOut)
-		}
-		if *metrics {
-			rec.WriteMetrics(os.Stdout)
-		}
-		return nil
+		return cli.WriteTrace(os.Stdout, rec, *traceOut, *metrics)
 	}
 
 	switch *experiment {
@@ -219,8 +202,8 @@ func run() error {
 
 // certifyRun finds a cycle separator of one generated instance with the
 // named engine (empty: the Theorem 1 engine) and runs the distributed
-// certification verifiers on the BFS tree of the configuration, the
-// embedding, and the separator itself.
+// certification verifiers, all on one Verifier, on the BFS tree of the
+// configuration, the embedding, and the separator itself.
 func certifyRun(family string, n int, seed int64, engine string) error {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
@@ -241,38 +224,28 @@ func certifyRun(family string, n int, seed int64, engine string) error {
 	sep := res.Sep
 	fmt.Printf("certifying separator run: %s n=%d m=%d engine=%s sepLen=%d phase=%s balance=%.3f rounds=%d\n",
 		in.Name, in.G.N(), in.G.M(), res.Engine, len(sep.Path), sep.Phase, res.Balance, res.Rounds)
-	verdicts := make([]*cert.Verdict, 0, 3)
-	tv, err := cert.CertifySpanningTree(in.G, tree, cert.Options{})
+	vf := cert.NewVerifier(in.G, cert.Options{})
+	tv, err := vf.CertifySpanningTree(tree)
 	if err != nil {
 		return err
 	}
-	verdicts = append(verdicts, tv)
-	ev, err := cert.CertifyEmbedding(in.Emb, cert.Options{})
+	ev, err := vf.CertifyEmbedding(in.Emb)
 	if err != nil {
 		return err
 	}
-	verdicts = append(verdicts, ev)
-	sv, err := cert.CertifySeparator(in.G, sep, cert.Options{})
+	sv, err := vf.CertifySeparator(sep)
 	if err != nil {
 		return err
 	}
-	verdicts = append(verdicts, sv)
-	rejected := false
-	for _, v := range verdicts {
-		printVerdict(v)
-		rejected = rejected || !v.OK
-	}
-	if rejected {
-		return fmt.Errorf("certification rejected the run")
-	}
-	return nil
+	return cli.PrintVerdicts(os.Stdout, tv, ev, sv)
 }
 
 // separatorStage wraps one Theorem 1 separator construction as a
 // supervised stage: the plan's structural faults corrupt the claimed cycle
 // path (decaying across attempts), and the separator proof-labeling scheme
-// decides acceptance. A nil plan yields the fault-free fallback stage.
-func separatorStage(g *gen.Instance, cfg *weights.Config, rounds int, plan *chaos.Plan) chaos.Stage[*separator.Separator] {
+// decides acceptance on vf. A nil plan yields the fault-free fallback
+// stage.
+func separatorStage(g *gen.Instance, cfg *weights.Config, rounds int, plan *chaos.Plan, vf *cert.Verifier) chaos.Stage[*separator.Separator] {
 	var structural chaos.Counts
 	return chaos.Stage[*separator.Separator]{
 		Name:          "separator",
@@ -288,7 +261,7 @@ func separatorStage(g *gen.Instance, cfg *weights.Config, rounds int, plan *chao
 			return &out, rounds, nil
 		},
 		Certify: func(sep *separator.Separator) (chaos.Certification, error) {
-			v, err := cert.CertifySeparator(g.G, sep, cert.Options{})
+			v, err := vf.CertifySeparator(sep)
 			if err != nil {
 				// A corrupted path can break the prover itself; that is an
 				// explicit rejection, not an infrastructure failure.
@@ -301,7 +274,8 @@ func separatorStage(g *gen.Instance, cfg *weights.Config, rounds int, plan *chao
 }
 
 // recoveryRun executes one separator construction under the supervised
-// recovery runtime and prints the per-attempt report.
+// recovery runtime, certifying every attempt on one Verifier, and prints
+// the per-attempt report.
 func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64) error {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
@@ -315,92 +289,23 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	var plan *chaos.Plan
-	if spec != "" {
-		s, err := chaos.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		s.Protect = []int{tree.Root} // the root survives: crashes land elsewhere
-		plan = chaos.NewPlan(chaosSeed, s)
+	plan, err := chaos.PlanFor(spec, chaosSeed, tree.Root) // the root survives: crashes land elsewhere
+	if err != nil {
+		return err
 	}
 	rounds := planardfs.SeparatorRounds(in.G.N(), planardfs.PaperCost{D: tree.MaxDepth(), N: in.G.N()}, 1)
 	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), tree.Root)
-	primary := separatorStage(in, cfg, rounds, plan)
-	fallback := separatorStage(in, cfg, rounds, nil) // fault-free baseline
+	vf := cert.NewVerifier(in.G, cert.Options{})
+	primary := separatorStage(in, cfg, rounds, plan, vf)
+	fallback := separatorStage(in, cfg, rounds, nil, vf) // fault-free baseline
 	sep, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	cli.PrintReport(os.Stdout, rep)
 	if rep.Outcome == chaos.OutcomeFailed {
 		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
 	}
 	fmt.Printf("recovered separator: len=%d phase=%s\n", len(sep.Path), sep.Phase)
 	return nil
-}
-
-// printReport summarizes a supervised run, one line per attempt.
-func printReport(rep *chaos.Report) {
-	fmt.Printf("recovery: outcome=%s attempts=%d faults[%s]\n",
-		rep.Outcome, len(rep.Attempts), rep.Faults)
-	for _, a := range rep.Attempts {
-		status := "accepted"
-		if !a.Accepted {
-			status = "rejected"
-			if a.Err != "" {
-				status += ": " + a.Err
-			}
-		}
-		fmt.Printf("  %s attempt %d: budget=%d rounds=%d faults=%d %s\n",
-			a.Stage, a.Attempt, a.Budget, a.Rounds, a.Faults.Total(), status)
-	}
-}
-
-// printVerdict reports one certification verdict on stdout.
-func printVerdict(v *cert.Verdict) {
-	status := "ACCEPT"
-	if !v.OK {
-		status = fmt.Sprintf("REJECT at %v", v.Rejectors)
-	}
-	fmt.Printf("certify %s: %s labelWords=%d proverRounds=%d verifierRounds=%d aggRounds=%d msgs=%d\n",
-		v.Scheme, status, v.LabelWords, v.ProverRounds, v.VerifierRounds, v.AggRounds, v.Stats.Messages)
-}
-
-// guardAdmit validates every (family, size) instance the run will touch
-// with the admission guard. A rejection prints the typed witness and fails
-// the command before any experiment runs on the bad input.
-func guardAdmit(fams []string, sizes []int, seed int64) error {
-	for _, fam := range fams {
-		for _, n := range sizes {
-			in, err := gen.ByName(fam, n, seed)
-			if err != nil {
-				return err
-			}
-			v, err := planardfs.ValidateEmbedding(in, planardfs.GuardOptions{Seed: seed})
-			if err != nil {
-				return err
-			}
-			if !v.OK {
-				fmt.Fprintf(os.Stderr, "guard: REJECT %s n=%d reason=%s detail=%q\n",
-					in.Name, in.G.N(), v.Witness.Reason, v.Witness.Detail)
-				return fmt.Errorf("input rejected by the admission guard: %w", v.Err())
-			}
-			fmt.Printf("guard: accept %s n=%d rounds=%d msgs=%d\n",
-				in.Name, in.G.N(), v.Rounds, v.Messages)
-		}
-	}
-	return nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		x, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, x)
-	}
-	return out, nil
 }

@@ -174,6 +174,21 @@ func NewPlan(seed int64, spec Spec) *Plan {
 	return &Plan{Seed: seed, Spec: spec}
 }
 
+// PlanFor parses a CLI spec string (see ParseSpec) into the plan it
+// derives from seed, with the protect vertices never crash-stopped. An
+// empty spec returns a nil plan: a fault-free run.
+func PlanFor(spec string, seed int64, protect ...int) (*Plan, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	s, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	s.Protect = protect
+	return NewPlan(seed, s), nil
+}
+
 // rng streams: distinct salts keep the per-attempt message-level stream and
 // the structural stream independent of each other.
 const (

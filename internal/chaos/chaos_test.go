@@ -42,6 +42,34 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+func TestPlanFor(t *testing.T) {
+	if p, err := PlanFor("", 3, 0); p != nil || err != nil {
+		t.Fatalf("PlanFor(\"\") = %v, %v; want a nil plan", p, err)
+	}
+	if _, err := PlanFor("bogus=1", 3, 0); err == nil {
+		t.Fatal("PlanFor accepted a bogus spec")
+	}
+	const root = 7
+	p, err := PlanFor("crashes=35", 3, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Seed != 3 || p.Spec.Crashes != 35 || !reflect.DeepEqual(p.Spec.Protect, []int{root}) {
+		t.Fatalf("plan = %+v, want seed 3, 35 crashes, root %d protected", p, root)
+	}
+	// Even a crash count that could stop every other vertex spares the root.
+	g := grid(t, 36)
+	crashed := map[int]bool{}
+	for _, f := range p.faultsFor(g, 1) {
+		if f.Kind == Crash {
+			crashed[f.Node] = true
+		}
+	}
+	if crashed[root] || len(crashed) == 0 {
+		t.Fatalf("crashes %v: root %d must survive", crashed, root)
+	}
+}
+
 // A nil plan must leave the network untouched: Arm returns nil and the run
 // is byte-identical to an uninjected one.
 func TestNilPlanUnchanged(t *testing.T) {

@@ -265,15 +265,11 @@ func (s *Server) runJob(j *job) {
 	j.hash = hash
 	j.mu.Unlock()
 
-	var plan *chaos.Plan
-	if j.req.ChaosSpec != "" {
-		spec, err := chaos.ParseSpec(j.req.ChaosSpec)
-		if err != nil {
-			j.fail(err.Error())
-			s.metrics.Count("serve.jobs.failed", 1)
-			return
-		}
-		plan = chaos.NewPlan(j.req.ChaosSeed, spec)
+	plan, err := chaos.PlanFor(j.req.ChaosSpec, j.req.ChaosSeed)
+	if err != nil {
+		j.fail(err.Error())
+		s.metrics.Count("serve.jobs.failed", 1)
+		return
 	}
 
 	buildStart := nowNanos()
