@@ -51,8 +51,9 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 // disables tracing) and the per-component separator computation swapped
 // out: find runs on each remaining component's restricted configuration
 // (see separator.ForSubsetWith). Each restriction is built around a dart
-// found inside its component (outerRegionDart) and the join state is
-// allocated once per build, so a component costs its own size, not n.
+// found inside its component (outerRegionDart), and the restriction index
+// and the join state are allocated once per build and reset over each
+// component only, so a component costs its own size, not n.
 // Tracing records a dfs-layer span per recursion phase, the span
 // structure of every per-component separator call, and a dfs-layer span
 // per JOIN sub-phase, all stamped with the charged round clock under the
@@ -64,6 +65,9 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 	}
 	if !g.Connected() {
 		return nil, nil, fmt.Errorf("dfs: graph is not connected")
+	}
+	if err := emb.CheckOuterDart(outerDart); err != nil {
+		return nil, nil, err
 	}
 	tracer = trace.OrNop(tracer)
 	var m *dist.Meter
@@ -84,6 +88,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 	outerInTree := false
 	pt := NewPartialTree(g.N(), root)
 	sc := newJoinScratch(g.N())
+	rs := planar.NewRestricter(emb)
 	tr := &Trace{SeparatorPhases: map[separator.Phase]int{}}
 	for !pt.Complete() {
 		tr.Phases++
@@ -112,7 +117,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			if tracer.Enabled() {
 				septr = tracer
 			}
-			sep, err := separator.ForSubsetWith(emb, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, septr, find)
+			sep, err := separator.ForSubsetWith(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, septr, find)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
 			}
@@ -145,7 +150,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 // outerRegionDart returns, in O(Σ deg(comp)), a dart with its tail in
 // comp, a component of G − T_d, whose face lies in the parent's outer
 // region once G is cut down to G[comp]: the dart comp's restriction is
-// built around (planar.Embedding.RestrictTo; DESIGN.md §17 has the
+// built around (planar.Restricter.Restrict; DESIGN.md §17 has the
 // proof). V − comp is connected, since T_d is and every other component
 // touches it, so every parent face touching V − comp merges into one
 // region. That region holds the face of any dart into T_d, and it holds

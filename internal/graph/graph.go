@@ -22,7 +22,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -321,45 +320,14 @@ func (g *Graph) CheckVertex(v int) error {
 // along with the mapping from new vertex index to original vertex.
 // Vertices are renumbered 0..len(vs)-1 in the order given (duplicates
 // are rejected). Edges keep their relative identifier order (ascending
-// original edge ID); only edges incident to the subset are examined, so the
-// cost is O(Σ deg(vs) · log) rather than O(M).
+// original edge ID). It is the one-shot form of Inducer.Induce and costs
+// O(n + m) for the index; callers inducing many subsets reuse an Inducer.
 func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int, error) {
-	idx := make(map[int]int, len(vs))
-	orig := make([]int, len(vs))
-	for i, v := range vs {
-		if err := g.CheckVertex(v); err != nil {
-			return nil, nil, err
-		}
-		if _, dup := idx[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d", v)
-		}
-		idx[v] = i
-		orig[i] = v
+	sub, err := NewInducer(g).Induce(vs)
+	if err != nil {
+		return nil, nil, err
 	}
-	g.ensure()
-	// Candidate edges: those with both endpoints in the subset, collected
-	// from the incidence of the lower-id endpoint and sorted to reproduce
-	// the global edge-ID insertion order exactly.
-	var cand []int32
-	for _, v := range vs {
-		//planarvet:narrowok v passed CheckVertex above, so v < n and New bounds n to MaxInt32
-		v32 := int32(v)
-		for _, id := range g.inc[g.off[v]:g.off[v+1]] {
-			w := g.endU[id] + g.endV[id] - v32
-			if w > v32 {
-				continue // counted once, from the smaller endpoint
-			}
-			if _, ok := idx[int(w)]; ok {
-				cand = append(cand, id)
-			}
-		}
-	}
-	slices.Sort(cand)
-	sub := NewWithCapacity(len(vs), len(cand))
-	for _, id := range cand {
-		sub.MustAddEdge(idx[int(g.endU[id])], idx[int(g.endV[id])])
-	}
-	return sub, orig, nil
+	return sub, append([]int(nil), vs...), nil
 }
 
 // SortedNeighbors returns the neighbours of v sorted ascending; useful for

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,6 +194,65 @@ func TestInducedSubgraph(t *testing.T) {
 	if _, _, err := g.InducedSubgraph([]int{99}); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
+}
+
+// TestInducerClearsIndex checks that one Inducer's index is clear over
+// the whole graph after Release, after an error and after a second
+// Induce, and that a reused Inducer builds what a fresh one does.
+func TestInducerClearsIndex(t *testing.T) {
+	g := cycleGraph(8)
+	g.MustAddEdge(0, 4)
+	x := NewInducer(g)
+	cleared := func(when string) {
+		t.Helper()
+		for v := 0; v < g.N(); v++ {
+			if x.Local(v) != -1 {
+				t.Fatalf("%s: Local(%d) = %d", when, v, x.Local(v))
+			}
+		}
+		for e := 0; e < g.M(); e++ {
+			if x.SubEdge(e) != -1 {
+				t.Fatalf("%s: SubEdge(%d) = %d", when, e, x.SubEdge(e))
+			}
+		}
+	}
+	same := func(vs []int) {
+		t.Helper()
+		sub, err := x.Induce(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vs {
+			if x.Local(v) != i {
+				t.Fatalf("Local(%d) = %d, want %d", v, x.Local(v), i)
+			}
+		}
+		want, err := NewInducer(g).Induce(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub.N() != want.N() || sub.M() != want.M() {
+			t.Fatalf("reused Induce(%v) has n, m = %d, %d, fresh %d, %d", vs, sub.N(), sub.M(), want.N(), want.M())
+		}
+		for e := 0; e < want.M(); e++ {
+			if sub.EdgeByID(e) != want.EdgeByID(e) {
+				t.Fatalf("reused Induce(%v): edge %d = %v, fresh %v", vs, e, sub.EdgeByID(e), want.EdgeByID(e))
+			}
+		}
+	}
+	same([]int{4, 0, 1, 3})
+	x.Release()
+	cleared("after Release")
+	for _, bad := range [][]int{{0, 1, 0}, {2, 3, 8}, {5, -1}} {
+		if _, err := x.Induce(bad); err == nil {
+			t.Fatalf("Induce(%v) accepted", bad)
+		}
+		cleared(fmt.Sprintf("after Induce(%v) failed", bad))
+		same([]int{1, 0, 3, 2, 5})
+	}
+	same([]int{7, 6})
+	x.Release()
+	cleared("after a second Induce and Release")
 }
 
 func TestClone(t *testing.T) {

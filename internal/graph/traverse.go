@@ -26,11 +26,11 @@ func (g *Graph) BFS(src int) *BFSResult {
 		res.Parent[i] = -1
 	}
 	res.Dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		res.Order = append(res.Order, v)
+	// Order doubles as the queue: the vertices at or after head are
+	// reached but not yet scanned.
+	res.Order = append(res.Order, src)
+	for head := 0; head < len(res.Order); head++ {
+		v := res.Order[head]
 		//planarvet:narrowok v is a vertex id from the queue, < n and New bounds n to MaxInt32
 		v32 := int32(v)
 		for _, id := range g.inc[g.off[v]:g.off[v+1]] {
@@ -38,7 +38,7 @@ func (g *Graph) BFS(src int) *BFSResult {
 			if res.Dist[w] < 0 {
 				res.Dist[w] = res.Dist[v] + 1
 				res.Parent[w] = v
-				queue = append(queue, w)
+				res.Order = append(res.Order, w)
 			}
 		}
 	}
@@ -133,20 +133,18 @@ func (g *Graph) ComponentsAvoidingMask(removed []bool) [][]int {
 		if seen[v] || (removed != nil && removed[v]) {
 			continue
 		}
-		var comp []int
-		queue := []int{v}
+		// comp doubles as the BFS queue, as in BFS.
+		comp := []int{v}
 		seen[v] = true
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			comp = append(comp, x)
+		for head := 0; head < len(comp); head++ {
+			x := comp[head]
 			//planarvet:narrowok x is a vertex id from the queue, < n and New bounds n to MaxInt32
 			x32 := int32(x)
 			for _, id := range g.inc[g.off[x]:g.off[x+1]] {
 				w := int(g.endU[id] + g.endV[id] - x32)
 				if !seen[w] && (removed == nil || !removed[w]) {
 					seen[w] = true
-					queue = append(queue, w)
+					comp = append(comp, w)
 				}
 			}
 		}

@@ -138,6 +138,9 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		// edgeless instance has none.
 		return res, fmt.Errorf("pipeline: spanning: instance has no edges")
 	}
+	if err := in.Emb.CheckOuterDart(in.OuterDart); err != nil {
+		return res, fmt.Errorf("pipeline: spanning: %w", err)
+	}
 	res.Root = in.Emb.FaceRoot(in.OuterDart)
 	res.BFS, err = spanning.BFSTree(g, res.Root)
 	if err != nil {

@@ -119,7 +119,12 @@ func (emb *Embedding) ECompatible(u, v int) bool {
 // new dart immediately before d1 at u and before d2 at v splits that face in
 // two and preserves planarity.
 func (emb *Embedding) FaceInsertions(u, v int) []Insertion {
-	fs := emb.TraceFaces()
+	return emb.FaceInsertionsIn(emb.TraceFaces(), u, v)
+}
+
+// FaceInsertionsIn is FaceInsertions over fs, a face trace of emb the
+// caller already holds, so a sweep over many candidates traces once.
+func (emb *Embedding) FaceInsertionsIn(fs *Faces, u, v int) []Insertion {
 	var out []Insertion
 	du0 := emb.first[u]
 	if du0 < 0 {

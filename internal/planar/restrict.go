@@ -21,72 +21,128 @@ type Restriction struct {
 	OuterDart int
 }
 
+// Restricter builds restrictions of one embedding on a graph.Inducer it
+// keeps between calls: the parent-vertex and parent-edge indexes are set
+// and cleared over each subset only, so after the O(n + m) set-up a
+// restriction costs its own size. The DFS build owns one per run. A
+// Restricter is not safe for concurrent use; the embedding it reads may be
+// shared.
+type Restricter struct {
+	emb *Embedding
+	ind *graph.Inducer
+	// rot holds one kept vertex's sub rotation while it is placed.
+	rot []int32
+}
+
+// NewRestricter returns a Restricter over emb.
+func NewRestricter(emb *Embedding) *Restricter {
+	return &Restricter{emb: emb, ind: graph.NewInducer(emb.g)}
+}
+
+// Embedding returns the parent embedding.
+func (r *Restricter) Embedding() *Embedding { return r.emb }
+
 // RestrictTo returns the embedding induced on the given vertices, with
 // the sub-face containing the given parent dart's face as its outer face.
+// It is the one-shot form of Restricter.Restrict.
+func (emb *Embedding) RestrictTo(vs []int, dart int) (*Restriction, error) {
+	return NewRestricter(emb).Restrict(vs, dart)
+}
+
+// Restrict returns the embedding induced on the given vertices, with the
+// sub-face containing the given parent dart's face as its outer face.
 // dart must have its tail in vs; it is ignored when vs induces no edge.
+// Sub vertices follow the order of vs and sub edges ascend by parent edge
+// id (graph.Inducer), so sub dart 2i+s of sub edge i runs from its
+// smaller (s = 0) or larger (s = 1) sub endpoint.
 //
 // Sub-faces are unions of parent faces merged across the darts the
 // subgraph drops. In the parent, the face of dart d fills the corner
 // between prev[d] and d at Tail(d), so the sub-face holding it is the face
 // of the first kept dart at or clockwise after d. Finding it costs O(deg),
-// and the whole restriction costs O(Σ deg(vs)) with no array sized by the
-// parent graph. Callers name a dart whose face lies in the parent's outer
+// and the whole restriction costs O(Σ deg(vs)) in one pass over the parent
+// rotations. Callers name a dart whose face lies in the parent's outer
 // region: the DFS build knows one locally (see dfs.Build), everyone else
 // asks OuterRegionDart.
-func (emb *Embedding) RestrictTo(vs []int, dart int) (*Restriction, error) {
-	sub, orig, err := emb.g.InducedSubgraph(vs)
+func (r *Restricter) Restrict(vs []int, dart int) (*Restriction, error) {
+	emb, ind := r.emb, r.ind
+	sub, err := ind.Induce(vs)
 	if err != nil {
 		return nil, err
 	}
-	subOf := make(map[int]int, len(orig))
-	for i, v := range orig {
-		subOf[v] = i
-	}
-	// Rotation orders: filter each kept vertex's rotation to kept edges.
-	orders := make([][]int, sub.N())
-	for i, v := range orig {
+	defer ind.Release()
+	// Each kept vertex's sub rotation is its parent rotation with the
+	// absent darts skipped.
+	semb := allocEmbedding(sub)
+	for i, v := range vs {
 		d0 := emb.first[v]
 		if d0 < 0 {
 			continue
 		}
-		orders[i] = make([]int, 0, emb.g.Degree(v))
+		r.rot = r.rot[:0]
 		for d := d0; ; {
-			if w, ok := subOf[int(emb.headD[d])]; ok {
-				orders[i] = append(orders[i], w)
+			if sd := r.subDart(int(d), i); sd >= 0 {
+				//planarvet:narrowok sd < 2·sub.M() ≤ 2·m, and AddEdge bounds 2m to MaxInt32
+				r.rot = append(r.rot, int32(sd))
 			}
-			d = emb.next[d]
-			if d == d0 {
+			if d = emb.next[d]; d == d0 {
 				break
 			}
 		}
+		for k, sd := range r.rot {
+			if err := semb.placeDart(i, k, int(sd)); err != nil {
+				return nil, err
+			}
+		}
+		semb.linkCycle(i, func(k int) int { return int(r.rot[k]) }, len(r.rot))
 	}
-	semb, err := FromNeighborOrders(sub, orders)
-	if err != nil {
+	if _, err := semb.finish(); err != nil {
 		return nil, err
 	}
-	res := &Restriction{G: sub, Emb: semb, Orig: orig, OuterDart: -1}
+	res := &Restriction{G: sub, Emb: semb, Orig: append([]int(nil), vs...), OuterDart: -1}
 	if sub.M() == 0 {
 		return res, nil
 	}
-	if dart < 0 || dart >= len(emb.next) {
-		return nil, fmt.Errorf("planar: outer dart %d out of range", dart)
+	if err := emb.CheckOuterDart(dart); err != nil {
+		return nil, err
 	}
-	su, ok := subOf[emb.TailOf(dart)]
-	if !ok {
+	su := ind.Local(emb.TailOf(dart))
+	if su < 0 {
 		return nil, fmt.Errorf("planar: outer dart %d has tail %d outside the restriction", dart, emb.TailOf(dart))
 	}
 	for d := dart; ; {
-		if sw, ok := subOf[emb.HeadOf(d)]; ok {
-			sid, _ := sub.EdgeID(su, sw) // sub is induced, so the edge is there
-			res.OuterDart = DartFrom(sub, sid, su)
+		if sd := r.subDart(d, su); sd >= 0 {
+			res.OuterDart = sd
 			return res, nil
 		}
-		d = int(emb.next[d])
-		if d == dart {
+		if d = int(emb.next[d]); d == dart {
 			break
 		}
 	}
 	return nil, fmt.Errorf("planar: outer dart %d has tail %d with no edge in the restriction", dart, emb.TailOf(dart))
+}
+
+// subDart returns the sub dart of parent dart d, whose tail has sub id su,
+// or -1 if the restriction drops d's edge.
+func (r *Restricter) subDart(d, su int) int {
+	se := r.ind.SubEdge(d >> 1)
+	if se < 0 {
+		return -1
+	}
+	if su < r.ind.Local(r.emb.HeadOf(d)) {
+		return 2 * se
+	}
+	return 2*se + 1
+}
+
+// CheckOuterDart returns an error if d is not a dart of the embedding: the
+// check every entry point taking an instance's outer dart makes before it
+// reads the dart's face.
+func (emb *Embedding) CheckOuterDart(d int) error {
+	if d < 0 || d >= len(emb.next) {
+		return fmt.Errorf("planar: outer dart %d out of range", d)
+	}
+	return nil
 }
 
 // OuterRegionDart returns a parent dart with both endpoints in vs whose
@@ -105,8 +161,8 @@ func (emb *Embedding) OuterRegionDart(vs []int, outerDart int) (int, error) {
 		}
 		in[v] = true
 	}
-	if outerDart < 0 || outerDart >= len(emb.next) {
-		return -1, fmt.Errorf("planar: outer dart %d out of range", outerDart)
+	if err := emb.CheckOuterDart(outerDart); err != nil {
+		return -1, err
 	}
 	fs := emb.TraceFaces()
 	uf := graph.NewUnionFind(fs.Count())

@@ -1,6 +1,7 @@
 package separator
 
 import (
+	"errors"
 	"fmt"
 
 	"planardfs/internal/planar"
@@ -45,8 +46,11 @@ func ForSubset(emb *planar.Embedding, outerDart int, vs []int) (*Separator, erro
 	if err != nil {
 		return nil, err
 	}
-	return ForSubsetWith(emb, dart, vs, nil, Find)
+	return ForSubsetWith(planar.NewRestricter(emb), dart, vs, nil, Find)
 }
+
+// errDisconnected reports a subset that induces a disconnected subgraph.
+var errDisconnected = errors.New("separator: subset induces a disconnected subgraph")
 
 // FindFunc computes a cycle separator of a configuration's graph. Find is
 // the Theorem 1 implementation; internal/sepengine adapts its registered
@@ -54,15 +58,16 @@ func ForSubset(emb *planar.Embedding, outerDart int, vs []int) (*Separator, erro
 type FindFunc func(cfg *weights.Config) (*Separator, error)
 
 // ForSubsetWith computes a cycle separator of the subgraph induced by vs
-// with find, in original vertex IDs. outerDart is a parent dart whose tail
-// is in vs and whose face lies in the region the restriction's outer face
-// should contain (planar.Embedding.RestrictTo): the subset is restricted
-// around it, configured, and BFS-rooted on the restricted outer face
-// exactly as in the Theorem 1 path, then find runs on the restricted
-// configuration. Nothing here is sized by the parent graph, so a caller
-// that knows such a dart locally — the DFS build does — pays for the
-// subset only.
-func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
+// with find, in original vertex IDs. rs restricts the parent embedding,
+// and outerDart is a parent dart whose tail is in vs and whose face lies
+// in the region the restriction's outer face should contain
+// (planar.Restricter.Restrict): the subset is restricted around it,
+// configured, and BFS-rooted on the restricted outer face exactly as in
+// the Theorem 1 path, then find runs on the restricted configuration.
+// Nothing here is sized by the parent graph, so a caller that knows such
+// a dart locally and reuses one Restricter — the DFS build does — pays
+// for the subset only.
+func ForSubsetWith(rs *planar.Restricter, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
 	switch len(vs) {
 	case 0:
 		return nil, fmt.Errorf("separator: empty subset")
@@ -70,22 +75,25 @@ func ForSubsetWith(emb *planar.Embedding, outerDart int, vs []int, tr trace.Trac
 		// A single vertex is its own separator and find never runs, so
 		// there is nothing to restrict or configure.
 		v := vs[0]
-		if err := emb.Graph().CheckVertex(v); err != nil {
+		if err := rs.Embedding().Graph().CheckVertex(v); err != nil {
 			return nil, err
 		}
 		return &Separator{Path: []int{v}, EndA: v, EndB: v, Phase: PhaseTree}, nil
 	}
-	res, err := emb.RestrictTo(vs, outerDart)
+	res, err := rs.Restrict(vs, outerDart)
 	if err != nil {
 		return nil, err
 	}
-	if !res.G.Connected() {
-		return nil, fmt.Errorf("separator: subset induces a disconnected subgraph")
+	// Two or more vertices without an edge are disconnected, and have no
+	// outer dart to root on.
+	if res.G.M() == 0 {
+		return nil, errDisconnected
 	}
-	// Root on the restricted outer face.
+	// Root on the restricted outer face; the BFS is also the connectivity
+	// check, since it fails on any unreachable vertex.
 	tree, err := spanning.BFSTree(res.G, res.Emb.FaceRoot(res.OuterDart))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errDisconnected, err)
 	}
 	cfg, err := weights.NewConfig(res.G, res.Emb, res.OuterDart, tree)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/planar"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
 	"planardfs/internal/weights"
@@ -247,8 +248,9 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 		t.Fatal("find ran on a single vertex")
 		return nil, nil
 	}
+	rs := planar.NewRestricter(in.Emb)
 	for v := 0; v < in.G.N(); v++ {
-		sep, err := ForSubsetWith(in.Emb, -1, []int{v}, nil, noFind)
+		sep, err := ForSubsetWith(rs, -1, []int{v}, nil, noFind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,13 +259,13 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 		}
 	}
 	for _, v := range []int{-1, in.G.N(), 1 << 40} {
-		_, err := ForSubsetWith(in.Emb, -1, []int{v}, nil, noFind)
+		_, err := ForSubsetWith(rs, -1, []int{v}, nil, noFind)
 		_, _, want := in.G.InducedSubgraph([]int{v})
 		if err == nil || want == nil || err.Error() != want.Error() {
 			t.Fatalf("ForSubsetWith({%d}) error %v, InducedSubgraph reports %v", v, err, want)
 		}
 	}
-	if _, err := ForSubsetWith(in.Emb, -1, nil, nil, noFind); err == nil {
+	if _, err := ForSubsetWith(rs, -1, nil, nil, noFind); err == nil {
 		t.Fatal("ForSubsetWith accepted an empty subset")
 	}
 }

@@ -43,7 +43,7 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 		if tries >= maxTries {
 			break
 		}
-		for _, ins := range cfg.Emb.FaceInsertions(root, x) {
+		for _, ins := range cfg.Emb.FaceInsertionsIn(cfg.Faces(), root, x) {
 			if tries >= maxTries {
 				break
 			}

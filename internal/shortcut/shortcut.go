@@ -63,8 +63,9 @@ func (p *Partition) K() int { return len(p.Parts) }
 
 // Validate checks that each part induces a connected subgraph of g.
 func (p *Partition) Validate(g *graph.Graph) error {
+	ind := graph.NewInducer(g)
 	for i, part := range p.Parts {
-		sub, _, err := g.InducedSubgraph(part)
+		sub, err := ind.Induce(part)
 		if err != nil {
 			return err
 		}

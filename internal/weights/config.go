@@ -40,6 +40,9 @@ type Config struct {
 	// start[v] is the rotation index serving as normalized position 0:
 	// the parent dart for non-roots, an outer-face dart for the root.
 	start []int32
+	// startDart[v] is the dart at normalized position 0, so for a
+	// non-root v it is the dart from v to its tree parent.
+	startDart []int32
 	// rootAnchor is the dart of the root at normalized position 0.
 	rootAnchor int
 	// CSR child order: v's tree children by ascending normalized position
@@ -59,6 +62,9 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 	if g.M() == 0 {
 		return nil, fmt.Errorf("weights: configuration needs at least one edge")
 	}
+	if err := emb.CheckOuterDart(outerDart); err != nil {
+		return nil, err
+	}
 	faces := emb.TraceFaces()
 	outer := int(faces.FaceOf[outerDart])
 	cfg := &Config{G: g, Emb: emb, Tree: tree, Outer: outer, faces: faces}
@@ -67,7 +73,8 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 	// rotation index. Both are found without materializing rotations.
 	n := g.N()
 	cfg.start = make([]int32, n)
-	startDart := make([]int32, n)
+	cfg.startDart = make([]int32, n)
+	startDart := cfg.startDart
 	for v := 0; v < n; v++ {
 		if v == tree.Root {
 			// Anchor the root at an outer-face corner: position 0 is a
@@ -150,12 +157,20 @@ func (cfg *Config) TPos(d int) int {
 }
 
 // TPosOf returns the normalized position of neighbour w in v's rotation.
+// It finds the edge {v,w} by an incidence scan; for a tree child w of v,
+// childTPos gives the same answer without one.
 func (cfg *Config) TPosOf(v, w int) int {
 	id, ok := cfg.G.EdgeID(v, w)
 	if !ok {
 		panic(fmt.Sprintf("weights: %d and %d are not adjacent", v, w))
 	}
 	return cfg.TPos(planar.DartFrom(cfg.G, id, v))
+}
+
+// childTPos returns TPosOf(Tree.Parent[c], c) for a non-root c: the
+// position, at c's parent, of the twin of c's parent dart.
+func (cfg *Config) childTPos(c int) int {
+	return cfg.TPos(int(cfg.startDart[c]) ^ 1)
 }
 
 // ChildOrder returns v's tree children by ascending normalized position,

@@ -35,7 +35,7 @@ func (cfg *Config) Classify(e int) EdgeCase {
 	if cfg.Tree.IsAncestor(u, v) {
 		ec.Ancestor = true
 		ec.Z = cfg.Tree.MustFirstOnPath(u, v)
-		ec.UseLeft = cfg.TPosOf(u, v) > cfg.TPosOf(u, ec.Z)
+		ec.UseLeft = cfg.TPosOf(u, v) > cfg.childTPos(ec.Z)
 	} else {
 		ec.W = cfg.Tree.LCA(u, v)
 	}
@@ -62,7 +62,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		tv := cfg.TPosOf(ec.U, ec.V)
 		for _, c := range cfg.children(ec.U) {
 			c := int(c)
-			if cfg.TPosOf(ec.U, c) < tv {
+			if cfg.childTPos(c) < tv {
 				sum += t.SubtreeSize(c)
 			}
 		}
@@ -71,7 +71,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		tu := cfg.TPosOf(ec.V, ec.U)
 		for _, c := range cfg.children(ec.V) {
 			c := int(c)
-			if cfg.TPosOf(ec.V, c) > tu {
+			if cfg.childTPos(c) > tu {
 				sum += t.SubtreeSize(c)
 			}
 		}
@@ -79,13 +79,13 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		// Children strictly between the path child z and v in the cone
 		// (Claim 4(i)); orientation decides which side of z.
 		tv := cfg.TPosOf(ec.U, ec.V)
-		tz := cfg.TPosOf(ec.U, ec.Z)
+		tz := cfg.childTPos(ec.Z)
 		for _, c := range cfg.children(ec.U) {
 			c := int(c)
 			if c == ec.Z {
 				continue
 			}
-			tc := cfg.TPosOf(ec.U, c)
+			tc := cfg.childTPos(c)
 			if ec.UseLeft {
 				if tz < tc && tc < tv {
 					sum += t.SubtreeSize(c)
@@ -101,7 +101,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		tu := cfg.TPosOf(ec.V, ec.U)
 		for _, c := range cfg.children(ec.V) {
 			c := int(c)
-			tc := cfg.TPosOf(ec.V, c)
+			tc := cfg.childTPos(c)
 			if ec.UseLeft {
 				if tc > tu {
 					sum += t.SubtreeSize(c)
@@ -221,20 +221,20 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 func (cfg *Config) childInCone(ec EdgeCase, x, c int) bool {
 	switch {
 	case !ec.Ancestor && x == ec.U:
-		return cfg.TPosOf(ec.U, c) < cfg.TPosOf(ec.U, ec.V)
+		return cfg.childTPos(c) < cfg.TPosOf(ec.U, ec.V)
 	case !ec.Ancestor && x == ec.V:
-		return cfg.TPosOf(ec.V, c) > cfg.TPosOf(ec.V, ec.U)
+		return cfg.childTPos(c) > cfg.TPosOf(ec.V, ec.U)
 	case ec.Ancestor && x == ec.U:
 		if c == ec.Z {
 			return false
 		}
-		tv, tz, tc := cfg.TPosOf(ec.U, ec.V), cfg.TPosOf(ec.U, ec.Z), cfg.TPosOf(ec.U, c)
+		tv, tz, tc := cfg.TPosOf(ec.U, ec.V), cfg.childTPos(ec.Z), cfg.childTPos(c)
 		if ec.UseLeft {
 			return tz < tc && tc < tv
 		}
 		return tv < tc && tc < tz
 	case ec.Ancestor && x == ec.V:
-		tu, tc := cfg.TPosOf(ec.V, ec.U), cfg.TPosOf(ec.V, c)
+		tu, tc := cfg.TPosOf(ec.V, ec.U), cfg.childTPos(c)
 		if ec.UseLeft {
 			return tc > tu
 		}

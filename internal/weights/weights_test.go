@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/graph"
 	"planardfs/internal/spanning"
 )
 
@@ -95,6 +96,42 @@ func TestTPosNormalization(t *testing.T) {
 // deterministic weight of Definition 2 equals the geometric count
 // (|F̃_e| for non-ancestor edges, |F̊_e| for ancestor edges) for every real
 // fundamental edge of every configuration.
+// TestChildTPosMatchesScan checks that the position of every tree child
+// read off its parent dart equals the one the incidence scan finds, on
+// grid, stacked and cylinderish instances under BFS and deep DFS trees.
+func TestChildTPosMatchesScan(t *testing.T) {
+	for _, name := range []string{"grid", "stacked", "cylinderish"} {
+		in, err := gen.ByName(name, 120, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := in.Emb.FaceRoot(in.OuterDart)
+		for _, mk := range []func(*graph.Graph, int) (*spanning.Tree, error){spanning.BFSTree, spanning.DeepDFSTree} {
+			tr, err := mk(in.G, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := NewConfig(in.G, in.Emb, in.OuterDart, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			children := 0
+			for v := 0; v < in.G.N(); v++ {
+				for _, c := range tr.Children(v) {
+					c := int(c)
+					if got, want := cfg.childTPos(c), cfg.TPosOf(v, c); got != want {
+						t.Fatalf("%s: child %d of %d at position %d, scan says %d", name, c, v, got, want)
+					}
+					children++
+				}
+			}
+			if children != in.G.N()-1 {
+				t.Fatalf("%s: checked %d tree children, want %d", name, children, in.G.N()-1)
+			}
+		}
+	}
+}
+
 func TestWeightFormulaExact(t *testing.T) {
 	total, checked := 0, 0
 	for ci, cfg := range configsUnderTest(t) {

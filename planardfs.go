@@ -155,6 +155,9 @@ const (
 
 // OuterRoot returns a vertex on the instance's outer face, the natural root
 // for spanning trees (the paper requires the root on the outer face).
+// in.OuterDart must be a dart of in.Emb (0 <= OuterDart < 2·M); the entry
+// points that take the instance whole, such as Run, BuildDFSTree and
+// NewConfig, return an error for one out of range instead.
 func OuterRoot(in *Instance) int {
 	return in.Emb.FaceRoot(in.OuterDart)
 }

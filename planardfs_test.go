@@ -3,6 +3,7 @@ package planardfs
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"planardfs/internal/cert"
@@ -279,6 +280,59 @@ func TestOutOfRangeRoot(t *testing.T) {
 				}
 				if want := in.G.CheckVertex(root); c.exact && err.Error() != want.Error() {
 					t.Fatalf("error = %q, want %q", err, want)
+				}
+			})
+		}
+	}
+}
+
+// TestOuterDartOutOfRange checks that every facade call reading the
+// instance's outer dart rejects one outside the embedding with the
+// embedding's own error instead of panicking, the guarded Run included:
+// the guard admits the graph and its embedding, not the dart.
+func TestOuterDartOutOfRange(t *testing.T) {
+	in, err := NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, in.G.N())
+	for v := range all {
+		all[v] = v
+	}
+	for _, d := range []int{-1, 1 << 20} {
+		bad := *in
+		bad.OuterDart = d
+		want := fmt.Sprintf("planar: outer dart %d out of range", d)
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"Run", func() error {
+				_, err := Run(context.Background(), &bad, PipelineOptions{})
+				return err
+			}},
+			{"Run/guard", func() error {
+				_, err := Run(context.Background(), &bad, PipelineOptions{Guard: &GuardOptions{Seed: 1}})
+				return err
+			}},
+			{"NewConfig", func() error {
+				_, err := NewConfig(&bad, TreeBFS, 0)
+				return err
+			}},
+			{"BuildDFSTree", func() error {
+				_, _, err := BuildDFSTree(&bad, 0)
+				return err
+			}},
+			{"SeparatorForSubset", func() error {
+				_, err := SeparatorForSubset(&bad, all)
+				return err
+			}},
+		}
+		for _, c := range calls {
+			t.Run(fmt.Sprintf("%s/dart=%d", c.name, d), func(t *testing.T) {
+				err := c.call()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error = %v, want one reporting %q", err, want)
 				}
 			})
 		}
