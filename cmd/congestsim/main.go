@@ -140,13 +140,9 @@ func run() error {
 			}
 		}
 	case "awerbuch":
-		nodes := congest.NewAwerbuchNodes(nw, 0)
-		if _, err := nw.Run(nodes, 10*g.N()+100); err != nil {
+		parent, _, err := congest.RunAwerbuch(nw, 0, 10*g.N()+100)
+		if err != nil {
 			return err
-		}
-		parent := make([]int, g.N())
-		for v := range parent {
-			parent[v] = nodes[v].(*congest.AwerbuchNode).ParentID
 		}
 		if err := dfs.IsDFSTree(g, 0, parent); err != nil {
 			return fmt.Errorf("output not a DFS tree: %w", err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -128,5 +130,33 @@ func TestRequireFirstAttempt(t *testing.T) {
 		if !strings.Contains(buf.String(), "outcome="+o.String()) || !strings.Contains(buf.String(), "rejected: proof-labeling verifier rejected") {
 			t.Fatalf("outcome %s: report not printed:\n%s", o, buf.String())
 		}
+	}
+}
+
+// TestTraceCLI checks that -trace writes the traced pipeline run: two
+// runs write byte-identical files, and the summary line lists all seven
+// layers, including the cert and chaos layers of the certified dfs stage.
+func TestTraceCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t, "planardfs/cmd/dfsbench")
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("trace%d.json", i))
+		out, err := exec.Command(bin, "-families", "grid", "-sizes", "64", "-trace", path).Output()
+		if err != nil {
+			t.Fatalf("-trace: %v\n%s", err, out)
+		}
+		if want := "layers=[network primitive lemma separator dfs cert chaos]"; !strings.Contains(string(out), want) {
+			t.Fatalf("summary lacks %q:\n%s", want, out)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("two -trace runs wrote different files")
 	}
 }

@@ -115,7 +115,7 @@ func run() error {
 		}
 		fmt.Println("E1 — Theorem 1: cycle separator rounds scale with Õ(D)")
 		fmt.Printf("%-12s %7s %7s %5s %7s %-15s %12s %12s %10s\n",
-			"family", "n", "m", "D", "sepLen", "phase", "paper", "pipelined", "paper/Dlog2")
+			"family", "n", "m", "D", "sepLen", "phase", "paper", "pipelined", "paper/Dlog4")
 		for _, r := range rows {
 			fmt.Printf("%-12s %7d %7d %5d %7d %-15s %12d %12d %10.2f\n",
 				r.Family, r.N, r.M, r.D, r.SepLen, r.Phase, r.PaperRounds, r.PipelinedRounds, r.NormPaper)

@@ -72,17 +72,6 @@ func (vf *Verifier) CertifyBFSTree(root int, parent, distArr []int) (*Verdict, e
 	return vf.VerifyBFSTree(ProveBFSTree(root, parent, distArr))
 }
 
-// VerifyBFSTree runs the BFS-tree verifier on a fresh Verifier of g.
-func VerifyBFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).VerifyBFSTree(labels)
-}
-
-// CertifyBFSTree proves and verifies the claimed BFS tree on a fresh
-// Verifier of g.
-func CertifyBFSTree(g *graph.Graph, root int, parent, distArr []int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).CertifyBFSTree(root, parent, distArr)
-}
-
 // CheckBFSTree is the centralized oracle: the claim matches an actual BFS
 // from root exactly when every dist equals the true distance and every
 // non-root parent is a neighbour one level up.

@@ -120,11 +120,6 @@ func (vf *Verifier) CertifyDFSTree(root int, parent []int) (*Verdict, error) {
 	return vf.VerifyDFSTree(labels)
 }
 
-// VerifyDFSTree runs the DFS-tree verifier on a fresh Verifier of g.
-func VerifyDFSTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).VerifyDFSTree(labels)
-}
-
 // CertifyDFSTree proves and verifies that the parent array is a DFS tree of
 // g rooted at root, on a fresh Verifier.
 func CertifyDFSTree(g *graph.Graph, root int, parent []int, opt Options) (*Verdict, error) {

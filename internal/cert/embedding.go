@@ -5,7 +5,6 @@ import (
 
 	"planardfs/internal/congest"
 	"planardfs/internal/dist"
-	"planardfs/internal/graph"
 	"planardfs/internal/planar"
 	"planardfs/internal/trace"
 )
@@ -139,11 +138,6 @@ func (vf *Verifier) CertifyEmbedding(emb *planar.Embedding) (*Verdict, error) {
 		return nil, fmt.Errorf("cert: embedding of another graph")
 	}
 	return vf.VerifyEmbedding(ProveEmbedding(emb))
-}
-
-// VerifyEmbedding runs the embedding verifier on a fresh Verifier of g.
-func VerifyEmbedding(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).VerifyEmbedding(labels)
 }
 
 // CertifyEmbedding proves and verifies the Euler sanity of emb on a fresh

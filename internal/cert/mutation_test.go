@@ -51,7 +51,7 @@ func TestSpanningMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := ProveSpanningTree(st)
-	if v, err := VerifySpanningTree(g, good, Options{}); err != nil || !v.OK {
+	if v, err := NewVerifier(g, Options{}).VerifySpanningTree(good); err != nil || !v.OK {
 		t.Fatalf("baseline: %v %+v", err, v)
 	}
 	x := g.N() - 1 // any non-root vertex (root is 0)
@@ -67,7 +67,7 @@ func TestSpanningMutations(t *testing.T) {
 	for _, m := range mutations {
 		labels := cloneLabels(good)
 		m.mutate(labels)
-		v, err := VerifySpanningTree(g, labels, Options{})
+		v, err := NewVerifier(g, Options{}).VerifySpanningTree(labels)
 		wantReject(t, v, err, m.name)
 	}
 }
@@ -83,7 +83,7 @@ func TestDFSMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := VerifyDFSTree(g, good, Options{}); err != nil || !v.OK {
+	if v, err := NewVerifier(g, Options{}).VerifyDFSTree(good); err != nil || !v.OK {
 		t.Fatalf("baseline: %v %+v", err, v)
 	}
 	x := g.N() - 1 // non-root: tin >= 1
@@ -99,7 +99,7 @@ func TestDFSMutations(t *testing.T) {
 	for _, m := range mutations {
 		labels := cloneLabels(good)
 		m.mutate(labels)
-		v, err := VerifyDFSTree(g, labels, Options{})
+		v, err := NewVerifier(g, Options{}).VerifyDFSTree(labels)
 		wantReject(t, v, err, m.name)
 	}
 }
@@ -124,7 +124,7 @@ func TestSeparatorMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := VerifySeparator(g, good, Options{}); err != nil || !v.OK {
+	if v, err := NewVerifier(g, Options{}).VerifySeparator(good); err != nil || !v.OK {
 		t.Fatalf("baseline: %v %+v", err, v)
 	}
 	// A vertex off the separator path (grid separators always leave some).
@@ -157,7 +157,7 @@ func TestSeparatorMutations(t *testing.T) {
 	for _, m := range mutations {
 		labels := cloneLabels(good)
 		m.mutate(labels)
-		v, err := VerifySeparator(g, labels, Options{})
+		v, err := NewVerifier(g, Options{}).VerifySeparator(labels)
 		wantReject(t, v, err, m.name)
 	}
 }
@@ -166,7 +166,7 @@ func TestEmbeddingMutations(t *testing.T) {
 	in := gridInstance(t)
 	g := in.G
 	good := ProveEmbedding(in.Emb)
-	if v, err := VerifyEmbedding(g, good, Options{}); err != nil || !v.OK {
+	if v, err := NewVerifier(g, Options{}).VerifyEmbedding(good); err != nil || !v.OK {
 		t.Fatalf("baseline: %v %+v", err, v)
 	}
 	// A face-leading vertex (decrements must stay within the local bound so
@@ -192,7 +192,7 @@ func TestEmbeddingMutations(t *testing.T) {
 	for _, m := range mutations {
 		labels := cloneLabels(good)
 		m.mutate(labels)
-		v, err := VerifyEmbedding(g, labels, Options{})
+		v, err := NewVerifier(g, Options{}).VerifyEmbedding(labels)
 		wantReject(t, v, err, m.name)
 	}
 }

@@ -253,11 +253,6 @@ func (vf *Verifier) CertifySeparator(sep *separator.Separator) (*Verdict, error)
 	return vf.VerifySeparator(labels)
 }
 
-// VerifySeparator runs the separator verifier on a fresh Verifier of g.
-func VerifySeparator(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).VerifySeparator(labels)
-}
-
 // CertifySeparator proves and verifies the separator property of sep on a
 // fresh Verifier of g.
 func CertifySeparator(g *graph.Graph, sep *separator.Separator, opt Options) (*Verdict, error) {

@@ -87,12 +87,6 @@ func (vf *Verifier) CertifySpanningTree(t *spanning.Tree) (*Verdict, error) {
 	return vf.VerifySpanningTree(ProveSpanningTree(t))
 }
 
-// VerifySpanningTree runs the spanning-tree verifier on a fresh Verifier
-// of g.
-func VerifySpanningTree(g *graph.Graph, labels [][]int, opt Options) (*Verdict, error) {
-	return NewVerifier(g, opt).VerifySpanningTree(labels)
-}
-
 // CertifySpanningTree proves and verifies that t is a rooted spanning tree
 // of g on a fresh Verifier.
 func CertifySpanningTree(g *graph.Graph, t *spanning.Tree, opt Options) (*Verdict, error) {

@@ -9,13 +9,12 @@ import (
 
 	"planardfs/internal/cert"
 	"planardfs/internal/gen"
-	"planardfs/internal/graph"
 	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
-// certRun is one certification, runnable on a shared Verifier or through
-// the one-shot package functions with the given options.
+// certRun is one certification, runnable on a shared Verifier or one-shot
+// (a package function, or a fresh Verifier) with the given options.
 type certRun struct {
 	name    string
 	shared  func(vf *cert.Verifier) (*cert.Verdict, error)
@@ -61,12 +60,11 @@ func certRuns(t *testing.T, in *gen.Instance) []certRun {
 	embLabels := cert.ProveEmbedding(in.Emb)
 
 	verify := func(name string, labels [][]int, ok bool,
-		shared func(*cert.Verifier, [][]int) (*cert.Verdict, error),
-		oneShot func(*graph.Graph, [][]int, cert.Options) (*cert.Verdict, error)) certRun {
+		method func(*cert.Verifier, [][]int) (*cert.Verdict, error)) certRun {
 		return certRun{
 			name:    name,
-			shared:  func(vf *cert.Verifier) (*cert.Verdict, error) { return shared(vf, labels) },
-			oneShot: func(opt cert.Options) (*cert.Verdict, error) { return oneShot(g, labels, opt) },
+			shared:  func(vf *cert.Verifier) (*cert.Verdict, error) { return method(vf, labels) },
+			oneShot: func(opt cert.Options) (*cert.Verdict, error) { return method(cert.NewVerifier(g, opt), labels) },
 			ok:      ok,
 		}
 	}
@@ -75,7 +73,7 @@ func certRuns(t *testing.T, in *gen.Instance) []certRun {
 			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifySpanningTree(g, bfs, opt) }, true},
 		{"certify-bfs", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyBFSTree(0, bfs.Parent, bfs.Depth) },
 			func(opt cert.Options) (*cert.Verdict, error) {
-				return cert.CertifyBFSTree(g, 0, bfs.Parent, bfs.Depth, opt)
+				return cert.NewVerifier(g, opt).CertifyBFSTree(0, bfs.Parent, bfs.Depth)
 			}, true},
 		{"certify-dfs", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyDFSTree(0, deep.Parent) },
 			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifyDFSTree(g, 0, deep.Parent, opt) }, true},
@@ -84,26 +82,26 @@ func certRuns(t *testing.T, in *gen.Instance) []certRun {
 		{"certify-embedding", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyEmbedding(in.Emb) },
 			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifyEmbedding(in.Emb, opt) }, true},
 		verify("bad-spanning-root", mutate(spanLabels, n-1, 0), false,
-			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+			(*cert.Verifier).VerifySpanningTree),
 		verify("bad-spanning-depth", mutate(spanLabels, n/2, 2), false,
-			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+			(*cert.Verifier).VerifySpanningTree),
 		verify("bad-bfs-dist", mutate(bfsLabels, n-1, 2), false,
-			(*cert.Verifier).VerifyBFSTree, cert.VerifyBFSTree),
+			(*cert.Verifier).VerifyBFSTree),
 		verify("bad-dfs-interval", mutate(dfsLabels, n/3, 2), false,
-			(*cert.Verifier).VerifyDFSTree, cert.VerifyDFSTree),
+			(*cert.Verifier).VerifyDFSTree),
 		verify("bad-separator-count", mutate(sepLabels, 0, 9), false,
-			(*cert.Verifier).VerifySeparator, cert.VerifySeparator),
+			(*cert.Verifier).VerifySeparator),
 		verify("bad-embedding-leader", mutate(embLabels, 1, 1), false,
-			(*cert.Verifier).VerifyEmbedding, cert.VerifyEmbedding),
+			(*cert.Verifier).VerifyEmbedding),
 		verify("short-labels", spanLabels[1:], false,
-			(*cert.Verifier).VerifySpanningTree, cert.VerifySpanningTree),
+			(*cert.Verifier).VerifySpanningTree),
 	}
 }
 
 // TestVerifierMatchesOneShot runs every scheme's accepting and rejecting
 // certifications on one shared Verifier per graph, in the listed order and
 // in two seeded interleavings (so runs follow rejections and other
-// schemes), against the one-shot package functions in the same order:
+// schemes), against one-shot certifications in the same order:
 // errors, verdicts (rejectors, rounds, statistics) and the JSONL traces of
 // the whole sequence must be identical.
 func TestVerifierMatchesOneShot(t *testing.T) {

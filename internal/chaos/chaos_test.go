@@ -134,7 +134,7 @@ func TestExplicitCrashPartitionsRun(t *testing.T) {
 	if out.Dist[4] != -1 {
 		t.Fatalf("dist[4] = %d, want unreached (-1)", out.Dist[4])
 	}
-	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
+	v, err := cert.NewVerifier(g, cert.Options{}).CertifyBFSTree(0, out.Parent, out.Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestExplicitLinkDownNeverSilentlyWrong(t *testing.T) {
 	if inj.Counts().LinkDownDrops == 0 {
 		t.Fatal("link-down dropped nothing")
 	}
-	v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
+	v, err := cert.NewVerifier(g, cert.Options{}).CertifyBFSTree(0, out.Parent, out.Dist)
 	if err != nil {
 		t.Fatal(err)
 	}

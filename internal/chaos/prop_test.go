@@ -93,7 +93,7 @@ func TestBFSEverySingleFaultIsSoundOnGrids(t *testing.T) {
 				if inj.Counts().Total() == 0 {
 					t.Fatalf("n=%d fault %+v missed its observed delivery", n, f)
 				}
-				v, err := cert.CertifyBFSTree(g, 0, out.Parent, out.Dist, cert.Options{})
+				v, err := cert.NewVerifier(g, cert.Options{}).CertifyBFSTree(0, out.Parent, out.Dist)
 				if err != nil {
 					t.Fatal(err)
 				}

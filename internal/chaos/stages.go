@@ -44,19 +44,11 @@ func AwerbuchDFSOn(vf *cert.Verifier, root int, plan *Plan) Stage[[]int] {
 		Run: func(attempt, budget int) ([]int, int, error) {
 			nw := stageNetwork(g, opt)
 			inj := plan.Arm(nw, attempt)
-			nodes := congest.NewAwerbuchNodes(nw, root)
-			rounds, err := nw.Run(nodes, budget)
+			parent, rounds, err := congest.RunAwerbuch(nw, root, budget)
 			if inj != nil {
 				fired.Add(inj.Counts())
 			}
-			if err != nil {
-				return nil, rounds, err
-			}
-			parent := make([]int, g.N())
-			for v := range parent {
-				parent[v] = nodes[v].(*congest.AwerbuchNode).ParentID
-			}
-			return parent, rounds, nil
+			return parent, rounds, err
 		},
 		Certify: DFSCertifierOn(vf, root),
 		Faults:  func() Counts { return fired },

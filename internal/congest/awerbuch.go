@@ -41,6 +41,23 @@ func NewAwerbuchNodes(nw *Network, root int) []Node {
 	return nodes
 }
 
+// RunAwerbuch runs the token DFS from root on nw for at most maxRounds
+// rounds and returns the DFS parent array it leaves (-1 at root) with the
+// rounds executed. On error the rounds executed so far are returned
+// without a parent array.
+func RunAwerbuch(nw *Network, root, maxRounds int) ([]int, int, error) {
+	nodes := NewAwerbuchNodes(nw, root)
+	rounds, err := nw.Run(nodes, maxRounds)
+	if err != nil {
+		return nil, rounds, err
+	}
+	parent := make([]int, len(nodes))
+	for v, nd := range nodes {
+		parent[v] = nd.(*AwerbuchNode).ParentID
+	}
+	return parent, rounds, nil
+}
+
 // Round implements Node.
 func (an *AwerbuchNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	for _, in := range recv {

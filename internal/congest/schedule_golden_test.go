@@ -350,7 +350,7 @@ func runCertSeparator(t *testing.T, o *goldenOut, family string) {
 	}
 	bad[len(bad)-1][0]++ // corrupt one root-id field
 	for i, lbs := range [][][]int{labels, bad} {
-		v, err := cert.VerifySeparator(in.G, lbs, cert.Options{Tracer: o.rec})
+		v, err := cert.NewVerifier(in.G, cert.Options{Tracer: o.rec}).VerifySeparator(lbs)
 		if err != nil {
 			t.Fatal(err)
 		}

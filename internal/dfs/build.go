@@ -39,6 +39,14 @@ type Trace struct {
 	EngineFallbacks int
 }
 
+// Ops is the run's primitive tally under the Theorem 2 round account
+// (dist.DFSBuildOps): per phase, one separator computation plus the
+// deepest join's sub-phases. Its Rounds under a cost model is the charged
+// round cost of the run on an n-vertex graph.
+func (t *Trace) Ops(n int) dist.Ops {
+	return dist.DFSBuildOps(n, t.Phases, t.MaxJoinSubPhases)
+}
+
 // Build computes a DFS tree of the embedded planar graph rooted at root by
 // the main algorithm of Section 3.2/6.2: per phase, a cycle separator of
 // every remaining component is computed (Theorem 1) and joined to the

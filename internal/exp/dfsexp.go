@@ -1,17 +1,35 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"planardfs/internal/chaos"
 	"planardfs/internal/congest"
 	"planardfs/internal/dfs"
 	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/shortcut"
+	"planardfs/internal/trace"
 )
+
+// theorem2 runs the Theorem 2 pipeline on in, recorded on tracer (nil
+// disables tracing), and accepts only the Theorem 2 tree itself: certified
+// on its first attempt, not after a retry or by the Awerbuch fallback.
+func theorem2(in *gen.Instance, tracer trace.Tracer) (*pipeline.Result, error) {
+	res, err := pipeline.Run(context.TODO(), in, pipeline.Options{Tracer: tracer})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", in.Name, err)
+	}
+	if o := res.Recovery.Outcome; o != chaos.OutcomeCertified {
+		return nil, fmt.Errorf("%s: the Theorem 2 DFS tree was not certified on its first attempt (outcome=%s)", in.Name, o)
+	}
+	return res, nil
+}
 
 // E2Row is one sweep point of experiment E2 (Theorem 2: DFS rounds scale
 // with Õ(D); Awerbuch with Θ(n)).
@@ -24,14 +42,14 @@ type E2Row struct {
 	PipelinedRounds  int
 	AwerbuchTheory   int
 	AwerbuchMeasured int
-	// NormPaper is PaperRounds/(D·log⁵n): roughly flat iff the Õ(D) shape
-	// holds (one log from the recursion phases, two from the PA charge, two
-	// from the subroutine invocation counts).
+	// NormPaper is PaperRounds/((D+1)·⌈log₂(n+1)⌉⁵): roughly flat iff the
+	// Õ(D) shape holds (one log from the recursion phases, two from the PA
+	// charge, two from the subroutine invocation counts).
 	NormPaper float64
 }
 
-// E2 sweeps DFS-tree constructions across families and sizes, also running
-// Awerbuch's algorithm at the message level.
+// E2 sweeps certified pipeline runs across families and sizes, charged at
+// the true diameter, also running Awerbuch's algorithm at the message level.
 func E2(families []string, sizes []int, seed int64) ([]E2Row, error) {
 	var rows []E2Row
 	for _, fam := range families {
@@ -40,23 +58,18 @@ func E2(families []string, sizes []int, seed int64) ([]E2Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			root := in.Emb.FaceRoot(in.OuterDart)
-			pt, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, root)
+			res, err := theorem2(in, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := dfs.IsDFSTree(in.G, root, pt.Parent); err != nil {
-				return nil, err
-			}
+			tr := res.DFSTrace
 			nn := in.G.N()
 			d := in.G.Diameter()
-			ops := dist.DFSBuildOps(nn, tr.Phases, tr.MaxJoinSubPhases)
+			ops := tr.Ops(nn)
 			paper := ops.Rounds(shortcut.PaperCost{D: d, N: nn}, 1)
 			pipe := ops.Rounds(shortcut.PipelinedCost{Depth: d}, 1)
 
-			nw := congest.New(in.G)
-			nodes := congest.NewAwerbuchNodes(nw, root)
-			awRounds, err := nw.Run(nodes, 10*nn+100)
+			_, awRounds, err := congest.RunAwerbuch(congest.New(in.G), res.Root, 10*nn+100)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +100,7 @@ type E7Row struct {
 	LogBound int
 }
 
-// E7 measures join convergence.
+// E7 measures join convergence on certified pipeline runs.
 func E7(families []string, n int, seed int64) ([]E7Row, error) {
 	var rows []E7Row
 	for _, fam := range families {
@@ -95,10 +108,11 @@ func E7(families []string, n int, seed int64) ([]E7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, in.Emb.FaceRoot(in.OuterDart))
+		res, err := theorem2(in, nil)
 		if err != nil {
 			return nil, err
 		}
+		tr := res.DFSTrace
 		rows = append(rows, E7Row{
 			Family: fam, N: in.G.N(),
 			Phases: tr.Phases, JoinSubPhases: tr.JoinSubPhases,
@@ -119,7 +133,7 @@ type E9Row struct {
 	MaxComponent []int
 }
 
-// E9 measures component shrink per phase.
+// E9 measures component shrink per phase on certified pipeline runs.
 func E9(families []string, n int, seed int64) ([]E9Row, error) {
 	var rows []E9Row
 	for _, fam := range families {
@@ -127,10 +141,11 @@ func E9(families []string, n int, seed int64) ([]E9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, tr, err := dfs.Build(in.G, in.Emb, in.OuterDart, in.Emb.FaceRoot(in.OuterDart))
+		res, err := theorem2(in, nil)
 		if err != nil {
 			return nil, err
 		}
+		tr := res.DFSTrace
 		row := E9Row{Family: fam, N: in.G.N(), Phases: tr.Phases, MaxComponent: tr.MaxComponent}
 		for i := 1; i < len(tr.MaxComponent); i++ {
 			r := float64(tr.MaxComponent[i]) / float64(tr.MaxComponent[i-1])
@@ -228,14 +243,9 @@ func E11(families []string, n int, seed int64) ([]E11Row, error) {
 			return nil, err
 		}
 		nw := congest.New(in.G)
-		nodes := congest.NewAwerbuchNodes(nw, 0)
-		rounds, err := nw.Run(nodes, 10*in.G.N()+100)
+		parent, rounds, err := congest.RunAwerbuch(nw, 0, 10*in.G.N()+100)
 		if err != nil {
 			return nil, err
-		}
-		parent := make([]int, in.G.N())
-		for v := range parent {
-			parent[v] = nodes[v].(*congest.AwerbuchNode).ParentID
 		}
 		if err := dfs.IsDFSTree(in.G, 0, parent); err != nil {
 			return nil, fmt.Errorf("E11 %s: %w", fam, err)

@@ -1,24 +1,22 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
-	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
-	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 )
 
 // runTheorem2Pipeline drives the Theorem 2 pipeline (internal/pipeline)
-// end to end on one generated instance — BFS spanning tree, the Theorem 2
-// DFS (dfs.Build's algorithm) under the certify-retry runtime, the
-// Theorem 1 cycle separator and the three proof-labeling certifications —
-// and checks every stage's report.
+// end to end on one generated instance through theorem2 — BFS spanning
+// tree, the Theorem 2 DFS (dfs.Build's algorithm) under the certify-retry
+// runtime, certified on its first attempt, the Theorem 1 cycle separator
+// and the three proof-labeling certifications, every one accepting — and
+// checks the separator's balance.
 func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	t.Helper()
 	start := time.Now()
@@ -29,7 +27,7 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	t.Logf("generate %8.2fs", time.Since(start).Seconds())
 
 	start = time.Now()
-	res, err := pipeline.Run(context.Background(), in, pipeline.Options{})
+	res, err := theorem2(in, nil)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
@@ -37,14 +35,6 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 		time.Since(start).Seconds(), in.G.N(), res.DFSTrace.Phases,
 		res.DFSTrace.SeparatorCalls, res.Rounds())
 
-	if res.Recovery.Outcome != chaos.OutcomeCertified {
-		t.Fatalf("dfs stage ended %v, want certified", res.Recovery.Outcome)
-	}
-	for _, v := range res.Verdicts {
-		if !v.OK {
-			t.Fatalf("%s certificate rejected by %d verifiers", v.Scheme, len(v.Rejectors))
-		}
-	}
 	if bal := separator.VerifyBalance(in.G, res.Separator.Sep.Path); 3*bal > 2*in.G.N() {
 		t.Fatalf("separator unbalanced: largest side %d of %d", bal, in.G.N())
 	}

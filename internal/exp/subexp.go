@@ -17,7 +17,7 @@ type E5Row struct {
 	TreeDepth int
 	Phases    int
 	LogBound  int
-	PARounds  int // rounds of the run's Ops under the paper model at D=depth? reported by caller
+	PARounds  int // PA invocations of the run (res.Ops.PA), printed as PA-ops
 }
 
 // E5 runs the distributed DFS-order computation on deep spanning trees.

@@ -6,8 +6,9 @@
 // recovery runtime: the fault plan's structural faults corrupt its output,
 // the DFS proof-labeling scheme certifies every attempt, and Awerbuch's
 // message-level token DFS is the fallback. Every caller that builds a
-// certified decomposition — the planardfs facade, planard, the scale tests
-// and the bench CLIs — goes through Run, so the stages are wired once.
+// certified decomposition — the planardfs facade, planard, the DFS
+// experiments and traced run of internal/exp, the scale tests and the bench
+// CLIs — goes through Run, so the stages are wired once.
 package pipeline
 
 import (
@@ -18,7 +19,6 @@ import (
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
 	"planardfs/internal/dfs"
-	"planardfs/internal/dist"
 	"planardfs/internal/gen"
 	"planardfs/internal/guard"
 	"planardfs/internal/separator"
@@ -103,10 +103,15 @@ var ErrUnrecovered = errors.New("pipeline: DFS stage exhausted its attempts with
 // has no verdict to reuse. Result.Recovery carries the verdicts.
 var ErrNoDFSVerdict = errors.New("pipeline: DFS stage accepted a tree without a passing DFS verdict")
 
+// ErrCertRejected reports a run whose spanning-tree or separator
+// certificate was rejected by at least one verifier, so its decomposition
+// is not certified. Result.Verdicts carries every verdict.
+var ErrCertRejected = errors.New("pipeline: certification rejected")
+
 // Run executes the pipeline over in. The error is the admission guard's
 // typed rejection (matching guard.ErrRejected), ErrUnrecovered,
-// ErrNoDFSVerdict, a wrapped ctx.Err() after cancellation, or an
-// infrastructure failure of a stage.
+// ErrNoDFSVerdict, ErrCertRejected, a wrapped ctx.Err() after
+// cancellation, or an infrastructure failure of a stage.
 // ctx is consulted between stages and before every supervised attempt.
 func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 	eng, err := sepengine.Get(opts.Engine)
@@ -174,24 +179,29 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	certify := []struct {
-		scheme string
-		run    func() (*cert.Verdict, error)
-	}{
-		{"spanning", func() (*cert.Verdict, error) { return vf.CertifySpanningTree(res.BFS) }},
-		// The dfs stage certified the accepted tree with the same labels,
-		// judge and Verifier; its verdict stands.
-		{"dfs", func() (*cert.Verdict, error) { return dfsVerdict, nil }},
-		{"separator", func() (*cert.Verdict, error) { return vf.CertifySeparator(res.Separator.Sep) }},
+	v, err := vf.CertifySpanningTree(res.BFS)
+	if err != nil {
+		return res, fmt.Errorf("pipeline: certify spanning: %w", err)
 	}
-	for _, c := range certify {
-		v, err := c.run()
-		if err != nil {
-			return res, fmt.Errorf("pipeline: certify %s: %w", c.scheme, err)
+	// The dfs stage certified the accepted tree with the same labels, judge
+	// and Verifier; its verdict stands.
+	res.Verdicts = append(res.Verdicts, v, dfsVerdict)
+	if v, err = vf.CertifySeparator(res.Separator.Sep); err != nil {
+		return res, fmt.Errorf("pipeline: certify separator: %w", err)
+	}
+	res.Verdicts = append(res.Verdicts, v)
+	return res, rejection(res.Verdicts)
+}
+
+// rejection is ErrCertRejected naming the first rejecting verdict's scheme
+// and rejector count, or nil when every verdict accepts.
+func rejection(vs []*cert.Verdict) error {
+	for _, v := range vs {
+		if !v.OK {
+			return fmt.Errorf("%w: %s certificate rejected by %d verifiers", ErrCertRejected, v.Scheme, len(v.Rejectors))
 		}
-		res.Verdicts = append(res.Verdicts, v)
 	}
-	return res, nil
+	return nil
 }
 
 // runDFS is the dfs stage: the Theorem 2 build as the supervised primary,
@@ -225,7 +235,7 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 			res.DFSTrace = dtr
 			parent := append([]int(nil), pt.Parent...)
 			structural.Structural += int64(opts.Plan.CorruptParents(attempt, root, parent))
-			res.DFSRounds = dist.DFSBuildOps(n, dtr.Phases, dtr.MaxJoinSubPhases).Rounds(cm, 1)
+			res.DFSRounds = dtr.Ops(n).Rounds(cm, 1)
 			return parent, res.DFSRounds, nil
 		},
 		Certify: chaos.DFSCertifierOn(vf, root),

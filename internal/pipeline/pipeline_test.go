@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"planardfs/internal/cert"
@@ -316,5 +317,33 @@ func TestAcceptedDFSVerdictTyped(t *testing.T) {
 	v, err := acceptedDFSVerdict(&chaos.Report{Verdicts: []*cert.Verdict{reject, accept}})
 	if err != nil || v != accept {
 		t.Fatalf("retried report: verdict %v, error %v; want the accepting verdict", v, err)
+	}
+}
+
+// TestRejectionTyped pins the certify stage's verdict check: every
+// accepting verdict list passes, and a list with a rejecting verdict ends
+// with ErrCertRejected naming the first rejecting scheme and its rejector
+// count.
+func TestRejectionTyped(t *testing.T) {
+	accept := func(scheme string) *cert.Verdict { return &cert.Verdict{Scheme: scheme, OK: true} }
+	if err := rejection(nil); err != nil {
+		t.Fatalf("no verdicts: %v", err)
+	}
+	if err := rejection([]*cert.Verdict{accept("spanning"), accept("dfs"), accept("separator")}); err != nil {
+		t.Fatalf("all accepting: %v", err)
+	}
+	for _, c := range []struct {
+		vs   []*cert.Verdict
+		want string
+	}{
+		{[]*cert.Verdict{{Scheme: "spanning", Rejectors: []int{4, 9}}, accept("dfs"), accept("separator")},
+			"spanning certificate rejected by 2 verifiers"},
+		{[]*cert.Verdict{accept("spanning"), accept("dfs"), {Scheme: "separator", Rejectors: []int{0}}},
+			"separator certificate rejected by 1 verifiers"},
+	} {
+		err := rejection(c.vs)
+		if !errors.Is(err, ErrCertRejected) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %v; want ErrCertRejected with %q", err, c.want)
+		}
 	}
 }

@@ -288,9 +288,15 @@ type (
 // report carries the attempts.
 var ErrUnrecovered = pipeline.ErrUnrecovered
 
+// ErrCertRejected reports a pipeline run whose spanning-tree or separator
+// certificate was rejected by a verifier; the result's Verdicts carry
+// every verdict.
+var ErrCertRejected = pipeline.ErrCertRejected
+
 // Run executes the Theorem 2 pipeline over the instance, rooted on its
 // outer face (OuterRoot). A guard rejection is an error matching
 // ErrInputRejected, a DFS stage that fails under faults is ErrUnrecovered,
+// a rejected spanning-tree or separator certificate is ErrCertRejected,
 // and cancelling ctx stops the run between stages and supervised attempts.
 // On error the result still carries the reports of the stages that ran.
 func Run(ctx context.Context, in *Instance, opts PipelineOptions) (*PipelineResult, error) {
@@ -352,7 +358,7 @@ func SeparatorRounds(n int, cm CostModel, k int) int {
 // DFSRounds returns the simulated CONGEST round cost of a DFS construction
 // run with the given trace under the cost model.
 func DFSRounds(n int, tr *DFSTrace, cm CostModel) int {
-	return dist.DFSBuildOps(n, tr.Phases, tr.MaxJoinSubPhases).Rounds(cm, 1)
+	return tr.Ops(n).Rounds(cm, 1)
 }
 
 // AwerbuchRounds returns the round cost of the classical DFS baseline [2].
@@ -366,13 +372,9 @@ func RunAwerbuchDFS(g *Graph, root int) ([]int, NetworkStats, error) {
 		return nil, NetworkStats{}, err
 	}
 	nw := congest.New(g)
-	nodes := congest.NewAwerbuchNodes(nw, root)
-	if _, err := nw.Run(nodes, 10*g.N()+100); err != nil {
+	parent, _, err := congest.RunAwerbuch(nw, root, 10*g.N()+100)
+	if err != nil {
 		return nil, NetworkStats{}, err
-	}
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = nodes[v].(*congest.AwerbuchNode).ParentID
 	}
 	return parent, nw.Stats(), nil
 }
