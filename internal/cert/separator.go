@@ -54,26 +54,27 @@ const (
 // are assigned greedily in descending size to the lighter side (1 = A,
 // 2 = B; path vertices stay 0). Both sides end at most 2n/3 exactly when
 // every component is at most 2n/3, so a balanced separator always admits
-// this assignment.
-func SeparatorSides(g *graph.Graph, path []int) ([]int, error) {
+// this assignment. It also returns the size of the largest component.
+func SeparatorSides(g *graph.Graph, path []int) (side []int, maxComp int, err error) {
 	n := g.N()
-	removed := make(map[int]bool, len(path))
+	removed := make([]bool, n)
 	for _, v := range path {
 		if v < 0 || v >= n {
-			return nil, fmt.Errorf("cert: separator vertex %d out of range", v)
+			return nil, 0, fmt.Errorf("cert: separator vertex %d out of range", v)
 		}
 		removed[v] = true
 	}
-	comps := g.ComponentsAvoiding(removed)
+	comps := g.ComponentsAvoidingMask(removed)
 	sort.SliceStable(comps, func(i, j int) bool {
 		if len(comps[i]) != len(comps[j]) {
 			return len(comps[i]) > len(comps[j])
 		}
 		return comps[i][0] < comps[j][0]
 	})
-	side := make([]int, n)
+	side = make([]int, n)
 	cntA, cntB := 0, 0
 	for _, comp := range comps {
+		maxComp = max(maxComp, len(comp))
 		s := 1
 		if cntA > cntB {
 			s = 2
@@ -88,9 +89,9 @@ func SeparatorSides(g *graph.Graph, path []int) ([]int, error) {
 		}
 	}
 	if 3*cntA > 2*n || 3*cntB > 2*n {
-		return nil, fmt.Errorf("cert: separator is unbalanced (sides %d/%d of %d)", cntA, cntB, n)
+		return nil, 0, fmt.Errorf("cert: separator is unbalanced (sides %d/%d of %d)", cntA, cntB, n)
 	}
-	return side, nil
+	return side, maxComp, nil
 }
 
 // ProveSeparator assigns the separator labels: the BFS spanning tree from
@@ -118,7 +119,7 @@ func (vf *Verifier) ProveSeparator(sep *separator.Separator) ([][]int, error) {
 		}
 		pos[v] = i
 	}
-	side, err := SeparatorSides(g, sep.Path)
+	side, _, err := SeparatorSides(g, sep.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +268,7 @@ func CheckSeparator(g *graph.Graph, sep *separator.Separator) error {
 	if len(sep.Path) == 0 {
 		return fmt.Errorf("cert: empty separator path")
 	}
-	seen := make(map[int]bool, len(sep.Path))
+	seen := make([]bool, n)
 	for _, v := range sep.Path {
 		if v < 0 || v >= n {
 			return fmt.Errorf("cert: separator vertex %d out of range", v)

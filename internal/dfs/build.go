@@ -1,9 +1,9 @@
 package dfs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
@@ -98,12 +98,12 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 	sc := newJoinScratch(g.N())
 	rs := planar.NewRestricter(emb)
 	tr := &Trace{SeparatorPhases: map[separator.Phase]int{}}
-	for !pt.Complete() {
+	comps := firstComponents(g, pt, sc)
+	for len(comps) > 0 {
 		tr.Phases++
 		if tr.Phases > g.N()+2 {
 			return nil, nil, fmt.Errorf("dfs: did not converge")
 		}
-		comps := remainingComponents(g, pt)
 		if !outerInTree {
 			outerInTree = anyAdded(pt, outerVerts)
 		}
@@ -120,6 +120,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 		phaseSpan.SetAttr("max_component", int64(maxC))
 		tracer.SetGauge("dfs.max_component", int64(maxC))
 		tracer.Sample("dfs.max_component", int64(maxC))
+		var next [][]int
 		for _, comp := range comps {
 			var septr trace.Tracer
 			if tracer.Enabled() {
@@ -131,7 +132,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			}
 			tr.SeparatorCalls++
 			tr.SeparatorPhases[sep.Phase]++
-			st, err := joinSeparator(g, pt, comp, sep.Path, m, sc)
+			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, m, sc)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d join: %w", tr.Phases, err)
 			}
@@ -139,7 +140,9 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			if st.SubPhases > tr.MaxJoinSubPhases {
 				tr.MaxJoinSubPhases = st.SubPhases
 			}
+			next = append(next, pieces...)
 		}
+		comps = sortComponents(next)
 		phaseSpan.End()
 	}
 	if tracer.Enabled() {
@@ -199,18 +202,23 @@ func anyAdded(pt *PartialTree, vs []int) bool {
 	return false
 }
 
-// remainingComponents lists the connected components of G minus the partial
-// tree, each sorted ascending, ordered by smallest vertex.
-func remainingComponents(g *graph.Graph, pt *PartialTree) [][]int {
-	removed := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		if pt.Has(v) {
-			removed[v] = true
-		}
+// firstComponents splits G − {root}, the first phase's components, with
+// the join's walk over every vertex, leaving sc clear.
+func firstComponents(g *graph.Graph, pt *PartialTree, sc *joinScratch) [][]int {
+	all := sc.flat[:g.N()]
+	for v := range all {
+		all[v] = v
+		sc.inComp[v] = true
 	}
-	comps := g.ComponentsAvoidingMask(removed)
-	for _, c := range comps {
-		sort.Ints(c)
-	}
+	comps := componentsWithin(g, all, sc, pt, make([]int, 0, g.N()), nil)
+	clear(sc.inComp)
+	return comps
+}
+
+// sortComponents orders a phase's collected join pieces by smallest
+// vertex, the order the next phase visits them in. The pieces are
+// disjoint and each is sorted ascending, so the order is total.
+func sortComponents(comps [][]int) [][]int {
+	slices.SortFunc(comps, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return comps
 }

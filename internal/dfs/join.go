@@ -36,7 +36,8 @@ type joinScratch struct {
 	dist    []int32
 	cnt     []int32 // separator vertices on the root path
 	epoch   int32
-	queue   []int32 // componentsWithin BFS queue, reused
+	flat    []int   // componentsWithin pieces of a sub-phase, reused
+	pieces  [][]int // their headers, reused
 	order   []int32 // 0/1 BFS settle order, reused
 	deque   []int32 // 0/1 BFS deque buffer, reused across attachBestPath calls
 }
@@ -51,6 +52,7 @@ func newJoinScratch(n int) *joinScratch {
 		parent:  make([]int32, n),
 		dist:    make([]int32, n),
 		cnt:     make([]int32, n),
+		flat:    make([]int, n),
 	}
 }
 
@@ -64,15 +66,18 @@ func newJoinScratch(n int) *joinScratch {
 func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
 	sorted := append([]int(nil), comp...)
 	sort.Ints(sorted)
-	return joinSeparator(g, pt, sorted, sep, nil, newJoinScratch(g.N()))
+	st, _, err := joinSeparator(g, pt, sorted, sep, nil, newJoinScratch(g.N()))
+	return st, err
 }
 
 // joinSeparator is JoinSeparator on the build's scratch sc, for a comp
 // sorted ascending, with per-sub-phase spans on m: each sub-phase charges
 // the Lemma 2 budget (spanning forest, re-root, LCA, the two PA problems
 // of the DFS-RULE, and marking the attached path) and records the
-// remaining separator count. It leaves sc clear for the next component.
-func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter, sc *joinScratch) (*JoinStats, error) {
+// remaining separator count. It also returns the pieces it leaves, the
+// next phase's components inside comp (see componentsWithin). It leaves sc
+// clear for the next component.
+func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter, sc *joinScratch) (*JoinStats, [][]int, error) {
 	defer func() {
 		for _, v := range comp {
 			sc.inComp[v] = false
@@ -81,14 +86,14 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 	}()
 	for _, v := range comp {
 		if pt.Has(v) {
-			return nil, fmt.Errorf("dfs: component vertex %d already added", v)
+			return nil, nil, fmt.Errorf("dfs: component vertex %d already added", v)
 		}
 		sc.inComp[v] = true
 	}
 	missingCnt := 0
 	for _, v := range sep {
 		if !sc.inComp[v] {
-			return nil, fmt.Errorf("dfs: separator vertex %d outside component", v)
+			return nil, nil, fmt.Errorf("dfs: separator vertex %d outside component", v)
 		}
 		if !sc.missing[v] {
 			sc.missing[v] = true
@@ -106,10 +111,16 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			joinSpan.End()
 		}()
 	}
-	for missingCnt > 0 {
+	for {
+		// The pieces of comp − T_d live in the scratch until none holds a
+		// separator vertex; then they get their own array.
+		if missingCnt == 0 {
+			return st, componentsWithin(g, comp, sc, pt, make([]int, 0, len(comp)), nil), nil
+		}
+		sc.pieces = componentsWithin(g, comp, sc, pt, sc.flat, sc.pieces)
 		st.SubPhases++
 		if st.SubPhases > g.N()+2 {
-			return nil, fmt.Errorf("dfs: join did not converge")
+			return nil, nil, fmt.Errorf("dfs: join did not converge")
 		}
 		var subSpan trace.Span
 		if m.On() {
@@ -117,8 +128,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			subSpan.SetAttr("subphase", int64(st.SubPhases))
 			subSpan.SetAttr("remaining", int64(missingCnt))
 		}
-		// Components of the not-yet-added part of comp.
-		for _, x := range componentsWithin(g, comp, sc, pt) {
+		for _, x := range sc.pieces {
 			holds := false
 			for _, v := range x {
 				if sc.missing[v] {
@@ -130,7 +140,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 				continue
 			}
 			if err := attachBestPath(g, pt, x, sc); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		cnt := 0
@@ -160,39 +170,36 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			subSpan.End()
 		}
 	}
-	return st, nil
 }
 
 // componentsWithin returns the connected components of the not-yet-added
-// vertices of comp, each sorted ascending. comp is sorted, so roots are
-// scanned in ascending vertex order and the component order is
-// deterministic.
-func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTree) [][]int {
+// vertices of comp, each sorted ascending and capped at its length, laid
+// out in flat[:0] with their headers in comps[:0]. comp is sorted, so the
+// pieces come out ordered by smallest vertex.
+func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTree, flat []int, comps [][]int) [][]int {
 	sc.epoch++
 	ep := sc.epoch
-	var comps [][]int
+	flat, comps = flat[:0], comps[:0]
 	for _, v := range comp {
 		if sc.seenEp[v] == ep || pt.Has(v) {
 			continue
 		}
-		var part []int
-		//planarvet:narrowok v is a vertex id, < n and graph.New bounds n to MaxInt32
-		sc.queue = append(sc.queue[:0], int32(v))
+		start := len(flat) // the piece doubles as its BFS queue
+		flat = append(flat, v)
 		sc.seenEp[v] = ep
-		for qi := 0; qi < len(sc.queue); qi++ {
-			x := int(sc.queue[qi])
-			part = append(part, x)
+		for qi := start; qi < len(flat); qi++ {
+			x := flat[qi]
 			for _, id := range g.IncidentEdges(x) {
 				w := g.Other(int(id), x)
 				if sc.inComp[w] && sc.seenEp[w] != ep && !pt.Has(w) {
 					sc.seenEp[w] = ep
-					//planarvet:narrowok w is a vertex id, < n and graph.New bounds n to MaxInt32
-					sc.queue = append(sc.queue, int32(w))
+					flat = append(flat, w)
 				}
 			}
 		}
-		sort.Ints(part)
-		comps = append(comps, part)
+		piece := flat[start:len(flat):len(flat)]
+		sort.Ints(piece)
+		comps = append(comps, piece)
 	}
 	return comps
 }

@@ -3,19 +3,25 @@ package dfs
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/graph"
 	"planardfs/internal/planar"
 	"planardfs/internal/separator"
 )
 
 // forEachPhaseComponent drives the phases and joins of the build from
-// root and calls visit on every remaining component of every phase, with
-// the dart the build restricts it around and the build's Restricter,
-// before the component's separator is joined. It fails the test if the
-// driven phases do not end in Build's tree.
-func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter)) {
+// root. At the start of every phase it calls phase, when not nil, with the
+// partial tree and the phase's component list; on every component it
+// calls visit, when not nil, with the dart the build restricts it around
+// and the build's Restricter, before the component's separator is joined.
+// Like Build, it takes the first phase's components from firstComponents
+// and every later phase's from the pieces the previous phase's joins left,
+// ordered by sortComponents. It fails the test if the driven phases do not
+// end in Build's tree.
+func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter)) {
 	t.Helper()
 	g, emb := in.G, in.Emb
 	fs := emb.TraceFaces()
@@ -24,22 +30,33 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 	sc := newJoinScratch(g.N())
 	rs := planar.NewRestricter(emb)
 	outerInTree := false
-	for !pt.Complete() {
-		comps := remainingComponents(g, pt)
+	for comps := firstComponents(g, pt, sc); len(comps) > 0; {
+		if phase != nil {
+			phase(pt, comps)
+		}
 		if !outerInTree {
 			outerInTree = anyAdded(pt, outerVerts)
 		}
+		var next [][]int
 		for _, comp := range comps {
 			dart := outerRegionDart(emb, pt, comp, in.OuterDart, outerInTree)
-			visit(pt, comp, dart, rs)
+			if visit != nil {
+				visit(pt, comp, dart, rs)
+			}
 			sep, err := separator.ForSubsetWith(rs, dart, comp, nil, separator.Find)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if _, err := joinSeparator(g, pt, comp, sep.Path, nil, sc); err != nil {
+			_, pieces, err := joinSeparator(g, pt, comp, sep.Path, nil, sc)
+			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			next = append(next, pieces...)
 		}
+		comps = sortComponents(next)
+	}
+	if !pt.Complete() {
+		t.Fatalf("%s: the driven phases ran out of components before the tree was complete", name)
 	}
 	want, _, err := Build(g, emb, in.OuterDart, root)
 	if err != nil {
@@ -48,6 +65,54 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 	if !slices.Equal(pt.Parent, want.Parent) {
 		t.Fatalf("%s: the driven phases diverge from Build", name)
 	}
+}
+
+// remainingComponents is the reference the join-fed component lists are
+// held to: the connected components of G minus the partial tree by a
+// whole-graph mask walk, each sorted ascending, ordered by smallest
+// vertex.
+func remainingComponents(g *graph.Graph, pt *PartialTree) [][]int {
+	removed := make([]bool, g.N())
+	for v := 0; v < g.N(); v++ {
+		if pt.Has(v) {
+			removed[v] = true
+		}
+	}
+	comps := g.ComponentsAvoidingMask(removed)
+	for _, c := range comps {
+		sort.Ints(c)
+	}
+	return comps
+}
+
+// TestPhaseComponentsMatchMaskWalk checks, on every phase of every phase
+// case, that the component list the previous phase's joins handed back
+// (or, in the first phase, the scratch walk of G − {root}) equals the
+// whole-graph mask walk: the same components with the same vertices in
+// the same order. Build visits the components in this order, so any
+// difference would change the tree and the trace.
+func TestPhaseComponentsMatchMaskWalk(t *testing.T) {
+	phases, multi := 0, 0
+	for _, c := range phaseCases(t) {
+		phase := 0
+		forEachPhaseComponent(t, c.name, c.in, c.root, func(pt *PartialTree, comps [][]int) {
+			phase++
+			want := remainingComponents(c.in.G, pt)
+			if !slices.EqualFunc(comps, want, slices.Equal[[]int]) {
+				t.Fatalf("%s: phase %d: joins left %d components, the mask walk finds %d (or their vertices or order differ)",
+					c.name, phase, len(comps), len(want))
+			}
+			phases++
+			if len(comps) > 1 {
+				multi++
+			}
+		}, nil)
+	}
+	// Order is only tested where a phase has several components.
+	if multi == 0 {
+		t.Fatal("no phase had more than one component")
+	}
+	t.Logf("%d phases agree (%d with several components)", phases, multi)
 }
 
 // phaseCase is one instance and root the phase-driven tests run.
@@ -94,7 +159,7 @@ func TestOuterRegionDartMatchesUnionFind(t *testing.T) {
 	for _, c := range phaseCases(t) {
 		name, in := c.name, c.in
 		emb := in.Emb
-		forEachPhaseComponent(t, name, in, c.root, func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter) {
+		forEachPhaseComponent(t, name, in, c.root, nil, func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter) {
 			if dart == in.OuterDart && !pt.Has(emb.HeadOf(dart)) {
 				viaOuterDart++
 			}

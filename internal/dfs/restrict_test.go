@@ -137,7 +137,7 @@ func checkRestrict(t *testing.T, name string, rs *planar.Restricter, vs []int, d
 func TestRestricterMatchesReference(t *testing.T) {
 	components := 0
 	for _, c := range phaseCases(t) {
-		forEachPhaseComponent(t, c.name, c.in, c.root, func(_ *PartialTree, comp []int, dart int, rs *planar.Restricter) {
+		forEachPhaseComponent(t, c.name, c.in, c.root, nil, func(_ *PartialTree, comp []int, dart int, rs *planar.Restricter) {
 			checkRestrict(t, c.name, rs, comp, dart)
 			components++
 		})

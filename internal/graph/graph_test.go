@@ -167,7 +167,9 @@ func TestEccentricity(t *testing.T) {
 
 func TestComponentsAvoiding(t *testing.T) {
 	g := pathGraph(7)
-	comps := g.ComponentsAvoiding(map[int]bool{3: true})
+	removed := make([]bool, g.N())
+	removed[3] = true
+	comps := g.ComponentsAvoidingMask(removed)
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2", len(comps))
 	}

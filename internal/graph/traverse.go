@@ -109,46 +109,42 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// ComponentsAvoiding returns the connected components of g after deleting
-// the vertices in the removed set. Each component is listed in BFS order
-// from its smallest vertex.
-func (g *Graph) ComponentsAvoiding(removed map[int]bool) [][]int {
-	mask := make([]bool, g.n)
-	for v, r := range removed { //planarvet:orderinvariant writes into a positional mask
-		if r && v >= 0 && v < g.n {
-			mask[v] = true
-		}
-	}
-	return g.ComponentsAvoidingMask(mask)
-}
-
-// ComponentsAvoidingMask is ComponentsAvoiding with the removed set given as
-// a positional mask (removed[v] == true deletes v). It is the allocation-lean
-// form used on hot paths; a nil mask removes nothing.
+// ComponentsAvoidingMask returns the connected components of g after
+// deleting the vertices v with removed[v] == true (a nil mask removes
+// nothing), ordered by smallest vertex, each in BFS order from it. They
+// share one backing array that doubles as the BFS queue, each capped at
+// its own length.
 func (g *Graph) ComponentsAvoidingMask(removed []bool) [][]int {
 	g.ensure()
 	seen := make([]bool, g.n)
+	kept := g.n
+	for _, r := range removed {
+		if r {
+			kept--
+		}
+	}
+	order := make([]int, 0, kept)
 	var comps [][]int
 	for v := 0; v < g.n; v++ {
 		if seen[v] || (removed != nil && removed[v]) {
 			continue
 		}
-		// comp doubles as the BFS queue, as in BFS.
-		comp := []int{v}
+		start := len(order)
+		order = append(order, v)
 		seen[v] = true
-		for head := 0; head < len(comp); head++ {
-			x := comp[head]
+		for head := start; head < len(order); head++ {
+			x := order[head]
 			//planarvet:narrowok x is a vertex id from the queue, < n and New bounds n to MaxInt32
 			x32 := int32(x)
 			for _, id := range g.inc[g.off[x]:g.off[x+1]] {
 				w := int(g.endU[id] + g.endV[id] - x32)
 				if !seen[w] && (removed == nil || !removed[w]) {
 					seen[w] = true
-					comp = append(comp, w)
+					order = append(order, w)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		comps = append(comps, order[start:len(order):len(order)])
 	}
 	return comps
 }

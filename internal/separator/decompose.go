@@ -69,33 +69,19 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 		node.Separator = sep.Path
 		node.Phase = sep.Phase
 		d.SeparatorMass += len(sep.Path)
-		removed := make(map[int]bool, len(sep.Path))
+		// The children are the components of the piece minus the
+		// separator, ordered by smallest vertex.
+		removed := make([]bool, g.N())
+		for v := range removed {
+			removed[v] = true
+		}
+		for _, v := range vs {
+			removed[v] = false
+		}
 		for _, v := range sep.Path {
 			removed[v] = true
 		}
-		inPiece := make(map[int]bool, len(vs))
-		for _, v := range vs {
-			inPiece[v] = true
-		}
-		seen := map[int]bool{}
-		for _, v := range vs {
-			if removed[v] || seen[v] {
-				continue
-			}
-			var comp []int
-			queue := []int{v}
-			seen[v] = true
-			for len(queue) > 0 {
-				x := queue[0]
-				queue = queue[1:]
-				comp = append(comp, x)
-				for _, w := range g.Neighbors(x) {
-					if inPiece[w] && !removed[w] && !seen[w] {
-						seen[w] = true
-						queue = append(queue, w)
-					}
-				}
-			}
+		for _, comp := range g.ComponentsAvoidingMask(removed) {
 			sort.Ints(comp)
 			child, err := build(comp, depth+1)
 			if err != nil {

@@ -96,7 +96,7 @@ func TestMutatedSeparatorsRejected(t *testing.T) {
 
 				// Flip the side of a vertex that has a same-side neighbour:
 				// the flip creates a crossing edge the oracle must catch.
-				side, err := cert.SeparatorSides(g, path)
+				side, _, err := cert.SeparatorSides(g, path)
 				if err != nil {
 					t.Fatalf("side assignment: %v", err)
 				}

@@ -104,7 +104,7 @@ type pickChecker struct {
 
 func (pc *pickChecker) outermost(what string, cand []int) {
 	pc.t.Helper()
-	got := pickOutermostAmong(pc.cfg, cand).E
+	got := pickOutermostAmong(pc.cfg, classifyAll(pc.cfg, cand)).E
 	want := walkOutermost(pc.cfg, cand)
 	if got != want {
 		pc.t.Fatalf("%s: %s outermost pick over %d candidates from %d = %d, walk = %d",
@@ -122,7 +122,7 @@ func (pc *pickChecker) innermost(what string, cand []int) int {
 	for i, e := range cand {
 		ws[i] = pc.w[e]
 	}
-	got := pickInnermost(pc.cfg, cand, ws).E
+	got := pickInnermost(pc.cfg, classifyAll(pc.cfg, cand), ws).E
 	if want := walkInnermost(pc.cfg, cand, pc.w); got != want {
 		pc.t.Fatalf("%s: %s innermost pick over %d candidates = %d, walk = %d",
 			pc.name, what, len(cand), got, want)

@@ -194,28 +194,33 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 		}, nil
 	}
 
-	// w[i] is the weight of fund[i].
-	w := make([]int, len(fund))
-	for i, e := range fund {
-		w[i] = cfg.Weight(e)
-	}
 	inRange := func(x int) bool { return 3*x >= n && 3*x <= 2*n }
 
-	// Phase 3: a face with weight directly in range.
+	// Phase 3: a face with weight directly in range. The scan classifies
+	// each fundamental edge once; the later phases and picks reuse cases.
 	sp3 := m.Start(trace.LayerSeparator, "phase3.weight-scan")
 	m.Charge(trace.LayerLemma, "lemma10.range-queries", dist.PAProblemOps().Times(3),
 		trace.Attr{Key: "faces", Val: int64(len(fund))})
 	sp3.End()
-	for i, e := range fund {
-		if inRange(w[i]) {
-			u, v := cfg.Canonical(e)
+	cases := make([]weights.EdgeCase, 0, len(fund))
+	var heavy []weights.EdgeCase
+	var heavyW []int
+	for _, e := range fund {
+		ec := cfg.Classify(e)
+		w := cfg.WeightOf(ec)
+		if inRange(w) {
 			return &Separator{
-				Path:  cfg.Tree.TPath(u, v),
-				EndA:  u,
-				EndB:  v,
+				Path:  cfg.Tree.TPath(ec.U, ec.V),
+				EndA:  ec.U,
+				EndB:  ec.V,
 				Phase: PhaseDirect,
 			}, nil
 		}
+		if 3*w > 2*n {
+			heavy = append(heavy, ec)
+			heavyW = append(heavyW, w)
+		}
+		cases = append(cases, ec)
 	}
 
 	// Lemma 1, condition 3: a fundamental cycle whose T-path already has at
@@ -224,35 +229,27 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	if !opt.DisableLongPath {
 		m.Charge(trace.LayerLemma, "lemma17.long-path-check", dist.NotContainedOps(n))
 	}
-	for _, e := range fund {
+	for _, ec := range cases {
 		if opt.DisableLongPath {
 			break
 		}
-		u, v := cfg.Canonical(e)
-		if 3*pathLen(cfg, u, v) >= n {
+		if 3*pathLen(cfg, ec.U, ec.V) >= n {
 			return &Separator{
-				Path:  cfg.Tree.TPath(u, v),
-				EndA:  u,
-				EndB:  v,
+				Path:  cfg.Tree.TPath(ec.U, ec.V),
+				EndA:  ec.U,
+				EndB:  ec.V,
 				Phase: PhaseLongPath,
 			}, nil
 		}
 	}
 
 	// Phase 4: some face is heavy (> 2n/3).
-	var heavy, heavyW []int
-	for i, e := range fund {
-		if 3*w[i] > 2*n {
-			heavy = append(heavy, e)
-			heavyW = append(heavyW, w[i])
-		}
-	}
 	if len(heavy) > 0 {
 		return phase4(cfg, pickInnermost(cfg, heavy, heavyW), n, opt, m)
 	}
 
 	// Phase 5: every face is light (< n/3).
-	return phase5(cfg, fund, n, opt, m)
+	return phase5(cfg, cases, n, opt, m)
 }
 
 // phase4 handles a heavy face containing no other heavy face: the full
@@ -321,7 +318,7 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 	m.Charge(trace.LayerLemma, "lemma17.hidden-fallback", dist.NotContainedOps(n),
 		trace.Attr{Key: "hiding", Val: int64(len(hiding))})
 	// The far endpoint is the one later in the LEFT order: the canonical V.
-	z2 := pickOutermostAmong(cfg, hiding).V
+	z2 := pickOutermostAmong(cfg, classifyAll(cfg, hiding)).V
 	return &Separator{
 		Path:  cfg.Tree.TPath(ec.U, z2),
 		EndA:  ec.U,
@@ -334,11 +331,11 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 // other; if its outside is small its border separates, otherwise a virtual
 // edge from the root wraps the heavy outside region into a face and the
 // Phase 4 logic runs there.
-func phase5(cfg *weights.Config, fund []int, n int, opt Options, m *dist.Meter) (*Separator, error) {
+func phase5(cfg *weights.Config, cases []weights.EdgeCase, n int, opt Options, m *dist.Meter) (*Separator, error) {
 	sp := m.Start(trace.LayerSeparator, "phase5.all-light")
 	defer sp.End()
 	m.Charge(trace.LayerLemma, "lemma17.outermost-face", dist.NotContainedOps(n))
-	ec := pickOutermostAmong(cfg, fund)
+	ec := pickOutermostAmong(cfg, cases)
 	// Count the face extent from the interval characterization.
 	insideCnt := len(cfg.InsideNodes(ec))
 	borderCnt := len(cfg.BorderNodes(ec))
@@ -357,20 +354,28 @@ func phase5(cfg *weights.Config, fund []int, n int, opt Options, m *dist.Meter) 
 	return phase5Virtual(cfg, ec, n, opt)
 }
 
-// pickInnermost returns the case of a candidate edge whose face contains
-// no other candidate's face; cand[i] has weight w[i]. Weights are
-// non-decreasing under containment, so the walk down the containment
-// order starts at a minimum-weight candidate (lowest ID among equals).
-// Faces inside a face need not form a chain, so the walk stays; each
-// candidate is classified once for all its steps.
-func pickInnermost(cfg *weights.Config, cand, w []int) weights.EdgeCase {
+// classifyAll classifies the fundamental edges, in order.
+func classifyAll(cfg *weights.Config, edges []int) []weights.EdgeCase {
+	cases := make([]weights.EdgeCase, len(edges))
+	for i, e := range edges {
+		cases[i] = cfg.Classify(e)
+	}
+	return cases
+}
+
+// pickInnermost returns a candidate case whose face contains no other
+// candidate's face; cand[i] has weight w[i]. Weights are non-decreasing
+// under containment, so the walk down the containment order starts at a
+// minimum-weight candidate (lowest edge ID among equals). Faces inside a
+// face need not form a chain, so the walk stays.
+func pickInnermost(cfg *weights.Config, cand []weights.EdgeCase, w []int) weights.EdgeCase {
 	type item struct {
 		ec weights.EdgeCase
 		w  int
 	}
 	items := make([]item, len(cand))
-	for i, e := range cand {
-		items[i] = item{cfg.Classify(e), w[i]}
+	for i, ec := range cand {
+		items[i] = item{ec, w[i]}
 	}
 	slices.SortFunc(items, func(a, b item) int {
 		if c := cmp.Compare(a.w, b.w); c != 0 {
@@ -394,18 +399,17 @@ func pickInnermost(cfg *weights.Config, cand, w []int) weights.EdgeCase {
 	return cur
 }
 
-// pickOutermostAmong returns the case of the candidate edge whose face is
-// contained in no other candidate's face (Lemma 17). Fundamental faces are
-// laminar — each is a subtree of the dual tree T* — so the faces that
-// contain F_{cand[0]} form a chain under containment, and the answer is
-// its top whatever the order of cand[1:]. One scan finds it: a candidate
-// whose face contains the current top lies on the chain above it and
-// becomes the new top. Each candidate is classified once and nothing is
-// allocated.
-func pickOutermostAmong(cfg *weights.Config, cand []int) weights.EdgeCase {
-	top := cfg.Classify(cand[0])
-	for _, f := range cand[1:] {
-		if ec := cfg.Classify(f); cfg.FaceContains(ec, top) {
+// pickOutermostAmong returns the candidate case whose face is contained
+// in no other candidate's face (Lemma 17). Fundamental faces are laminar
+// — each is a subtree of the dual tree T* — so the faces that contain
+// F_{cand[0]} form a chain under containment, and the answer is its top
+// whatever the order of cand[1:]. One scan finds it: a candidate whose
+// face contains the current top lies on the chain above it and becomes
+// the new top. Nothing is classified or allocated.
+func pickOutermostAmong(cfg *weights.Config, cand []weights.EdgeCase) weights.EdgeCase {
+	top := cand[0]
+	for _, ec := range cand[1:] {
+		if cfg.FaceContains(ec, top) {
 			top = ec
 		}
 	}
@@ -431,17 +435,18 @@ func deepestOf(cfg *weights.Config, vs []int) int {
 }
 
 // VerifyBalance returns the largest component of g after removing the
-// separator vertices. A valid separator has max component <= 2n/3.
+// separator vertices (ids outside g are ignored). A valid separator has
+// max component <= 2n/3.
 func VerifyBalance(g *graph.Graph, sep []int) int {
-	removed := make(map[int]bool, len(sep))
+	removed := make([]bool, g.N())
 	for _, v := range sep {
-		removed[v] = true
+		if v >= 0 && v < len(removed) {
+			removed[v] = true
+		}
 	}
 	maxComp := 0
-	for _, comp := range g.ComponentsAvoiding(removed) {
-		if len(comp) > maxComp {
-			maxComp = len(comp)
-		}
+	for _, comp := range g.ComponentsAvoidingMask(removed) {
+		maxComp = max(maxComp, len(comp))
 	}
 	return maxComp
 }

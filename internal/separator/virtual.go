@@ -38,7 +38,6 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 	}
 	const maxTries = 96
 	tries := 0
-	var best *Separator
 	for _, x := range cands {
 		if tries >= maxTries {
 			break
@@ -75,8 +74,8 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 					Phase: PhaseLongPath,
 				}, nil
 			}
-			nw := ncfg.Weight(id)
 			nec := ncfg.Classify(id)
+			nw := ncfg.WeightOf(nec)
 			if inRange(nw) {
 				sep := &Separator{
 					Path:  cfg.Tree.TPath(nec.U, nec.V),
@@ -86,9 +85,6 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 				}
 				if 3*VerifyBalance(cfg.G, sep.Path) <= 2*n {
 					return sep, nil
-				}
-				if best == nil {
-					best = sep
 				}
 				continue
 			}
@@ -103,14 +99,8 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 				if 3*VerifyBalance(cfg.G, sep.Path) <= 2*n {
 					return sep, nil
 				}
-				if best == nil {
-					best = sep
-				}
 			}
 		}
-	}
-	if best != nil && 3*VerifyBalance(cfg.G, best.Path) <= 2*n {
-		return best, nil
 	}
 	return exhaustive(cfg, n)
 }

@@ -193,7 +193,7 @@ func finish(cfg *weights.Config, name string, sep *separator.Separator, ops dist
 	if err := cert.CheckSeparator(g, sep); err != nil {
 		return nil, fmt.Errorf("sepengine: %s produced an invalid separator: %w", name, err)
 	}
-	side, err := cert.SeparatorSides(g, sep.Path)
+	side, maxComp, err := cert.SeparatorSides(g, sep.Path)
 	if err != nil {
 		return nil, fmt.Errorf("sepengine: %s side assignment: %w", name, err)
 	}
@@ -201,7 +201,6 @@ func finish(cfg *weights.Config, name string, sep *separator.Separator, ops dist
 		return nil, fmt.Errorf("sepengine: %s side validation: %w", name, err)
 	}
 	n := g.N()
-	maxComp := separator.VerifyBalance(g, sep.Path)
 	return &Result{
 		Engine:   name,
 		Sep:      sep,

@@ -44,7 +44,7 @@ func checkResult(t *testing.T, cfg *weights.Config, res *Result, name string) {
 	if err := cert.CheckSeparator(cfg.G, res.Sep); err != nil {
 		t.Fatalf("%s: cert rejects separator: %v", name, err)
 	}
-	side, err := cert.SeparatorSides(cfg.G, res.Sep.Path)
+	side, sidesMax, err := cert.SeparatorSides(cfg.G, res.Sep.Path)
 	if err != nil {
 		t.Fatalf("%s: no side assignment: %v", name, err)
 	}
@@ -54,8 +54,14 @@ func checkResult(t *testing.T, cfg *weights.Config, res *Result, name string) {
 	if res.CycleLen != len(res.Sep.Path) {
 		t.Fatalf("%s: CycleLen %d != path length %d", name, res.CycleLen, len(res.Sep.Path))
 	}
-	if maxComp := separator.VerifyBalance(cfg.G, res.Sep.Path); 3*maxComp > 2*n {
+	maxComp := separator.VerifyBalance(cfg.G, res.Sep.Path)
+	if 3*maxComp > 2*n {
 		t.Fatalf("%s: unbalanced: max component %d of n=%d", name, maxComp, n)
+	}
+	// finish takes Balance from the side assignment's component pass.
+	if sidesMax != maxComp || res.Balance != float64(maxComp)/float64(n) {
+		t.Fatalf("%s: SeparatorSides largest component %d, Balance %v; VerifyBalance says %d of n=%d",
+			name, sidesMax, res.Balance, maxComp, n)
 	}
 	if res.Balance < 0 || res.Balance > 2.0/3.0+1e-9 {
 		t.Fatalf("%s: Balance %v outside [0, 2/3]", name, res.Balance)

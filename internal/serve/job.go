@@ -92,14 +92,11 @@ func (r *JobRequest) validate(maxN int) error {
 	return nil
 }
 
-// instance materializes the requested instance. Generator jobs re-derive
-// the same instance (and therefore the same content hash) for the same
-// (family, n, seed).
+// instance materializes a generator job's instance, the same instance
+// (and therefore the same content hash) for the same (family, n, seed).
+// Inline jobs never get here: admission decodes them into job.in.
 func (r *JobRequest) instance() (*gen.Instance, error) {
-	if r.Family != "" {
-		return gen.ByName(r.Family, r.N, r.Seed)
-	}
-	return gen.DecodeJSON(r.Graph)
+	return gen.ByName(r.Family, r.N, r.Seed)
 }
 
 // job is one tracked unit of work. Mutable fields are guarded by mu; the
@@ -111,7 +108,8 @@ type job struct {
 	rec *trace.Recorder
 	// in caches the inline instance already decoded, checked and
 	// guard-admitted by handleSubmit, so the worker never re-parses (or
-	// re-trusts) the raw submission bytes. Nil for generator jobs.
+	// re-trusts) the raw submission bytes, and req drops them: jobs stay
+	// in the job table for good. Nil for generator jobs.
 	in *gen.Instance
 
 	cancel context.CancelFunc

@@ -211,6 +211,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	req.Graph = nil // decoded into inline; the job table keeps no raw bytes
 
 	s.jobsMu.Lock()
 	s.nextID++

@@ -141,6 +141,39 @@ func TestJobLifecycleGeneratorFamily(t *testing.T) {
 	}
 }
 
+// TestInlineJobRetainsNoGraphBytes checks that an admitted inline job
+// runs on the instance admission decoded: it finishes done with the
+// instance's content hash, while the job the server keeps holds the
+// decoded instance and no raw graph bytes.
+func TestInlineJobRetainsNoGraphBytes(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	in, err := gen.ByName("grid", 36, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := gen.EncodeJSON(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := postJob(t, ts.URL, fmt.Sprintf(`{"graph":%s}`, data))
+	fin := awaitJob(t, ts.URL, st.ID)
+	if fin.State != StateDone || fin.Hash != gen.ContentHash(in) {
+		t.Fatalf("inline job: %+v, want done with hash %s", fin, gen.ContentHash(in))
+	}
+	s.jobsMu.Lock()
+	j := s.jobs[st.ID]
+	s.jobsMu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s is not in the job table", st.ID)
+	}
+	if len(j.req.Graph) != 0 {
+		t.Fatalf("job %s retains %d bytes of its inline graph", st.ID, len(j.req.Graph))
+	}
+	if j.in == nil || gen.ContentHash(j.in) != fin.Hash {
+		t.Fatalf("job %s does not hold its admitted instance", st.ID)
+	}
+}
+
 func TestJobInlineGraphAndQueries(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	in, err := gen.ByName("wheel", 12, 0)

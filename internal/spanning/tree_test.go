@@ -180,7 +180,9 @@ func TestCentroidProperty(t *testing.T) {
 			return false
 		}
 		c := tr.Centroid()
-		for _, comp := range g.ComponentsAvoiding(map[int]bool{c: true}) {
+		removed := make([]bool, n)
+		removed[c] = true
+		for _, comp := range g.ComponentsAvoidingMask(removed) {
 			if 2*len(comp) > n {
 				return false
 			}

@@ -156,19 +156,15 @@ func (cfg *Config) TPos(d int) int {
 	return ((cfg.Emb.Pos(d)-int(cfg.start[v]))%deg + deg) % deg
 }
 
-// TPosOf returns the normalized position of neighbour w in v's rotation.
-// It finds the edge {v,w} by an incidence scan; for a tree child w of v,
-// childTPos gives the same answer without one.
-func (cfg *Config) TPosOf(v, w int) int {
-	id, ok := cfg.G.EdgeID(v, w)
-	if !ok {
-		panic(fmt.Sprintf("weights: %d and %d are not adjacent", v, w))
-	}
-	return cfg.TPos(planar.DartFrom(cfg.G, id, v))
+// edgeTPos returns the normalized position, at its endpoint x, of the
+// case's own edge ec.E: the dart of the edge out of x names it, so no
+// incidence scan is needed.
+func (cfg *Config) edgeTPos(ec EdgeCase, x int) int {
+	return cfg.TPos(planar.DartFrom(cfg.G, ec.E, x))
 }
 
-// childTPos returns TPosOf(Tree.Parent[c], c) for a non-root c: the
-// position, at c's parent, of the twin of c's parent dart.
+// childTPos returns the normalized position of a non-root c at its tree
+// parent: the position there of the twin of c's parent dart.
 func (cfg *Config) childTPos(c int) int {
 	return cfg.TPos(int(cfg.startDart[c]) ^ 1)
 }

@@ -35,7 +35,7 @@ func (cfg *Config) Classify(e int) EdgeCase {
 	if cfg.Tree.IsAncestor(u, v) {
 		ec.Ancestor = true
 		ec.Z = cfg.Tree.MustFirstOnPath(u, v)
-		ec.UseLeft = cfg.TPosOf(u, v) > cfg.childTPos(ec.Z)
+		ec.UseLeft = cfg.edgeTPos(ec, u) > cfg.childTPos(ec.Z)
 	} else {
 		ec.W = cfg.Tree.LCA(u, v)
 	}
@@ -59,7 +59,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 	switch {
 	case !ec.Ancestor && x == ec.U:
 		// Children of u with t_u(c) < t_u(v) are inside (Claim 1(ii)).
-		tv := cfg.TPosOf(ec.U, ec.V)
+		tv := cfg.edgeTPos(ec, ec.U)
 		for _, c := range cfg.children(ec.U) {
 			c := int(c)
 			if cfg.childTPos(c) < tv {
@@ -68,7 +68,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		}
 	case !ec.Ancestor && x == ec.V:
 		// Children of v with t_v(c) > t_v(u) are inside (Claim 1(iii)).
-		tu := cfg.TPosOf(ec.V, ec.U)
+		tu := cfg.edgeTPos(ec, ec.V)
 		for _, c := range cfg.children(ec.V) {
 			c := int(c)
 			if cfg.childTPos(c) > tu {
@@ -78,7 +78,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 	case ec.Ancestor && x == ec.U:
 		// Children strictly between the path child z and v in the cone
 		// (Claim 4(i)); orientation decides which side of z.
-		tv := cfg.TPosOf(ec.U, ec.V)
+		tv := cfg.edgeTPos(ec, ec.U)
 		tz := cfg.childTPos(ec.Z)
 		for _, c := range cfg.children(ec.U) {
 			c := int(c)
@@ -98,7 +98,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 		}
 	case ec.Ancestor && x == ec.V:
 		// Children of v on the inside of the corner at v (Claim 4(ii)).
-		tu := cfg.TPosOf(ec.V, ec.U)
+		tu := cfg.edgeTPos(ec, ec.V)
 		for _, c := range cfg.children(ec.V) {
 			c := int(c)
 			tc := cfg.childTPos(c)
@@ -121,11 +121,12 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 // Weight computes the deterministic weight ω(F_e) of the real fundamental
 // face of edge e per Definition 2.
 func (cfg *Config) Weight(e int) int {
-	ec := cfg.Classify(e)
-	return cfg.weightOf(ec)
+	return cfg.WeightOf(cfg.Classify(e))
 }
 
-func (cfg *Config) weightOf(ec EdgeCase) int {
+// WeightOf is Weight on an edge already classified, for callers that
+// keep the case for other uses.
+func (cfg *Config) WeightOf(ec EdgeCase) int {
 	t := cfg.Tree
 	pu := cfg.PFace(ec, ec.U)
 	pv := cfg.PFace(ec, ec.V)
@@ -221,20 +222,20 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 func (cfg *Config) childInCone(ec EdgeCase, x, c int) bool {
 	switch {
 	case !ec.Ancestor && x == ec.U:
-		return cfg.childTPos(c) < cfg.TPosOf(ec.U, ec.V)
+		return cfg.childTPos(c) < cfg.edgeTPos(ec, ec.U)
 	case !ec.Ancestor && x == ec.V:
-		return cfg.childTPos(c) > cfg.TPosOf(ec.V, ec.U)
+		return cfg.childTPos(c) > cfg.edgeTPos(ec, ec.V)
 	case ec.Ancestor && x == ec.U:
 		if c == ec.Z {
 			return false
 		}
-		tv, tz, tc := cfg.TPosOf(ec.U, ec.V), cfg.childTPos(ec.Z), cfg.childTPos(c)
+		tv, tz, tc := cfg.edgeTPos(ec, ec.U), cfg.childTPos(ec.Z), cfg.childTPos(c)
 		if ec.UseLeft {
 			return tz < tc && tc < tv
 		}
 		return tv < tc && tc < tz
 	case ec.Ancestor && x == ec.V:
-		tu, tc := cfg.TPosOf(ec.V, ec.U), cfg.childTPos(c)
+		tu, tc := cfg.edgeTPos(ec, ec.V), cfg.childTPos(c)
 		if ec.UseLeft {
 			return tc > tu
 		}

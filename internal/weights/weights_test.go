@@ -6,8 +6,21 @@ import (
 
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
+	"planardfs/internal/planar"
 	"planardfs/internal/spanning"
 )
+
+// TPosOf is the scan reference for the normalized rotation positions: it
+// finds the edge {v,w} by an incidence scan and returns the position of
+// its dart out of v. The code reads positions off known darts instead
+// (childTPos for tree children, edgeTPos for a case's own edge).
+func (cfg *Config) TPosOf(v, w int) int {
+	id, ok := cfg.G.EdgeID(v, w)
+	if !ok {
+		panic(fmt.Sprintf("weights: %d and %d are not adjacent", v, w))
+	}
+	return cfg.TPos(planar.DartFrom(cfg.G, id, v))
+}
 
 // configsUnderTest builds a varied set of (instance, tree) configurations:
 // several graph families, BFS and deep-DFS spanning trees, several seeds.
@@ -97,8 +110,10 @@ func TestTPosNormalization(t *testing.T) {
 // (|F̃_e| for non-ancestor edges, |F̊_e| for ancestor edges) for every real
 // fundamental edge of every configuration.
 // TestChildTPosMatchesScan checks that the position of every tree child
-// read off its parent dart equals the one the incidence scan finds, on
-// grid, stacked and cylinderish instances under BFS and deep DFS trees.
+// read off its parent dart, and the position of every non-tree edge at
+// both endpoints read off the edge's own darts, equal the ones the
+// incidence scan finds, on grid, stacked and cylinderish instances under
+// BFS and deep DFS trees.
 func TestChildTPosMatchesScan(t *testing.T) {
 	for _, name := range []string{"grid", "stacked", "cylinderish"} {
 		in, err := gen.ByName(name, 120, 1)
@@ -127,6 +142,18 @@ func TestChildTPosMatchesScan(t *testing.T) {
 			}
 			if children != in.G.N()-1 {
 				t.Fatalf("%s: checked %d tree children, want %d", name, children, in.G.N()-1)
+			}
+			fund := cfg.FundamentalEdges()
+			if len(fund) == 0 {
+				t.Fatalf("%s: no non-tree edges to check", name)
+			}
+			for _, e := range fund {
+				ec := cfg.Classify(e)
+				for _, x := range [][2]int{{ec.U, ec.V}, {ec.V, ec.U}} {
+					if got, want := cfg.edgeTPos(ec, x[0]), cfg.TPosOf(x[0], x[1]); got != want {
+						t.Fatalf("%s: non-tree edge %d at %d has position %d, scan says %d", name, e, x[0], got, want)
+					}
+				}
 			}
 		}
 	}
