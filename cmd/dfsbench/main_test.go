@@ -40,9 +40,9 @@ func moduleRoot(t *testing.T) string {
 // three Theorem 2 attempts are rejected and Awerbuch's token DFS certifies.
 const recoverGolden = `supervised DFS run: grid-6x6 n=36 m=60 root=1
 recovery: outcome=degraded attempts=4 faults[drops=0 corruptions=0 stalls=0 linkdown=0 crashes=0 structural=7]
-  separator-pipeline attempt 1: budget=460 rounds=525900 faults=4 rejected: structural precheck: spanning: 3 of 36 vertices reachable from root
-  separator-pipeline attempt 2: budget=920 rounds=525900 faults=2 rejected: proof-labeling verifier rejected
-  separator-pipeline attempt 3: budget=1840 rounds=525900 faults=1 rejected: proof-labeling verifier rejected
+  separator-pipeline attempt 1: budget=460 rounds=394425 faults=4 rejected: structural precheck: spanning: 1 of 36 vertices reachable from root
+  separator-pipeline attempt 2: budget=920 rounds=394425 faults=2 rejected: proof-labeling verifier rejected
+  separator-pipeline attempt 3: budget=1840 rounds=394425 faults=1 rejected: structural precheck: spanning: 2 of 36 vertices reachable from root
   awerbuch attempt 1: budget=460 rounds=71 faults=0 accepted
 recovered DFS tree: 35 tree edges
 `

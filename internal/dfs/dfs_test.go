@@ -1,7 +1,9 @@
 package dfs
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -153,37 +155,122 @@ func TestComponentShrink(t *testing.T) {
 	}
 }
 
-// TestJoinHalving is the E7 property: within a single JOIN, the number of
-// missing separator vertices decreases every sub-phase.
-func TestJoinHalving(t *testing.T) {
-	in, err := gen.Grid(10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := in.G
-	pt := NewPartialTree(g.N(), 0)
-	comp := make([]int, 0, g.N()-1)
-	for v := 1; v < g.N(); v++ {
-		comp = append(comp, v)
-	}
-	// A synthetic separator: the middle row.
-	var sep []int
-	for x := 0; x < 10; x++ {
-		sep = append(sep, 5*10+x)
-	}
-	st, err := JoinSeparator(g, pt, comp, sep)
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkHalving asserts Lemma 2's bound on one JOIN of a separator path of
+// sepLen vertices: every sub-phase leaves at most ⌊(r−1)/2⌋ of the r
+// separator vertices still missing before it, so the join takes at most
+// ⌈log₂(sepLen+1)⌉ sub-phases.
+func checkHalving(t *testing.T, name string, st *JoinStats, sepLen int) {
+	t.Helper()
 	for i := 1; i < len(st.Remaining); i++ {
-		if st.Remaining[i] >= st.Remaining[i-1] {
-			t.Fatalf("no progress in sub-phase %d: %v", i, st.Remaining)
+		if st.Remaining[i] > (st.Remaining[i-1]-1)/2 {
+			t.Fatalf("%s: sub-phase %d left %d of %d separator vertices, want at most %d: %v",
+				name, i, st.Remaining[i], st.Remaining[i-1], (st.Remaining[i-1]-1)/2, st.Remaining)
 		}
 	}
-	for _, v := range sep {
-		if !pt.Has(v) {
-			t.Fatalf("separator vertex %d not joined", v)
+	if bound := bits.Len(uint(sepLen)); st.SubPhases > bound {
+		t.Fatalf("%s: %d sub-phases for a separator of %d, want at most ⌈log₂(|S|+1)⌉ = %d: %v",
+			name, st.SubPhases, sepLen, bound, st.Remaining)
+	}
+}
+
+// gridSnake returns the snake through rows y0..y1 of a grid of width w,
+// row by row in alternating direction: consecutive rows are joined by
+// separator–separator chords at every column.
+func gridSnake(w, y0, y1 int) []int {
+	var sep []int
+	for y := y0; y <= y1; y++ {
+		for i := 0; i < w; i++ {
+			x := i
+			if (y-y0)%2 == 1 {
+				x = w - 1 - i
+			}
+			sep = append(sep, y*w+x)
 		}
+	}
+	return sep
+}
+
+// gridKeyhole returns a path that comes down column cx from the top row
+// of a w×h grid, runs round the square of radius r about (cx, cy), and
+// goes back up column cx+1: the two stems are joined by chords, and only
+// the ring's middle faces the square's inside.
+func gridKeyhole(w, h, cx, cy, r int) []int {
+	id := func(x, y int) int { return y*w + x }
+	var sep []int
+	for y := h - 1; y > cy+r; y-- {
+		sep = append(sep, id(cx, y))
+	}
+	for x := cx; x > cx-r; x-- {
+		sep = append(sep, id(x, cy+r))
+	}
+	for y := cy + r; y > cy-r; y-- {
+		sep = append(sep, id(cx-r, y))
+	}
+	for x := cx - r; x < cx+r; x++ {
+		sep = append(sep, id(x, cy-r))
+	}
+	for y := cy - r; y < cy+r; y++ {
+		sep = append(sep, id(cx+r, y))
+	}
+	for x := cx + r; x > cx; x-- {
+		sep = append(sep, id(x, cy+r))
+	}
+	for y := cy + r + 1; y < h; y++ {
+		sep = append(sep, id(cx+1, y))
+	}
+	return sep
+}
+
+// TestJoinHalving is the E7 property on separator paths with
+// separator–separator chords, the shape that strands vertices under a
+// pick of the root path holding the most separator vertices: snakes
+// through the rows of a grid rooted in the middle of the bottom row, and
+// keyholes rooted inside their ring. Every JOIN must leave at most half of
+// the missing run per sub-phase.
+func TestJoinHalving(t *testing.T) {
+	type joinCase struct {
+		name string
+		w, h int
+		root int
+		sep  []int
+	}
+	var cases []joinCase
+	for _, wh := range [][2]int{{10, 10}, {16, 12}, {31, 31}} {
+		w, h := wh[0], wh[1]
+		cases = append(cases,
+			joinCase{fmt.Sprintf("%dx%d snake", w, h), w, h, w / 2, gridSnake(w, 2, h-3)},
+			joinCase{fmt.Sprintf("%dx%d keyhole", w, h), w, h, (h/2)*w + w/2, gridKeyhole(w, h, w/2, h/2, 2)})
+	}
+	multi := 0
+	for _, c := range cases {
+		in, err := gen.Grid(c.w, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := in.G
+		pt := NewPartialTree(g.N(), c.root)
+		comp := make([]int, 0, g.N()-1)
+		for v := 0; v < g.N(); v++ {
+			if v != c.root {
+				comp = append(comp, v)
+			}
+		}
+		st, err := JoinSeparator(g, pt, comp, c.sep)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkHalving(t, c.name, st, len(c.sep))
+		for _, v := range c.sep {
+			if !pt.Has(v) {
+				t.Fatalf("%s: separator vertex %d not joined", c.name, v)
+			}
+		}
+		if st.SubPhases > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("every join took one sub-phase; the keyholes no longer exercise the halving")
 	}
 }
 
@@ -198,6 +285,9 @@ func TestJoinErrors(t *testing.T) {
 	}
 	if _, err := JoinSeparator(in.G, pt, []int{0}, nil); err == nil {
 		t.Fatal("already-added component vertex accepted")
+	}
+	if _, err := JoinSeparator(in.G, pt, []int{1, 2}, []int{1, 2, 1}); err == nil {
+		t.Fatal("separator longer than its component accepted")
 	}
 }
 

@@ -1,7 +1,9 @@
 package dfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"planardfs/internal/dist"
@@ -22,47 +24,46 @@ type JoinStats struct {
 
 // joinScratch holds the flat per-vertex state of the JOIN-PROBLEMs of one
 // build. The arrays are sized n and allocated once per build, so a join
-// costs its component, not the graph: inComp and missing are set and
+// costs its component, not the graph: inComp, missing and pos are set and
 // cleared over the component's own vertices, and the epoch-stamped arrays
-// (seen/vis/set) are reset in O(1) between sub-phases and components by
+// (seen/vis) are reset in O(1) between sub-phases and components by
 // bumping the epoch instead of clearing.
 type joinScratch struct {
 	inComp  []bool
 	missing []bool
-	seenEp  []int32 // componentsWithin visitation
-	visEp   []int32 // dist/parent valid
-	setEp   []int32 // settled in the 0/1 BFS
+	pos     []int32 // 1-based position on the separator path, 0 off it
+	seenEp  []int32 // componentsWithin visitation; piece membership in attachWalk
+	visEp   []int32 // reached by the entry BFS (parent valid)
 	parent  []int32
-	dist    []int32
-	cnt     []int32 // separator vertices on the root path
 	epoch   int32
 	flat    []int   // componentsWithin pieces of a sub-phase, reused
 	pieces  [][]int // their headers, reused
-	order   []int32 // 0/1 BFS settle order, reused
-	deque   []int32 // 0/1 BFS deque buffer, reused across attachBestPath calls
+	queue   []int32 // entry BFS queue, reused
+	cands   []int32 // the separator vertices the entry BFS stopped at, reused
+	path    []int   // the attached path, reused
 }
 
 func newJoinScratch(n int) *joinScratch {
 	return &joinScratch{
 		inComp:  make([]bool, n),
 		missing: make([]bool, n),
+		pos:     make([]int32, n),
 		seenEp:  make([]int32, n),
 		visEp:   make([]int32, n),
-		setEp:   make([]int32, n),
 		parent:  make([]int32, n),
-		dist:    make([]int32, n),
-		cnt:     make([]int32, n),
 		flat:    make([]int, n),
 	}
 }
 
-// JoinSeparator adds every vertex of the separator set (a subset of the
-// component comp of G - T_d) to the partial tree following the DFS-RULE
-// (Lemma 2). In each sub-phase, every remaining component that still holds
-// separator vertices is entered at its vertex with the deepest T_d
-// neighbour, a spanning tree preferring separator-separator edges is grown
-// from there, and the root path holding the most separator vertices is
-// attached.
+// JoinSeparator adds every vertex of the separator path sep (a subset of
+// the component comp of G - T_d) to the partial tree following the
+// DFS-RULE (Lemma 2). In each sub-phase, every remaining component that
+// still holds separator vertices is entered below its deepest T_d
+// neighbour, a BFS from the entry finds the nearest separator vertices,
+// and the path to one of them is attached, continued along sep over the
+// longer run of separator vertices still missing. When sep is a simple
+// G-path, each sub-phase leaves at most half of the run, so the join
+// takes at most ⌈log₂(|sep|+1)⌉ sub-phases.
 func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
 	sorted := append([]int(nil), comp...)
 	sort.Ints(sorted)
@@ -82,6 +83,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 		for _, v := range comp {
 			sc.inComp[v] = false
 			sc.missing[v] = false
+			sc.pos[v] = 0
 		}
 	}()
 	for _, v := range comp {
@@ -90,13 +92,18 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 		}
 		sc.inComp[v] = true
 	}
+	if len(sep) > len(comp) {
+		return nil, nil, fmt.Errorf("dfs: separator of %d vertices in a component of %d", len(sep), len(comp))
+	}
 	missingCnt := 0
-	for _, v := range sep {
+	for i, v := range sep {
 		if !sc.inComp[v] {
 			return nil, nil, fmt.Errorf("dfs: separator vertex %d outside component", v)
 		}
 		if !sc.missing[v] {
 			sc.missing[v] = true
+			//planarvet:narrowok i < len(sep) <= len(comp) <= n, and graph.New bounds n to MaxInt32
+			sc.pos[v] = int32(i + 1)
 			missingCnt++
 		}
 	}
@@ -139,7 +146,7 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 			if !holds {
 				continue
 			}
-			if err := attachBestPath(g, pt, x, sc); err != nil {
+			if err := attachWalk(g, pt, x, sep, sc); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -204,14 +211,18 @@ func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTr
 	return comps
 }
 
-// attachBestPath grows a spanning tree of the component x from its
-// DFS-RULE entry vertex, preferring separator-separator edges (the 0/1
-// shortest-path tree standing in for the paper's 0/1-weight MST), finds the
-// separator vertex whose root path carries the most separator vertices
-// (an ANCESTOR-SUM in the distributed accounting), and attaches that path.
-func attachBestPath(g *graph.Graph, pt *PartialTree, x []int, sc *joinScratch) error {
-	entry, anchor := pt.DeepestNeighborIn(g, x)
-	if entry < 0 {
+// attachWalk runs the DFS-RULE of one sub-phase on the piece x, which
+// still holds separator vertices. The anchor is the deepest T_d neighbour
+// of x; the entry is the anchor's smallest neighbour in x that is not a
+// missing separator vertex, or its smallest missing one if it has no
+// other. A BFS from the entry that stops at missing separator vertices
+// reaches the candidates p, each by a path holding no other separator
+// vertex. The candidate whose longer run along sep (see runAround) is
+// longest, smaller id first, wins: the path entry→p, then p to the end of
+// that run, is attached below the anchor.
+func attachWalk(g *graph.Graph, pt *PartialTree, x, sep []int, sc *joinScratch) error {
+	_, anchor := pt.DeepestNeighborIn(g, x)
+	if anchor < 0 {
 		return fmt.Errorf("dfs: component has no neighbour in the partial tree")
 	}
 	sc.epoch++
@@ -221,115 +232,114 @@ func attachBestPath(g *graph.Graph, pt *PartialTree, x []int, sc *joinScratch) e
 	for _, v := range x {
 		sc.seenEp[v] = ep
 	}
-	// 0/1 BFS from entry: separator-separator edges cost 0. The deque lives
-	// in a scratch buffer with front/back cursors; each relaxation pushes
-	// once, so relaxCap slots on each side suffice. The buffer and the
-	// settle-order slice are (re)grown here, outside the noalloc core.
-	relaxCap := 1
-	for _, v := range x {
-		relaxCap += g.Degree(v)
-	}
-	if cap(sc.deque) < 2*relaxCap {
-		sc.deque = make([]int32, 2*relaxCap)
-	}
-	if cap(sc.order) < len(x) {
-		sc.order = make([]int32, 0, len(x))
-	}
-	sc.run01BFS(g, entry, relaxCap, ep)
-	return pickAndAttach(g, pt, x, sc, anchor, ep)
-}
-
-// run01BFS is the steady-state core of the attachment: the 0/1 BFS over
-// the component, settling vertices into sc.order. attachBestPath presizes
-// sc.deque (2·relaxCap slots) and sc.order (component size) before the
-// call, so the loop itself touches the allocator not at all — this is the
-// deque the join phase spins on for every sub-phase of every component.
-//
-//planarvet:noalloc TestJoinDequeZeroAlloc
-func (sc *joinScratch) run01BFS(g *graph.Graph, entry, relaxCap int, ep int32) {
-	buf := sc.deque[:cap(sc.deque)]
-	f, b := relaxCap, relaxCap // [f, b) is the live deque
-	//planarvet:narrowok entry is a vertex id, < n and graph.New bounds n to MaxInt32
-	buf[b] = int32(entry)
-	b++
-	sc.visEp[entry] = ep
-	sc.parent[entry] = -1
-	sc.dist[entry] = 0
-	sc.order = sc.order[:0]
-	for f < b {
-		v := int(buf[f])
-		f++
-		if sc.setEp[v] == ep {
+	entry := -1
+	for _, id := range g.IncidentEdges(anchor) {
+		w := g.Other(int(id), anchor)
+		if sc.seenEp[w] != ep {
 			continue
 		}
-		sc.setEp[v] = ep
-		//planarvet:narrowok v came out of the int32 deque, so it fits by construction
-		sc.order = append(sc.order, int32(v)) //planarvet:allocok order is presized to the component size by attachBestPath, append stays in capacity
-		for _, id := range g.IncidentEdges(v) {
-			w := g.Other(int(id), v)
-			if sc.seenEp[w] != ep || sc.setEp[w] == ep {
-				continue
-			}
-			cost := int32(1)
-			if sc.missing[v] && sc.missing[w] {
-				cost = 0
-			}
-			d := sc.dist[v] + cost
-			if sc.visEp[w] != ep || d < sc.dist[w] {
-				sc.visEp[w] = ep
-				sc.dist[w] = d
-				//planarvet:narrowok v came out of the int32 deque, so it fits by construction
-				sc.parent[w] = int32(v)
-				if cost == 0 {
-					f--
-					//planarvet:narrowok w is a vertex id, < n and graph.New bounds n to MaxInt32
-					buf[f] = int32(w)
-				} else {
-					//planarvet:narrowok w is a vertex id, < n and graph.New bounds n to MaxInt32
-					buf[b] = int32(w)
-					b++
-				}
-			}
+		if entry < 0 || (sc.missing[entry] && !sc.missing[w]) || (sc.missing[entry] == sc.missing[w] && w < entry) {
+			entry = w
 		}
 	}
-}
-
-// pickAndAttach finishes the DFS-RULE after the BFS: the ancestor sum over
-// the settle order, the best-path selection, and the attachment.
-func pickAndAttach(g *graph.Graph, pt *PartialTree, x []int, sc *joinScratch, anchor int, ep int32) error {
-	// Count separator vertices on each root path (an ancestor sum): in the
-	// 0/1 BFS, parent[w] is always settled before w, so the settle order is
-	// a valid top-down sweep.
-	for _, v32 := range sc.order {
-		v := int(v32)
-		var c int32
-		if p := sc.parent[v]; p != -1 {
-			c = sc.cnt[p]
-		}
-		if sc.missing[v] {
-			c++
-		}
-		sc.cnt[v] = c
+	// Every vertex of x enters the queue at most once, and so does every
+	// candidate; both buffers are (re)grown here, outside the noalloc core.
+	if cap(sc.queue) < len(x) {
+		sc.queue = make([]int32, len(x))
+		sc.cands = make([]int32, 0, len(x))
 	}
-	best, bestCnt := -1, int32(0)
-	for _, v := range x {
-		if !sc.missing[v] || sc.setEp[v] != ep {
-			continue
-		}
-		if c := sc.cnt[v]; c > bestCnt || (c == bestCnt && (best < 0 || v < best)) {
-			best, bestCnt = v, c
-		}
-	}
-	if best < 0 {
+	sc.nearestSeparatorBFS(g, entry, ep)
+	if len(sc.cands) == 0 {
 		return fmt.Errorf("dfs: component lost its separator vertices")
 	}
-	// The path entry..best, in attach order.
-	var path []int
+	// In path order, the candidates of one run are adjacent, so each run
+	// is walked once.
+	slices.SortFunc(sc.cands, func(a, b int32) int { return cmp.Compare(sc.pos[a], sc.pos[b]) })
+	best, bestScore, bestI, bestLo, bestHi := -1, 0, 0, 0, 0
+	lo, hi := 0, -1
+	for _, c := range sc.cands {
+		i := int(sc.pos[c]) - 1
+		if i > hi {
+			lo, hi = sc.runAround(g, sep, i, ep)
+		}
+		score := 1 + max(i-lo, hi-i)
+		if score > bestScore || (score == bestScore && int(c) < best) {
+			best, bestScore, bestI, bestLo, bestHi = int(c), score, i, lo, hi
+		}
+	}
+	// The path entry..best, in attach order, then the longer run.
+	path := sc.path[:0]
 	for v := best; v != -1; v = int(sc.parent[v]) {
 		path = append(path, v)
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	slices.Reverse(path)
+	if bestHi-bestI >= bestI-bestLo {
+		path = append(path, sep[bestI+1:bestHi+1]...)
+	} else {
+		for j := bestI - 1; j >= bestLo; j-- {
+			path = append(path, sep[j])
+		}
 	}
+	sc.path = path
 	return pt.AttachPath(g, anchor, path)
+}
+
+// nearestSeparatorBFS is the steady-state core of the attachment: a BFS
+// over the piece stamped ep from entry that does not expand past missing
+// separator vertices, collecting the ones it reaches into sc.cands and
+// the BFS tree into sc.parent. attachWalk presizes sc.queue and sc.cands
+// to the piece size before the call, so the loop itself touches the
+// allocator not at all; this is the BFS the join phase runs for every
+// sub-phase of every component.
+//
+//planarvet:noalloc TestJoinDequeZeroAlloc
+func (sc *joinScratch) nearestSeparatorBFS(g *graph.Graph, entry int, ep int32) {
+	q := sc.queue[:cap(sc.queue)]
+	cands := sc.cands[:cap(sc.cands)]
+	//planarvet:narrowok entry is a vertex id, < n and graph.New bounds n to MaxInt32
+	q[0] = int32(entry)
+	tail, nc := 1, 0
+	sc.visEp[entry] = ep
+	sc.parent[entry] = -1
+	for head := 0; head < tail; head++ {
+		v := q[head]
+		if sc.missing[v] {
+			cands[nc] = v
+			nc++
+			continue
+		}
+		for _, id := range g.IncidentEdges(int(v)) {
+			w := g.Other(int(id), int(v))
+			if sc.seenEp[w] != ep || sc.visEp[w] == ep {
+				continue
+			}
+			sc.visEp[w] = ep
+			sc.parent[w] = v
+			//planarvet:narrowok w is a vertex id, < n and graph.New bounds n to MaxInt32
+			q[tail] = int32(w)
+			tail++
+		}
+	}
+	sc.cands = cands[:nc]
+}
+
+// runAround returns the run of sep around index i, whose vertex is a
+// missing separator vertex of the piece stamped ep: the largest lo..hi
+// holding i in which every vertex is a missing vertex of the piece at its
+// first position in sep and consecutive vertices are joined by a G-edge.
+// When sep is a simple G-path, the missing vertices of a join always form
+// one such run (DESIGN §5).
+func (sc *joinScratch) runAround(g *graph.Graph, sep []int, i int, ep int32) (lo, hi int) {
+	on := func(j int) bool {
+		v := sep[j]
+		return sc.seenEp[v] == ep && sc.missing[v] && int(sc.pos[v]) == j+1
+	}
+	lo, hi = i, i
+	for lo > 0 && on(lo-1) && g.HasEdge(sep[lo-1], sep[lo]) {
+		lo--
+	}
+	for hi+1 < len(sep) && on(hi+1) && g.HasEdge(sep[hi], sep[hi+1]) {
+		hi++
+	}
+	return lo, hi
 }

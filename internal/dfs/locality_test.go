@@ -16,12 +16,13 @@ import (
 // root. At the start of every phase it calls phase, when not nil, with the
 // partial tree and the phase's component list; on every component it
 // calls visit, when not nil, with the dart the build restricts it around
-// and the build's Restricter, before the component's separator is joined.
+// and the build's Restricter, before the component's separator is joined,
+// and joined, when not nil, with the separator path and the join's stats.
 // Like Build, it takes the first phase's components from firstComponents
 // and every later phase's from the pieces the previous phase's joins left,
 // ordered by sortComponents. It fails the test if the driven phases do not
 // end in Build's tree.
-func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter)) {
+func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter), joined func(sep []int, st *JoinStats)) {
 	t.Helper()
 	g, emb := in.G, in.Emb
 	fs := emb.TraceFaces()
@@ -47,9 +48,12 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			_, pieces, err := joinSeparator(g, pt, comp, sep.Path, nil, sc)
+			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, nil, sc)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			if joined != nil {
+				joined(sep.Path, st)
 			}
 			next = append(next, pieces...)
 		}
@@ -106,13 +110,40 @@ func TestPhaseComponentsMatchMaskWalk(t *testing.T) {
 			if len(comps) > 1 {
 				multi++
 			}
-		}, nil)
+		}, nil, nil)
 	}
 	// Order is only tested where a phase has several components.
 	if multi == 0 {
 		t.Fatal("no phase had more than one component")
 	}
 	t.Logf("%d phases agree (%d with several components)", phases, multi)
+}
+
+// TestJoinHalvingEveryPhase holds every JOIN of every phase case to
+// Lemma 2's bound (checkHalving): the separators the build joins are
+// simple G-paths, so each sub-phase leaves at most half of the missing
+// run.
+func TestJoinHalvingEveryPhase(t *testing.T) {
+	joins, multi := 0, 0
+	for _, c := range phaseCases(t) {
+		g := c.in.G
+		forEachPhaseComponent(t, c.name, c.in, c.root, nil, nil, func(sep []int, st *JoinStats) {
+			for i := 1; i < len(sep); i++ {
+				if !g.HasEdge(sep[i-1], sep[i]) {
+					t.Fatalf("%s: separator step {%d,%d} is not an edge", c.name, sep[i-1], sep[i])
+				}
+			}
+			checkHalving(t, c.name, st, len(sep))
+			joins++
+			if st.SubPhases > 1 {
+				multi++
+			}
+		})
+	}
+	if multi == 0 {
+		t.Fatal("every join took one sub-phase")
+	}
+	t.Logf("%d joins within the bound (%d with several sub-phases)", joins, multi)
 }
 
 // phaseCase is one instance and root the phase-driven tests run.
@@ -188,7 +219,7 @@ func TestOuterRegionDartMatchesUnionFind(t *testing.T) {
 				}
 			}
 			checked++
-		})
+		}, nil)
 	}
 	if viaOuterDart == 0 {
 		t.Fatal("no component held the whole outer face; the interior roots no longer cover that case")

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -9,9 +10,9 @@ import (
 )
 
 // TestJoinDequeZeroAlloc is the runtime gate behind the
-// //planarvet:noalloc annotation on (*joinScratch).run01BFS: with the
-// deque buffer and the settle-order slice presized the way attachBestPath
-// presizes them, the 0/1 BFS itself performs zero allocations.
+// //planarvet:noalloc annotation on (*joinScratch).nearestSeparatorBFS:
+// with the queue and the candidate slice presized the way attachWalk
+// presizes them, the entry BFS itself performs zero allocations.
 func TestJoinDequeZeroAlloc(t *testing.T) {
 	g := graph.New(6)
 	g.MustAddEdge(0, 1)
@@ -24,16 +25,12 @@ func TestJoinDequeZeroAlloc(t *testing.T) {
 
 	x := []int{0, 1, 2, 3, 4, 5}
 	sc := newJoinScratch(g.N())
-	sc.missing[1] = true
 	sc.missing[2] = true
+	sc.missing[4] = true
 
-	// Mirror attachBestPath's presizing exactly.
-	relaxCap := 1
-	for _, v := range x {
-		relaxCap += g.Degree(v)
-	}
-	sc.deque = make([]int32, 2*relaxCap)
-	sc.order = make([]int32, 0, len(x))
+	// Mirror attachWalk's presizing exactly.
+	sc.queue = make([]int32, len(x))
+	sc.cands = make([]int32, 0, len(x))
 
 	allocs := testing.AllocsPerRun(100, func() {
 		sc.epoch++
@@ -41,13 +38,14 @@ func TestJoinDequeZeroAlloc(t *testing.T) {
 		for _, v := range x {
 			sc.seenEp[v] = ep
 		}
-		sc.run01BFS(g, 0, relaxCap, ep)
+		sc.nearestSeparatorBFS(g, 0, ep)
 	})
 	if allocs != 0 {
-		t.Fatalf("run01BFS allocates %.1f times, want 0", allocs)
+		t.Fatalf("nearestSeparatorBFS allocates %.1f times, want 0", allocs)
 	}
-	if len(sc.order) != len(x) {
-		t.Fatalf("BFS settled %d vertices, want %d", len(sc.order), len(x))
+	// From 0 the BFS reaches 1, 3 and 5, and stops at 2 and 4.
+	if !slices.Equal(sc.cands, []int32{2, 4}) {
+		t.Fatalf("BFS stopped at %v, want the separator vertices 2 and 4", sc.cands)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestRestricterMatchesReference(t *testing.T) {
 		forEachPhaseComponent(t, c.name, c.in, c.root, nil, func(_ *PartialTree, comp []int, dart int, rs *planar.Restricter) {
 			checkRestrict(t, c.name, rs, comp, dart)
 			components++
-		})
+		}, nil)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, family := range []string{"stacked", "grid", "cylinderish", "wheel"} {

@@ -9,6 +9,7 @@ import (
 
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
+	"planardfs/internal/shortcut"
 )
 
 // runTheorem2Pipeline drives the Theorem 2 pipeline (internal/pipeline)
@@ -16,7 +17,8 @@ import (
 // tree, the Theorem 2 DFS (dfs.Build's algorithm) under the certify-retry
 // runtime, certified on its first attempt, the Theorem 1 cycle separator
 // and the three proof-labeling certifications, every one accepting — and
-// checks the separator's balance.
+// checks the separator's balance and Lemma 2's ⌈log₂ n⌉ bound on the
+// sub-phases of every JOIN.
 func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	t.Helper()
 	start := time.Now()
@@ -31,9 +33,14 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	t.Logf("pipeline %8.2fs n=%d phases=%d separator_calls=%d rounds=%d",
-		time.Since(start).Seconds(), in.G.N(), res.DFSTrace.Phases,
-		res.DFSTrace.SeparatorCalls, res.Rounds())
+	tr := res.DFSTrace
+	t.Logf("pipeline %8.2fs n=%d phases=%d separator_calls=%d max_join_subphases=%d rounds=%d",
+		time.Since(start).Seconds(), in.G.N(), tr.Phases,
+		tr.SeparatorCalls, tr.MaxJoinSubPhases, res.Rounds())
+
+	if bound := shortcut.Log2Ceil(in.G.N()); tr.MaxJoinSubPhases > bound {
+		t.Fatalf("a JOIN took %d sub-phases, want at most ⌈log₂ n⌉ = %d", tr.MaxJoinSubPhases, bound)
+	}
 
 	if bal := separator.VerifyBalance(in.G, res.Separator.Sep.Path); 3*bal > 2*in.G.N() {
 		t.Fatalf("separator unbalanced: largest side %d of %d", bal, in.G.N())
@@ -41,8 +48,10 @@ func runTheorem2Pipeline(t *testing.T, family string, n int) {
 }
 
 // TestTheorem2PipelineMedium keeps the pipeline wired in the ordinary test
-// suite at sizes that finish in seconds: a wide cylinderish grid and a
-// square grid, whose high diameter makes the Lemma 17 picks tall.
+// suite at sizes that finish in seconds: wide cylinderish grids and
+// square grids, whose high diameter makes the Lemma 17 picks tall and
+// whose long-path separators are the JOINs most prone to stranding
+// separator vertices.
 func TestTheorem2PipelineMedium(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run skipped in -short")
@@ -50,7 +59,7 @@ func TestTheorem2PipelineMedium(t *testing.T) {
 	for _, c := range []struct {
 		family string
 		n      int
-	}{{"cylinderish", 20_000}, {"grid", 40_000}} {
+	}{{"cylinderish", 10_000}, {"grid", 10_000}, {"cylinderish", 20_000}, {"grid", 40_000}} {
 		t.Run(fmt.Sprintf("%s-%d", c.family, c.n), func(t *testing.T) {
 			runTheorem2Pipeline(t, c.family, c.n)
 		})

@@ -9,13 +9,15 @@ import (
 )
 
 // TestRunBytesPerRun gates the host bytes one untraced default-option Run
-// allocates: at most 6.5 MB on the 32×32 grid and 7.1 MB on the stacked
-// triangulation of n = 1000 (about 5.85 MB and 6.44 MB measured, with
-// each DFS phase taking its components from the joins, every DFS
-// component restricted in one pass on the build's own index and one
-// certification network, BFS tree, aggregation program and label
-// exchange shared by every certification of a run; 5.95 MB and 6.43 MB
-// when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
+// allocates: at most 5.9 MB on the 32×32 grid and 6.4 MB on the stacked
+// triangulation of n = 1000 (about 5.38 MB and 5.82 MB measured, with
+// the Lemma 2 JOIN walking the separator path in fewer sub-phases and
+// phases and the separator's virtual-edge candidates traced once; 5.85 MB
+// and 6.44 MB before, with each DFS phase taking its components from the
+// joins, every DFS component restricted in one pass on the build's own
+// index and one certification network, BFS tree, aggregation program and
+// label exchange shared by every certification of a run; 5.95 MB and
+// 6.43 MB when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
 // component went through maps and a second BFS, 10.4 MB and 11.6 MB when
 // each certification also built its own).
 func TestRunBytesPerRun(t *testing.T) {
@@ -31,7 +33,7 @@ func TestRunBytesPerRun(t *testing.T) {
 		name     string
 		in       *gen.Instance
 		maxBytes float64
-	}{{"grid-32x32", grid, 6.5e6}, {"stacked-1000", stacked, 7.1e6}} {
+	}{{"grid-32x32", grid, 5.9e6}, {"stacked-1000", stacked, 6.4e6}} {
 		run := func() {
 			if _, err := Run(context.Background(), c.in, Options{}); err != nil {
 				t.Fatal(err)

@@ -28,11 +28,10 @@ func instance(t *testing.T, family string, n int, seed int64) *gen.Instance {
 	return in
 }
 
-// TestRunTraceGolden pins the default run byte for byte. The charged
-// rounds are the ones planard's hand-wired build produced before it moved
-// onto Run. The digests were recorded when the certify stage began reusing
-// the dfs stage's DFS verdict, which dropped a duplicate cert.dfs subtree
-// from the trace and left the rounds unchanged.
+// TestRunTraceGolden pins the default run byte for byte. The digests and
+// charged rounds were recorded when the Lemma 2 JOIN began walking the
+// separator path, which changed the DFS trees, their phases and their
+// JOIN sub-phases.
 func TestRunTraceGolden(t *testing.T) {
 	cases := []struct {
 		family string
@@ -41,8 +40,8 @@ func TestRunTraceGolden(t *testing.T) {
 		digest string
 		rounds int
 	}{
-		{"grid", 100, 1, "a5049867c3e2a22e6bc49dc1dca618b9077a3c3995ecb803b9bba6183d4c015c", 2462726},
-		{"stacked", 150, 7, "dab09fd7d5e772597ec927fe06a8773d6492073f5fa9a594063ebf45aa928441", 971992},
+		{"grid", 100, 1, "b27058ae3f756fd210dbdfa7ff7efe466a30799822b09ac0a78996c1ab92064c", 2003981},
+		{"stacked", 150, 7, "32c4766fb1436dd01a9548f0af33b277d46b64d0a3b1b3c2c2ad1e45c22f3b71", 697878},
 	}
 	for _, c := range cases {
 		rec := trace.NewRecorder()
@@ -255,7 +254,7 @@ func TestDFSVerdictIsCertifiedOnce(t *testing.T) {
 		verdicts int
 	}{
 		{"fault-free", Options{}, chaos.OutcomeCertified, 1},
-		{"retry", Options{Plan: chaos.NewPlan(2, chaos.Spec{Structural: 2})}, chaos.OutcomeCertifiedRetry, 3},
+		{"retry", Options{Plan: chaos.NewPlan(5, chaos.Spec{Structural: 2})}, chaos.OutcomeCertifiedRetry, 3},
 		{"degraded", Options{Plan: chaos.NewPlan(5, chaos.Spec{Structural: 4})}, chaos.OutcomeDegraded, 4},
 	}
 	for _, c := range cases {

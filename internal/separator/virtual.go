@@ -48,11 +48,11 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 			}
 			tries++
 			ng, nemb, err := cfg.Emb.InsertEdge(ins)
-			if err != nil || nemb.Genus() != 0 {
+			if err != nil {
 				continue
 			}
 			ncfg, err := weights.NewConfig(ng, nemb, cfg.RootAnchor(), cfg.Tree)
-			if err != nil {
+			if err != nil || nemb.GenusOf(ncfg.Faces()) != 0 {
 				continue
 			}
 			id, ok := ng.EdgeID(root, x)
