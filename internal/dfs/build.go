@@ -10,7 +10,6 @@ import (
 	"planardfs/internal/planar"
 	"planardfs/internal/separator"
 	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 )
 
@@ -23,6 +22,9 @@ type Trace struct {
 	// MaxComponent[i] is the largest remaining component at the start of
 	// phase i.
 	MaxComponent []int
+	// Components[i] is the number of remaining components at the start of
+	// phase i.
+	Components []int
 	// SeparatorCalls counts per-component separator computations (run in
 	// parallel within a phase in the distributed model).
 	SeparatorCalls int
@@ -47,6 +49,39 @@ func (t *Trace) Ops(n int) dist.Ops {
 	return dist.DFSBuildOps(n, t.Phases, t.MaxJoinSubPhases)
 }
 
+// Charge records the run's round account on tracer (nil or disabled
+// records nothing): a dfs-layer dfs.build span holding one dfs.phase span
+// per recursion phase, each charging the two parts of dist.DFSPhaseOps
+// under cm — every component's separator in parallel, then the deepest
+// join's sub-phases. The round clock therefore advances by exactly
+// t.Ops(n).Rounds(cm, 1), the run's charged cost.
+func (t *Trace) Charge(tracer trace.Tracer, n int, cm shortcut.CostModel) {
+	m := dist.NewMeter(tracer, cm, 1)
+	if !m.On() {
+		return
+	}
+	build := m.Start(trace.LayerDFS, "dfs.build")
+	sepOps, joinOps := dist.DFSPhaseOps(n, t.MaxJoinSubPhases)
+	for i, maxC := range t.MaxComponent {
+		phase := m.Start(trace.LayerDFS, "dfs.phase")
+		phase.SetAttr("phase", int64(i+1))
+		phase.SetAttr("components", int64(t.Components[i]))
+		phase.SetAttr("max_component", int64(maxC))
+		tracer.SetGauge("dfs.max_component", int64(maxC))
+		tracer.Sample("dfs.max_component", int64(maxC))
+		m.Charge(trace.LayerSeparator, "separator.components", sepOps)
+		m.Charge(trace.LayerDFS, "join.subphases", joinOps,
+			trace.Attr{Key: "subphases", Val: int64(t.MaxJoinSubPhases)})
+		phase.End()
+	}
+	tracer.Count("dfs.phases", int64(t.Phases))
+	tracer.Count("dfs.separator_calls", int64(t.SeparatorCalls))
+	tracer.Count("dfs.join_subphases", int64(t.JoinSubPhases))
+	build.SetAttr("phases", int64(t.Phases))
+	build.SetAttr("separator_calls", int64(t.SeparatorCalls))
+	build.End()
+}
+
 // Build computes a DFS tree of the embedded planar graph rooted at root by
 // the main algorithm of Section 3.2/6.2: per phase, a cycle separator of
 // every remaining component is computed (Theorem 1) and joined to the
@@ -55,19 +90,20 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 	return BuildWithSeparator(g, emb, outerDart, root, nil, separator.Find)
 }
 
-// BuildWithSeparator is Build with the run recorded on tracer (nil
-// disables tracing) and the per-component separator computation swapped
-// out: find runs on each remaining component's restricted configuration
-// (see separator.ForSubsetWith). Each restriction is built around a dart
-// found inside its component (outerRegionDart), and the restriction index
-// and the join state are allocated once per build and reset over each
-// component only, so a component costs its own size, not n.
-// Tracing records a dfs-layer span per recursion phase, the span
-// structure of every per-component separator call, and a dfs-layer span
-// per JOIN sub-phase, all stamped with the charged round clock under the
-// paper cost model. The caller keeps any engine-fallback policy inside
-// find and may record its fallback count on the returned Trace.
-func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root int, tracer trace.Tracer, find separator.FindFunc) (*PartialTree, *Trace, error) {
+// BuildWithSeparator is Build with the per-component separator computation
+// swapped out: find runs on each remaining component's restricted
+// configuration (see separator.ForSubsetWith). Each restriction is built
+// around a dart found inside its component (outerRegionDart), and the
+// restriction index and the join state are allocated once per build and
+// reset over each component only, so a component costs its own size, not
+// n. The caller keeps any engine-fallback policy inside find and may
+// record its fallback count on the returned Trace.
+//
+// The build records nothing on a tracer: the returned Trace is the record,
+// and the caller charges it under the cost model it prices the run with
+// (Trace.Charge). The tracer argument is ignored; it remains for callers
+// compiled against the earlier signature (the planardbench module).
+func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root int, _ trace.Tracer, find separator.FindFunc) (*PartialTree, *Trace, error) {
 	if err := g.CheckVertex(root); err != nil {
 		return nil, nil, err
 	}
@@ -77,22 +113,6 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 	if err := emb.CheckOuterDart(outerDart); err != nil {
 		return nil, nil, err
 	}
-	tracer = trace.OrNop(tracer)
-	var m *dist.Meter
-	var buildSpan trace.Span
-	if tracer.Enabled() {
-		// The cost model charges the BFS depth from the root as the
-		// diameter proxy (depth <= D <= 2·depth).
-		depth := 0
-		if bt, err := spanning.BFSTree(g, root); err == nil {
-			depth = bt.MaxDepth()
-		}
-		m = dist.NewMeter(tracer, shortcut.PaperCost{D: depth, N: g.N()}, 1)
-		buildSpan = tracer.StartSpan(trace.LayerDFS, "dfs.build")
-		defer buildSpan.End()
-	}
-	fs := emb.TraceFaces()
-	outerVerts := fs.FaceVertices(int(fs.FaceOf[outerDart]))
 	outerInTree := false
 	pt := NewPartialTree(g.N(), root)
 	sc := newJoinScratch(g.N())
@@ -105,7 +125,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			return nil, nil, fmt.Errorf("dfs: did not converge")
 		}
 		if !outerInTree {
-			outerInTree = anyAdded(pt, outerVerts)
+			outerInTree = faceMeetsTree(emb, pt, outerDart)
 		}
 		maxC := 0
 		for _, c := range comps {
@@ -114,25 +134,16 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			}
 		}
 		tr.MaxComponent = append(tr.MaxComponent, maxC)
-		phaseSpan := tracer.StartSpan(trace.LayerDFS, "dfs.phase")
-		phaseSpan.SetAttr("phase", int64(tr.Phases))
-		phaseSpan.SetAttr("components", int64(len(comps)))
-		phaseSpan.SetAttr("max_component", int64(maxC))
-		tracer.SetGauge("dfs.max_component", int64(maxC))
-		tracer.Sample("dfs.max_component", int64(maxC))
+		tr.Components = append(tr.Components, len(comps))
 		var next [][]int
 		for _, comp := range comps {
-			var septr trace.Tracer
-			if tracer.Enabled() {
-				septr = tracer
-			}
-			sep, err := separator.ForSubsetWith(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, septr, find)
+			sep, err := separator.ForSubsetWith(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, find)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
 			}
 			tr.SeparatorCalls++
 			tr.SeparatorPhases[sep.Phase]++
-			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, m, sc)
+			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, sc)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d join: %w", tr.Phases, err)
 			}
@@ -143,14 +154,6 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 			next = append(next, pieces...)
 		}
 		comps = sortComponents(next)
-		phaseSpan.End()
-	}
-	if tracer.Enabled() {
-		tracer.Count("dfs.phases", int64(tr.Phases))
-		tracer.Count("dfs.separator_calls", int64(tr.SeparatorCalls))
-		tracer.Count("dfs.join_subphases", int64(tr.JoinSubPhases))
-		buildSpan.SetAttr("phases", int64(tr.Phases))
-		buildSpan.SetAttr("separator_calls", int64(tr.SeparatorCalls))
 	}
 	if err := IsDFSTree(g, root, pt.Parent); err != nil {
 		return nil, nil, fmt.Errorf("dfs: output invalid: %w", err)
@@ -192,14 +195,17 @@ func outerRegionDart(emb *planar.Embedding, pt *PartialTree, comp []int, outerDa
 	return -1
 }
 
-// anyAdded reports whether some vertex of vs is in the partial tree.
-func anyAdded(pt *PartialTree, vs []int) bool {
-	for _, v := range vs {
-		if pt.Has(v) {
+// faceMeetsTree reports whether some vertex of d's face is in the
+// partial tree, by one walk of the face.
+func faceMeetsTree(emb *planar.Embedding, pt *PartialTree, d int) bool {
+	for x := emb.FaceNext(d); ; x = emb.FaceNext(x) {
+		if pt.Has(emb.TailOf(x)) {
 			return true
 		}
+		if x == d {
+			return false
+		}
 	}
-	return false
 }
 
 // firstComponents splits G − {root}, the first phase's components, with

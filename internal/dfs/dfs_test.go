@@ -57,13 +57,11 @@ func TestDeepestNeighborIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Candidates 3, 4: 4 is adjacent to 2 (depth 2), 3 adjacent to 0
-	// (depth 0) -> pick 4 anchored at 2.
-	v, a := pt.DeepestNeighborIn(g, []int{3, 4})
-	if v != 4 || a != 2 {
-		t.Fatalf("got (%d,%d), want (4,2)", v, a)
+	// (depth 0) -> anchor 2.
+	if a := pt.DeepestNeighborIn(g, []int{3, 4}); a != 2 {
+		t.Fatalf("got anchor %d, want 2", a)
 	}
-	v, a = pt.DeepestNeighborIn(g, []int{})
-	if v != -1 || a != -1 {
+	if a := pt.DeepestNeighborIn(g, []int{}); a != -1 {
 		t.Fatal("empty candidates should give -1")
 	}
 }

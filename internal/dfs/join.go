@@ -6,9 +6,7 @@ import (
 	"slices"
 	"sort"
 
-	"planardfs/internal/dist"
 	"planardfs/internal/graph"
-	"planardfs/internal/trace"
 )
 
 // JoinStats reports the work of one JOIN-PROBLEM invocation (Lemma 2).
@@ -67,18 +65,15 @@ func newJoinScratch(n int) *joinScratch {
 func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
 	sorted := append([]int(nil), comp...)
 	sort.Ints(sorted)
-	st, _, err := joinSeparator(g, pt, sorted, sep, nil, newJoinScratch(g.N()))
+	st, _, err := joinSeparator(g, pt, sorted, sep, newJoinScratch(g.N()))
 	return st, err
 }
 
 // joinSeparator is JoinSeparator on the build's scratch sc, for a comp
-// sorted ascending, with per-sub-phase spans on m: each sub-phase charges
-// the Lemma 2 budget (spanning forest, re-root, LCA, the two PA problems
-// of the DFS-RULE, and marking the attached path) and records the
-// remaining separator count. It also returns the pieces it leaves, the
-// next phase's components inside comp (see componentsWithin). It leaves sc
-// clear for the next component.
-func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *dist.Meter, sc *joinScratch) (*JoinStats, [][]int, error) {
+// sorted ascending. It also returns the pieces it leaves, the next phase's
+// components inside comp (see componentsWithin). It leaves sc clear for
+// the next component.
+func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, sc *joinScratch) (*JoinStats, [][]int, error) {
 	defer func() {
 		for _, v := range comp {
 			sc.inComp[v] = false
@@ -108,16 +103,6 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 		}
 	}
 	st := &JoinStats{Remaining: []int{missingCnt}}
-	var joinSpan trace.Span
-	if m.On() {
-		joinSpan = m.Start(trace.LayerDFS, "join.problem")
-		joinSpan.SetAttr("component", int64(len(comp)))
-		joinSpan.SetAttr("separator", int64(missingCnt))
-		defer func() {
-			joinSpan.SetAttr("subphases", int64(st.SubPhases))
-			joinSpan.End()
-		}()
-	}
 	for {
 		// The pieces of comp − T_d live in the scratch until none holds a
 		// separator vertex; then they get their own array.
@@ -128,12 +113,6 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 		st.SubPhases++
 		if st.SubPhases > g.N()+2 {
 			return nil, nil, fmt.Errorf("dfs: join did not converge")
-		}
-		var subSpan trace.Span
-		if m.On() {
-			subSpan = m.Start(trace.LayerDFS, "join.subphase")
-			subSpan.SetAttr("subphase", int64(st.SubPhases))
-			subSpan.SetAttr("remaining", int64(missingCnt))
 		}
 		for _, x := range sc.pieces {
 			holds := false
@@ -163,19 +142,6 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, m *di
 		}
 		missingCnt = cnt
 		st.Remaining = append(st.Remaining, cnt)
-		if m.On() {
-			// The Lemma 2 sub-phase budget: every open component runs these
-			// in parallel, so the set is charged once.
-			n := g.N()
-			m.Charge(trace.LayerLemma, "lemma9.spanning-forest", dist.SpanningForestOps(n))
-			m.Charge(trace.LayerLemma, "lemma19.re-root", dist.ReRootOps(n))
-			m.Charge(trace.LayerLemma, "lemma14.lca", dist.LCAOps(n))
-			m.Charge(trace.LayerLemma, "dfs-rule.pa-problems", dist.PAProblemOps().Times(2))
-			m.Charge(trace.LayerLemma, "lemma13.mark-path", dist.MarkPathOps(n))
-			m.Tracer().Observe("join.remaining", int64(cnt))
-			subSpan.SetAttr("absorbed", int64(st.Remaining[st.SubPhases-1]-cnt))
-			subSpan.End()
-		}
 	}
 }
 
@@ -221,7 +187,7 @@ func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTr
 // longest, smaller id first, wins: the path entry→p, then p to the end of
 // that run, is attached below the anchor.
 func attachWalk(g *graph.Graph, pt *PartialTree, x, sep []int, sc *joinScratch) error {
-	_, anchor := pt.DeepestNeighborIn(g, x)
+	anchor := pt.DeepestNeighborIn(g, x)
 	if anchor < 0 {
 		return fmt.Errorf("dfs: component has no neighbour in the partial tree")
 	}

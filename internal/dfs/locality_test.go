@@ -25,8 +25,6 @@ import (
 func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter), joined func(sep []int, st *JoinStats)) {
 	t.Helper()
 	g, emb := in.G, in.Emb
-	fs := emb.TraceFaces()
-	outerVerts := fs.FaceVertices(int(fs.FaceOf[in.OuterDart]))
 	pt := NewPartialTree(g.N(), root)
 	sc := newJoinScratch(g.N())
 	rs := planar.NewRestricter(emb)
@@ -36,7 +34,7 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 			phase(pt, comps)
 		}
 		if !outerInTree {
-			outerInTree = anyAdded(pt, outerVerts)
+			outerInTree = faceMeetsTree(emb, pt, in.OuterDart)
 		}
 		var next [][]int
 		for _, comp := range comps {
@@ -44,11 +42,11 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 			if visit != nil {
 				visit(pt, comp, dart, rs)
 			}
-			sep, err := separator.ForSubsetWith(rs, dart, comp, nil, separator.Find)
+			sep, err := separator.ForSubsetWith(rs, dart, comp, separator.Find)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, nil, sc)
+			st, pieces, err := joinSeparator(g, pt, comp, sep.Path, sc)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -77,26 +77,22 @@ func (pt *PartialTree) AttachPath(g *graph.Graph, anchor int, path []int) error 
 	return nil
 }
 
-// DeepestNeighborIn returns the vertex of the candidate set having the
-// deepest T_d-neighbour, together with that neighbour (the DFS-RULE anchor
-// pair). Ties break by deeper neighbour first, then by smaller vertex ID.
-// Returns (-1, -1) if no candidate has a neighbour in T_d.
-func (pt *PartialTree) DeepestNeighborIn(g *graph.Graph, cands []int) (vertex, anchor int) {
-	vertex, anchor = -1, -1
-	bestDepth := -1
+// DeepestNeighborIn returns the deepest T_d-neighbour of the candidate
+// set, the DFS-RULE anchor, or -1 if no candidate has a neighbour in T_d.
+// When the candidates are a component of G − T_d, the DFS-RULE keeps
+// their T_d-neighbours on one root path of T_d, so the deepest one is
+// unique.
+func (pt *PartialTree) DeepestNeighborIn(g *graph.Graph, cands []int) int {
+	anchor := -1
 	for _, v := range cands {
 		for _, id := range g.IncidentEdges(v) {
 			w := g.Other(int(id), v)
-			if !pt.Has(w) {
-				continue
-			}
-			if pt.Depth[w] > bestDepth || (pt.Depth[w] == bestDepth && v < vertex) {
-				bestDepth = pt.Depth[w]
-				vertex, anchor = v, w
+			if pt.Has(w) && (anchor < 0 || pt.Depth[w] > pt.Depth[anchor]) {
+				anchor = w
 			}
 		}
 	}
-	return vertex, anchor
+	return anchor
 }
 
 // IsDFSTree checks that parent (with parent[root] == -1) describes a

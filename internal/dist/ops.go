@@ -142,13 +142,18 @@ func JoinSubPhaseOps(n int) Ops {
 	return ops
 }
 
-// DFSBuildOps is the Theorem 2 driver: per recursion phase, one
-// partition-parallel separator computation plus the join sub-phases (the
-// joins of distinct components run in parallel, so the deepest join
-// dominates).
+// DFSPhaseOps is one recursion phase of the Theorem 2 driver, in its two
+// parts: one partition-parallel separator computation for every remaining
+// component, and the deepest join's sub-phases (the joins of distinct
+// components run in parallel, so the deepest join dominates).
+func DFSPhaseOps(n, maxJoinSubPhases int) (separator, join Ops) {
+	return SeparatorOps(n), JoinSubPhaseOps(n).Times(maxJoinSubPhases)
+}
+
+// DFSBuildOps is the Theorem 2 driver: phases × DFSPhaseOps.
 func DFSBuildOps(n, phases, maxJoinSubPhases int) Ops {
-	perPhase := SeparatorOps(n).Plus(JoinSubPhaseOps(n).Times(maxJoinSubPhases))
-	return perPhase.Times(phases)
+	sep, join := DFSPhaseOps(n, maxJoinSubPhases)
+	return sep.Plus(join).Times(phases)
 }
 
 // AwerbuchRounds is the baseline of [2]: the token crosses every tree edge

@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/trace"
 )
 
-// TestRunBytesPerRun gates the host bytes one untraced default-option Run
-// allocates: at most 5.9 MB on the 32×32 grid and 6.4 MB on the stacked
-// triangulation of n = 1000 (about 5.38 MB and 5.82 MB measured, with
+// TestRunBytesPerRun gates the host bytes one default-option Run
+// allocates on the 32×32 grid and the stacked triangulation of n = 1000.
+// Untraced: at most 5.6 MB and 6.1 MB (about 5.32 MB and 5.74 MB
+// measured, with the separator's virtual-edge sweep copying nothing for
+// a long-path candidate and checking no genus; 5.38 MB and 5.82 MB with
 // the Lemma 2 JOIN walking the separator path in fewer sub-phases and
 // phases and the separator's virtual-edge candidates traced once; 5.85 MB
 // and 6.44 MB before, with each DFS phase taking its components from the
@@ -19,23 +22,29 @@ import (
 // label exchange shared by every certification of a run; 5.95 MB and
 // 6.43 MB when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
 // component went through maps and a second BFS, 10.4 MB and 11.6 MB when
-// each certification also built its own).
+// each certification also built its own). Traced on a trace.Recorder: at
+// most 5.75 MB and 6.2 MB (about 5.49 MB and 5.82 MB measured, with the
+// dfs stage charging its trace once per recursion phase from dfs.Trace;
+// 5.87 MB and 8.18 MB when every DFS component charged its own spans).
 func TestRunBytesPerRun(t *testing.T) {
-	grid, err := gen.Grid(32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stacked, err := gen.StackedTriangulation(1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid, stacked := gateInstances(t)
 	for _, c := range []struct {
 		name     string
 		in       *gen.Instance
+		traced   bool
 		maxBytes float64
-	}{{"grid-32x32", grid, 5.9e6}, {"stacked-1000", stacked, 6.4e6}} {
+	}{
+		{"grid-32x32", grid, false, 5.6e6},
+		{"stacked-1000", stacked, false, 6.1e6},
+		{"grid-32x32 traced", grid, true, 5.75e6},
+		{"stacked-1000 traced", stacked, true, 6.2e6},
+	} {
 		run := func() {
-			if _, err := Run(context.Background(), c.in, Options{}); err != nil {
+			opts := Options{}
+			if c.traced {
+				opts.Tracer = trace.NewRecorder()
+			}
+			if _, err := Run(context.Background(), c.in, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,9 +60,49 @@ func TestRunBytesPerRun(t *testing.T) {
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		t.Logf("%s: %.2f MB per run", c.name, bytes/1e6)
 		if bytes > c.maxBytes {
-			t.Errorf("%s: Run allocates %.2f MB, want <= %.1f MB", c.name, bytes/1e6, c.maxBytes/1e6)
+			t.Errorf("%s: Run allocates %.2f MB, want <= %.2f MB", c.name, bytes/1e6, c.maxBytes/1e6)
 		}
 	}
+}
+
+// TestRunSpansPerRun gates the spans one traced default-option Run
+// records on the instances of TestRunBytesPerRun: at most 600 on the 32×32
+// grid and 200 on the stacked triangulation of n = 1000 (525 and 143
+// measured, with the dfs stage charging its trace once per recursion phase
+// from dfs.Trace; 2,059 and 15,014 when every DFS component charged its
+// own separator and join spans).
+func TestRunSpansPerRun(t *testing.T) {
+	grid, stacked := gateInstances(t)
+	for _, c := range []struct {
+		name     string
+		in       *gen.Instance
+		maxSpans int
+	}{{"grid-32x32", grid, 600}, {"stacked-1000", stacked, 200}} {
+		rec := trace.NewRecorder()
+		if _, err := Run(context.Background(), c.in, Options{Tracer: rec}); err != nil {
+			t.Fatal(err)
+		}
+		spans := len(rec.Spans())
+		t.Logf("%s: %d spans per traced run", c.name, spans)
+		if spans > c.maxSpans {
+			t.Errorf("%s: a traced Run records %d spans, want <= %d", c.name, spans, c.maxSpans)
+		}
+	}
+}
+
+// gateInstances returns the 32×32 grid and the stacked triangulation of
+// n = 1000 (seed 1) the per-run gates measure.
+func gateInstances(t *testing.T) (grid, stacked *gen.Instance) {
+	t.Helper()
+	grid, err := gen.Grid(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacked, err = gen.StackedTriangulation(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid, stacked
 }
 
 // TestRunAllocScalesLinearly extends the build's linear-allocation gate

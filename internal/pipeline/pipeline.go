@@ -213,21 +213,22 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 	g, n, root := in.G, in.G.N(), res.Root
 	cm := shortcut.PaperCost{D: res.BFS.MaxDepth(), N: n}
 	fallbacks := 0
-	find := componentFinder(eng, opts.Tracer, &fallbacks)
+	find := componentFinder(eng, &fallbacks)
 	var structural chaos.Counts
 	primary := chaos.Stage[[]int]{
 		Name:          "separator-pipeline",
 		DefaultBudget: 10*n + 100,
 		// The Theorem 2 build is a simulated (charged) stage: it reports
-		// the paper-model round cost but is not bound by the attempt
-		// budget. Its retries are driven by certification rejections of
-		// the structurally faulted output, which decay across attempts.
+		// the paper-model round cost, and its trace charges exactly that
+		// cost, but it is not bound by the attempt budget. Its retries are
+		// driven by certification rejections of the structurally faulted
+		// output, which decay across attempts.
 		Run: func(attempt, budget int) ([]int, int, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
 			fallbacks = 0
-			pt, dtr, err := dfs.BuildWithSeparator(g, in.Emb, in.OuterDart, root, opts.Tracer, find)
+			pt, dtr, err := dfs.BuildWithSeparator(g, in.Emb, in.OuterDart, root, nil, find)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -236,6 +237,7 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 			parent := append([]int(nil), pt.Parent...)
 			structural.Structural += int64(opts.Plan.CorruptParents(attempt, root, parent))
 			res.DFSRounds = dtr.Ops(n).Rounds(cm, 1)
+			dtr.Charge(opts.Tracer, n, cm)
 			return parent, res.DFSRounds, nil
 		},
 		Certify: chaos.DFSCertifierOn(vf, root),
@@ -281,13 +283,15 @@ func acceptedDFSVerdict(rep *chaos.Report) (*cert.Verdict, error) {
 // componentFinder is the per-component separator of the dfs stage. The
 // Theorem 1 engine runs as separator.Find itself; any other engine runs
 // through the registry, and a soft failure on a component falls back to
-// Theorem 1, counted in *fallbacks, so the build stays total.
-func componentFinder(eng sepengine.Engine, tracer trace.Tracer, fallbacks *int) separator.FindFunc {
+// Theorem 1, counted in *fallbacks, so the build stays total. The
+// per-component calls record nothing: the phase's separator rounds are
+// charged once, from the build's Trace.
+func componentFinder(eng sepengine.Engine, fallbacks *int) separator.FindFunc {
 	if eng.Name() == sepengine.DefaultEngine {
 		return separator.Find
 	}
 	return func(cfg *weights.Config) (*separator.Separator, error) {
-		r, err := eng.FindCycleSeparator(cfg, sepengine.Options{Tracer: tracer})
+		r, err := eng.FindCycleSeparator(cfg, sepengine.Options{})
 		if err == nil {
 			return r.Sep, nil
 		}

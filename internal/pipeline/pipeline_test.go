@@ -28,10 +28,11 @@ func instance(t *testing.T, family string, n int, seed int64) *gen.Instance {
 	return in
 }
 
-// TestRunTraceGolden pins the default run byte for byte. The digests and
-// charged rounds were recorded when the Lemma 2 JOIN began walking the
-// separator path, which changed the DFS trees, their phases and their
-// JOIN sub-phases.
+// TestRunTraceGolden pins the default run byte for byte. The charged
+// rounds were recorded when the Lemma 2 JOIN began walking the separator
+// path, which changed the DFS trees, their phases and their JOIN
+// sub-phases; the digests when the dfs stage began charging its trace from
+// the one round tally (dfs.Trace.Charge) instead of per component.
 func TestRunTraceGolden(t *testing.T) {
 	cases := []struct {
 		family string
@@ -40,8 +41,8 @@ func TestRunTraceGolden(t *testing.T) {
 		digest string
 		rounds int
 	}{
-		{"grid", 100, 1, "b27058ae3f756fd210dbdfa7ff7efe466a30799822b09ac0a78996c1ab92064c", 2003981},
-		{"stacked", 150, 7, "32c4766fb1436dd01a9548f0af33b277d46b64d0a3b1b3c2c2ad1e45c22f3b71", 697878},
+		{"grid", 100, 1, "45b3c20c64956fe5614f4f69a39e09adc3d68413c6194c8d323d93bc04613e6f", 2003981},
+		{"stacked", 150, 7, "3dceba5ba512c26865dc6b7d8611a957c57e0f4af84e64b230bcdd1eca279d84", 697878},
 	}
 	for _, c := range cases {
 		rec := trace.NewRecorder()
@@ -108,15 +109,40 @@ func TestRunDefaultReports(t *testing.T) {
 }
 
 // TestRunEngineDrivesDFSComponents pins that a non-default engine runs the
-// DFS stage's per-component separators as well as the whole-instance one.
+// DFS stage's per-component separators as well as the whole-instance one:
+// the run's tree and DFS trace are those of a build whose components all go
+// through the engine, and they differ from the default engine's. Only the
+// whole-instance call is traced; the components' rounds are charged from
+// the DFS trace.
 func TestRunEngineDrivesDFSComponents(t *testing.T) {
+	in := instance(t, "stacked", 150, 7)
 	rec := trace.NewRecorder()
-	res, err := Run(context.Background(), instance(t, "stacked", 150, 7), Options{Engine: "lipton-tarjan", Tracer: rec})
+	res, err := Run(context.Background(), in, Options{Engine: "lipton-tarjan", Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Separator.Engine != "lipton-tarjan" {
 		t.Fatalf("separator engine %q", res.Separator.Engine)
+	}
+	eng, err := sepengine.Get("lipton-tarjan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := 0
+	pt, dtr, err := dfs.BuildWithSeparator(in.G, in.Emb, in.OuterDart, res.Root, nil, componentFinder(eng, &fallbacks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dtr.EngineFallbacks = fallbacks
+	if !reflect.DeepEqual(pt.Parent, res.Parent) || !reflect.DeepEqual(dtr, res.DFSTrace) {
+		t.Fatal("the run's DFS tree is not the engine-driven build's")
+	}
+	def, err := Run(context.Background(), in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(def.Parent, res.Parent) {
+		t.Fatal("the engine left the DFS tree unchanged; the components did not use it")
 	}
 	calls := 0
 	for _, sp := range rec.Spans() {
@@ -124,8 +150,101 @@ func TestRunEngineDrivesDFSComponents(t *testing.T) {
 			calls++
 		}
 	}
-	if calls < 2 {
-		t.Fatalf("engine charged %d times; the DFS components did not use it", calls)
+	if calls != 1 {
+		t.Fatalf("engine traced %d times, want once (the whole-instance separator)", calls)
+	}
+}
+
+// TestTraceChargesTheRoundTally holds the trace to the one round account:
+// on fault-free runs the accepted dfs-stage attempt advances the round
+// clock by exactly Result.DFSRounds plus its DFS verdict's rounds, and the
+// clock ends at Result.Rounds() plus the separator stage's advance. On a
+// run with structural faults, every Theorem 2 attempt advances by the
+// rounds it reports plus its verdict's.
+func TestTraceChargesTheRoundTally(t *testing.T) {
+	verdictRounds := func(v *cert.Verdict) int64 {
+		return int64(v.ProverRounds + v.VerifierRounds + v.AggRounds)
+	}
+	attr := func(sp trace.SpanEvent, key string) int64 {
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+		t.Fatalf("span %s has no %q attribute", sp.Name, key)
+		return 0
+	}
+	attempts := func(rec *trace.Recorder) []trace.SpanEvent {
+		var out []trace.SpanEvent
+		for _, sp := range rec.Spans() {
+			if sp.Name == "chaos.attempt" {
+				out = append(out, sp)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		family string
+		n      int
+	}{{"grid", 256}, {"cylinderish", 300}, {"stacked", 300}} {
+		rec := trace.NewRecorder()
+		res, err := Run(context.Background(), instance(t, c.family, c.n, 1), Options{Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := attempts(rec)
+		if len(at) != 1 {
+			t.Fatalf("%s: %d attempts, want 1", c.family, len(at))
+		}
+		dfsVerdict := res.Verdicts[1]
+		if got, want := at[0].End-at[0].Start, int64(res.DFSRounds)+verdictRounds(dfsVerdict); got != want {
+			t.Errorf("%s: dfs stage advances %d rounds, want DFSRounds %d + verdict %d", c.family, got, res.DFSRounds, verdictRounds(dfsVerdict))
+		}
+		var sepAdvance int64
+		for _, sp := range rec.Spans() {
+			if sp.Parent == -1 && sp.Name == "separator.find" {
+				sepAdvance += sp.End - sp.Start
+			}
+		}
+		if sepAdvance == 0 {
+			t.Fatalf("%s: no separator stage span", c.family)
+		}
+		if rec.Now() != int64(res.Rounds())+sepAdvance {
+			t.Errorf("%s: clock %d, want Rounds() %d + separator stage %d", c.family, rec.Now(), res.Rounds(), sepAdvance)
+		}
+	}
+
+	rec := trace.NewRecorder()
+	plan := chaos.NewPlan(11, chaos.Spec{Structural: 3})
+	res, err := Run(context.Background(), instance(t, "grid", 36, 1), Options{Plan: plan, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An attempt whose parents fail the prover's structural precheck is
+	// rejected before any distributed verification, so it has no verdict;
+	// every other attempt has the next one.
+	at, vs := attempts(rec), res.Recovery.Verdicts
+	primary, verified := 0, 0
+	for i, a := range res.Recovery.Attempts {
+		var want int64
+		if !strings.HasPrefix(a.Err, "structural precheck") {
+			want = verdictRounds(vs[0])
+			vs = vs[1:]
+			if a.Stage == "separator-pipeline" {
+				verified++
+			}
+		}
+		if a.Stage != "separator-pipeline" {
+			continue
+		}
+		primary++
+		want += attr(at[i], "rounds")
+		if got := at[i].End - at[i].Start; got != want {
+			t.Errorf("faulted attempt %d advances %d rounds, want %d", a.Attempt, got, want)
+		}
+	}
+	if primary < 2 || verified == 0 {
+		t.Fatalf("%d Theorem 2 attempts, %d verified; the plan should force a retry", primary, verified)
 	}
 }
 

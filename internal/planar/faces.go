@@ -127,17 +127,6 @@ func (emb *Embedding) Genus() int {
 	return (2 - emb.g.N() + emb.g.M() - emb.faceCount()) / 2
 }
 
-// GenusOf is Genus for the faces fs already traced on emb: callers that
-// hold the trace (weights.Config does) check the genus without tracing
-// every face a second time.
-func (emb *Embedding) GenusOf(fs *Faces) int {
-	f := fs.Count()
-	if emb.g.M() == 0 {
-		f = 1
-	}
-	return (2 - emb.g.N() + emb.g.M() - f) / 2
-}
-
 // faceCount returns the number of faces, counting the single face of an
 // edgeless graph (which has no dart cycles) as 1.
 func (emb *Embedding) faceCount() int {

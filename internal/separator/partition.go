@@ -7,7 +7,6 @@ import (
 	"planardfs/internal/planar"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -46,7 +45,7 @@ func ForSubset(emb *planar.Embedding, outerDart int, vs []int) (*Separator, erro
 	if err != nil {
 		return nil, err
 	}
-	return ForSubsetWith(planar.NewRestricter(emb), dart, vs, nil, Find)
+	return ForSubsetWith(planar.NewRestricter(emb), dart, vs, Find)
 }
 
 // errDisconnected reports a subset that induces a disconnected subgraph.
@@ -67,7 +66,7 @@ type FindFunc func(cfg *weights.Config) (*Separator, error)
 // Nothing here is sized by the parent graph, so a caller that knows such
 // a dart locally and reuses one Restricter — the DFS build does — pays
 // for the subset only.
-func ForSubsetWith(rs *planar.Restricter, outerDart int, vs []int, tr trace.Tracer, find FindFunc) (*Separator, error) {
+func ForSubsetWith(rs *planar.Restricter, outerDart int, vs []int, find FindFunc) (*Separator, error) {
 	switch len(vs) {
 	case 0:
 		return nil, fmt.Errorf("separator: empty subset")
@@ -99,7 +98,6 @@ func ForSubsetWith(rs *planar.Restricter, outerDart int, vs []int, tr trace.Trac
 	if err != nil {
 		return nil, err
 	}
-	cfg.Tracer = tr
 	sep, err := find(cfg)
 	if err != nil {
 		return nil, err

@@ -250,7 +250,7 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 	}
 	rs := planar.NewRestricter(in.Emb)
 	for v := 0; v < in.G.N(); v++ {
-		sep, err := ForSubsetWith(rs, -1, []int{v}, nil, noFind)
+		sep, err := ForSubsetWith(rs, -1, []int{v}, noFind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,13 +259,13 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 		}
 	}
 	for _, v := range []int{-1, in.G.N(), 1 << 40} {
-		_, err := ForSubsetWith(rs, -1, []int{v}, nil, noFind)
+		_, err := ForSubsetWith(rs, -1, []int{v}, noFind)
 		_, _, want := in.G.InducedSubgraph([]int{v})
 		if err == nil || want == nil || err.Error() != want.Error() {
 			t.Fatalf("ForSubsetWith({%d}) error %v, InducedSubgraph reports %v", v, err, want)
 		}
 	}
-	if _, err := ForSubsetWith(rs, -1, nil, nil, noFind); err == nil {
+	if _, err := ForSubsetWith(rs, -1, nil, noFind); err == nil {
 		t.Fatal("ForSubsetWith accepted an empty subset")
 	}
 }

@@ -42,7 +42,26 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 		if tries >= maxTries {
 			break
 		}
-		for _, ins := range cfg.Emb.FaceInsertionsIn(cfg.Faces(), root, x) {
+		inss := cfg.Emb.FaceInsertionsIn(cfg.Faces(), root, x)
+		// Lemma 1, condition 3: the root-to-x path is long enough on its
+		// own, and x is compatible with the root (they share a face). The
+		// test reads x alone, so it runs before any insertion is copied,
+		// and only where the first insertion would succeed (InsertEdge
+		// rejects a loop or an edge already present, whatever the face).
+		if len(inss) > 0 && !opt.DisableLongPath && 3*(cfg.Tree.Depth[x]+1) >= n &&
+			x != root && !cfg.G.HasEdge(root, x) {
+			path, err := cfg.Tree.PathUp(x, root)
+			if err != nil {
+				return nil, err
+			}
+			return &Separator{
+				Path:  path,
+				EndA:  x,
+				EndB:  root,
+				Phase: PhaseLongPath,
+			}, nil
+		}
+		for _, ins := range inss {
 			if tries >= maxTries {
 				break
 			}
@@ -51,30 +70,14 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 			if err != nil {
 				continue
 			}
+			// A face insertion splits one face in two, so the extended
+			// embedding is planar by construction.
 			ncfg, err := weights.NewConfig(ng, nemb, cfg.RootAnchor(), cfg.Tree)
-			if err != nil || nemb.GenusOf(ncfg.Faces()) != 0 {
+			if err != nil {
 				continue
 			}
-			id, ok := ng.EdgeID(root, x)
-			if !ok {
-				continue
-			}
-			// Lemma 1, condition 3: the root-to-x path is long enough on
-			// its own, and x is compatible with the root (they share a
-			// face).
-			if !opt.DisableLongPath && 3*(cfg.Tree.Depth[x]+1) >= n {
-				path, perr := cfg.Tree.PathUp(x, root)
-				if perr != nil {
-					return nil, perr
-				}
-				return &Separator{
-					Path:  path,
-					EndA:  x,
-					EndB:  root,
-					Phase: PhaseLongPath,
-				}, nil
-			}
-			nec := ncfg.Classify(id)
+			// InsertEdge numbers the new edge {root, x} with the old M().
+			nec := ncfg.Classify(cfg.G.M())
 			nw := ncfg.WeightOf(nec)
 			if inRange(nw) {
 				sep := &Separator{

@@ -31,10 +31,11 @@ const (
 	// LayerLemma is one lemma subroutine of Sections 5.2/6.1 (DFS-ORDER,
 	// MARK-PATH, LCA, DETECT-FACE, HIDDEN, RE-ROOT, spanning forest).
 	LayerLemma
-	// LayerSeparator is one phase of the Theorem 1 separator driver.
+	// LayerSeparator is one phase of the Theorem 1 separator driver, or a
+	// DFS phase's charge for its components' separators.
 	LayerSeparator
-	// LayerDFS is one recursion phase or JOIN sub-phase of the Theorem 2
-	// DFS driver.
+	// LayerDFS is one recursion phase of the Theorem 2 DFS driver, or its
+	// JOIN charge.
 	LayerDFS
 	// LayerCert is one certification phase (prover labelling, verifier
 	// label exchange, verdict aggregation) of internal/cert.
