@@ -37,13 +37,17 @@ func BenchmarkE1SeparatorRounds(b *testing.B) {
 			b.ReportMetric(float64(last.PipelinedRounds), "pipelined-rounds")
 			b.ReportMetric(last.NormPaper, "rounds/Dlog4")
 			b.ReportMetric(float64(last.SepLen), "sep-len")
-			// Cross-check the formula-level accounting with the metrics
+			// Cross-check the engine's reported rounds with the metrics
 			// registry of an instrumented run at the largest size.
 			rec := trace.NewRecorder()
-			if _, err := exp.TraceSeparator(fam, benchSizes[len(benchSizes)-1], 1, rec); err != nil {
+			res, err := exp.TraceSeparator(fam, benchSizes[len(benchSizes)-1], 1, rec)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(rec.Counter("rounds.charged")), "traced-rounds")
+			if got := rec.Counter("rounds.charged"); got != int64(res.Rounds) {
+				b.Fatalf("traced run charged %d rounds, its result reports %d", got, res.Rounds)
+			}
+			b.ReportMetric(float64(res.Rounds), "traced-rounds")
 			b.ReportMetric(float64(rec.Counter("ops.pa")), "traced-pa-ops")
 		})
 	}

@@ -98,12 +98,15 @@ func run() error {
 
 	if *traceOut != "" || *metrics {
 		rec := trace.NewRecorder()
-		sep, err := exp.TraceSeparator(fams[0], sizes[len(sizes)-1], *seed, rec)
+		res, err := exp.TraceSeparator(fams[0], sizes[len(sizes)-1], *seed, rec)
 		if err != nil {
 			return err
 		}
+		if rec.Now() != int64(res.Rounds) {
+			return fmt.Errorf("traced separator run advanced the round clock by %d, its result reports %d rounds", rec.Now(), res.Rounds)
+		}
 		fmt.Printf("traced separator run: %s n=%d sepLen=%d phase=%s rounds=%d spans=%d\n",
-			fams[0], sizes[len(sizes)-1], len(sep.Path), sep.Phase, rec.Now(), len(rec.Spans()))
+			fams[0], sizes[len(sizes)-1], len(res.Sep.Path), res.Sep.Phase, res.Rounds, len(rec.Spans()))
 		return cli.WriteTrace(os.Stdout, rec, *traceOut, *metrics)
 	}
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -93,5 +96,39 @@ func TestCertifyCLI(t *testing.T) {
 	}
 	if string(out) != certifyGolden {
 		t.Fatalf("-certify diverged from the recorded output:\n--- got ---\n%s--- want ---\n%s", out, certifyGolden)
+	}
+}
+
+// TestTraceCLI checks that -trace records the Theorem 1 engine call: two
+// runs write byte-identical files, and the summary line reports the
+// positive rounds the trace charged (the binary exits nonzero when the
+// round clock and the engine's Result.Rounds disagree).
+func TestTraceCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t, "planardfs/cmd/sepbench")
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("trace%d.json", i))
+		out, err := exec.Command(bin, "-families", "grid", "-sizes", "256", "-trace", path).Output()
+		if err != nil {
+			t.Fatalf("-trace: %v\n%s", err, out)
+		}
+		var rounds int
+		line, _, _ := strings.Cut(string(out), "\n")
+		if _, after, ok := strings.Cut(line, " rounds="); ok {
+			fmt.Sscan(after, &rounds)
+		}
+		if rounds <= 0 {
+			t.Fatalf("summary reports no charged rounds:\n%s", out)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("two -trace runs wrote different files")
 	}
 }

@@ -32,18 +32,13 @@ func NewMeter(tr trace.Tracer, cm shortcut.CostModel, k int) *Meter {
 // On reports whether the meter records anything.
 func (m *Meter) On() bool { return m != nil && m.Tr != nil && m.Tr.Enabled() }
 
-// Tracer returns the underlying tracer, or trace.Nop.
-func (m *Meter) Tracer() trace.Tracer {
-	if !m.On() {
-		return trace.Nop
-	}
-	return m.Tr
-}
-
 // Start opens a span on the layer without advancing the clock; the caller
 // owns ending it. Safe on a nil meter.
 func (m *Meter) Start(layer trace.Layer, name string) trace.Span {
-	return m.Tracer().StartSpan(layer, name)
+	if !m.On() {
+		return trace.Nop.StartSpan(layer, name)
+	}
+	return m.Tr.StartSpan(layer, name)
 }
 
 // Charge records one completed subroutine invocation: a span on the given

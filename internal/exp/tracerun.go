@@ -6,7 +6,7 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/pipeline"
-	"planardfs/internal/separator"
+	"planardfs/internal/sepengine"
 	"planardfs/internal/trace"
 )
 
@@ -26,9 +26,10 @@ type TraceSummary struct {
 	Awerbuch congest.Stats
 }
 
-// TraceSeparator runs one instrumented Theorem 1 computation (BFS-tree
-// configuration) on a generated instance and records it on rec.
-func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*separator.Separator, error) {
+// TraceSeparator records on rec one Theorem 1 engine call (BFS-tree
+// configuration) on a generated instance: the engine's charge, which
+// advances the round clock by the returned Result.Rounds.
+func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*sepengine.Result, error) {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
 		return nil, err
@@ -37,8 +38,7 @@ func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*sep
 	if err != nil {
 		return nil, err
 	}
-	cfg.Tracer = rec
-	return separator.Find(cfg)
+	return sepengine.Find("", cfg, sepengine.Options{Tracer: rec})
 }
 
 // TraceDFS records on rec one certified Theorem 2 pipeline run of a

@@ -66,18 +66,19 @@ func TestRunBytesPerRun(t *testing.T) {
 }
 
 // TestRunSpansPerRun gates the spans one traced default-option Run
-// records on the instances of TestRunBytesPerRun: at most 600 on the 32×32
-// grid and 200 on the stacked triangulation of n = 1000 (525 and 143
-// measured, with the dfs stage charging its trace once per recursion phase
-// from dfs.Trace; 2,059 and 15,014 when every DFS component charged its
-// own separator and join spans).
+// records on the instances of TestRunBytesPerRun: at most 510 on the 32×32
+// grid and 135 on the stacked triangulation of n = 1000 (496 and 127
+// measured, with the separator stage charged as one sepengine.theorem1
+// call; 525 and 143 when it recorded a span per Lemma 1 phase and
+// subroutine; 2,059 and 15,014 when every DFS component charged its own
+// separator and join spans).
 func TestRunSpansPerRun(t *testing.T) {
 	grid, stacked := gateInstances(t)
 	for _, c := range []struct {
 		name     string
 		in       *gen.Instance
 		maxSpans int
-	}{{"grid-32x32", grid, 600}, {"stacked-1000", stacked, 200}} {
+	}{{"grid-32x32", grid, 510}, {"stacked-1000", stacked, 135}} {
 		rec := trace.NewRecorder()
 		if _, err := Run(context.Background(), c.in, Options{Tracer: rec}); err != nil {
 			t.Fatal(err)

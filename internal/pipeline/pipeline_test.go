@@ -31,8 +31,9 @@ func instance(t *testing.T, family string, n int, seed int64) *gen.Instance {
 // TestRunTraceGolden pins the default run byte for byte. The charged
 // rounds were recorded when the Lemma 2 JOIN began walking the separator
 // path, which changed the DFS trees, their phases and their JOIN
-// sub-phases; the digests when the dfs stage began charging its trace from
-// the one round tally (dfs.Trace.Charge) instead of per component.
+// sub-phases; the digests when the separator stage began charging its
+// trace as one sepengine.theorem1 call (dist.SeparatorOps) instead of
+// per Lemma 1 phase.
 func TestRunTraceGolden(t *testing.T) {
 	cases := []struct {
 		family string
@@ -41,8 +42,8 @@ func TestRunTraceGolden(t *testing.T) {
 		digest string
 		rounds int
 	}{
-		{"grid", 100, 1, "45b3c20c64956fe5614f4f69a39e09adc3d68413c6194c8d323d93bc04613e6f", 2003981},
-		{"stacked", 150, 7, "3dceba5ba512c26865dc6b7d8611a957c57e0f4af84e64b230bcdd1eca279d84", 697878},
+		{"grid", 100, 1, "61ad56a0a8c78c0e42e8b33cc508e04e739871882924e1615b2b1d6adc19164b", 2003981},
+		{"stacked", 150, 7, "f6b7efbd6cfd69d1b9e71f646f3f6297d9a6701580592dc4874c337c2d6cd979", 697878},
 	}
 	for _, c := range cases {
 		rec := trace.NewRecorder()
@@ -157,10 +158,11 @@ func TestRunEngineDrivesDFSComponents(t *testing.T) {
 
 // TestTraceChargesTheRoundTally holds the trace to the one round account:
 // on fault-free runs the accepted dfs-stage attempt advances the round
-// clock by exactly Result.DFSRounds plus its DFS verdict's rounds, and the
-// clock ends at Result.Rounds() plus the separator stage's advance. On a
-// run with structural faults, every Theorem 2 attempt advances by the
-// rounds it reports plus its verdict's.
+// clock by exactly Result.DFSRounds plus its DFS verdict's rounds, the
+// separator stage (one sepengine.theorem1 charge) by exactly
+// Result.Separator.Rounds, and the clock ends at Result.Rounds() plus
+// Result.Separator.Rounds. On a run with structural faults, every
+// Theorem 2 attempt advances by the rounds it reports plus its verdict's.
 func TestTraceChargesTheRoundTally(t *testing.T) {
 	verdictRounds := func(v *cert.Verdict) int64 {
 		return int64(v.ProverRounds + v.VerifierRounds + v.AggRounds)
@@ -200,17 +202,20 @@ func TestTraceChargesTheRoundTally(t *testing.T) {
 		if got, want := at[0].End-at[0].Start, int64(res.DFSRounds)+verdictRounds(dfsVerdict); got != want {
 			t.Errorf("%s: dfs stage advances %d rounds, want DFSRounds %d + verdict %d", c.family, got, res.DFSRounds, verdictRounds(dfsVerdict))
 		}
-		var sepAdvance int64
+		stages := 0
 		for _, sp := range rec.Spans() {
-			if sp.Parent == -1 && sp.Name == "separator.find" {
-				sepAdvance += sp.End - sp.Start
+			if sp.Parent == -1 && sp.Name == "sepengine."+sepengine.DefaultEngine {
+				stages++
+				if got := sp.End - sp.Start; got != int64(res.Separator.Rounds) {
+					t.Errorf("%s: separator stage advances %d rounds, want Separator.Rounds %d", c.family, got, res.Separator.Rounds)
+				}
 			}
 		}
-		if sepAdvance == 0 {
-			t.Fatalf("%s: no separator stage span", c.family)
+		if stages != 1 {
+			t.Fatalf("%s: %d separator stage spans, want 1", c.family, stages)
 		}
-		if rec.Now() != int64(res.Rounds())+sepAdvance {
-			t.Errorf("%s: clock %d, want Rounds() %d + separator stage %d", c.family, rec.Now(), res.Rounds(), sepAdvance)
+		if rec.Now() != int64(res.Rounds()+res.Separator.Rounds) {
+			t.Errorf("%s: clock %d, want Rounds() %d + Separator.Rounds %d", c.family, rec.Now(), res.Rounds(), res.Separator.Rounds)
 		}
 	}
 

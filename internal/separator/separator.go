@@ -14,10 +14,7 @@ import (
 	"fmt"
 	"slices"
 
-	"planardfs/internal/dist"
 	"planardfs/internal/graph"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -126,51 +123,16 @@ type Options struct {
 // case analysis and verified exhaustively by the test suite and
 // experiments.
 //
-// When cfg.Tracer is set, the run is recorded: a separator-layer span per
-// driver phase, a lemma-layer span per charged subroutine, and primitive
-// child spans advancing the round clock under the paper cost model.
+// Find charges no rounds: the Theorem 1 engine (internal/sepengine)
+// prices a call as the fixed schedule dist.SeparatorOps and traces that
+// charge when its Options.Tracer is set.
 func Find(cfg *weights.Config) (*Separator, error) {
 	return FindWithOptions(cfg, Options{})
 }
 
-// meterFor builds the charging meter of a configuration: the paper cost
-// model with the spanning tree's depth standing in for the diameter (the
-// standard BFS-tree bound depth <= D <= 2·depth).
-func meterFor(cfg *weights.Config) *dist.Meter {
-	return dist.NewMeter(cfg.Tracer,
-		shortcut.PaperCost{D: cfg.Tree.MaxDepth(), N: cfg.G.N()}, 1)
-}
-
-// FindWithOptions is Find with ablation toggles.
+// FindWithOptions is Find with ablation toggles: the Lemma 1 case
+// analysis.
 func FindWithOptions(cfg *weights.Config, opt Options) (*Separator, error) {
-	m := meterFor(cfg)
-	if !m.On() {
-		return findWithMeter(cfg, opt, nil)
-	}
-	n := cfg.G.N()
-	sp := m.Start(trace.LayerSeparator, "separator.find")
-	defer sp.End()
-	// Precomputation charges (the fixed prefix of the Theorem 1 budget):
-	// the embedding surrogate, per-part spanning forests, DFS orders and
-	// weights, and the part-size aggregation.
-	m.Charge(trace.LayerLemma, "prop1.embedding", dist.Ops{PA: 1})
-	m.Charge(trace.LayerLemma, "lemma9.spanning-forest", dist.SpanningForestOps(n))
-	m.Charge(trace.LayerLemma, "lemma11-12.orders-weights", dist.WeightsOps(n))
-	m.Charge(trace.LayerLemma, "prop5.part-sizes", dist.PAProblemOps())
-	m.Tracer().Observe("separator.part_size", int64(n))
-	sep, err := findWithMeter(cfg, opt, m)
-	if sep != nil {
-		m.Charge(trace.LayerLemma, "lemma13.mark-separator", dist.MarkPathOps(n),
-			trace.Attr{Key: "sep_len", Val: int64(len(sep.Path))})
-		sp.SetAttr("phase", int64(sep.Phase))
-		sp.SetAttr("sep_len", int64(len(sep.Path)))
-		m.Tracer().Observe("separator.sep_len", int64(len(sep.Path)))
-	}
-	return sep, err
-}
-
-// findWithMeter is the Lemma 1 case analysis, recording phase spans on m.
-func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator, error) {
 	n := cfg.G.N()
 	if n == 1 {
 		return &Separator{Path: []int{0}, EndA: 0, EndB: 0, Phase: PhaseTree}, nil
@@ -178,9 +140,6 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	fund := cfg.FundamentalEdges()
 	if len(fund) == 0 {
 		// Phase 2: the graph is a tree.
-		sp := m.Start(trace.LayerSeparator, "phase2.tree")
-		m.Charge(trace.LayerLemma, "prop5.centroid", dist.PAProblemOps())
-		sp.End()
 		c := cfg.Tree.Centroid()
 		path, err := cfg.Tree.PathUp(c, cfg.Tree.Root)
 		if err != nil {
@@ -198,10 +157,6 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 
 	// Phase 3: a face with weight directly in range. The scan classifies
 	// each fundamental edge once; the later phases and picks reuse cases.
-	sp3 := m.Start(trace.LayerSeparator, "phase3.weight-scan")
-	m.Charge(trace.LayerLemma, "lemma10.range-queries", dist.PAProblemOps().Times(3),
-		trace.Attr{Key: "faces", Val: int64(len(fund))})
-	sp3.End()
 	cases := make([]weights.EdgeCase, 0, len(fund))
 	var heavy []weights.EdgeCase
 	var heavyW []int
@@ -226,9 +181,6 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 	// Lemma 1, condition 3: a fundamental cycle whose T-path already has at
 	// least n/3 vertices — removing it leaves at most 2n/3 vertices in
 	// total, so it is a separator regardless of face weights.
-	if !opt.DisableLongPath {
-		m.Charge(trace.LayerLemma, "lemma17.long-path-check", dist.NotContainedOps(n))
-	}
 	for _, ec := range cases {
 		if opt.DisableLongPath {
 			break
@@ -245,28 +197,23 @@ func findWithMeter(cfg *weights.Config, opt Options, m *dist.Meter) (*Separator,
 
 	// Phase 4: some face is heavy (> 2n/3).
 	if len(heavy) > 0 {
-		return phase4(cfg, pickInnermost(cfg, heavy, heavyW), n, opt, m)
+		return phase4(cfg, pickInnermost(cfg, heavy, heavyW), n, opt)
 	}
 
 	// Phase 5: every face is light (< n/3).
-	return phase5(cfg, cases, n, opt, m)
+	return phase5(cfg, cases, n, opt)
 }
 
 // phase4 handles a heavy face containing no other heavy face: the full
 // augmentation from U sweeps the face; either some augmentation weight
 // lands in range (Sub-phase 4.1, with the hidden fallback of Claim 6) or
 // the face border itself separates (Sub-phase 4.2).
-func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dist.Meter) (*Separator, error) {
-	sp := m.Start(trace.LayerSeparator, "phase4.heavy-face")
-	defer sp.End()
-	m.Charge(trace.LayerLemma, "lemma15.detect-face", dist.DetectFaceOps(n))
+func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options) (*Separator, error) {
 	inRange := func(x int) bool { return 3*x >= n && 3*x <= 2*n }
 	inside := cfg.InsideNodes(ec)
 
 	s := -1
 	if !opt.DisableAugmentation {
-		m.Charge(trace.LayerLemma, "lemma10.aug-range-query", dist.PAProblemOps(),
-			trace.Attr{Key: "inside", Val: int64(len(inside))})
 		for _, z := range inside {
 			if inRange(cfg.AugWeight(ec, z)) {
 				s = z
@@ -302,7 +249,6 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 
 	var hiding []int
 	if !opt.DisableHiddenFallback {
-		m.Charge(trace.LayerLemma, "lemma16.hidden", dist.HiddenOps(n))
 		hiding = cfg.HidingEdges(ec, s)
 	}
 	if len(hiding) == 0 {
@@ -315,8 +261,6 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 	}
 	// Claim 6: pick a hiding edge not contained in any other hiding edge
 	// and close through its far endpoint.
-	m.Charge(trace.LayerLemma, "lemma17.hidden-fallback", dist.NotContainedOps(n),
-		trace.Attr{Key: "hiding", Val: int64(len(hiding))})
 	// The far endpoint is the one later in the LEFT order: the canonical V.
 	z2 := pickOutermostAmong(cfg, classifyAll(cfg, hiding)).V
 	return &Separator{
@@ -331,10 +275,7 @@ func phase4(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options, m *dis
 // other; if its outside is small its border separates, otherwise a virtual
 // edge from the root wraps the heavy outside region into a face and the
 // Phase 4 logic runs there.
-func phase5(cfg *weights.Config, cases []weights.EdgeCase, n int, opt Options, m *dist.Meter) (*Separator, error) {
-	sp := m.Start(trace.LayerSeparator, "phase5.all-light")
-	defer sp.End()
-	m.Charge(trace.LayerLemma, "lemma17.outermost-face", dist.NotContainedOps(n))
+func phase5(cfg *weights.Config, cases []weights.EdgeCase, n int, opt Options) (*Separator, error) {
 	ec := pickOutermostAmong(cfg, cases)
 	// Count the face extent from the interval characterization.
 	insideCnt := len(cfg.InsideNodes(ec))
@@ -350,7 +291,6 @@ func phase5(cfg *weights.Config, cases []weights.EdgeCase, n int, opt Options, m
 	}
 	// Lemma 8 fallback: a virtual edge wraps the heavy outside region into
 	// a face and the Phase 4 machinery runs inside it.
-	m.Charge(trace.LayerLemma, "lemma8.virtual-edge", dist.HiddenOps(n))
 	return phase5Virtual(cfg, ec, n, opt)
 }
 

@@ -94,7 +94,7 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 			if 3*nw > 2*n {
 				// Speculative inner runs of the sweep are not charged; the
 				// caller charges the whole fallback once (Lemma 8).
-				sep, err := phase4(ncfg, nec, n, opt, nil)
+				sep, err := phase4(ncfg, nec, n, opt)
 				if err != nil {
 					continue
 				}

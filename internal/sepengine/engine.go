@@ -47,9 +47,10 @@ type Engine interface {
 // is valid: no tracing, deterministic engines use their defaults, and the
 // randomized engine derives its generator from Seed 0.
 type Options struct {
-	// Tracer instruments the run with round-stamped spans (nil disables).
-	// Engines charge their primitive invocations on the configuration's
-	// tracer exactly like the Theorem 1 driver does.
+	// Tracer records the call (nil disables): one lemma-layer span named
+	// "sepengine.<engine>" charging the engine's primitive tally, which
+	// advances the round clock by exactly Result.Rounds. It is the one
+	// entry point for tracing a separator computation.
 	Tracer trace.Tracer
 	// Seed drives the randomized engine. The seed-threading contract of
 	// internal/randsep is preserved: the RNG is always derived from this
@@ -211,17 +212,12 @@ func finish(cfg *weights.Config, name string, sep *separator.Separator, ops dist
 	}, nil
 }
 
-// charge records an engine's primitive tally on the configuration's meter
-// when tracing is on, mirroring the Theorem 1 driver's charging.
+// charge records an engine's primitive tally on opts.Tracer (one
+// lemma-layer span with its primitive children) when tracing is on, so a
+// traced call advances the round clock by exactly the Rounds its Result
+// reports.
 func charge(cfg *weights.Config, opts Options, name string, ops dist.Ops) {
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = opts.Tracer
-	}
-	if tr == nil || !tr.Enabled() {
-		return
-	}
-	m := dist.NewMeter(tr, costModel(cfg), 1)
+	m := dist.NewMeter(opts.Tracer, costModel(cfg), 1)
 	m.Charge(trace.LayerLemma, "sepengine."+name, ops,
 		trace.Attr{Key: "n", Val: int64(cfg.G.N())})
 }

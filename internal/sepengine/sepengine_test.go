@@ -10,6 +10,7 @@ import (
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
 	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -78,7 +79,9 @@ func checkResult(t *testing.T, cfg *weights.Config, res *Result, name string) {
 // every n in [6, 64]: each run must return a cert-valid separator or the
 // typed ErrNoSeparator — never an unvalidated result or a foreign error.
 // The default engine must always succeed (it is the paper's constructive
-// procedure and its totality is the repo's core claim).
+// procedure and its totality is the repo's core claim). Every call is
+// traced on a fresh recorder, and a successful one must advance the round
+// clock by exactly the Rounds its Result reports.
 func TestEngineMatrixSmall(t *testing.T) {
 	for _, family := range testFamilies {
 		family := family
@@ -88,7 +91,8 @@ func TestEngineMatrixSmall(t *testing.T) {
 			for n := 6; n <= 64; n++ {
 				cfg := buildConfig(t, family, n, int64(n))
 				for _, name := range Names() {
-					res, err := Find(name, cfg, Options{Seed: int64(7*n + 1)})
+					rec := trace.NewRecorder()
+					res, err := Find(name, cfg, Options{Seed: int64(7*n + 1), Tracer: rec})
 					label := fmt.Sprintf("%s/%s/n=%d", name, family, n)
 					if err != nil {
 						if !errors.Is(err, ErrNoSeparator) {
@@ -103,6 +107,9 @@ func TestEngineMatrixSmall(t *testing.T) {
 						t.Fatalf("%s: result tagged %q", label, res.Engine)
 					}
 					checkResult(t, cfg, res, label)
+					if rec.Now() != int64(res.Rounds) {
+						t.Fatalf("%s: trace advances %d rounds, Result.Rounds is %d", label, rec.Now(), res.Rounds)
+					}
 					succeeded[name]++
 				}
 			}

@@ -28,11 +28,12 @@ const (
 	// LayerPrimitive is one block of communication-primitive invocations
 	// (part-wise aggregation, tree aggregation, local exchange).
 	LayerPrimitive
-	// LayerLemma is one lemma subroutine of Sections 5.2/6.1 (DFS-ORDER,
-	// MARK-PATH, LCA, DETECT-FACE, HIDDEN, RE-ROOT, spanning forest).
+	// LayerLemma is one separator engine call's charge (its tally of
+	// lemma subroutines of Sections 5.2/6.1: DFS-ORDER, MARK-PATH,
+	// DETECT-FACE, HIDDEN, spanning forest, ...).
 	LayerLemma
-	// LayerSeparator is one phase of the Theorem 1 separator driver, or a
-	// DFS phase's charge for its components' separators.
+	// LayerSeparator is a DFS phase's charge for its components'
+	// separators.
 	LayerSeparator
 	// LayerDFS is one recursion phase of the Theorem 2 DFS driver, or its
 	// JOIN charge.

@@ -14,7 +14,6 @@ import (
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
 	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
 )
 
 // Config is a planar configuration (G, ℰ, T) with precomputed orders.
@@ -23,11 +22,6 @@ type Config struct {
 	Emb   *planar.Embedding
 	Tree  *spanning.Tree
 	Outer int // outer face index w.r.t. Emb.TraceFaces()
-
-	// Tracer, when set, instruments every algorithm run over this
-	// configuration (separator phases, lemma subroutines, primitive
-	// charges) with round-stamped spans. Nil disables tracing.
-	Tracer trace.Tracer
 
 	// PiL and PiR are the LEFT and RIGHT DFS orders (0-based).
 	PiL, PiR []int

@@ -25,7 +25,7 @@ func TestPFaceMatchesGroundTruth(t *testing.T) {
 					// the cone subtrees hanging off U itself — the interior
 					// below the path child Z is accounted by the order
 					// interval term instead (see Lemma 4's accounting).
-					if ec.Ancestor && x == ec.U && cfg.Tree.IsAncestor(ec.Z, z) {
+					if ec.Z >= 0 && x == ec.U && cfg.Tree.IsAncestor(ec.Z, z) {
 						continue
 					}
 					want++
@@ -40,7 +40,7 @@ func TestPFaceMatchesGroundTruth(t *testing.T) {
 }
 
 // TestCanonicalOrder checks the canonicalization invariant PiL[U] < PiL[V]
-// and that the ancestor flag matches the tree.
+// and that the path child Z is set exactly on the ancestor edges.
 func TestCanonicalOrder(t *testing.T) {
 	for _, cfg := range configsUnderTest(t) {
 		for _, e := range cfg.FundamentalEdges() {
@@ -48,10 +48,10 @@ func TestCanonicalOrder(t *testing.T) {
 			if cfg.PiL[ec.U] >= cfg.PiL[ec.V] {
 				t.Fatalf("canonical order violated at edge %d", e)
 			}
-			if ec.Ancestor != cfg.Tree.IsAncestor(ec.U, ec.V) {
-				t.Fatalf("ancestor flag wrong at edge %d", e)
+			if (ec.Z >= 0) != cfg.Tree.IsAncestor(ec.U, ec.V) {
+				t.Fatalf("ancestor case (Z >= 0) wrong at edge %d", e)
 			}
-			if ec.Ancestor && cfg.Tree.Parent[ec.Z] != ec.U {
+			if ec.Z >= 0 && cfg.Tree.Parent[ec.Z] != ec.U {
 				t.Fatalf("path child wrong at edge %d", e)
 			}
 			if cfg.Tree.IsAncestor(ec.V, ec.U) {

@@ -4,8 +4,6 @@ package weights
 // PiL[u] < PiL[v] per Definitions 1 and 2.
 type EdgeCase struct {
 	U, V int
-	// Ancestor reports whether U is an ancestor of V.
-	Ancestor bool
 	// UseLeft selects the DFS order of the weight formula: the LEFT order
 	// when the face opens on the clockwise side (t_u(v) > t_u(z), drawn so
 	// that inside nodes are visited between z and v in the LEFT order),
@@ -18,11 +16,12 @@ type EdgeCase struct {
 	// property tests against geometric ground truth pin this down.
 	UseLeft bool
 	// Z is the first vertex after U on the T-path to V (the path child of
-	// U) when Ancestor; -1 otherwise.
+	// U) when U is an ancestor of V, and -1 otherwise: Z >= 0 is the
+	// ancestor case (Case 2 of Definition 2).
 	Z int
 	// W is the apex of the face's T-path: the LCA of U and V, which is U
-	// itself when Ancestor. Classify computes it once so membership tests
-	// do not repeat the LCA query.
+	// itself in the ancestor case. Classify computes it once so membership
+	// tests do not repeat the LCA query.
 	W int
 	// E is the ID of the case's fundamental edge.
 	E int
@@ -33,7 +32,6 @@ func (cfg *Config) Classify(e int) EdgeCase {
 	u, v := cfg.Canonical(e)
 	ec := EdgeCase{U: u, V: v, Z: -1, W: u, E: e, UseLeft: true}
 	if cfg.Tree.IsAncestor(u, v) {
-		ec.Ancestor = true
 		ec.Z = cfg.Tree.MustFirstOnPath(u, v)
 		ec.UseLeft = cfg.edgeTPos(ec, u) > cfg.childTPos(ec.Z)
 	} else {
@@ -57,7 +55,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 	t := cfg.Tree
 	sum := 0
 	switch {
-	case !ec.Ancestor && x == ec.U:
+	case ec.Z < 0 && x == ec.U:
 		// Children of u with t_u(c) < t_u(v) are inside (Claim 1(ii)).
 		tv := cfg.edgeTPos(ec, ec.U)
 		for _, c := range cfg.children(ec.U) {
@@ -66,7 +64,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 				sum += t.SubtreeSize(c)
 			}
 		}
-	case !ec.Ancestor && x == ec.V:
+	case ec.Z < 0 && x == ec.V:
 		// Children of v with t_v(c) > t_v(u) are inside (Claim 1(iii)).
 		tu := cfg.edgeTPos(ec, ec.V)
 		for _, c := range cfg.children(ec.V) {
@@ -75,7 +73,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 				sum += t.SubtreeSize(c)
 			}
 		}
-	case ec.Ancestor && x == ec.U:
+	case ec.Z >= 0 && x == ec.U:
 		// Children strictly between the path child z and v in the cone
 		// (Claim 4(i)); orientation decides which side of z.
 		tv := cfg.edgeTPos(ec, ec.U)
@@ -96,7 +94,7 @@ func (cfg *Config) PFace(ec EdgeCase, x int) int {
 				}
 			}
 		}
-	case ec.Ancestor && x == ec.V:
+	case ec.Z >= 0 && x == ec.V:
 		// Children of v on the inside of the corner at v (Claim 4(ii)).
 		tu := cfg.edgeTPos(ec, ec.V)
 		for _, c := range cfg.children(ec.V) {
@@ -130,7 +128,7 @@ func (cfg *Config) WeightOf(ec EdgeCase) int {
 	t := cfg.Tree
 	pu := cfg.PFace(ec, ec.U)
 	pv := cfg.PFace(ec, ec.V)
-	if !ec.Ancestor {
+	if ec.Z < 0 {
 		// Case 1: ω = p(v)+p(u)+π_ℓ(v) − (π_ℓ(u)+n_T(u)) + 2.
 		//
 		// Erratum note: the paper's Definition 2 has "+1", but its own
@@ -165,7 +163,7 @@ func (cfg *Config) GroundTruthWeight(e int) (int, error) {
 			cnt++
 		}
 	}
-	if ec.Ancestor {
+	if ec.Z >= 0 {
 		return cnt, nil
 	}
 	return cnt + cfg.Tree.Depth[ec.V] - cfg.Tree.Depth[ec.W] + 1, nil
@@ -178,7 +176,7 @@ func (cfg *Config) GroundTruthWeight(e int) (int, error) {
 func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 	t := cfg.Tree
 	// Border: z on the T-path between U and V.
-	if ec.Ancestor {
+	if ec.Z >= 0 {
 		if t.IsAncestor(ec.U, z) && t.IsAncestor(z, ec.V) {
 			return true, false
 		}
@@ -191,7 +189,7 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 		}
 	}
 	// Subtree membership at the endpoints: decided by the endpoint cones.
-	if z != ec.U && t.IsAncestor(ec.U, z) && !(ec.Ancestor && t.IsAncestor(ec.Z, z)) {
+	if z != ec.U && t.IsAncestor(ec.U, z) && !(ec.Z >= 0 && t.IsAncestor(ec.Z, z)) {
 		// z hangs off a child of U: inside iff that child's subtree is in
 		// the face cone, i.e. the child is counted by PFace.
 		c := t.Ancestor(z, t.Depth[z]-t.Depth[ec.U]-1)
@@ -204,7 +202,7 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 	// General position (Remark 1): strict order interval in the case's
 	// order.
 	pi := cfg.Pi(ec)
-	if !ec.Ancestor {
+	if ec.Z < 0 {
 		// Remark 1 case 1 uses π_ℓ; exclude T_U and T_V (handled above).
 		if t.IsAncestor(ec.U, z) || t.IsAncestor(ec.V, z) {
 			return false, false
@@ -221,11 +219,11 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 // of the face at x (the same condition PFace sums over).
 func (cfg *Config) childInCone(ec EdgeCase, x, c int) bool {
 	switch {
-	case !ec.Ancestor && x == ec.U:
+	case ec.Z < 0 && x == ec.U:
 		return cfg.childTPos(c) < cfg.edgeTPos(ec, ec.U)
-	case !ec.Ancestor && x == ec.V:
+	case ec.Z < 0 && x == ec.V:
 		return cfg.childTPos(c) > cfg.edgeTPos(ec, ec.V)
-	case ec.Ancestor && x == ec.U:
+	case ec.Z >= 0 && x == ec.U:
 		if c == ec.Z {
 			return false
 		}
@@ -234,7 +232,7 @@ func (cfg *Config) childInCone(ec EdgeCase, x, c int) bool {
 			return tz < tc && tc < tv
 		}
 		return tv < tc && tc < tz
-	case ec.Ancestor && x == ec.V:
+	case ec.Z >= 0 && x == ec.V:
 		tu, tc := cfg.edgeTPos(ec, ec.V), cfg.childTPos(c)
 		if ec.UseLeft {
 			return tc > tu

@@ -172,7 +172,7 @@ func TestWeightFormulaExact(t *testing.T) {
 			if got != want {
 				ec := cfg.Classify(e)
 				t.Fatalf("cfg %d edge %d (%d-%d, anc=%v, left=%v): weight %d, ground truth %d",
-					ci, e, ec.U, ec.V, ec.Ancestor, ec.UseLeft, got, want)
+					ci, e, ec.U, ec.V, ec.Z >= 0, ec.UseLeft, got, want)
 			}
 			checked++
 		}
@@ -307,7 +307,7 @@ func augWeightRealizable(t *testing.T, cfg *Config, ec EdgeCase, z, want int) bo
 		// AugWeight uses F-tilde semantics throughout; GroundTruthWeight of
 		// an ancestor edge returns the strict inside count, so add the
 		// border path U..z.
-		if nec := ncfg.Classify(id); nec.Ancestor {
+		if nec := ncfg.Classify(id); nec.Z >= 0 {
 			got += cfg.Tree.Depth[z] - cfg.Tree.Depth[ec.U] + 1
 		}
 		if got == want {

@@ -109,8 +109,9 @@ type (
 )
 
 // NewTraceRecorder returns an empty trace recorder. Pass it wherever a
-// Tracer is accepted (Config.Tracer, Network.Tracer, PipelineOptions.Tracer),
-// then export with WriteJSONL, WriteChromeTrace or WriteMetrics.
+// Tracer is accepted (SeparatorEngineOptions.Tracer, Network.Tracer,
+// PipelineOptions.Tracer), then export with WriteJSONL, WriteChromeTrace
+// or WriteMetrics.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // NopTracer is the disabled tracer: every instrumented call site treats it
