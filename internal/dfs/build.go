@@ -56,7 +56,7 @@ func (t *Trace) Ops(n int) dist.Ops {
 // join's sub-phases. The round clock therefore advances by exactly
 // t.Ops(n).Rounds(cm, 1), the run's charged cost.
 func (t *Trace) Charge(tracer trace.Tracer, n int, cm shortcut.CostModel) {
-	m := dist.NewMeter(tracer, cm, 1)
+	m := dist.NewMeter(tracer, cm)
 	if !m.On() {
 		return
 	}

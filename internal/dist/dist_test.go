@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 )
 
 func TestOpsArithmetic(t *testing.T) {
@@ -38,9 +35,6 @@ func TestPerLemmaOpsGrowLogarithmically(t *testing.T) {
 	if big.PA > 10*small.PA {
 		t.Fatalf("DFSOrderOps grows too fast: %d -> %d", small.PA, big.PA)
 	}
-	if MarkPathOps(1<<20).PA != 21*21 {
-		t.Fatalf("MarkPathOps(2^20).PA = %d", MarkPathOps(1<<20).PA)
-	}
 	if SeparatorOps(1000).PA <= 0 || JoinSubPhaseOps(1000).PA <= 0 {
 		t.Fatal("driver ops must be positive")
 	}
@@ -52,144 +46,33 @@ func TestPerLemmaOpsGrowLogarithmically(t *testing.T) {
 	}
 }
 
-// randomTreeWithOrder builds a random tree and a shuffled child order.
-func randomTreeWithOrder(seed int64, n int) (*spanning.Tree, [][]int) {
-	rng := rand.New(rand.NewSource(seed))
-	parent := make([]int, n)
-	parent[0] = -1
-	for v := 1; v < n; v++ {
-		parent[v] = rng.Intn(v)
-	}
-	t, err := spanning.NewFromParents(0, parent)
-	if err != nil {
-		panic(err)
-	}
-	order := make([][]int, n)
-	for v := 0; v < n; v++ {
-		cs := make([]int, 0, len(t.Children(v)))
-		for _, c := range t.Children(v) {
-			cs = append(cs, int(c))
+// TestLemmaPrices pins every per-lemma Ops line at n = 1000 and n = 2^20
+// (ceil(log2(n+1)) = 10 and 21). The goldens pin only the totals these
+// lines sum to, so a price moved from one lemma to another shows here.
+func TestLemmaPrices(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		ops        func(n int) Ops
+		small, big Ops
+	}{
+		{"SpanningForestOps", SpanningForestOps, Ops{PA: 30, Local: 10}, Ops{PA: 63, Local: 21}},
+		{"PAProblemOps", func(int) Ops { return PAProblemOps() }, Ops{PA: 2, TreeAgg: 1}, Ops{PA: 2, TreeAgg: 1}},
+		{"DFSOrderOps", DFSOrderOps, Ops{PA: 20, TreeAgg: 1, Local: 10}, Ops{PA: 42, TreeAgg: 1, Local: 21}},
+		{"WeightsOps", WeightsOps, Ops{PA: 20, TreeAgg: 1, Local: 12}, Ops{PA: 42, TreeAgg: 1, Local: 23}},
+		{"MarkPathOps", MarkPathOps, Ops{PA: 100, Local: 10}, Ops{PA: 441, Local: 21}},
+		{"LCAOps", LCAOps, Ops{PA: 24, TreeAgg: 3, Local: 10}, Ops{PA: 46, TreeAgg: 3, Local: 21}},
+		{"DetectFaceOps", DetectFaceOps, Ops{PA: 104, Local: 11}, Ops{PA: 445, Local: 22}},
+		{"HiddenOps", HiddenOps, Ops{PA: 108, TreeAgg: 2, Local: 12}, Ops{PA: 449, TreeAgg: 2, Local: 23}},
+		{"NotContainedOps", NotContainedOps, Ops{PA: 8, TreeAgg: 4, Local: 2}, Ops{PA: 8, TreeAgg: 4, Local: 2}},
+		{"ReRootOps", ReRootOps, Ops{PA: 5, TreeAgg: 2}, Ops{PA: 5, TreeAgg: 2}},
+		{"SeparatorOps", SeparatorOps, Ops{PA: 389, TreeAgg: 16, Local: 59}, Ops{PA: 1467, TreeAgg: 16, Local: 114}},
+		{"JoinSubPhaseOps", JoinSubPhaseOps, Ops{PA: 163, TreeAgg: 7, Local: 30}, Ops{PA: 559, TreeAgg: 7, Local: 63}},
+	} {
+		if got := c.ops(1000); got != c.small {
+			t.Errorf("%s(1000) = %+v, want %+v", c.name, got, c.small)
 		}
-		rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
-		order[v] = cs
-	}
-	return t, order
-}
-
-// TestDFSOrderDistributedMatchesCentral is the Lemma 11 validation: the
-// fragment-merging algorithm computes exactly the centralized orders, in
-// O(log depth) phases.
-func TestDFSOrderDistributedMatchesCentral(t *testing.T) {
-	f := func(seed int64, sz uint16) bool {
-		n := 1 + int(sz)%300
-		tree, order := randomTreeWithOrder(seed, n)
-		want1, want2 := spanning.DFSOrders(tree, order)
-		res := DFSOrderDistributed(tree, order)
-		for v := 0; v < n; v++ {
-			if res.PiL[v] != want1[v] || res.PiR[v] != want2[v] {
-				return false
-			}
+		if got := c.ops(1 << 20); got != c.big {
+			t.Errorf("%s(2^20) = %+v, want %+v", c.name, got, c.big)
 		}
-		bound := shortcut.Log2Ceil(tree.MaxDepth()+2) + 2
-		return res.Phases <= bound
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDFSOrderPhasesOnDeepTree: a path tree needs Θ(log n) phases, far
-// fewer than its Θ(n) depth.
-func TestDFSOrderPhasesOnDeepTree(t *testing.T) {
-	n := 1024
-	parent := make([]int, n)
-	parent[0] = -1
-	for v := 1; v < n; v++ {
-		parent[v] = v - 1
-	}
-	tree, _ := spanning.NewFromParents(0, parent)
-	order := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, c := range tree.Children(v) {
-			order[v] = append(order[v], int(c))
-		}
-	}
-	res := DFSOrderDistributed(tree, order)
-	if res.Phases < 8 || res.Phases > 14 {
-		t.Fatalf("path of 1024: %d phases, want ~log2(1023)", res.Phases)
-	}
-	for v := 0; v < n; v++ {
-		if res.PiL[v] != v {
-			t.Fatal("path order wrong")
-		}
-	}
-}
-
-// TestMarkPathDistributed validates Lemma 13: the marking equals the
-// T-path, with O(log path) phases of O(log depth) iterations.
-func TestMarkPathDistributed(t *testing.T) {
-	f := func(seed int64, sz uint16) bool {
-		n := 2 + int(sz)%300
-		tree, _ := randomTreeWithOrder(seed, n)
-		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		u, v := rng.Intn(n), rng.Intn(n)
-		res := MarkPathDistributed(tree, u, v)
-		want := map[int]bool{}
-		for _, x := range tree.TPath(u, v) {
-			want[x] = true
-		}
-		for x := 0; x < n; x++ {
-			if res.Marked[x] != want[x] {
-				return false
-			}
-		}
-		pathLen := len(tree.TPath(u, v))
-		maxPhases := shortcut.Log2Ceil(pathLen+2) + 2
-		return res.Phases <= maxPhases
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMarkPathIterationsPolylog: marking a Θ(n) path costs O(log^2 n)
-// iterations, far below the trivial O(n).
-func TestMarkPathIterationsPolylog(t *testing.T) {
-	n := 2048
-	parent := make([]int, n)
-	parent[0] = -1
-	for v := 1; v < n; v++ {
-		parent[v] = v - 1
-	}
-	tree, _ := spanning.NewFromParents(0, parent)
-	res := MarkPathDistributed(tree, 0, n-1)
-	l := shortcut.Log2Ceil(n)
-	if res.Iterations > 2*l*l {
-		t.Fatalf("iterations %d exceed O(log^2 n) = %d", res.Iterations, 2*l*l)
-	}
-	if res.Iterations >= n/4 {
-		t.Fatalf("iterations %d not sublinear", res.Iterations)
-	}
-}
-
-func TestMarkPathTrivial(t *testing.T) {
-	tree, _ := randomTreeWithOrder(1, 10)
-	res := MarkPathDistributed(tree, 3, 3)
-	cnt := 0
-	for _, m := range res.Marked {
-		if m {
-			cnt++
-		}
-	}
-	if cnt != 1 || !res.Marked[3] || res.Phases != 0 {
-		t.Fatalf("self path wrong: %+v", res)
-	}
-}
-
-func TestDFSOrderSingleVertex(t *testing.T) {
-	tree, _ := spanning.NewFromParents(0, []int{-1})
-	res := DFSOrderDistributed(tree, [][]int{nil})
-	if res.PiL[0] != 0 || res.PiR[0] != 0 || res.Phases != 0 {
-		t.Fatalf("single vertex: %+v", res)
 	}
 }

@@ -12,21 +12,20 @@ import (
 //
 // A nil *Meter is valid and records nothing, so call sites thread it
 // through unconditionally.
+//
+// Every primitive is charged at k = 1, the part count the separator
+// and DFS round tallies (Result.Rounds, Result.DFSRounds) are priced at.
 type Meter struct {
 	Tr trace.Tracer
 	CM shortcut.CostModel
-	K  int // concurrent parts charged per primitive (>= 1)
 }
 
 // NewMeter returns a meter over tr, or nil when tr is nil or disabled.
-func NewMeter(tr trace.Tracer, cm shortcut.CostModel, k int) *Meter {
+func NewMeter(tr trace.Tracer, cm shortcut.CostModel) *Meter {
 	if tr == nil || !tr.Enabled() {
 		return nil
 	}
-	if k < 1 {
-		k = 1
-	}
-	return &Meter{Tr: tr, CM: cm, K: k}
+	return &Meter{Tr: tr, CM: cm}
 }
 
 // On reports whether the meter records anything.
@@ -60,7 +59,7 @@ func (m *Meter) Charge(layer trace.Layer, name string, ops Ops, attrs ...trace.A
 		if count == 0 {
 			return
 		}
-		rounds := int64(count * m.CM.Cost(op, m.K))
+		rounds := int64(count * m.CM.Cost(op, 1))
 		ps := tr.StartSpan(trace.LayerPrimitive, pname)
 		ps.SetAttr("count", int64(count))
 		ps.SetAttr("rounds", rounds)
@@ -72,7 +71,7 @@ func (m *Meter) Charge(layer trace.Layer, name string, ops Ops, attrs ...trace.A
 	prim("pa", "ops.pa", "rounds.pa", ops.PA, shortcut.OpPA)
 	prim("treeagg", "ops.treeagg", "rounds.treeagg", ops.TreeAgg, shortcut.OpTreeAgg)
 	prim("local", "ops.local", "rounds.local", ops.Local, shortcut.OpLocal)
-	charged := int64(ops.Rounds(m.CM, m.K))
+	charged := int64(ops.Rounds(m.CM, 1))
 	sp.SetAttr("charged_rounds", charged)
 	for _, a := range attrs {
 		sp.SetAttr(a.Key, a.Val)

@@ -1,19 +1,22 @@
-// Package dist accounts CONGEST rounds for the paper's algorithms and
-// provides phase-faithful implementations of the distributed subroutines of
-// Sections 5.2 and 6.1 (Lemmas 10-19).
+// Package dist is the round cost model of the paper's algorithms: the
+// Ops tally of communication primitives, the price of every distributed
+// subroutine of Sections 5.2 and 6.1 (Lemmas 9-19) as an Ops line, and the
+// Meter that charges a tally to a trace.
 //
-// Every algorithm in this repository is executed as local computation plus
-// invocations of three communication primitives, whose per-invocation round
-// cost is given by a shortcut.CostModel:
+// No subroutine is run here. The separator and DFS drivers compute their
+// outputs centrally and charge the Ops lines of the lemmas they stand for;
+// each line counts the primitive invocations of the lemma's phase
+// structure. Three primitives carry every price, with the per-invocation
+// round cost given by a shortcut.CostModel:
 //
 //   - OpPA: one part-wise aggregation or part-wide broadcast (Prop. 4);
 //   - OpTreeAgg: one ancestor/descendant sum over per-part spanning trees
 //     (Prop. 5);
 //   - OpLocal: one round of exchange with direct neighbours.
 //
-// The Ops counters of a run, composed with a cost model (the paper's
-// charged Õ(D) bound or the measured pipelined O(D+k) bound), give the
-// total simulated round count reported by the experiments.
+// The Ops tally of a run, composed with a cost model (the paper's charged
+// Õ(D) bound or the measured pipelined O(D+k) bound), gives the simulated
+// round count reported by the experiments.
 package dist
 
 import (

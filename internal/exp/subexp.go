@@ -20,7 +20,7 @@ type E5Row struct {
 	PARounds  int // PA invocations of the run (res.Ops.PA), printed as PA-ops
 }
 
-// E5 runs the distributed DFS-order computation on deep spanning trees.
+// E5 counts the Lemma 11 fragment-merge phases on deep spanning trees.
 func E5(families []string, n int, seed int64) ([]E5Row, error) {
 	var rows []E5Row
 	for _, fam := range families {
@@ -40,7 +40,7 @@ func E5(families []string, n int, seed int64) ([]E5Row, error) {
 		for v := 0; v < tr.N(); v++ {
 			order[v] = cfg.ChildOrder(v)
 		}
-		res := dist.DFSOrderDistributed(tr, order)
+		res := countDFSOrderPhases(tr, order)
 		// Cross-check against the centralized orders.
 		for v := 0; v < tr.N(); v++ {
 			if res.PiL[v] != cfg.PiL[v] || res.PiR[v] != cfg.PiR[v] {
@@ -62,7 +62,7 @@ type mismatchError struct {
 }
 
 func (e mismatchError) Error() string {
-	return "E5: distributed DFS order mismatch on " + e.fam
+	return "E5: fragment-merged DFS order mismatch on " + e.fam
 }
 
 func errMismatch(fam string, v int) error { return mismatchError{fam, v} }
@@ -78,7 +78,8 @@ type E6Row struct {
 	LogSquared int
 }
 
-// E6 marks the longest root-to-leaf path of a deep spanning tree.
+// E6 counts the Lemma 13 phases that mark the longest root-to-leaf path
+// of a deep spanning tree.
 func E6(families []string, n int, seed int64) ([]E6Row, error) {
 	var rows []E6Row
 	for _, fam := range families {
@@ -97,7 +98,7 @@ func E6(families []string, n int, seed int64) ([]E6Row, error) {
 				deepest = v
 			}
 		}
-		res := dist.MarkPathDistributed(tr, root, deepest)
+		res := countMarkPathPhases(tr, root, deepest)
 		l := shortcut.Log2Ceil(in.G.N() + 1)
 		rows = append(rows, E6Row{
 			Family: fam, N: in.G.N(), PathLen: tr.Depth[deepest] + 1,

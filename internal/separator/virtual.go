@@ -2,6 +2,7 @@ package separator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"planardfs/internal/weights"
@@ -132,10 +133,8 @@ func extremeLeafCandidates(cfg *weights.Config, ec weights.EdgeCase) []int {
 		}
 	}
 	var out []int
-	seen := map[int]bool{}
 	for _, c := range []int{uOut, vOut, ec.U, ec.V} {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
+		if c >= 0 && !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -151,20 +150,17 @@ func rootFaceCandidates(cfg *weights.Config) []int {
 	root := cfg.Tree.Root
 	n := cfg.G.N()
 	fs := cfg.Faces()
-	atRoot := map[int]bool{}
-	for _, d := range cfg.Emb.Rotation(root) {
-		atRoot[int(fs.FaceOf[d])] = true
-	}
-	seen := map[int]bool{root: true}
-	var out []int
-	// Scan faces in ascending id order: the candidate *set* is iteration-
-	// invariant, but `seen` dedup means first-wins, so the face order must
-	// be fixed before the balance sort below can canonicalize ties.
-	faces := make([]int, 0, len(atRoot))
-	for f := range atRoot { //planarvet:orderinvariant keys are sorted before use
-		faces = append(faces, f)
+	// The faces at the root, in ascending id order.
+	rot := cfg.Emb.Rotation(root)
+	faces := make([]int, len(rot))
+	for i, d := range rot {
+		faces[i] = int(fs.FaceOf[d])
 	}
 	sort.Ints(faces)
+	faces = slices.Compact(faces)
+	seen := make([]bool, n)
+	seen[root] = true
+	var out []int
 	for _, f := range faces {
 		for _, v := range fs.FaceVertices(f) {
 			if !seen[v] && !cfg.G.HasEdge(root, v) {

@@ -217,7 +217,7 @@ func finish(cfg *weights.Config, name string, sep *separator.Separator, ops dist
 // traced call advances the round clock by exactly the Rounds its Result
 // reports.
 func charge(cfg *weights.Config, opts Options, name string, ops dist.Ops) {
-	m := dist.NewMeter(opts.Tracer, costModel(cfg), 1)
+	m := dist.NewMeter(opts.Tracer, costModel(cfg))
 	m.Charge(trace.LayerLemma, "sepengine."+name, ops,
 		trace.Attr{Key: "n", Val: int64(cfg.G.N())})
 }

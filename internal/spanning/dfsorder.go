@@ -1,9 +1,10 @@
 package spanning
 
 // DFSOrders computes the LEFT-DFS-ORDER and RIGHT-DFS-ORDER of the tree
-// (Section 3.1.1) given, for each vertex, its children listed in clockwise
+// (Section 3.1.1) given, in CSR form, each vertex's children in clockwise
 // rotation order starting just after the parent dart (position 1, 2, ... in
-// the paper's normalized embedding t_v).
+// the paper's normalized embedding t_v): children[off[v]:off[v+1]] lists
+// v's children. It allocates only the two order arrays and the DFS stack.
 //
 // The RIGHT-DFS-ORDER visits children by ascending rotation position
 // (clockwise); the LEFT-DFS-ORDER by descending position
@@ -11,30 +12,18 @@ package spanning
 //
 // The returned orders satisfy, for every vertex v, that the vertices of the
 // subtree T_v occupy the contiguous interval [pi[v], pi[v]+n_T(v)-1].
-func DFSOrders(t *Tree, childOrder [][]int) (piL, piR []int) {
+func DFSOrders(t *Tree, off, children []int32) (piL, piR []int) {
 	n := t.N()
 	piL = make([]int, n)
 	piR = make([]int, n)
-	run(t, childOrder, false, piR)
-	run(t, childOrder, true, piL)
+	run(t, off, children, false, piR)
+	run(t, off, children, true, piL)
 	return piL, piR
 }
 
-// DFSOrdersCSR is DFSOrders with the child order given in CSR form:
-// children[off[v]:off[v+1]] lists v's children in clockwise rotation order
-// starting just after the parent dart. This is the flat-substrate entry
-// point; it allocates only the two order arrays and the DFS stack.
-func DFSOrdersCSR(t *Tree, off, children []int32) (piL, piR []int) {
-	n := t.N()
-	piL = make([]int, n)
-	piR = make([]int, n)
-	runCSR(t, off, children, false, piR)
-	runCSR(t, off, children, true, piL)
-	return piL, piR
-}
-
-// runCSR is run over a CSR child-order array.
-func runCSR(t *Tree, off, children []int32, rev bool, pi []int) {
+// run fills pi with the DFS order visiting children in the given order
+// (reversed if rev).
+func run(t *Tree, off, children []int32, rev bool, pi []int) {
 	timer := 0
 	stack := make([]int32, 0, t.N())
 	//planarvet:narrowok Root is a vertex id, < n and graph.New bounds n to MaxInt32
@@ -56,45 +45,4 @@ func runCSR(t *Tree, off, children []int32, rev bool, pi []int) {
 			}
 		}
 	}
-}
-
-// run fills pi with the DFS order visiting children in the given order
-// (reversed if rev).
-func run(t *Tree, childOrder [][]int, rev bool, pi []int) {
-	timer := 0
-	stack := make([]int, 0, t.N())
-	stack = append(stack, t.Root)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		pi[v] = timer
-		timer++
-		cs := childOrder[v]
-		// Push children so that the first to visit is on top.
-		if rev {
-			// Visit descending position: push ascending.
-			for i := 0; i < len(cs); i++ {
-				stack = append(stack, cs[i])
-			}
-		} else {
-			// Visit ascending position: push descending.
-			for i := len(cs) - 1; i >= 0; i-- {
-				stack = append(stack, cs[i])
-			}
-		}
-	}
-}
-
-// OrderIntervals returns, for a DFS order pi of t, the subtree interval
-// bounds: lo[v] = pi[v] and hi[v] = pi[v] + n_T(v) - 1. A vertex z belongs
-// to T_v iff lo[v] <= pi[z] <= hi[v].
-func OrderIntervals(t *Tree, pi []int) (lo, hi []int) {
-	n := t.N()
-	lo = make([]int, n)
-	hi = make([]int, n)
-	for v := 0; v < n; v++ {
-		lo[v] = pi[v]
-		hi[v] = pi[v] + t.SubtreeSize(v) - 1
-	}
-	return lo, hi
 }

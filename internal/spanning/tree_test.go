@@ -225,6 +225,20 @@ func TestBFSAndDeepDFSTrees(t *testing.T) {
 	}
 }
 
+// dfsOrdersOf runs DFSOrders on a [][]int child order, laid out in the
+// CSR form DFSOrders reads.
+func dfsOrdersOf(tr *Tree, childOrder [][]int) (piL, piR []int) {
+	off := make([]int32, len(childOrder)+1)
+	var children []int32
+	for v, cs := range childOrder {
+		for _, c := range cs {
+			children = append(children, int32(c))
+		}
+		off[v+1] = int32(len(children))
+	}
+	return DFSOrders(tr, off, children)
+}
+
 func TestDFSOrdersSample(t *testing.T) {
 	tr := sampleTree(t)
 	// Clockwise child order = ascending ids here.
@@ -232,7 +246,7 @@ func TestDFSOrdersSample(t *testing.T) {
 	for v := 0; v < tr.N(); v++ {
 		childOrder[v] = childrenInts(tr, v)
 	}
-	piL, piR := DFSOrders(tr, childOrder)
+	piL, piR := dfsOrdersOf(tr, childOrder)
 	// RIGHT order: 0,1,4,5,2,3,6,7,8,9.
 	wantR := []int{0, 1, 4, 5, 2, 3, 6, 7, 8, 9}
 	for i, v := range wantR {
@@ -251,7 +265,7 @@ func TestDFSOrdersSample(t *testing.T) {
 
 // Property: in both DFS orders, every subtree occupies a contiguous
 // interval of positions starting at its root.
-func TestDFSOrderIntervalsProperty(t *testing.T) {
+func TestDFSOrderSubtreeIntervalsProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := 1 + int(sz)%80
 		rng := rand.New(rand.NewSource(seed))
@@ -270,12 +284,11 @@ func TestDFSOrderIntervalsProperty(t *testing.T) {
 			rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
 			childOrder[v] = cs
 		}
-		piL, piR := DFSOrders(tr, childOrder)
+		piL, piR := dfsOrdersOf(tr, childOrder)
 		for _, pi := range [][]int{piL, piR} {
-			lo, hi := OrderIntervals(tr, pi)
 			for v := 0; v < n; v++ {
 				for z := 0; z < n; z++ {
-					in := lo[v] <= pi[z] && pi[z] <= hi[v]
+					in := pi[v] <= pi[z] && pi[z] <= pi[v]+tr.SubtreeSize(v)-1
 					if in != tr.IsAncestor(v, z) {
 						return false
 					}
@@ -306,7 +319,7 @@ func TestDFSOrderSiblingSymmetry(t *testing.T) {
 		for v := 0; v < n; v++ {
 			childOrder[v] = childrenInts(tr, v)
 		}
-		piL, piR := DFSOrders(tr, childOrder)
+		piL, piR := dfsOrdersOf(tr, childOrder)
 		for v := 0; v < n; v++ {
 			cs := childOrder[v]
 			for i := 0; i+1 < len(cs); i++ {

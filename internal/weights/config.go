@@ -25,10 +25,6 @@ type Config struct {
 
 	// PiL and PiR are the LEFT and RIGHT DFS orders (0-based).
 	PiL, PiR []int
-	// Interval bounds of subtrees in each order: z in T_v iff
-	// LoL[v] <= PiL[z] <= HiL[v] (same for R).
-	LoL, HiL []int
-	LoR, HiR []int
 
 	faces *planar.Faces
 	// start[v] is the rotation index serving as normalized position 0:
@@ -131,9 +127,7 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 		}
 	}
 
-	cfg.PiL, cfg.PiR = spanning.DFSOrdersCSR(tree, cfg.childOff, cfg.childList)
-	cfg.LoL, cfg.HiL = spanning.OrderIntervals(tree, cfg.PiL)
-	cfg.LoR, cfg.HiR = spanning.OrderIntervals(tree, cfg.PiR)
+	cfg.PiL, cfg.PiR = spanning.DFSOrders(tree, cfg.childOff, cfg.childList)
 	return cfg, nil
 }
 
@@ -213,32 +207,23 @@ func (cfg *Config) Canonical(e int) (u, v int) {
 	return u, v
 }
 
-// CycleEdges returns the edge IDs of the cycle formed by the T-path between
-// u and v plus the edge {u,v} (which must exist in G).
-func (cfg *Config) CycleEdges(u, v int) ([]int, error) {
+// GroundTruthInside classifies vertices against the fundamental cycle of
+// the real edge {u,v} (the edge plus the T-path between u and v): it
+// returns the set of strictly-inside vertices and the border (T-path)
+// vertices, using the geometric dual-cut ground truth.
+func (cfg *Config) GroundTruthInside(u, v int) (inside, border []bool, err error) {
 	id, ok := cfg.G.EdgeID(u, v)
 	if !ok {
-		return nil, fmt.Errorf("weights: {%d,%d} is not an edge", u, v)
+		return nil, nil, fmt.Errorf("weights: {%d,%d} is not an edge", u, v)
 	}
 	path := cfg.Tree.TPath(u, v)
 	edges := []int{id}
 	for i := 0; i+1 < len(path); i++ {
 		pid, ok := cfg.G.EdgeID(path[i], path[i+1])
 		if !ok {
-			return nil, fmt.Errorf("weights: tree edge {%d,%d} missing", path[i], path[i+1])
+			return nil, nil, fmt.Errorf("weights: tree edge {%d,%d} missing", path[i], path[i+1])
 		}
 		edges = append(edges, pid)
-	}
-	return edges, nil
-}
-
-// GroundTruthInside classifies vertices against the fundamental cycle of
-// the real edge {u,v}: it returns the set of strictly-inside vertices and
-// the border (T-path) vertices, using the geometric dual-cut ground truth.
-func (cfg *Config) GroundTruthInside(u, v int) (inside, border []bool, err error) {
-	edges, err := cfg.CycleEdges(u, v)
-	if err != nil {
-		return nil, nil, err
 	}
 	cc, err := cfg.Emb.ClassifyCycle(edges, cfg.Outer)
 	if err != nil {
