@@ -18,7 +18,8 @@ import (
 // from a component whose spanning-tree root is a cut vertex of the
 // component. The net fires on 7 of the 7,720 calls, on components of 10
 // to 22 vertices; Phase 5's virtual-edge sweep finds no balanced
-// separator there.
+// separator there. The count is a ratchet: the test fails if the net
+// fires more than 7 times, so no change adds firings unnoticed.
 func TestExhaustiveNetOnlyAtCutVertexRoots(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	calls, fired := 0, 0
@@ -44,6 +45,10 @@ func TestExhaustiveNetOnlyAtCutVertexRoots(t *testing.T) {
 		}
 	}
 	t.Logf("exhaustive net fired on %d of %d separator calls", fired, calls)
+	const maxFired = 7
+	if fired > maxFired {
+		t.Errorf("exhaustive net fired on %d calls, want at most %d", fired, maxFired)
+	}
 }
 
 // isCutVertex reports whether removing v disconnects the configuration's

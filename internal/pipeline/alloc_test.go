@@ -11,9 +11,12 @@ import (
 
 // TestRunBytesPerRun gates the host bytes one default-option Run
 // allocates on the 32×32 grid and the stacked triangulation of n = 1000.
-// Untraced: at most 5.25 MB and 5.75 MB (about 4.99 MB and 5.48 MB
-// measured, with no subtree-interval arrays in weights.NewConfig and the
-// separator's root-face candidates deduplicated without maps; 5.31 MB
+// Untraced: at most 4.50 MB and 5.45 MB (about 4.27 MB and 5.20 MB
+// measured, with Phase 5 weighing its virtual-edge candidates from the
+// parent configuration and copying only the heavy ones Phase 4 walks;
+// 4.99 MB and 5.48 MB when every candidate was copied, with no
+// subtree-interval arrays in weights.NewConfig and the separator's
+// root-face candidates deduplicated without maps; 5.31 MB
 // and 5.73 MB with the separator's virtual-edge sweep copying nothing for
 // a long-path candidate and checking no genus; 5.38 MB and 5.82 MB with
 // the Lemma 2 JOIN walking the separator path in fewer sub-phases and
@@ -25,7 +28,8 @@ import (
 // 6.43 MB when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
 // component went through maps and a second BFS, 10.4 MB and 11.6 MB when
 // each certification also built its own). Traced on a trace.Recorder: at
-// most 5.35 MB and 5.85 MB (about 5.09 MB and 5.56 MB measured; 5.41 MB
+// most 4.60 MB and 5.55 MB (about 4.36 MB and 5.28 MB measured; 5.09 MB
+// and 5.56 MB when every virtual-edge candidate was copied; 5.41 MB
 // and 5.81 MB with the subtree intervals; 5.49 MB and 5.82 MB with the
 // dfs stage charging its trace once per recursion phase from dfs.Trace;
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
@@ -37,10 +41,10 @@ func TestRunBytesPerRun(t *testing.T) {
 		traced   bool
 		maxBytes float64
 	}{
-		{"grid-32x32", grid, false, 5.25e6},
-		{"stacked-1000", stacked, false, 5.75e6},
-		{"grid-32x32 traced", grid, true, 5.35e6},
-		{"stacked-1000 traced", stacked, true, 5.85e6},
+		{"grid-32x32", grid, false, 4.50e6},
+		{"stacked-1000", stacked, false, 5.45e6},
+		{"grid-32x32 traced", grid, true, 4.60e6},
+		{"stacked-1000 traced", stacked, true, 5.55e6},
 	} {
 		run := func() {
 			opts := Options{}

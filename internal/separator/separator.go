@@ -50,7 +50,9 @@ const (
 	// Phase 4 logic runs inside it (Phase 5 fallback, Lemma 8).
 	PhaseSparseVirtual
 	// PhaseExhaustive: the harness safety net found the separator by
-	// exhaustive search (counted by experiments; must not trigger).
+	// exhaustive search. It never does on whole instances (E3); inside
+	// Theorem 2 it does only at components whose root is a cut vertex
+	// (TestExhaustiveNetOnlyAtCutVertexRoots in internal/dfs).
 	PhaseExhaustive
 	// PhaseLevelCycle: a BFS level-region boundary cycle, produced by the
 	// Har-Peled–Nayyeri engine (internal/sepengine).

@@ -1,10 +1,12 @@
 package separator
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"sync/atomic"
 
+	"planardfs/internal/planar"
 	"planardfs/internal/weights"
 )
 
@@ -21,10 +23,12 @@ import (
 // side of the virtual root r0 the new face falls on — the algorithm sweeps
 // the candidates x that are ℰ-compatible with the root (the vertices on the
 // root's incident faces), ordered by how close their LEFT-order position is
-// to n/2. Each candidate is evaluated by actually inserting the virtual
-// edge into the embedding (the operation the paper simulates in messages);
-// the sweep stops at the first candidate whose face weight is in range or
-// whose heavy face yields a balanced Phase 4 separator. Weights of
+// to n/2. Each candidate insertion is weighed from the parent configuration
+// (weights.Config.VirtualCase reads the shifted dart positions at the root
+// and x, the DFS orders and the subtree sizes), and only a heavy one is
+// copied, with the edge inserted, for Phase 4 to walk; the sweep stops at
+// the first candidate whose face weight is in range or whose heavy face
+// yields a balanced Phase 4 separator. Weights of
 // candidate faces are deterministic, so the sweep is deterministic, and in
 // the distributed accounting it is one RANGE-PROBLEM over locally
 // computable weights (each candidate shares a face with the root and can
@@ -46,8 +50,8 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 		inss := cfg.Emb.FaceInsertionsIn(cfg.Faces(), root, x)
 		// Lemma 1, condition 3: the root-to-x path is long enough on its
 		// own, and x is compatible with the root (they share a face). The
-		// test reads x alone, so it runs before any insertion is copied,
-		// and only where the first insertion would succeed (InsertEdge
+		// test reads x alone, so it runs before any insertion is weighed,
+		// and only where the first insertion would succeed (VirtualCase
 		// rejects a loop or an edge already present, whatever the face).
 		if len(inss) > 0 && !opt.DisableLongPath && 3*(cfg.Tree.Depth[x]+1) >= n &&
 			x != root && !cfg.G.HasEdge(root, x) {
@@ -67,19 +71,10 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 				break
 			}
 			tries++
-			ng, nemb, err := cfg.Emb.InsertEdge(ins)
+			nec, nw, err := cfg.VirtualCase(ins)
 			if err != nil {
 				continue
 			}
-			// A face insertion splits one face in two, so the extended
-			// embedding is planar by construction.
-			ncfg, err := weights.NewConfig(ng, nemb, cfg.RootAnchor(), cfg.Tree)
-			if err != nil {
-				continue
-			}
-			// InsertEdge numbers the new edge {root, x} with the old M().
-			nec := ncfg.Classify(cfg.G.M())
-			nw := ncfg.WeightOf(nec)
 			if inRange(nw) {
 				sep := &Separator{
 					Path:  cfg.Tree.TPath(nec.U, nec.V),
@@ -93,20 +88,43 @@ func phase5Virtual(cfg *weights.Config, ec weights.EdgeCase, n int, opt Options)
 				continue
 			}
 			if 3*nw > 2*n {
-				// Speculative inner runs of the sweep are not charged; the
-				// caller charges the whole fallback once (Lemma 8).
-				sep, err := phase4(ncfg, nec, n, opt)
-				if err != nil {
-					continue
-				}
-				sep.Phase = PhaseSparseVirtual
-				if 3*VerifyBalance(cfg.G, sep.Path) <= 2*n {
+				if sep := heavyVirtual(cfg, ins, nec, n, opt); sep != nil {
 					return sep, nil
 				}
 			}
 		}
 	}
 	return exhaustive(cfg, n)
+}
+
+// virtualCopies counts the configurations heavyVirtual copies, for the
+// test that holds Phase 5 to copying only what Phase 4 reads.
+var virtualCopies atomic.Int64
+
+// heavyVirtual runs Phase 4 inside the heavy face of the virtual edge that
+// ins inserts, whose case VirtualCase gave as nec. Phase 4 walks the face,
+// so this is the one place the sweep copies the graph and embedding with
+// the edge inserted. It returns nil if Phase 4's separator is unbalanced.
+func heavyVirtual(cfg *weights.Config, ins planar.Insertion, nec weights.EdgeCase, n int, opt Options) *Separator {
+	virtualCopies.Add(1)
+	ng, nemb, err := cfg.Emb.InsertEdge(ins)
+	if err != nil {
+		return nil
+	}
+	// A face insertion splits one face in two, so the extended embedding
+	// is planar by construction.
+	ncfg, err := weights.NewConfig(ng, nemb, cfg.RootAnchor(), cfg.Tree)
+	if err != nil {
+		return nil
+	}
+	// Speculative inner runs of the sweep are not charged; the caller
+	// charges the whole fallback once (Lemma 8).
+	sep, err := phase4(ncfg, nec, n, opt)
+	if err != nil || 3*VerifyBalance(cfg.G, sep.Path) > 2*n {
+		return nil
+	}
+	sep.Phase = PhaseSparseVirtual
+	return sep
 }
 
 // extremeLeafCandidates is the paper's literal Lemma 8 candidate set: the
@@ -156,7 +174,7 @@ func rootFaceCandidates(cfg *weights.Config) []int {
 	for i, d := range rot {
 		faces[i] = int(fs.FaceOf[d])
 	}
-	sort.Ints(faces)
+	slices.Sort(faces)
 	faces = slices.Compact(faces)
 	seen := make([]bool, n)
 	seen[root] = true
@@ -169,14 +187,19 @@ func rootFaceCandidates(cfg *weights.Config) []int {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di := abs(2*cfg.PiL[out[i]] - n)
-		dj := abs(2*cfg.PiL[out[j]] - n)
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
+	// Sort on keys computed once; ties break on the vertex id, so the
+	// order is total and deterministic.
+	type keyed struct{ dist, v int }
+	ks := make([]keyed, len(out))
+	for i, v := range out {
+		ks[i] = keyed{abs(2*cfg.PiL[v] - n), v}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.v, b.v))
 	})
+	for i, k := range ks {
+		out[i] = k.v
+	}
 	return out
 }
 
@@ -189,7 +212,11 @@ func abs(x int) int {
 
 // exhaustive is the harness safety net: it scans every real fundamental
 // edge and, failing that, every root-to-vertex tree path for a balanced
-// separator. Experiments assert it never triggers (Phase counters).
+// separator. It never answers on a whole instance (E3's Exhaustive column
+// is 0). Inside Theorem 2 it answers only on components whose tree root is
+// a cut vertex, where the root-face sweep finds no balanced separator: 7 of
+// the 7,720 calls over the cold-stacked benchmark inputs
+// (TestExhaustiveNetOnlyAtCutVertexRoots in internal/dfs).
 func exhaustive(cfg *weights.Config, n int) (*Separator, error) {
 	for _, e := range cfg.FundamentalEdges() {
 		ec := cfg.Classify(e)

@@ -52,68 +52,54 @@ func (cfg *Config) Pi(ec EdgeCase) []int {
 // number of vertices of T_x strictly inside F_e, computed locally at x from
 // its child cone (Claims 1 and 4).
 func (cfg *Config) PFace(ec EdgeCase, x int) int {
-	t := cfg.Tree
+	atU, te, tz := cfg.cone(ec, x)
 	sum := 0
-	switch {
-	case ec.Z < 0 && x == ec.U:
-		// Children of u with t_u(c) < t_u(v) are inside (Claim 1(ii)).
-		tv := cfg.edgeTPos(ec, ec.U)
-		for _, c := range cfg.children(ec.U) {
-			c := int(c)
-			if cfg.childTPos(c) < tv {
-				sum += t.SubtreeSize(c)
-			}
+	for _, c := range cfg.children(x) {
+		if inCone(ec, atU, te, tz, cfg.childTPos(int(c))) {
+			sum += cfg.Tree.SubtreeSize(int(c))
 		}
-	case ec.Z < 0 && x == ec.V:
-		// Children of v with t_v(c) > t_v(u) are inside (Claim 1(iii)).
-		tu := cfg.edgeTPos(ec, ec.V)
-		for _, c := range cfg.children(ec.V) {
-			c := int(c)
-			if cfg.childTPos(c) > tu {
-				sum += t.SubtreeSize(c)
-			}
-		}
-	case ec.Z >= 0 && x == ec.U:
-		// Children strictly between the path child z and v in the cone
-		// (Claim 4(i)); orientation decides which side of z.
-		tv := cfg.edgeTPos(ec, ec.U)
-		tz := cfg.childTPos(ec.Z)
-		for _, c := range cfg.children(ec.U) {
-			c := int(c)
-			if c == ec.Z {
-				continue
-			}
-			tc := cfg.childTPos(c)
-			if ec.UseLeft {
-				if tz < tc && tc < tv {
-					sum += t.SubtreeSize(c)
-				}
-			} else {
-				if tv < tc && tc < tz {
-					sum += t.SubtreeSize(c)
-				}
-			}
-		}
-	case ec.Z >= 0 && x == ec.V:
-		// Children of v on the inside of the corner at v (Claim 4(ii)).
-		tu := cfg.edgeTPos(ec, ec.V)
-		for _, c := range cfg.children(ec.V) {
-			c := int(c)
-			tc := cfg.childTPos(c)
-			if ec.UseLeft {
-				if tc > tu {
-					sum += t.SubtreeSize(c)
-				}
-			} else {
-				if tc < tu {
-					sum += t.SubtreeSize(c)
-				}
-			}
-		}
-	default:
-		panic("weights: PFace called with a non-endpoint")
 	}
 	return sum
+}
+
+// cone returns what inCone needs at the endpoint x of the case: whether x
+// is U, the normalized position there of the case's edge, and in the
+// ancestor case at U the position of the path child Z (-1 otherwise).
+func (cfg *Config) cone(ec EdgeCase, x int) (atU bool, te, tz int) {
+	if x != ec.U && x != ec.V {
+		panic("weights: face cone at a non-endpoint")
+	}
+	atU, tz = x == ec.U, -1
+	if atU && ec.Z >= 0 {
+		tz = cfg.childTPos(ec.Z)
+	}
+	return atU, cfg.edgeTPos(ec, x), tz
+}
+
+// inCone reports whether a child at normalized position tc of an endpoint
+// lies in the inside cone of the face there, given the position te of the
+// case's edge and, at U in the ancestor case, the position tz of the path
+// child:
+//   - non-ancestor case: children of U before the edge and children of V
+//     after it (Claim 1(ii)-(iii));
+//   - ancestor case at U: children strictly between Z and the edge, on the
+//     side the orientation picks, so never Z itself (Claim 4(i));
+//   - ancestor case at V: children on the inside of the corner (Claim 4(ii)).
+func inCone(ec EdgeCase, atU bool, te, tz, tc int) bool {
+	switch {
+	case ec.Z < 0 && atU:
+		return tc < te
+	case ec.Z < 0:
+		return tc > te
+	case atU && ec.UseLeft:
+		return tz < tc && tc < te
+	case atU:
+		return te < tc && tc < tz
+	case ec.UseLeft:
+		return tc > te
+	default:
+		return tc < te
+	}
 }
 
 // Weight computes the deterministic weight ω(F_e) of the real fundamental
@@ -125,9 +111,13 @@ func (cfg *Config) Weight(e int) int {
 // WeightOf is Weight on an edge already classified, for callers that
 // keep the case for other uses.
 func (cfg *Config) WeightOf(ec EdgeCase) int {
+	return cfg.weightFrom(ec, cfg.PFace(ec, ec.U), cfg.PFace(ec, ec.V))
+}
+
+// weightFrom is Definition 2's weight of the case given its endpoint cone
+// counts pu = p(U) and pv = p(V).
+func (cfg *Config) weightFrom(ec EdgeCase, pu, pv int) int {
 	t := cfg.Tree
-	pu := cfg.PFace(ec, ec.U)
-	pv := cfg.PFace(ec, ec.V)
 	if ec.Z < 0 {
 		// Case 1: ω = p(v)+p(u)+π_ℓ(v) − (π_ℓ(u)+n_T(u)) + 2.
 		//
@@ -218,26 +208,6 @@ func (cfg *Config) InFace(ec EdgeCase, z int) (border, inside bool) {
 // childInCone reports whether child c of endpoint x lies in the inside cone
 // of the face at x (the same condition PFace sums over).
 func (cfg *Config) childInCone(ec EdgeCase, x, c int) bool {
-	switch {
-	case ec.Z < 0 && x == ec.U:
-		return cfg.childTPos(c) < cfg.edgeTPos(ec, ec.U)
-	case ec.Z < 0 && x == ec.V:
-		return cfg.childTPos(c) > cfg.edgeTPos(ec, ec.V)
-	case ec.Z >= 0 && x == ec.U:
-		if c == ec.Z {
-			return false
-		}
-		tv, tz, tc := cfg.edgeTPos(ec, ec.U), cfg.childTPos(ec.Z), cfg.childTPos(c)
-		if ec.UseLeft {
-			return tz < tc && tc < tv
-		}
-		return tv < tc && tc < tz
-	case ec.Z >= 0 && x == ec.V:
-		tu, tc := cfg.edgeTPos(ec, ec.V), cfg.childTPos(c)
-		if ec.UseLeft {
-			return tc > tu
-		}
-		return tc < tu
-	}
-	panic("weights: childInCone with non-endpoint")
+	atU, te, tz := cfg.cone(ec, x)
+	return inCone(ec, atU, te, tz, cfg.childTPos(c))
 }
