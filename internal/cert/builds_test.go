@@ -1,0 +1,80 @@
+package cert_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"planardfs/internal/cert"
+	"planardfs/internal/gen"
+	"planardfs/internal/guard"
+	"planardfs/internal/pipeline"
+	"planardfs/internal/serve"
+)
+
+// TestGuardedBuildUsesOneVerifier gates the certification contexts a
+// guarded build makes on the first cold-stacked input (a stacked
+// triangulation of n = 1000): a pipeline.Run guarded in place and a planard
+// inline job, admitted before it is queued, each make one Verifier, the
+// guard's, and build one BFS tree from vertex 0 and one set of
+// label-exchange programs (two of each when the build made its own
+// Verifier). congest's TestGuardedBuildUsesOneEngine gates the round
+// engine and the aggregation programs of the same builds.
+func TestGuardedBuildUsesOneVerifier(t *testing.T) {
+	in, err := gen.ByName("stacked", 1000, rand.New(rand.NewSource(1)).Int63())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T, in *gen.Instance)
+	}{
+		{"guarded pipeline.Run", func(t *testing.T, in *gen.Instance) {
+			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Guard: &guard.Options{Seed: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"planard inline job", serveInlineJob},
+	} {
+		verifiers, trees, exchanges := cert.Builds()
+		c.build(t, in)
+		v, tr, ex := cert.Builds()
+		if v-verifiers != 1 || tr-trees != 1 || ex-exchanges != 1 {
+			t.Errorf("%s: %d Verifiers, %d BFS trees, %d exchange program sets, want 1 of each",
+				c.name, v-verifiers, tr-trees, ex-exchanges)
+		}
+	}
+}
+
+// serveInlineJob submits in as an inline planard job to a fresh server,
+// drains the server and checks the job was built.
+func serveInlineJob(t *testing.T, in *gen.Instance) {
+	t.Helper()
+	data, err := gen.EncodeJSON(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(serve.JobRequest{Graph: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Options{Workers: 1})
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	var st serve.JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", w.Code, w.Body.Bytes())
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID, nil))
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.State != serve.StateDone || st.Cached {
+		t.Fatalf("inline job: %s, want a fresh build done", w.Body.Bytes())
+	}
+}

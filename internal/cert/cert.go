@@ -28,6 +28,7 @@ package cert
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"planardfs/internal/congest"
 	"planardfs/internal/dist"
@@ -88,6 +89,11 @@ type Options struct {
 // and traces are exactly those of the one-shot Certify*/Verify*/Prove*
 // functions, which each run on a fresh Verifier.
 //
+// One Verifier serves a whole guarded build: the admission guard validates
+// on it (guard.ValidateInstance), its accepting verdict hands it over, and
+// pipeline.Run certifies the DFS attempts, the spanning tree and the
+// separator on it after SetTracer points it at the build's tracer.
+//
 // A Verifier keeps no reference to a run's labels once the run returns. It
 // is not safe for concurrent use.
 type Verifier struct {
@@ -110,10 +116,26 @@ type Verifier struct {
 	accepts []int
 }
 
+// builds counts the Verifiers made and the BFS trees and label-exchange
+// program sets they built, for the test that holds a guarded build to one
+// certification context.
+var builds struct{ verifiers, trees, exchanges atomic.Int64 }
+
 // NewVerifier returns the certification context of g, traced per opt. It
 // builds nothing until a run needs it.
 func NewVerifier(g *graph.Graph, opt Options) *Verifier {
+	builds.verifiers.Add(1)
 	return &Verifier{g: g, tracer: opt.Tracer}
+}
+
+// SetTracer points the Verifier, and its network once built, at tr, so the
+// runs that follow trace into tr: a context handed from one caller to the
+// next traces into the new owner's tracer.
+func (vf *Verifier) SetTracer(tr trace.Tracer) {
+	vf.tracer = tr
+	if vf.nw != nil {
+		vf.nw.Tracer = tr
+	}
 }
 
 // Graph returns the graph the Verifier certifies structures of.
@@ -166,6 +188,7 @@ func (vf *Verifier) bfsTree() (*spanning.Tree, error) {
 		if err != nil {
 			return nil, err
 		}
+		builds.trees.Add(1)
 		vf.tree = tree
 	}
 	return vf.tree, nil
@@ -251,6 +274,7 @@ func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 // first use.
 func (vf *Verifier) exchangeNodes() []certNode {
 	if vf.cns == nil {
+		builds.exchanges.Add(1)
 		n := vf.g.N()
 		vf.neighborTable()
 		vf.cns = make([]certNode, n)

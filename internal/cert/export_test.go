@@ -1,0 +1,7 @@
+package cert
+
+// Builds returns how many Verifiers NewVerifier has made in this process,
+// and how many BFS trees and label-exchange program sets they have built.
+func Builds() (verifiers, trees, exchanges int64) {
+	return builds.verifiers.Load(), builds.trees.Load(), builds.exchanges.Load()
+}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"planardfs/internal/graph"
 	"planardfs/internal/trace"
@@ -245,9 +246,14 @@ type engine struct {
 	roundMsgs, roundWords, roundCong int64
 }
 
+// builds counts the round engines and PA program sets built, for the test
+// that holds a guarded build to one of each.
+var builds struct{ engines, paPrograms atomic.Int64 }
+
 // newEngine builds the routing tables of g and allocates the per-run
 // arrays; reset fills them before each Run.
 func newEngine(g *graph.Graph) *engine {
+	builds.engines.Add(1)
 	n := g.N()
 	e := &engine{g: g, m: g.M(), n: n}
 

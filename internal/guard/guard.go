@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 
+	"planardfs/internal/cert"
 	"planardfs/internal/trace"
 )
 
@@ -119,8 +120,9 @@ type CheckResult struct {
 	// "edge-count", "density", "euler".
 	Name string `json:"name"`
 	OK   bool   `json:"ok"`
-	// Rounds and Messages are the measured CONGEST cost of the stage
-	// (zero for centralized prechecks).
+	// Rounds and Messages are the CONGEST cost of the stage: measured
+	// rounds and messages, plus the prover charge of the Euler stage's
+	// certification (zero for centralized prechecks).
 	Rounds   int   `json:"rounds"`
 	Messages int64 `json:"messages"`
 }
@@ -132,14 +134,35 @@ type Verdict struct {
 	OK      bool          `json:"ok"`
 	Witness *Witness      `json:"witness,omitempty"`
 	Checks  []CheckResult `json:"checks"`
-	// Rounds and Messages total the measured CONGEST cost across all
-	// distributed stages (the guard overhead the bench mode reports).
+	// Rounds totals the round cost of every distributed stage: the
+	// measured rounds of each CONGEST run, plus the Euler stage's prover
+	// charge under the paper cost model. A traced validation advances the
+	// trace clock by exactly Rounds. Messages totals the messages of the
+	// CONGEST runs (the guard overhead the bench mode reports).
 	Rounds   int   `json:"rounds"`
 	Messages int64 `json:"messages"`
 
 	// testerErr parks an infrastructure error raised inside a tester stage
 	// so the orchestrator can surface it after the stage helper returns.
 	testerErr error
+	// vf is the certification context an accepting ValidateRotations
+	// verdict validated on, until TakeVerifier hands it over.
+	vf *cert.Verifier
+}
+
+// TakeVerifier hands over the certification context an accepting
+// ValidateInstance or ValidateRotations verdict validated on: its network
+// and round engine, its BFS tree from vertex 0, its aggregation program
+// and its label-exchange programs, untraced until the new owner calls
+// SetTracer. A build of the same graph certifies on it instead of building
+// its own (pipeline.Options.Admitted). The verdict drops its reference, so
+// the context has one owner and a kept verdict pins nothing; later calls,
+// rejecting verdicts and ValidateGraph verdicts return nil. Like the
+// Verifier, TakeVerifier is not safe for concurrent use.
+func (v *Verdict) TakeVerifier() *cert.Verifier {
+	vf := v.vf
+	v.vf = nil
+	return vf
 }
 
 // Err returns nil for an accepting verdict and the typed RejectionError

@@ -2,12 +2,14 @@ package guard
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
+	"planardfs/internal/trace"
 )
 
 // sweepSizes is the small-n sweep of the acceptance property tests.
@@ -320,5 +322,88 @@ func TestGuardVerdictChecks(t *testing.T) {
 	}
 	if v.Rounds <= 0 || v.Messages <= 0 {
 		t.Fatalf("verdict totals empty: rounds=%d messages=%d", v.Rounds, v.Messages)
+	}
+}
+
+// TestGuardRoundsMatchTraceClock pins Verdict.Rounds to the trace clock: a
+// traced validation advances it by exactly the verdict's rounds, the Euler
+// stage's prover charge included, whether the input is accepted or
+// rejected at the Euler stage. The first input is the first of the
+// stacked triangulations the cold-stacked benchmark draws from its seed 1,
+// on which the clock advanced 2,536 rounds while Rounds reported 136
+// before the prover charge was counted.
+func TestGuardRoundsMatchTraceClock(t *testing.T) {
+	first, err := gen.ByName("stacked", 1000, rand.New(rand.NewSource(1)).Int63())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := []*gen.Instance{first}
+	for _, fam := range []string{"grid", "wheel", "cylinderish", "tree"} {
+		in, err := gen.ByName(fam, 64, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	for _, in := range ins {
+		rec := trace.NewRecorder()
+		v, err := ValidateInstance(in, Options{Seed: 1, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.OK {
+			t.Fatalf("%s: planar instance rejected: %+v", in.Name, v.Witness)
+		}
+		if rec.Now() != int64(v.Rounds) {
+			t.Errorf("%s: clock %d, want Verdict.Rounds %d", in.Name, rec.Now(), v.Rounds)
+		}
+	}
+	grid := ins[1]
+	rot := corruptRotations(grid, 2, func(p *chaos.Plan, r [][]int) int { return p.SpliceFaces(1, r) })
+	rec := trace.NewRecorder()
+	v, err := ValidateRotations(grid.G, rot, Options{Seed: 1, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.OK || v.Witness.Reason != ReasonEuler {
+		t.Fatalf("face splice: OK=%v witness=%+v, want an euler rejection", v.OK, v.Witness)
+	}
+	if rec.Now() != int64(v.Rounds) {
+		t.Errorf("euler rejection: clock %d, want Verdict.Rounds %d", rec.Now(), v.Rounds)
+	}
+}
+
+// TestVerdictHandsOverItsVerifier pins the handoff: an accepting
+// validation hands over the context of its graph once, with the BFS tree
+// and programs it built; rejecting and graph-only verdicts hand over
+// nothing.
+func TestVerdictHandsOverItsVerifier(t *testing.T) {
+	in, err := gen.ByName("grid", 36, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ValidateInstance(in, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vf := v.TakeVerifier()
+	if vf == nil || vf.Graph() != in.G {
+		t.Fatalf("accepting verdict handed over %v, want the context of the instance's graph", vf)
+	}
+	if v.TakeVerifier() != nil {
+		t.Fatal("a verdict handed its context over twice")
+	}
+	rot := corruptRotations(in, 2, func(p *chaos.Plan, r [][]int) int { return p.SpliceFaces(1, r) })
+	if v, err = ValidateRotations(in.G, rot, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if v.OK || v.TakeVerifier() != nil {
+		t.Fatalf("rejecting verdict (OK=%v) handed over a context", v.OK)
+	}
+	if v, err = ValidateGraph(in.G, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !v.OK || v.TakeVerifier() != nil {
+		t.Fatalf("graph-only verdict (OK=%v) handed over a context", v.OK)
 	}
 }

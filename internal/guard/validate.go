@@ -13,7 +13,9 @@ import (
 // ValidateInstance validates an embedded instance end to end: shape and
 // connectivity prechecks, the distributed rotation/endpoint consistency
 // check, the planarity property tester, and the Euler-count certification
-// of the claimed rotation system. The returned error reports
+// of the claimed rotation system. Every distributed stage runs on one
+// cert.Verifier of in.G, and an accepting verdict keeps it for the build
+// that follows (Verdict.TakeVerifier). The returned error reports
 // infrastructure failures only; a bad input is an accepting=false verdict,
 // and verdict.Err() converts it to a typed RejectionError.
 func ValidateInstance(in *gen.Instance, opt Options) (*Verdict, error) {
@@ -28,7 +30,8 @@ func ValidateInstance(in *gen.Instance, opt Options) (*Verdict, error) {
 // ValidateRotations validates a graph together with a claimed rotation
 // system in wire form (per-vertex clockwise neighbour lists, exactly what
 // an untrusted submission carries). Stages run in order and stop at the
-// first rejection.
+// first rejection. An accepting verdict keeps the certification context
+// the stages ran on (Verdict.TakeVerifier).
 func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, error) {
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.validate")
@@ -79,7 +82,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 	if err != nil {
 		return nil, fmt.Errorf("guard: euler certification: %w", err)
 	}
-	v.addCheck("euler", ev.OK, ev.VerifierRounds+ev.AggRounds, ev.Stats.Messages)
+	v.addCheck("euler", ev.OK, ev.ProverRounds+ev.VerifierRounds+ev.AggRounds, ev.Stats.Messages)
 	if !ev.OK {
 		return v.reject(Witness{
 			Reason:    ReasonEuler,
@@ -90,6 +93,7 @@ func ValidateRotations(g *graph.Graph, rot [][]int, opt Options) (*Verdict, erro
 		}), nil
 	}
 	sp.SetAttr("ok", 1)
+	v.vf = vf
 	return v, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/guard"
 	"planardfs/internal/trace"
 )
 
@@ -33,23 +34,33 @@ import (
 // and 5.81 MB with the subtree intervals; 5.49 MB and 5.82 MB with the
 // dfs stage charging its trace once per recursion phase from dfs.Trace;
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
+// Guarded by the admission guard (Options.Guard, seed 1), untraced: at
+// most 5.50 MB and 6.80 MB (about 5.23 MB and 6.49 MB measured, with the
+// run certifying on the Verifier the guard validated on; 6.71 MB and
+// 8.26 MB when the run built a second one).
 func TestRunBytesPerRun(t *testing.T) {
 	grid, stacked := gateInstances(t)
 	for _, c := range []struct {
 		name     string
 		in       *gen.Instance
 		traced   bool
+		guarded  bool
 		maxBytes float64
 	}{
-		{"grid-32x32", grid, false, 4.50e6},
-		{"stacked-1000", stacked, false, 5.45e6},
-		{"grid-32x32 traced", grid, true, 4.60e6},
-		{"stacked-1000 traced", stacked, true, 5.55e6},
+		{"grid-32x32", grid, false, false, 4.50e6},
+		{"stacked-1000", stacked, false, false, 5.45e6},
+		{"grid-32x32 traced", grid, true, false, 4.60e6},
+		{"stacked-1000 traced", stacked, true, false, 5.55e6},
+		{"grid-32x32 guarded", grid, false, true, 5.50e6},
+		{"stacked-1000 guarded", stacked, false, true, 6.80e6},
 	} {
 		run := func() {
 			opts := Options{}
 			if c.traced {
 				opts.Tracer = trace.NewRecorder()
+			}
+			if c.guarded {
+				opts.Guard = &guard.Options{Seed: 1}
 			}
 			if _, err := Run(context.Background(), c.in, opts); err != nil {
 				t.Fatal(err)

@@ -32,10 +32,24 @@ import (
 // Options configure one run. The zero value runs the paper's defaults: no
 // admission guard, the Theorem 1 separator engine, a fault-free supervised
 // DFS and no tracing.
+//
+// A guarded run certifies on the cert.Verifier its admission validated on,
+// so one round engine, one BFS tree from vertex 0 and one set of
+// aggregation and label-exchange programs serve the guard and every
+// certification. The admission either runs inside Run (Guard) or has run
+// before it (Admitted); at most one of the two may be set.
 type Options struct {
 	// Guard, when non-nil, runs the admission guard before any other
 	// stage. A nil Guard.Tracer inherits Tracer.
 	Guard *guard.Options
+	// Admitted hands in an admission that has already run: the accepting
+	// verdict of guard.ValidateInstance on this instance, whose context
+	// Run takes over (guard.Verdict.TakeVerifier) and reports as
+	// Result.Admission. A caller that must answer a rejection before it
+	// queues the build, as planard does, sets it instead of Guard. A
+	// verdict whose context was already taken or belongs to another graph
+	// is an error.
+	Admitted *guard.Verdict
 	// Engine names the separator backend (sepengine registry) for both the
 	// per-component separators of the DFS and the whole-instance
 	// separator; empty selects the Theorem 1 engine. A soft engine failure
@@ -60,7 +74,8 @@ type Result struct {
 	// Root is the common root of both trees: the first vertex of the outer
 	// face, as the paper requires.
 	Root int
-	// Admission is the guard verdict; nil when Options.Guard is nil.
+	// Admission is the guard verdict: Options.Guard's, or Options.Admitted;
+	// nil when neither is set.
 	Admission *guard.Verdict
 	// BFS is the BFS spanning tree rooted at Root.
 	BFS *spanning.Tree
@@ -118,23 +133,26 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &Result{Admission: opts.Admitted}
 	if opts.Guard != nil {
+		if opts.Admitted != nil {
+			return res, errors.New("pipeline: admit: both Guard and Admitted are set")
+		}
 		gopt := *opts.Guard
 		if gopt.Tracer == nil {
 			gopt.Tracer = opts.Tracer
 		}
-		v, err := guard.ValidateInstance(in, gopt)
+		res.Admission, err = guard.ValidateInstance(in, gopt)
 		if err != nil {
 			return res, fmt.Errorf("pipeline: admit: %w", err)
 		}
-		res.Admission = v
-		if err := v.Err(); err != nil {
-			return res, err
-		}
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
+	}
+	vf, err := verifier(in, res.Admission, opts.Tracer)
+	if err != nil {
+		return res, err
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
 
 	g := in.G
@@ -155,10 +173,6 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	// One certification context serves every DFS attempt and the certify
-	// stage; it builds its network, tree and programs at the first DFS
-	// certification.
-	vf := cert.NewVerifier(g, cert.Options{Tracer: opts.Tracer})
 	dfsVerdict, err := runDFS(ctx, in, eng, opts, res, vf)
 	if err != nil {
 		return res, err
@@ -191,6 +205,26 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 	}
 	res.Verdicts = append(res.Verdicts, v)
 	return res, rejection(res.Verdicts)
+}
+
+// verifier returns the one certification context of the run, which
+// serves every DFS attempt and the certify stage: the admission's, traced
+// into tr from here on, when an admission ran, and otherwise a fresh one
+// that builds its network, tree and programs at the first DFS
+// certification. A rejecting admission returns its typed rejection.
+func verifier(in *gen.Instance, adm *guard.Verdict, tr trace.Tracer) (*cert.Verifier, error) {
+	if adm == nil {
+		return cert.NewVerifier(in.G, cert.Options{Tracer: tr}), nil
+	}
+	if err := adm.Err(); err != nil {
+		return nil, err
+	}
+	vf := adm.TakeVerifier()
+	if vf == nil || vf.Graph() != in.G {
+		return nil, errors.New("pipeline: admit: the admission holds no certification context of this instance's graph")
+	}
+	vf.SetTracer(tr)
+	return vf, nil
 }
 
 // rejection is ErrCertRejected naming the first rejecting verdict's scheme

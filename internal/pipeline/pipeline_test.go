@@ -301,6 +301,84 @@ func TestRunGuard(t *testing.T) {
 	}
 }
 
+// TestRunAdoptsTheAdmission pins the one certification context of a
+// guarded build. A run guarded in place (Guard) or after the fact
+// (Admitted) certifies on the admission's Verifier and reports exactly the
+// verdicts and rounds of an unguarded run; traced, the guarded run's clock
+// ends at Admission.Rounds + Rounds() + Separator.Rounds, and a run handed
+// an untraced admission records the unguarded run's trace byte for byte.
+// An admission's context serves one build of its own graph only.
+func TestRunAdoptsTheAdmission(t *testing.T) {
+	jsonl := func(rec *trace.Recorder) []byte {
+		var b bytes.Buffer
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, in := range []*gen.Instance{instance(t, "grid", 100, 1), instance(t, "stacked", 150, 7)} {
+		plain := trace.NewRecorder()
+		want, err := Run(context.Background(), in, Options{Tracer: plain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		guarded, err := Run(context.Background(), in, Options{Guard: &guard.Options{Seed: 1}, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Now(), int64(guarded.Admission.Rounds+guarded.Rounds()+guarded.Separator.Rounds); got != want {
+			t.Errorf("%s: guarded clock %d, want Admission.Rounds %d + Rounds() %d + Separator.Rounds %d",
+				in.Name, got, guarded.Admission.Rounds, guarded.Rounds(), guarded.Separator.Rounds)
+		}
+		adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed := trace.NewRecorder()
+		admitted, err := Run(context.Background(), in, Options{Admitted: adm, Tracer: handed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if admitted.Admission != adm {
+			t.Errorf("%s: Result.Admission is not the handed-in verdict", in.Name)
+		}
+		if !bytes.Equal(jsonl(handed), jsonl(plain)) {
+			t.Errorf("%s: a run on a handed-in admission traces differently from an unguarded run", in.Name)
+		}
+		for _, res := range []*Result{guarded, admitted} {
+			if !reflect.DeepEqual(res.Verdicts, want.Verdicts) || res.Rounds() != want.Rounds() {
+				t.Errorf("%s: guarded verdicts or rounds (%d) differ from the unguarded run's (%d)", in.Name, res.Rounds(), want.Rounds())
+			}
+		}
+		if _, err := Run(context.Background(), in, Options{Admitted: adm}); err == nil {
+			t.Errorf("%s: an admission whose context was taken served a second build", in.Name)
+		}
+	}
+
+	grid, other := instance(t, "grid", 36, 1), instance(t, "grid", 36, 1)
+	adm, err := guard.ValidateInstance(other, guard.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), grid, Options{Admitted: adm}); err == nil {
+		t.Error("an admission of another graph was adopted")
+	}
+	if adm, err = guard.ValidateInstance(grid, guard.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), grid, Options{Guard: &guard.Options{}, Admitted: adm}); err == nil {
+		t.Error("a run with both Guard and Admitted set ran")
+	}
+	bad := corrupted(t)
+	if adm, err = guard.ValidateInstance(bad, guard.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), bad, Options{Admitted: adm}); !errors.Is(err, guard.ErrRejected) {
+		t.Errorf("a rejecting admission: %v, want its typed rejection", err)
+	}
+}
+
 // TestRunFaultsStayCertified drives the dfs stage through structural
 // faults: the run retries or degrades, and every stage still certifies.
 func TestRunFaultsStayCertified(t *testing.T) {

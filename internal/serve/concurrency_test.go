@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"planardfs/internal/gen"
 )
 
 // TestSingleFlightConcurrentSubmitters races many submitters on the same
@@ -109,6 +112,75 @@ func TestBackpressure429(t *testing.T) {
 				s.Metrics().Counter("serve.jobs.completed"), accepted)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdmittedContextDroppedOnEveryPath follows the certification context
+// an inline submission's admission hands to its build, from the handler
+// goroutine to the worker. One graph is submitted twice, so the first job
+// builds on the context and the second is served from the cache, and a
+// third inline job is canceled while queued. No job left in the table
+// keeps a context.
+func TestAdmittedContextDroppedOnEveryPath(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 8})
+	gate := make(chan struct{})
+	s.testJobGate = gate
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	inline := func(family string, n int) string {
+		in, err := gen.ByName(family, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := gen.EncodeJSON(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"graph":%s}`, data)
+	}
+	keeps := func(id string) bool {
+		s.jobsMu.Lock()
+		j := s.jobs[id]
+		s.jobsMu.Unlock()
+		if j == nil {
+			t.Fatalf("job %s is not in the job table", id)
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.admitted != nil
+	}
+
+	first := postJob(t, ts.URL, inline("grid", 36))
+	canceled := postJob(t, ts.URL, inline("wheel", 12))
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+canceled.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if keeps(canceled.ID) {
+		t.Error("a job canceled while queued keeps its admitted context")
+	}
+	close(gate)
+	if fin := awaitJob(t, ts.URL, first.ID); fin.State != StateDone || fin.Cached {
+		t.Fatalf("first inline job: %+v, want a fresh build", fin)
+	}
+	second := postJob(t, ts.URL, inline("grid", 36))
+	if fin := awaitJob(t, ts.URL, second.ID); fin.State != StateDone || !fin.Cached {
+		t.Fatalf("second inline job: %+v, want a cache hit", fin)
+	}
+	if st := getJob(t, ts.URL, canceled.ID); st.State != StateCanceled {
+		t.Fatalf("canceled job: %+v", st)
+	}
+	for _, id := range []string{first.ID, second.ID, canceled.ID} {
+		if keeps(id) {
+			t.Errorf("job %s keeps its admitted context", id)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

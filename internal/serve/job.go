@@ -9,6 +9,7 @@ import (
 
 	"planardfs/internal/chaos"
 	"planardfs/internal/gen"
+	"planardfs/internal/guard"
 	"planardfs/internal/pipeline"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/trace"
@@ -114,7 +115,13 @@ type job struct {
 
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// admitted is the guard's accepting verdict on in, which carries the
+	// certification context the build adopts (pipeline.Options.Admitted)
+	// from the handler goroutine to the worker. takeAdmitted drops it
+	// before anything else happens to the job, so the job table pins no
+	// context. Nil for generator jobs.
+	admitted *guard.Verdict
 	state    JobState
 	hash     string
 	errMsg   string
@@ -188,6 +195,16 @@ func (j *job) setState(s JobState) {
 	}
 }
 
+// takeAdmitted returns the job's admission verdict and drops the job's
+// reference to it.
+func (j *job) takeAdmitted() *guard.Verdict {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	adm := j.admitted
+	j.admitted = nil
+	return adm
+}
+
 // fail marks the job failed with a message (unless already terminal).
 func (j *job) fail(msg string) {
 	j.mu.Lock()
@@ -226,6 +243,9 @@ func (s *Server) runJob(j *job) {
 	if s.testJobGate != nil {
 		<-s.testJobGate
 	}
+	// Whatever becomes of the job — built, served from the cache, failed
+	// or canceled — the job table keeps no certification context.
+	admitted := j.takeAdmitted()
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.mu.Lock()
 	if j.state == StateCanceled {
@@ -273,6 +293,7 @@ func (s *Server) runJob(j *job) {
 	buildStart := nowNanos()
 	d, cached, err := s.store.do(ctx, hash, func() (*Decomp, error) {
 		res, err := pipeline.Run(ctx, in, pipeline.Options{
+			Admitted:    admitted,
 			Engine:      j.req.Engine,
 			Plan:        plan,
 			MaxAttempts: j.req.MaxAttempts,

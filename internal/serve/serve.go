@@ -207,7 +207,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	inline, ok := s.admitInline(w, &req)
+	inline, admitted, ok := s.admitInline(w, &req)
 	if !ok {
 		return
 	}
@@ -220,6 +220,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req:         req,
 		rec:         trace.NewRecorder(),
 		in:          inline,
+		admitted:    admitted,
 		state:       StateQueued,
 		submittedNS: start,
 	}
@@ -233,6 +234,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.jobsMu.Lock()
 		delete(s.jobs, j.id)
 		s.jobsMu.Unlock()
+		j.takeAdmitted()
 		s.metrics.Count("serve.jobs.rejected", 1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeErr(w, http.StatusTooManyRequests,
@@ -253,22 +255,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // corrupted-embedding graph is a 422 carrying the guard's typed witness.
 // Generator requests pass through untouched (their instances are valid by
 // construction). On admission the decoded instance is returned so the
-// worker never re-parses the raw bytes.
-func (s *Server) admitInline(w http.ResponseWriter, req *JobRequest) (*gen.Instance, bool) {
+// worker never re-parses the raw bytes, with the accepting verdict, whose
+// certification context the build adopts.
+func (s *Server) admitInline(w http.ResponseWriter, req *JobRequest) (*gen.Instance, *guard.Verdict, bool) {
 	if len(req.Graph) == 0 {
-		return nil, true
+		return nil, nil, true
 	}
 	wire, err := gen.DecodeWire(req.Graph)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "graph: %v", err)
-		return nil, false
+		return nil, nil, false
 	}
 	if wire.N > s.opts.MaxN {
 		writeJSON(w, http.StatusBadRequest, httpError{
 			Error: fmt.Sprintf("graph: n = %d exceeds the server limit %d", wire.N, s.opts.MaxN),
 			Field: "n",
 		})
-		return nil, false
+		return nil, nil, false
 	}
 	if err := wire.Check(); err != nil {
 		body := httpError{Error: err.Error()}
@@ -281,17 +284,17 @@ func (s *Server) admitInline(w http.ResponseWriter, req *JobRequest) (*gen.Insta
 		}
 		s.metrics.Count("serve.jobs.malformed", 1)
 		writeJSON(w, http.StatusBadRequest, body)
-		return nil, false
+		return nil, nil, false
 	}
 	in, err := wire.Build()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "graph: %v", err)
-		return nil, false
+		return nil, nil, false
 	}
 	verdict, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "guard: %v", err)
-		return nil, false
+		return nil, nil, false
 	}
 	if !verdict.OK {
 		s.metrics.Count("serve.jobs.rejected_input", 1)
@@ -299,9 +302,9 @@ func (s *Server) admitInline(w http.ResponseWriter, req *JobRequest) (*gen.Insta
 			Error:   fmt.Sprintf("graph rejected (%s): %s", verdict.Witness.Reason, verdict.Witness.Detail),
 			Witness: verdict.Witness,
 		})
-		return nil, false
+		return nil, nil, false
 	}
-	return in, true
+	return in, verdict, true
 }
 
 // retryAfterSeconds estimates the backoff hint from the recent build
@@ -355,6 +358,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	case StateQueued:
 		j.state = StateCanceled
 		j.doneNS = nowNanos()
+		j.admitted = nil
 		s.metrics.Count("serve.jobs.canceled", 1)
 	case StateRunning:
 		if j.cancel != nil {

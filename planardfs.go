@@ -460,7 +460,10 @@ var ErrInputRejected = guard.ErrRejected
 // end to end — shape and connectivity prechecks, the distributed rotation
 // consistency check, the planarity property tester, and the Euler-count
 // certification. A bad input is a rejecting verdict (verdict.Err()
-// returns the typed GuardRejectionError), not an error.
+// returns the typed GuardRejectionError), not an error. An accepting
+// verdict keeps the certification context it validated on until
+// PipelineOptions.Admitted hands it to a Run of the same instance, which
+// then certifies on it instead of building its own.
 func ValidateEmbedding(in *Instance, opt GuardOptions) (*GuardVerdict, error) {
 	return guard.ValidateInstance(in, opt)
 }
