@@ -22,10 +22,13 @@ package congest
 //
 // Determinism contract. The engine is single-threaded and calls the hooks
 // in a fixed order: Crashed in ascending vertex order of the stepped set,
-// Deliver in ascending (sender, sender port) order, Released in ascending
-// vertex order of the woken set. Implementations that keep their mutable
-// state per receiver and per directed edge (as internal/chaos does) take
-// the same decisions whatever subset of vertices the schedule steps.
+// Deliver in ascending sender order and, within a sender, in the order the
+// sender listed its sends, Released in ascending vertex order of the woken
+// set. Implementations that keep their mutable state per receiver and per
+// directed edge (as internal/chaos does) take the same decisions whatever
+// subset of vertices the schedule steps, and whatever order a sender lists
+// its ports in: on a simple graph a receiver hears at most one message per
+// sender in a round.
 //
 // A nil Network.Injector skips every hook; the steady-state round stays
 // allocation-free either way.

@@ -29,57 +29,72 @@ func (c *tickNode) NextWake(round int) int { return round + 2 }
 
 // TestRoundLoopZeroAlloc is the runtime gate behind the
 // //planarvet:noalloc annotations on the round loop (runRound, step,
-// deliver, queue and the wake-timer heap): once the timer heap has ramped
-// up to its steady-state capacity, a full round performs zero allocations
-// even with every edge saturated in both directions and a timer firing
-// every other round.
+// deliver, consume, load, stamp, the step set and the wake-timer heap):
+// once the timer heap has ramped up to its steady-state capacity, a full
+// round performs zero allocations even with every edge saturated in both
+// directions and a timer firing every other round. It runs on 5 vertices
+// and on 8,200, where the saturated cycle and the timer vertex sit in
+// three different summary words of the step set.
 func TestRoundLoopZeroAlloc(t *testing.T) {
-	g := graph.New(5) // vertex 4 is isolated: only its timer can step it
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
-	g.MustAddEdge(3, 0)
-	g.MustAddEdge(0, 2)
+	for _, c := range []struct {
+		n    int
+		core [4]int // the saturated 4-cycle with chord core[0]-core[2]
+	}{
+		{5, [4]int{0, 1, 2, 3}},
+		{8200, [4]int{0, 4095, 4096, 8000}},
+	} {
+		g := graph.New(c.n) // the last vertex is isolated: only its timer can step it
+		k := c.core
+		g.MustAddEdge(k[0], k[1])
+		g.MustAddEdge(k[1], k[2])
+		g.MustAddEdge(k[2], k[3])
+		g.MustAddEdge(k[3], k[0])
+		g.MustAddEdge(k[0], k[2])
 
-	nodes := make([]Node, g.N())
-	for v := 0; v < 4; v++ {
-		out := make([]Outgoing, g.Degree(v))
-		for p := range out {
-			out[p] = Outgoing{Port: p, Msg: Message{Kind: 7}}
+		nodes := make([]Node, g.N())
+		for v := range nodes {
+			out := make([]Outgoing, g.Degree(v))
+			for p := range out {
+				out[p] = Outgoing{Port: p, Msg: Message{Kind: 7}}
+			}
+			nodes[v] = &saturatorNode{out: out}
 		}
-		nodes[v] = &saturatorNode{out: out}
-	}
-	tick := &tickNode{}
-	nodes[4] = tick
+		tick := &tickNode{}
+		nodes[c.n-1] = tick
 
-	e := newEngine(g)
-	e.reset(New(g), nodes, 1<<20)
-	e.start()
-	oneRound := func() {
-		if err := e.runRound(); err != nil {
-			t.Fatal(err)
+		e := newEngine(g)
+		e.reset(New(g), nodes, 1<<20)
+		e.start()
+		oneRound := func() {
+			if err := e.runRound(); err != nil {
+				t.Fatal(err)
+			}
+			e.round++
 		}
-		e.round++
-	}
-	// Warm-up rounds grow the timer heap to its steady-state capacity.
-	for i := 0; i < 4; i++ {
-		oneRound()
-	}
+		// Warm-up rounds grow the timer heap to its steady-state capacity.
+		for i := 0; i < 4; i++ {
+			oneRound()
+		}
 
-	const runs = 100
-	allocs := testing.AllocsPerRun(runs, oneRound)
-	if allocs != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", allocs)
-	}
-	for v := 0; v < 4; v++ {
-		if got, want := len(e.inbox[v]), g.Degree(v); got != want {
-			t.Fatalf("vertex %d received %d messages, want %d", v, got, want)
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, oneRound)
+		if allocs != 0 {
+			t.Fatalf("n=%d: steady-state round allocates %.1f times, want 0", c.n, allocs)
 		}
-	}
-	// Round 0 plus every even round of the 4 warm-up and 1+runs measured
-	// rounds (AllocsPerRun adds one warm-up call of its own).
-	if want := (4 + 1 + runs + 1) / 2; tick.steps != want {
-		t.Fatalf("timer node stepped %d times over %d rounds, want %d", tick.steps, e.round, want)
+		for _, v := range k {
+			if got, want := len(e.inbox[v]), g.Degree(v); got != want {
+				t.Fatalf("n=%d: vertex %d received %d messages, want %d", c.n, v, got, want)
+			}
+		}
+		// Every vertex with ports, plus the timer vertex in even rounds.
+		if got, want := len(e.active), 4+1-e.round%2; got != want {
+			t.Fatalf("n=%d: %d vertices active in round %d, want %d", c.n, got, e.round, want)
+		}
+		// Round 0 plus every even round of the 4 warm-up and 1+runs measured
+		// rounds (AllocsPerRun adds one warm-up call of its own).
+		if want := (4 + 1 + runs + 1) / 2; tick.steps != want {
+			t.Fatalf("n=%d: timer node stepped %d times over %d rounds, want %d", c.n, tick.steps, e.round, want)
+		}
 	}
 }
 

@@ -67,6 +67,22 @@ func (b badPortNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoi
 	return nil, round == 0
 }
 
+// dupSendNode runs its program but sends twice on port 0 in round at, a
+// protocol error that aborts the run after the vertices before it in the
+// round have stepped and stamped their ports.
+type dupSendNode struct {
+	congest.Node
+	at int
+}
+
+func (d dupSendNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
+	if round == d.at {
+		m := congest.Message{Kind: 1}
+		return []congest.Outgoing{{Port: 0, Msg: m}, {Port: 0, Msg: m}}, false
+	}
+	return d.Node.Round(round, recv)
+}
+
 // reuseStep is one Run of the reuse sequence: its word budget (0 means the
 // default 4), the fault plan armed for it, a graph change made before it,
 // the node programs and the rendering of their results.
@@ -87,8 +103,12 @@ type reuseStep struct {
 // run that ends with wake-ups pending and a protocol-error abort (each
 // followed by a normal run), an injected
 // run followed by a clean one, and a run after AddEdge, which must rebuild
-// the routing. Rounds, errors, node outputs, Stats and the recorded traces
-// must be identical.
+// the routing. Two aborts come mid-traffic: a duplicate send halfway
+// through a round of random chatter, after half the vertices stamped their
+// ports, and a round limit with every inbox still full; the clean runs
+// after them would see a stale port stamp as a duplicate send and an
+// unread inbox entry as an extra message. Rounds, errors, node outputs,
+// Stats and the recorded traces must be identical.
 func TestNetworkReuseMatchesFresh(t *testing.T) {
 	g := goldenInstance(t, "stacked", 120, 4).G.Clone()
 	n := g.N()
@@ -174,6 +194,11 @@ func TestNetworkReuseMatchesFresh(t *testing.T) {
 		nodes[n/2] = badPortNode{deg: nw.G.Degree(n / 2)}
 		return nodes
 	}
+	chatterDupSend := func(nw *congest.Network) []congest.Node {
+		nodes := chatter(nw)
+		nodes[n/2] = dupSendNode{Node: nodes[n/2], at: 3}
+		return nodes
+	}
 	noOut := func([]congest.Node) any { return nil }
 	awerbuch := func(nw *congest.Network) []congest.Node { return congest.NewAwerbuchNodes(nw, 0) }
 	awerbuchOut := func(nodes []congest.Node) any {
@@ -199,6 +224,10 @@ func TestNetworkReuseMatchesFresh(t *testing.T) {
 		{name: "waker-after-pending-wake-ups", build: periodic(4, 13, false), limit: 40, out: periodicOut},
 		{name: "protocol-error", maxWords: 7, build: badPort, limit: 8, out: noOut, wantError: true},
 		{name: "label-after-protocol-error", maxWords: 7, build: label, limit: 8, out: labelOut},
+		{name: "mid-round-protocol-error", build: chatterDupSend, limit: 100, out: noOut, wantError: true},
+		{name: "chatter-after-mid-round-protocol-error", build: chatter, limit: 100, out: chatterOut},
+		{name: "mid-traffic-round-limit", maxWords: 7, build: label, limit: 1, out: labelOut, wantError: true},
+		{name: "label-after-mid-traffic-round-limit", maxWords: 7, build: label, limit: 8, out: labelOut},
 		{name: "awerbuch", build: awerbuch, limit: 10 * n, out: awerbuchOut},
 		{name: "injected", plan: plan, build: bfs, limit: 4 * n, out: bfsOut},
 		{name: "after-injected", build: pa, limit: 16 * n, out: paOut},

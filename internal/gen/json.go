@@ -74,50 +74,52 @@ func (w *Wire) Check() error {
 	if w.N < 3 && m > 1 {
 		return fieldErr("edges", -1, "%d edges on %d vertices exceeds the planar bound 1", m, w.N)
 	}
-	seen := make(map[[2]int]bool, m)
-	adj := make([]map[int]bool, w.N)
+	// Edges are checked in list order. A range or self-loop fault stops the
+	// scan, so a duplicate is only reported if it comes before the first such
+	// fault.
+	bad := m
 	for i, e := range w.Edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= w.N || v < 0 || v >= w.N {
-			return fieldErr("edges", i, "endpoint out of range [0,%d): {%d,%d}", w.N, u, v)
+		if u < 0 || u >= w.N || v < 0 || v >= w.N || u == v {
+			bad = i
+			break
 		}
-		if u == v {
-			return fieldErr("edges", i, "self-loop at %d", u)
+	}
+	adj := newWireAdjacency(w.N, w.Edges[:bad])
+	if i := adj.firstDuplicate(); i < bad {
+		return fieldErr("edges", i, "duplicate edge {%d,%d}", w.Edges[i][0], w.Edges[i][1])
+	}
+	if bad < m {
+		u, v := w.Edges[bad][0], w.Edges[bad][1]
+		if u == v && u >= 0 && u < w.N {
+			return fieldErr("edges", bad, "self-loop at %d", u)
 		}
-		a, b := u, v
-		if a > b {
-			a, b = b, a
-		}
-		if seen[[2]int{a, b}] {
-			return fieldErr("edges", i, "duplicate edge {%d,%d}", u, v)
-		}
-		seen[[2]int{a, b}] = true
-		if adj[u] == nil {
-			adj[u] = make(map[int]bool, 4)
-		}
-		if adj[v] == nil {
-			adj[v] = make(map[int]bool, 4)
-		}
-		adj[u][v] = true
-		adj[v][u] = true
+		return fieldErr("edges", bad, "endpoint out of range [0,%d): {%d,%d}", w.N, u, v)
 	}
 	if len(w.Rotations) != w.N {
 		return fieldErr("rotations", -1, "%d rows for %d vertices", len(w.Rotations), w.N)
 	}
+	// mark[x] is 2v+1 while x is an unlisted neighbour of the row v being
+	// checked, and 2v+2 once the row has listed it.
+	mark := adj.first // reused: firstDuplicate is done with it
+	clear(mark)
 	for v, rot := range w.Rotations {
-		deg := len(adj[v])
-		if len(rot) != deg {
-			return fieldErr("rotations", v, "%d entries for degree %d", len(rot), deg)
+		row := adj.row(v)
+		if len(rot) != len(row) {
+			return fieldErr("rotations", v, "%d entries for degree %d", len(rot), len(row))
 		}
-		dup := make(map[int]bool, deg)
+		nb, listed := 2*v+1, 2*v+2
+		for _, x := range row {
+			mark[x] = nb
+		}
 		for _, x := range rot {
-			if x < 0 || x >= w.N || !adj[v][x] {
+			if x < 0 || x >= w.N || mark[x] != nb && mark[x] != listed {
 				return fieldErr("rotations", v, "entry %d is not a neighbour of %d", x, v)
 			}
-			if dup[x] {
+			if mark[x] == listed {
 				return fieldErr("rotations", v, "neighbour %d listed twice", x)
 			}
-			dup[x] = true
+			mark[x] = listed
 		}
 	}
 	if m > 0 && (w.OuterDart < 0 || w.OuterDart >= 2*m) {
@@ -127,6 +129,70 @@ func (w *Wire) Check() error {
 		return fieldErr("outerDart", -1, "%d nonzero on an edgeless graph", w.OuterDart)
 	}
 	return nil
+}
+
+// wireAdjacency is the adjacency of a wire's edge list, built by one
+// counting sort: row(v) lists v's neighbours in edge-list order, with the
+// edge index of each entry alongside.
+type wireAdjacency struct {
+	off   []int // row v is nbr[off[v]:off[v+1]]
+	nbr   []int
+	edge  []int // edge[k] is the list position of the edge behind nbr[k]
+	first []int // scratch of one slot per vertex
+}
+
+// newWireAdjacency builds the adjacency of edges, whose endpoints must be
+// in [0, n) and distinct.
+func newWireAdjacency(n int, edges [][2]int) *wireAdjacency {
+	a := &wireAdjacency{
+		off:   make([]int, n+1),
+		nbr:   make([]int, 2*len(edges)),
+		edge:  make([]int, 2*len(edges)),
+		first: make([]int, n),
+	}
+	for _, e := range edges {
+		a.off[e[0]+1]++
+		a.off[e[1]+1]++
+	}
+	for v := 0; v < n; v++ {
+		a.off[v+1] += a.off[v]
+	}
+	fill := a.first
+	copy(fill, a.off[:n])
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		a.nbr[fill[u]], a.edge[fill[u]] = v, i
+		fill[u]++
+		a.nbr[fill[v]], a.edge[fill[v]] = u, i
+		fill[v]++
+	}
+	return a
+}
+
+func (a *wireAdjacency) row(v int) []int { return a.nbr[a.off[v]:a.off[v+1]] }
+
+// firstDuplicate returns the list position of the first edge that repeats
+// an earlier one, or the edge count if none does. Each row lists its
+// neighbours in edge-list order, so the second entry of a neighbour in a
+// row is the first repeat of that pair.
+func (a *wireAdjacency) firstDuplicate() int {
+	first := a.first
+	for i := range first {
+		first[i] = -1
+	}
+	dup := len(a.nbr) / 2
+	for v := 0; v+1 < len(a.off); v++ {
+		lo, hi := a.off[v], a.off[v+1]
+		for k := lo; k < hi; k++ {
+			x := a.nbr[k]
+			if first[x] < lo {
+				first[x] = k
+			} else if a.edge[k] < dup {
+				dup = a.edge[k]
+			}
+		}
+	}
+	return dup
 }
 
 // Build constructs the in-memory instance from a wire that passed Check.

@@ -133,7 +133,7 @@ func (rn *rotNode) checkRotation(rot []int, portOf []int) {
 // the claimed rotations on vf's network and aggregates the verdict over
 // its BFS tree. It returns the rejecting vertices (nil on acceptance) with
 // the measured cost.
-func runRotationCheck(vf *cert.Verifier, rot [][]int, opt Options) (rejectors []int, rounds int, messages int64, err error) {
+func runRotationCheck(vf *cert.Verifier, rot *claim, opt Options) (rejectors []int, rounds int, messages int64, err error) {
 	nw := vf.Network()
 	n := nw.G.N()
 	ports := 2 * nw.G.M()
@@ -149,10 +149,7 @@ func runRotationCheck(vf *cert.Verifier, rot [][]int, opt Options) (rejectors []
 	portOf := make([]int, n)
 	base := 0
 	for v := range rns {
-		var claimed []int
-		if v < len(rot) {
-			claimed = rot[v]
-		}
+		claimed := rot.row(v)
 		nb := vf.Neighbors(v)
 		end := base + len(nb)
 		rn := &rns[v]
@@ -203,11 +200,9 @@ func runRotationCheck(vf *cert.Verifier, rot [][]int, opt Options) (rejectors []
 // centrally, producing the human-readable witness detail. It mirrors the
 // distributed judges exactly and falls back to the endpoint ruling when
 // the vertex's own rotation is locally fine (the far end faulted).
-func diagnoseRotation(g *graph.Graph, rot [][]int, v int) (Reason, string) {
-	var claimed []int
-	if v < len(rot) {
-		claimed = rot[v]
-	}
+func diagnoseRotation(g *graph.Graph, rot *claim, v int) (Reason, string) {
+	// A copy: reading the neighbours' rows below reuses an embedding's row.
+	claimed := append([]int(nil), rot.row(v)...)
 	if len(claimed) != g.Degree(v) {
 		return ReasonRotation, fmt.Sprintf("vertex %d: rotation has %d entries for degree %d", v, len(claimed), g.Degree(v))
 	}
@@ -230,12 +225,10 @@ func diagnoseRotation(g *graph.Graph, rot [][]int, v int) (Reason, string) {
 	// because a neighbour's message failed the link check.
 	for _, w := range g.Neighbors(v) {
 		found := false
-		if w < len(rot) {
-			for _, x := range rot[w] {
-				if x == v {
-					found = true
-					break
-				}
+		for _, x := range rot.row(w) {
+			if x == v {
+				found = true
+				break
 			}
 		}
 		if !found {

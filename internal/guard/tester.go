@@ -65,6 +65,17 @@ type ballNode struct {
 	mS2    int // 2 * edges inside the ball
 }
 
+// reset readies the program for a probe, keeping its child-port backing.
+// It writes every field in place: a struct literal here is built in a
+// temporary and copied, once per vertex per probe.
+func (bn *ballNode) reset(deg int, center bool, radius int) {
+	bn.deg, bn.center, bn.radius = deg, center, radius
+	bn.dist, bn.parentPort, bn.childPorts = -1, -1, bn.childPorts[:0]
+	bn.memberNbrs, bn.adopted, bn.reported = 0, false, false
+	bn.gotReports, bn.accSize, bn.accHalf = 0, 0, 0
+	bn.judged, bn.nS, bn.mS2 = false, 0, 0
+}
+
 // Round implements congest.Node.
 func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	var out []congest.Outgoing
@@ -180,8 +191,7 @@ func centersFor(n int, opt Options) []int {
 func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, center, radius int) (nS, mS2, rounds int, messages int64, err error) {
 	g := nw.G
 	for v := range balls {
-		balls[v] = ballNode{deg: g.Degree(v), center: v == center, radius: radius, dist: -1, parentPort: -1,
-			childPorts: balls[v].childPorts[:0]}
+		balls[v].reset(g.Degree(v), v == center, radius)
 	}
 	cn := &balls[center]
 	r, err := nw.Run(nodes, 2*radius+16)

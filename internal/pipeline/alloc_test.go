@@ -35,8 +35,10 @@ import (
 // dfs stage charging its trace once per recursion phase from dfs.Trace;
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
 // Guarded by the admission guard (Options.Guard, seed 1), untraced: at
-// most 5.50 MB and 6.80 MB (about 5.23 MB and 6.49 MB measured, with the
-// run certifying on the Verifier the guard validated on; 6.71 MB and
+// most 5.30 MB and 6.45 MB (about 5.04 MB and 6.22 MB measured, with the
+// guard reading rotations into one reused row and certifying the
+// instance's own embedding; 5.23 MB and 6.49 MB when it rebuilt both, with
+// the run certifying on the Verifier the guard validated on; 6.71 MB and
 // 8.26 MB when the run built a second one).
 func TestRunBytesPerRun(t *testing.T) {
 	grid, stacked := gateInstances(t)
@@ -51,8 +53,8 @@ func TestRunBytesPerRun(t *testing.T) {
 		{"stacked-1000", stacked, false, false, 5.45e6},
 		{"grid-32x32 traced", grid, true, false, 4.60e6},
 		{"stacked-1000 traced", stacked, true, false, 5.55e6},
-		{"grid-32x32 guarded", grid, false, true, 5.50e6},
-		{"stacked-1000 guarded", stacked, false, true, 6.80e6},
+		{"grid-32x32 guarded", grid, false, true, 5.30e6},
+		{"stacked-1000 guarded", stacked, false, true, 6.45e6},
 	} {
 		run := func() {
 			opts := Options{}
