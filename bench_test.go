@@ -8,6 +8,7 @@ package planardfs
 // as human-readable tables.
 
 import (
+	"slices"
 	"testing"
 
 	"planardfs/internal/congest"
@@ -33,21 +34,19 @@ func BenchmarkE1SeparatorRounds(b *testing.B) {
 				}
 			}
 			last := rows[len(rows)-1]
+			// The row reports the rounds an instrumented engine call on
+			// the same instance charges.
+			rec := trace.NewRecorder()
+			if _, err := exp.TraceSeparator(fam, benchSizes[len(benchSizes)-1], 1, rec); err != nil {
+				b.Fatal(err)
+			}
+			if rec.Now() != int64(last.PaperRounds) {
+				b.Fatalf("E1 reports %d paper rounds, the traced call charged %d", last.PaperRounds, rec.Now())
+			}
 			b.ReportMetric(float64(last.PaperRounds), "paper-rounds")
 			b.ReportMetric(float64(last.PipelinedRounds), "pipelined-rounds")
 			b.ReportMetric(last.NormPaper, "rounds/Dlog4")
 			b.ReportMetric(float64(last.SepLen), "sep-len")
-			// Cross-check the engine's reported rounds with the metrics
-			// registry of an instrumented run at the largest size.
-			rec := trace.NewRecorder()
-			res, err := exp.TraceSeparator(fam, benchSizes[len(benchSizes)-1], 1, rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := rec.Counter("rounds.charged"); got != int64(res.Rounds) {
-				b.Fatalf("traced run charged %d rounds, its result reports %d", got, res.Rounds)
-			}
-			b.ReportMetric(float64(res.Rounds), "traced-rounds")
 			b.ReportMetric(float64(rec.Counter("ops.pa")), "traced-pa-ops")
 		})
 	}
@@ -65,18 +64,26 @@ func BenchmarkE2DFSRounds(b *testing.B) {
 				}
 			}
 			last := rows[len(rows)-1]
+			// The row reports the rounds the dfs stage of an instrumented
+			// pipeline run on the same instance charges.
+			rec := trace.NewRecorder()
+			sum, err := exp.TraceDFS(fam, 1024, 1, rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spans := rec.Spans()
+			i := slices.IndexFunc(spans, func(sp TraceSpan) bool { return sp.Name == "dfs.build" })
+			if i < 0 {
+				b.Fatal("the traced run recorded no dfs.build span")
+			}
+			if covered := spans[i].End - spans[i].Start; sum.Result.DFSRounds != last.PaperRounds || covered != int64(last.PaperRounds) {
+				b.Fatalf("E2 reports %d paper rounds, the traced run's DFSRounds %d, its dfs.build span %d",
+					last.PaperRounds, sum.Result.DFSRounds, covered)
+			}
 			b.ReportMetric(float64(last.PaperRounds), "paper-rounds")
 			b.ReportMetric(float64(last.PipelinedRounds), "pipelined-rounds")
 			b.ReportMetric(float64(last.AwerbuchMeasured), "awerbuch-rounds")
 			b.ReportMetric(float64(last.Phases), "phases")
-			// Metrics registry of an instrumented DFS run: charged rounds of
-			// the Theorem 2 pipeline plus the simulated baseline rounds.
-			rec := trace.NewRecorder()
-			if _, err := exp.TraceDFS(fam, 1024, 1, rec); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(rec.Counter("rounds.charged")), "traced-rounds")
-			b.ReportMetric(float64(rec.Counter("congest.rounds")), "traced-awe-rounds")
 		})
 	}
 }

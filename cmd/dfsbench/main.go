@@ -15,8 +15,9 @@
 // witness on rejection. -certify always guards the one instance it runs,
 // so -guard adds nothing to it.
 //
-// -certify runs the Theorem 2 pipeline (planardfs.Run) with the admission
-// guard on one instance and prints the guard's admission line and the
+// -certify validates one instance with the admission guard
+// (planardfs.ValidateEmbedding), runs the Theorem 2 pipeline (planardfs.Run)
+// on that admission and prints the guard's admission line and the
 // spanning-tree, DFS and separator verdicts. It exits nonzero when the
 // guard rejects, when the Theorem 2 tree is not certified on its first
 // attempt (printing the recovery report instead of the verdicts), or when
@@ -103,7 +104,7 @@ func run() error {
 		}
 		fmt.Println("E2 — Theorem 2: DFS rounds, deterministic Õ(D) vs Awerbuch Θ(n)")
 		fmt.Printf("%-12s %7s %5s %7s %8s %12s %12s %10s %10s %10s\n",
-			"family", "n", "D", "phases", "maxJoin", "paper", "pipelined", "awe-thy", "awe-msr", "paper/Dlog5")
+			"family", "n", "depth", "phases", "maxJoin", "paper", "pipelined", "awe-thy", "awe-msr", "paper/Dlog5")
 		for _, r := range rows {
 			fmt.Printf("%-12s %7d %5d %7d %8d %12d %12d %10d %10d %10.2f\n",
 				r.Family, r.N, r.D, r.Phases, r.MaxJoinSubPhases,
@@ -174,23 +175,24 @@ func run() error {
 	return nil
 }
 
-// certifyRun runs the Theorem 2 pipeline with the admission guard on one
-// generated instance and prints the admission line, then one verdict line
-// per certification scheme: spanning tree, DFS tree and separator.
+// certifyRun validates one generated instance with the admission guard,
+// prints the admission line, runs the Theorem 2 pipeline on the admission
+// and prints one verdict line per certification scheme: spanning tree, DFS
+// tree and separator.
 func certifyRun(family string, n int, seed int64) error {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("certifying DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), planardfs.OuterRoot(in))
-	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{
-		Guard: &planardfs.GuardOptions{Seed: seed},
-	})
-	if res != nil && res.Admission != nil {
-		if err := cli.PrintAdmission(os.Stdout, os.Stderr, in, res.Admission); err != nil {
-			return err
-		}
+	adm, err := planardfs.ValidateEmbedding(in, planardfs.GuardOptions{Seed: seed})
+	if err != nil {
+		return err
 	}
+	if err := cli.PrintAdmission(os.Stdout, os.Stderr, in, adm); err != nil {
+		return err
+	}
+	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{Admitted: adm})
 	if res != nil && res.Recovery != nil {
 		if err := requireFirstAttempt(os.Stdout, res.Recovery); err != nil {
 			return err

@@ -118,7 +118,7 @@ func run() error {
 		}
 		fmt.Println("E1 — Theorem 1: cycle separator rounds scale with Õ(D)")
 		fmt.Printf("%-12s %7s %7s %5s %7s %-15s %12s %12s %10s\n",
-			"family", "n", "m", "D", "sepLen", "phase", "paper", "pipelined", "paper/Dlog4")
+			"family", "n", "m", "depth", "sepLen", "phase", "paper", "pipelined", "paper/Dlog4")
 		for _, r := range rows {
 			fmt.Printf("%-12s %7d %7d %5d %7d %-15s %12d %12d %10.2f\n",
 				r.Family, r.N, r.M, r.D, r.SepLen, r.Phase, r.PaperRounds, r.PipelinedRounds, r.NormPaper)
@@ -155,7 +155,7 @@ func run() error {
 		}
 		fmt.Println("E8 — Prop. 2/4: part-wise aggregation rounds and shortcut quality")
 		fmt.Printf("%7s %5s %5s %10s %10s %10s %8s %8s %10s\n",
-			"n", "D", "k", "measured", "pipe-est", "paper-est", "cong.", "dilat.", "msgs/node")
+			"n", "depth", "k", "measured", "pipe-est", "paper-est", "cong.", "dilat.", "msgs/node")
 		for _, r := range rows {
 			fmt.Printf("%7d %5d %5d %10d %10d %10d %8d %8d %10.1f\n",
 				r.N, r.D, r.K, r.MeasuredRounds, r.PipelinedEst, r.PaperEst,
@@ -181,7 +181,7 @@ func run() error {
 		}
 		fmt.Println("E12 — separator size: cycle separator vs BFS-level baseline")
 		fmt.Printf("%-12s %7s %5s %9s %9s %10s %10s\n",
-			"family", "n", "D", "cycleLen", "levelLen", "cycleBal", "levelBal")
+			"family", "n", "depth", "cycleLen", "levelLen", "cycleBal", "levelBal")
 		for _, r := range rows {
 			fmt.Printf("%-12s %7d %5d %9d %9d %10.3f %10.3f\n",
 				r.Family, r.N, r.D, r.CycleSepLen, r.LevelSepLen, r.CycleBalance, r.LevelBalance)

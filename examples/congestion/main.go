@@ -17,8 +17,10 @@ func main() {
 	}
 	g := in.G
 	n := g.N()
-	d := g.Diameter()
-	fmt.Printf("graph: %s  n=%d  D=%d\n", in.Name, n, d)
+	// The aggregation runs over the BFS tree from vertex 0; its depth
+	// prices the estimates.
+	depth := g.Eccentricity(0)
+	fmt.Printf("graph: %s  n=%d  BFS depth=%d\n", in.Name, n, depth)
 
 	// Part-wise aggregation with a growing number of parts: the measured
 	// rounds follow O(depth + k).
@@ -39,8 +41,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pipe := planardfs.PipelinedCost{Depth: d}
-		paper := planardfs.PaperCost{D: d, N: n}
+		pipe := planardfs.PipelinedCost{Depth: depth}
+		paper := planardfs.PaperCost{D: depth, N: n}
 		fmt.Printf("%6d %10d %14d %14d\n", k, stats.Rounds,
 			(planardfs.Ops{PA: 1}).Rounds(pipe, k),
 			(planardfs.Ops{PA: 1}).Rounds(paper, k))

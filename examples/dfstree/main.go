@@ -15,9 +15,10 @@ func main() {
 		log.Fatal(err)
 	}
 	n := in.G.N()
-	d := in.G.Diameter()
 	root := planardfs.OuterRoot(in)
-	fmt.Printf("graph: %s  n=%d  D=%d  root=%d\n", in.Name, n, d, root)
+	// The depth of the BFS tree from root, which prices the rounds.
+	depth := in.G.Eccentricity(root)
+	fmt.Printf("graph: %s  n=%d  BFS depth=%d  root=%d\n", in.Name, n, depth, root)
 
 	tree, trace, err := planardfs.BuildDFSTree(in, root)
 	if err != nil {
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("join sub-phases: total %d, max per join %d\n",
 		trace.JoinSubPhases, trace.MaxJoinSubPhases)
 
-	cm := planardfs.PaperCost{D: d, N: n}
+	cm := planardfs.PaperCost{D: depth, N: n}
 	det := planardfs.DFSRounds(n, trace, cm)
 	awe := planardfs.AwerbuchRounds(n)
 	fmt.Printf("simulated rounds: deterministic Õ(D) = %d, Awerbuch Θ(n) = %d\n", det, awe)

@@ -110,8 +110,14 @@ func TestBuildDFSTreeGuarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded := PipelineOptions{Guard: &GuardOptions{Seed: 11}}
-	res, err := Run(context.Background(), in, guarded)
+	guarded := func(in *Instance) (*PipelineResult, error) {
+		adm, err := ValidateEmbedding(in, GuardOptions{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(context.Background(), in, PipelineOptions{Admitted: adm})
+	}
+	res, err := guarded(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestBuildDFSTreeGuarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err = Run(context.Background(), corruptedInstance(t), guarded)
+	res, err = guarded(corruptedInstance(t))
 	if !errors.Is(err, ErrInputRejected) {
 		t.Fatalf("corrupted run error %v does not match ErrInputRejected", err)
 	}

@@ -18,8 +18,9 @@ import (
 
 // TestGuardedBuildUsesOneVerifier gates the certification contexts a
 // guarded build makes on the first cold-stacked input (a stacked
-// triangulation of n = 1000): a pipeline.Run guarded in place and a planard
-// inline job, admitted before it is queued, each make one Verifier, the
+// triangulation of n = 1000): a pipeline.Run handed the verdict of the
+// admission that validated its instance and a planard inline job, admitted
+// before it is queued, each make one Verifier, the
 // guard's, and build one BFS tree from vertex 0 and one set of
 // label-exchange programs (two of each when the build made its own
 // Verifier). congest's TestGuardedBuildUsesOneEngine gates the round
@@ -34,7 +35,11 @@ func TestGuardedBuildUsesOneVerifier(t *testing.T) {
 		build func(t *testing.T, in *gen.Instance)
 	}{
 		{"guarded pipeline.Run", func(t *testing.T, in *gen.Instance) {
-			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Guard: &guard.Options{Seed: 1}}); err != nil {
+			adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Admitted: adm}); err != nil {
 				t.Fatal(err)
 			}
 		}},

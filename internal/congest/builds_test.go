@@ -18,8 +18,9 @@ import (
 
 // TestGuardedBuildUsesOneEngine gates the round engines and aggregation
 // programs a guarded build builds on the first cold-stacked input (a
-// stacked triangulation of n = 1000): a pipeline.Run guarded in place and
-// a planard inline job, admitted before it is queued, each build one round
+// stacked triangulation of n = 1000): a pipeline.Run handed the verdict of
+// the admission that validated its instance and a planard inline job,
+// admitted before it is queued, each build one round
 // engine and one single-part PA program set, the guard's Verifier's, which
 // certify the build too (two of each when the build made its own
 // Verifier). cert's TestGuardedBuildUsesOneVerifier gates the Verifiers,
@@ -34,7 +35,11 @@ func TestGuardedBuildUsesOneEngine(t *testing.T) {
 		build func(t *testing.T, in *gen.Instance)
 	}{
 		{"guarded pipeline.Run", func(t *testing.T, in *gen.Instance) {
-			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Guard: &guard.Options{Seed: 1}}); err != nil {
+			adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Admitted: adm}); err != nil {
 				t.Fatal(err)
 			}
 		}},

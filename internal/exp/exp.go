@@ -11,8 +11,10 @@ import (
 	"planardfs/internal/dist"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
+	"planardfs/internal/sepengine"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
 	"planardfs/internal/weights"
 )
 
@@ -40,7 +42,9 @@ func configFor(in *gen.Instance, kind string) (*weights.Config, error) {
 }
 
 // E1Row is one sweep point of experiment E1 (Theorem 1: separator rounds
-// scale with Õ(D), not with n).
+// scale with Õ(D), not with n). D is the depth of the configuration's BFS
+// tree from the outer-face root, the depth the engine prices its rounds at
+// (depth ≤ diameter ≤ 2·depth).
 type E1Row struct {
 	Family          string
 	N, M, D         int
@@ -48,13 +52,15 @@ type E1Row struct {
 	Phase           separator.Phase
 	PaperRounds     int
 	PipelinedRounds int
-	// NormPaper is PaperRounds / (D·log⁴n) — two log factors from the PA
-	// charge, two from the subroutine invocation counts (MARK-PATH) — flat
-	// across the sweep iff the Õ(D) shape holds.
+	// NormPaper is PaperRounds / ((D+1)·log⁴n) — two log factors from the
+	// PA charge, two from the subroutine invocation counts (MARK-PATH) —
+	// flat across the sweep iff the Õ(D) shape holds.
 	NormPaper float64
 }
 
-// E1 sweeps separator computations across families and sizes.
+// E1 sweeps Theorem 1 engine calls across families and sizes. The paper
+// figure is the engine's Result.Rounds, the rounds a traced call charges;
+// the pipelined figure prices the same schedule at the same depth.
 func E1(families []string, sizes []int, seed int64) ([]E1Row, error) {
 	var rows []E1Row
 	for _, fam := range families {
@@ -63,31 +69,33 @@ func E1(families []string, sizes []int, seed int64) ([]E1Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg, err := configFor(in, "bfs")
+			cfg, res, err := theorem1(in, nil)
 			if err != nil {
 				return nil, err
 			}
-			sep, err := separator.Find(cfg)
-			if err != nil {
-				return nil, err
-			}
-			nn := in.G.N()
-			if maxC := separator.VerifyBalance(in.G, sep.Path); 3*maxC > 2*nn {
-				return nil, fmt.Errorf("E1: unbalanced separator on %s", in.Name)
-			}
-			d := in.G.Diameter()
+			nn, d := in.G.N(), cfg.Tree.MaxDepth()
 			l := shortcut.Log2Ceil(nn + 1)
-			paper := dist.SeparatorOps(nn).Rounds(shortcut.PaperCost{D: d, N: nn}, 1)
-			pipe := dist.SeparatorOps(nn).Rounds(shortcut.PipelinedCost{Depth: d}, 1)
 			rows = append(rows, E1Row{
 				Family: fam, N: nn, M: in.G.M(), D: d,
-				SepLen: len(sep.Path), Phase: sep.Phase,
-				PaperRounds: paper, PipelinedRounds: pipe,
-				NormPaper: float64(paper) / float64((d+1)*l*l*l*l),
+				SepLen: len(res.Sep.Path), Phase: res.Sep.Phase,
+				PaperRounds:     res.Rounds,
+				PipelinedRounds: dist.SeparatorOps(nn).Rounds(shortcut.PipelinedCost{Depth: d}, 1),
+				NormPaper:       float64(res.Rounds) / float64((d+1)*l*l*l*l),
 			})
 		}
 	}
 	return rows, nil
+}
+
+// theorem1 runs the Theorem 1 engine on the BFS-tree configuration of in,
+// recorded on tracer (nil disables tracing).
+func theorem1(in *gen.Instance, tracer trace.Tracer) (*weights.Config, *sepengine.Result, error) {
+	cfg, err := configFor(in, "bfs")
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sepengine.Find("", cfg, sepengine.Options{Tracer: tracer})
+	return cfg, res, err
 }
 
 // E3Row aggregates separator quality over many random instances
@@ -184,7 +192,8 @@ func E4(families []string, n int, seeds int) ([]E4Row, error) {
 }
 
 // E12Row compares separator sizes: the cycle separator's path length versus
-// the BFS-level baseline's width.
+// the BFS-level baseline's width. D is the configuration's BFS tree depth,
+// as in E1.
 type E12Row struct {
 	Family       string
 	N, D         int
@@ -202,18 +211,15 @@ func E12(families []string, n int, seed int64) ([]E12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := configFor(in, "bfs")
+		cfg, res, err := theorem1(in, nil)
 		if err != nil {
 			return nil, err
 		}
-		sep, err := separator.Find(cfg)
-		if err != nil {
-			return nil, err
-		}
+		sep := res.Sep
 		lvl := separator.BFSLevelSeparator(in.G, cfg.Tree.Root)
 		nn := in.G.N()
 		rows = append(rows, E12Row{
-			Family: fam, N: nn, D: in.G.Diameter(),
+			Family: fam, N: nn, D: cfg.Tree.MaxDepth(),
 			CycleSepLen:  len(sep.Path),
 			LevelSepLen:  len(lvl),
 			CycleBalance: float64(separator.VerifyBalance(in.G, sep.Path)) / float64(nn),

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 
 	"planardfs/internal/gen"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
 )
 
 var smallFamilies = []string{"grid", "stacked", "sparse"}
@@ -32,6 +34,57 @@ func TestE1SmallSweep(t *testing.T) {
 		a, b := rows[i].NormPaper, rows[i+1].NormPaper
 		if a/b > 1.5 || b/a > 1.5 {
 			t.Fatalf("normalized rounds not flat: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestExperimentRoundsAreTheRunsRounds checks that E1 and E2 report the
+// rounds their runs charge, priced at the depth of the run's own BFS tree.
+// Every E1 row's paper figure is the clock of the traced Theorem 1 engine
+// call on the same instance; every E2 row's is the DFSRounds of a traced
+// pipeline run on the same instance and the rounds its dfs.build span
+// covers.
+func TestExperimentRoundsAreTheRunsRounds(t *testing.T) {
+	sizes := []int{36, 100}
+	e1, err := E1(smallFamilies, sizes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := E2(smallFamilies, sizes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, fam := range smallFamilies {
+		for _, n := range sizes {
+			rec := trace.NewRecorder()
+			if _, err := TraceSeparator(fam, n, 1, rec); err != nil {
+				t.Fatal(err)
+			}
+			if got := e1[i].PaperRounds; int64(got) != rec.Now() {
+				t.Errorf("E1 %s n=%d: paper rounds %d, the traced engine call charged %d", fam, n, got, rec.Now())
+			}
+
+			in, err := gen.ByName(fam, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec = trace.NewRecorder()
+			res, err := theorem2(in, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := rec.Spans()
+			b := slices.IndexFunc(spans, func(sp trace.SpanEvent) bool { return sp.Name == "dfs.build" })
+			if b < 0 {
+				t.Fatalf("%s: the traced run recorded no dfs.build span", in.Name)
+			}
+			got, covered := e2[i].PaperRounds, spans[b].End-spans[b].Start
+			if got != res.DFSRounds || int64(got) != covered {
+				t.Errorf("E2 %s n=%d: paper rounds %d, the traced run's DFSRounds %d, its dfs.build span %d",
+					fam, n, got, res.DFSRounds, covered)
+			}
+			i++
 		}
 	}
 }

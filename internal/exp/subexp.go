@@ -109,7 +109,9 @@ func E6(families []string, n int, seed int64) ([]E6Row, error) {
 }
 
 // E8Row measures part-wise aggregation: measured pipelined rounds versus
-// the cost-model estimates, and the tree-restricted shortcut quality.
+// the cost-model estimates, and the tree-restricted shortcut quality. D is
+// the depth of the BFS tree the aggregation runs over, the depth both
+// estimates are priced at.
 type E8Row struct {
 	Family          string
 	N, D, K         int
@@ -131,7 +133,7 @@ func E8(family string, n int, ks []int, seed int64) ([]E8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := in.G.Diameter()
+	d := tr.MaxDepth()
 	var rows []E8Row
 	for _, k := range ks {
 		// BFS-layer-interval parts: connected by construction when cut by
@@ -149,7 +151,7 @@ func E8(family string, n int, ks []int, seed int64) ([]E8Row, error) {
 		for v := range value {
 			value[v] = 1
 		}
-		res, err := shortcut.RunPA(in.G, 0, part, value, congest.OpSum)
+		res, err := shortcut.RunPAOn(congest.New(in.G), tr, part, value, congest.OpSum)
 		if err != nil {
 			return nil, err
 		}

@@ -34,11 +34,8 @@ func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*sep
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := configFor(in, "bfs")
-	if err != nil {
-		return nil, err
-	}
-	return sepengine.Find("", cfg, sepengine.Options{Tracer: rec})
+	_, res, err := theorem1(in, rec)
+	return res, err
 }
 
 // TraceDFS records on rec one certified Theorem 2 pipeline run of a

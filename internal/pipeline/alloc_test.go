@@ -34,7 +34,8 @@ import (
 // and 5.81 MB with the subtree intervals; 5.49 MB and 5.82 MB with the
 // dfs stage charging its trace once per recursion phase from dfs.Trace;
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
-// Guarded by the admission guard (Options.Guard, seed 1), untraced: at
+// Guarded (guard.ValidateInstance with seed 1, its verdict handed to Run
+// as Options.Admitted, both measured), untraced: at
 // most 5.30 MB and 6.45 MB (about 5.04 MB and 6.22 MB measured, with the
 // guard reading rotations into one reused row and certifying the
 // instance's own embedding; 5.23 MB and 6.49 MB when it rebuilt both, with
@@ -62,7 +63,11 @@ func TestRunBytesPerRun(t *testing.T) {
 				opts.Tracer = trace.NewRecorder()
 			}
 			if c.guarded {
-				opts.Guard = &guard.Options{Seed: 1}
+				adm, err := guard.ValidateInstance(c.in, guard.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Admitted = adm
 			}
 			if _, err := Run(context.Background(), c.in, opts); err != nil {
 				t.Fatal(err)

@@ -36,19 +36,14 @@ import (
 // A guarded run certifies on the cert.Verifier its admission validated on,
 // so one round engine, one BFS tree from vertex 0 and one set of
 // aggregation and label-exchange programs serve the guard and every
-// certification. The admission either runs inside Run (Guard) or has run
-// before it (Admitted); at most one of the two may be set.
+// certification.
 type Options struct {
-	// Guard, when non-nil, runs the admission guard before any other
-	// stage. A nil Guard.Tracer inherits Tracer.
-	Guard *guard.Options
-	// Admitted hands in an admission that has already run: the accepting
-	// verdict of guard.ValidateInstance on this instance, whose context
-	// Run takes over (guard.Verdict.TakeVerifier) and reports as
-	// Result.Admission. A caller that must answer a rejection before it
-	// queues the build, as planard does, sets it instead of Guard. A
-	// verdict whose context was already taken or belongs to another graph
-	// is an error.
+	// Admitted guards the run with an admission that has already run: the
+	// verdict of guard.ValidateInstance on this instance, reported as
+	// Result.Admission. A rejecting verdict ends the run with its typed
+	// rejection before any other stage; an accepting one hands its context
+	// to the run (guard.Verdict.TakeVerifier). A verdict whose context was
+	// already taken or belongs to another graph is an error.
 	Admitted *guard.Verdict
 	// Engine names the separator backend (sepengine registry) for both the
 	// per-component separators of the DFS and the whole-instance
@@ -74,8 +69,7 @@ type Result struct {
 	// Root is the common root of both trees: the first vertex of the outer
 	// face, as the paper requires.
 	Root int
-	// Admission is the guard verdict: Options.Guard's, or Options.Admitted;
-	// nil when neither is set.
+	// Admission is Options.Admitted, the guard verdict; nil when unguarded.
 	Admission *guard.Verdict
 	// BFS is the BFS spanning tree rooted at Root.
 	BFS *spanning.Tree
@@ -134,20 +128,7 @@ func Run(ctx context.Context, in *gen.Instance, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Admission: opts.Admitted}
-	if opts.Guard != nil {
-		if opts.Admitted != nil {
-			return res, errors.New("pipeline: admit: both Guard and Admitted are set")
-		}
-		gopt := *opts.Guard
-		if gopt.Tracer == nil {
-			gopt.Tracer = opts.Tracer
-		}
-		res.Admission, err = guard.ValidateInstance(in, gopt)
-		if err != nil {
-			return res, fmt.Errorf("pipeline: admit: %w", err)
-		}
-	}
-	vf, err := verifier(in, res.Admission, opts.Tracer)
+	vf, err := verifier(in, opts.Admitted, opts.Tracer)
 	if err != nil {
 		return res, err
 	}

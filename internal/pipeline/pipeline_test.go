@@ -72,7 +72,7 @@ func TestRunDefaultReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Admission != nil {
-		t.Fatal("admission ran without Options.Guard")
+		t.Fatal("an unguarded run reports an admission")
 	}
 	if res.Recovery.Outcome != chaos.OutcomeCertified || len(res.Recovery.Attempts) != 1 {
 		t.Fatalf("dfs stage %v after %d attempts, want certified after 1",
@@ -282,8 +282,14 @@ func corrupted(t *testing.T) *gen.Instance {
 // TestRunGuard pins the admit stage: an accepted input runs on, a rejected
 // one ends with the typed witness before any other stage runs.
 func TestRunGuard(t *testing.T) {
-	opts := Options{Guard: &guard.Options{Seed: 11}}
-	res, err := Run(context.Background(), instance(t, "grid", 16, 1), opts)
+	guarded := func(in *gen.Instance) (*Result, error) {
+		adm, err := guard.ValidateInstance(in, guard.Options{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(context.Background(), in, Options{Admitted: adm})
+	}
+	res, err := guarded(instance(t, "grid", 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +297,7 @@ func TestRunGuard(t *testing.T) {
 		t.Fatalf("admitted run: admission %v, %d verdicts", res.Admission.OK, len(res.Verdicts))
 	}
 
-	res, err = Run(context.Background(), corrupted(t), opts)
+	res, err = guarded(corrupted(t))
 	var re *guard.RejectionError
 	if !errors.Is(err, guard.ErrRejected) || !errors.As(err, &re) || re.Witness.Reason != "euler" {
 		t.Fatalf("corrupted input: %v, want an euler rejection", err)
@@ -302,12 +308,14 @@ func TestRunGuard(t *testing.T) {
 }
 
 // TestRunAdoptsTheAdmission pins the one certification context of a
-// guarded build. A run guarded in place (Guard) or after the fact
-// (Admitted) certifies on the admission's Verifier and reports exactly the
-// verdicts and rounds of an unguarded run; traced, the guarded run's clock
-// ends at Admission.Rounds + Rounds() + Separator.Rounds, and a run handed
-// an untraced admission records the unguarded run's trace byte for byte.
-// An admission's context serves one build of its own graph only.
+// guarded build. A run handed an admission (Admitted) certifies on the
+// admission's Verifier and reports exactly the verdicts and rounds of an
+// unguarded run. Traced with its admission on one recorder, the guarded
+// run records the pinned trace, whose digests were recorded when the
+// admission could also run inside Run, and its clock ends at
+// Admission.Rounds + Rounds() + Separator.Rounds; a run handed an untraced
+// admission records the unguarded run's trace byte for byte. An
+// admission's context serves one build of its own graph only.
 func TestRunAdoptsTheAdmission(t *testing.T) {
 	jsonl := func(rec *trace.Recorder) []byte {
 		var b bytes.Buffer
@@ -316,23 +324,36 @@ func TestRunAdoptsTheAdmission(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	for _, in := range []*gen.Instance{instance(t, "grid", 100, 1), instance(t, "stacked", 150, 7)} {
+	for _, c := range []struct {
+		in     *gen.Instance
+		digest string
+	}{
+		{instance(t, "grid", 100, 1), "71a9177a62f19452eba3f7e408bdc461aa3ea2073584f4c1517b7d763e3329e9"},
+		{instance(t, "stacked", 150, 7), "00aab8a3e70b902888be3ea1707946a9a2ae3b81044d78977496df31e27ff4a1"},
+	} {
+		in := c.in
 		plain := trace.NewRecorder()
 		want, err := Run(context.Background(), in, Options{Tracer: plain})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := trace.NewRecorder()
-		guarded, err := Run(context.Background(), in, Options{Guard: &guard.Options{Seed: 1}, Tracer: rec})
+		adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1, Tracer: rec})
 		if err != nil {
 			t.Fatal(err)
+		}
+		guarded, err := Run(context.Background(), in, Options{Admitted: adm, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(jsonl(rec))); got != c.digest {
+			t.Errorf("%s: guarded trace digest %s, want %s", in.Name, got, c.digest)
 		}
 		if got, want := rec.Now(), int64(guarded.Admission.Rounds+guarded.Rounds()+guarded.Separator.Rounds); got != want {
 			t.Errorf("%s: guarded clock %d, want Admission.Rounds %d + Rounds() %d + Separator.Rounds %d",
 				in.Name, got, guarded.Admission.Rounds, guarded.Rounds(), guarded.Separator.Rounds)
 		}
-		adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
-		if err != nil {
+		if adm, err = guard.ValidateInstance(in, guard.Options{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		handed := trace.NewRecorder()
@@ -363,12 +384,6 @@ func TestRunAdoptsTheAdmission(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), grid, Options{Admitted: adm}); err == nil {
 		t.Error("an admission of another graph was adopted")
-	}
-	if adm, err = guard.ValidateInstance(grid, guard.Options{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(context.Background(), grid, Options{Guard: &guard.Options{}, Admitted: adm}); err == nil {
-		t.Error("a run with both Guard and Admitted set ran")
 	}
 	bad := corrupted(t)
 	if adm, err = guard.ValidateInstance(bad, guard.Options{Seed: 1}); err != nil {

@@ -110,7 +110,7 @@ func Log2Ceil(x int) int {
 // PaperCost charges the deterministic planar bounds the paper cites:
 // Õ(D) = (D+1)·⌈log₂ n⌉² rounds per PA or tree-aggregation call.
 type PaperCost struct {
-	D int // graph diameter
+	D int // depth of the aggregation tree (depth ≤ diameter ≤ 2·depth)
 	N int // vertex count
 }
 

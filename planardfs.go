@@ -429,8 +429,8 @@ func NewFaultPlan(seed int64, spec FaultSpec) *FaultPlan {
 func ParseFaultSpec(s string) (FaultSpec, error) { return chaos.ParseSpec(s) }
 
 // Input validation (internal/guard): the admission subsystem that runs
-// before the Theorem 2 pipeline (set PipelineOptions.Guard) and rejects
-// non-planar and
+// before the Theorem 2 pipeline (hand its verdict to Run as
+// PipelineOptions.Admitted) and rejects non-planar and
 // corrupted-embedding inputs with typed, certifiable verdicts — a
 // distributed rotation/endpoint consistency check, a one-sided-error
 // CONGEST planarity property tester, and the Euler-count certification,

@@ -53,8 +53,7 @@ func TestPublicDFSFlow(t *testing.T) {
 	// Round accounting: deterministic Õ(D) beats Awerbuch's Θ(n) once n is
 	// large relative to D... at this size just check positivity and
 	// consistency.
-	d := in.G.Diameter()
-	cm := PaperCost{D: d, N: in.G.N()}
+	cm := PaperCost{D: in.G.Eccentricity(root), N: in.G.N()}
 	if DFSRounds(in.G.N(), trace, cm) <= 0 || SeparatorRounds(in.G.N(), cm, 1) <= 0 {
 		t.Fatal("round estimates must be positive")
 	}
@@ -312,7 +311,11 @@ func TestOuterDartOutOfRange(t *testing.T) {
 				return err
 			}},
 			{"Run/guard", func() error {
-				_, err := Run(context.Background(), &bad, PipelineOptions{Guard: &GuardOptions{Seed: 1}})
+				adm, err := ValidateEmbedding(&bad, GuardOptions{Seed: 1})
+				if err != nil {
+					return err
+				}
+				_, err = Run(context.Background(), &bad, PipelineOptions{Admitted: adm})
 				return err
 			}},
 			{"NewConfig", func() error {
