@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -286,12 +287,12 @@ func chaosRow(program, family, spec string, size int) (Row, error) {
 		switch program {
 		case "bfs":
 			st := chaos.BFSTreeStage(g, 0, p, opt)
-			_, rep, err := chaos.RunWithRecovery(st, nil, chaos.Policy{})
+			_, rep, err := chaos.RunWithRecoveryContext(context.Background(), st, nil, chaos.Policy{})
 			return rep, err
 		case "awerbuch":
 			primary := chaos.AwerbuchDFS(g, 0, p, opt)
 			fallback := chaos.AwerbuchDFS(g, 0, nil, opt)
-			_, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})
+			_, rep, err := chaos.RunWithRecoveryContext(context.Background(), primary, &fallback, chaos.Policy{})
 			return rep, err
 		default:
 			return nil, fmt.Errorf("unknown program %q", program)

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -252,15 +253,15 @@ func runSupervised(program string, g *graph.Graph, parts int, plan *chaos.Plan, 
 	switch program {
 	case "bfs":
 		st := chaos.BFSTreeStage(g, 0, plan, opt)
-		_, rep, err = chaos.RunWithRecovery(st, nil, pol)
+		_, rep, err = chaos.RunWithRecoveryContext(context.Background(), st, nil, pol)
 	case "awerbuch":
 		primary := chaos.AwerbuchDFS(g, 0, plan, opt)
 		fallback := chaos.AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
-		_, rep, err = chaos.RunWithRecovery(primary, &fallback, pol)
+		_, rep, err = chaos.RunWithRecoveryContext(context.Background(), primary, &fallback, pol)
 	case "pa":
 		partOf, value := sumParts(g.N(), parts)
 		st := chaos.PartwiseSum(g, 0, partOf, value, plan, opt)
-		_, rep, err = chaos.RunWithRecovery(st, nil, pol)
+		_, rep, err = chaos.RunWithRecoveryContext(context.Background(), st, nil, pol)
 	default:
 		return fmt.Errorf("-recover supports programs bfs, awerbuch and pa (got %q)", program)
 	}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -301,7 +302,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	vf := cert.NewVerifier(in.G, cert.Options{})
 	primary := separatorStage(in, cfg, rounds, plan, vf)
 	fallback := separatorStage(in, cfg, rounds, nil, vf) // fault-free baseline
-	sep, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{})
+	sep, rep, err := chaos.RunWithRecoveryContext(context.Background(), primary, &fallback, chaos.Policy{})
 	if err != nil {
 		return err
 	}

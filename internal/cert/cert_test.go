@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/dfs"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
 	"planardfs/internal/spanning"
@@ -84,7 +85,7 @@ func TestCertifyAllFamilies(t *testing.T) {
 			}
 			v, err = cert.CertifyDFSTree(g, 0, dt.Parent, opt)
 			wantOK(t, v, err, "dfs")
-			if err := cert.CheckDFSTree(g, 0, dt.Parent); err != nil {
+			if err := dfs.IsDFSTree(g, 0, dt.Parent); err != nil {
 				t.Fatalf("dfs oracle: %v", err)
 			}
 
@@ -100,7 +101,7 @@ func TestCertifyAllFamilies(t *testing.T) {
 			if v.EulerSum != 4 {
 				t.Fatalf("embedding: Euler sum %d, want 4", v.EulerSum)
 			}
-			if err := cert.CheckEmbedding(in.Emb); err != nil {
+			if err := in.Emb.Validate(); err != nil {
 				t.Fatalf("embedding oracle: %v", err)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"planardfs/internal/dfs"
 	"planardfs/internal/dist"
 	"planardfs/internal/graph"
 	"planardfs/internal/spanning"
@@ -124,10 +123,4 @@ func (vf *Verifier) CertifyDFSTree(root int, parent []int) (*Verdict, error) {
 // g rooted at root, on a fresh Verifier.
 func CertifyDFSTree(g *graph.Graph, root int, parent []int, opt Options) (*Verdict, error) {
 	return NewVerifier(g, opt).CertifyDFSTree(root, parent)
-}
-
-// CheckDFSTree is the centralized oracle: the ancestry check of every graph
-// edge from the dfs package.
-func CheckDFSTree(g *graph.Graph, root int, parent []int) error {
-	return dfs.IsDFSTree(g, root, parent)
 }

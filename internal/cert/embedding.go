@@ -148,9 +148,3 @@ func CertifyEmbedding(emb *planar.Embedding, opt Options) (*Verdict, error) {
 	}
 	return NewVerifier(emb.Graph(), opt).CertifyEmbedding(emb)
 }
-
-// CheckEmbedding is the centralized oracle: the embedding's own validation
-// (connectivity plus genus 0).
-func CheckEmbedding(emb *planar.Embedding) error {
-	return emb.Validate()
-}

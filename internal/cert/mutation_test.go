@@ -120,7 +120,7 @@ func TestSeparatorMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := ProveSeparator(g, sep)
+	good, err := NewVerifier(g, Options{}).ProveSeparator(sep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,12 +166,6 @@ func (vf *Verifier) ProveSeparator(sep *separator.Separator) ([][]int, error) {
 	return labels, nil
 }
 
-// ProveSeparator assigns the separator labels of sep on a fresh Verifier
-// of g.
-func ProveSeparator(g *graph.Graph, sep *separator.Separator) ([][]int, error) {
-	return NewVerifier(g, Options{}).ProveSeparator(sep)
-}
-
 // sepJudge is the local separator predicate at v.
 func sepJudge(v, n int, nb []int, own []int, got [][]int) bool {
 	if !spanningJudge(v, n, nb, own, got, sepWords) {

@@ -53,7 +53,7 @@ func certRuns(t *testing.T, in *gen.Instance) []certRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sepLabels, err := cert.ProveSeparator(g, sep)
+	sepLabels, err := cert.NewVerifier(g, cert.Options{}).ProveSeparator(sep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 // decay geometrically across attempts (count >> (attempt-1)), a transient
 // burst that lets retries recover.
 //
-// On top of injection, RunWithRecovery (recover.go) is the supervised
+// On top of injection, RunWithRecoveryContext (recover.go) is the supervised
 // runtime closing the loop: execute a producer, certify its output with the
 // internal/cert proof-labeling verifiers, retry under an exponential
 // round-budget backoff, degrade to a fallback producer, and report — so an

@@ -266,7 +266,7 @@ func syntheticStage(name string, acceptAt int, runErrAt map[int]error) Stage[int
 }
 
 func TestRecoveryOutcomeCertified(t *testing.T) {
-	res, rep, err := RunWithRecovery(syntheticStage("p", 1, nil), nil, Policy{})
+	res, rep, err := RunWithRecoveryContext(context.Background(), syntheticStage("p", 1, nil), nil, Policy{})
 	if err != nil || res != 1 {
 		t.Fatalf("res = %d, err = %v", res, err)
 	}
@@ -277,7 +277,7 @@ func TestRecoveryOutcomeCertified(t *testing.T) {
 
 func TestRecoveryOutcomeCertifiedRetryWithBackoff(t *testing.T) {
 	rec := trace.NewRecorder()
-	res, rep, err := RunWithRecovery(syntheticStage("p", 3, nil), nil,
+	res, rep, err := RunWithRecoveryContext(context.Background(), syntheticStage("p", 3, nil), nil,
 		Policy{MaxAttempts: 3, Tracer: rec})
 	if err != nil || res != 3 {
 		t.Fatalf("res = %d, err = %v", res, err)
@@ -307,7 +307,7 @@ func TestRecoveryOutcomeCertifiedRetryWithBackoff(t *testing.T) {
 func TestRecoveryOutcomeDegraded(t *testing.T) {
 	rec := trace.NewRecorder()
 	fb := syntheticStage("fb", 1, nil)
-	res, rep, err := RunWithRecovery(syntheticStage("p", 0, nil), &fb,
+	res, rep, err := RunWithRecoveryContext(context.Background(), syntheticStage("p", 0, nil), &fb,
 		Policy{MaxAttempts: 2, Tracer: rec})
 	if err != nil || res != 1 {
 		t.Fatalf("res = %d, err = %v", res, err)
@@ -326,7 +326,7 @@ func TestRecoveryOutcomeDegraded(t *testing.T) {
 func TestRecoveryOutcomeFailed(t *testing.T) {
 	boom := errors.New("budget exhausted")
 	fb := syntheticStage("fb", 0, nil)
-	_, rep, err := RunWithRecovery(
+	_, rep, err := RunWithRecoveryContext(context.Background(),
 		syntheticStage("p", 0, map[int]error{1: boom, 2: boom, 3: boom}), &fb, Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestRecoveryInfrastructureError(t *testing.T) {
 		Run:           func(attempt, budget int) (int, int, error) { return 0, 0, nil },
 		Certify:       func(int) (Certification, error) { return Certification{}, infra },
 	}
-	if _, _, err := RunWithRecovery(st, nil, Policy{}); !errors.Is(err, infra) {
+	if _, _, err := RunWithRecoveryContext(context.Background(), st, nil, Policy{}); !errors.Is(err, infra) {
 		t.Fatalf("err = %v, want the infrastructure error", err)
 	}
 }
@@ -362,7 +362,7 @@ func TestAwerbuchStageRecovers(t *testing.T) {
 	g := grid(t, 25)
 	plan := NewPlan(9, Spec{Drops: 2, Protect: []int{0}})
 	st := AwerbuchDFS(g, 0, plan, cert.Options{})
-	parent, rep, err := RunWithRecovery(st, nil, Policy{MaxAttempts: 4})
+	parent, rep, err := RunWithRecoveryContext(context.Background(), st, nil, Policy{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

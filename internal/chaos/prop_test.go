@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 
 	"planardfs/internal/cert"
@@ -229,7 +230,7 @@ func TestSeededPlansAlwaysClassify(t *testing.T) {
 		opt := cert.Options{Tracer: rec}
 		primary := AwerbuchDFS(g, 0, plan, opt)
 		fallback := AwerbuchDFS(g, 0, nil, opt) // fault-free baseline
-		parent, rep, err := RunWithRecovery(primary, &fallback, Policy{MaxAttempts: 3, Tracer: rec})
+		parent, rep, err := RunWithRecoveryContext(context.Background(), primary, &fallback, Policy{MaxAttempts: 3, Tracer: rec})
 		if err != nil {
 			t.Fatalf("seed %d: infrastructure error: %v", seed, err)
 		}

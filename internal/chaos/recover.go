@@ -125,18 +125,14 @@ type Report struct {
 	Verdicts []*cert.Verdict
 }
 
-// RunWithRecovery supervises primary (and, when primary exhausts its
-// attempts, the optional fallback): each stage is retried up to
+// RunWithRecoveryContext supervises primary (and, when primary exhausts
+// its attempts, the optional fallback): each stage is retried up to
 // Policy.MaxAttempts times under exponentially growing round budgets until
 // an attempt is certified. The returned result is meaningful only when the
 // report's Outcome is not OutcomeFailed; the error reports infrastructure
 // failures only (a fault-induced failure is an Outcome, not an error).
-func RunWithRecovery[T any](primary Stage[T], fallback *Stage[T], pol Policy) (T, *Report, error) {
-	return RunWithRecoveryContext(context.Background(), primary, fallback, pol)
-}
-
-// RunWithRecoveryContext is RunWithRecovery under a cancellation context:
-// the supervisor consults ctx before every attempt and before degrading to
+//
+// The supervisor consults ctx before every attempt and before degrading to
 // the fallback, so cancelling stops the retry loop mid-flight instead of
 // letting it burn through the remaining attempt budget. Cancellation is an
 // infrastructure failure: the report's Outcome is OutcomeFailed and the

@@ -2,6 +2,7 @@ package congest_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -343,7 +344,7 @@ func goldenSeparator(t *testing.T, in *gen.Instance) *separator.Separator {
 // labelling.
 func runCertSeparator(t *testing.T, o *goldenOut, family string) {
 	in := goldenInstance(t, family, 30, 1)
-	labels, err := cert.ProveSeparator(in.G, goldenSeparator(t, in))
+	labels, err := cert.NewVerifier(in.G, cert.Options{}).ProveSeparator(goldenSeparator(t, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +589,7 @@ func runAwerbuchRecovery(t *testing.T, o *goldenOut) {
 	opt := cert.Options{Tracer: o.rec}
 	primary := chaos.AwerbuchDFS(g, 0, plan, opt)
 	fallback := chaos.AwerbuchDFS(g, 0, nil, opt)
-	parent, rep, err := chaos.RunWithRecovery(primary, &fallback, chaos.Policy{Tracer: o.rec})
+	parent, rep, err := chaos.RunWithRecoveryContext(context.Background(), primary, &fallback, chaos.Policy{Tracer: o.rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 
 // BuildWithSeparator is Build with the per-component separator computation
 // swapped out: find runs on each remaining component's restricted
-// configuration (see separator.ForSubsetWith). Each restriction is built
+// configuration (see separator.ForSubset). Each restriction is built
 // around a dart found inside its component (outerRegionDart), and the
 // restriction index and the join state are allocated once per build and
 // reset over each component only, so a component costs its own size, not
@@ -137,7 +137,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 		tr.Components = append(tr.Components, len(comps))
 		var next [][]int
 		for _, comp := range comps {
-			sep, err := separator.ForSubsetWith(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, find)
+			sep, err := separator.ForSubset(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, find)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
 			}

@@ -53,26 +53,19 @@ func newJoinScratch(n int) *joinScratch {
 	}
 }
 
-// JoinSeparator adds every vertex of the separator path sep (a subset of
-// the component comp of G - T_d) to the partial tree following the
-// DFS-RULE (Lemma 2). In each sub-phase, every remaining component that
-// still holds separator vertices is entered below its deepest T_d
-// neighbour, a BFS from the entry finds the nearest separator vertices,
-// and the path to one of them is attached, continued along sep over the
-// longer run of separator vertices still missing. When sep is a simple
-// G-path, each sub-phase leaves at most half of the run, so the join
-// takes at most ⌈log₂(|sep|+1)⌉ sub-phases.
-func JoinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int) (*JoinStats, error) {
-	sorted := append([]int(nil), comp...)
-	sort.Ints(sorted)
-	st, _, err := joinSeparator(g, pt, sorted, sep, newJoinScratch(g.N()))
-	return st, err
-}
-
-// joinSeparator is JoinSeparator on the build's scratch sc, for a comp
-// sorted ascending. It also returns the pieces it leaves, the next phase's
-// components inside comp (see componentsWithin). It leaves sc clear for
-// the next component.
+// joinSeparator adds every vertex of the separator path sep (a subset of
+// the component comp of G - T_d, sorted ascending) to the partial tree
+// following the DFS-RULE (Lemma 2). In each sub-phase, every remaining
+// component that still holds separator vertices is entered below its
+// deepest T_d neighbour, a BFS from the entry finds the nearest separator
+// vertices, and the path to one of them is attached, continued along sep
+// over the longer run of separator vertices still missing. When sep is a
+// simple G-path, each sub-phase leaves at most half of the run, so the
+// join takes at most ⌈log₂(|sep|+1)⌉ sub-phases.
+//
+// It runs on the build's scratch sc and also returns the pieces it leaves,
+// the next phase's components inside comp (see componentsWithin). It
+// leaves sc clear for the next component.
 func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, sc *joinScratch) (*JoinStats, [][]int, error) {
 	defer func() {
 		for _, v := range comp {

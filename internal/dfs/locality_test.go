@@ -42,7 +42,7 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 			if visit != nil {
 				visit(pt, comp, dart, rs)
 			}
-			sep, err := separator.ForSubsetWith(rs, dart, comp, separator.Find)
+			sep, err := separator.ForSubset(rs, dart, comp, separator.Find)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

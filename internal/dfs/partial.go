@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"planardfs/internal/graph"
-	"planardfs/internal/spanning"
 )
 
 // notAdded marks vertices not yet in the partial tree.
@@ -46,9 +45,6 @@ func NewPartialTree(n, root int) *PartialTree {
 
 // Has reports whether v has been added.
 func (pt *PartialTree) Has(v int) bool { return pt.Parent[v] != notAdded }
-
-// Added returns the number of added vertices.
-func (pt *PartialTree) Added() int { return pt.added }
 
 // Complete reports whether every vertex has been added.
 func (pt *PartialTree) Complete() bool { return pt.added == len(pt.Parent) }
@@ -159,13 +155,4 @@ func IsDFSTree(g *graph.Graph, root int, parent []int) error {
 		}
 	}
 	return nil
-}
-
-// AsSpanningTree converts a complete partial tree into a spanning.Tree
-// (with LCA, subtree and path machinery available).
-func (pt *PartialTree) AsSpanningTree() (*spanning.Tree, error) {
-	if !pt.Complete() {
-		return nil, fmt.Errorf("dfs: tree incomplete (%d of %d vertices)", pt.added, len(pt.Parent))
-	}
-	return spanning.NewFromParents(pt.Root, pt.Parent)
 }

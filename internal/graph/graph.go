@@ -22,7 +22,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Edge is an undirected edge between vertices U and V.
@@ -307,33 +306,11 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// CheckVertex returns the error InducedSubgraph reports for a vertex
+// CheckVertex returns the error Inducer.Induce reports for a vertex
 // outside [0, N()), or nil.
 func (g *Graph) CheckVertex(v int) error {
 	if v < 0 || v >= g.n {
 		return fmt.Errorf("graph: vertex %d out of range", v)
 	}
 	return nil
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertices,
-// along with the mapping from new vertex index to original vertex.
-// Vertices are renumbered 0..len(vs)-1 in the order given (duplicates
-// are rejected). Edges keep their relative identifier order (ascending
-// original edge ID). It is the one-shot form of Inducer.Induce and costs
-// O(n + m) for the index; callers inducing many subsets reuse an Inducer.
-func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int, error) {
-	sub, err := NewInducer(g).Induce(vs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, append([]int(nil), vs...), nil
-}
-
-// SortedNeighbors returns the neighbours of v sorted ascending; useful for
-// deterministic iteration in tests.
-func (g *Graph) SortedNeighbors(v int) []int {
-	ns := g.Neighbors(v)
-	sort.Ints(ns)
-	return ns
 }

@@ -78,10 +78,6 @@ func TestNeighborsAndDegree(t *testing.T) {
 	if g.Degree(0) != 3 || g.Degree(4) != 0 {
 		t.Fatal("Degree wrong")
 	}
-	sorted := g.SortedNeighbors(0)
-	if sorted[0] != 1 || sorted[1] != 2 || sorted[2] != 3 {
-		t.Fatalf("SortedNeighbors = %v", sorted)
-	}
 }
 
 func pathGraph(n int) *Graph {
@@ -180,20 +176,21 @@ func TestComponentsAvoiding(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
-	sub, orig, err := g.InducedSubgraph([]int{1, 2, 3})
+	ind := NewInducer(g)
+	sub, err := ind.Induce([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sub.N() != 3 || sub.M() != 2 {
 		t.Fatalf("N=%d M=%d, want 3,2", sub.N(), sub.M())
 	}
-	if orig[0] != 1 || orig[1] != 2 || orig[2] != 3 {
-		t.Fatalf("orig = %v", orig)
+	if ind.Local(1) != 0 || ind.Local(2) != 1 || ind.Local(3) != 2 || ind.Local(0) != -1 {
+		t.Fatalf("local ids %d %d %d %d", ind.Local(0), ind.Local(1), ind.Local(2), ind.Local(3))
 	}
-	if _, _, err := g.InducedSubgraph([]int{1, 1}); err == nil {
+	if _, err := ind.Induce([]int{1, 1}); err == nil {
 		t.Fatal("duplicate vertex accepted")
 	}
-	if _, _, err := g.InducedSubgraph([]int{99}); err == nil {
+	if _, err := ind.Induce([]int{99}); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
 }
@@ -280,11 +277,11 @@ func TestUnionFindBasic(t *testing.T) {
 	if uf.Union(1, 0) {
 		t.Fatal("repeat union should not merge")
 	}
-	if !uf.Same(0, 1) || uf.Same(0, 2) {
-		t.Fatal("Same wrong")
+	if uf.Find(0) != uf.Find(1) || uf.Find(0) == uf.Find(2) {
+		t.Fatal("Find wrong")
 	}
 	uf.Union(1, 3)
-	if !uf.Same(0, 2) || uf.Count() != 2 {
+	if uf.Find(0) != uf.Find(2) || uf.Count() != 2 {
 		t.Fatalf("count=%d", uf.Count())
 	}
 }

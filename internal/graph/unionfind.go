@@ -47,8 +47,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
 // Count returns the number of disjoint sets.
 func (uf *UnionFind) Count() int { return uf.count }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -23,14 +24,6 @@ import (
 //   - a type assertion to congest.AwerbuchNode, the extraction of the
 //     token DFS's parents, outside internal/congest (congest.RunAwerbuch).
 func TestTheorem2HasOnePath(t *testing.T) {
-	const module = "planardfs"
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("module root not found: %v", err)
-	}
 	dfsPkg, distPkg, congestPkg := module+"/internal/dfs", module+"/internal/dist", module+"/internal/congest"
 	allowed := func(fn qualified, pkg, funcName string) bool {
 		switch fn {
@@ -45,30 +38,7 @@ func TestTheorem2HasOnePath(t *testing.T) {
 	}
 
 	fset := token.NewFileSet()
-	scanned := 0
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, p)
-		if d.IsDir() {
-			switch d.Name() {
-			case "planardbench", "third_party", "testdata":
-				return filepath.SkipDir
-			}
-			if strings.HasPrefix(d.Name(), ".") && rel != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		scanned++
+	walkModule(t, fset, false, func(rel string, f *ast.File) {
 		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
 		imports := map[string]string{}
 		for _, im := range f.Imports {
@@ -100,6 +70,172 @@ func TestTheorem2HasOnePath(t *testing.T) {
 				return true
 			})
 		}
+	})
+}
+
+// exportAllowlist holds the exported functions and methods of internal/
+// that no production code calls, each with the reason it stays.
+var exportAllowlist = map[string]string{
+	"cert.CheckSpanningTree":          "reference oracle: the centralized side of the spanning-tree certification agreement tests",
+	"cert.CheckBFSTree":               "reference oracle: the centralized BFS-layer check the chaos tests compare against",
+	"cert.(*Verifier).CertifyBFSTree": "reference oracle: the distributed BFS-tree certification the chaos tests run",
+	"guard.OracleTest":                "reference oracle: the sequential planarity test the distributed tester is compared against",
+	"planar.(*Embedding).ECompatible": "reference oracle: brute-force edge compatibility over CompatibleInsertions, which the separator tests compare against",
+	"separator.IsTPath":               "reference oracle: the T-path definition the separator tests check outputs against",
+	"congest.NewAncestorSumNodes":     "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
+	"congest.NewBroadcastNodes":       "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
+	"congest.NewConvergecastNodes":    "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
+	"spanning.(*Tree).ReRoot":         "Lemma 19 re-rooting; ROADMAP item 9 decides whether the cut-vertex fix uses it",
+	"chaos.(*Plan).InjectEdges":       "generator of the guard's adversarial corpus",
+	"graph.(*Graph).Freeze":           "concurrency contract: freezes a graph shared by concurrent builds",
+	"trace.(*Recorder).Gauge":         "read accessor of a facade-aliased type",
+	"graph.Edge.Normalize":            "read accessor of a facade-aliased type",
+	"planar.(*Embedding).NextCCW":     "read accessor of a facade-aliased type",
+}
+
+// TestEveryExportHasAProductionCaller fails on every exported function or
+// method declared in non-test internal/ Go whose name appears in no
+// non-test file of the module (planardbench included) outside its own
+// declaration, unless exportAllowlist names it or its file imports
+// "testing". It also fails on an allowlist entry that gained a caller or
+// no longer exists. The match is by name, so a method shares its callers
+// with every same-named method.
+func TestEveryExportHasAProductionCaller(t *testing.T) {
+	// Methods the standard library calls through its interfaces.
+	interfaceMethods := map[string]bool{"Unwrap": true, "MarshalJSON": true, "String": true, "Error": true}
+	type decl struct {
+		key, at  string
+		from, to token.Pos
+	}
+	var decls []decl
+	uses := map[string][]token.Pos{}
+	fset := token.NewFileSet()
+	walkModule(t, fset, true, func(rel string, f *ast.File) {
+		names := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				names[fd.Name] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !names[id] {
+				uses[id.Name] = append(uses[id.Name], id.Pos())
+			}
+			return true
+		})
+		if !strings.HasPrefix(filepath.ToSlash(rel), "internal/") || importsTesting(f) {
+			return
+		}
+		pkg := f.Name.Name
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || interfaceMethods[fd.Name.Name] {
+				continue
+			}
+			key := pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = pkg + "." + receiverName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			at := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), fset.Position(fd.Pos()).Line)
+			decls = append(decls, decl{key, at, fd.Pos(), fd.End()})
+		}
+	})
+	seen := map[string]bool{}
+	for _, d := range decls {
+		seen[d.key] = true
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		called := false
+		for _, p := range uses[name] {
+			if p < d.from || p >= d.to {
+				called = true
+				break
+			}
+		}
+		_, allowed := exportAllowlist[d.key]
+		switch {
+		case !called && !allowed:
+			t.Errorf("%s: %s has no production caller", d.at, d.key)
+		case called && allowed:
+			t.Errorf("%s: allow-listed %s has a production caller; drop it from exportAllowlist", d.at, d.key)
+		}
+	}
+	for key := range exportAllowlist {
+		if !seen[key] {
+			t.Errorf("allow-listed %s no longer exists; drop it from exportAllowlist", key)
+		}
+	}
+}
+
+// importsTesting reports whether f imports "testing": a test-support
+// file, such as a fixture runner, whose exports serve tests by design.
+func importsTesting(f *ast.File) bool {
+	for _, im := range f.Imports {
+		if im.Path.Value == `"testing"` {
+			return true
+		}
+	}
+	return false
+}
+
+// receiverName spells a method's receiver type as T or (*T).
+func receiverName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return "(*" + receiverName(e.X) + ")"
+	case *ast.IndexExpr:
+		return receiverName(e.X)
+	case *ast.IndexListExpr:
+		return receiverName(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
+}
+
+const module = "planardfs"
+
+// walkModule parses every non-test Go file of the module outside
+// third_party and testdata, and outside the frozen planardbench module
+// unless withBench is set, and hands each to visit with its path relative
+// to the module root.
+func walkModule(t *testing.T, fset *token.FileSet, withBench bool, visit func(rel string, f *ast.File)) {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not found: %v", err)
+	}
+	scanned := 0
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			switch d.Name() {
+			case "third_party", "testdata":
+				return filepath.SkipDir
+			case "planardbench":
+				if !withBench {
+					return filepath.SkipDir
+				}
+			}
+			if strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		scanned++
+		visit(rel, f)
 		return nil
 	})
 	if err != nil {

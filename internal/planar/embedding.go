@@ -39,18 +39,6 @@ func Tail(g *graph.Graph, d int) int {
 	return int(v)
 }
 
-// Head returns the head vertex of dart d in g.
-func Head(g *graph.Graph, d int) int {
-	u, v := g.EndpointsOf(d / 2)
-	if d%2 == 0 {
-		return int(v)
-	}
-	return int(u)
-}
-
-// Twin returns the reversal of dart d.
-func Twin(d int) int { return d ^ 1 }
-
 // DartFrom returns the dart of edge id directed out of vertex u.
 func DartFrom(g *graph.Graph, id, u int) int {
 	e := g.EdgeByID(id)
@@ -73,7 +61,7 @@ type Embedding struct {
 	next, prev []int32
 	// pos[d] is the index of dart d within the rotation of Tail(d).
 	pos []int32
-	// headD[d] caches Head(g, d).
+	// headD[d] is the head vertex of dart d.
 	headD []int32
 	// first[v] is the dart at position 0 of v's rotation, or -1 for an
 	// isolated vertex.
@@ -130,27 +118,6 @@ func (emb *Embedding) finish() (*Embedding, error) {
 		}
 	}
 	return emb, nil
-}
-
-// NewEmbedding builds an embedding from per-vertex clockwise dart orders.
-// Each rot[v] must be a permutation of the darts with tail v.
-func NewEmbedding(g *graph.Graph, rot [][]int) (*Embedding, error) {
-	if len(rot) != g.N() {
-		return nil, fmt.Errorf("planar: rotation for %d vertices, graph has %d", len(rot), g.N())
-	}
-	emb := allocEmbedding(g)
-	for v := range rot {
-		if len(rot[v]) != g.Degree(v) {
-			return nil, fmt.Errorf("planar: vertex %d has degree %d but rotation of length %d", v, g.Degree(v), len(rot[v]))
-		}
-		for i, d := range rot[v] {
-			if err := emb.placeDart(v, i, d); err != nil {
-				return nil, err
-			}
-		}
-		emb.linkCycle(v, func(i int) int { return rot[v][i] }, len(rot[v]))
-	}
-	return emb.finish()
 }
 
 // NewEmbeddingFlat builds an embedding from a vertex-major flat dart array:
@@ -253,8 +220,7 @@ func (emb *Embedding) FirstDart(v int) int { return int(emb.first[v]) }
 // Pos returns the index of dart d within the rotation of its tail.
 func (emb *Embedding) Pos(d int) int { return int(emb.pos[d]) }
 
-// HeadOf returns the head vertex of dart d (the flat-array form of
-// Head(emb.Graph(), d)).
+// HeadOf returns the head vertex of dart d.
 func (emb *Embedding) HeadOf(d int) int { return int(emb.headD[d]) }
 
 // TailOf returns the tail vertex of dart d.
@@ -268,7 +234,7 @@ func (emb *Embedding) NextCCW(d int) int { return int(emb.prev[d]) }
 
 // FaceNext returns the successor of dart d along its face, using the
 // convention that the face interior lies to the left of d: the successor is
-// the clockwise-next dart after Twin(d) around Head(d).
+// the clockwise-next dart after the twin d^1 around the head of d.
 func (emb *Embedding) FaceNext(d int) int { return int(emb.next[d^1]) }
 
 // Clone returns a deep copy of the embedding (sharing the graph).

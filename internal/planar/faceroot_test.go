@@ -70,7 +70,7 @@ func checkRestrictions(t *testing.T, name string, in *gen.Instance) int {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := in.Emb.RestrictTo(vs, dart)
+		res, err := planar.NewRestricter(in.Emb).Restrict(vs, dart)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -116,7 +116,7 @@ func faceChord(emb *planar.Embedding, k int) (planar.Insertion, bool) {
 			if v == u || g.HasEdge(u, v) {
 				continue
 			}
-			if opts := emb.FaceInsertions(u, v); len(opts) > 0 {
+			if opts := emb.FaceInsertionsIn(fs, u, v); len(opts) > 0 {
 				return opts[0], true
 			}
 		}

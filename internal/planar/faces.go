@@ -77,21 +77,6 @@ func (fs *Faces) Cycle(f int) []int32 { return fs.cyc[fs.off[f]:fs.off[f+1]] }
 // CycleLen returns the number of darts on face f.
 func (fs *Faces) CycleLen(f int) int { return int(fs.off[f+1] - fs.off[f]) }
 
-// Cycles materializes all face cycles as [][]int, indexed by face. It exists
-// for tests and diagnostics; algorithmic code should use Cycle views.
-func (fs *Faces) Cycles() [][]int {
-	out := make([][]int, fs.Count())
-	for f := range out {
-		seg := fs.Cycle(f)
-		c := make([]int, len(seg))
-		for i, d := range seg {
-			c[i] = int(d)
-		}
-		out[f] = c
-	}
-	return out
-}
-
 // FaceRoot returns the tail of the smallest dart on d's face. TraceFaces
 // starts every cycle at its smallest dart, so this is the first vertex
 // FaceVertices lists for the face of d, found by one walk around that face

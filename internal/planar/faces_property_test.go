@@ -67,11 +67,12 @@ func TestTraceFacesPartitionsDarts(t *testing.T) {
 		}
 		fs := emb.TraceFaces()
 		counted := 0
-		for _, cyc := range fs.Cycles() {
+		for f := 0; f < fs.Count(); f++ {
+			cyc := fs.Cycle(f)
 			counted += len(cyc)
 			for i, d := range cyc {
 				nxt := cyc[(i+1)%len(cyc)]
-				if emb.FaceNext(d) != nxt {
+				if emb.FaceNext(int(d)) != int(nxt) {
 					return false
 				}
 				if fs.FaceOf[d] != fs.FaceOf[nxt] {

@@ -10,14 +10,14 @@ import (
 // refFaceCycles recomputes the face partition of emb from first principles,
 // using only the public rotation API (Rotation returns a materialized copy,
 // so this path is independent of the flat next/prev arrays): faceNext(d) =
-// successor of Twin(d) in the rotation at its tail. Each face cycle is
+// successor of the twin d^1 in the rotation at its tail. Each face cycle is
 // rotated to start at its minimum dart; the list is sorted by that minimum.
 func refFaceCycles(g *graph.Graph, emb *Embedding) [][]int {
 	faceNext := make(map[int]int, 2*g.M())
 	for v := 0; v < g.N(); v++ {
 		rot := emb.Rotation(v)
 		for i, d := range rot {
-			faceNext[Twin(d)] = rot[(i+1)%len(rot)]
+			faceNext[d^1] = rot[(i+1)%len(rot)]
 		}
 	}
 	seen := make(map[int]bool, 2*g.M())
@@ -44,6 +44,20 @@ func refFaceCycles(g *graph.Graph, emb *Embedding) [][]int {
 	return cycles
 }
 
+// newEmbedding builds an embedding from per-vertex clockwise dart orders
+// through NewEmbeddingFlat, flattening rot vertex-major.
+func newEmbedding(g *graph.Graph, rot [][]int) (*Embedding, error) {
+	off := make([]int32, 1, len(rot)+1)
+	var darts []int32
+	for _, r := range rot {
+		for _, d := range r {
+			darts = append(darts, int32(d))
+		}
+		off = append(off, int32(len(darts)))
+	}
+	return NewEmbeddingFlat(g, off, darts)
+}
+
 // randomTreeEmbedding builds a random tree on n vertices with a random
 // rotation order at every vertex — any rotation system of a tree is a valid
 // planar embedding, which makes trees the ideal randomized fixture.
@@ -63,7 +77,7 @@ func randomTreeEmbedding(t *testing.T, rng *rand.Rand, n int) (*graph.Graph, *Em
 		rng.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
 		rot[v] = ds
 	}
-	emb, err := NewEmbedding(g, rot)
+	emb, err := newEmbedding(g, rot)
 	if err != nil {
 		t.Fatalf("tree embedding rejected: %v", err)
 	}

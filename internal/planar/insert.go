@@ -108,22 +108,17 @@ func (emb *Embedding) ECompatible(u, v int) bool {
 	return len(emb.CompatibleInsertions(u, v)) > 0
 }
 
-// FaceInsertions returns the insertions of virtual edge {u,v} that place the
-// new edge inside a single existing face, i.e. u and v both lie on that face
-// and the edge is drawn through it. These are exactly the
-// planarity-preserving insertions, enumerated directly from the face
-// structure (more efficient than CompatibleInsertions).
+// FaceInsertionsIn returns the insertions of virtual edge {u,v} that place
+// the new edge inside a single face of fs, a face trace of emb the caller
+// already holds (so a sweep over many candidates traces once): u and v
+// both lie on that face and the edge is drawn through it. These are
+// exactly the planarity-preserving insertions, enumerated directly from
+// the face structure (more efficient than CompatibleInsertions).
 //
 // For each face incidence of u (a dart d1 of the face with tail u) and each
 // face incidence of v on the same face (dart d2 with tail v), inserting the
 // new dart immediately before d1 at u and before d2 at v splits that face in
 // two and preserves planarity.
-func (emb *Embedding) FaceInsertions(u, v int) []Insertion {
-	return emb.FaceInsertionsIn(emb.TraceFaces(), u, v)
-}
-
-// FaceInsertionsIn is FaceInsertions over fs, a face trace of emb the
-// caller already holds, so a sweep over many candidates traces once.
 func (emb *Embedding) FaceInsertionsIn(fs *Faces, u, v int) []Insertion {
 	var out []Insertion
 	du0 := emb.first[u]

@@ -16,7 +16,7 @@ func TestFaceTraceZeroAlloc(t *testing.T) {
 	g.MustAddEdge(0, 1) // darts 0,1
 	g.MustAddEdge(0, 2) // darts 2,3
 	g.MustAddEdge(1, 2) // darts 4,5
-	emb, err := NewEmbedding(g, [][]int{{2, 0}, {4, 1}, {5, 3}})
+	emb, err := newEmbedding(g, [][]int{{2, 0}, {4, 1}, {5, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFaceRootZeroAlloc(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		g.MustAddEdge(v, (v+1)%4)
 	}
-	emb, err := NewEmbedding(g, [][]int{{6, 0}, {1, 2}, {3, 4}, {5, 7}})
+	emb, err := newEmbedding(g, [][]int{{6, 0}, {1, 2}, {3, 4}, {5, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,14 @@ func triangleInstance(t *testing.T) (*graph.Graph, *Embedding) {
 func TestDartPrimitives(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(1, 2) // e0: darts 0 (1->2), 1 (2->1)
-	if Tail(g, 0) != 1 || Head(g, 0) != 2 || Tail(g, 1) != 2 || Head(g, 1) != 1 {
+	emb, err := FromNeighborOrders(g, [][]int{{}, {2}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Tail(g, 0) != 1 || emb.HeadOf(0) != 2 || Tail(g, 1) != 2 || emb.HeadOf(1) != 1 {
 		t.Fatal("dart orientation wrong")
 	}
-	if Twin(0) != 1 || Twin(1) != 0 {
+	if Tail(g, 0^1) != emb.HeadOf(0) || emb.HeadOf(1^1) != Tail(g, 1) {
 		t.Fatal("twin wrong")
 	}
 	if DartFrom(g, 0, 1) != 0 || DartFrom(g, 0, 2) != 1 {
@@ -48,13 +52,13 @@ func TestTriangleFaces(t *testing.T) {
 	// The inner face must be traced counterclockwise: 0->1, 1->2, 2->0.
 	d01 := DartFrom(g, 0, 0) // edge 0 is {0,1}, dart 0 is 0->1
 	inner := fs.FaceOf[d01]
-	cyc := fs.Cycles()[inner]
+	cyc := fs.Cycle(int(inner))
 	if len(cyc) != 3 {
 		t.Fatalf("inner face length %d", len(cyc))
 	}
 	seen := map[int]bool{}
 	for _, d := range cyc {
-		seen[d] = true
+		seen[int(d)] = true
 	}
 	for _, want := range []int{DartFrom(g, 0, 0), DartFrom(g, 1, 1), DartFrom(g, 2, 2)} {
 		if !seen[want] {
@@ -229,11 +233,11 @@ func TestInsertEdgeIntoSquare(t *testing.T) {
 			t.Fatal("edge count wrong")
 		}
 	}
-	// FaceInsertions must produce only planar insertions and cover both
+	// FaceInsertionsIn must produce only planar insertions and cover both
 	// faces (diagonal can go through inner or outer face).
-	fins := emb.FaceInsertions(0, 2)
+	fins := emb.FaceInsertionsIn(emb.TraceFaces(), 0, 2)
 	if len(fins) != 2 {
-		t.Fatalf("FaceInsertions = %d, want 2 (inner and outer)", len(fins))
+		t.Fatalf("FaceInsertionsIn = %d, want 2 (inner and outer)", len(fins))
 	}
 	for _, in := range fins {
 		_, nemb, err := emb.InsertEdge(in)
@@ -241,7 +245,7 @@ func TestInsertEdgeIntoSquare(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nemb.Genus() != 0 {
-			t.Fatalf("FaceInsertions produced non-planar insertion %+v", in)
+			t.Fatalf("FaceInsertionsIn produced non-planar insertion %+v", in)
 		}
 	}
 }
@@ -262,16 +266,16 @@ func TestInsertEdgeErrors(t *testing.T) {
 func TestEmbeddingValidation(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1)
-	if _, err := NewEmbedding(g, [][]int{{0}}); err == nil {
+	if _, err := newEmbedding(g, [][]int{{0}}); err == nil {
 		t.Fatal("wrong vertex count accepted")
 	}
-	if _, err := NewEmbedding(g, [][]int{{0, 1}, {}}); err == nil {
+	if _, err := newEmbedding(g, [][]int{{0, 1}, {}}); err == nil {
 		t.Fatal("wrong rotation length accepted")
 	}
-	if _, err := NewEmbedding(g, [][]int{{1}, {0}}); err == nil {
+	if _, err := newEmbedding(g, [][]int{{1}, {0}}); err == nil {
 		t.Fatal("dart with wrong tail accepted")
 	}
-	emb, err := NewEmbedding(g, [][]int{{0}, {1}})
+	emb, err := newEmbedding(g, [][]int{{0}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ type Restriction struct {
 	// Orig maps sub-vertex -> original vertex.
 	Orig []int
 	// OuterDart is a dart of the sub-embedding lying on the face that
-	// contains the face of the parent dart RestrictTo was given (the
+	// contains the face of the parent dart Restrict was given (the
 	// parent's outer region, as callers choose it), or -1 if the subgraph
 	// has no edges.
 	OuterDart int
@@ -41,13 +41,6 @@ func NewRestricter(emb *Embedding) *Restricter {
 
 // Embedding returns the parent embedding.
 func (r *Restricter) Embedding() *Embedding { return r.emb }
-
-// RestrictTo returns the embedding induced on the given vertices, with
-// the sub-face containing the given parent dart's face as its outer face.
-// It is the one-shot form of Restricter.Restrict.
-func (emb *Embedding) RestrictTo(vs []int, dart int) (*Restriction, error) {
-	return NewRestricter(emb).Restrict(vs, dart)
-}
 
 // Restrict returns the embedding induced on the given vertices, with the
 // sub-face containing the given parent dart's face as its outer face.
@@ -147,7 +140,7 @@ func (emb *Embedding) CheckOuterDart(d int) error {
 
 // OuterRegionDart returns a parent dart with both endpoints in vs whose
 // face lies in the region of the face of outerDart (the parent outer face)
-// once the edges not induced by vs are dropped — the dart RestrictTo needs
+// once the edges not induced by vs are dropped — the dart Restrict needs
 // when the caller knows nothing local about vs. It returns -1 if vs
 // induces no edge. Sub-faces are unions of parent faces merged across
 // absent edges, so the region is found by a union–find over all parent

@@ -52,6 +52,7 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 	for i := range all {
 		all[i] = i
 	}
+	rs := planar.NewRestricter(emb)
 	var build func(vs []int, depth int) (*DecompositionNode, error)
 	build = func(vs []int, depth int) (*DecompositionNode, error) {
 		node := &DecompositionNode{Vertices: vs, Depth: depth}
@@ -62,7 +63,7 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 			d.Leaves++
 			return node, nil
 		}
-		sep, err := ForSubset(emb, outerDart, vs)
+		sep, err := forRegion(rs, outerDart, vs)
 		if err != nil {
 			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
 		}

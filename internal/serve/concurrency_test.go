@@ -52,8 +52,8 @@ func TestSingleFlightConcurrentSubmitters(t *testing.T) {
 	if hits+joined != submitters-1 {
 		t.Fatalf("hits %d + joined %d != %d", hits, joined, submitters-1)
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache entries = %d, want 1", s.CacheLen())
+	if entries := s.Metrics().Gauge("serve.cache.entries"); entries != 1 {
+		t.Fatalf("cache entries = %d, want 1", entries)
 	}
 }
 

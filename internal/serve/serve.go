@@ -126,9 +126,6 @@ func New(opts Options) *Server {
 // latency histograms) for embedding hosts and benchmarks.
 func (s *Server) Metrics() *trace.Recorder { return s.metrics }
 
-// CacheLen returns the number of cached decompositions.
-func (s *Server) CacheLen() int { return s.store.len() }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -130,10 +130,3 @@ func (s *store) insertLocked(hash string, d *Decomp) {
 	s.metrics.SetGauge("serve.cache.entries", int64(s.lru.Len()))
 	s.metrics.SetGauge("serve.cache.bytes", s.bytes)
 }
-
-// len returns the number of cached decompositions.
-func (s *store) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}

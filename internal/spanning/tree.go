@@ -291,16 +291,6 @@ func (t *Tree) PathUp(v, a int) ([]int, error) {
 	return t.pathUp(v, a), nil
 }
 
-// MustPathUp is PathUp for callers holding the ancestor invariant; it panics
-// on violation and must not be used on untrusted inputs.
-func (t *Tree) MustPathUp(v, a int) []int {
-	path, err := t.PathUp(v, a)
-	if err != nil {
-		panic(err.Error())
-	}
-	return path
-}
-
 // pathUp is the unchecked walk; a must be an ancestor of v.
 func (t *Tree) pathUp(v, a int) []int {
 	var path []int

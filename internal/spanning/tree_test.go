@@ -340,12 +340,6 @@ func TestPathUpNonAncestorErrors(t *testing.T) {
 	if _, err := tr.PathUp(4, 3); err == nil {
 		t.Fatal("PathUp with non-ancestor should return an error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustPathUp with non-ancestor should panic")
-		}
-	}()
-	tr.MustPathUp(4, 3)
 }
 
 // Property: LCA matches the naive parent-walk implementation.

@@ -260,13 +260,6 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return h.Clone()
 }
 
-// SampleNames returns the sorted names of all time series.
-func (r *Recorder) SampleNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedMapKeys(r.samples)
-}
-
 // Samples returns a copy of the named time series.
 func (r *Recorder) Samples(name string) []SamplePoint {
 	r.mu.Lock()

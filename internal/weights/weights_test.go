@@ -287,7 +287,7 @@ func TestAugWeightGeometric(t *testing.T) {
 // one insertion's fundamental face has ground-truth weight want.
 func augWeightRealizable(t *testing.T, cfg *Config, ec EdgeCase, z, want int) bool {
 	t.Helper()
-	for _, ins := range cfg.Emb.FaceInsertions(ec.U, z) {
+	for _, ins := range cfg.Emb.FaceInsertionsIn(cfg.Emb.TraceFaces(), ec.U, z) {
 		ng, nemb, err := cfg.Emb.InsertEdge(ins)
 		if err != nil || nemb.Genus() != 0 {
 			continue
@@ -383,7 +383,7 @@ func geometricallyCompatible(cfg *Config, ec EdgeCase, z int) bool {
 			}
 		}
 	}
-	for _, ins := range cfg.Emb.FaceInsertions(ec.U, z) {
+	for _, ins := range cfg.Emb.FaceInsertionsIn(cfg.Emb.TraceFaces(), ec.U, z) {
 		ng, nemb, err := cfg.Emb.InsertEdge(ins)
 		if err != nil || nemb.Genus() != 0 {
 			continue

@@ -240,7 +240,11 @@ func NewPartition(partOf []int) (*Partition, error) {
 // SeparatorForSubset computes a cycle separator of the subgraph induced by
 // vs (which must be connected), in original vertex IDs.
 func SeparatorForSubset(in *Instance, vs []int) (*Separator, error) {
-	return separator.ForSubset(in.Emb, in.OuterDart, vs)
+	dart, err := in.Emb.OuterRegionDart(vs, in.OuterDart)
+	if err != nil {
+		return nil, err
+	}
+	return separator.ForSubset(planar.NewRestricter(in.Emb), dart, vs, separator.Find)
 }
 
 // Decomposition is a recursive separator decomposition tree.

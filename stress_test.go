@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/graph"
 )
 
 func TestStressSeparatorAllFamilies(t *testing.T) {
@@ -91,7 +92,8 @@ func TestStressPartitionedSeparators(t *testing.T) {
 		t.Fatalf("parts = %d", len(results))
 	}
 	for _, r := range results {
-		sub, orig, err := in.G.InducedSubgraph(part.Parts[r.Part])
+		orig := part.Parts[r.Part]
+		sub, err := graph.NewInducer(in.G).Induce(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
