@@ -39,19 +39,19 @@ func guardRows(sw sweep) ([]Row, error) {
 	return append(rows, r), nil
 }
 
-// guardFamilyRows produces the valid-acceptance row plus the two
-// rotation-corruption rejection rows for one (family, size). The "valid"
-// row reports the guard's round/message cost next to the charged
-// paper-model rounds of the Theorem 2 DFS build it fronts, so its
-// overhead column is the price of admission relative to the pipeline
-// itself. The corrupted rows measure rejection latency: how much work the
-// guard does before producing a typed witness on an adversarial input.
+// guardFamilyRows produces the valid-acceptance row plus the genus-splice
+// rejection row for one (family, size). The "valid" row reports the
+// guard's round/message cost next to the charged paper-model rounds of the
+// Theorem 2 DFS build it fronts, so its overhead column is the price of
+// admission relative to the pipeline itself. The genus-splice row
+// measures rejection latency: how much work the guard does before
+// producing a typed witness on an adversarial input.
 func guardFamilyRows(family string, size int) ([]Row, error) {
 	in, err := gen.ByName(family, size, 1)
 	if err != nil {
 		return nil, err
 	}
-	valid, err := guardRow(family, "valid", size, in.G, gen.WireOf(in).Rotations, true)
+	valid, err := guardRow(family, "valid", size, in.G, validateInstance(in), true)
 	if err != nil {
 		return nil, err
 	}
@@ -63,23 +63,11 @@ func guardFamilyRows(family string, size int) ([]Row, error) {
 	valid.Det["overhead"] = ratio(valid.Det["guard_rounds"].(int), res.DFSRounds)
 	rows := []Row{valid}
 
-	// Rejection latency on a retargeted dart: the distributed rotation
-	// check catches it in the one exchange round.
-	rot := gen.WireOf(in).Rotations
-	if chaos.NewPlan(41, chaos.Spec{Structural: 2}).RetargetDarts(1, in.G.N(), rot) == 0 {
-		return nil, fmt.Errorf("retarget applied nothing")
-	}
-	r, err := guardRow(family, "retargeted-dart", size, in.G, rot, false)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, r)
-
 	// Rejection latency on a permutation-preserving splice that raises the
-	// genus: every local check passes and the Euler certification is what
-	// rejects, the guard's most expensive path.
-	if spliced, ok := splicedRotations(in); ok {
-		r, err := guardRow(family, "genus-splice", size, in.G, spliced, false)
+	// genus: every earlier stage passes and the Euler certification is
+	// what rejects, the guard's most expensive path.
+	if spliced, ok := splicedInstance(in); ok {
+		r, err := guardRow(family, "genus-splice", size, spliced.G, validateInstance(spliced), false)
 		if err != nil {
 			return nil, err
 		}
@@ -88,28 +76,40 @@ func guardFamilyRows(family string, size int) ([]Row, error) {
 	return rows, nil
 }
 
-// splicedRotations searches deterministic seeds for a rotation splice that
+// splicedInstance searches deterministic seeds for a rotation splice that
 // leaves every rotation a permutation of its neighbourhood but lifts the
-// embedding off the sphere. Some families (trees, tiny instances) admit no
+// embedding off the sphere, and builds it the way an untrusted submission
+// is built (Wire.Build). Some families (trees, tiny instances) admit no
 // such corruption; those report ok=false and skip the row.
-func splicedRotations(in *gen.Instance) ([][]int, bool) {
+func splicedInstance(in *gen.Instance) (*gen.Instance, bool) {
 	for seed := int64(1); seed < 100; seed++ {
-		rot := gen.WireOf(in).Rotations
+		w := gen.WireOf(in)
 		p := chaos.NewPlan(seed, chaos.Spec{Structural: 4})
-		if p.SpliceFaces(1, rot) == 0 && p.SpliceRotations(2, rot) == 0 {
+		if p.SpliceFaces(1, w.Rotations) == 0 && p.SpliceRotations(2, w.Rotations) == 0 {
 			continue
 		}
-		v, err := guard.ValidateRotations(in.G, rot, guardBenchOptions())
+		spliced, err := w.Build()
+		if err != nil {
+			continue
+		}
+		v, err := guard.ValidateInstance(spliced, guardBenchOptions())
 		if err == nil && !v.OK && v.Witness.Reason == guard.ReasonEuler {
-			return rot, true
+			return spliced, true
 		}
 	}
 	return nil, false
 }
 
+// validateInstance is the admission of an embedded instance, as planard
+// runs it.
+func validateInstance(in *gen.Instance) func() (*guard.Verdict, error) {
+	return func() (*guard.Verdict, error) { return guard.ValidateInstance(in, guardBenchOptions()) }
+}
+
 // guardDenseRow measures the dense-region rejection: a K7 planted on a
 // path of n vertices, invisible to the global edge count but over the
-// planar bound inside a radius-1 ball.
+// planar bound inside a radius-1 ball. It has no embedding to claim, so
+// the row validates the bare graph.
 func guardDenseRow(n int) (Row, error) {
 	g := graph.New(n)
 	for v := 0; v+1 < n; v++ {
@@ -126,18 +126,15 @@ func guardDenseRow(n int) (Row, error) {
 			}
 		}
 	}
-	rot := make([][]int, n)
-	for v := 0; v < n; v++ {
-		rot[v] = append([]int(nil), g.Neighbors(v)...)
-	}
-	return guardRow("k7-plant", "dense-region", n, g, rot, false)
+	return guardRow("k7-plant", "dense-region", n, g, func() (*guard.Verdict, error) {
+		return guard.ValidateGraph(g, guardBenchOptions())
+	}, false)
 }
 
-// guardRow benchmarks one ValidateRotations call and checks the verdict
-// matches the expected polarity before trusting the numbers.
-func guardRow(family, kind string, size int, g *graph.Graph, rot [][]int, wantOK bool) (Row, error) {
-	opt := guardBenchOptions()
-	probe, err := guard.ValidateRotations(g, rot, opt)
+// guardRow benchmarks one validation of g and checks the verdict matches
+// the expected polarity before trusting the numbers.
+func guardRow(family, kind string, size int, g *graph.Graph, validate func() (*guard.Verdict, error), wantOK bool) (Row, error) {
+	probe, err := validate()
 	if err != nil {
 		return Row{}, err
 	}
@@ -145,7 +142,7 @@ func guardRow(family, kind string, size int, g *graph.Graph, rot [][]int, wantOK
 		return Row{}, fmt.Errorf("%s/%s: verdict OK=%v, want %v (%v)", family, kind, probe.OK, wantOK, probe.Witness)
 	}
 	res, err := hostCost(func() error {
-		_, err := guard.ValidateRotations(g, rot, opt)
+		_, err := validate()
 		return err
 	})
 	if err != nil {

@@ -27,7 +27,11 @@ var tiny = sweep{
 // rounds and the guard's pipeline_rounds were re-recorded when the Lemma 2
 // JOIN began walking the separator path, which changed the charged DFS
 // rounds; the valid row's guard_rounds (448 → 3,388) when the guard
-// verdict began counting the Euler stage's prover charge.
+// verdict began counting the Euler stage's prover charge. The guard rows'
+// rounds and messages were re-recorded (valid 3,388/2,208 → 3,355/1,732,
+// dense-region 245/709 → 124/301) when the guard dropped its distributed
+// rotation check, which Wire.Check and the embedding constructors make
+// redundant; the dense-region row now validates its bare graph.
 var pins = []struct{ mode, id, det string }{
 	{"congest", `{"family":"grid","program":"bfs","size":64}`, `{"n":64,"m":112,"rounds":16,"messages":224,"words":448,"max_edge_congestion":1}`},
 	{"congest", `{"family":"grid","program":"pa","size":64}`, `{"rounds":57,"messages":446,"words":1086}`},
@@ -42,10 +46,9 @@ var pins = []struct{ mode, id, det string }{
 	{"engines", `{"engine":"theorem1","family":"grid","size":64}`, `{"cycle_len":11,"balance":0.453125,"rounds":162626,"phase":"sparse-virtual","cert_verdict":"accept"}`},
 	{"engines", `{"engine":"har-peled-nayyeri","family":"grid","size":64}`, `{"cycle_len":28,"rounds":37744,"phase":"level-cycle","cert_verdict":"accept"}`},
 	{"engines", `{"engine":"randomized","family":"grid","size":64}`, `{"cycle_len":0,"balance":0,"rounds":0,"phase":"","cert_verdict":"no-separator"}`},
-	{"guard", `{"case":"valid","family":"grid","size":64}`, `{"accepted":true,"guard_rounds":3388,"guard_messages":2208,"pipeline_rounds":1221424}`},
-	{"guard", `{"case":"retargeted-dart","family":"grid","size":64}`, `{"accepted":false,"reason":"rotation","guard_rounds":33,"guard_messages":476}`},
+	{"guard", `{"case":"valid","family":"grid","size":64}`, `{"accepted":true,"guard_rounds":3355,"guard_messages":1732,"pipeline_rounds":1221424}`},
 	{"guard", `{"case":"genus-splice","family":"grid","size":64}`, `{"accepted":false,"reason":"euler"}`},
-	{"guard", `{"case":"dense-region","family":"k7-plant","size":64}`, `{"m":78,"accepted":false,"reason":"dense-region","guard_rounds":245,"guard_messages":709}`},
+	{"guard", `{"case":"dense-region","family":"k7-plant","size":64}`, `{"m":78,"accepted":false,"reason":"dense-region","guard_rounds":124,"guard_messages":301}`},
 	{"serve", `{"family":"grid","size":64,"workers":2}`, `{"hash":"85250460f25ff7190dc20a168c04e175fdbbdb714878f9c28657fa3ad8328705","rounds":1253877,"cache_hits":16,"cache_misses":1}`},
 }
 

@@ -50,9 +50,11 @@ recovered DFS tree: 35 tree edges
 // certifyGolden is the recorded stdout of the -certify run below: the
 // guarded pipeline's admission line, then its spanning, dfs and separator
 // verdicts. The admission rounds were re-recorded (176 → 1,760) when the
-// guard verdict began counting the Euler stage's prover charge.
+// guard verdict began counting the Euler stage's prover charge, and
+// (1,760/809 → 1,735/549) when the guard dropped its distributed rotation
+// check.
 const certifyGolden = `certifying DFS run: grid-6x6 n=36 m=60 root=1
-guard: accept grid-6x6 n=36 rounds=1760 msgs=809
+guard: accept grid-6x6 n=36 rounds=1735 msgs=549
 certify spanning: ACCEPT labelWords=3 proverRounds=792 verifierRounds=2 aggRounds=23 msgs=120
 certify dfs: ACCEPT labelWords=3 proverRounds=5550 verifierRounds=2 aggRounds=23 msgs=120
 certify separator: ACCEPT labelWords=11 proverRounds=9114 verifierRounds=2 aggRounds=23 msgs=120

@@ -89,8 +89,9 @@ type Options struct {
 // and traces are exactly those of the one-shot Certify*/Verify*/Prove*
 // functions, which each run on a fresh Verifier.
 //
-// One Verifier serves a whole guarded build: the admission guard validates
-// on it (guard.ValidateInstance), its accepting verdict hands it over, and
+// One Verifier serves a whole guarded build: the admission guard runs its
+// edge-count, density and Euler stages on it (guard.ValidateInstance), its
+// accepting verdict hands it over, and
 // pipeline.Run certifies the DFS attempts, the spanning tree and the
 // separator on it after SetTracer points it at the build's tracer.
 //

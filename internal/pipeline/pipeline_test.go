@@ -312,7 +312,8 @@ func TestRunGuard(t *testing.T) {
 // admission's Verifier and reports exactly the verdicts and rounds of an
 // unguarded run. Traced with its admission on one recorder, the guarded
 // run records the pinned trace, whose digests were recorded when the
-// admission could also run inside Run, and its clock ends at
+// admission could also run inside Run and re-recorded when the guard
+// dropped its distributed rotation check, and its clock ends at
 // Admission.Rounds + Rounds() + Separator.Rounds; a run handed an untraced
 // admission records the unguarded run's trace byte for byte. An
 // admission's context serves one build of its own graph only.
@@ -328,8 +329,8 @@ func TestRunAdoptsTheAdmission(t *testing.T) {
 		in     *gen.Instance
 		digest string
 	}{
-		{instance(t, "grid", 100, 1), "71a9177a62f19452eba3f7e408bdc461aa3ea2073584f4c1517b7d763e3329e9"},
-		{instance(t, "stacked", 150, 7), "00aab8a3e70b902888be3ea1707946a9a2ae3b81044d78977496df31e27ff4a1"},
+		{instance(t, "grid", 100, 1), "6c3010c1ce22aeb33a9e52f7733b2b26e319d3929ba521da3d692aabca44ccc0"},
+		{instance(t, "stacked", 150, 7), "f8c74b9c7c7274477e97925f116c9e9800f69d4edcf5ecec252cf491fd492ddd"},
 	} {
 		in := c.in
 		plain := trace.NewRecorder()

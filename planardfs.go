@@ -435,10 +435,10 @@ func ParseFaultSpec(s string) (FaultSpec, error) { return chaos.ParseSpec(s) }
 // Input validation (internal/guard): the admission subsystem that runs
 // before the Theorem 2 pipeline (hand its verdict to Run as
 // PipelineOptions.Admitted) and rejects non-planar and
-// corrupted-embedding inputs with typed, certifiable verdicts — a
-// distributed rotation/endpoint consistency check, a one-sided-error
-// CONGEST planarity property tester, and the Euler-count certification,
-// all as real node programs on the simulator.
+// corrupted-embedding inputs with typed, certifiable verdicts — shape and
+// connectivity prechecks, then a one-sided-error CONGEST planarity property
+// tester and the Euler-count certification, both as real node programs on
+// the simulator.
 type (
 	// GuardVerdict is the outcome of a validation run: per-stage results
 	// with measured CONGEST cost, and a witness on rejection.
@@ -448,8 +448,8 @@ type (
 	// GuardOptions configure a validation run (tester seed, ball radius,
 	// exhaustive sweep, tracing).
 	GuardOptions = guard.Options
-	// GuardReason classifies a rejection (shape, disconnected, rotation,
-	// endpoint-mismatch, edge-count, dense-region, euler).
+	// GuardReason classifies a rejection (shape, disconnected, edge-count,
+	// dense-region, euler).
 	GuardReason = guard.Reason
 	// GuardRejectionError is the typed error form of a rejecting verdict.
 	GuardRejectionError = guard.RejectionError
@@ -461,9 +461,9 @@ type (
 var ErrInputRejected = guard.ErrRejected
 
 // ValidateEmbedding validates an instance's graph and claimed embedding
-// end to end — shape and connectivity prechecks, the distributed rotation
-// consistency check, the planarity property tester, and the Euler-count
-// certification. A bad input is a rejecting verdict (verdict.Err()
+// end to end — shape (an embedding of the instance's own graph, with an
+// outer dart of it) and connectivity prechecks, the planarity property
+// tester, and the Euler-count certification. A bad input is a rejecting verdict (verdict.Err()
 // returns the typed GuardRejectionError), not an error. An accepting
 // verdict keeps the certification context it validated on until
 // PipelineOptions.Admitted hands it to a Run of the same instance, which

@@ -288,7 +288,8 @@ func TestOutOfRangeRoot(t *testing.T) {
 // TestOuterDartOutOfRange checks that every facade call reading the
 // instance's outer dart rejects one outside the embedding with the
 // embedding's own error instead of panicking, the guarded Run included:
-// the guard admits the graph and its embedding, not the dart.
+// there the guard's shape stage rejects the dart with that error as its
+// witness.
 func TestOuterDartOutOfRange(t *testing.T) {
 	in, err := NewGrid(4, 4)
 	if err != nil {
