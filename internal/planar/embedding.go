@@ -251,22 +251,16 @@ func (emb *Embedding) Clone() *Embedding {
 
 // NeighborOrder returns the clockwise neighbour ordering at v.
 func (emb *Embedding) NeighborOrder(v int) []int {
-	return emb.AppendNeighborOrder(make([]int, 0, emb.g.Degree(v)), v)
-}
-
-// AppendNeighborOrder appends the clockwise neighbour ordering at v to dst
-// and returns the extended slice, so a caller reading every vertex's
-// rotation can reuse one row.
-func (emb *Embedding) AppendNeighborOrder(dst []int, v int) []int {
+	order := make([]int, 0, emb.g.Degree(v))
 	d := emb.first[v]
 	if d < 0 {
-		return dst
+		return order
 	}
 	for {
-		dst = append(dst, int(emb.headD[d]))
+		order = append(order, int(emb.headD[d]))
 		d = emb.next[d]
 		if d == emb.first[v] {
-			return dst
+			return order
 		}
 	}
 }
