@@ -100,7 +100,7 @@ func TestScheduleGolden(t *testing.T) {
 		{"chatter/stacked", func(t *testing.T, o *goldenOut) { runChatter(t, o, "stacked", 122, 2) },
 			"stats=42ed1ac784d93a3e results=1de35d20295aaa50 jsonl=435e7348be91ddd4 chrome=c24a66ae3273cdba counts=e3b0c44298fc1c14"},
 		{"guard/accept", runGuardAccept, "stats=e3b0c44298fc1c14 results=5c1460b2b7e189f8 jsonl=240291b079b51872 chrome=bd1d53bd92c553ca counts=e3b0c44298fc1c14"},
-		{"guard/dense-region", runGuardDense, "stats=e3b0c44298fc1c14 results=7e3b9abfc0159361 jsonl=3c18d3ce32d4eeed chrome=9e4fc1e3f9aa1e51 counts=e3b0c44298fc1c14"},
+		{"guard/dense-region", runGuardDense, "stats=e3b0c44298fc1c14 results=fb39274535a4c8f2 jsonl=3c18d3ce32d4eeed chrome=9e4fc1e3f9aa1e51 counts=e3b0c44298fc1c14"},
 		{"cert/separator/grid", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "grid") },
 			"stats=e3b0c44298fc1c14 results=ccd8fc7f94cfdf34 jsonl=5b091c13d88e407e chrome=ef04663fb5a4cf42 counts=e3b0c44298fc1c14"},
 		{"cert/separator/stacked", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "stacked") },

@@ -9,12 +9,14 @@ import (
 )
 
 // Wire is the on-disk/on-the-wire format of an embedded planar graph —
-// the untrusted shape a submission arrives in. Decoding, field-level
-// checking, and building the in-memory Instance are deliberately separate
-// steps (DecodeWire, Check, Build) so an HTTP admission path can reject a
-// malformed body with a field-level error before any graph structure is
-// allocated, and so the semantic guard can rule on a structurally
-// well-formed wire without the decoder silently pre-judging planarity.
+// the untrusted shape a submission arrives in. EncodeJSON writes it with
+// encoding/json; DecodeWire reads it back without reflection. Decoding,
+// field-level checking, and building the in-memory Instance are
+// deliberately separate steps (DecodeWire, Check, Build) so an HTTP
+// admission path can reject a malformed body with a field-level error
+// before any graph structure is allocated, and so the semantic guard can
+// rule on a structurally well-formed wire without the decoder silently
+// pre-judging planarity.
 type Wire struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
@@ -45,14 +47,53 @@ func fieldErr(field string, index int, format string, args ...any) *FieldError {
 	return &FieldError{Field: field, Index: index, Msg: fmt.Sprintf(format, args...)}
 }
 
-// DecodeWire parses the JSON form without validating anything beyond JSON
-// syntax.
+// DecodeWire parses the JSON form of a Wire, checking nothing beyond JSON
+// syntax and the types of the five fields. It is one hand-written pass
+// over data (decode.go), with no reflection, and its contract is
+// encoding/json's: for every input it returns a Wire reflect.DeepEqual to
+// what Unmarshal from that package gives into a fresh Wire, nil and empty
+// slices kept distinct, or an error of the same class, syntax or type.
+// FuzzDecodeWire is the proof. The rules that follow from it:
+//   - a key matches its field exactly, else as bytes.EqualFold does; keys
+//     may contain escapes, and unknown keys are skipped;
+//   - a repeated key decodes again into what the earlier one left;
+//   - null keeps a string, an int or an edge, and sets a slice to nil;
+//   - [] gives a fresh empty slice;
+//   - an edge with fewer than two numbers zero-fills, and extra numbers
+//     are ignored;
+//   - a number with a fraction or exponent, or outside int, is a type
+//     error;
+//   - a syntax error anywhere outranks a type error;
+//   - top-level null gives the zero Wire, and trailing non-space bytes
+//     are a syntax error;
+//   - name is fully unescaped, and a lone surrogate or invalid UTF-8
+//     becomes U+FFFD.
+//
+// The rows of Rotations are carved from one backing array, each with a
+// full-slice cap. In an EncodeJSON body n and edges come first and size
+// the slices after them, so it decodes in a constant number of
+// allocations whatever its size (TestDecodeWireAllocsBounded).
 func DecodeWire(data []byte) (*Wire, error) {
-	var w Wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("gen: decode: %w", err)
+	d := &wireDecoder{data: data}
+	w := new(Wire)
+	d.space()
+	switch {
+	case d.peek() == '{':
+		d.object(w)
+	case !d.null(): // a top-level null leaves the Wire zero
+		d.mismatch("Wire")
 	}
-	return &w, nil
+	d.space()
+	if d.pos < len(d.data) {
+		d.syntaxError("after top-level value")
+	}
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case d.typeErr != nil:
+		return nil, d.typeErr
+	}
+	return w, nil
 }
 
 // Check applies the structural admission checks a wire instance must pass

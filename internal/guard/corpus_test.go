@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,8 +12,9 @@ import (
 
 // The adversarial corpus gate: every fixture under testdata/corpus is a
 // corrupted wire-form instance that the admission pipeline MUST reject —
-// the guard analogue of the planarvet planted-violation self-check. The
-// filename encodes the expected rejection layer and class:
+// the guard analogue of the planarvet planted-violation self-check. Each
+// fixture is decoded by gen.DecodeWire, as planard decodes an inline
+// graph. The filename encodes the expected rejection layer and class:
 //
 //	wire__<field>__<desc>.json   rejected by gen.Wire.Check with a
 //	                             *gen.FieldError on <field>
@@ -53,8 +53,8 @@ func TestAdversarialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var w gen.Wire
-			if err := json.Unmarshal(data, &w); err != nil {
+			w, err := gen.DecodeWire(data)
+			if err != nil {
 				t.Fatalf("fixture is not wire JSON: %v", err)
 			}
 			switch layer {

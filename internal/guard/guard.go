@@ -73,9 +73,6 @@ type Witness struct {
 	Reason Reason `json:"reason"`
 	// Detail is the human-readable account of the evidence.
 	Detail string `json:"detail"`
-	// Vertex anchors a violation local to one vertex; every stage's
-	// witness is global, so it is -1.
-	Vertex int `json:"vertex,omitempty"`
 	// Rejectors counts the rejecting verifier nodes of a distributed stage.
 	Rejectors int `json:"rejectors,omitempty"`
 	// N, M and Bound carry the numbers of a density/edge-count violation:

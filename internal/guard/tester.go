@@ -228,7 +228,6 @@ func runEdgeCountCheck(vf *cert.Verifier, opt Options) (*Witness, int, int64, er
 		return &Witness{
 			Reason: ReasonEdgeCount,
 			Detail: fmt.Sprintf("%d edges on %d vertices exceeds the planar bound %d", m2/2, n, 3*n-6),
-			Vertex: -1,
 			N:      n, M: m2 / 2, Bound: 3*n - 6,
 		}, rounds, messages, nil
 	}
@@ -265,7 +264,6 @@ func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, er
 			return &Witness{
 				Reason: ReasonDenseRegion,
 				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", radius, c, mS2/2, nS, 3*nS-6),
-				Vertex: -1,
 				N:      nS, M: mS2 / 2, Bound: 3*nS - 6,
 				Center: c, Radius: radius,
 			}, rounds, messages, nil
@@ -285,7 +283,6 @@ func OracleTest(g *graph.Graph, opt Options) *Witness {
 		return &Witness{
 			Reason: ReasonEdgeCount,
 			Detail: fmt.Sprintf("%d edges on %d vertices exceeds the planar bound %d", g.M(), n, 3*n-6),
-			Vertex: -1,
 			N:      n, M: g.M(), Bound: 3*n - 6,
 		}
 	}
@@ -309,7 +306,6 @@ func OracleTest(g *graph.Graph, opt Options) *Witness {
 			return &Witness{
 				Reason: ReasonDenseRegion,
 				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", radius, c, mS2/2, nS, 3*nS-6),
-				Vertex: -1,
 				N:      nS, M: mS2 / 2, Bound: 3*nS - 6,
 				Center: c, Radius: radius,
 			}

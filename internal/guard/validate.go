@@ -57,7 +57,6 @@ func ValidateInstance(in *gen.Instance, opt Options) (*Verdict, error) {
 		return v.reject(Witness{
 			Reason:    ReasonEuler,
 			Detail:    fmt.Sprintf("claimed rotation system has Euler sum %d (want 4): genus %d, not a planar embedding", ev.EulerSum, (4-ev.EulerSum)/4),
-			Vertex:    -1,
 			Rejectors: len(ev.Rejectors),
 			EulerSum:  ev.EulerSum,
 		}), nil
@@ -113,7 +112,7 @@ func shapeStage(v *Verdict, g *graph.Graph, in *gen.Instance) bool {
 	if detail == "" {
 		return true
 	}
-	v.reject(Witness{Reason: ReasonShape, Detail: detail, Vertex: -1})
+	v.reject(Witness{Reason: ReasonShape, Detail: detail})
 	return false
 }
 
@@ -125,7 +124,7 @@ func connectivityStage(v *Verdict, g *graph.Graph) bool {
 	if ok {
 		return true
 	}
-	v.reject(Witness{Reason: ReasonDisconnected, Detail: "graph is not connected", Vertex: -1})
+	v.reject(Witness{Reason: ReasonDisconnected, Detail: "graph is not connected"})
 	return false
 }
 
