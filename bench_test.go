@@ -8,6 +8,7 @@ package planardfs
 // as human-readable tables.
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -295,7 +296,7 @@ func BenchmarkE12SeparatorSize(b *testing.B) {
 	b.ReportMetric(float64(rows[0].LevelSepLen), "grid-level-len")
 }
 
-// BenchmarkCoreSeparator measures the raw centralized separator computation
+// BenchmarkCoreSeparator measures one validated Theorem 1 separator call
 // (micro-benchmark, not an experiment).
 func BenchmarkCoreSeparator(b *testing.B) {
 	in, err := NewStackedTriangulation(4096, 3)
@@ -308,22 +309,21 @@ func BenchmarkCoreSeparator(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindCycleSeparator(cfg); err != nil {
+		if _, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCoreDFSBuild measures the raw DFS-tree construction.
+// BenchmarkCoreDFSBuild measures one certified Theorem 2 build (Run).
 func BenchmarkCoreDFSBuild(b *testing.B) {
 	in, err := NewStackedTriangulation(2048, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	root := OuterRoot(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildDFSTree(in, root); err != nil {
+		if _, err := Run(context.Background(), in, PipelineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -168,13 +168,13 @@ func certRow(scheme, family string, size int) (Row, error) {
 		if err != nil {
 			return Row{}, err
 		}
-		certify = func() (*cert.Verdict, error) { return cert.CertifySpanningTree(g, tree, opt) }
+		certify = func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifySpanningTree(tree) }
 	case "dfs":
 		tree, err := spanning.DeepDFSTree(g, 0)
 		if err != nil {
 			return Row{}, err
 		}
-		certify = func() (*cert.Verdict, error) { return cert.CertifyDFSTree(g, 0, tree.Parent, opt) }
+		certify = func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifyDFSTree(0, tree.Parent) }
 	case "separator":
 		cfg, err := separatorConfig(in)
 		if err != nil {
@@ -184,9 +184,9 @@ func certRow(scheme, family string, size int) (Row, error) {
 		if err != nil {
 			return Row{}, err
 		}
-		certify = func() (*cert.Verdict, error) { return cert.CertifySeparator(g, sep, opt) }
+		certify = func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifySeparator(sep) }
 	case "embedding":
-		certify = func() (*cert.Verdict, error) { return cert.CertifyEmbedding(in.Emb, opt) }
+		certify = func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifyEmbedding(in.Emb) }
 	default:
 		return Row{}, fmt.Errorf("unknown scheme %q", scheme)
 	}
@@ -382,7 +382,7 @@ func engineRow(engine, family string, size int) (Row, error) {
 		det["balance"] = probe.Balance
 		det["rounds"] = probe.Rounds
 		det["phase"] = probe.Sep.Phase.String()
-		v, err := cert.CertifySeparator(g, probe.Sep, cert.Options{})
+		v, err := cert.NewVerifier(g, cert.Options{}).CertifySeparator(probe.Sep)
 		if err != nil {
 			return Row{}, err
 		}

@@ -132,7 +132,7 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("BFS output is not a tree: %w", err)
 			}
-			v, err := cert.CertifySpanningTree(g, tree, copt)
+			v, err := cert.NewVerifier(g, copt).CertifySpanningTree(tree)
 			if err != nil {
 				return err
 			}
@@ -150,7 +150,7 @@ func run() error {
 		}
 		fmt.Println("Awerbuch DFS: output verified")
 		if *certify {
-			v, err := cert.CertifyDFSTree(g, 0, parent, copt)
+			v, err := cert.NewVerifier(g, copt).CertifyDFSTree(0, parent)
 			if err != nil {
 				return err
 			}

@@ -34,14 +34,15 @@ import (
 	"os"
 	"strings"
 
-	"planardfs"
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
 	"planardfs/internal/cli"
+	"planardfs/internal/dist"
 	"planardfs/internal/exp"
 	"planardfs/internal/gen"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
+	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
 	"planardfs/internal/weights"
@@ -297,7 +298,7 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	if err != nil {
 		return err
 	}
-	rounds := planardfs.SeparatorRounds(in.G.N(), planardfs.PaperCost{D: tree.MaxDepth(), N: in.G.N()}, 1)
+	rounds := dist.SeparatorOps(in.G.N()).Rounds(shortcut.PaperCost{D: tree.MaxDepth(), N: in.G.N()}, 1)
 	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), tree.Root)
 	vf := cert.NewVerifier(in.G, cert.Options{})
 	primary := separatorStage(in, cfg, rounds, plan, vf)

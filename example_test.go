@@ -1,6 +1,7 @@
 package planardfs_test
 
 import (
+	"context"
 	"fmt"
 
 	"planardfs"
@@ -11,18 +12,20 @@ import (
 func ExampleFindCycleSeparator() {
 	in, _ := planardfs.NewStackedTriangulation(200, 7)
 	cfg, _ := planardfs.NewConfig(in, planardfs.TreeBFS, planardfs.OuterRoot(in))
-	sep, _ := planardfs.FindCycleSeparator(cfg)
-	maxComp := planardfs.VerifySeparatorBalance(in.G, sep.Path)
+	res, _ := planardfs.FindCycleSeparator(cfg, "", planardfs.SeparatorEngineOptions{})
+	maxComp := planardfs.VerifySeparatorBalance(in.G, res.Sep.Path)
 	fmt.Println("balanced:", 3*maxComp <= 2*in.G.N())
 	// Output: balanced: true
 }
 
-// ExampleBuildDFSTree demonstrates Theorem 2: a verified DFS tree built by
+// ExampleRun demonstrates Theorem 2: a certified DFS tree built by
 // recursive separator joining.
-func ExampleBuildDFSTree() {
+func ExampleRun() {
 	in, _ := planardfs.NewGrid(10, 10)
-	root := planardfs.OuterRoot(in)
-	tree, _, _ := planardfs.BuildDFSTree(in, root)
-	fmt.Println("valid DFS tree:", planardfs.VerifyDFSTree(in.G, root, tree.Parent) == nil)
-	// Output: valid DFS tree: true
+	res, _ := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{})
+	fmt.Println("certified:", res.Recovery.Outcome == planardfs.RecoveryCertified)
+	fmt.Println("valid DFS tree:", planardfs.VerifyDFSTree(in.G, planardfs.OuterRoot(in), res.Parent) == nil)
+	// Output:
+	// certified: true
+	// valid DFS tree: true
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,13 +21,15 @@ func main() {
 	depth := in.G.Eccentricity(root)
 	fmt.Printf("graph: %s  n=%d  BFS depth=%d  root=%d\n", in.Name, n, depth, root)
 
-	tree, trace, err := planardfs.BuildDFSTree(in, root)
+	// Theorem 2 through the certified pipeline, rooted at OuterRoot.
+	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := planardfs.VerifyDFSTree(in.G, root, tree.Parent); err != nil {
+	if err := planardfs.VerifyDFSTree(in.G, root, res.Parent); err != nil {
 		log.Fatal(err)
 	}
+	trace := res.DFSTrace
 	fmt.Printf("DFS tree verified: every edge connects an ancestor-descendant pair\n")
 	fmt.Printf("recursion phases: %d (log_{3/2} n ≈ %.1f)\n", trace.Phases, logBase(1.5, n))
 	fmt.Printf("max component per phase: %v\n", trace.MaxComponent)
@@ -34,10 +37,9 @@ func main() {
 	fmt.Printf("join sub-phases: total %d, max per join %d\n",
 		trace.JoinSubPhases, trace.MaxJoinSubPhases)
 
-	cm := planardfs.PaperCost{D: depth, N: n}
-	det := planardfs.DFSRounds(n, trace, cm)
-	awe := planardfs.AwerbuchRounds(n)
-	fmt.Printf("simulated rounds: deterministic Õ(D) = %d, Awerbuch Θ(n) = %d\n", det, awe)
+	// The rounds the build charged, priced at the BFS depth.
+	fmt.Printf("simulated rounds: deterministic Õ(D) = %d, Awerbuch Θ(n) = %d\n",
+		res.DFSRounds, planardfs.AwerbuchRounds(n))
 
 	// Run Awerbuch for real at the message level.
 	parent, stats, err := planardfs.RunAwerbuchDFS(in.G, root)

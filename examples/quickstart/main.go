@@ -25,11 +25,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Theorem 1: the deterministic cycle separator.
-	sep, err := planardfs.FindCycleSeparator(cfg)
+	// Theorem 1: the deterministic cycle separator (the empty engine name
+	// selects the Theorem 1 engine), validated before it is returned.
+	res, err := planardfs.FindCycleSeparator(cfg, "", planardfs.SeparatorEngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sep := res.Sep
 	fmt.Printf("separator: %d vertices (T-path %d..%d), found by phase %q\n",
 		len(sep.Path), sep.EndA, sep.EndB, sep.Phase)
 
@@ -40,10 +42,8 @@ func main() {
 		log.Fatal("unbalanced separator — this must never happen")
 	}
 
-	// Round cost under the paper's charged shortcut bound, priced at the
-	// depth of the configuration's BFS tree (depth <= D <= 2·depth).
-	depth := cfg.Tree.MaxDepth()
-	cm := planardfs.PaperCost{D: depth, N: n}
+	// The rounds the call charged under the paper's shortcut bound, priced
+	// at the depth of the configuration's BFS tree (depth <= D <= 2·depth).
 	fmt.Printf("simulated CONGEST rounds (paper model, BFS depth %d): %d\n",
-		depth, planardfs.SeparatorRounds(n, cm, 1))
+		cfg.Tree.MaxDepth(), res.Rounds)
 }

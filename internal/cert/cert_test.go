@@ -96,7 +96,7 @@ func TestCertifyAllFamilies(t *testing.T) {
 				t.Fatalf("separator oracle: %v", err)
 			}
 
-			v, err = cert.CertifyEmbedding(in.Emb, opt)
+			v, err = cert.NewVerifier(g, opt).CertifyEmbedding(in.Emb)
 			wantOK(t, v, err, "embedding")
 			if v.EulerSum != 4 {
 				t.Fatalf("embedding: Euler sum %d, want 4", v.EulerSum)

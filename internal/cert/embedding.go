@@ -139,12 +139,3 @@ func (vf *Verifier) CertifyEmbedding(emb *planar.Embedding) (*Verdict, error) {
 	}
 	return vf.VerifyEmbedding(ProveEmbedding(emb))
 }
-
-// CertifyEmbedding proves and verifies the Euler sanity of emb on a fresh
-// Verifier of its graph.
-func CertifyEmbedding(emb *planar.Embedding, opt Options) (*Verdict, error) {
-	if emb == nil {
-		return nil, fmt.Errorf("cert: nil embedding")
-	}
-	return NewVerifier(emb.Graph(), opt).CertifyEmbedding(emb)
-}

@@ -80,7 +80,9 @@ func certRuns(t *testing.T, in *gen.Instance) []certRun {
 		{"certify-separator", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifySeparator(sep) },
 			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifySeparator(g, sep, opt) }, true},
 		{"certify-embedding", func(vf *cert.Verifier) (*cert.Verdict, error) { return vf.CertifyEmbedding(in.Emb) },
-			func(opt cert.Options) (*cert.Verdict, error) { return cert.CertifyEmbedding(in.Emb, opt) }, true},
+			func(opt cert.Options) (*cert.Verdict, error) {
+				return cert.NewVerifier(g, opt).CertifyEmbedding(in.Emb)
+			}, true},
 		verify("bad-spanning-root", mutate(spanLabels, n-1, 0), false,
 			(*cert.Verifier).VerifySpanningTree),
 		verify("bad-spanning-depth", mutate(spanLabels, n/2, 2), false,

@@ -13,12 +13,14 @@ package chaos
 // The primitives map onto the guard's rejection taxonomy:
 //
 //   - SpliceRotations / SpliceFaces keep every rotation a permutation of
-//     its neighbour set, so the local and endpoint checks still pass; the
-//     corruption surfaces (when it changes the genus) in the Euler stage.
-//     On face-rich inputs a swap merges or splits faces.
+//     its neighbour set, so gen.Wire.Check still passes and the instance
+//     builds; the corruption surfaces (when it changes the genus) in the
+//     guard's Euler stage. On face-rich inputs a swap merges or splits
+//     faces.
 //   - RetargetDarts rewrites rotation entries to arbitrary vertices,
-//     breaking the permutation property — the rotation or endpoint stage
-//     catches it.
+//     breaking the permutation property: gen.Wire.Check rejects it on
+//     field "rotations" before any instance is built (the corpus fixture
+//     wire__rotations__retargeted-dart.json).
 //   - InjectEdges adds edges a planar skeleton never had; on a
 //     triangulation the very first injection trips the m <= 3n-6 bound,
 //     and any injection desynchronizes the old rotations from the new

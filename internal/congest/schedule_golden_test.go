@@ -365,7 +365,7 @@ func runCertSchemes(t *testing.T, o *goldenOut) {
 		func() (*cert.Verdict, error) { return cert.CertifySpanningTree(g, bfs, opt) },
 		func() (*cert.Verdict, error) { return cert.CertifyDFSTree(g, 0, deep.Parent, opt) },
 		func() (*cert.Verdict, error) { return cert.CertifySeparator(g, goldenSeparator(t, in), opt) },
-		func() (*cert.Verdict, error) { return cert.CertifyEmbedding(in.Emb, opt) },
+		func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifyEmbedding(in.Emb) },
 	}
 	for _, c := range certify {
 		v, err := c()

@@ -17,18 +17,18 @@ import (
 // TestTheorem2HasOnePath scans the module's non-test Go files, outside the
 // frozen planardbench module and third_party, and fails on every call that
 // bypasses the one Theorem 2 path:
-//   - dfs.Build or dfs.BuildWithSeparator outside internal/dfs,
-//     internal/pipeline and the facade's BuildDFSTree;
+//   - dfs.Build or dfs.BuildWithSeparator outside internal/dfs and
+//     internal/pipeline;
 //   - dist.DFSBuildOps, the Theorem 2 round tally, outside internal/dfs
 //     (dfs.Trace.Ops);
 //   - a type assertion to congest.AwerbuchNode, the extraction of the
 //     token DFS's parents, outside internal/congest (congest.RunAwerbuch).
 func TestTheorem2HasOnePath(t *testing.T) {
 	dfsPkg, distPkg, congestPkg := module+"/internal/dfs", module+"/internal/dist", module+"/internal/congest"
-	allowed := func(fn qualified, pkg, funcName string) bool {
+	allowed := func(fn qualified, pkg string) bool {
 		switch fn {
 		case qualified{dfsPkg, "Build"}, qualified{dfsPkg, "BuildWithSeparator"}:
-			return pkg == dfsPkg || pkg == module+"/internal/pipeline" || (pkg == module && funcName == "BuildDFSTree")
+			return pkg == dfsPkg || pkg == module+"/internal/pipeline"
 		case qualified{distPkg, "DFSBuildOps"}:
 			return pkg == dfsPkg
 		case qualified{congestPkg, "AwerbuchNode"}:
@@ -41,27 +41,21 @@ func TestTheorem2HasOnePath(t *testing.T) {
 	walkModule(t, fset, false, func(rel string, f *ast.File) {
 		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(rel)))
 		imports := fileImports(f)
-		for _, decl := range f.Decls {
-			funcName := ""
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				funcName = fd.Name.Name
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				var e ast.Expr
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					e = n.Fun
-				case *ast.TypeAssertExpr:
-					e = n.Type
-				default:
-					return true
-				}
-				if fn, ok := resolve(e, imports, pkg); ok && !allowed(fn, pkg, funcName) {
-					t.Errorf("%s: %s.%s bypasses the one Theorem 2 path", fset.Position(n.Pos()), path.Base(fn.pkg), fn.name)
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var e ast.Expr
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				e = n.Fun
+			case *ast.TypeAssertExpr:
+				e = n.Type
+			default:
 				return true
-			})
-		}
+			}
+			if fn, ok := resolve(e, imports, pkg); ok && !allowed(fn, pkg) {
+				t.Errorf("%s: %s.%s bypasses the one Theorem 2 path", fset.Position(n.Pos()), path.Base(fn.pkg), fn.name)
+			}
+			return true
+		})
 	})
 }
 

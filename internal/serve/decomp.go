@@ -46,7 +46,8 @@ type Decomp struct {
 	// Attempts is the number of supervised attempts the DFS stage took.
 	Attempts int
 	// Rounds is the total charged paper-model round cost of the build
-	// (DFS pipeline plus certification provers and verifiers).
+	// (pipeline.Result.Rounds: the DFS stage plus every certification's
+	// prover, verifier and aggregation rounds).
 	Rounds int
 	// BuildNanos is the wall-clock build duration (cold path).
 	BuildNanos int64

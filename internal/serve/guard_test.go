@@ -73,6 +73,21 @@ func TestSubmitMalformedBodies(t *testing.T) {
 			wantCode: http.StatusBadRequest,
 		},
 		{
+			name:     "trailing bytes",
+			body:     func(*testing.T) string { return `{"family":"grid","n":16}garbage` },
+			wantCode: http.StatusBadRequest,
+		},
+		{
+			name:     "two objects",
+			body:     func(*testing.T) string { return `{"family":"grid","n":16}{"family":"grid","n":16}` },
+			wantCode: http.StatusBadRequest,
+		},
+		{
+			name:     "trailing close brace",
+			body:     func(*testing.T) string { return `{"family":"grid","n":16}}` },
+			wantCode: http.StatusBadRequest,
+		},
+		{
 			name:     "both family and graph",
 			body:     func(*testing.T) string { return `{"family":"grid","n":9,"graph":{"n":1}}` },
 			wantCode: http.StatusBadRequest,
@@ -233,10 +248,10 @@ func TestSubmitMalformedBodies(t *testing.T) {
 			}
 		})
 	}
-	// Nothing above may have consumed a worker: a valid inline submission
-	// still runs end to end.
+	// Nothing above may have consumed a worker: a valid inline submission,
+	// whitespace after its object allowed, still runs end to end.
 	w := wireFixture(t)
-	st := postJob(t, ts.URL, inlineBody(t, w))
+	st := postJob(t, ts.URL, inlineBody(t, w)+" \n")
 	st = awaitJob(t, ts.URL, st.ID)
 	if st.State != StateDone {
 		t.Fatalf("valid inline job ended %s: %s", st.State, st.Error)

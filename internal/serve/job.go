@@ -50,10 +50,13 @@ type JobRequest struct {
 	ChaosSeed int64 `json:"chaosSeed,omitempty"`
 	// MaxAttempts bounds the supervised retries (0 = runtime default).
 	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// Engine selects the separator backend for the whole-instance cycle
-	// separator (internal/sepengine registry); empty runs the default
-	// Theorem 1 engine. Non-default engines key the decomposition cache as
-	// hash:engine, so per-engine results never alias the default's.
+	// Engine selects the separator backend (internal/sepengine registry)
+	// for the separator of every DFS component and for the whole-instance
+	// cycle separator; empty runs the default Theorem 1 engine. A soft
+	// engine failure on a DFS component falls back to Theorem 1 for that
+	// component (dfs.Trace.EngineFallbacks). Non-default engines key the
+	// decomposition cache as hash:engine, so per-engine results never
+	// alias the default's.
 	Engine string `json:"engine,omitempty"`
 }
 

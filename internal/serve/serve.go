@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -198,6 +199,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// The body is one object: anything but whitespace after it, a second
+	// value or a stray '}' included, is a malformed request.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		writeErr(w, http.StatusBadRequest, "bad request body: data after the request object")
 		return
 	}
 	if err := req.validate(s.opts.MaxN); err != nil {

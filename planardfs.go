@@ -10,8 +10,13 @@
 //     components of at most 2n/3 vertices — in Õ(D) CONGEST rounds,
 //     partition-parallel (FindCycleSeparator, SeparatorsForPartition).
 //   - Theorem 2: deterministic construction of a DFS tree in Õ(D) CONGEST
-//     rounds (BuildDFSTree), and the certified end-to-end pipeline around
-//     it (Run).
+//     rounds, certified end to end by the pipeline around it (Run).
+//
+// Each result has one entry. FindCycleSeparator returns a separator the
+// engine registry has validated, with the rounds its call charged; Run
+// returns the certified DFS tree, with the rounds of its build
+// (PipelineResult.DFSRounds, PipelineResult.Rounds). NewVerifier is the
+// one certification context for outputs built elsewhere.
 //
 // Everything the algorithms depend on is implemented in this module:
 // combinatorial planar embeddings with face tracing and Jordan
@@ -30,7 +35,6 @@ package planardfs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"planardfs/internal/cert"
@@ -78,8 +82,6 @@ type (
 	Partition = shortcut.Partition
 	// PartSeparator is a per-part separator result.
 	PartSeparator = separator.PartResult
-	// DFSTree is a partial (or complete) DFS tree grown by the DFS-RULE.
-	DFSTree = dfs.PartialTree
 	// DFSTrace records the phase structure of a DFS construction run.
 	DFSTrace = dfs.Trace
 	// CostModel converts communication primitives into CONGEST rounds.
@@ -157,8 +159,8 @@ const (
 // OuterRoot returns a vertex on the instance's outer face, the natural root
 // for spanning trees (the paper requires the root on the outer face).
 // in.OuterDart must be a dart of in.Emb (0 <= OuterDart < 2·M); the entry
-// points that take the instance whole, such as Run, BuildDFSTree and
-// NewConfig, return an error for one out of range instead.
+// points that take the instance whole, such as Run and NewConfig, return
+// an error for one out of range instead.
 func OuterRoot(in *Instance) int {
 	return in.Emb.FaceRoot(in.OuterDart)
 }
@@ -182,12 +184,6 @@ func NewConfig(in *Instance, kind TreeKind, root int) (*Config, error) {
 	return weights.NewConfig(in.G, in.Emb, in.OuterDart, tr)
 }
 
-// FindCycleSeparator computes a cycle separator of the configuration's
-// graph (Theorem 1).
-func FindCycleSeparator(cfg *Config) (*Separator, error) {
-	return separator.Find(cfg)
-}
-
 // Multi-backend separator engines (internal/sepengine): a registry of
 // cycle-separator backends behind one interface — the paper's Theorem 1
 // constructive engine, classical Lipton–Tarjan, the BFS-level engine in
@@ -209,16 +205,22 @@ type (
 // engine (theorem1) never returns it on valid planar configurations.
 var ErrNoSeparator = sepengine.ErrNoSeparator
 
+// NoSeparatorError is the diagnostic form of ErrNoSeparator: errors.As
+// recovers the failing engine and its run statistics, such as the
+// randomized engine's sample count.
+type NoSeparatorError = sepengine.NoSeparatorError
+
 // DefaultSeparatorEngine is the registry name of the Theorem 1 engine.
 const DefaultSeparatorEngine = sepengine.DefaultEngine
 
 // SeparatorEngines lists the registered engine names, sorted.
 func SeparatorEngines() []string { return sepengine.Names() }
 
-// FindCycleSeparatorWithEngine computes a validated cycle separator with
-// the named engine (empty name selects the default). Unknown names return
-// a typed error listing the available engines.
-func FindCycleSeparatorWithEngine(cfg *Config, engine string, opts SeparatorEngineOptions) (*SeparatorEngineResult, error) {
+// FindCycleSeparator computes a validated cycle separator of the
+// configuration's graph with the named engine; the empty name selects the
+// Theorem 1 engine. The result carries the rounds the call charged.
+// Unknown names return a typed error listing the available engines.
+func FindCycleSeparator(cfg *Config, engine string, opts SeparatorEngineOptions) (*SeparatorEngineResult, error) {
 	return sepengine.Find(engine, cfg, opts)
 }
 
@@ -265,12 +267,6 @@ func DecomposeGraph(in *Instance, leafSize int) (*Decomposition, error) {
 // separator vertices; a valid separator has max component <= 2n/3.
 func VerifySeparatorBalance(g *Graph, sep []int) int {
 	return separator.VerifyBalance(g, sep)
-}
-
-// BuildDFSTree constructs a DFS tree of the instance rooted at root
-// (Theorem 2), returning the tree and the recursion trace.
-func BuildDFSTree(in *Instance, root int) (*DFSTree, *DFSTrace, error) {
-	return dfs.Build(in.G, in.Emb, in.OuterDart, root)
 }
 
 // The Theorem 2 pipeline (internal/pipeline): one ordered stage list —
@@ -325,46 +321,16 @@ type (
 	CertVerdict = cert.Verdict
 	// CertOptions configure a certification run (engine selection, tracer).
 	CertOptions = cert.Options
+	// Verifier is the certification context of one graph.
+	Verifier = cert.Verifier
 )
 
-// CertifySpanningTree proves and distributively verifies that t is a rooted
-// spanning tree of g.
-func CertifySpanningTree(g *Graph, t *Tree, opt CertOptions) (*CertVerdict, error) {
-	return cert.CertifySpanningTree(g, t, opt)
-}
-
-// CertifyDFSTree proves and distributively verifies the DFS property of the
-// parent array: preorder-interval labels, with every non-tree edge checked
-// to be a back edge.
-func CertifyDFSTree(g *Graph, root int, parent []int, opt CertOptions) (*CertVerdict, error) {
-	return cert.CertifyDFSTree(g, root, parent, opt)
-}
-
-// CertifySeparator proves and distributively verifies the separator
-// property of sep: a simple G-path whose removal leaves components of at
-// most 2n/3 vertices.
-func CertifySeparator(g *Graph, sep *Separator, opt CertOptions) (*CertVerdict, error) {
-	return cert.CertifySeparator(g, sep, opt)
-}
-
-// CertifyEmbedding proves and distributively verifies the Euler sanity of
-// the embedding (genus 0 via aggregated face-leader counts).
-func CertifyEmbedding(emb *Embedding, opt CertOptions) (*CertVerdict, error) {
-	return cert.CertifyEmbedding(emb, opt)
-}
-
-// SeparatorRounds returns the simulated CONGEST round cost of one
-// partition-parallel cycle-separator computation (Theorem 1) on an n-vertex
-// graph under the cost model, with k concurrent parts.
-func SeparatorRounds(n int, cm CostModel, k int) int {
-	return dist.SeparatorOps(n).Rounds(cm, k)
-}
-
-// DFSRounds returns the simulated CONGEST round cost of a DFS construction
-// run with the given trace under the cost model.
-func DFSRounds(n int, tr *DFSTrace, cm CostModel) int {
-	return tr.Ops(n).Rounds(cm, 1)
-}
+// NewVerifier returns the certification context of g: its methods
+// (CertifySpanningTree, CertifyDFSTree, CertifySeparator,
+// CertifyEmbedding, …) prove and distributively verify one output each,
+// sharing one round engine and one aggregation tree. A Verifier is not
+// safe for concurrent use.
+func NewVerifier(g *Graph, opt CertOptions) *Verifier { return cert.NewVerifier(g, opt) }
 
 // AwerbuchRounds returns the round cost of the classical DFS baseline [2].
 func AwerbuchRounds(n int) int { return dist.AwerbuchRounds(n) }
@@ -508,27 +474,6 @@ func CanonicalGraphBytes(in *Instance) []byte { return gen.CanonicalBytes(in) }
 // GraphContentHash returns the content address of an instance (lowercase
 // hex SHA-256 of CanonicalGraphBytes).
 func GraphContentHash(in *Instance) string { return gen.ContentHash(in) }
-
-// RandomizedSeparator runs the sampling-estimation baseline (Ghaffari-
-// Parter style) through the engine registry: it may fail with an error
-// wrapping ErrNoSeparator (no estimate in the safety band, or a sampled
-// face that is unbalanced); see experiment E10. The sample count is
-// returned even on failure. The RNG is derived from seed, never from the
-// process-global generator. A zero sampleRate or margin selects the engine
-// defaults (0.25 and 0.03).
-func RandomizedSeparator(cfg *Config, sampleRate, margin float64, seed int64) (*Separator, int, error) {
-	res, err := sepengine.Find("randomized", cfg, SeparatorEngineOptions{
-		Seed: seed, SampleRate: sampleRate, Margin: margin,
-	})
-	if err != nil {
-		var nse *sepengine.NoSeparatorError
-		if errors.As(err, &nse) {
-			return nil, nse.Samples, err
-		}
-		return nil, 0, err
-	}
-	return res.Sep, res.Samples, nil
-}
 
 // BFSLevelSeparator returns the classical Lipton-Tarjan first-step
 // baseline: the median BFS level.

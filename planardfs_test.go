@@ -2,11 +2,14 @@ package planardfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/gen"
 )
 
 func TestPublicSeparatorFlow(t *testing.T) {
@@ -20,12 +23,15 @@ func TestPublicSeparatorFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sep, err := FindCycleSeparator(cfg)
+		res, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Rounds <= 0 {
+			t.Fatalf("kind %d: the call charged %d rounds", kind, res.Rounds)
+		}
 		n := in.G.N()
-		if maxC := VerifySeparatorBalance(in.G, sep.Path); 3*maxC > 2*n {
+		if maxC := VerifySeparatorBalance(in.G, res.Sep.Path); 3*maxC > 2*n {
 			t.Fatalf("kind %d: unbalanced: %d of %d", kind, maxC, n)
 		}
 	}
@@ -39,23 +45,21 @@ func TestPublicDFSFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := OuterRoot(in)
-	tree, trace, err := BuildDFSTree(in, root)
+	res, err := Run(context.Background(), in, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyDFSTree(in.G, root, tree.Parent); err != nil {
+	if err := VerifyDFSTree(in.G, OuterRoot(in), res.Parent); err != nil {
 		t.Fatal(err)
 	}
-	if trace.Phases == 0 {
+	if res.DFSTrace.Phases == 0 {
 		t.Fatal("empty trace")
 	}
 	// Round accounting: deterministic Õ(D) beats Awerbuch's Θ(n) once n is
-	// large relative to D... at this size just check positivity and
-	// consistency.
-	cm := PaperCost{D: in.G.Eccentricity(root), N: in.G.N()}
-	if DFSRounds(in.G.N(), trace, cm) <= 0 || SeparatorRounds(in.G.N(), cm, 1) <= 0 {
-		t.Fatal("round estimates must be positive")
+	// large relative to D... at this size just check that the run charged
+	// its stages.
+	if res.DFSRounds <= 0 || res.Separator.Rounds <= 0 || res.Rounds() <= res.DFSRounds {
+		t.Fatalf("charged rounds: dfs %d, separator %d, build %d", res.DFSRounds, res.Separator.Rounds, res.Rounds())
 	}
 	if AwerbuchRounds(in.G.N()) != 2*(in.G.N()-1)+1 {
 		t.Fatal("Awerbuch bound wrong")
@@ -142,7 +146,20 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, samples, err := RandomizedSeparator(cfg, 1.0, 0, 4); err == nil && samples == 0 {
+	// The sample count is reported on success and, through
+	// NoSeparatorError, on a soft failure.
+	res, err := FindCycleSeparator(cfg, "randomized", SeparatorEngineOptions{Seed: 4, SampleRate: 1.0})
+	samples := 0
+	var nse *NoSeparatorError
+	switch {
+	case err == nil:
+		samples = res.Samples
+	case errors.As(err, &nse):
+		samples = nse.Samples
+	default:
+		t.Fatal(err)
+	}
+	if samples == 0 {
 		t.Fatal("full sample reported zero samples")
 	}
 	lvl := BFSLevelSeparator(in.G, 0)
@@ -257,10 +274,6 @@ func TestOutOfRangeRoot(t *testing.T) {
 			_, err := NewConfig(in, TreeDeepDFS, root)
 			return err
 		}, false},
-		{"BuildDFSTree", func(root int) error {
-			_, _, err := BuildDFSTree(in, root)
-			return err
-		}, false},
 		{"RunAwerbuchDFS", func(root int) error {
 			_, _, err := RunAwerbuchDFS(in.G, root)
 			return err
@@ -323,10 +336,6 @@ func TestOuterDartOutOfRange(t *testing.T) {
 				_, err := NewConfig(&bad, TreeBFS, 0)
 				return err
 			}},
-			{"BuildDFSTree", func() error {
-				_, _, err := BuildDFSTree(&bad, 0)
-				return err
-			}},
 			{"SeparatorForSubset", func() error {
 				_, err := SeparatorForSubset(&bad, all)
 				return err
@@ -356,8 +365,8 @@ func TestSeparatorForSubsetEmpty(t *testing.T) {
 }
 
 // TestCertifyRejectsNilInputs: a nil tree, separator or embedding is an
-// error from the certification facade and the cert package alike, not a
-// nil dereference.
+// error from the facade's Verifier and the cert package alike, not a nil
+// dereference.
 func TestCertifyRejectsNilInputs(t *testing.T) {
 	in, err := NewGrid(3, 3)
 	if err != nil {
@@ -367,12 +376,11 @@ func TestCertifyRejectsNilInputs(t *testing.T) {
 		name string
 		call func() (*CertVerdict, error)
 	}{
-		{"CertifySpanningTree", func() (*CertVerdict, error) { return CertifySpanningTree(in.G, nil, CertOptions{}) }},
-		{"CertifySeparator", func() (*CertVerdict, error) { return CertifySeparator(in.G, nil, CertOptions{}) }},
-		{"CertifyEmbedding", func() (*CertVerdict, error) { return CertifyEmbedding(nil, CertOptions{}) }},
+		{"CertifySpanningTree", func() (*CertVerdict, error) { return NewVerifier(in.G, CertOptions{}).CertifySpanningTree(nil) }},
+		{"CertifySeparator", func() (*CertVerdict, error) { return NewVerifier(in.G, CertOptions{}).CertifySeparator(nil) }},
+		{"CertifyEmbedding", func() (*CertVerdict, error) { return NewVerifier(in.G, CertOptions{}).CertifyEmbedding(nil) }},
 		{"cert.CertifySpanningTree", func() (*CertVerdict, error) { return cert.CertifySpanningTree(in.G, nil, cert.Options{}) }},
 		{"cert.CertifySeparator", func() (*CertVerdict, error) { return cert.CertifySeparator(in.G, nil, cert.Options{}) }},
-		{"cert.CertifyEmbedding", func() (*CertVerdict, error) { return cert.CertifyEmbedding(nil, cert.Options{}) }},
 		{"Verifier.CertifyEmbedding", func() (*CertVerdict, error) {
 			return cert.NewVerifier(in.G, cert.Options{}).CertifyEmbedding(nil)
 		}},
@@ -389,5 +397,35 @@ func TestCertifyRejectsNilInputs(t *testing.T) {
 				t.Fatalf("got verdict %v, error %v; want an error", v, err)
 			}
 		})
+	}
+}
+
+// TestFindCycleSeparatorMatchesRun: on every family, the facade's separator
+// call on the BFS configuration rooted at OuterRoot returns the separator,
+// and charges the rounds, of the separator stage of Run on the same
+// instance.
+func TestFindCycleSeparatorMatchesRun(t *testing.T) {
+	for _, fam := range gen.Families {
+		in, err := gen.ByName(fam, 40, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := NewConfig(in, TreeBFS, OuterRoot(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		res, err := Run(context.Background(), in, PipelineOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		a, b := got.Sep, res.Separator.Sep
+		if !slices.Equal(a.Path, b.Path) || a.EndA != b.EndA || a.EndB != b.EndB || a.Phase != b.Phase || got.Rounds != res.Separator.Rounds {
+			t.Fatalf("%s: FindCycleSeparator gave path %v, ends %d..%d, phase %v, %d rounds; Run gave %v, %d..%d, %v, %d rounds",
+				in.Name, a.Path, a.EndA, a.EndB, a.Phase, got.Rounds, b.Path, b.EndA, b.EndB, b.Phase, res.Separator.Rounds)
+		}
 	}
 }

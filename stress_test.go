@@ -8,6 +8,7 @@ package planardfs
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"planardfs/internal/gen"
@@ -30,10 +31,11 @@ func TestStressSeparatorAllFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", in.Name, kind, err)
 				}
-				sep, err := FindCycleSeparator(cfg)
+				res, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{})
 				if err != nil {
 					t.Fatalf("%s/%v: %v", in.Name, kind, err)
 				}
+				sep := res.Sep
 				nn := in.G.N()
 				if maxC := VerifySeparatorBalance(in.G, sep.Path); 3*maxC > 2*nn {
 					t.Fatalf("%s/%v: unbalanced (%d of %d, phase %v)",
@@ -54,16 +56,15 @@ func TestStressDFSAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := OuterRoot(in)
-		tree, trace, err := BuildDFSTree(in, root)
+		res, err := Run(context.Background(), in, PipelineOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
-		if err := VerifyDFSTree(in.G, root, tree.Parent); err != nil {
+		if err := VerifyDFSTree(in.G, OuterRoot(in), res.Parent); err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
-		if trace.Phases > 40 {
-			t.Fatalf("%s: %d phases", in.Name, trace.Phases)
+		if res.DFSTrace.Phases > 40 {
+			t.Fatalf("%s: %d phases", in.Name, res.DFSTrace.Phases)
 		}
 	}
 }
@@ -123,39 +124,31 @@ func TestStressDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := OuterRoot(in)
-	cfg, err := NewConfig(in, TreeBFS, root)
+	cfg, err := NewConfig(in, TreeBFS, OuterRoot(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := FindCycleSeparator(cfg)
+	a, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FindCycleSeparator(cfg)
+	b, err := FindCycleSeparator(cfg, "", SeparatorEngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Phase != b.Phase || len(a.Path) != len(b.Path) {
+	if a.Sep.Phase != b.Sep.Phase || !slices.Equal(a.Sep.Path, b.Sep.Path) {
 		t.Fatal("separator nondeterministic")
 	}
-	for i := range a.Path {
-		if a.Path[i] != b.Path[i] {
-			t.Fatal("separator path nondeterministic")
-		}
-	}
-	t1, _, err := BuildDFSTree(in, root)
+	t1, err := Run(context.Background(), in, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, _, err := BuildDFSTree(in, root)
+	t2, err := Run(context.Background(), in, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range t1.Parent {
-		if t1.Parent[v] != t2.Parent[v] {
-			t.Fatal("DFS tree nondeterministic")
-		}
+	if !slices.Equal(t1.Parent, t2.Parent) {
+		t.Fatal("DFS tree nondeterministic")
 	}
 }
 
@@ -172,8 +165,7 @@ func TestStressTracedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := OuterRoot(in)
-	plain, _, err := BuildDFSTree(in, root)
+	plain, err := Run(context.Background(), in, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +179,8 @@ func TestStressTracedDeterminism(t *testing.T) {
 	}
 	rec1, parent1 := run()
 	rec2, _ := run()
-	for v := range plain.Parent {
-		if plain.Parent[v] != parent1[v] {
-			t.Fatal("tracing changed the DFS tree")
-		}
+	if !slices.Equal(plain.Parent, parent1) {
+		t.Fatal("tracing changed the DFS tree")
 	}
 	var j1, j2, c1, c2 bytes.Buffer
 	if err := rec1.WriteJSONL(&j1); err != nil {
