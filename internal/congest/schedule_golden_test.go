@@ -80,7 +80,10 @@ func (o *goldenOut) digest(t *testing.T) string {
 // refresh silently. The guard/accept results digest was re-recorded when
 // the guard verdict began counting the Euler stage's prover charge (euler
 // check 20 → 596 rounds, verdict total 460 → 1,036); its traces did not
-// change.
+// change. The whole guard/accept row was re-recorded again when the
+// guard's ball radius became the constant 1: the row had probed radius-2
+// balls, an option the guard no longer has, so its ball rounds, verdict
+// and traces changed with the radius.
 func TestScheduleGolden(t *testing.T) {
 	rows := []struct {
 		name string
@@ -99,7 +102,7 @@ func TestScheduleGolden(t *testing.T) {
 			"stats=4a64780fce93219d results=98b0eef66b0f6a26 jsonl=f871ea92ac129ec9 chrome=d01b9a4486dc947c counts=e3b0c44298fc1c14"},
 		{"chatter/stacked", func(t *testing.T, o *goldenOut) { runChatter(t, o, "stacked", 122, 2) },
 			"stats=42ed1ac784d93a3e results=1de35d20295aaa50 jsonl=435e7348be91ddd4 chrome=c24a66ae3273cdba counts=e3b0c44298fc1c14"},
-		{"guard/accept", runGuardAccept, "stats=e3b0c44298fc1c14 results=5c1460b2b7e189f8 jsonl=240291b079b51872 chrome=bd1d53bd92c553ca counts=e3b0c44298fc1c14"},
+		{"guard/accept", runGuardAccept, "stats=e3b0c44298fc1c14 results=0cddaed28594a5fa jsonl=bd49c6db349c0cbe chrome=dda806cd2f34a14c counts=e3b0c44298fc1c14"},
 		{"guard/dense-region", runGuardDense, "stats=e3b0c44298fc1c14 results=fb39274535a4c8f2 jsonl=3c18d3ce32d4eeed chrome=9e4fc1e3f9aa1e51 counts=e3b0c44298fc1c14"},
 		{"cert/separator/grid", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "grid") },
 			"stats=e3b0c44298fc1c14 results=ccd8fc7f94cfdf34 jsonl=5b091c13d88e407e chrome=ef04663fb5a4cf42 counts=e3b0c44298fc1c14"},
@@ -273,7 +276,7 @@ func runChatter(t *testing.T, o *goldenOut, family string, n int, trial uint64) 
 
 func runGuardAccept(t *testing.T, o *goldenOut) {
 	in := goldenInstance(t, "stacked", 60, 3)
-	v, err := guard.ValidateInstance(in, guard.Options{Seed: 11, Exhaustive: true, Radius: 2, Tracer: o.rec})
+	v, err := guard.ValidateInstance(in, guard.Options{Seed: 11, Exhaustive: true, Tracer: o.rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,24 +195,9 @@ type Options struct {
 	// Seed derives the tester's min(n, 16) ball centers. The same seed
 	// always samples the same centers, so verdicts are reproducible.
 	Seed int64
-	// Radius is the ball radius of the density tester; 0 means 1, values
-	// above 8 are clamped.
-	Radius int
 	// Exhaustive sweeps every vertex as a ball center instead of sampling
 	// — the deterministic mode the corpus gate and fixtures rely on.
 	Exhaustive bool
-}
-
-// radius returns the effective ball radius.
-func (o Options) radius() int {
-	r := o.Radius
-	if r <= 0 {
-		r = 1
-	}
-	if r > 8 {
-		r = 8
-	}
-	return r
 }
 
 // centers returns the effective center count for an n-vertex graph.

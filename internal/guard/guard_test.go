@@ -292,7 +292,7 @@ func TestGuardOracleAgreement(t *testing.T) {
 		cases = append(cases, in.G)
 	}
 	for i, g := range cases {
-		for _, opt := range []Options{{Seed: 11, Exhaustive: true}, {Seed: 7}, {Seed: 9, Radius: 2, Exhaustive: true}} {
+		for _, opt := range []Options{{Seed: 11, Exhaustive: true}, {Seed: 7}} {
 			want := OracleTest(g, opt)
 			v, err := ValidateGraph(g, opt)
 			if err != nil {
@@ -440,13 +440,13 @@ func TestBallResetClearsEveryField(t *testing.T) {
 	for v := range nodes {
 		nodes[v] = &balls[v]
 	}
-	if _, _, _, _, err := probeBall(nw, balls, nodes, 7, 3); err != nil {
+	if _, _, _, _, err := probeBall(nw, balls, nodes, 7); err != nil {
 		t.Fatal(err)
 	}
 	for v := range balls {
-		want := ballNode{deg: in.G.Degree(v), center: v == 5, radius: 2, dist: -1, parentPort: -1,
+		want := ballNode{deg: in.G.Degree(v), center: v == 5, dist: -1, parentPort: -1,
 			childPorts: balls[v].childPorts[:0]}
-		balls[v].reset(in.G.Degree(v), v == 5, 2)
+		balls[v].reset(in.G.Degree(v), v == 5)
 		if !reflect.DeepEqual(balls[v], want) {
 			t.Fatalf("vertex %d: reset gives %+v, want %+v", v, balls[v], want)
 		}

@@ -18,17 +18,20 @@ import (
 //   - edge count: one part-wise degree sum delivers 2m to every vertex;
 //     m > 3n-6 contradicts Euler's bound for every planar simple graph.
 //   - dense region: around each of a set of seeded centers, a ball of
-//     radius r is flooded as a real node program; the members convergecast
-//     their count and member-incident half-edge count up the ball's BFS
-//     tree, and the center checks the planar density bound m_S <= 3n_S - 6
-//     on the induced subgraph. Any subgraph of a planar graph is planar,
-//     so the check never fires on planar inputs — but a planted dense
-//     region (a K5/K7-ish cluster) violates it locally.
+//     radius ballRadius is flooded as a real node program; the members
+//     convergecast their count and member-incident half-edge count up the
+//     ball's BFS tree, and the center checks the planar density bound
+//     m_S <= 3n_S - 6 on the induced subgraph. Any subgraph of a planar
+//     graph is planar, so the check never fires on planar inputs — but a
+//     planted dense region (a K5/K7-ish cluster) violates it locally.
 //
 // Centers are derived from Options.Seed (Exhaustive sweeps every vertex),
 // so a verdict is a deterministic function of (graph, options); the
 // centralized oracle below recomputes the identical decision for
 // cross-checking.
+
+// ballRadius is the radius of every ball the density check probes.
+const ballRadius = 1
 
 // Ball-program message kinds.
 const (
@@ -42,11 +45,10 @@ const (
 // ballNode is the per-vertex program of one ball probe. It is
 // round-scheduled: membership counts are final once every flood message
 // has landed, which the program detects by the round number, so an adopted
-// member sets a wake timer for round radius+2 (see NextWake).
+// member sets a wake timer for round ballRadius+2 (see NextWake).
 type ballNode struct {
 	deg    int
 	center bool
-	radius int
 
 	dist       int // -1 while not a member
 	parentPort int
@@ -68,8 +70,8 @@ type ballNode struct {
 // reset readies the program for a probe, keeping its child-port backing.
 // It writes every field in place: a struct literal here is built in a
 // temporary and copied, once per vertex per probe.
-func (bn *ballNode) reset(deg int, center bool, radius int) {
-	bn.deg, bn.center, bn.radius = deg, center, radius
+func (bn *ballNode) reset(deg int, center bool) {
+	bn.deg, bn.center = deg, center
 	bn.dist, bn.parentPort, bn.childPorts = -1, -1, bn.childPorts[:0]
 	bn.memberNbrs, bn.adopted, bn.reported = 0, false, false
 	bn.gotReports, bn.accSize, bn.accHalf = 0, 0, 0
@@ -96,7 +98,7 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 			if a[1] == 1 {
 				bn.childPorts = append(bn.childPorts, in.Port)
 			}
-			if !bn.adopted && a[0]+1 <= bn.radius {
+			if !bn.adopted && a[0]+1 <= ballRadius {
 				// BFS property: the first grow to arrive carries the
 				// minimal distance, so the first adoption is final.
 				bn.dist = a[0] + 1
@@ -118,11 +120,11 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 		// Non-members stay silent; boundary neighbours' grows are ignored.
 		return out, true
 	}
-	// Flood messages are all delivered by round radius+1 (adoptions happen
-	// at round == dist <= radius; their announcements land one round
-	// later), so from round radius+2 on, memberNbrs and childPorts are
-	// final and the convergecast can fire leaf-first.
-	if !bn.reported && round >= bn.radius+2 && bn.gotReports == len(bn.childPorts) {
+	// Flood messages are all delivered by round ballRadius+1 (adoptions
+	// happen at round == dist <= ballRadius; their announcements land one
+	// round later), so from round ballRadius+2 on, memberNbrs and
+	// childPorts are final and the convergecast can fire leaf-first.
+	if !bn.reported && round >= ballRadius+2 && bn.gotReports == len(bn.childPorts) {
 		size := 1 + bn.accSize
 		half := bn.memberNbrs + bn.accHalf
 		if bn.center {
@@ -141,13 +143,13 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 }
 
 // NextWake implements congest.Waker: an adopted member that has not
-// reported wakes at round radius+2, when its ball's flood is complete; from
-// then on, its children's reports wake it.
+// reported wakes at round ballRadius+2, when its ball's flood is complete;
+// from then on, its children's reports wake it.
 func (bn *ballNode) NextWake(round int) int {
-	if !bn.adopted || bn.reported || round >= bn.radius+2 {
+	if !bn.adopted || bn.reported || round >= ballRadius+2 {
 		return -1
 	}
-	return bn.radius + 2
+	return ballRadius + 2
 }
 
 // announce broadcasts the adoption: a grow on every port, with the
@@ -188,13 +190,13 @@ func centersFor(n int, opt Options) []int {
 // probeBall runs one ball program on nw and returns the center's
 // measurement. balls holds the per-vertex programs, which nodes lists; every
 // probe resets them in place, keeping their child-port backings.
-func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, center, radius int) (nS, mS2, rounds int, messages int64, err error) {
+func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, center int) (nS, mS2, rounds int, messages int64, err error) {
 	g := nw.G
 	for v := range balls {
-		balls[v].reset(g.Degree(v), v == center, radius)
+		balls[v].reset(g.Degree(v), v == center)
 	}
 	cn := &balls[center]
-	r, err := nw.Run(nodes, 2*radius+16)
+	r, err := nw.Run(nodes, 2*ballRadius+16)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d: %w", center, err)
 	}
@@ -242,10 +244,9 @@ func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, er
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.density")
 	defer sp.End()
-	radius := opt.radius()
 	centers := centersFor(g.N(), opt)
 	sp.SetAttr("centers", int64(len(centers)))
-	sp.SetAttr("radius", int64(radius))
+	sp.SetAttr("radius", ballRadius)
 	balls := make([]ballNode, g.N())
 	nodes := make([]congest.Node, g.N())
 	for v := range nodes {
@@ -254,7 +255,7 @@ func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, er
 	rounds := 0
 	var messages int64
 	for _, c := range centers {
-		nS, mS2, r, msgs, err := probeBall(nw, balls, nodes, c, radius)
+		nS, mS2, r, msgs, err := probeBall(nw, balls, nodes, c)
 		if err != nil {
 			return nil, rounds, messages, err
 		}
@@ -263,9 +264,9 @@ func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, er
 		if nS >= 3 && mS2 > 6*nS-12 {
 			return &Witness{
 				Reason: ReasonDenseRegion,
-				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", radius, c, mS2/2, nS, 3*nS-6),
+				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", ballRadius, c, mS2/2, nS, 3*nS-6),
 				N:      nS, M: mS2 / 2, Bound: 3*nS - 6,
-				Center: c, Radius: radius,
+				Center: c, Radius: ballRadius,
 			}, rounds, messages, nil
 		}
 	}
@@ -286,9 +287,8 @@ func OracleTest(g *graph.Graph, opt Options) *Witness {
 			N:      n, M: g.M(), Bound: 3*n - 6,
 		}
 	}
-	radius := opt.radius()
 	for _, c := range centersFor(n, opt) {
-		member := ballMembers(g, c, radius)
+		member := ballMembers(g, c)
 		nS := 0
 		mS2 := 0
 		for v := 0; v < n; v++ {
@@ -305,17 +305,17 @@ func OracleTest(g *graph.Graph, opt Options) *Witness {
 		if nS >= 3 && mS2 > 6*nS-12 {
 			return &Witness{
 				Reason: ReasonDenseRegion,
-				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", radius, c, mS2/2, nS, 3*nS-6),
+				Detail: fmt.Sprintf("ball of radius %d around vertex %d induces %d edges on %d vertices (planar bound %d)", ballRadius, c, mS2/2, nS, 3*nS-6),
 				N:      nS, M: mS2 / 2, Bound: 3*nS - 6,
-				Center: c, Radius: radius,
+				Center: c, Radius: ballRadius,
 			}
 		}
 	}
 	return nil
 }
 
-// ballMembers marks the vertices within the given BFS radius of center.
-func ballMembers(g *graph.Graph, center, radius int) []bool {
+// ballMembers marks the vertices within BFS distance ballRadius of center.
+func ballMembers(g *graph.Graph, center int) []bool {
 	member := make([]bool, g.N())
 	dist := make([]int, g.N())
 	for i := range dist {
@@ -327,7 +327,7 @@ func ballMembers(g *graph.Graph, center, radius int) []bool {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		if dist[v] == radius {
+		if dist[v] == ballRadius {
 			continue
 		}
 		for _, w := range g.Neighbors(v) {

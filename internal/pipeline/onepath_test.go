@@ -59,6 +59,30 @@ func TestTheorem2HasOnePath(t *testing.T) {
 	})
 }
 
+// TestFacadeSeparatorsAreValidated fails if the facade (planardfs.go)
+// names a raw Theorem 1 entry: separator.Find, FindWithOptions or
+// ForSubset. Their output has passed no oracle, and the facade hands out
+// only separators the engine registry has validated (FindCycleSeparator,
+// and sepengine.Finder in the region entries).
+func TestFacadeSeparatorsAreValidated(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join("..", "..", "planardfs.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sepPkg := module + "/internal/separator"
+	imports := fileImports(f)
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			switch fn, _ := resolve(sel, imports, module); fn {
+			case qualified{sepPkg, "Find"}, qualified{sepPkg, "FindWithOptions"}, qualified{sepPkg, "ForSubset"}:
+				t.Errorf("%s: the facade names the unvalidated separator.%s", fset.Position(sel.Pos()), fn.name)
+			}
+		}
+		return true
+	})
+}
+
 // exportAllowlist holds the exported functions and methods of internal/
 // that no production code calls, each with the reason it stays.
 var exportAllowlist = map[string]string{

@@ -296,8 +296,9 @@ func acceptedDFSVerdict(rep *chaos.Report) (*cert.Verdict, error) {
 }
 
 // componentFinder is the per-component separator of the dfs stage. The
-// Theorem 1 engine runs as separator.Find itself; any other engine runs
-// through the registry, and a soft failure on a component falls back to
+// Theorem 1 engine runs as separator.Find itself, since the stage
+// certifies the whole tree; any other engine runs through
+// sepengine.Finder, and a soft failure on a component falls back to
 // Theorem 1, counted in *fallbacks, so the build stays total. The
 // per-component calls record nothing: the phase's separator rounds are
 // charged once, from the build's Trace.
@@ -305,13 +306,11 @@ func componentFinder(eng sepengine.Engine, fallbacks *int) separator.FindFunc {
 	if eng.Name() == sepengine.DefaultEngine {
 		return separator.Find
 	}
+	find := sepengine.Finder(eng)
 	return func(cfg *weights.Config) (*separator.Separator, error) {
-		r, err := eng.FindCycleSeparator(cfg, sepengine.Options{})
-		if err == nil {
-			return r.Sep, nil
-		}
+		sep, err := find(cfg)
 		if !errors.Is(err, sepengine.ErrNoSeparator) {
-			return nil, err
+			return sep, err
 		}
 		*fallbacks++
 		return separator.Find(cfg)

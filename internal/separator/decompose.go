@@ -37,12 +37,17 @@ type Decomposition struct {
 	Leaves int
 }
 
-// Decompose recursively splits the embedded graph with cycle separators
-// until pieces have at most leafSize vertices.
-func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, error) {
+// Decompose recursively splits the embedded graph with find's cycle
+// separators until pieces have at most leafSize vertices. Each piece is
+// split as ForPartition splits a part, rooted in the region of outerDart's
+// face.
+func Decompose(emb *planar.Embedding, outerDart, leafSize int, find FindFunc) (*Decomposition, error) {
 	g := emb.Graph()
 	if leafSize < 1 {
 		return nil, fmt.Errorf("separator: leaf size %d < 1", leafSize)
+	}
+	if err := emb.CheckOuterDart(outerDart); err != nil {
+		return nil, err
 	}
 	if !g.Connected() {
 		return nil, fmt.Errorf("separator: graph is not connected")
@@ -63,7 +68,11 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int) (*Decomposition, 
 			d.Leaves++
 			return node, nil
 		}
-		sep, err := forRegion(rs, outerDart, vs)
+		dart, err := emb.OuterRegionDart(vs, outerDart)
+		if err != nil {
+			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
+		}
+		sep, err := ForSubset(rs, dart, vs, find)
 		if err != nil {
 			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
 		}

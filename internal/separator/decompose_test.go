@@ -13,7 +13,7 @@ func TestDecomposeInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	const leaf = 12
-	d, err := Decompose(in.Emb, in.OuterDart, leaf)
+	d, err := Decompose(in.Emb, in.OuterDart, leaf, Find)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDecomposeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompose(in.Emb, in.OuterDart, 0); err == nil {
+	if _, err := Decompose(in.Emb, in.OuterDart, 0, Find); err == nil {
 		t.Fatal("leaf size 0 accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestDecomposeWholeGraphLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decompose(in.Emb, in.OuterDart, 100)
+	d, err := Decompose(in.Emb, in.OuterDart, 100, Find)
 	if err != nil {
 		t.Fatal(err)
 	}

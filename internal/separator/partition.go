@@ -10,50 +10,40 @@ import (
 	"planardfs/internal/weights"
 )
 
-// PartResult is a per-part cycle separator in original vertex IDs.
-type PartResult struct {
-	Part int
-	// Sep is the separator with Path/EndA/EndB in original vertex IDs.
-	Sep *Separator
-	// SubN is the part size.
-	SubN int
-}
-
 // ForPartition computes, for every part of the partition, a cycle separator
-// of the induced subgraph (the partition-parallel form of Theorem 1). Each
-// part must induce a connected subgraph. Embeddings of the parts are the
-// restrictions of emb; per-part spanning trees are BFS trees rooted on the
-// part's outer face.
-func ForPartition(emb *planar.Embedding, outerDart int, part *shortcut.Partition) ([]*PartResult, error) {
-	out := make([]*PartResult, 0, part.K())
+// of the induced subgraph with find (the partition-parallel form of
+// Theorem 1), in original vertex IDs: the i-th separator is part i's. The
+// partition must cover emb's graph, and each part must induce a connected
+// subgraph. Embeddings of the parts are the restrictions of emb; per-part
+// spanning trees are BFS trees rooted on the part's outer face, the one in
+// the region of outerDart's face (planar.Embedding.OuterRegionDart).
+func ForPartition(emb *planar.Embedding, outerDart int, part *shortcut.Partition, find FindFunc) ([]*Separator, error) {
+	if n := emb.Graph().N(); len(part.PartOf) != n {
+		return nil, fmt.Errorf("separator: partition of %d vertices for %d vertices", len(part.PartOf), n)
+	}
+	out := make([]*Separator, 0, part.K())
 	rs := planar.NewRestricter(emb)
 	for i, vs := range part.Parts {
-		sep, err := forRegion(rs, outerDart, vs)
+		dart, err := emb.OuterRegionDart(vs, outerDart)
 		if err != nil {
 			return nil, fmt.Errorf("part %d: %w", i, err)
 		}
-		out = append(out, &PartResult{Part: i, Sep: sep, SubN: len(vs)})
+		sep, err := ForSubset(rs, dart, vs, find)
+		if err != nil {
+			return nil, fmt.Errorf("part %d: %w", i, err)
+		}
+		out = append(out, sep)
 	}
 	return out, nil
-}
-
-// forRegion is ForSubset with Find, for a caller that knows only a dart
-// outerDart on the parent outer face: the restriction's outer face is the
-// one containing it (planar.Embedding.OuterRegionDart).
-func forRegion(rs *planar.Restricter, outerDart int, vs []int) (*Separator, error) {
-	dart, err := rs.Embedding().OuterRegionDart(vs, outerDart)
-	if err != nil {
-		return nil, err
-	}
-	return ForSubset(rs, dart, vs, Find)
 }
 
 // errDisconnected reports a subset that induces a disconnected subgraph.
 var errDisconnected = errors.New("separator: subset induces a disconnected subgraph")
 
 // FindFunc computes a cycle separator of a configuration's graph. Find is
-// the Theorem 1 implementation; internal/sepengine adapts its registered
-// backends to this shape so the DFS pipeline can run any engine.
+// the raw Theorem 1 implementation; sepengine.Finder adapts a registered
+// engine to this shape, so a region caller can run any engine with its
+// output validated.
 type FindFunc func(cfg *weights.Config) (*Separator, error)
 
 // ForSubset computes a cycle separator of the subgraph induced by vs

@@ -191,16 +191,16 @@ func TestForPartitionStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := ForPartition(in.Emb, in.OuterDart, part)
+	results, err := ForPartition(in.Emb, in.OuterDart, part, Find)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	for _, r := range results {
+	for p, sep := range results {
 		// Balance within the induced subgraph.
-		orig := part.Parts[r.Part]
+		orig := part.Parts[p]
 		sub, err := graph.NewInducer(in.G).Induce(orig)
 		if err != nil {
 			t.Fatal(err)
@@ -209,16 +209,16 @@ func TestForPartitionStripes(t *testing.T) {
 		for i, v := range orig {
 			subOf[v] = i
 		}
-		subSep := make([]int, len(r.Sep.Path))
-		for i, v := range r.Sep.Path {
+		subSep := make([]int, len(sep.Path))
+		for i, v := range sep.Path {
 			sv, ok := subOf[v]
 			if !ok {
-				t.Fatalf("part %d: separator vertex %d outside part", r.Part, v)
+				t.Fatalf("part %d: separator vertex %d outside part", p, v)
 			}
 			subSep[i] = sv
 		}
-		if maxComp := VerifyBalance(sub, subSep); 3*maxComp > 2*r.SubN {
-			t.Fatalf("part %d: max component %d of %d", r.Part, maxComp, r.SubN)
+		if maxComp := VerifyBalance(sub, subSep); 3*maxComp > 2*len(orig) {
+			t.Fatalf("part %d: max component %d of %d", p, maxComp, len(orig))
 		}
 	}
 }
@@ -228,7 +228,7 @@ func TestForSubsetSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep, err := forRegion(planar.NewRestricter(in.Emb), in.OuterDart, []int{4})
+	sep, err := findRegion(in, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestForSubsetDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := forRegion(planar.NewRestricter(in.Emb), in.OuterDart, []int{0, 15}); err == nil {
+	if _, err := findRegion(in, []int{0, 15}); err == nil {
 		t.Fatal("disconnected subset accepted")
 	}
 }
@@ -355,4 +355,14 @@ func TestAblationOptionsRespected(t *testing.T) {
 			t.Fatal("DisableLongPath did not disable the long-path phase")
 		}
 	}
+}
+
+// findRegion is ForSubset with Find on the subset's region of the
+// instance's outer face, as ForPartition and Decompose root each part.
+func findRegion(in *gen.Instance, vs []int) (*Separator, error) {
+	dart, err := in.Emb.OuterRegionDart(vs, in.OuterDart)
+	if err != nil {
+		return nil, err
+	}
+	return ForSubset(planar.NewRestricter(in.Emb), dart, vs, Find)
 }

@@ -178,6 +178,20 @@ func Find(name string, cfg *weights.Config, opts Options) (*Result, error) {
 	return e.FindCycleSeparator(cfg, opts)
 }
 
+// Finder adapts e to the separator.FindFunc shape the region callers take
+// (separator.ForSubset, ForPartition, Decompose): each call runs e
+// untraced with the zero Options and returns the validated separator, or
+// e's error unchanged, so a caller can still match ErrNoSeparator.
+func Finder(e Engine) separator.FindFunc {
+	return func(cfg *weights.Config) (*separator.Separator, error) {
+		r, err := e.FindCycleSeparator(cfg, Options{})
+		if err != nil {
+			return nil, err
+		}
+		return r.Sep, nil
+	}
+}
+
 // costModel is the paper cost model of a configuration: the spanning
 // tree's depth stands in for the diameter (depth <= D <= 2·depth).
 func costModel(cfg *weights.Config) shortcut.CostModel {

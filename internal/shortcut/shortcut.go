@@ -149,15 +149,6 @@ func (c PipelinedCost) Cost(op Op, k int) int {
 // Name implements CostModel.
 func (c PipelinedCost) Name() string { return "pipelined-bfs" }
 
-// FreeCost charges nothing; used when only outputs matter.
-type FreeCost struct{}
-
-// Cost implements CostModel.
-func (FreeCost) Cost(Op, int) int { return 0 }
-
-// Name implements CostModel.
-func (FreeCost) Name() string { return "free" }
-
 // PAResult is the outcome of a message-level part-wise aggregation.
 type PAResult struct {
 	Values []int // Values[v] is the aggregate of v's part

@@ -58,10 +58,7 @@ func TestCostModels(t *testing.T) {
 	if pl.Cost(OpPA, 10) != 2*(8+10)+4 {
 		t.Fatalf("pipelined cost = %d", pl.Cost(OpPA, 10))
 	}
-	if (FreeCost{}).Cost(OpPA, 3) != 0 {
-		t.Fatal("free cost should be 0")
-	}
-	for _, m := range []CostModel{pc, pl, FreeCost{}} {
+	for _, m := range []CostModel{pc, pl} {
 		if m.Name() == "" {
 			t.Fatal("empty model name")
 		}

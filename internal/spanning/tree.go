@@ -10,6 +10,7 @@ package spanning
 
 import (
 	"fmt"
+	"sync"
 
 	"planardfs/internal/graph"
 )
@@ -28,7 +29,10 @@ type Tree struct {
 	arena           []int32
 	size, tin, tout []int32
 	// upFlat is the binary-lifting ancestor table, stride n:
-	// upFlat[k*n+v] is the 2^k-th ancestor of v (or root).
+	// upFlat[k*n+v] is the 2^k-th ancestor of v (or root). The first
+	// Ancestor or LCA call that needs it builds it, once under lift, so
+	// concurrent queries on a shared tree are safe.
+	lift   sync.Once
 	upFlat []int32
 	upLev  int
 }
@@ -215,9 +219,10 @@ func (t *Tree) IsAncestor(a, v int) bool {
 }
 
 func (t *Tree) buildLifting() {
-	if t.upFlat != nil {
-		return
-	}
+	t.lift.Do(t.fillLifting)
+}
+
+func (t *Tree) fillLifting() {
 	n := len(t.Parent)
 	logN := 1
 	for 1<<logN < n {

@@ -2,6 +2,7 @@ package spanning
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,45 @@ func TestAncestorAndFirstOnPath(t *testing.T) {
 	}
 	if tr.MustFirstOnPath(3, 9) != 6 {
 		t.Fatal("FirstOnPath descend one wrong")
+	}
+}
+
+// TestLiftingConcurrentFirstUse makes the first LCA and Ancestor calls of
+// a tree from several goroutines at once, as concurrent queries on a
+// cached tree do; under -race it fails if the lifting table is filled
+// unsynchronized. Every goroutine must get the answers of a tree whose
+// table is already built, and later calls must not allocate.
+func TestLiftingConcurrentFirstUse(t *testing.T) {
+	want := sampleTree(t)
+	wantLCA, wantUp := want.LCA(7, 5), want.Ancestor(9, 2)
+	tr := sampleTree(t)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func(first bool) {
+			defer wg.Done()
+			// Half the goroutines reach the table through Ancestor first.
+			if first {
+				if got := tr.Ancestor(9, 2); got != wantUp {
+					errs <- "Ancestor"
+				}
+			}
+			if got := tr.LCA(7, 5); got != wantLCA {
+				errs <- "LCA"
+			}
+			if got := tr.Ancestor(9, 2); got != wantUp {
+				errs <- "Ancestor"
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("concurrent %s disagrees with a sequential tree", e)
+	}
+	if a := testing.AllocsPerRun(100, func() { tr.LCA(7, 5); tr.Ancestor(9, 2) }); a != 0 {
+		t.Errorf("LCA and Ancestor allocate %.1f times per call pair", a)
 	}
 }
 

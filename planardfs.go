@@ -13,7 +13,9 @@
 //     rounds, certified end to end by the pipeline around it (Run).
 //
 // Each result has one entry. FindCycleSeparator returns a separator the
-// engine registry has validated, with the rounds its call charged; Run
+// engine registry has validated, with the rounds its call charged; its
+// region forms, SeparatorsForPartition and DecomposeGraph, run the same
+// validated Theorem 1 engine on every part or piece. Run
 // returns the certified DFS tree, with the rounds of its build
 // (PipelineResult.DFSRounds, PipelineResult.Rounds). NewVerifier is the
 // one certification context for outputs built elsewhere.
@@ -80,8 +82,6 @@ type (
 	SeparatorPhase = separator.Phase
 	// Partition is a vertex partition with connected parts.
 	Partition = shortcut.Partition
-	// PartSeparator is a per-part separator result.
-	PartSeparator = separator.PartResult
 	// DFSTrace records the phase structure of a DFS construction run.
 	DFSTrace = dfs.Trace
 	// CostModel converts communication primitives into CONGEST rounds.
@@ -224,29 +224,18 @@ func FindCycleSeparator(cfg *Config, engine string, opts SeparatorEngineOptions)
 	return sepengine.Find(engine, cfg, opts)
 }
 
-// SeparatorsForPartition computes a cycle separator of every part's induced
-// subgraph (the partition-parallel form of Theorem 1). Parts must induce
-// connected subgraphs.
-func SeparatorsForPartition(in *Instance, part *Partition) ([]*PartSeparator, error) {
-	if err := part.Validate(in.G); err != nil {
-		return nil, err
-	}
-	return separator.ForPartition(in.Emb, in.OuterDart, part)
+// SeparatorsForPartition computes a validated cycle separator of every
+// part's induced subgraph with the Theorem 1 engine (the
+// partition-parallel form of Theorem 1): the i-th separator is part i's,
+// in the instance's vertex IDs. The partition must cover the instance, and
+// each part must induce a connected subgraph.
+func SeparatorsForPartition(in *Instance, part *Partition) ([]*Separator, error) {
+	return separator.ForPartition(in.Emb, in.OuterDart, part, sepengine.Finder(theorem1))
 }
 
 // NewPartition builds a Partition from a part-of array (part IDs 0..k-1).
 func NewPartition(partOf []int) (*Partition, error) {
 	return shortcut.NewPartition(partOf)
-}
-
-// SeparatorForSubset computes a cycle separator of the subgraph induced by
-// vs (which must be connected), in original vertex IDs.
-func SeparatorForSubset(in *Instance, vs []int) (*Separator, error) {
-	dart, err := in.Emb.OuterRegionDart(vs, in.OuterDart)
-	if err != nil {
-		return nil, err
-	}
-	return separator.ForSubset(planar.NewRestricter(in.Emb), dart, vs, separator.Find)
 }
 
 // Decomposition is a recursive separator decomposition tree.
@@ -255,13 +244,18 @@ type Decomposition = separator.Decomposition
 // DecompositionNode is one piece of a decomposition tree.
 type DecompositionNode = separator.DecompositionNode
 
-// DecomposeGraph recursively splits the instance with cycle separators
-// until pieces have at most leafSize vertices — the divide-and-conquer
-// skeleton of the classical separator applications. The tree depth is
-// O(log n) by the 2/3 balance.
+// DecomposeGraph recursively splits the instance with validated Theorem 1
+// cycle separators until pieces have at most leafSize vertices — the
+// divide-and-conquer skeleton of the classical separator applications. The
+// tree depth is O(log n) by the 2/3 balance.
 func DecomposeGraph(in *Instance, leafSize int) (*Decomposition, error) {
-	return separator.Decompose(in.Emb, in.OuterDart, leafSize)
+	return separator.Decompose(in.Emb, in.OuterDart, leafSize, sepengine.Finder(theorem1))
 }
+
+// theorem1 is the registry's Theorem 1 engine, which the region entries
+// above run through sepengine.Finder, so every separator they return has
+// passed the separator and side oracles. The default name always resolves.
+var theorem1, _ = sepengine.Get(DefaultSeparatorEngine)
 
 // VerifySeparatorBalance returns the largest component after removing the
 // separator vertices; a valid separator has max component <= 2n/3.
@@ -411,8 +405,8 @@ type (
 	GuardVerdict = guard.Verdict
 	// GuardWitness is the concrete evidence attached to a rejection.
 	GuardWitness = guard.Witness
-	// GuardOptions configure a validation run (tester seed, ball radius,
-	// exhaustive sweep, tracing).
+	// GuardOptions configure a validation run (tester seed, exhaustive
+	// sweep, tracing).
 	GuardOptions = guard.Options
 	// GuardReason classifies a rejection (shape, disconnected, edge-count,
 	// dense-region, euler).

@@ -88,6 +88,14 @@ func TestPublicPartitionFlow(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("parts = %d", len(results))
 	}
+	// A partition of fewer vertices than the instance has is rejected.
+	short, err := NewPartition(partOf[:12])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SeparatorsForPartition(in, short); err == nil {
+		t.Fatal("partition of 12 of 54 vertices accepted")
+	}
 	// Invalid partition rejected.
 	bad := make([]int, in.G.N())
 	for v := range bad {
@@ -308,9 +316,9 @@ func TestOuterDartOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int, in.G.N())
-	for v := range all {
-		all[v] = v
+	whole, err := NewPartition(make([]int, in.G.N()))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, d := range []int{-1, 1 << 20} {
 		bad := *in
@@ -336,8 +344,14 @@ func TestOuterDartOutOfRange(t *testing.T) {
 				_, err := NewConfig(&bad, TreeBFS, 0)
 				return err
 			}},
-			{"SeparatorForSubset", func() error {
-				_, err := SeparatorForSubset(&bad, all)
+			{"SeparatorsForPartition", func() error {
+				_, err := SeparatorsForPartition(&bad, whole)
+				return err
+			}},
+			// A leaf size of n splits no piece, so no separator reads
+			// the dart.
+			{"DecomposeGraph", func() error {
+				_, err := DecomposeGraph(&bad, in.G.N())
 				return err
 			}},
 		}
@@ -349,18 +363,6 @@ func TestOuterDartOutOfRange(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSeparatorForSubsetEmpty checks that the facade rejects an empty
-// subset with an error.
-func TestSeparatorForSubsetEmpty(t *testing.T) {
-	in, err := NewGrid(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SeparatorForSubset(in, nil); err == nil {
-		t.Fatal("empty subset accepted")
 	}
 }
 

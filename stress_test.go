@@ -8,11 +8,15 @@ package planardfs
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"slices"
 	"testing"
 
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
+	"planardfs/internal/planar"
+	"planardfs/internal/separator"
+	"planardfs/internal/spanning"
 )
 
 func TestStressSeparatorAllFamilies(t *testing.T) {
@@ -92,8 +96,8 @@ func TestStressPartitionedSeparators(t *testing.T) {
 	if len(results) != 12 {
 		t.Fatalf("parts = %d", len(results))
 	}
-	for _, r := range results {
-		orig := part.Parts[r.Part]
+	for p, sep := range results {
+		orig := part.Parts[p]
 		sub, err := graph.NewInducer(in.G).Induce(orig)
 		if err != nil {
 			t.Fatal(err)
@@ -102,13 +106,82 @@ func TestStressPartitionedSeparators(t *testing.T) {
 		for i, v := range orig {
 			idx[v] = i
 		}
-		local := make([]int, len(r.Sep.Path))
-		for i, v := range r.Sep.Path {
+		local := make([]int, len(sep.Path))
+		for i, v := range sep.Path {
 			local[i] = idx[v]
 		}
-		if maxC := VerifySeparatorBalance(sub, local); 3*maxC > 2*r.SubN {
-			t.Fatalf("part %d unbalanced", r.Part)
+		if maxC := VerifySeparatorBalance(sub, local); 3*maxC > 2*len(orig) {
+			t.Fatalf("part %d unbalanced", p)
 		}
+	}
+}
+
+// TestRegionSeparatorsMatchRawFind checks, on every generator family, that
+// the facade's region entries return the raw Theorem 1 separator of each
+// region: every SeparatorsForPartition and DecomposeGraph separator equals
+// separator.ForSubset with separator.Find on the same part or piece, so
+// running them through the validating engine changes no output. The
+// partition cuts a BFS tree below its root: the root alone, then one part
+// per subtree of a root child.
+func TestRegionSeparatorsMatchRawFind(t *testing.T) {
+	for _, family := range gen.Families {
+		in, err := gen.ByName(family, 150, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := planar.NewRestricter(in.Emb)
+		raw := func(vs []int) *Separator {
+			t.Helper()
+			dart, err := in.Emb.OuterRegionDart(vs, in.OuterDart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep, err := separator.ForSubset(rs, dart, vs, separator.Find)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sep
+		}
+
+		tree, err := spanning.BFSTree(in.G, OuterRoot(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		partOf := make([]int, in.G.N())
+		for i, c := range tree.Children(tree.Root) {
+			partOf[c] = i + 1
+		}
+		for v := range partOf {
+			if v != tree.Root {
+				partOf[v] = partOf[tree.Ancestor(v, tree.Depth[v]-1)]
+			}
+		}
+		part, err := NewPartition(partOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seps, err := SeparatorsForPartition(in, part)
+		if err != nil {
+			t.Fatalf("%s: %v", family, err)
+		}
+		for i, sep := range seps {
+			if want := raw(part.Parts[i]); !reflect.DeepEqual(sep, want) {
+				t.Fatalf("%s: part %d: separator %+v, raw Find %+v", family, i, sep, want)
+			}
+		}
+
+		d, err := DecomposeGraph(in, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", family, err)
+		}
+		d.Walk(func(node *DecompositionNode) {
+			if node.Separator == nil {
+				return
+			}
+			if want := raw(node.Vertices); !slices.Equal(node.Separator, want.Path) || node.Phase != want.Phase {
+				t.Fatalf("%s: depth %d piece: separator %v (%v), raw Find %v (%v)", family, node.Depth, node.Separator, node.Phase, want.Path, want.Phase)
+			}
+		})
 	}
 }
 
