@@ -31,25 +31,31 @@ var tiny = sweep{
 // rounds and messages were re-recorded (valid 3,388/2,208 → 3,355/1,732,
 // dense-region 245/709 → 124/301) when the guard dropped its distributed
 // rotation check, which Wire.Check and the embedding constructors make
-// redundant; the dense-region row now validates its bare graph.
+// redundant; the dense-region row now validates its bare graph. The cert
+// rows' agg_rounds (dfs 31 → 29, embedding 62 → 29), the guard rows'
+// rounds and messages (valid 3,355/1,732 → 3,291/1,606, dense-region
+// 124/301 → 122/175) and the serve rounds (1,253,877 → 1,253,871) were
+// re-recorded when verdicts and sums began folding with a convergecast
+// and broadcast in 2·depth+1 rounds and 2(n−1) messages, and the guard in
+// one fold.
 var pins = []struct{ mode, id, det string }{
 	{"congest", `{"family":"grid","program":"bfs","size":64}`, `{"n":64,"m":112,"rounds":16,"messages":224,"words":448,"max_edge_congestion":1}`},
 	{"congest", `{"family":"grid","program":"pa","size":64}`, `{"rounds":57,"messages":446,"words":1086}`},
 	{"congest", `{"family":"grid","program":"dfs","size":64}`, `{"rounds":127,"messages":224,"words":287}`},
 	{"congest", `{"family":"grid","program":"construct","size":100}`, `{"n":100,"m":180,"rounds":0,"messages":0}`},
 	{"congest", `{"family":"grid","program":"bfs","size":100}`, `{"n":100,"m":180,"rounds":20,"messages":360,"words":720}`},
-	{"cert", `{"family":"grid","scheme":"dfs","size":64}`, `{"label_words":3,"prover_rounds":11767,"verifier_rounds":2,"agg_rounds":31,"messages":224,"words":896}`},
+	{"cert", `{"family":"grid","scheme":"dfs","size":64}`, `{"label_words":3,"prover_rounds":11767,"verifier_rounds":2,"agg_rounds":29,"messages":224,"words":896}`},
 	{"cert", `{"family":"grid","scheme":"separator","size":64}`, `{"label_words":11,"prover_rounds":19117,"words":2688}`},
-	{"cert", `{"family":"grid","scheme":"embedding","size":64}`, `{"label_words":2,"agg_rounds":62}`},
+	{"cert", `{"family":"grid","scheme":"embedding","size":64}`, `{"label_words":2,"agg_rounds":29}`},
 	{"chaos", `{"family":"grid","program":"bfs","seed":1,"size":64,"spec":"drops=3,corruptions=2,crashes=1,horizon=24"}`, `{"outcome":"certified-after-retry","attempts":2,"rounds_total":32,"baseline_rounds":16,"round_overhead":2,"faults_fired":4}`},
 	{"chaos", `{"family":"grid","program":"awerbuch","seed":1,"size":64,"spec":"linkdowns=2,horizon=24"}`, `{"outcome":"degraded","attempts":4,"rounds_total":5307,"baseline_rounds":127,"faults_fired":7}`},
 	{"engines", `{"engine":"theorem1","family":"grid","size":64}`, `{"cycle_len":11,"balance":0.453125,"rounds":162626,"phase":"sparse-virtual","cert_verdict":"accept"}`},
 	{"engines", `{"engine":"har-peled-nayyeri","family":"grid","size":64}`, `{"cycle_len":28,"rounds":37744,"phase":"level-cycle","cert_verdict":"accept"}`},
 	{"engines", `{"engine":"randomized","family":"grid","size":64}`, `{"cycle_len":0,"balance":0,"rounds":0,"phase":"","cert_verdict":"no-separator"}`},
-	{"guard", `{"case":"valid","family":"grid","size":64}`, `{"accepted":true,"guard_rounds":3355,"guard_messages":1732,"pipeline_rounds":1221424}`},
+	{"guard", `{"case":"valid","family":"grid","size":64}`, `{"accepted":true,"guard_rounds":3291,"guard_messages":1606,"pipeline_rounds":1221424}`},
 	{"guard", `{"case":"genus-splice","family":"grid","size":64}`, `{"accepted":false,"reason":"euler"}`},
-	{"guard", `{"case":"dense-region","family":"k7-plant","size":64}`, `{"m":78,"accepted":false,"reason":"dense-region","guard_rounds":124,"guard_messages":301}`},
-	{"serve", `{"family":"grid","size":64,"workers":2}`, `{"hash":"85250460f25ff7190dc20a168c04e175fdbbdb714878f9c28657fa3ad8328705","rounds":1253877,"cache_hits":16,"cache_misses":1}`},
+	{"guard", `{"case":"dense-region","family":"k7-plant","size":64}`, `{"m":78,"accepted":false,"reason":"dense-region","guard_rounds":122,"guard_messages":175}`},
+	{"serve", `{"family":"grid","size":64,"workers":2}`, `{"hash":"85250460f25ff7190dc20a168c04e175fdbbdb714878f9c28657fa3ad8328705","rounds":1253871,"cache_hits":16,"cache_misses":1}`},
 }
 
 // oneIteration makes every hostCost call run its op once: the tests check

@@ -39,9 +39,11 @@ func moduleRoot(t *testing.T) string {
 }
 
 // certifyGolden is the recorded stdout of a clean awerbuch -certify run.
+// Its aggRounds were re-recorded (39 → 37) when verdicts began folding in
+// 2·depth+1 rounds.
 const certifyGolden = `graph grid-10x10: n=100 m=180
 Awerbuch DFS: output verified
-certify dfs: ACCEPT labelWords=3 proverRounds=14903 verifierRounds=2 aggRounds=39 msgs=360
+certify dfs: ACCEPT labelWords=3 proverRounds=14903 verifierRounds=2 aggRounds=37 msgs=360
 rounds=199 messages=360 words=459 maxEdgeLoad=2 maxRoundWords=4 maxEdgeCongestion=1
 per-round messages: mean=1.8 peak=3 (round 11) busy=198/199 rounds
 `

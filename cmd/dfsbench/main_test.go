@@ -52,12 +52,15 @@ recovered DFS tree: 35 tree edges
 // verdicts. The admission rounds were re-recorded (176 → 1,760) when the
 // guard verdict began counting the Euler stage's prover charge, and
 // (1,760/809 → 1,735/549) when the guard dropped its distributed rotation
-// check.
+// check. The admission and aggregation rounds were re-recorded when
+// verdicts began folding in 2·depth+1 rounds instead of part-wise
+// aggregation's 2·depth+3 (aggRounds 23 → 21) and the guard began
+// folding once (1,735/549 → 1,687/479).
 const certifyGolden = `certifying DFS run: grid-6x6 n=36 m=60 root=1
-guard: accept grid-6x6 n=36 rounds=1735 msgs=549
-certify spanning: ACCEPT labelWords=3 proverRounds=792 verifierRounds=2 aggRounds=23 msgs=120
-certify dfs: ACCEPT labelWords=3 proverRounds=5550 verifierRounds=2 aggRounds=23 msgs=120
-certify separator: ACCEPT labelWords=11 proverRounds=9114 verifierRounds=2 aggRounds=23 msgs=120
+guard: accept grid-6x6 n=36 rounds=1687 msgs=479
+certify spanning: ACCEPT labelWords=3 proverRounds=792 verifierRounds=2 aggRounds=21 msgs=120
+certify dfs: ACCEPT labelWords=3 proverRounds=5550 verifierRounds=2 aggRounds=21 msgs=120
+certify separator: ACCEPT labelWords=11 proverRounds=9114 verifierRounds=2 aggRounds=21 msgs=120
 `
 
 // TestRecoverCLI drives the supervised DFS end to end through the binary:

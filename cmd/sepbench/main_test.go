@@ -47,11 +47,13 @@ recovered separator: len=11 phase=sparse-virtual
 `
 
 // certifyGolden is the recorded stdout of the -certify run below: the three
-// verdicts, all certified on one Verifier.
+// verdicts, all certified on one Verifier. The aggregation rounds were
+// re-recorded (31 → 29, and 62 → 29 for the embedding's two folds, now one)
+// when verdicts began folding in 2·depth+1 rounds.
 const certifyGolden = `certifying separator run: grid-8x8 n=64 m=112 engine=theorem1 sepLen=11 phase=sparse-virtual balance=0.453 rounds=162626
-certify spanning: ACCEPT labelWords=3 proverRounds=1470 verifierRounds=2 aggRounds=31 msgs=224
-certify embedding: ACCEPT labelWords=2 proverRounds=2940 verifierRounds=2 aggRounds=62 msgs=224
-certify separator: ACCEPT labelWords=11 proverRounds=19117 verifierRounds=2 aggRounds=31 msgs=224
+certify spanning: ACCEPT labelWords=3 proverRounds=1470 verifierRounds=2 aggRounds=29 msgs=224
+certify embedding: ACCEPT labelWords=2 proverRounds=2940 verifierRounds=2 aggRounds=29 msgs=224
+certify separator: ACCEPT labelWords=11 proverRounds=19117 verifierRounds=2 aggRounds=29 msgs=224
 `
 
 // TestRecoverCLI drives the supervised separator end to end: corrupting

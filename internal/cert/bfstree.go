@@ -59,7 +59,7 @@ func (vf *Verifier) VerifyBFSTree(labels [][]int) (*Verdict, error) {
 	judge := func(v int, nb []int, got [][]int) bool {
 		return bfsJudge(v, n, nb, labels[v], got)
 	}
-	return vf.certify("bfs", labels, bfsWords, judge, dist.Ops{PA: 1, TreeAgg: 1})
+	return vf.certifyOne(Scheme{name: "bfs", labels: labels, words: bfsWords, judge: judge, prover: dist.Ops{PA: 1, TreeAgg: 1}})
 }
 
 // CertifyBFSTree proves and verifies that the claimed (parent, dist)

@@ -83,3 +83,54 @@ func serveInlineJob(t *testing.T, in *gen.Instance) {
 		t.Fatalf("inline job: %s, want a fresh build done", w.Body.Bytes())
 	}
 }
+
+// TestBuildFoldsOncePerBoundary gates the label exchanges and folds a
+// build runs: one of each per certification. A guarded build — a
+// pipeline.Run handed its admission's verdict, or a planard inline job —
+// runs four of each: the guard's Euler exchange and its one fold of the
+// degree sum, the Euler sum and the Euler accept bits; the dfs stage's
+// certification of the accepted tree; and the certify stage's spanning
+// tree and separator certifications. An unguarded pipeline.Run runs three
+// of each. The inputs are the first cold-stacked instance and a grid,
+// whose Theorem 2 trees are certified on their first attempt.
+func TestBuildFoldsOncePerBoundary(t *testing.T) {
+	stacked, err := gen.ByName("stacked", 1000, rand.New(rand.NewSource(1)).Int63())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.ByName("grid", 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unguarded := func(t *testing.T, in *gen.Instance) {
+		if _, err := pipeline.Run(context.Background(), in, pipeline.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		in    *gen.Instance
+		build func(t *testing.T, in *gen.Instance)
+		want  int64
+	}{
+		{"guarded pipeline.Run", stacked, func(t *testing.T, in *gen.Instance) {
+			adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Admitted: adm}); err != nil {
+				t.Fatal(err)
+			}
+		}, 4},
+		{"planard inline job", stacked, serveInlineJob, 4},
+		{"unguarded stacked pipeline.Run", stacked, unguarded, 3},
+		{"unguarded grid pipeline.Run", grid, unguarded, 3},
+	} {
+		exchanges, folds := cert.Runs()
+		c.build(t, c.in)
+		ex, f := cert.Runs()
+		if ex-exchanges != c.want || f-folds != c.want {
+			t.Errorf("%s: %d exchanges and %d folds, want %d of each", c.name, ex-exchanges, f-folds, c.want)
+		}
+	}
+}

@@ -10,9 +10,12 @@
 // one round every vertex broadcasts its label to all neighbours, in the
 // next it inspects the received labels and accepts or rejects. The
 // per-vertex verdicts are then combined into a global verdict with one
-// part-wise aggregation (a single-part OpMin) over the existing shortcut
-// machinery, so a run certifies itself with O(1) verification rounds after
-// the prover phase plus one PA call.
+// fold (congest.FoldProgram): an OpMin convergecast up a BFS tree and a
+// broadcast of the result down it, 2·depth+1 rounds, so a run certifies
+// itself with O(1) verification rounds after the prover phase plus one
+// fold. Verifier.Certify is the one path every scheme runs through; it
+// folds a caller's extra lanes with the verdict, as the admission guard
+// folds its degree sum with the embedding scheme's.
 //
 // Soundness is local by design: if the labelled structure violates its
 // predicate, at least one vertex rejects, no matter which single label
@@ -61,8 +64,8 @@ type Verdict struct {
 	// VerifierRounds is the measured CONGEST round count of the label
 	// exchange — O(1) by construction, independent of n.
 	VerifierRounds int
-	// AggRounds is the measured round count of the verdict aggregation
-	// (and, for the embedding scheme, the Euler-sum aggregation).
+	// AggRounds is the measured round count of the fold that combined the
+	// verdict (and, for the embedding scheme, the Euler sum).
 	AggRounds int
 	// EulerSum is the aggregated Euler characteristic sum
 	// (2V - 2E + 2F, accepting iff 4); set by the embedding scheme only.
@@ -73,7 +76,7 @@ type Verdict struct {
 
 // Options configure a certification run. The zero value runs untraced.
 type Options struct {
-	// Tracer records cert-layer spans (prove/verify/aggregate) and the
+	// Tracer records cert-layer spans (prove/verify/fold) and the
 	// underlying network rounds; nil disables tracing.
 	Tracer trace.Tracer
 }
@@ -81,17 +84,17 @@ type Options struct {
 // Verifier is the certification context of one graph: every scheme it
 // runs shares one CONGEST network (and so one round engine), one BFS
 // spanning tree from vertex 0 — the tree the prover charge is priced on and
-// the verdict aggregations run over — one single-part aggregation program
-// over that tree, one neighbour table and one set of label-exchange node
-// programs. Each is built on first use and reset in place by every later
-// run, so certifying several structures of the same graph, or the attempts
-// of a supervised stage, pays the setup once. Verdicts, rounds, statistics
+// the verdict folds run over — one fold program over that tree, one
+// neighbour table and one set of label-exchange node programs. Each is
+// built on first use and reset in place by every later run, so certifying
+// several structures of the same graph, or the attempts of a supervised
+// stage, pays the setup once. Verdicts, rounds, statistics
 // and traces are exactly those of the one-shot Certify*/Verify*/Prove*
 // functions, which each run on a fresh Verifier.
 //
 // One Verifier serves a whole guarded build: the admission guard runs its
-// edge-count, density and Euler stages on it (guard.ValidateInstance), its
-// accepting verdict hands it over, and
+// Euler exchange, its one fold and its ball probes on it
+// (guard.ValidateInstance), its accepting verdict hands it over, and
 // pipeline.Run certifies the DFS attempts, the spanning tree and the
 // separator on it after SetTracer points it at the build's tracer.
 //
@@ -103,7 +106,7 @@ type Verifier struct {
 
 	nw   *congest.Network
 	tree *spanning.Tree // BFS tree from vertex 0
-	agg  *shortcut.Aggregator
+	fold *congest.FoldProgram
 
 	// nbr holds every vertex's neighbours in port order, vertex v's at
 	// nbr[off[v]:off[v+1]]; the exchange's receive tables and broadcasts
@@ -121,6 +124,10 @@ type Verifier struct {
 // program sets they built, for the test that holds a guarded build to one
 // certification context.
 var builds struct{ verifiers, trees, exchanges atomic.Int64 }
+
+// runs counts the label exchanges and folds Verifiers run, for the test
+// that holds a build to one of each per certification boundary.
+var runs struct{ exchanges, folds atomic.Int64 }
 
 // NewVerifier returns the certification context of g, traced per opt. It
 // builds nothing until a run needs it.
@@ -195,28 +202,47 @@ func (vf *Verifier) bfsTree() (*spanning.Tree, error) {
 	return vf.tree, nil
 }
 
-// Aggregate folds value under op into one aggregate with a single-part
-// part-wise aggregation over the BFS tree from vertex 0, on the Verifier's
-// network at the default 4-word budget, and returns the aggregate with
-// its measured round count; Network().Stats() holds the run's statistics.
-// The aggregation program is built on the first call and reset in place
-// by later ones.
-func (vf *Verifier) Aggregate(value []int, op congest.AggOp) (agg, rounds int, err error) {
-	if vf.agg == nil {
-		tree, err := vf.bfsTree()
-		if err != nil {
-			return 0, 0, err
-		}
-		if vf.agg, err = shortcut.NewAggregator(vf.Network(), tree); err != nil {
-			return 0, 0, err
+// Fold folds lanes, one to congest.MaxFoldLanes of them, over the BFS
+// tree from vertex 0 on the Verifier's network at the default 4-word
+// budget: a convergecast up the tree, then a broadcast of the results down
+// it. It returns every lane's aggregate, as every vertex holds it, with the
+// measured round count; Network().Stats() holds the run's statistics. The
+// aggregates are overwritten by the next fold. The fold program is built
+// on the first call and reset in place by later ones.
+func (vf *Verifier) Fold(lanes ...congest.FoldLane) (aggs []int, rounds int, err error) {
+	n := vf.g.N()
+	if len(lanes) < 1 || len(lanes) > congest.MaxFoldLanes {
+		return nil, 0, fmt.Errorf("cert: fold of %d lanes, want 1 to %d", len(lanes), congest.MaxFoldLanes)
+	}
+	for i, l := range lanes {
+		if len(l.Values) != n {
+			return nil, 0, fmt.Errorf("cert: fold lane %d has %d values for %d vertices", i, len(l.Values), n)
 		}
 	}
-	vf.Network().MaxWords = aggWords
-	return vf.agg.Run(value, op)
+	tree, err := vf.bfsTree()
+	if err != nil {
+		return nil, 0, err
+	}
+	nw := vf.Network()
+	if vf.fold == nil {
+		vf.fold = congest.NewFoldProgram(nw, tree.Parent, tree.Root)
+	}
+	nw.MaxWords = aggWords
+	runs.folds.Add(1)
+	rounds, err = nw.Run(vf.fold.Reset(lanes), 4*tree.MaxDepth()+8)
+	if err != nil {
+		return nil, 0, err
+	}
+	for v := 0; v < n; v++ {
+		if vf.fold.Result(v) == nil {
+			return nil, 0, fmt.Errorf("cert: vertex %d missing its fold result", v)
+		}
+	}
+	return vf.fold.Result(tree.Root), rounds, nil
 }
 
-// aggWords is the word budget of the verdict and sum aggregations, the
-// default CONGEST budget; the label exchange raises it to fit its label.
+// aggWords is the word budget of the folds, the default CONGEST budget;
+// the label exchange raises it to fit its label.
 const aggWords = 4
 
 // validateLabels checks the structural shape of a label assignment; field
@@ -237,6 +263,33 @@ func validateLabels(n int, labels [][]int, words int) error {
 // labels it received, got[p] on port p (nil where nothing arrived). One
 // judge serves every vertex of a run.
 type judgeFunc func(v int, nb []int, got [][]int) bool
+
+// Scheme is one proof-labeling scheme applied to a label assignment, ready
+// for Verifier.Certify: the scheme's name, the labels and their width, the
+// local judge and the prover's op budget. EmbeddingScheme builds the one a
+// caller folds extra lanes with; every Verify* method builds its own. The
+// labels stay adversarial, and Certify checks only their shape.
+type Scheme struct {
+	name   string
+	labels [][]int
+	words  int
+	judge  judgeFunc
+	prover dist.Ops
+	// contrib, when set, maps a vertex's label to a contribution the fold
+	// sums next to the accept bits; every vertex rejects unless the total
+	// is sumWant (the embedding scheme's Euler count).
+	contrib func(label []int) int
+	sumWant int
+	err     error // a scheme that cannot run on the Verifier's graph
+}
+
+// lanes is the number of fold lanes the scheme takes.
+func (s *Scheme) lanes() int {
+	if s.contrib != nil {
+		return 2
+	}
+	return 1
+}
 
 // certNode is the verifier program of every scheme: broadcast the label,
 // collect the neighbours' labels, judge once, halt.
@@ -310,6 +363,7 @@ func (vf *Verifier) runExchange(labels [][]int, words int, judge judgeFunc) (acc
 			cn.out[p].Msg.Args = labels[v]
 		}
 	}
+	runs.exchanges.Add(1)
 	rounds, err = nw.Run(vf.nodes, 8)
 	// Drop the run's labels and judge, so an idle Verifier pins neither.
 	clear(vf.got)
@@ -342,74 +396,100 @@ func chargeProver(g *graph.Graph, tree *spanning.Tree, tr trace.Tracer, ops dist
 	return rounds
 }
 
-// certify drives the common scheme pipeline: validate label shape, charge
-// the prover, run the label exchange, aggregate the verdicts. The BFS tree
-// from vertex 0 prices the prover charge and carries the aggregation.
-func (vf *Verifier) certify(scheme string, labels [][]int, words int, judge judgeFunc, prover dist.Ops) (*Verdict, error) {
+// Certify verifies one scheme: its prover charge, one label exchange, and
+// one fold of its accept bits together with the caller's extra lanes — at
+// most congest.MaxFoldLanes lanes in all; a scheme takes one lane, the
+// embedding scheme two. The BFS tree from vertex 0 prices the prover
+// charge and carries the fold. Certify returns the verdict and the extra
+// lanes' aggregates; Network().Stats() then holds the fold's statistics.
+func (vf *Verifier) Certify(extra []congest.FoldLane, s Scheme) (*Verdict, []int, error) {
 	g := vf.g
-	if err := validateLabels(g.N(), labels, words); err != nil {
-		return nil, err
+	if s.err != nil {
+		return nil, nil, s.err
+	}
+	if err := validateLabels(g.N(), s.labels, s.words); err != nil {
+		return nil, nil, err
+	}
+	lanes := s.lanes() + len(extra)
+	if lanes > congest.MaxFoldLanes {
+		return nil, nil, fmt.Errorf("cert: the %s scheme and %d extra lanes do not fit one fold of %d lanes",
+			s.name, len(extra), congest.MaxFoldLanes)
 	}
 	tr := trace.OrNop(vf.tracer)
-	sp := tr.StartSpan(trace.LayerCert, "cert."+scheme)
+	sp := tr.StartSpan(trace.LayerCert, "cert."+s.name)
 	defer sp.End()
 	tree, err := vf.bfsTree()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	proverRounds := chargeProver(g, tree, tr, prover, words)
+	proverRounds := chargeProver(g, tree, tr, s.prover, s.words)
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	accepts, vrounds, stats, err := vf.runExchange(labels, words, judge)
+	accepts, vrounds, stats, err := vf.runExchange(s.labels, s.words, s.judge)
 	if err != nil {
 		vsp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	vsp.SetAttr("rounds", int64(vrounds))
 	vsp.End()
-	verdict, err := vf.finishVerdict(scheme, accepts, tr)
-	if err != nil {
-		return nil, err
-	}
-	verdict.LabelWords = words
-	verdict.ProverRounds = proverRounds
-	verdict.VerifierRounds = vrounds
-	verdict.Stats = stats
-	sp.SetAttr("ok", boolAttr(verdict.OK))
-	sp.SetAttr("rejectors", int64(len(verdict.Rejectors)))
-	return verdict, nil
-}
 
-// finishVerdict aggregates the accept bits into the global verdict.
-func (vf *Verifier) finishVerdict(scheme string, accepts []int, tr trace.Tracer) (*Verdict, error) {
-	asp := tr.StartSpan(trace.LayerCert, "cert.aggregate")
-	min, arounds, err := vf.Aggregate(accepts, congest.OpMin)
-	if err != nil {
-		asp.End()
-		return nil, err
+	fsp := tr.StartSpan(trace.LayerCert, "cert.fold")
+	fold := make([]congest.FoldLane, 1, lanes)
+	fold[0] = congest.FoldLane{Values: accepts, Op: congest.OpMin}
+	if s.contrib != nil {
+		sum := make([]int, g.N())
+		for v, l := range s.labels {
+			sum[v] = s.contrib(l)
+		}
+		fold = append(fold, congest.FoldLane{Values: sum, Op: congest.OpSum})
 	}
-	asp.SetAttr("rounds", int64(arounds))
-	asp.End()
-	// Ascending by construction.
-	var rejectors []int
-	for v, a := range accepts {
-		if a == 0 {
-			rejectors = append(rejectors, v)
+	aggs, frounds, err := vf.Fold(append(fold, extra...)...)
+	if err != nil {
+		fsp.End()
+		return nil, nil, err
+	}
+	fsp.SetAttr("rounds", int64(frounds))
+	fsp.SetAttr("lanes", int64(lanes))
+	fsp.End()
+
+	v := &Verdict{
+		Scheme:         s.name,
+		OK:             aggs[0] == 1,
+		LabelWords:     s.words,
+		ProverRounds:   proverRounds,
+		VerifierRounds: vrounds,
+		AggRounds:      frounds,
+		Stats:          stats,
+	}
+	if s.contrib != nil {
+		// Every vertex holds the total, and folds it into its verdict.
+		v.EulerSum = aggs[1]
+		if v.EulerSum != s.sumWant {
+			v.OK = false
+			clear(accepts)
 		}
 	}
-	ok := min == 1
-	if ok != (len(rejectors) == 0) {
-		return nil, fmt.Errorf("cert: aggregated verdict disagrees with local verdicts")
+	// Ascending by construction.
+	for u, a := range accepts {
+		if a == 0 {
+			v.Rejectors = append(v.Rejectors, u)
+		}
+	}
+	if v.OK != (len(v.Rejectors) == 0) {
+		return nil, nil, fmt.Errorf("cert: aggregated verdict disagrees with local verdicts")
 	}
 	if tr.Enabled() {
 		tr.Count("cert.runs", 1)
-		tr.Count("cert.rejections", int64(len(rejectors)))
+		tr.Count("cert.rejections", int64(len(v.Rejectors)))
 	}
-	return &Verdict{
-		Scheme:    scheme,
-		OK:        ok,
-		Rejectors: rejectors,
-		AggRounds: arounds,
-	}, nil
+	sp.SetAttr("ok", boolAttr(v.OK))
+	sp.SetAttr("rejectors", int64(len(v.Rejectors)))
+	return v, append([]int(nil), aggs[s.lanes():]...), nil
+}
+
+// certifyOne certifies s with no extra lanes.
+func (vf *Verifier) certifyOne(s Scheme) (*Verdict, error) {
+	v, _, err := vf.Certify(nil, s)
+	return v, err
 }
 
 func boolAttr(b bool) int64 {

@@ -132,7 +132,7 @@ func TestVerifierRoundsConstant(t *testing.T) {
 }
 
 // TestCertTracing asserts the cert layer lands in the trace: a scheme span
-// with prove/verify/aggregate children, and a clock advanced by exactly the
+// with prove/verify/fold children, and a clock advanced by exactly the
 // prover charge plus the simulated network rounds.
 func TestCertTracing(t *testing.T) {
 	in := instance(t, "grid", 25)
@@ -154,7 +154,7 @@ func TestCertTracing(t *testing.T) {
 			names[sp.Name]++
 		}
 	}
-	for _, want := range []string{"cert.spanning", "cert.prove", "cert.verify", "cert.aggregate"} {
+	for _, want := range []string{"cert.spanning", "cert.prove", "cert.verify", "cert.fold"} {
 		if names[want] == 0 {
 			t.Fatalf("missing cert span %q in %v", want, names)
 		}

@@ -106,7 +106,8 @@ func (vf *Verifier) VerifyDFSTree(labels [][]int) (*Verdict, error) {
 	judge := func(v int, nb []int, got [][]int) bool {
 		return dfsJudge(v, n, nb, labels[v], got)
 	}
-	return vf.certify("dfs", labels, dfsWords, judge, dist.DFSOrderOps(n).Plus(dist.Ops{TreeAgg: 1}))
+	return vf.certifyOne(Scheme{name: "dfs", labels: labels, words: dfsWords, judge: judge,
+		prover: dist.DFSOrderOps(n).Plus(dist.Ops{TreeAgg: 1})})
 }
 
 // CertifyDFSTree proves and verifies that the parent array is a DFS tree of

@@ -3,10 +3,8 @@ package cert
 import (
 	"fmt"
 
-	"planardfs/internal/congest"
 	"planardfs/internal/dist"
 	"planardfs/internal/planar"
-	"planardfs/internal/trace"
 )
 
 // The embedding-sanity scheme. Label layout (2 words):
@@ -19,11 +17,11 @@ import (
 //
 // The local predicate checks degree honesty (the verifier compares the
 // claim against its own port count) and the leader bound; the global check
-// aggregates the per-vertex Euler contributions 2 - deg + 2*fLed with one
-// part-wise sum: the total is 2V - 2E + 2F, which equals 4 exactly when the
-// claimed face count satisfies Euler's formula V - E + F = 2 — a genus-0
-// (planar) rotation system. The sum is broadcast by the aggregation, so on
-// mismatch every vertex rejects.
+// sums the per-vertex Euler contributions 2 - deg + 2*fLed in the fold that
+// also combines the accept bits: the total is 2V - 2E + 2F, which equals 4
+// exactly when the claimed face count satisfies Euler's formula
+// V - E + F = 2 — a genus-0 (planar) rotation system. The fold hands the
+// sum to every vertex, so on mismatch every vertex rejects.
 const embWords = 2
 
 // ProveEmbedding assigns the embedding labels: actual degrees and
@@ -49,29 +47,18 @@ func ProveEmbedding(emb *planar.Embedding) [][]int {
 	return labels
 }
 
-// VerifyEmbedding runs the embedding verifier on an arbitrary (possibly
-// adversarial) label assignment. The graph must have at least one edge
-// (dart-traced faces are undefined on an edgeless graph). The label
-// exchange, the Euler-sum aggregation and the verdict aggregation all run
-// on the Verifier's network.
-func (vf *Verifier) VerifyEmbedding(labels [][]int) (*Verdict, error) {
-	g := vf.g
-	n := g.N()
-	if g.M() == 0 {
-		return nil, fmt.Errorf("cert: embedding certification needs at least one edge")
+// EmbeddingScheme is the embedding scheme on an arbitrary (possibly
+// adversarial) label assignment: the local checks, plus the Euler
+// contributions as a second fold lane. The graph must have at least one
+// edge (dart-traced faces are undefined on an edgeless graph).
+func (vf *Verifier) EmbeddingScheme(labels [][]int) Scheme {
+	s := Scheme{name: "embedding", labels: labels, words: embWords, prover: dist.Ops{PA: 1, TreeAgg: 3},
+		contrib: func(l []int) int { return 2 - l[0] + 2*l[1] }, sumWant: 4}
+	if vf.g.M() == 0 {
+		s.err = fmt.Errorf("cert: embedding certification needs at least one edge")
+		return s
 	}
-	if err := validateLabels(n, labels, embWords); err != nil {
-		return nil, err
-	}
-	tr := trace.OrNop(vf.tracer)
-	sp := tr.StartSpan(trace.LayerCert, "cert.embedding")
-	defer sp.End()
-	tree, err := vf.bfsTree()
-	if err != nil {
-		return nil, err
-	}
-	proverRounds := chargeProver(g, tree, tr, dist.Ops{PA: 1, TreeAgg: 3}, embWords)
-	judge := func(v int, nb []int, got [][]int) bool {
+	s.judge = func(v int, nb []int, got [][]int) bool {
 		deg, fl := labels[v][0], labels[v][1]
 		if deg != len(nb) {
 			return false
@@ -86,46 +73,14 @@ func (vf *Verifier) VerifyEmbedding(labels [][]int) (*Verdict, error) {
 		}
 		return true
 	}
-	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	accepts, vrounds, stats, err := vf.runExchange(labels, embWords, judge)
-	if err != nil {
-		vsp.End()
-		return nil, err
-	}
-	vsp.SetAttr("rounds", int64(vrounds))
-	vsp.End()
+	return s
+}
 
-	// Aggregate the Euler contributions; the part-wise sum delivers the
-	// total to every vertex, which folds it into its accept bit.
-	contrib := make([]int, n)
-	for v := 0; v < n; v++ {
-		contrib[v] = 2 - labels[v][0] + 2*labels[v][1]
-	}
-	esp := tr.StartSpan(trace.LayerCert, "cert.euler-sum")
-	eulerSum, srounds, err := vf.Aggregate(contrib, congest.OpSum)
-	if err != nil {
-		esp.End()
-		return nil, err
-	}
-	esp.SetAttr("rounds", int64(srounds))
-	esp.SetAttr("sum", int64(eulerSum))
-	esp.End()
-	if eulerSum != 4 {
-		clear(accepts)
-	}
-	verdict, err := vf.finishVerdict("embedding", accepts, tr)
-	if err != nil {
-		return nil, err
-	}
-	verdict.LabelWords = embWords
-	verdict.ProverRounds = proverRounds
-	verdict.VerifierRounds = vrounds
-	verdict.AggRounds += srounds
-	verdict.EulerSum = eulerSum
-	verdict.Stats = stats
-	sp.SetAttr("ok", boolAttr(verdict.OK))
-	sp.SetAttr("rejectors", int64(len(verdict.Rejectors)))
-	return verdict, nil
+// VerifyEmbedding runs the embedding verifier on an arbitrary (possibly
+// adversarial) label assignment: one label exchange, then one fold of the
+// accept bits and the Euler contributions.
+func (vf *Verifier) VerifyEmbedding(labels [][]int) (*Verdict, error) {
+	return vf.certifyOne(vf.EmbeddingScheme(labels))
 }
 
 // CertifyEmbedding proves and verifies the Euler sanity of emb, an

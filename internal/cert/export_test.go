@@ -5,3 +5,9 @@ package cert
 func Builds() (verifiers, trees, exchanges int64) {
 	return builds.verifiers.Load(), builds.trees.Load(), builds.exchanges.Load()
 }
+
+// Runs returns how many label exchanges and folds Verifiers have run in
+// this process.
+func Runs() (exchanges, folds int64) {
+	return runs.exchanges.Load(), runs.folds.Load()
+}

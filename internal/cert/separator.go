@@ -233,8 +233,8 @@ func (vf *Verifier) VerifySeparator(labels [][]int) (*Verdict, error) {
 	judge := func(v int, nb []int, got [][]int) bool {
 		return sepJudge(v, n, nb, labels[v], got)
 	}
-	return vf.certify("separator", labels, sepWords, judge,
-		dist.SpanningForestOps(n).Plus(dist.Ops{PA: 2, TreeAgg: 3}))
+	return vf.certifyOne(Scheme{name: "separator", labels: labels, words: sepWords, judge: judge,
+		prover: dist.SpanningForestOps(n).Plus(dist.Ops{PA: 2, TreeAgg: 3})})
 }
 
 // CertifySeparator proves and verifies the separator property of sep: its

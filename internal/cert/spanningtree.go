@@ -72,7 +72,7 @@ func (vf *Verifier) VerifySpanningTree(labels [][]int) (*Verdict, error) {
 	judge := func(v int, nb []int, got [][]int) bool {
 		return spanningJudge(v, n, nb, labels[v], got, spanningWords)
 	}
-	return vf.certify("spanning", labels, spanningWords, judge, dist.Ops{PA: 1, TreeAgg: 1})
+	return vf.certifyOne(Scheme{name: "spanning", labels: labels, words: spanningWords, judge: judge, prover: dist.Ops{PA: 1, TreeAgg: 1}})
 }
 
 // CertifySpanningTree proves and verifies that t is a rooted spanning tree

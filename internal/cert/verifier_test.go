@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
@@ -154,5 +155,42 @@ func TestVerifierMatchesOneShot(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCertifyFoldsExtraLanes folds the embedding scheme's two lanes with
+// an extra one, as the admission guard folds its degree sum: the verdict
+// equals the embedding verdict certified alone, with its labels honest or
+// corrupted, the extra lane comes back folded, and one lane too many is an
+// error.
+func TestCertifyFoldsExtraLanes(t *testing.T) {
+	for _, fam := range []string{"stacked", "grid", "wheel", "cylinderish", "tree"} {
+		in := instance(t, fam, 60)
+		g := in.G
+		n := g.N()
+		ones := make([]int, n)
+		for v := range ones {
+			ones[v] = 1
+		}
+		lane := congest.FoldLane{Values: ones, Op: congest.OpSum}
+		labels := cert.ProveEmbedding(in.Emb)
+		for i, lbs := range [][][]int{labels, mutate(labels, n/2, 1), mutate(labels, 0, 0)} {
+			vf := cert.NewVerifier(g, cert.Options{})
+			got, extra, err := vf.Certify([]congest.FoldLane{lane}, vf.EmbeddingScheme(lbs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := vf.VerifyEmbedding(lbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(extra, []int{n}) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s labelling %d: verdict %+v and extra lanes %v, want %+v and [%d]", fam, i, got, extra, want, n)
+			}
+		}
+		vf := cert.NewVerifier(g, cert.Options{})
+		if _, _, err := vf.Certify([]congest.FoldLane{lane, lane}, vf.EmbeddingScheme(labels)); err == nil {
+			t.Fatalf("%s: four fold lanes accepted", fam)
+		}
 	}
 }

@@ -5,8 +5,8 @@ package congest
 // inputs of its ancestors (inclusive of itself). The root seeds the
 // downcast; each node combines the prefix received from its parent with its
 // own input and forwards the result to its children — depth(T) rounds.
-// Together with ConvergecastNode (the descendant sum) this realizes both
-// directions of Prop. 5 as real CONGEST programs.
+// The convergecast half of FoldProgram is the other direction of Prop. 5
+// (the whole-tree descendant sum).
 type AncestorSumNode struct {
 	info       NodeInfo
 	op         AggOp

@@ -20,7 +20,8 @@ const (
 	msgVisited
 	msgToken
 	msgReturn
-	msgCast
+	msgFoldUp
+	msgFoldDown
 )
 
 // BFSNode is the per-vertex program of distributed BFS flooding from a root.
@@ -70,58 +71,6 @@ func (bn *BFSNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	announce := Pack(msgBFS, &intPayload{Val: bn.Dist})
 	for p := range bn.info.Neighbors {
 		out = append(out, Outgoing{Port: p, Msg: announce})
-	}
-	return out, true
-}
-
-// CastNode floods a single value down a given tree from the root
-// (a tree broadcast): each node learns the root's value in depth(v) rounds.
-type CastNode struct {
-	info       NodeInfo
-	parentPort int // -1 at root
-	Value      int
-	Has        bool
-	pending    bool
-}
-
-// NewBroadcastNodes builds a broadcast of value from root over the tree
-// given by the parent array (parent[root] == -1).
-func NewBroadcastNodes(nw *Network, parent []int, root, value int) []Node {
-	nodes := make([]Node, nw.G.N())
-	for v := 0; v < nw.G.N(); v++ {
-		cn := &CastNode{info: nw.Info(v), parentPort: -1}
-		if v != root {
-			cn.parentPort = cn.info.PortTo(parent[v])
-		} else {
-			cn.Value = value
-			cn.Has = true
-			cn.pending = true
-		}
-		nodes[v] = cn
-	}
-	return nodes
-}
-
-// Round implements Node.
-func (cn *CastNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
-	for _, in := range recv {
-		if in.Msg.Kind == msgCast && !cn.Has {
-			var p intPayload
-			Unpack(in.Msg, &p)
-			cn.Value = p.Val
-			cn.Has = true
-			cn.pending = true
-		}
-	}
-	if !cn.pending {
-		return nil, cn.Has
-	}
-	cn.pending = false
-	var out []Outgoing
-	for p := range cn.info.Neighbors {
-		if p != cn.parentPort {
-			out = append(out, Outgoing{Port: p, Msg: Pack(msgCast, &intPayload{Val: cn.Value})})
-		}
 	}
 	return out, true
 }

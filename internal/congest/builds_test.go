@@ -16,13 +16,12 @@ import (
 	"planardfs/internal/serve"
 )
 
-// TestGuardedBuildUsesOneEngine gates the round engines and aggregation
-// programs a guarded build builds on the first cold-stacked input (a
-// stacked triangulation of n = 1000): a pipeline.Run handed the verdict of
-// the admission that validated its instance and a planard inline job,
-// admitted before it is queued, each build one round
-// engine and one single-part PA program set, the guard's Verifier's, which
-// certify the build too (two of each when the build made its own
+// TestGuardedBuildUsesOneEngine gates the round engines and fold programs
+// a guarded build builds on the first cold-stacked input (a stacked
+// triangulation of n = 1000): a pipeline.Run handed the verdict of the
+// admission that validated its instance and a planard inline job,
+// admitted before it is queued, each build one round engine and one fold
+// program set, the guard's Verifier's, which certify the build too (two of each when the build made its own
 // Verifier). cert's TestGuardedBuildUsesOneVerifier gates the Verifiers,
 // BFS trees and exchange programs of the same builds.
 func TestGuardedBuildUsesOneEngine(t *testing.T) {
@@ -45,11 +44,11 @@ func TestGuardedBuildUsesOneEngine(t *testing.T) {
 		}},
 		{"planard inline job", serveInlineJob},
 	} {
-		engines, programs := congest.Builds()
+		engines, folds := congest.Builds()
 		c.build(t, in)
-		e, p := congest.Builds()
-		if e-engines != 1 || p-programs != 1 {
-			t.Errorf("%s: %d round engines, %d PA program sets, want 1 of each", c.name, e-engines, p-programs)
+		e, f := congest.Builds()
+		if e-engines != 1 || f-folds != 1 {
+			t.Errorf("%s: %d round engines, %d fold program sets, want 1 of each", c.name, e-engines, f-folds)
 		}
 	}
 }

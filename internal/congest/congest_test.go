@@ -44,25 +44,6 @@ func TestBFSProgramMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBroadcastProgram(t *testing.T) {
-	g := gridGraph(t, 6, 6)
-	nw := New(g)
-	tree, err := spanning.BFSTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := NewBroadcastNodes(nw, tree.Parent, 0, 424242)
-	if _, err := nw.Run(nodes, 10*g.N()); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		cn := nodes[v].(*CastNode)
-		if !cn.Has || cn.Value != 424242 {
-			t.Fatalf("node %d did not receive broadcast", v)
-		}
-	}
-}
-
 // runPA runs part-wise aggregation over a BFS tree and returns results and
 // rounds.
 func runPA(t *testing.T, g *graph.Graph, partOf, value []int, op AggOp) ([]int, int) {

@@ -78,24 +78,20 @@ func TestEventScheduleEquivalence(t *testing.T) {
 					return [3]int{a.Depth, a.ParentID, 0}
 				}
 			}},
-			{"convergecast", func(nw *Network) ([]Node, func(int, Node) [3]int) {
-				return NewConvergecastNodes(nw, parent, 0, value, OpSum), func(_ int, nd Node) [3]int {
-					return [3]int{nd.(*ConvergecastNode).Subtree, 0, 0}
-				}
-			}},
 			{"ancestorsum", func(nw *Network) ([]Node, func(int, Node) [3]int) {
 				return NewAncestorSumNodes(nw, parent, 0, value, OpSum), func(_ int, nd Node) [3]int {
 					return [3]int{nd.(*AncestorSumNode).Prefix, 0, 0}
 				}
 			}},
-			{"broadcast", func(nw *Network) ([]Node, func(int, Node) [3]int) {
-				return NewBroadcastNodes(nw, parent, 0, 42+trial), func(_ int, nd Node) [3]int {
-					c := nd.(*CastNode)
-					has := 0
-					if c.Has {
-						has = 1
+			{"fold", func(nw *Network) ([]Node, func(int, Node) [3]int) {
+				prog := NewFoldProgram(nw, parent, 0)
+				nodes := prog.Reset([]FoldLane{{Values: value, Op: OpSum}, {Values: partOf, Op: OpMax}})
+				return nodes, func(v int, _ Node) [3]int {
+					r := prog.Result(v)
+					if r == nil {
+						return [3]int{0, 0, -1}
 					}
-					return [3]int{c.Value, has, 0}
+					return [3]int{r[0], r[1], 1}
 				}
 			}},
 			{"pa", func(nw *Network) ([]Node, func(int, Node) [3]int) {

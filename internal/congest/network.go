@@ -253,9 +253,9 @@ type engine struct {
 	roundMsgs, roundWords, roundCong int64
 }
 
-// builds counts the round engines and PA program sets built, for the test
-// that holds a guarded build to one of each.
-var builds struct{ engines, paPrograms atomic.Int64 }
+// builds counts the round engines and fold program sets built, for the
+// test that holds a guarded build to one of each.
+var builds struct{ engines, foldPrograms atomic.Int64 }
 
 // newEngine builds the routing tables of g and allocates the per-run
 // arrays; reset fills them before each Run.

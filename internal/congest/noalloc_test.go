@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"planardfs/internal/graph"
+	"planardfs/internal/spanning"
 )
 
 // saturatorNode sends one preallocated message on every port each round and
@@ -192,6 +193,48 @@ func TestPAProgramReuseAllocs(t *testing.T) {
 	for _, side := range []int{32, 64} {
 		if allocs := perRun(side); allocs != 0 {
 			t.Errorf("n=%d: a reused single-part aggregation allocates %.1f times, want 0", side*side, allocs)
+		}
+	}
+}
+
+// TestFoldProgramReuseAllocs is the runtime gate behind the
+// //planarvet:noalloc annotations on FoldProgram.Reset and the fold's
+// Round: once a fold program has run, resetting it and running it again on
+// the same Network allocates nothing on grids of n = 1024 and n = 4096
+// alike, in one lane or three.
+func TestFoldProgramReuseAllocs(t *testing.T) {
+	perRun := func(side, k int) float64 {
+		g := gridGraph(t, side, side)
+		n := g.N()
+		tree, err := spanning.BFSTree(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := make([]FoldLane, k)
+		for i := range lanes {
+			lanes[i] = FoldLane{Values: make([]int, n), Op: AggOp(OpSum + AggOp(i))}
+			for v := range lanes[i].Values {
+				lanes[i].Values[v] = (v + i) % 7
+			}
+		}
+		nw := New(g)
+		prog := NewFoldProgram(nw, tree.Parent, 0)
+		run := func() {
+			if _, err := nw.Run(prog.Reset(lanes), 2*tree.MaxDepth()+1); err != nil {
+				t.Fatal(err)
+			}
+			if r := prog.Result(n - 1); len(r) != k || r[0] != prog.Result(0)[0] {
+				t.Fatalf("vertex %d holds %v, root %v", n-1, r, prog.Result(0))
+			}
+		}
+		run() // builds the engine
+		return testing.AllocsPerRun(10, run)
+	}
+	for _, side := range []int{32, 64} {
+		for _, k := range []int{1, MaxFoldLanes} {
+			if allocs := perRun(side, k); allocs != 0 {
+				t.Errorf("n=%d, %d lanes: a reused fold allocates %.1f times, want 0", side*side, k, allocs)
+			}
 		}
 	}
 }

@@ -163,7 +163,6 @@ type PAProgram struct {
 // described by parent and rooted at root. Reset must set their parts,
 // values and operator before each run.
 func NewPAProgram(nw *Network, parent []int, root int) *PAProgram {
-	builds.paPrograms.Add(1)
 	g := nw.G
 	n := g.N()
 	// Children by counting sort, so each vertex's children are a contiguous

@@ -83,7 +83,15 @@ func (o *goldenOut) digest(t *testing.T) string {
 // change. The whole guard/accept row was re-recorded again when the
 // guard's ball radius became the constant 1: the row had probed radius-2
 // balls, an option the guard no longer has, so its ball rounds, verdict
-// and traces changed with the radius.
+// and traces changed with the radius. The cert/*, guard/* and
+// chaos/awerbuch-recovery rows were re-recorded when every verdict and
+// guard sum began folding with a convergecast and broadcast (2·depth+1
+// rounds, 2(n−1) messages) instead of a single-part part-wise
+// aggregation, and the guard began folding once; their verdicts keep
+// their OK, rejectors, label words and prover rounds. The programs/* rows
+// were re-recorded when the fold replaced the convergecast and broadcast
+// programs in them; without the fold's entry they equal the earlier rows
+// with those two programs' entries removed.
 func TestScheduleGolden(t *testing.T) {
 	rows := []struct {
 		name string
@@ -91,9 +99,9 @@ func TestScheduleGolden(t *testing.T) {
 		want string
 	}{
 		{"programs/sparse", func(t *testing.T, o *goldenOut) { runPrograms(t, o, "sparse", 120, 3) },
-			"stats=d432f801c326f019 results=8f2bf29e66e2923f jsonl=3ab0b38d1f499471 chrome=84ceb6a5e0ac9939 counts=e3b0c44298fc1c14"},
+			"stats=474805a6bd0ed80c results=399979f2349ea209 jsonl=5ea1df0b62f6a1b4 chrome=def550aa3c583375 counts=e3b0c44298fc1c14"},
 		{"programs/stacked", func(t *testing.T, o *goldenOut) { runPrograms(t, o, "stacked", 150, 5) },
-			"stats=4a06818f1868f4a9 results=062282f940b7eae7 jsonl=ede7432a5e7ae98d chrome=197a171be4c3468e counts=e3b0c44298fc1c14"},
+			"stats=36eec15e863c32e2 results=c93d9aa5e2022aba jsonl=49fb15531ce80584 chrome=6d9cfe8994efc3f4 counts=e3b0c44298fc1c14"},
 		{"boruvka/stacked", func(t *testing.T, o *goldenOut) { runBoruvka(t, o, "stacked", 200, 8) },
 			"stats=e1e5aa6bc5cc94b4 results=cf606e9a6c7e4e4b jsonl=e62b3919ec997c48 chrome=1119ca032113e486 counts=e3b0c44298fc1c14"},
 		{"boruvka/grid", func(t *testing.T, o *goldenOut) { runBoruvka(t, o, "grid", 100, 1) },
@@ -102,15 +110,15 @@ func TestScheduleGolden(t *testing.T) {
 			"stats=4a64780fce93219d results=98b0eef66b0f6a26 jsonl=f871ea92ac129ec9 chrome=d01b9a4486dc947c counts=e3b0c44298fc1c14"},
 		{"chatter/stacked", func(t *testing.T, o *goldenOut) { runChatter(t, o, "stacked", 122, 2) },
 			"stats=42ed1ac784d93a3e results=1de35d20295aaa50 jsonl=435e7348be91ddd4 chrome=c24a66ae3273cdba counts=e3b0c44298fc1c14"},
-		{"guard/accept", runGuardAccept, "stats=e3b0c44298fc1c14 results=0cddaed28594a5fa jsonl=bd49c6db349c0cbe chrome=dda806cd2f34a14c counts=e3b0c44298fc1c14"},
-		{"guard/dense-region", runGuardDense, "stats=e3b0c44298fc1c14 results=fb39274535a4c8f2 jsonl=3c18d3ce32d4eeed chrome=9e4fc1e3f9aa1e51 counts=e3b0c44298fc1c14"},
+		{"guard/accept", runGuardAccept, "stats=e3b0c44298fc1c14 results=0ff8999e144ffd7a jsonl=d8bbb843e3aae0c6 chrome=115230d4a6eea09c counts=e3b0c44298fc1c14"},
+		{"guard/dense-region", runGuardDense, "stats=e3b0c44298fc1c14 results=a3ff5a244998f310 jsonl=d5c2e982a2a6fb1c chrome=8d917a57ed9aaaae counts=e3b0c44298fc1c14"},
 		{"cert/separator/grid", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "grid") },
-			"stats=e3b0c44298fc1c14 results=ccd8fc7f94cfdf34 jsonl=5b091c13d88e407e chrome=ef04663fb5a4cf42 counts=e3b0c44298fc1c14"},
+			"stats=e3b0c44298fc1c14 results=c10ec93e7dd31d75 jsonl=097c861574b10b95 chrome=91843a5239287733 counts=e3b0c44298fc1c14"},
 		{"cert/separator/stacked", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "stacked") },
-			"stats=e3b0c44298fc1c14 results=a09b834f96149296 jsonl=cb6a1effad917c23 chrome=39db1719ecaea97f counts=e3b0c44298fc1c14"},
+			"stats=e3b0c44298fc1c14 results=5953e91d8a2a4810 jsonl=8ec8adf62e10cc11 chrome=e81e40f8e3cb3451 counts=e3b0c44298fc1c14"},
 		{"cert/separator/tree", func(t *testing.T, o *goldenOut) { runCertSeparator(t, o, "tree") },
-			"stats=e3b0c44298fc1c14 results=c51a5e1a35f5df45 jsonl=5df256536ca20ecb chrome=c634e4e844506a6d counts=e3b0c44298fc1c14"},
-		{"cert/schemes", runCertSchemes, "stats=e3b0c44298fc1c14 results=527f46cd5a2c28f8 jsonl=f099a4bb0101903a chrome=546a609c58b0cde6 counts=e3b0c44298fc1c14"},
+			"stats=e3b0c44298fc1c14 results=9d908ff420f63d0f jsonl=af3aae4867c14db3 chrome=d7c598c301008247 counts=e3b0c44298fc1c14"},
+		{"cert/schemes", runCertSchemes, "stats=e3b0c44298fc1c14 results=42ab636fc3914c9e jsonl=e43eacccdcbf2065 chrome=7f2b2b821503ad2a counts=e3b0c44298fc1c14"},
 		{"chaos/bfs-all-kinds", func(t *testing.T, o *goldenOut) {
 			runInjected(t, o, "bfs", "stacked", 90, 1, 3, []chaos.Kind{chaos.Drop, chaos.Corrupt, chaos.Stall, chaos.LinkDown, chaos.Crash})
 		}, "stats=efa10b7d1f34946d results=727f632fdecb575c jsonl=063ea182fc527466 chrome=a53526276d52c487 counts=3fefc462a517a55e"},
@@ -129,7 +137,7 @@ func TestScheduleGolden(t *testing.T) {
 		{"chaos/pa-all-kinds", func(t *testing.T, o *goldenOut) {
 			runInjected(t, o, "pa", "stacked", 90, 1, 2, []chaos.Kind{chaos.Drop, chaos.Corrupt, chaos.Stall})
 		}, "stats=31106dd0e0703abd results=b4a0152bbdb821da jsonl=dde95eaa286fce16 chrome=430a13aca2dec927 counts=0e31bb53d7712cd6"},
-		{"chaos/awerbuch-recovery", runAwerbuchRecovery, "stats=e3b0c44298fc1c14 results=ea9c3b9c1622f4cc jsonl=7930a72c3626bf4c chrome=e3387a012df696bb counts=ba59d4def0d01cd5"},
+		{"chaos/awerbuch-recovery", runAwerbuchRecovery, "stats=e3b0c44298fc1c14 results=eedcd7b948566658 jsonl=b749d40ad21023c8 chrome=761ba6e0f8929cd4 counts=ba59d4def0d01cd5"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -172,15 +180,9 @@ func runPrograms(t *testing.T, o *goldenOut, family string, n int, seed int64) {
 			func(nd congest.Node) any { b := nd.(*congest.BFSNode); return [2]int{b.Dist, b.ParentID} }},
 		{"awerbuch", func(nw *congest.Network) []congest.Node { return congest.NewAwerbuchNodes(nw, 0) },
 			func(nd congest.Node) any { a := nd.(*congest.AwerbuchNode); return [2]int{a.Depth, a.ParentID} }},
-		{"convergecast", func(nw *congest.Network) []congest.Node {
-			return congest.NewConvergecastNodes(nw, parent, 0, value, congest.OpSum)
-		}, func(nd congest.Node) any { return nd.(*congest.ConvergecastNode).Subtree }},
 		{"ancestorsum", func(nw *congest.Network) []congest.Node {
 			return congest.NewAncestorSumNodes(nw, parent, 0, value, congest.OpSum)
 		}, func(nd congest.Node) any { return nd.(*congest.AncestorSumNode).Prefix }},
-		{"broadcast", func(nw *congest.Network) []congest.Node {
-			return congest.NewBroadcastNodes(nw, parent, 0, 42)
-		}, func(nd congest.Node) any { c := nd.(*congest.CastNode); return [2]any{c.Value, c.Has} }},
 		{"pa", func(nw *congest.Network) []congest.Node {
 			return congest.NewPANodes(nw, parent, 0, partOf, value, congest.OpMin)
 		}, func(nd congest.Node) any { p := nd.(*congest.PANode); return [2]any{p.Result, p.HasResult} }},
@@ -197,6 +199,19 @@ func runPrograms(t *testing.T, o *goldenOut, family string, n int, seed int64) {
 		}
 		o.result(map[string]any{p.name: res})
 	}
+	// The fold, in three lanes, after the programs above.
+	nw := congest.New(g)
+	nw.Tracer = o.rec
+	fold := congest.NewFoldProgram(nw, parent, 0)
+	rounds, err := nw.Run(fold.Reset([]congest.FoldLane{
+		{Values: value, Op: congest.OpSum}, {Values: value, Op: congest.OpMin}, {Values: partOf, Op: congest.OpMax},
+	}), 16*g.N())
+	o.stat(rounds, err, nw.Stats())
+	res := make([][]int, g.N())
+	for v := range res {
+		res[v] = fold.Result(v)
+	}
+	o.result(map[string]any{"fold": res})
 }
 
 // runBoruvka runs the round-scheduled Borůvka program over BFS-prefix

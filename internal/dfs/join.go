@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"planardfs/internal/graph"
 )
@@ -36,6 +35,8 @@ type joinScratch struct {
 	epoch   int32
 	flat    []int   // componentsWithin pieces of a sub-phase, reused
 	pieces  [][]int // their headers, reused
+	pieceOf []int32 // componentsWithin: the piece of each vertex it reached
+	place   []int   // componentsWithin: where each piece's next vertex goes, reused
 	queue   []int32 // entry BFS queue, reused
 	cands   []int32 // the separator vertices the entry BFS stopped at, reused
 	path    []int   // the attached path, reused
@@ -50,6 +51,7 @@ func newJoinScratch(n int) *joinScratch {
 		visEp:   make([]int32, n),
 		parent:  make([]int32, n),
 		flat:    make([]int, n),
+		pieceOf: make([]int32, n),
 	}
 }
 
@@ -141,32 +143,44 @@ func joinSeparator(g *graph.Graph, pt *PartialTree, comp []int, sep []int, sc *j
 // componentsWithin returns the connected components of the not-yet-added
 // vertices of comp, each sorted ascending and capped at its length, laid
 // out in flat[:0] with their headers in comps[:0]. comp is sorted, so the
-// pieces come out ordered by smallest vertex.
+// pieces come out ordered by smallest vertex. A BFS per piece labels its
+// vertices in sc.pieceOf, using the piece's own range of flat as its
+// queue; one ascending sweep of comp then rewrites each range in order.
 func componentsWithin(g *graph.Graph, comp []int, sc *joinScratch, pt *PartialTree, flat []int, comps [][]int) [][]int {
 	sc.epoch++
 	ep := sc.epoch
 	flat, comps = flat[:0], comps[:0]
+	place := sc.place[:0]
 	for _, v := range comp {
 		if sc.seenEp[v] == ep || pt.Has(v) {
 			continue
 		}
-		start := len(flat) // the piece doubles as its BFS queue
+		start := len(flat)
+		//planarvet:narrowok a piece id is below the piece count, at most n, and graph.New bounds n to MaxInt32
+		k := int32(len(comps))
 		flat = append(flat, v)
-		sc.seenEp[v] = ep
+		sc.seenEp[v], sc.pieceOf[v] = ep, k
 		for qi := start; qi < len(flat); qi++ {
 			x := flat[qi]
 			for _, id := range g.IncidentEdges(x) {
 				w := g.Other(int(id), x)
 				if sc.inComp[w] && sc.seenEp[w] != ep && !pt.Has(w) {
-					sc.seenEp[w] = ep
+					sc.seenEp[w], sc.pieceOf[w] = ep, k
 					flat = append(flat, w)
 				}
 			}
 		}
-		piece := flat[start:len(flat):len(flat)]
-		sort.Ints(piece)
-		comps = append(comps, piece)
+		comps = append(comps, flat[start:len(flat):len(flat)])
+		place = append(place, start)
 	}
+	for _, v := range comp {
+		if sc.seenEp[v] == ep {
+			k := sc.pieceOf[v]
+			flat[place[k]] = v
+			place[k]++
+		}
+	}
+	sc.place = place
 	return comps
 }
 

@@ -14,12 +14,17 @@
 //     Levi–Medina–Ron style with one-sided error: planar inputs are
 //     always accepted; non-planar inputs are rejected when a concrete
 //     witness is found — a global edge-count violation m > 3n-6
-//     (aggregated distributively) or a dense sampled ball violating the
+//     (folded distributively) or a dense sampled ball violating the
 //     planar density bound. A deterministic centralized oracle
 //     (OracleTest) recomputes the same decisions for cross-checking.
 //  3. Euler count — the internal/cert embedding scheme run as a
-//     first-class guard stage: the aggregated Euler characteristic of the
+//     first-class guard stage: the folded Euler characteristic of the
 //     claimed rotation system must be exactly 2 (genus 0).
+//
+// The distributed stages fold once: the Euler labels are exchanged first,
+// and one fold carries the degree sum, the Euler sum and the Euler accept
+// bits. The verdicts are then read in stage order, so the first failing
+// stage names the rejection.
 //
 // Rotations are checked once, before the guard runs: gen.Wire.Check
 // rejects a wire rotation that is not a permutation of the vertex's
@@ -127,17 +132,17 @@ type Verdict struct {
 	OK      bool          `json:"ok"`
 	Witness *Witness      `json:"witness,omitempty"`
 	Checks  []CheckResult `json:"checks"`
-	// Rounds totals the round cost of every distributed stage: the
-	// measured rounds of each CONGEST run, plus the Euler stage's prover
-	// charge under the paper cost model. A traced validation advances the
-	// trace clock by exactly Rounds. Messages totals the messages of the
-	// CONGEST runs (the guard overhead the bench mode reports).
+	// Rounds totals the round cost of every distributed stage that ran:
+	// the measured rounds of each CONGEST run, plus the Euler stage's
+	// prover charge under the paper cost model. The shared fold counts
+	// once, on the edge-count check; the Euler prover charge and exchange,
+	// which run ahead of it, count on the Euler check, or in the totals
+	// alone when an earlier stage rejects. A traced validation advances
+	// the trace clock by exactly Rounds. Messages totals the messages of
+	// the CONGEST runs (the guard overhead the bench mode reports).
 	Rounds   int   `json:"rounds"`
 	Messages int64 `json:"messages"`
 
-	// testerErr parks an infrastructure error raised inside a tester stage
-	// so the orchestrator can surface it after the stage helper returns.
-	testerErr error
 	// vf is the certification context an accepting ValidateInstance
 	// verdict validated on, until TakeVerifier hands it over.
 	vf *cert.Verifier
@@ -145,7 +150,7 @@ type Verdict struct {
 
 // TakeVerifier hands over the certification context an accepting
 // ValidateInstance verdict validated on: its network
-// and round engine, its BFS tree from vertex 0, its aggregation program
+// and round engine, its BFS tree from vertex 0, its fold program
 // and its label-exchange programs, untraced until the new owner calls
 // SetTracer. A build of the same graph certifies on it instead of building
 // its own (pipeline.Options.Admitted). The verdict drops its reference, so

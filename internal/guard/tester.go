@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"planardfs/internal/cert"
 	"planardfs/internal/congest"
 	"planardfs/internal/graph"
 	"planardfs/internal/trace"
@@ -15,7 +14,7 @@ import (
 // a non-planar input is rejected when a concrete witness is found. Two
 // witness classes are implemented:
 //
-//   - edge count: one part-wise degree sum delivers 2m to every vertex;
+//   - edge count: one fold of the degrees delivers 2m to every vertex;
 //     m > 3n-6 contradicts Euler's bound for every planar simple graph.
 //   - dense region: around each of a set of seeded centers, a ball of
 //     radius ballRadius is flooded as a real node program; the members
@@ -206,34 +205,36 @@ func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, cent
 	return cn.nS, cn.mS2, r, nw.Stats().Messages, nil
 }
 
-// runEdgeCountCheck aggregates the degree sum distributively on vf's
-// network over its BFS tree and applies the global planar bound. A nil
-// witness means acceptance.
-func runEdgeCountCheck(vf *cert.Verifier, opt Options) (*Witness, int, int64, error) {
-	nw := vf.Network()
-	g := nw.G
-	n := g.N()
-	tr := trace.OrNop(opt.Tracer)
-	sp := tr.StartSpan(trace.LayerCert, "guard.edge-count")
-	defer sp.End()
-	degs := make([]int, n)
-	for v := 0; v < n; v++ {
+// degreeSum is the edge-count stage's input: the degree sum 2m as one
+// fold delivered it, with the fold's measured rounds and messages.
+type degreeSum struct {
+	m2, rounds int
+	messages   int64
+}
+
+// degreeLane is the fold lane of the degree sum.
+func degreeLane(g *graph.Graph) congest.FoldLane {
+	degs := make([]int, g.N())
+	for v := range degs {
 		degs[v] = g.Degree(v)
 	}
-	m2, rounds, err := vf.Aggregate(degs, congest.OpSum)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("guard: degree aggregation: %w", err)
-	}
-	messages := nw.Stats().Messages
+	return congest.FoldLane{Values: degs, Op: congest.OpSum}
+}
+
+// edgeCountCheck applies the global planar bound to the folded degree sum
+// of an n-vertex graph. A nil witness means acceptance.
+func edgeCountCheck(n, m2 int, opt Options) *Witness {
+	sp := trace.OrNop(opt.Tracer).StartSpan(trace.LayerCert, "guard.edge-count")
+	defer sp.End()
 	sp.SetAttr("m2", int64(m2))
 	if n >= 3 && m2 > 6*n-12 {
 		return &Witness{
 			Reason: ReasonEdgeCount,
 			Detail: fmt.Sprintf("%d edges on %d vertices exceeds the planar bound %d", m2/2, n, 3*n-6),
 			N:      n, M: m2 / 2, Bound: 3*n - 6,
-		}, rounds, messages, nil
+		}
 	}
-	return nil, rounds, messages, nil
+	return nil
 }
 
 // runDensityCheck probes every center's ball in sequence on nw and applies

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"planardfs/internal/cert"
+	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/trace"
@@ -13,11 +14,14 @@ import (
 // precheck (a graph with an edge, an embedding of in.G itself and an outer
 // dart of that embedding), the connectivity precheck, the planarity
 // property tester, and the Euler-count certification of in.Emb as it is.
-// Stages run in order and stop at the first rejection. Every distributed
-// stage runs on one cert.Verifier of in.G, and an accepting verdict keeps
-// it for the build that follows (Verdict.TakeVerifier). The returned error
-// reports infrastructure failures only; a bad input is an accepting=false
-// verdict, and verdict.Err() converts it to a typed RejectionError.
+// Stages run in order and stop at the first rejection; the Euler labels
+// are exchanged ahead of the one fold that the edge-count and Euler
+// stages share, and the verdicts are read in stage order. Every
+// distributed stage runs on one cert.Verifier of in.G, and an accepting
+// verdict keeps it for the build that follows (Verdict.TakeVerifier).
+// The returned error reports infrastructure failures only; a bad input is
+// an accepting=false verdict, and verdict.Err() converts it to a typed
+// RejectionError.
 func ValidateInstance(in *gen.Instance, opt Options) (*Verdict, error) {
 	tr := trace.OrNop(opt.Tracer)
 	sp := tr.StartSpan(trace.LayerCert, "guard.validate")
@@ -32,27 +36,38 @@ func ValidateInstance(in *gen.Instance, opt Options) (*Verdict, error) {
 	}
 
 	// One certification context serves every distributed stage below:
-	// one network, one BFS tree and one aggregation program.
+	// one network, one BFS tree and one fold program.
 	vf := cert.NewVerifier(in.G, cert.Options{Tracer: opt.Tracer})
-
-	// Planarity property tester (graph-level, one-sided error).
-	if !testerStages(v, vf, opt) {
-		return v, nil
-	}
-	if err := v.testerErr; err != nil {
-		return nil, err
-	}
 
 	// Euler count: the internal/cert embedding scheme as a first-class
 	// guard stage. The shape stage admitted only an embedding of in.G, and
 	// the planar.Embedding constructors make each of its rotations a
 	// permutation of the vertex's darts, so the genus is all that is left
-	// to check.
-	ev, err := vf.VerifyEmbedding(cert.ProveEmbedding(in.Emb))
+	// to check. Its labels are exchanged first, so that the degree sum of
+	// the edge-count stage, the Euler sum and the Euler accept bits travel
+	// as the three lanes of one fold; the verdicts are then read in stage
+	// order, so the first failing stage still names the rejection.
+	ev, sums, err := vf.Certify([]congest.FoldLane{degreeLane(in.G)}, vf.EmbeddingScheme(cert.ProveEmbedding(in.Emb)))
 	if err != nil {
 		return nil, fmt.Errorf("guard: euler certification: %w", err)
 	}
-	v.addCheck("euler", ev.OK, ev.ProverRounds+ev.VerifierRounds+ev.AggRounds, ev.Stats.Messages)
+	sum := degreeSum{m2: sums[0], rounds: ev.AggRounds, messages: vf.Network().Stats().Messages}
+
+	// Planarity property tester (graph-level, one-sided error).
+	ok, err := testerStages(v, vf.Network(), sum, opt)
+	if err != nil {
+		return nil, err
+	}
+	// The Euler stage's prover charge and exchange ran ahead of the fold:
+	// the Euler check reports them, or the totals alone after an earlier
+	// rejection.
+	eulerRounds := ev.ProverRounds + ev.VerifierRounds
+	if !ok {
+		v.Rounds += eulerRounds
+		v.Messages += ev.Stats.Messages
+		return v, nil
+	}
+	v.addCheck("euler", ev.OK, eulerRounds, ev.Stats.Messages)
 	if !ev.OK {
 		return v.reject(Witness{
 			Reason:    ReasonEuler,
@@ -79,10 +94,13 @@ func ValidateGraph(g *graph.Graph, opt Options) (*Verdict, error) {
 	if !connectivityStage(v, g) {
 		return v, nil
 	}
-	if !testerStages(v, cert.NewVerifier(g, cert.Options{Tracer: opt.Tracer}), opt) {
-		return v, nil
+	vf := cert.NewVerifier(g, cert.Options{Tracer: opt.Tracer})
+	sums, rounds, err := vf.Fold(degreeLane(g))
+	if err != nil {
+		return nil, fmt.Errorf("guard: degree aggregation: %w", err)
 	}
-	if err := v.testerErr; err != nil {
+	sum := degreeSum{m2: sums[0], rounds: rounds, messages: vf.Network().Stats().Messages}
+	if _, err := testerStages(v, vf.Network(), sum, opt); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -128,30 +146,24 @@ func connectivityStage(v *Verdict, g *graph.Graph) bool {
 	return false
 }
 
-// testerStages runs the distributed edge-count and ball-density stages on
-// vf's network, aggregating over its BFS tree. It returns false when
-// validation must stop; infrastructure errors are parked on the verdict
-// for the caller to surface.
-func testerStages(v *Verdict, vf *cert.Verifier, opt Options) bool {
-	w, rounds, msgs, err := runEdgeCountCheck(vf, opt)
-	if err != nil {
-		v.testerErr = err
-		return false
-	}
-	v.addCheck("edge-count", w == nil, rounds, msgs)
+// testerStages runs the edge-count stage on the folded degree sum and
+// then the distributed ball-density stage on nw. It reports whether
+// validation goes on; an error is an infrastructure failure.
+func testerStages(v *Verdict, nw *congest.Network, sum degreeSum, opt Options) (bool, error) {
+	w := edgeCountCheck(nw.G.N(), sum.m2, opt)
+	v.addCheck("edge-count", w == nil, sum.rounds, sum.messages)
 	if w != nil {
 		v.reject(*w)
-		return false
+		return false, nil
 	}
-	w, rounds, msgs, err = runDensityCheck(vf.Network(), opt)
+	w, rounds, msgs, err := runDensityCheck(nw, opt)
 	if err != nil {
-		v.testerErr = err
-		return false
+		return false, err
 	}
 	v.addCheck("density", w == nil, rounds, msgs)
 	if w != nil {
 		v.reject(*w)
-		return false
+		return false, nil
 	}
-	return true
+	return true, nil
 }

@@ -12,8 +12,10 @@ import (
 
 // TestRunBytesPerRun gates the host bytes one default-option Run
 // allocates on the 32×32 grid and the stacked triangulation of n = 1000.
-// Untraced: at most 4.50 MB and 5.45 MB (about 4.27 MB and 5.20 MB
-// measured, with Phase 5 weighing its virtual-edge candidates from the
+// Untraced: at most 4.25 MB and 5.20 MB (about 4.03 MB and 4.95 MB
+// measured, with every fold a convergecast and broadcast instead of a
+// part-wise aggregation program; 4.23 MB and 5.14 MB before, with Phase 5
+// weighing its virtual-edge candidates from the
 // parent configuration and copying only the heavy ones Phase 4 walks;
 // 4.99 MB and 5.48 MB when every candidate was copied, with no
 // subtree-interval arrays in weights.NewConfig and the separator's
@@ -29,14 +31,18 @@ import (
 // 6.43 MB when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
 // component went through maps and a second BFS, 10.4 MB and 11.6 MB when
 // each certification also built its own). Traced on a trace.Recorder: at
-// most 4.60 MB and 5.55 MB (about 4.36 MB and 5.28 MB measured; 5.09 MB
+// most 4.35 MB and 5.30 MB (about 4.12 MB and 5.03 MB measured; 4.32 MB
+// and 5.22 MB with part-wise aggregation folds; 5.09 MB
 // and 5.56 MB when every virtual-edge candidate was copied; 5.41 MB
 // and 5.81 MB with the subtree intervals; 5.49 MB and 5.82 MB with the
 // dfs stage charging its trace once per recursion phase from dfs.Trace;
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
 // Guarded (guard.ValidateInstance with seed 1, its verdict handed to Run
 // as Options.Admitted, both measured), untraced: at
-// most 5.30 MB and 6.45 MB (about 5.04 MB and 6.22 MB measured, with the
+// most 4.60 MB and 5.65 MB (about 4.39 MB and 5.42 MB measured, with the
+// guard folding its degree sum, Euler sum and Euler verdict once; 4.59 MB
+// and 5.62 MB with three part-wise aggregation folds; 5.04 MB and 6.22 MB at an earlier
+// measurement, with the
 // guard reading rotations into one reused row and certifying the
 // instance's own embedding; 5.23 MB and 6.49 MB when it rebuilt both, with
 // the run certifying on the Verifier the guard validated on; 6.71 MB and
@@ -50,12 +56,12 @@ func TestRunBytesPerRun(t *testing.T) {
 		guarded  bool
 		maxBytes float64
 	}{
-		{"grid-32x32", grid, false, false, 4.50e6},
-		{"stacked-1000", stacked, false, false, 5.45e6},
-		{"grid-32x32 traced", grid, true, false, 4.60e6},
-		{"stacked-1000 traced", stacked, true, false, 5.55e6},
-		{"grid-32x32 guarded", grid, false, true, 5.30e6},
-		{"stacked-1000 guarded", stacked, false, true, 6.45e6},
+		{"grid-32x32", grid, false, false, 4.25e6},
+		{"stacked-1000", stacked, false, false, 5.20e6},
+		{"grid-32x32 traced", grid, true, false, 4.35e6},
+		{"stacked-1000 traced", stacked, true, false, 5.30e6},
+		{"grid-32x32 guarded", grid, false, true, 4.60e6},
+		{"stacked-1000 guarded", stacked, false, true, 5.65e6},
 	} {
 		run := func() {
 			opts := Options{}
@@ -91,10 +97,11 @@ func TestRunBytesPerRun(t *testing.T) {
 }
 
 // TestRunSpansPerRun gates the spans one traced default-option Run
-// records on the instances of TestRunBytesPerRun: at most 510 on the 32×32
-// grid and 135 on the stacked triangulation of n = 1000 (496 and 127
-// measured, with the separator stage charged as one sepengine.theorem1
-// call; 525 and 143 when it recorded a span per Lemma 1 phase and
+// records on the instances of TestRunBytesPerRun: at most 500 on the 32×32
+// grid and 130 on the stacked triangulation of n = 1000 (490 and 121
+// measured, with folds of 2·depth+1 network rounds where part-wise
+// aggregations of 2·depth+3 ran; 496 and 127 with them and the
+// separator stage charged as one sepengine.theorem1 call; 525 and 143 when it recorded a span per Lemma 1 phase and
 // subroutine; 2,059 and 15,014 when every DFS component charged its own
 // separator and join spans).
 func TestRunSpansPerRun(t *testing.T) {
@@ -103,7 +110,7 @@ func TestRunSpansPerRun(t *testing.T) {
 		name     string
 		in       *gen.Instance
 		maxSpans int
-	}{{"grid-32x32", grid, 510}, {"stacked-1000", stacked, 135}} {
+	}{{"grid-32x32", grid, 500}, {"stacked-1000", stacked, 130}} {
 		rec := trace.NewRecorder()
 		if _, err := Run(context.Background(), c.in, Options{Tracer: rec}); err != nil {
 			t.Fatal(err)

@@ -92,9 +92,7 @@ var exportAllowlist = map[string]string{
 	"guard.OracleTest":                "reference oracle: the sequential planarity test the distributed tester is compared against",
 	"planar.(*Embedding).ECompatible": "reference oracle: brute-force edge compatibility over CompatibleInsertions, which the separator tests compare against",
 	"separator.IsTPath":               "reference oracle: the T-path definition the separator tests check outputs against",
-	"congest.NewAncestorSumNodes":     "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
-	"congest.NewBroadcastNodes":       "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
-	"congest.NewConvergecastNodes":    "node program; ROADMAP items 2 (certification folds) and 7 (message-level audit) decide its caller",
+	"congest.NewAncestorSumNodes":     "node program; ROADMAP item 7 (message-level audit) decides its caller",
 	"spanning.(*Tree).ReRoot":         "Lemma 19 re-rooting; ROADMAP item 9 decides whether the cut-vertex fix uses it",
 	"chaos.(*Plan).InjectEdges":       "generator of the guard's adversarial corpus",
 	"chaos.(*Plan).RetargetDarts":     "generator of the guard's adversarial corpus",

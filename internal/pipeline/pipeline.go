@@ -34,8 +34,8 @@ import (
 // DFS and no tracing.
 //
 // A guarded run certifies on the cert.Verifier its admission validated on,
-// so one round engine, one BFS tree from vertex 0 and one set of
-// aggregation and label-exchange programs serve the guard and every
+// so one round engine, one BFS tree from vertex 0, one fold program and
+// one set of label-exchange programs serve the guard and every
 // certification.
 type Options struct {
 	// Admitted guards the run with an admission that has already run: the
@@ -93,7 +93,7 @@ type Result struct {
 }
 
 // Rounds is the charged round cost of the build: the DFS stage plus every
-// certification prover, verifier and aggregation.
+// certification prover, exchange and fold.
 func (r *Result) Rounds() int {
 	total := r.DFSRounds
 	for _, v := range r.Verdicts {

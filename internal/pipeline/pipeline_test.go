@@ -33,7 +33,10 @@ func instance(t *testing.T, family string, n int, seed int64) *gen.Instance {
 // path, which changed the DFS trees, their phases and their JOIN
 // sub-phases; the digests when the separator stage began charging its
 // trace as one sepengine.theorem1 call (dist.SeparatorOps) instead of
-// per Lemma 1 phase.
+// per Lemma 1 phase. Both were re-recorded when certification began
+// folding verdicts with a convergecast and broadcast (2·depth+1 rounds,
+// not part-wise aggregation's 2·depth+3), 2 rounds fewer for each of the
+// three verdicts: 2,003,981 → 2,003,975 and 697,878 → 697,872 rounds.
 func TestRunTraceGolden(t *testing.T) {
 	cases := []struct {
 		family string
@@ -42,8 +45,8 @@ func TestRunTraceGolden(t *testing.T) {
 		digest string
 		rounds int
 	}{
-		{"grid", 100, 1, "61ad56a0a8c78c0e42e8b33cc508e04e739871882924e1615b2b1d6adc19164b", 2003981},
-		{"stacked", 150, 7, "f6b7efbd6cfd69d1b9e71f646f3f6297d9a6701580592dc4874c337c2d6cd979", 697878},
+		{"grid", 100, 1, "00b4d4a6ca5371be301abcf6a8e272945ad7bc114a2dc3beb1c5cbe03d870135", 2003975},
+		{"stacked", 150, 7, "29a39472084dc9b8c8d32470358b1d43abbb87e5b754bbfc332c5e4de8168a95", 697872},
 	}
 	for _, c := range cases {
 		rec := trace.NewRecorder()
@@ -312,8 +315,10 @@ func TestRunGuard(t *testing.T) {
 // admission's Verifier and reports exactly the verdicts and rounds of an
 // unguarded run. Traced with its admission on one recorder, the guarded
 // run records the pinned trace, whose digests were recorded when the
-// admission could also run inside Run and re-recorded when the guard
-// dropped its distributed rotation check, and its clock ends at
+// admission could also run inside Run, re-recorded when the guard
+// dropped its distributed rotation check and again when certification
+// began folding with a convergecast and broadcast and the guard began
+// folding once, and its clock ends at
 // Admission.Rounds + Rounds() + Separator.Rounds; a run handed an untraced
 // admission records the unguarded run's trace byte for byte. An
 // admission's context serves one build of its own graph only.
@@ -329,8 +334,8 @@ func TestRunAdoptsTheAdmission(t *testing.T) {
 		in     *gen.Instance
 		digest string
 	}{
-		{instance(t, "grid", 100, 1), "6c3010c1ce22aeb33a9e52f7733b2b26e319d3929ba521da3d692aabca44ccc0"},
-		{instance(t, "stacked", 150, 7), "f8c74b9c7c7274477e97925f116c9e9800f69d4edcf5ecec252cf491fd492ddd"},
+		{instance(t, "grid", 100, 1), "768c6ce86ef2899479b5c831581feacece5013186a43cff66ad2830265ef70c2"},
+		{instance(t, "stacked", 150, 7), "f9f19b304c30924bd95ae3ff5b132ed8729c7d78c07b72f5703be635d9e32d95"},
 	} {
 		in := c.in
 		plain := trace.NewRecorder()

@@ -133,9 +133,11 @@ type job struct {
 	attempts int
 	rounds   int
 
-	submittedNS int64
-	startedNS   int64
-	doneNS      int64
+	// enqueuedNS stamps the job as it enters the queue, after decoding
+	// and admission, so queue wait is time spent waiting for a worker.
+	enqueuedNS int64
+	startedNS  int64
+	doneNS     int64
 }
 
 // JobStatus is the GET /v1/jobs/{id} response.
@@ -154,7 +156,9 @@ type JobStatus struct {
 	// Rounds is the charged paper-model round cost of the build.
 	Rounds int    `json:"rounds,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// QueueMicros and BuildMicros are wall-clock observability readings.
+	// QueueMicros and BuildMicros are wall-clock observability readings:
+	// the wait from entering the queue (after admission) to a worker
+	// starting the job, and the build from there to a terminal state.
 	QueueMicros int64 `json:"queueMicros"`
 	BuildMicros int64 `json:"buildMicros"`
 }
@@ -174,7 +178,7 @@ func (j *job) status() JobStatus {
 		Error:    j.errMsg,
 	}
 	if j.startedNS > 0 {
-		st.QueueMicros = (j.startedNS - j.submittedNS) / 1000
+		st.QueueMicros = (j.startedNS - j.enqueuedNS) / 1000
 	}
 	if j.doneNS > 0 {
 		st.BuildMicros = (j.doneNS - j.startedNS) / 1000
@@ -262,7 +266,7 @@ func (s *Server) runJob(j *job) {
 
 	j.setState(StateRunning)
 	s.metrics.SetGauge("serve.queue.depth", int64(len(s.queue)))
-	waitUS := (nowNanos() - j.submittedNS) / 1000
+	waitUS := (nowNanos() - j.enqueuedNS) / 1000
 	s.metrics.Observe("serve.latency.queue_wait_us", waitUS)
 
 	in := j.in

@@ -220,13 +220,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobsMu.Lock()
 	s.nextID++
 	j := &job{
-		id:          fmt.Sprintf("j%d", s.nextID),
-		req:         req,
-		rec:         trace.NewRecorder(),
-		in:          inline,
-		admitted:    admitted,
-		state:       StateQueued,
-		submittedNS: start,
+		id:         fmt.Sprintf("j%d", s.nextID),
+		req:        req,
+		rec:        trace.NewRecorder(),
+		in:         inline,
+		admitted:   admitted,
+		state:      StateQueued,
+		enqueuedNS: nowNanos(),
 	}
 	s.jobs[j.id] = j
 	s.jobsMu.Unlock()

@@ -174,6 +174,56 @@ func TestInlineJobRetainsNoGraphBytes(t *testing.T) {
 	}
 }
 
+// TestInlineQueueWaitExcludesAdmission: an inline job is stamped for its
+// queue wait as it enters the queue, after the handler decoded and
+// admitted its graph, not at handler entry. Admission dominates the
+// submit handler on a stacked triangulation of n = 3000, so the stamp
+// falls in the second half of the handler's wall time (at handler entry
+// it fell at its start), and the job's reported queue wait is what
+// follows the stamp.
+func TestInlineQueueWaitExcludesAdmission(t *testing.T) {
+	s := New(Options{Workers: 1})
+	gate := make(chan struct{})
+	s.testJobGate = gate
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	in, err := gen.ByName("stacked", 3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := gen.EncodeJSON(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"graph":%s}`, data)
+	t0 := nowNanos()
+	st := postJob(t, ts.URL, body)
+	t1 := nowNanos()
+	close(gate)
+	fin := awaitJob(t, ts.URL, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("inline job: %+v", fin)
+	}
+	s.jobsMu.Lock()
+	j := s.jobs[st.ID]
+	s.jobsMu.Unlock()
+	j.mu.Lock()
+	enqueued, started := j.enqueuedNS, j.startedNS
+	j.mu.Unlock()
+	if enqueued < t0+(t1-t0)/2 || enqueued > t1 {
+		t.Errorf("job stamped %d µs into a %d µs submit, want after admission, in the second half",
+			(enqueued-t0)/1000, (t1-t0)/1000)
+	}
+	if want := (started - enqueued) / 1000; fin.QueueMicros != want {
+		t.Errorf("queue wait %d µs, want %d µs from the enqueue stamp", fin.QueueMicros, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestJobInlineGraphAndQueries(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	in, err := gen.ByName("wheel", 12, 0)

@@ -231,45 +231,3 @@ func runPA(nw *congest.Network, prog *congest.PAProgram, partOf, value []int, op
 	}
 	return rounds, nil
 }
-
-// Aggregator runs single-part aggregations over one spanning tree on one
-// network: every vertex learns the aggregate of all values. It builds the
-// PA programs once and resets them in place for every Run, so repeated
-// aggregations over the same tree — a certification's verdict and sum
-// folds, the admission guard's checks — pay the program setup once. An
-// Aggregator is not safe for concurrent use.
-type Aggregator struct {
-	nw        *congest.Network
-	prog      *congest.PAProgram
-	partOf    []int // all zero: one part
-	maxRounds int
-}
-
-// NewAggregator builds the single-part aggregation programs of nw over
-// tree, rejecting a tree that is not over nw's vertices (see RunPAOn).
-func NewAggregator(nw *congest.Network, tree *spanning.Tree) (*Aggregator, error) {
-	if err := checkTree(nw.G, tree); err != nil {
-		return nil, err
-	}
-	return &Aggregator{
-		nw:        nw,
-		prog:      congest.NewPAProgram(nw, tree.Parent, tree.Root),
-		partOf:    make([]int, nw.G.N()),
-		maxRounds: paBudget(tree, 1),
-	}, nil
-}
-
-// Run aggregates value under op on the Aggregator's network, with its word
-// budget and tracer as they are now, and returns the aggregate with the
-// measured round count. It yields what RunPAOn yields for a one-part
-// partition over the same tree; nw.Stats() holds the run's statistics.
-func (a *Aggregator) Run(value []int, op congest.AggOp) (agg, rounds int, err error) {
-	if len(value) != len(a.partOf) {
-		return 0, 0, fmt.Errorf("shortcut: %d values for %d vertices", len(value), len(a.partOf))
-	}
-	rounds, err = runPA(a.nw, a.prog, a.partOf, value, op, a.maxRounds)
-	if err != nil {
-		return 0, 0, err
-	}
-	return a.prog.Node(0).Result, rounds, nil
-}

@@ -322,7 +322,7 @@ type (
 // NewVerifier returns the certification context of g: its methods
 // (CertifySpanningTree, CertifyDFSTree, CertifySeparator,
 // CertifyEmbedding, …) prove and distributively verify one output each,
-// sharing one round engine and one aggregation tree. A Verifier is not
+// sharing one round engine and one fold tree. A Verifier is not
 // safe for concurrent use.
 func NewVerifier(g *Graph, opt CertOptions) *Verifier { return cert.NewVerifier(g, opt) }
 
