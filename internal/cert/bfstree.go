@@ -30,9 +30,9 @@ const bfsWords = 3
 // claim yields labels some local verifier rejects (the judge is a total
 // function), which is the point of certifying instead of trusting.
 func ProveBFSTree(root int, parent, dist []int) [][]int {
-	labels := make([][]int, len(parent))
-	for v := range parent {
-		labels[v] = []int{root, parent[v], dist[v]}
+	labels := labelRows(len(parent), bfsWords)
+	for v, l := range labels {
+		l[0], l[1], l[2] = root, parent[v], dist[v]
 	}
 	return labels
 }

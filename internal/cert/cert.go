@@ -505,3 +505,16 @@ func boolToInt(b bool) int {
 	}
 	return 0
 }
+
+// labelRows returns n labels of words each for a prover to fill: views
+// into one flat array, each capped at its own words, so a labelling costs
+// two allocations, not one per vertex, and a label grown by append (a
+// corrupted one) cannot run into its neighbour's.
+func labelRows(n, words int) [][]int {
+	flat := make([]int, n*words)
+	rows := make([][]int, n)
+	for v := range rows {
+		rows[v] = flat[v*words : (v+1)*words : (v+1)*words]
+	}
+	return rows
+}

@@ -38,10 +38,10 @@ func ProveDFSTree(g *graph.Graph, root int, parent []int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels := make([][]int, t.N())
-	for v := range labels {
+	labels := labelRows(t.N(), dfsWords)
+	for v, l := range labels {
 		tin, tout := t.Interval(v)
-		labels[v] = []int{parent[v], tin, tout}
+		l[0], l[1], l[2] = parent[v], tin, tout
 	}
 	return labels, nil
 }

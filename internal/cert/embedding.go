@@ -40,9 +40,9 @@ func ProveEmbedding(emb *planar.Embedding) [][]int {
 		}
 		fLed[planar.Tail(g, int(min))]++
 	}
-	labels := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		labels[v] = []int{g.Degree(v), fLed[v]}
+	labels := labelRows(g.N(), embWords)
+	for v, l := range labels {
+		l[0], l[1] = g.Degree(v), fLed[v]
 	}
 	return labels
 }

@@ -158,10 +158,10 @@ func (vf *Verifier) ProveSeparator(sep *separator.Separator) ([][]int, error) {
 			cntB++
 		}
 	}
-	labels := make([][]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = []int{tree.Root, tree.Parent[v], tree.Depth[v],
-			pos[v], side[v], L, cntA, cntB, sS[v], sA[v], sB[v]}
+	labels := labelRows(n, sepWords)
+	for v, l := range labels {
+		copy(l, []int{tree.Root, tree.Parent[v], tree.Depth[v],
+			pos[v], side[v], L, cntA, cntB, sS[v], sA[v], sB[v]})
 	}
 	return labels, nil
 }

@@ -24,9 +24,9 @@ const spanningWords = 3
 
 // ProveSpanningTree assigns the spanning-tree labels of t.
 func ProveSpanningTree(t *spanning.Tree) [][]int {
-	labels := make([][]int, t.N())
-	for v := 0; v < t.N(); v++ {
-		labels[v] = []int{t.Root, t.Parent[v], t.Depth[v]}
+	labels := labelRows(t.N(), spanningWords)
+	for v, l := range labels {
+		l[0], l[1], l[2] = t.Root, t.Parent[v], t.Depth[v]
 	}
 	return labels
 }

@@ -93,10 +93,12 @@ func Build(g *graph.Graph, emb *planar.Embedding, outerDart, root int) (*Partial
 // BuildWithSeparator is Build with the per-component separator computation
 // swapped out: find runs on each remaining component's restricted
 // configuration (see separator.ForSubset). Each restriction is built
-// around a dart found inside its component (outerRegionDart), and the
-// restriction index and the join state are allocated once per build and
-// reset over each component only, so a component costs its own size, not
-// n. The caller keeps any engine-fallback policy inside find and may
+// around a dart found inside its component (outerRegionDart). One
+// separator.Workspace per build splits each phase's components once and
+// rebuilds every component's restriction, BFS tree and configuration in
+// place, and the join state is allocated once per build and reset over
+// each component only, so a component costs its own size, not n. The
+// caller keeps any engine-fallback policy inside find and may
 // record its fallback count on the returned Trace.
 //
 // The build records nothing on a tracer: the returned Trace is the record,
@@ -116,7 +118,7 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 	outerInTree := false
 	pt := NewPartialTree(g.N(), root)
 	sc := newJoinScratch(g.N())
-	rs := planar.NewRestricter(emb)
+	ws := separator.NewWorkspace(emb)
 	tr := &Trace{SeparatorPhases: map[separator.Phase]int{}}
 	comps := firstComponents(g, pt, sc)
 	for len(comps) > 0 {
@@ -135,9 +137,14 @@ func BuildWithSeparator(g *graph.Graph, emb *planar.Embedding, outerDart, root i
 		}
 		tr.MaxComponent = append(tr.MaxComponent, maxC)
 		tr.Components = append(tr.Components, len(comps))
+		// The phase's components are fixed here and no join touches
+		// another component's vertices, so one split serves the phase.
+		if err := ws.Split(comps); err != nil {
+			return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
+		}
 		var next [][]int
-		for _, comp := range comps {
-			sep, err := separator.ForSubset(rs, outerRegionDart(emb, pt, comp, outerDart, outerInTree), comp, find)
+		for i, comp := range comps {
+			sep, err := separator.ForSubset(ws, i, outerRegionDart(emb, pt, comp, outerDart, outerInTree), find)
 			if err != nil {
 				return nil, nil, fmt.Errorf("dfs: phase %d: %w", tr.Phases, err)
 			}

@@ -12,21 +12,36 @@ import (
 	"planardfs/internal/separator"
 )
 
+// phaseComponent is one component of one phase of a driven build, as
+// forEachPhaseComponent hands it to its visit callback.
+type phaseComponent struct {
+	pt   *PartialTree
+	comp []int
+	// i is comp's part index in the phase's split, and dart the dart the
+	// build restricts it around.
+	i, dart int
+	// ws is the build's workspace and rs a Restricter of the test's own,
+	// both split over the phase's components as the build splits them.
+	ws *separator.Workspace
+	rs *planar.Restricter
+}
+
 // forEachPhaseComponent drives the phases and joins of the build from
 // root. At the start of every phase it calls phase, when not nil, with the
 // partial tree and the phase's component list; on every component it
-// calls visit, when not nil, with the dart the build restricts it around
-// and the build's Restricter, before the component's separator is joined,
-// and joined, when not nil, with the separator path and the join's stats.
-// Like Build, it takes the first phase's components from firstComponents
-// and every later phase's from the pieces the previous phase's joins left,
-// ordered by sortComponents. It fails the test if the driven phases do not
-// end in Build's tree.
-func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter), joined func(sep []int, st *JoinStats)) {
+// calls visit, when not nil, before the component's separator is joined,
+// and joined, when not nil, with the separator ForSubset returned and the
+// join's stats. Like Build, it takes the first phase's components from
+// firstComponents and every later phase's from the pieces the previous
+// phase's joins left, ordered by sortComponents, and it splits each
+// phase's components once on one workspace. It fails the test if the
+// driven phases do not end in Build's tree.
+func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int, phase func(pt *PartialTree, comps [][]int), visit func(c phaseComponent), joined func(sep *separator.Separator, st *JoinStats)) {
 	t.Helper()
 	g, emb := in.G, in.Emb
 	pt := NewPartialTree(g.N(), root)
 	sc := newJoinScratch(g.N())
+	ws := separator.NewWorkspace(emb)
 	rs := planar.NewRestricter(emb)
 	outerInTree := false
 	for comps := firstComponents(g, pt, sc); len(comps) > 0; {
@@ -36,13 +51,19 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 		if !outerInTree {
 			outerInTree = faceMeetsTree(emb, pt, in.OuterDart)
 		}
+		if err := ws.Split(comps); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := rs.Split(comps); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		var next [][]int
-		for _, comp := range comps {
+		for i, comp := range comps {
 			dart := outerRegionDart(emb, pt, comp, in.OuterDart, outerInTree)
 			if visit != nil {
-				visit(pt, comp, dart, rs)
+				visit(phaseComponent{pt: pt, comp: comp, i: i, dart: dart, ws: ws, rs: rs})
 			}
-			sep, err := separator.ForSubset(rs, dart, comp, separator.Find)
+			sep, err := separator.ForSubset(ws, i, dart, separator.Find)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -51,7 +72,7 @@ func forEachPhaseComponent(t *testing.T, name string, in *gen.Instance, root int
 				t.Fatalf("%s: %v", name, err)
 			}
 			if joined != nil {
-				joined(sep.Path, st)
+				joined(sep, st)
 			}
 			next = append(next, pieces...)
 		}
@@ -125,7 +146,8 @@ func TestJoinHalvingEveryPhase(t *testing.T) {
 	joins, multi := 0, 0
 	for _, c := range phaseCases(t) {
 		g := c.in.G
-		forEachPhaseComponent(t, c.name, c.in, c.root, nil, nil, func(sep []int, st *JoinStats) {
+		forEachPhaseComponent(t, c.name, c.in, c.root, nil, nil, func(s *separator.Separator, st *JoinStats) {
+			sep := s.Path
 			for i := 1; i < len(sep); i++ {
 				if !g.HasEdge(sep[i-1], sep[i]) {
 					t.Fatalf("%s: separator step {%d,%d} is not an edge", c.name, sep[i-1], sep[i])
@@ -188,30 +210,34 @@ func TestOuterRegionDartMatchesUnionFind(t *testing.T) {
 	for _, c := range phaseCases(t) {
 		name, in := c.name, c.in
 		emb := in.Emb
-		forEachPhaseComponent(t, name, in, c.root, nil, func(pt *PartialTree, comp []int, dart int, rs *planar.Restricter) {
-			if dart == in.OuterDart && !pt.Has(emb.HeadOf(dart)) {
+		forEachPhaseComponent(t, name, in, c.root, nil, func(pc phaseComponent) {
+			comp, dart := pc.comp, pc.dart
+			if dart == in.OuterDart && !pc.pt.Has(emb.HeadOf(dart)) {
 				viaOuterDart++
 			}
 			ref, err := emb.OuterRegionDart(comp, in.OuterDart)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			local, err := rs.Restrict(comp, dart)
+			res, err := pc.rs.Restrict(pc.i, dart)
 			if err != nil {
 				t.Fatalf("%s: restricting around the local dart: %v", name, err)
 			}
-			global, err := rs.Restrict(comp, ref)
+			local := res.OuterDart
+			// The restriction is rebuilt in place, the same
+			// sub-embedding around another dart, so the two sub-darts
+			// are comparable.
+			res, err = pc.rs.Restrict(pc.i, ref)
 			if err != nil {
 				t.Fatalf("%s: restricting around the union–find dart: %v", name, err)
 			}
-			// Both restrictions build the same sub-embedding, so
-			// their sub-darts are comparable.
-			if (local.OuterDart < 0) != (global.OuterDart < 0) {
-				t.Fatalf("%s: component %v: outer darts %d vs %d", name, comp, local.OuterDart, global.OuterDart)
+			global := res.OuterDart
+			if (local < 0) != (global < 0) {
+				t.Fatalf("%s: component %v: outer darts %d vs %d", name, comp, local, global)
 			}
-			if local.OuterDart >= 0 {
-				sfs := local.Emb.TraceFaces()
-				if sfs.FaceOf[local.OuterDart] != sfs.FaceOf[global.OuterDart] {
+			if local >= 0 {
+				sfs := res.Emb.TraceFaces()
+				if sfs.FaceOf[local] != sfs.FaceOf[global] {
 					t.Fatalf("%s: component of %d vertices at %d: local dart %d and union–find dart %d select different outer faces",
 						name, len(comp), comp[0], dart, ref)
 				}

@@ -10,13 +10,17 @@ import (
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
+	"planardfs/internal/separator"
+	"planardfs/internal/spanning"
+	"planardfs/internal/weights"
 )
 
 // referenceRestriction builds the restriction of emb to vs around dart the
-// way it was built before planar.Restricter: a map from parent to sub
-// vertex, edges added in ascending parent edge id, neighbour orders
-// resolved through FromNeighborOrders, and the outer dart found through
-// the map.
+// way it was built before graph.Inducer.Split: a map from parent to sub
+// vertex, the kept edges collected from each vertex's incidences and
+// sorted into ascending parent edge id (the per-call sort Split replaced),
+// neighbour orders resolved through FromNeighborOrders, and the outer
+// dart found through the map.
 func referenceRestriction(emb *planar.Embedding, vs []int, dart int) (*planar.Restriction, error) {
 	g := emb.Graph()
 	idx := make(map[int]int, len(vs))
@@ -29,14 +33,21 @@ func referenceRestriction(emb *planar.Embedding, vs []int, dart int) (*planar.Re
 		}
 		idx[v] = i
 	}
-	sub := graph.New(len(vs))
-	for e := 0; e < g.M(); e++ {
-		u, v := g.EndpointsOf(e)
-		su, okU := idx[int(u)]
-		sv, okV := idx[int(v)]
-		if okU && okV {
-			sub.MustAddEdge(su, sv)
+	var kept []int
+	for _, v := range vs {
+		for _, id := range g.IncidentEdges(v) {
+			if w := g.Other(int(id), v); w < v {
+				if _, ok := idx[w]; ok {
+					kept = append(kept, int(id))
+				}
+			}
 		}
+	}
+	slices.Sort(kept)
+	sub := graph.New(len(vs))
+	for _, id := range kept {
+		u, v := g.EndpointsOf(id)
+		sub.MustAddEdge(idx[int(u)], idx[int(v)])
 	}
 	orders := make([][]int, len(vs))
 	for i, v := range vs {
@@ -76,7 +87,8 @@ func referenceRestriction(emb *planar.Embedding, vs []int, dart int) (*planar.Re
 }
 
 // diffRestriction describes the first difference between two
-// restrictions, or returns "": edge endpoints, the flat rotation arrays
+// restrictions, or returns "": edge endpoints, the CSR incidence lists,
+// the flat rotation arrays
 // (next, prev, pos, head and first, read through their accessors), Orig
 // and OuterDart.
 func diffRestriction(got, want *planar.Restriction) string {
@@ -88,6 +100,11 @@ func diffRestriction(got, want *planar.Restriction) string {
 		wu, wv := want.G.EndpointsOf(e)
 		if gu != wu || gv != wv {
 			return fmt.Sprintf("edge %d = {%d,%d}, want {%d,%d}", e, gu, gv, wu, wv)
+		}
+	}
+	for v := 0; v < want.G.N(); v++ {
+		if !slices.Equal(got.G.IncidentEdges(v), want.G.IncidentEdges(v)) {
+			return fmt.Sprintf("incident edges of %d = %v, want %v", v, got.G.IncidentEdges(v), want.G.IncidentEdges(v))
 		}
 	}
 	ge, we := got.Emb, want.Emb
@@ -111,12 +128,20 @@ func diffRestriction(got, want *planar.Restriction) string {
 	return ""
 }
 
-// checkRestrict compares rs.Restrict with the reference on one subset and
-// dart, errors included.
-func checkRestrict(t *testing.T, name string, rs *planar.Restricter, vs []int, dart int) {
+// checkRestrict compares part i of rs's last split, restricted around
+// dart, with the reference restriction of its vertices vs in emb, the
+// embedding rs restricts.
+func checkRestrict(t *testing.T, name string, emb *planar.Embedding, rs *planar.Restricter, i int, vs []int, dart int) {
 	t.Helper()
-	got, gerr := rs.Restrict(vs, dart)
-	want, werr := referenceRestriction(rs.Embedding(), vs, dart)
+	got, gerr := rs.Restrict(i, dart)
+	want, werr := referenceRestriction(emb, vs, dart)
+	sameRestriction(t, name, vs, dart, got, gerr, want, werr)
+}
+
+// sameRestriction fails the test unless a restriction and its error
+// equal the reference's.
+func sameRestriction(t *testing.T, name string, vs []int, dart int, got *planar.Restriction, gerr error, want *planar.Restriction, werr error) {
+	t.Helper()
 	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 		t.Fatalf("%s: restricting %v around %d: error %v, reference %v", name, vs, dart, gerr, werr)
 	}
@@ -127,18 +152,107 @@ func checkRestrict(t *testing.T, name string, rs *planar.Restricter, vs []int, d
 	}
 }
 
-// TestRestricterMatchesReference checks that one reused Restricter builds
-// exactly the reference restriction: on every component of every phase
-// of the build, on random connected and disconnected subsets in unsorted
-// order, and on every error and edgeless case, each followed by calls
-// over the same vertices in other orders to show the scratch was cleared.
-// It lives here rather than in package planar because only the build's
-// package can enumerate its phases' components.
+// referenceSplit returns the error a split over parts must fail with, or
+// nil: the first vertex out of range or seen before, in any part.
+func referenceSplit(g *graph.Graph, parts [][]int) error {
+	seen := map[int]bool{}
+	for _, vs := range parts {
+		for _, v := range vs {
+			if err := g.CheckVertex(v); err != nil {
+				return err
+			}
+			if seen[v] {
+				return fmt.Errorf("graph: duplicate vertex %d", v)
+			}
+			seen[v] = true
+		}
+	}
+	return nil
+}
+
+// checkSplit splits rs over parts and holds every part, restricted in a
+// random order around a dart dartAt names, to the reference; a split
+// referenceSplit rejects must fail with its error.
+func checkSplit(t *testing.T, name string, rng *rand.Rand, emb *planar.Embedding, rs *planar.Restricter, parts [][]int, dartAt func([]int) int) {
+	t.Helper()
+	err := rs.Split(parts)
+	if werr := referenceSplit(emb.Graph(), parts); (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("%s: Split(%v): error %v, reference %v", name, parts, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	for _, i := range rng.Perm(len(parts)) {
+		checkRestrict(t, name, emb, rs, i, parts[i], dartAt(parts[i]))
+	}
+}
+
+// checkConfigure holds a component's workspace build to a fresh
+// allocating one: the workspace's restriction to the reference
+// restriction, its BFS tree to spanning.BFSTree on that reference, and
+// its configuration to weights.NewConfig over both, in the PiL and PiR
+// orders, the child CSR, the outer face and the root anchor.
+func checkConfigure(t *testing.T, name string, pc phaseComponent, emb *planar.Embedding) {
+	t.Helper()
+	res, cfg, err := pc.ws.Configure(pc.i, pc.dart)
+	want, werr := referenceRestriction(emb, pc.comp, pc.dart)
+	sameRestriction(t, name, pc.comp, pc.dart, res, err, want, werr)
+	if err != nil {
+		return
+	}
+	tree, err := spanning.BFSTree(want.G, want.Emb.FaceRoot(want.OuterDart))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if cfg.Tree.Root != tree.Root || !slices.Equal(cfg.Tree.Parent, tree.Parent) || !slices.Equal(cfg.Tree.Depth, tree.Depth) {
+		t.Fatalf("%s: component at %d: workspace BFS tree differs from a fresh one", name, pc.comp[0])
+	}
+	fresh, err := weights.NewConfig(want.G, want.Emb, want.OuterDart, tree)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !slices.Equal(cfg.PiL, fresh.PiL) || !slices.Equal(cfg.PiR, fresh.PiR) {
+		t.Fatalf("%s: component at %d: workspace DFS orders differ from a fresh configuration", name, pc.comp[0])
+	}
+	if cfg.Outer != fresh.Outer || cfg.RootAnchor() != fresh.RootAnchor() {
+		t.Fatalf("%s: component at %d: outer face, anchor = %d, %d, fresh %d, %d", name, pc.comp[0], cfg.Outer, cfg.RootAnchor(), fresh.Outer, fresh.RootAnchor())
+	}
+	for v := 0; v < want.G.N(); v++ {
+		if !slices.Equal(cfg.ChildOrder(v), fresh.ChildOrder(v)) {
+			t.Fatalf("%s: component at %d: children of %d = %v, fresh %v", name, pc.comp[0], v, cfg.ChildOrder(v), fresh.ChildOrder(v))
+		}
+	}
+}
+
+// TestRestricterMatchesReference checks the restrictions the build runs
+// on against references built without reuse. On every component of every
+// phase of the phase cases and of every generator family, the build's
+// workspace (separator.Workspace.Configure) must give the reference
+// restriction with its sort-based induction, and the BFS tree and
+// configuration a fresh allocating build gives, and a Restricter split
+// the same way must give the reference restriction. One reused
+// Restricter is then split over random partial partitions (BFS balls and
+// scattered vertices, in unsorted order) and over every error and
+// edgeless case, each followed by splits over the same vertices in other
+// orders to show the index was cleared. It lives here rather than in
+// package planar because only the build's package can enumerate its
+// phases' components.
 func TestRestricterMatchesReference(t *testing.T) {
 	components := 0
-	for _, c := range phaseCases(t) {
-		forEachPhaseComponent(t, c.name, c.in, c.root, nil, func(_ *PartialTree, comp []int, dart int, rs *planar.Restricter) {
-			checkRestrict(t, c.name, rs, comp, dart)
+	cases := phaseCases(t)
+	for _, family := range gen.Families {
+		in, err := gen.ByName(family, 300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, phaseCase{family + "/n=300", in, in.Emb.FaceRoot(in.OuterDart)})
+	}
+	for _, c := range cases {
+		forEachPhaseComponent(t, c.name, c.in, c.root, nil, func(pc phaseComponent) {
+			checkRestrict(t, c.name, c.in.Emb, pc.rs, pc.i, pc.comp, pc.dart)
+			if len(pc.comp) > 1 {
+				checkConfigure(t, c.name, pc, c.in.Emb)
+			}
 			components++
 		}, nil)
 	}
@@ -160,18 +274,36 @@ func TestRestricterMatchesReference(t *testing.T) {
 			return d
 		}
 		for i := 0; i < 300; i++ {
-			k := 2 + rng.Intn(40)
-			var vs []int
-			if i%2 == 0 {
-				// Connected: a BFS ball.
-				order := g.BFS(rng.Intn(g.N())).Order
-				vs = append(vs, order[:min(k, len(order))]...)
-			} else {
-				// Usually disconnected: scattered vertices.
-				vs = rng.Perm(g.N())[:k]
+			// Up to four disjoint parts: BFS balls around unused
+			// vertices (connected) or scattered vertices (usually
+			// disconnected).
+			used := make([]bool, g.N())
+			var parts [][]int
+			for p := rng.Intn(4); p >= 0; p-- {
+				k := 2 + rng.Intn(40)
+				var vs []int
+				if i%2 == 0 {
+					for _, v := range g.BFS(rng.Intn(g.N())).Order {
+						if len(vs) < k && !used[v] {
+							vs = append(vs, v)
+						}
+					}
+				} else {
+					for _, v := range rng.Perm(g.N()) {
+						if len(vs) < k && !used[v] {
+							vs = append(vs, v)
+						}
+					}
+				}
+				for _, v := range vs {
+					used[v] = true
+				}
+				if len(vs) > 0 {
+					rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+					parts = append(parts, vs)
+				}
 			}
-			rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
-			checkRestrict(t, family, rs, vs, dartAt(vs))
+			checkSplit(t, family, rng, emb, rs, parts, dartAt)
 		}
 		// a-b and a-c are edges and b-c is not, so {b, c} is edgeless.
 		a, b, c := -1, -1, -1
@@ -204,26 +336,61 @@ func TestRestricterMatchesReference(t *testing.T) {
 			}
 		}
 		for _, e := range []struct {
-			vs   []int
-			dart int
+			parts [][]int
+			dart  int
 		}{
-			{[]int{a, b, a}, ab},                   // duplicate vertex
-			{[]int{a, b, g.N()}, ab},               // vertex out of range
-			{[]int{a, -1, b}, ab},                  // negative vertex
-			{[]int{b, c}, ca},                      // edgeless: no outer dart, no error
-			{[]int{a, b}, -1},                      // dart out of range
-			{[]int{a, b}, 2 * g.M()},               // dart out of range
-			{[]int{a, b}, outside},                 // tail outside the subset
-			{[]int{a, b, far}, emb.FirstDart(far)}, // tail with no edge in the restriction
-			{[]int{b, a, c}, ca},                   // kept dart
+			{[][]int{{a, b, a}}, ab},                   // duplicate vertex
+			{[][]int{{a, b}, {c, a}}, ab},              // vertex in two parts
+			{[][]int{{a, b, g.N()}}, ab},               // vertex out of range
+			{[][]int{{a, -1, b}}, ab},                  // negative vertex
+			{[][]int{{b, c}}, ca},                      // edgeless: no outer dart, no error
+			{[][]int{{a, b}}, -1},                      // dart out of range
+			{[][]int{{a, b}}, 2 * g.M()},               // dart out of range
+			{[][]int{{a, b}}, outside},                 // tail outside the subset
+			{[][]int{{a, b}, {c}}, ca},                 // tail in another part
+			{[][]int{{a, b, far}}, emb.FirstDart(far)}, // tail with no edge in the restriction
+			{[][]int{{b, a, c}}, ca},                   // kept dart
 		} {
-			checkRestrict(t, family, rs, e.vs, e.dart)
-			for _, probe := range [][]int{{b, a}, {a, c}, {c, b, a}, {far, a, b}} {
-				checkRestrict(t, family, rs, probe, dartAt(probe))
+			checkSplit(t, family, rng, emb, rs, e.parts, func([]int) int { return e.dart })
+			for _, probe := range [][][]int{{{b, a}}, {{a, c}}, {{c, b, a}}, {{far, a, b}}, {{far}, {b, a}}} {
+				checkSplit(t, family, rng, emb, rs, probe, dartAt)
 			}
 		}
 	}
 	t.Logf("%d phase components match the reference", components)
+}
+
+// TestWorkspaceSeparatorsOutliveReuse checks that nothing ForSubset
+// returns aliases the workspace: every separator of every phase case,
+// kept until the whole build has reused the workspace for every later
+// component, still equals the separator a fresh workspace computes for
+// its component alone.
+func TestWorkspaceSeparatorsOutliveReuse(t *testing.T) {
+	for _, c := range phaseCases(t) {
+		type kept struct {
+			sep  *separator.Separator
+			want separator.Separator
+		}
+		var all []kept
+		var fresh *separator.Separator
+		forEachPhaseComponent(t, c.name, c.in, c.root, nil, func(pc phaseComponent) {
+			ws := separator.NewWorkspace(c.in.Emb)
+			if err := ws.Split([][]int{pc.comp}); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if fresh, err = separator.ForSubset(ws, 0, pc.dart, separator.Find); err != nil {
+				t.Fatal(err)
+			}
+		}, func(sep *separator.Separator, _ *JoinStats) {
+			all = append(all, kept{sep, *fresh})
+		})
+		for i, k := range all {
+			if !slices.Equal(k.sep.Path, k.want.Path) || k.sep.EndA != k.want.EndA || k.sep.EndB != k.want.EndB || k.sep.Phase != k.want.Phase {
+				t.Fatalf("%s: separator %d = %+v after the build went on, fresh workspace %+v", c.name, i, *k.sep, k.want)
+			}
+		}
+	}
 }
 
 // mustEdge returns the id of edge {u,v}.

@@ -43,7 +43,9 @@ func centralOrders(tree *spanning.Tree, order [][]int) (piL, piR []int) {
 		}
 		off[v+1] = int32(len(children))
 	}
-	return spanning.DFSOrders(tree, off, children)
+	piL, piR = make([]int, tree.N()), make([]int, tree.N())
+	spanning.DFSOrders(tree, off, children, piL, piR)
+	return piL, piR
 }
 
 // TestDFSOrderPhasesMatchCentral is the Lemma 11 validation: the

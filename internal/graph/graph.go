@@ -85,18 +85,26 @@ func New(n int) *Graph {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: vertex count %d exceeds the int32 substrate", n))
 	}
-	g := &Graph{
-		n:      n,
-		deg:    make([]int32, n),
-		firstD: make([]int32, n),
-		lastD:  make([]int32, n),
-		csrM:   -1,
-	}
+	g := &Graph{}
+	g.reset(n)
+	return g
+}
+
+// reset empties g in place to n vertices and no edges, keeping the
+// capacity of every array: New's body, and the first step of an
+// Inducer rebuilding its subgraph.
+func (g *Graph) reset(n int) {
+	g.n = n
+	g.deg = Resize(g.deg, n)
+	g.firstD = Resize(g.firstD, n)
+	g.lastD = Resize(g.lastD, n)
+	clear(g.deg)
 	for v := range g.firstD {
 		g.firstD[v] = -1
 		g.lastD[v] = -1
 	}
-	return g
+	g.endU, g.endV, g.nextD = g.endU[:0], g.endV[:0], g.nextD[:0]
+	g.csrM = -1
 }
 
 // NewWithCapacity returns an empty graph on n vertices with room for m edges
@@ -156,17 +164,25 @@ func (g *Graph) AddEdge(u, v int) (int, error) {
 	if id >= math.MaxInt32/2 {
 		return -1, fmt.Errorf("graph: edge count %d exceeds the int32 dart space", id)
 	}
-	g.endU = append(g.endU, int32(u))
-	g.endV = append(g.endV, int32(v))
+	//planarvet:narrowok u and v passed the range check above, so both are < n and New bounds n to MaxInt32
+	g.link(int32(u), int32(v))
+	return id, nil
+}
+
+// link appends the edge {u,v}, u < v, and links its two darts. The
+// caller has checked that the edge is new and its id fits the dart
+// space.
+func (g *Graph) link(u, v int32) {
+	//planarvet:narrowok callers bound the edge count below MaxInt32/2, so both darts fit
+	d := int32(2 * len(g.endU))
+	g.endU = append(g.endU, u)
+	g.endV = append(g.endV, v)
 	g.nextD = append(g.nextD, -1, -1)
-	//planarvet:narrowok id < MaxInt32/2 is checked above, so both darts 2id and 2id+1 fit
-	g.appendDart(u, int32(2*id))
-	//planarvet:narrowok id < MaxInt32/2 is checked above, so both darts 2id and 2id+1 fit
-	g.appendDart(v, int32(2*id+1))
+	g.appendDart(int(u), d)
+	g.appendDart(int(v), d+1)
 	g.deg[u]++
 	g.deg[v]++
 	g.csrM = -1
-	return id, nil
 }
 
 // appendDart links dart d at the tail of v's incidence list.
@@ -313,4 +329,16 @@ func (g *Graph) CheckVertex(v int) error {
 		return fmt.Errorf("graph: vertex %d out of range", v)
 	}
 	return nil
+}
+
+// Resize returns s with length n, in s's own storage when its capacity
+// allows and in a fresh array otherwise. Reused elements keep their old
+// values, so the caller writes every element it reads. It is how the
+// in-place rebuilds of the substrate (Inducer, planar.Restricter,
+// spanning.Tree, weights.Config) keep their storage between calls.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

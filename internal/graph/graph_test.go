@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -177,27 +178,136 @@ func TestComponentsAvoiding(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
 	ind := NewInducer(g)
-	sub, err := ind.Induce([]int{1, 2, 3})
-	if err != nil {
+	if err := ind.Split([][]int{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
+	sub := ind.Induce(0)
 	if sub.N() != 3 || sub.M() != 2 {
 		t.Fatalf("N=%d M=%d, want 3,2", sub.N(), sub.M())
 	}
 	if ind.Local(1) != 0 || ind.Local(2) != 1 || ind.Local(3) != 2 || ind.Local(0) != -1 {
 		t.Fatalf("local ids %d %d %d %d", ind.Local(0), ind.Local(1), ind.Local(2), ind.Local(3))
 	}
-	if _, err := ind.Induce([]int{1, 1}); err == nil {
+	if err := ind.Split([][]int{{1, 1}}); err == nil {
 		t.Fatal("duplicate vertex accepted")
 	}
-	if _, err := ind.Induce([]int{99}); err == nil {
+	if err := ind.Split([][]int{{1}, {2, 1}}); err == nil {
+		t.Fatal("vertex in two parts accepted")
+	}
+	if err := ind.Split([][]int{{99}}); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
 }
 
+// sortedInduce is the reference Split and Induce are held to: the
+// subgraph induced by vs built as Induce built it before Split, from the
+// kept edges each counted once from its larger endpoint and sorted into
+// ascending parent id.
+func sortedInduce(g *Graph, vs []int) *Graph {
+	local := make(map[int]int, len(vs))
+	for i, v := range vs {
+		local[v] = i
+	}
+	var kept []int
+	for _, v := range vs {
+		for _, id := range g.IncidentEdges(v) {
+			if w := g.Other(int(id), v); w < v {
+				if _, ok := local[w]; ok {
+					kept = append(kept, int(id))
+				}
+			}
+		}
+	}
+	slices.Sort(kept)
+	sub := New(len(vs))
+	for _, id := range kept {
+		e := g.EdgeByID(id)
+		sub.MustAddEdge(local[e.U], local[e.V])
+	}
+	return sub
+}
+
+// diffGraph describes the first difference between two graphs' edges,
+// CSR and dart lists, or returns "".
+func diffGraph(got, want *Graph) string {
+	if got.N() != want.N() || got.M() != want.M() {
+		return fmt.Sprintf("n, m = %d, %d, want %d, %d", got.N(), got.M(), want.N(), want.M())
+	}
+	for e := 0; e < want.M(); e++ {
+		if got.EdgeByID(e) != want.EdgeByID(e) {
+			return fmt.Sprintf("edge %d = %v, want %v", e, got.EdgeByID(e), want.EdgeByID(e))
+		}
+	}
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got.IncidentEdges(v), want.IncidentEdges(v)) {
+			return fmt.Sprintf("incident edges of %d = %v, want %v", v, got.IncidentEdges(v), want.IncidentEdges(v))
+		}
+		if got.firstD[v] != want.firstD[v] || got.lastD[v] != want.lastD[v] {
+			return fmt.Sprintf("dart list of %d differs", v)
+		}
+	}
+	if !slices.Equal(got.nextD, want.nextD) {
+		return "dart links differ"
+	}
+	return ""
+}
+
+// TestSplitMatchesSortedInduce splits random partial partitions of a
+// random graph with one reused Inducer and holds every part's
+// subgraph, built in the Inducer's reused storage in any order, to the
+// sort-based reference; the index must map each part's vertices and
+// edges, and nothing outside the parts.
+func TestSplitMatchesSortedInduce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := New(300)
+	// A path with one random chord back from each vertex.
+	for v := 1; v < g.N(); v++ {
+		g.MustAddEdge(v-1, v)
+		if w := rng.Intn(v); w < v-1 && !g.HasEdge(w, v) {
+			g.MustAddEdge(w, v)
+		}
+	}
+	x := NewInducer(g)
+	for round := 0; round < 50; round++ {
+		k := 1 + rng.Intn(12)
+		parts := make([][]int, k)
+		for _, v := range rng.Perm(g.N()) {
+			if p := rng.Intn(k + 2); p < k {
+				parts[p] = append(parts[p], v)
+			}
+		}
+		if err := x.Split(parts); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rng.Perm(k) {
+			if d := diffGraph(x.Induce(i), sortedInduce(g, parts[i])); d != "" {
+				t.Fatalf("round %d, part %d of %d: %s", round, i, k, d)
+			}
+		}
+		in := make([]int, g.N())
+		for v := range in {
+			in[v] = -1
+		}
+		for i, vs := range parts {
+			for j, v := range vs {
+				in[v] = i
+				if x.PartOf(v) != i || x.Local(v) != j {
+					t.Fatalf("round %d: vertex %d: part, local = %d, %d, want %d, %d", round, v, x.PartOf(v), x.Local(v), i, j)
+				}
+			}
+		}
+		for e := 0; e < g.M(); e++ {
+			u, v := g.EndpointsOf(e)
+			if kept := in[u] >= 0 && in[u] == in[v]; kept != (x.SubEdge(e) >= 0) {
+				t.Fatalf("round %d: edge %d {%d,%d} has sub id %d", round, e, u, v, x.SubEdge(e))
+			}
+		}
+	}
+}
+
 // TestInducerClearsIndex checks that one Inducer's index is clear over
-// the whole graph after Release, after an error and after a second
-// Induce, and that a reused Inducer builds what a fresh one does.
+// the whole graph after release, after an error and after a second
+// Split, and that a reused Inducer builds what a fresh one does.
 func TestInducerClearsIndex(t *testing.T) {
 	g := cycleGraph(8)
 	g.MustAddEdge(0, 4)
@@ -205,8 +315,8 @@ func TestInducerClearsIndex(t *testing.T) {
 	cleared := func(when string) {
 		t.Helper()
 		for v := 0; v < g.N(); v++ {
-			if x.Local(v) != -1 {
-				t.Fatalf("%s: Local(%d) = %d", when, v, x.Local(v))
+			if x.Local(v) != -1 || x.PartOf(v) != -1 {
+				t.Fatalf("%s: Local(%d), PartOf(%d) = %d, %d", when, v, v, x.Local(v), x.PartOf(v))
 			}
 		}
 		for e := 0; e < g.M(); e++ {
@@ -215,43 +325,39 @@ func TestInducerClearsIndex(t *testing.T) {
 			}
 		}
 	}
-	same := func(vs []int) {
+	same := func(parts ...[]int) {
 		t.Helper()
-		sub, err := x.Induce(vs)
-		if err != nil {
+		if err := x.Split(parts); err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range vs {
-			if x.Local(v) != i {
-				t.Fatalf("Local(%d) = %d, want %d", v, x.Local(v), i)
+		for i, vs := range parts {
+			for j, v := range vs {
+				if x.Local(v) != j {
+					t.Fatalf("Local(%d) = %d, want %d", v, x.Local(v), j)
+				}
 			}
-		}
-		want, err := NewInducer(g).Induce(vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub.N() != want.N() || sub.M() != want.M() {
-			t.Fatalf("reused Induce(%v) has n, m = %d, %d, fresh %d, %d", vs, sub.N(), sub.M(), want.N(), want.M())
-		}
-		for e := 0; e < want.M(); e++ {
-			if sub.EdgeByID(e) != want.EdgeByID(e) {
-				t.Fatalf("reused Induce(%v): edge %d = %v, fresh %v", vs, e, sub.EdgeByID(e), want.EdgeByID(e))
+			fresh := NewInducer(g)
+			if err := fresh.Split(parts); err != nil {
+				t.Fatal(err)
+			}
+			if d := diffGraph(x.Induce(i), fresh.Induce(i)); d != "" {
+				t.Fatalf("reused Induce of %v: %s", vs, d)
 			}
 		}
 	}
 	same([]int{4, 0, 1, 3})
-	x.Release()
-	cleared("after Release")
-	for _, bad := range [][]int{{0, 1, 0}, {2, 3, 8}, {5, -1}} {
-		if _, err := x.Induce(bad); err == nil {
-			t.Fatalf("Induce(%v) accepted", bad)
+	x.release()
+	cleared("after release")
+	for _, bad := range [][][]int{{{0, 1, 0}}, {{2, 3, 8}}, {{5, -1}}, {{1, 2}, {3, 2}}} {
+		if err := x.Split(bad); err == nil {
+			t.Fatalf("Split(%v) accepted", bad)
 		}
-		cleared(fmt.Sprintf("after Induce(%v) failed", bad))
-		same([]int{1, 0, 3, 2, 5})
+		cleared(fmt.Sprintf("after Split(%v) failed", bad))
+		same([]int{1, 0, 3, 2, 5}, []int{7, 6})
 	}
 	same([]int{7, 6})
-	x.Release()
-	cleared("after a second Induce and Release")
+	x.release()
+	cleared("after a second Split and release")
 }
 
 func TestClone(t *testing.T) {

@@ -15,12 +15,18 @@ type BFSResult struct {
 // BFS runs a breadth-first search from src. Ties are broken by incident-edge
 // insertion order, so the result is deterministic.
 func (g *Graph) BFS(src int) *BFSResult {
+	res := &BFSResult{}
+	g.BFSInto(res, src)
+	return res
+}
+
+// BFSInto is BFS into res, reusing the capacity of its three slices:
+// Dist and Parent get length n and Order the visit order.
+func (g *Graph) BFSInto(res *BFSResult, src int) {
 	g.ensure()
-	res := &BFSResult{
-		Source: src,
-		Dist:   make([]int, g.n),
-		Parent: make([]int, g.n),
-	}
+	res.Source = src
+	res.Dist = Resize(res.Dist, g.n)
+	res.Parent = Resize(res.Parent, g.n)
 	for i := range res.Dist {
 		res.Dist[i] = -1
 		res.Parent[i] = -1
@@ -28,7 +34,7 @@ func (g *Graph) BFS(src int) *BFSResult {
 	res.Dist[src] = 0
 	// Order doubles as the queue: the vertices at or after head are
 	// reached but not yet scanned.
-	res.Order = append(res.Order, src)
+	res.Order = append(Resize(res.Order, g.n)[:0], src)
 	for head := 0; head < len(res.Order); head++ {
 		v := res.Order[head]
 		//planarvet:narrowok v is a vertex id from the queue, < n and New bounds n to MaxInt32
@@ -42,7 +48,6 @@ func (g *Graph) BFS(src int) *BFSResult {
 			}
 		}
 	}
-	return res
 }
 
 // Eccentricity returns the maximum BFS distance from v to any reachable

@@ -68,17 +68,25 @@ type Embedding struct {
 	first []int32
 }
 
-// alloc returns an embedding shell with pos initialised to -1.
+// allocEmbedding returns an embedding shell over g with pos and first
+// initialised to -1.
 func allocEmbedding(g *graph.Graph) *Embedding {
+	emb := &Embedding{}
+	emb.reset(g)
+	return emb
+}
+
+// reset makes emb the embedding shell over g in its own storage, keeping
+// the capacity of every array: pos and first are -1 and head holds each
+// dart's head, ready for placeDart, linkCycle and finish.
+func (emb *Embedding) reset(g *graph.Graph) {
 	m2 := 2 * g.M()
-	emb := &Embedding{
-		g:     g,
-		next:  make([]int32, m2),
-		prev:  make([]int32, m2),
-		pos:   make([]int32, m2),
-		headD: make([]int32, m2),
-		first: make([]int32, g.N()),
-	}
+	emb.g = g
+	emb.next = graph.Resize(emb.next, m2)
+	emb.prev = graph.Resize(emb.prev, m2)
+	emb.pos = graph.Resize(emb.pos, m2)
+	emb.headD = graph.Resize(emb.headD, m2)
+	emb.first = graph.Resize(emb.first, g.N())
 	for d := range emb.pos {
 		emb.pos[d] = -1
 	}
@@ -90,7 +98,6 @@ func allocEmbedding(g *graph.Graph) *Embedding {
 		emb.headD[2*e] = v
 		emb.headD[2*e+1] = u
 	}
-	return emb
 }
 
 // placeDart validates dart d as entry i of v's rotation of length deg and
@@ -139,25 +146,22 @@ func NewEmbeddingFlat(g *graph.Graph, off, darts []int32) (*Embedding, error) {
 				return nil, err
 			}
 		}
-		emb.linkCycle(v, func(i int) int { return int(seg[i]) }, len(seg))
+		emb.linkCycle(v, seg)
 	}
 	return emb.finish()
 }
 
 // linkCycle records the cyclic next/prev links and first dart for v's
 // validated rotation segment.
-func (emb *Embedding) linkCycle(v int, dart func(i int) int, k int) {
+func (emb *Embedding) linkCycle(v int, seg []int32) {
+	k := len(seg)
 	if k == 0 {
 		return
 	}
-	//planarvet:narrowok every dart was validated by placeDart against the 2m dart space, and AddEdge bounds 2m to MaxInt32
-	emb.first[v] = int32(dart(0))
-	for i := 0; i < k; i++ {
-		d := dart(i)
-		//planarvet:narrowok every dart was validated by placeDart against the 2m dart space, and AddEdge bounds 2m to MaxInt32
-		emb.next[d] = int32(dart((i + 1) % k))
-		//planarvet:narrowok every dart was validated by placeDart against the 2m dart space, and AddEdge bounds 2m to MaxInt32
-		emb.prev[d] = int32(dart((i - 1 + k) % k))
+	emb.first[v] = seg[0]
+	for i, d := range seg {
+		emb.next[d] = seg[(i+1)%k]
+		emb.prev[d] = seg[(i-1+k)%k]
 	}
 }
 
@@ -168,7 +172,7 @@ func FromNeighborOrders(g *graph.Graph, orders [][]int) (*Embedding, error) {
 		return nil, fmt.Errorf("planar: rotation for %d vertices, graph has %d", len(orders), g.N())
 	}
 	emb := allocEmbedding(g)
-	darts := make([]int, 0, 2*g.M())
+	darts := make([]int32, 0, 2*g.M())
 	for v := range orders {
 		if len(orders[v]) != g.Degree(v) {
 			return nil, fmt.Errorf("planar: vertex %d has degree %d but rotation of length %d", v, g.Degree(v), len(orders[v]))
@@ -179,15 +183,15 @@ func FromNeighborOrders(g *graph.Graph, orders [][]int) (*Embedding, error) {
 			if !ok {
 				return nil, fmt.Errorf("planar: vertex %d lists non-neighbour %d", v, w)
 			}
-			darts = append(darts, DartFrom(g, id, v))
+			//planarvet:narrowok a dart of g is < 2m, and AddEdge bounds 2m to MaxInt32
+			darts = append(darts, int32(DartFrom(g, id, v)))
 		}
 		for i, d := range darts {
-			if err := emb.placeDart(v, i, d); err != nil {
+			if err := emb.placeDart(v, i, int(d)); err != nil {
 				return nil, err
 			}
 		}
-		seg := darts
-		emb.linkCycle(v, func(i int) int { return seg[i] }, len(seg))
+		emb.linkCycle(v, darts)
 	}
 	return emb.finish()
 }

@@ -70,7 +70,11 @@ func checkRestrictions(t *testing.T, name string, in *gen.Instance) int {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := planar.NewRestricter(in.Emb).Restrict(vs, dart)
+		rs := planar.NewRestricter(in.Emb)
+		if err := rs.Split([][]int{vs}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := rs.Restrict(0, dart)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

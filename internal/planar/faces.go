@@ -21,24 +21,30 @@ type Faces struct {
 }
 
 // TraceFaces computes all faces of the embedding by iterating the FaceNext
-// successor rule. Face f's cycle begins at its smallest dart. The
-// allocation prologue lives here; the trace itself is the noalloc core
-// below, so retracing after virtual-edge insertions stays GC-quiet.
+// successor rule. Face f's cycle begins at its smallest dart.
 func (emb *Embedding) TraceFaces() *Faces {
-	m2 := 2 * emb.g.M()
-	fs := &Faces{
-		emb:    emb,
-		FaceOf: make([]int32, m2),
-		cyc:    make([]int32, m2),
-		// Every face holds at least one dart, so m2+1 offsets suffice.
-		off: make([]int32, 1, m2+1),
-	}
-	emb.traceFacesInto(fs)
+	fs := &Faces{}
+	emb.TraceFacesInto(fs)
 	return fs
 }
 
+// TraceFacesInto is TraceFaces into fs, reusing its storage: the
+// allocation prologue sizes FaceOf and the cycle storage to 2m darts,
+// keeping their capacity, and the trace itself is the noalloc core
+// below, so retracing after virtual-edge insertions, or for each
+// component of a build, stays GC-quiet.
+func (emb *Embedding) TraceFacesInto(fs *Faces) {
+	m2 := 2 * emb.g.M()
+	fs.emb = emb
+	fs.FaceOf = graph.Resize(fs.FaceOf, m2)
+	fs.cyc = graph.Resize(fs.cyc, m2)
+	// Every face holds at least one dart, so m2+1 offsets suffice.
+	fs.off = append(graph.Resize(fs.off, m2+1)[:0], 0)
+	emb.traceFacesInto(fs)
+}
+
 // traceFacesInto runs the face trace proper over storage presized by
-// TraceFaces: FaceOf and cyc hold 2m darts, off has capacity for one
+// TraceFacesInto: FaceOf and cyc hold 2m darts, off has capacity for one
 // offset per face plus the leading zero. This is the separator pipeline's
 // steady-state face walk — it re-runs after every virtual-edge insertion —
 // so the loop must not touch the allocator.
@@ -62,7 +68,7 @@ func (emb *Embedding) traceFacesInto(fs *Faces) {
 			cursor++
 		}
 		//planarvet:narrowok cursor counts traced darts, ≤ 2m which AddEdge bounds to MaxInt32
-		fs.off = append(fs.off, int32(cursor)) //planarvet:allocok off is presized to one slot per face by TraceFaces, append stays in capacity
+		fs.off = append(fs.off, int32(cursor)) //planarvet:allocok off is presized to one slot per face by TraceFacesInto, append stays in capacity
 	}
 }
 

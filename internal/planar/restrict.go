@@ -21,17 +21,22 @@ type Restriction struct {
 	OuterDart int
 }
 
-// Restricter builds restrictions of one embedding on a graph.Inducer it
-// keeps between calls: the parent-vertex and parent-edge indexes are set
-// and cleared over each subset only, so after the O(n + m) set-up a
-// restriction costs its own size. The DFS build owns one per run. A
-// Restricter is not safe for concurrent use; the embedding it reads may be
-// shared.
+// Restricter builds restrictions of one embedding to the parts of a
+// split, on a graph.Inducer it keeps between calls: Split sets the
+// parent-vertex and parent-edge indexes over every part at once, and
+// Restrict builds one part's restriction into storage the Restricter
+// reuses, so after the O(n + m) set-up a split costs O(n + m) and a
+// restriction its own size. The DFS build owns one per run, through
+// separator.Workspace. A Restricter is not safe for concurrent use; the
+// embedding it reads may be shared.
 type Restricter struct {
 	emb *Embedding
 	ind *graph.Inducer
 	// rot holds one kept vertex's sub rotation while it is placed.
 	rot []int32
+	// sub and res are the restriction Restrict returns, rebuilt in place.
+	sub Embedding
+	res Restriction
 }
 
 // NewRestricter returns a Restricter over emb.
@@ -39,42 +44,48 @@ func NewRestricter(emb *Embedding) *Restricter {
 	return &Restricter{emb: emb, ind: graph.NewInducer(emb.g)}
 }
 
-// Embedding returns the parent embedding.
-func (r *Restricter) Embedding() *Embedding { return r.emb }
+// Split sets the parts later Restrict calls build: disjoint vertex sets
+// of the parent graph, which must not change before the next Split
+// (graph.Inducer.Split, whose errors it returns).
+func (r *Restricter) Split(parts [][]int) error { return r.ind.Split(parts) }
 
-// Restrict returns the embedding induced on the given vertices, with the
-// sub-face containing the given parent dart's face as its outer face.
-// dart must have its tail in vs; it is ignored when vs induces no edge.
-// Sub vertices follow the order of vs and sub edges ascend by parent edge
-// id (graph.Inducer), so sub dart 2i+s of sub edge i runs from its
-// smaller (s = 0) or larger (s = 1) sub endpoint.
+// Part returns the vertices of part i of the last Split.
+func (r *Restricter) Part(i int) []int { return r.ind.Part(i) }
+
+// Restrict returns the embedding induced on part i of the last Split,
+// with the sub-face containing the given parent dart's face as its outer
+// face. dart must have its tail in the part; it is ignored when the part
+// induces no edge. Sub vertices follow the part's order and sub edges
+// ascend by parent edge id (graph.Inducer), so sub dart 2i+s of sub edge
+// i runs from its smaller (s = 0) or larger (s = 1) sub endpoint. The
+// restriction, its graph and embedding included, is built in storage the
+// Restricter reuses: it is valid until the next Restrict or Split and
+// must not be modified.
 //
 // Sub-faces are unions of parent faces merged across the darts the
 // subgraph drops. In the parent, the face of dart d fills the corner
 // between prev[d] and d at Tail(d), so the sub-face holding it is the face
 // of the first kept dart at or clockwise after d. Finding it costs O(deg),
-// and the whole restriction costs O(Σ deg(vs)) in one pass over the parent
-// rotations. Callers name a dart whose face lies in the parent's outer
-// region: the DFS build knows one locally (see dfs.Build), everyone else
-// asks OuterRegionDart.
-func (r *Restricter) Restrict(vs []int, dart int) (*Restriction, error) {
+// and the whole restriction costs O(Σ deg(part)) in one pass over the
+// parent rotations. Callers name a dart whose face lies in the parent's
+// outer region: the DFS build knows one locally (see dfs.Build), everyone
+// else asks OuterRegionDart.
+func (r *Restricter) Restrict(i, dart int) (*Restriction, error) {
 	emb, ind := r.emb, r.ind
-	sub, err := ind.Induce(vs)
-	if err != nil {
-		return nil, err
-	}
-	defer ind.Release()
+	vs := ind.Part(i)
+	sub := ind.Induce(i)
 	// Each kept vertex's sub rotation is its parent rotation with the
 	// absent darts skipped.
-	semb := allocEmbedding(sub)
-	for i, v := range vs {
+	semb := &r.sub
+	semb.reset(sub)
+	for si, v := range vs {
 		d0 := emb.first[v]
 		if d0 < 0 {
 			continue
 		}
 		r.rot = r.rot[:0]
 		for d := d0; ; {
-			if sd := r.subDart(int(d), i); sd >= 0 {
+			if sd := r.subDart(int(d), si); sd >= 0 {
 				//planarvet:narrowok sd < 2·sub.M() ≤ 2·m, and AddEdge bounds 2m to MaxInt32
 				r.rot = append(r.rot, int32(sd))
 			}
@@ -83,26 +94,27 @@ func (r *Restricter) Restrict(vs []int, dart int) (*Restriction, error) {
 			}
 		}
 		for k, sd := range r.rot {
-			if err := semb.placeDart(i, k, int(sd)); err != nil {
+			if err := semb.placeDart(si, k, int(sd)); err != nil {
 				return nil, err
 			}
 		}
-		semb.linkCycle(i, func(k int) int { return int(r.rot[k]) }, len(r.rot))
+		semb.linkCycle(si, r.rot)
 	}
 	if _, err := semb.finish(); err != nil {
 		return nil, err
 	}
-	res := &Restriction{G: sub, Emb: semb, Orig: append([]int(nil), vs...), OuterDart: -1}
+	res := &r.res
+	*res = Restriction{G: sub, Emb: semb, Orig: vs, OuterDart: -1}
 	if sub.M() == 0 {
 		return res, nil
 	}
 	if err := emb.CheckOuterDart(dart); err != nil {
 		return nil, err
 	}
-	su := ind.Local(emb.TailOf(dart))
-	if su < 0 {
+	if ind.PartOf(emb.TailOf(dart)) != i {
 		return nil, fmt.Errorf("planar: outer dart %d has tail %d outside the restriction", dart, emb.TailOf(dart))
 	}
+	su := ind.Local(emb.TailOf(dart))
 	for d := dart; ; {
 		if sd := r.subDart(d, su); sd >= 0 {
 			res.OuterDart = sd
@@ -116,7 +128,8 @@ func (r *Restricter) Restrict(vs []int, dart int) (*Restriction, error) {
 }
 
 // subDart returns the sub dart of parent dart d, whose tail has sub id su,
-// or -1 if the restriction drops d's edge.
+// or -1 if the restriction drops d's edge. An edge is kept only inside
+// one part, so a kept d's head is in its tail's part.
 func (r *Restricter) subDart(d, su int) int {
 	se := r.ind.SubEdge(d >> 1)
 	if se < 0 {

@@ -30,6 +30,16 @@ func k4Embedded(t *testing.T) (*graph.Graph, *Embedding, int) {
 	return g, emb, DartFrom(g, id, 1)
 }
 
+// restrictTo restricts emb to the one part vs around dart, on a fresh
+// Restricter.
+func restrictTo(emb *Embedding, vs []int, dart int) (*Restriction, error) {
+	r := NewRestricter(emb)
+	if err := r.Split([][]int{vs}); err != nil {
+		return nil, err
+	}
+	return r.Restrict(0, dart)
+}
+
 // restrictOuter restricts emb to vs around the dart OuterRegionDart names
 // for the parent outer face, given by its dart outerDart.
 func restrictOuter(t *testing.T, emb *Embedding, vs []int, outerDart int) *Restriction {
@@ -38,7 +48,7 @@ func restrictOuter(t *testing.T, emb *Embedding, vs []int, outerDart int) *Restr
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewRestricter(emb).Restrict(vs, dart)
+	res, err := restrictTo(emb, vs, dart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func TestRestrictToSingleVertex(t *testing.T) {
 	if err != nil || dart != -1 {
 		t.Fatalf("OuterRegionDart of an edgeless subset = %d, %v; want -1", dart, err)
 	}
-	res, err := NewRestricter(emb).Restrict([]int{3}, dart)
+	res, err := restrictTo(emb, []int{3}, dart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestRestrictToSkipsAbsentDartsClockwise(t *testing.T) {
 	vs := []int{6, 0, 1, 2}
 	// The hub's clockwise rotation is 5, 4, 3, 2, 1, 0: from 6->5 the
 	// darts 6->5, 6->4 and 6->3 are absent and 6->2 is the first kept one.
-	res, err := NewRestricter(emb).Restrict(vs, parentDart(t, emb, 6, 5))
+	res, err := restrictTo(emb, vs, parentDart(t, emb, 6, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestRestrictToSkipsAbsentDartsClockwise(t *testing.T) {
 // inner face that absorbs 3's faces).
 func TestRestrictToCornerIsClockwise(t *testing.T) {
 	_, emb, _ := k4Embedded(t)
-	res, err := NewRestricter(emb).Restrict([]int{0, 1, 2}, parentDart(t, emb, 0, 3))
+	res, err := restrictTo(emb, []int{0, 1, 2}, parentDart(t, emb, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +238,7 @@ func TestRestrictToCornerIsClockwise(t *testing.T) {
 // A named dart that the restriction keeps is its own sub-dart.
 func TestRestrictToKeptDart(t *testing.T) {
 	_, emb, _ := k4Embedded(t)
-	res, err := NewRestricter(emb).Restrict([]int{0, 1, 2}, parentDart(t, emb, 1, 0))
+	res, err := restrictTo(emb, []int{0, 1, 2}, parentDart(t, emb, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,18 +249,18 @@ func TestRestrictToKeptDart(t *testing.T) {
 
 func TestRestrictToDartErrors(t *testing.T) {
 	_, emb, _ := k4Embedded(t)
-	if _, err := NewRestricter(emb).Restrict([]int{0, 1, 2}, parentDart(t, emb, 3, 0)); err == nil {
+	if _, err := restrictTo(emb, []int{0, 1, 2}, parentDart(t, emb, 3, 0)); err == nil {
 		t.Fatal("dart with its tail outside the subset accepted")
 	}
-	if _, err := NewRestricter(emb).Restrict([]int{0, 1, 2}, -1); err == nil {
+	if _, err := restrictTo(emb, []int{0, 1, 2}, -1); err == nil {
 		t.Fatal("negative dart accepted")
 	}
-	if _, err := NewRestricter(emb).Restrict([]int{0, 1, 2}, 2*emb.Graph().M()); err == nil {
+	if _, err := restrictTo(emb, []int{0, 1, 2}, 2*emb.Graph().M()); err == nil {
 		t.Fatal("out-of-range dart accepted")
 	}
 	// In the wheel, rim vertex 3 is kept but has no kept edge.
 	wemb, _ := wheel6(t)
-	if _, err := NewRestricter(wemb).Restrict([]int{0, 1, 3}, parentDart(t, wemb, 3, 6)); err == nil {
+	if _, err := restrictTo(wemb, []int{0, 1, 3}, parentDart(t, wemb, 3, 6)); err == nil {
 		t.Fatal("dart at a vertex without kept edges accepted")
 	}
 }

@@ -40,7 +40,7 @@ type Decomposition struct {
 // Decompose recursively splits the embedded graph with find's cycle
 // separators until pieces have at most leafSize vertices. Each piece is
 // split as ForPartition splits a part, rooted in the region of outerDart's
-// face.
+// face, on one workspace that splits each piece on its own.
 func Decompose(emb *planar.Embedding, outerDart, leafSize int, find FindFunc) (*Decomposition, error) {
 	g := emb.Graph()
 	if leafSize < 1 {
@@ -57,7 +57,7 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int, find FindFunc) (*
 	for i := range all {
 		all[i] = i
 	}
-	rs := planar.NewRestricter(emb)
+	ws := NewWorkspace(emb)
 	var build func(vs []int, depth int) (*DecompositionNode, error)
 	build = func(vs []int, depth int) (*DecompositionNode, error) {
 		node := &DecompositionNode{Vertices: vs, Depth: depth}
@@ -72,7 +72,10 @@ func Decompose(emb *planar.Embedding, outerDart, leafSize int, find FindFunc) (*
 		if err != nil {
 			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
 		}
-		sep, err := ForSubset(rs, dart, vs, find)
+		if err := ws.Split([][]int{vs}); err != nil {
+			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
+		}
+		sep, err := ForSubset(ws, 0, dart, find)
 		if err != nil {
 			return nil, fmt.Errorf("depth %d piece of %d: %w", depth, len(vs), err)
 		}

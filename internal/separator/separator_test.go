@@ -5,7 +5,6 @@ import (
 
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
-	"planardfs/internal/planar"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
 	"planardfs/internal/weights"
@@ -201,10 +200,7 @@ func TestForPartitionStripes(t *testing.T) {
 	for p, sep := range results {
 		// Balance within the induced subgraph.
 		orig := part.Parts[p]
-		sub, err := graph.NewInducer(in.G).Induce(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := induced(t, in.G, orig)
 		subOf := map[int]int{}
 		for i, v := range orig {
 			subOf[v] = i
@@ -239,9 +235,8 @@ func TestForSubsetSingleVertex(t *testing.T) {
 
 // TestForSubsetWithSingleVertex pins the single-vertex path of ForSubset
 // with a find that must not run: it answers without running find, and a
-// vertex outside the graph gets the error the restriction's Induce
-// reports. An empty subset, which has no outer dart to root on, is an
-// error too.
+// vertex outside the graph gets the error the Inducer's Split reports.
+// An empty subset, which has no outer dart to root on, is an error too.
 func TestForSubsetWithSingleVertex(t *testing.T) {
 	in, err := gen.Grid(3, 3)
 	if err != nil {
@@ -251,9 +246,16 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 		t.Fatal("find ran on a single vertex")
 		return nil, nil
 	}
-	rs := planar.NewRestricter(in.Emb)
-	for v := 0; v < in.G.N(); v++ {
-		sep, err := ForSubset(rs, -1, []int{v}, noFind)
+	ws := NewWorkspace(in.Emb)
+	parts := make([][]int, in.G.N())
+	for v := range parts {
+		parts[v] = []int{v}
+	}
+	if err := ws.Split(parts); err != nil {
+		t.Fatal(err)
+	}
+	for v := range parts {
+		sep, err := ForSubset(ws, v, -1, noFind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,13 +264,16 @@ func TestForSubsetWithSingleVertex(t *testing.T) {
 		}
 	}
 	for _, v := range []int{-1, in.G.N(), 1 << 40} {
-		_, err := ForSubset(rs, -1, []int{v}, noFind)
-		_, want := graph.NewInducer(in.G).Induce([]int{v})
+		err := ws.Split([][]int{{v}})
+		want := graph.NewInducer(in.G).Split([][]int{{v}})
 		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Fatalf("ForSubset({%d}) error %v, Induce reports %v", v, err, want)
+			t.Fatalf("Split({%d}) error %v, Inducer reports %v", v, err, want)
 		}
 	}
-	if _, err := ForSubset(rs, -1, nil, noFind); err == nil {
+	if err := ws.Split([][]int{nil}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ForSubset(ws, 0, -1, noFind); err == nil {
 		t.Fatal("ForSubset accepted an empty subset")
 	}
 }
@@ -364,5 +369,19 @@ func findRegion(in *gen.Instance, vs []int) (*Separator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ForSubset(planar.NewRestricter(in.Emb), dart, vs, Find)
+	ws := NewWorkspace(in.Emb)
+	if err := ws.Split([][]int{vs}); err != nil {
+		return nil, err
+	}
+	return ForSubset(ws, 0, dart, Find)
+}
+
+// induced returns the subgraph of g induced by vs, in its own storage.
+func induced(t *testing.T, g *graph.Graph, vs []int) *graph.Graph {
+	t.Helper()
+	ind := graph.NewInducer(g)
+	if err := ind.Split([][]int{vs}); err != nil {
+		t.Fatal(err)
+	}
+	return ind.Induce(0)
 }

@@ -64,12 +64,11 @@ func (p *Partition) K() int { return len(p.Parts) }
 // Validate checks that each part induces a connected subgraph of g.
 func (p *Partition) Validate(g *graph.Graph) error {
 	ind := graph.NewInducer(g)
-	for i, part := range p.Parts {
-		sub, err := ind.Induce(part)
-		if err != nil {
-			return err
-		}
-		if !sub.Connected() {
+	if err := ind.Split(p.Parts); err != nil {
+		return err
+	}
+	for i := range p.Parts {
+		if !ind.Induce(i).Connected() {
 			return fmt.Errorf("shortcut: part %d induces a disconnected subgraph", i)
 		}
 	}

@@ -35,6 +35,8 @@ type Tree struct {
 	lift   sync.Once
 	upFlat []int32
 	upLev  int
+	// order is BuildBFS's queue, kept for the next rebuild.
+	order []int
 }
 
 // NewFromParents builds a tree from a parent array. parent[root] must be -1
@@ -44,79 +46,112 @@ func NewFromParents(root int, parent []int) (*Tree, error) {
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("spanning: root %d out of range", root)
 	}
-	if parent[root] != -1 {
-		return nil, fmt.Errorf("spanning: parent[root] = %d, want -1", parent[root])
+	t := &Tree{Parent: append([]int(nil), parent...)}
+	if err := t.link(root); err != nil {
+		return nil, err
 	}
-	t := &Tree{
-		Root:   root,
-		Parent: append([]int(nil), parent...),
-		Depth:  make([]int, n),
-	}
-	// CSR children, filled by an ascending vertex scan so each list is
-	// ascending by child id.
-	t.childOff = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		p := parent[v]
-		if v == root {
-			continue
-		}
-		if p < 0 || p >= n || p == v {
-			return nil, fmt.Errorf("spanning: invalid parent %d of %d", p, v)
-		}
-		t.childOff[p+1]++
-	}
-	for v := 0; v < n; v++ {
-		t.childOff[v+1] += t.childOff[v]
-	}
-	t.childList = make([]int32, t.childOff[n])
-	fill := append([]int32(nil), t.childOff[:n]...)
-	for v := 0; v < n; v++ {
-		p := parent[v]
-		if v == root || p < 0 {
-			continue
-		}
-		t.childList[fill[p]] = int32(v)
-		fill[p]++
-	}
-	// Compute depths by BFS from root; detects unreachable vertices/cycles.
-	seen := 1
-	queue := []int{root}
-	visited := make([]bool, n)
-	visited[root] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c32 := range t.childList[t.childOff[v]:t.childOff[v+1]] {
-			c := int(c32)
-			if visited[c] {
-				return nil, fmt.Errorf("spanning: vertex %d visited twice", c)
-			}
-			visited[c] = true
-			t.Depth[c] = t.Depth[v] + 1
-			seen++
-			queue = append(queue, c)
-		}
-	}
-	if seen != n {
-		return nil, fmt.Errorf("spanning: %d of %d vertices reachable from root", seen, n)
-	}
-	t.computeIntervals()
 	return t, nil
 }
 
 // BFSTree returns the BFS spanning tree of g rooted at root. The graph must
 // be connected.
 func BFSTree(g *graph.Graph, root int) (*Tree, error) {
-	if err := g.CheckVertex(root); err != nil {
+	t := &Tree{}
+	if err := t.BuildBFS(g, root); err != nil {
 		return nil, err
 	}
-	res := g.BFS(root)
-	for v, d := range res.Dist {
-		if d < 0 {
-			return nil, fmt.Errorf("spanning: vertex %d unreachable from %d", v, root)
+	return t, nil
+}
+
+// BuildBFS rebuilds t in place as the BFS spanning tree of g rooted at
+// root, reusing t's storage, its lifting table included: the per-component
+// form of BFSTree, which the separator workspace runs for every component
+// of a build. The graph must be connected. t must not be read while it is
+// rebuilt, and after an error it holds no tree.
+func (t *Tree) BuildBFS(g *graph.Graph, root int) error {
+	if err := g.CheckVertex(root); err != nil {
+		return err
+	}
+	res := graph.BFSResult{Dist: t.Depth, Parent: t.Parent, Order: t.order}
+	g.BFSInto(&res, root)
+	t.Depth, t.Parent, t.order = res.Dist, res.Parent, res.Order
+	if len(res.Order) != g.N() {
+		for v, d := range res.Dist {
+			if d < 0 {
+				return fmt.Errorf("spanning: vertex %d unreachable from %d", v, root)
+			}
 		}
 	}
-	return NewFromParents(root, res.Parent)
+	return t.link(root)
+}
+
+// link finishes a tree whose Parent is set, reusing t's storage: it
+// checks the parent array, builds the child CSR, the depths and the
+// preorder intervals, and resets the lifting table for its first use.
+func (t *Tree) link(root int) error {
+	n := len(t.Parent)
+	parent := t.Parent
+	if parent[root] != -1 {
+		return fmt.Errorf("spanning: parent[root] = %d, want -1", parent[root])
+	}
+	t.Root = root
+	// CSR children, filled by an ascending vertex scan so each list is
+	// ascending by child id. childOff[p] serves as p's fill cursor and
+	// ends at p+1's start, so one shift restores the offsets.
+	t.childOff = graph.Resize(t.childOff, n+1)
+	clear(t.childOff)
+	for v := 0; v < n; v++ {
+		p := parent[v]
+		if v == root {
+			continue
+		}
+		if p < 0 || p >= n || p == v {
+			return fmt.Errorf("spanning: invalid parent %d of %d", p, v)
+		}
+		t.childOff[p+1]++
+	}
+	for v := 0; v < n; v++ {
+		t.childOff[v+1] += t.childOff[v]
+	}
+	t.childList = graph.Resize(t.childList, int(t.childOff[n]))
+	for v := 0; v < n; v++ {
+		if p := parent[v]; v != root {
+			//planarvet:narrowok v < n, and graph.New bounds n to MaxInt32
+			t.childList[t.childOff[p]] = int32(v)
+			t.childOff[p]++
+		}
+	}
+	copy(t.childOff[1:], t.childOff[:n])
+	t.childOff[0] = 0
+	// Compute depths by BFS from root, queued in the arena before the
+	// intervals fill it; detects unreachable vertices and cycles.
+	t.arena = graph.Resize(t.arena, 3*n)
+	t.Depth = graph.Resize(t.Depth, n)
+	for v := range t.Depth {
+		t.Depth[v] = -1
+	}
+	t.Depth[root] = 0
+	queue := t.arena[:n]
+	//planarvet:narrowok root < n, and graph.New bounds n to MaxInt32
+	queue[0] = int32(root)
+	seen := 1
+	for head := 0; head < seen; head++ {
+		v := queue[head]
+		for _, c := range t.childList[t.childOff[v]:t.childOff[v+1]] {
+			if t.Depth[c] >= 0 {
+				return fmt.Errorf("spanning: vertex %d visited twice", c)
+			}
+			t.Depth[c] = t.Depth[v] + 1
+			queue[seen] = c
+			seen++
+		}
+	}
+	if seen != n {
+		return fmt.Errorf("spanning: %d of %d vertices reachable from root", seen, n)
+	}
+	t.computeIntervals()
+	t.lift = sync.Once{}
+	return nil
 }
 
 // DeepDFSTree returns a depth-first spanning tree of g rooted at root,
@@ -162,32 +197,32 @@ func DeepDFSTree(g *graph.Graph, root int) (*Tree, error) {
 	return NewFromParents(root, parent)
 }
 
+// computeIntervals fills the preorder intervals and subtree sizes into
+// the arena by one walk down the child CSR and back up the parents. Until
+// v is left, tout[v] is the cursor into its child list.
 func (t *Tree) computeIntervals() {
 	n := len(t.Parent)
-	t.arena = make([]int32, 3*n)
 	t.size = t.arena[0:n:n]
 	t.tin = t.arena[n : 2*n : 2*n]
 	t.tout = t.arena[2*n : 3*n : 3*n]
-	timer := int32(0)
-	// Iterative preorder with post-visit hooks.
-	type frame struct{ v, ci int32 }
-	//planarvet:narrowok Root is a vertex id, < n and graph.New bounds n to MaxInt32
-	stack := []frame{{int32(t.Root), 0}}
-	t.tin[t.Root] = timer
-	timer++
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if off := t.childOff[f.v] + f.ci; off < t.childOff[f.v+1] {
-			c := t.childList[off]
-			f.ci++
-			t.tin[c] = timer
+	v := t.Root
+	t.tin[v], t.tout[v] = 0, t.childOff[v]
+	timer := int32(1)
+	for {
+		if cur := t.tout[v]; cur < t.childOff[v+1] {
+			c := t.childList[cur]
+			t.tout[v]++
+			t.tin[c], t.tout[c] = timer, t.childOff[c]
 			timer++
-			stack = append(stack, frame{c, 0})
+			v = int(c)
 			continue
 		}
-		t.tout[f.v] = timer
-		t.size[f.v] = t.tout[f.v] - t.tin[f.v]
-		stack = stack[:len(stack)-1]
+		t.tout[v] = timer
+		t.size[v] = t.tout[v] - t.tin[v]
+		if v == t.Root {
+			return
+		}
+		v = t.Parent[v]
 	}
 }
 
@@ -229,7 +264,7 @@ func (t *Tree) fillLifting() {
 		logN++
 	}
 	t.upLev = logN + 1
-	t.upFlat = make([]int32, t.upLev*n)
+	t.upFlat = graph.Resize(t.upFlat, t.upLev*n)
 	up0 := t.upFlat[:n]
 	for v := 0; v < n; v++ {
 		if t.Parent[v] < 0 {

@@ -2,6 +2,7 @@ package spanning
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -276,7 +277,32 @@ func dfsOrdersOf(tr *Tree, childOrder [][]int) (piL, piR []int) {
 		}
 		off[v+1] = int32(len(children))
 	}
-	return DFSOrders(tr, off, children)
+	piL, piR = make([]int, tr.N()), make([]int, tr.N())
+	DFSOrders(tr, off, children, piL, piR)
+	return piL, piR
+}
+
+// walkOrder is the reference DFSOrders is held to: the preorder that
+// visits each vertex's children in the given order (reversed if rev), by
+// a walk of its own for each order.
+func walkOrder(tr *Tree, childOrder [][]int, rev bool) []int {
+	pi := make([]int, tr.N())
+	timer := 0
+	var visit func(v int)
+	visit = func(v int) {
+		pi[v] = timer
+		timer++
+		cs := childOrder[v]
+		for i := range cs {
+			if rev {
+				visit(cs[len(cs)-1-i])
+			} else {
+				visit(cs[i])
+			}
+		}
+	}
+	visit(tr.Root)
+	return pi
 }
 
 func TestDFSOrdersSample(t *testing.T) {
@@ -303,8 +329,9 @@ func TestDFSOrdersSample(t *testing.T) {
 	}
 }
 
-// Property: in both DFS orders, every subtree occupies a contiguous
-// interval of positions starting at its root.
+// Property: DFSOrders equals one preorder walk per order, and in both
+// orders every subtree occupies a contiguous interval of positions
+// starting at its root.
 func TestDFSOrderSubtreeIntervalsProperty(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := 1 + int(sz)%80
@@ -325,6 +352,9 @@ func TestDFSOrderSubtreeIntervalsProperty(t *testing.T) {
 			childOrder[v] = cs
 		}
 		piL, piR := dfsOrdersOf(tr, childOrder)
+		if !slices.Equal(piL, walkOrder(tr, childOrder, true)) || !slices.Equal(piR, walkOrder(tr, childOrder, false)) {
+			return false
+		}
 		for _, pi := range [][]int{piL, piR} {
 			for v := 0; v < n; v++ {
 				for z := 0; z < n; z++ {

@@ -43,27 +43,44 @@ type Config struct {
 // NewConfig builds a planar configuration. The tree root must lie on the
 // outer face (the paper's virtual-root convention).
 func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spanning.Tree) (*Config, error) {
-	if emb.Graph() != g {
-		return nil, fmt.Errorf("weights: embedding is over a different graph")
-	}
-	if tree.N() != g.N() {
-		return nil, fmt.Errorf("weights: tree over %d vertices, graph has %d", tree.N(), g.N())
-	}
-	if g.M() == 0 {
-		return nil, fmt.Errorf("weights: configuration needs at least one edge")
-	}
-	if err := emb.CheckOuterDart(outerDart); err != nil {
+	cfg := &Config{}
+	if err := cfg.Reset(g, emb, outerDart, tree); err != nil {
 		return nil, err
 	}
-	faces := emb.TraceFaces()
+	return cfg, nil
+}
+
+// Reset rebuilds cfg in place as the configuration NewConfig builds,
+// reusing its storage: the faces, the normalized positions, the child
+// order and both DFS orders. The separator workspace resets one
+// configuration for every component of a build. After an error cfg
+// holds no configuration.
+func (cfg *Config) Reset(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spanning.Tree) error {
+	if emb.Graph() != g {
+		return fmt.Errorf("weights: embedding is over a different graph")
+	}
+	if tree.N() != g.N() {
+		return fmt.Errorf("weights: tree over %d vertices, graph has %d", tree.N(), g.N())
+	}
+	if g.M() == 0 {
+		return fmt.Errorf("weights: configuration needs at least one edge")
+	}
+	if err := emb.CheckOuterDart(outerDart); err != nil {
+		return err
+	}
+	if cfg.faces == nil {
+		cfg.faces = &planar.Faces{}
+	}
+	faces := cfg.faces
+	emb.TraceFacesInto(faces)
 	outer := int(faces.FaceOf[outerDart])
-	cfg := &Config{G: g, Emb: emb, Tree: tree, Outer: outer, faces: faces}
+	cfg.G, cfg.Emb, cfg.Tree, cfg.Outer = g, emb, tree, outer
 
 	// startDart[v] is the dart at normalized position 0; start[v] its
 	// rotation index. Both are found without materializing rotations.
 	n := g.N()
-	cfg.start = make([]int32, n)
-	cfg.startDart = make([]int32, n)
+	cfg.start = graph.Resize(cfg.start, n)
+	cfg.startDart = graph.Resize(cfg.startDart, n)
 	startDart := cfg.startDart
 	for v := 0; v < n; v++ {
 		if v == tree.Root {
@@ -85,7 +102,7 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 				}
 			}
 			if anchor < 0 {
-				return nil, fmt.Errorf("weights: tree root %d is not on the outer face", v)
+				return fmt.Errorf("weights: tree root %d is not on the outer face", v)
 			}
 			cfg.start[v] = int32(emb.Pos(anchor))
 			cfg.rootAnchor = anchor
@@ -94,7 +111,7 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 		}
 		id, ok := g.EdgeID(v, tree.Parent[v])
 		if !ok {
-			return nil, fmt.Errorf("weights: tree edge {%d,%d} not in graph", v, tree.Parent[v])
+			return fmt.Errorf("weights: tree edge {%d,%d} not in graph", v, tree.Parent[v])
 		}
 		d := planar.DartFrom(g, id, v)
 		cfg.start[v] = int32(emb.Pos(d))
@@ -103,11 +120,12 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 
 	// Children by ascending normalized position: walk each rotation
 	// clockwise from the start dart, keeping tree children.
-	cfg.childOff = make([]int32, n+1)
+	cfg.childOff = graph.Resize(cfg.childOff, n+1)
+	cfg.childOff[0] = 0
 	for v := 0; v < n; v++ {
 		cfg.childOff[v+1] = cfg.childOff[v] + int32(tree.ChildCount(v))
 	}
-	cfg.childList = make([]int32, cfg.childOff[n])
+	cfg.childList = graph.Resize(cfg.childList, int(cfg.childOff[n]))
 	fill := int32(0)
 	for v := 0; v < n; v++ {
 		if emb.FirstDart(v) < 0 {
@@ -127,8 +145,10 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 		}
 	}
 
-	cfg.PiL, cfg.PiR = spanning.DFSOrders(tree, cfg.childOff, cfg.childList)
-	return cfg, nil
+	cfg.PiL = graph.Resize(cfg.PiL, n)
+	cfg.PiR = graph.Resize(cfg.PiR, n)
+	spanning.DFSOrders(tree, cfg.childOff, cfg.childList, cfg.PiL, cfg.PiR)
+	return nil
 }
 
 // RootAnchor returns the dart of the root serving as normalized position 0:

@@ -14,7 +14,6 @@ import (
 
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
-	"planardfs/internal/planar"
 	"planardfs/internal/separator"
 	"planardfs/internal/spanning"
 )
@@ -98,10 +97,11 @@ func TestStressPartitionedSeparators(t *testing.T) {
 	}
 	for p, sep := range results {
 		orig := part.Parts[p]
-		sub, err := graph.NewInducer(in.G).Induce(orig)
-		if err != nil {
+		ind := graph.NewInducer(in.G)
+		if err := ind.Split([][]int{orig}); err != nil {
 			t.Fatal(err)
 		}
+		sub := ind.Induce(0)
 		idx := map[int]int{}
 		for i, v := range orig {
 			idx[v] = i
@@ -129,14 +129,17 @@ func TestRegionSeparatorsMatchRawFind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs := planar.NewRestricter(in.Emb)
+		ws := separator.NewWorkspace(in.Emb)
 		raw := func(vs []int) *Separator {
 			t.Helper()
 			dart, err := in.Emb.OuterRegionDart(vs, in.OuterDart)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sep, err := separator.ForSubset(rs, dart, vs, separator.Find)
+			if err := ws.Split([][]int{vs}); err != nil {
+				t.Fatal(err)
+			}
+			sep, err := separator.ForSubset(ws, 0, dart, separator.Find)
 			if err != nil {
 				t.Fatal(err)
 			}
