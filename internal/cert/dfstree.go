@@ -38,12 +38,20 @@ func ProveDFSTree(g *graph.Graph, root int, parent []int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DFSTreeLabels(t), nil
+}
+
+// DFSTreeLabels assigns the DFS-tree labels of a tree view already built
+// from a claimed parent array (spanning.NewFromParents validates its
+// shape), so a caller that keeps the view builds it once: ProveDFSTree on
+// that parent array gives the same labels.
+func DFSTreeLabels(t *spanning.Tree) [][]int {
 	labels := labelRows(t.N(), dfsWords)
 	for v, l := range labels {
 		tin, tout := t.Interval(v)
-		l[0], l[1], l[2] = parent[v], tin, tout
+		l[0], l[1], l[2] = t.Parent[v], tin, tout
 	}
-	return labels, nil
+	return labels
 }
 
 // interval is a child's claimed preorder interval [lo, hi).

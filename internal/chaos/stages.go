@@ -68,17 +68,42 @@ func DFSCertifier(g *graph.Graph, root int, opt cert.Options) func([]int) (Certi
 // that certifies more of the same graph shares its network, BFS tree and
 // programs with every DFS claim.
 func DFSCertifierOn(vf *cert.Verifier, root int) func([]int) (Certification, error) {
-	return func(parent []int) (Certification, error) {
-		labels, err := cert.ProveDFSTree(vf.Graph(), root, parent)
-		if err != nil {
-			return Certification{Detail: "structural precheck: " + err.Error()}, nil
-		}
-		v, err := vf.VerifyDFSTree(labels)
-		if err != nil {
-			return Certification{}, err
-		}
-		return FromVerdict(v), nil
+	return NewDFSTreeCertifier(vf, root).Certify
+}
+
+// DFSTreeCertifier certifies DFS claims on one Verifier as DFSCertifierOn
+// does, and keeps the tree view it built for the last claim, so the caller
+// of a recovery run reuses the accepted attempt's view instead of building
+// it again.
+type DFSTreeCertifier struct {
+	vf   *cert.Verifier
+	root int
+	// Tree is the tree view of the last claim Certify judged, nil when
+	// that claim failed the structural precheck. The recovery runtime
+	// stops at the first accepted attempt, so after an accepting run it is
+	// the accepted claim's view.
+	Tree *spanning.Tree
+}
+
+// NewDFSTreeCertifier returns a certifier of DFS claims rooted at root on
+// vf.
+func NewDFSTreeCertifier(vf *cert.Verifier, root int) *DFSTreeCertifier {
+	return &DFSTreeCertifier{vf: vf, root: root}
+}
+
+// Certify judges a claimed DFS parent array. Malformed arrays fail the
+// structural precheck of the tree view before any network runs.
+func (c *DFSTreeCertifier) Certify(parent []int) (Certification, error) {
+	t, err := spanning.NewFromParents(c.root, parent)
+	c.Tree = t
+	if err != nil {
+		return Certification{Detail: "structural precheck: " + err.Error()}, nil
 	}
+	v, err := c.vf.VerifyDFSTree(cert.DFSTreeLabels(t))
+	if err != nil {
+		return Certification{}, err
+	}
+	return FromVerdict(v), nil
 }
 
 // BFSOutput is the claimed output of a distributed BFS run.

@@ -3,14 +3,16 @@
 // edges in lockstep rounds.
 //
 // A simulation is deterministic and runs on one schedule. Each round steps,
-// in ascending vertex order, exactly the nodes that can act: every node in
-// round 0, then the receivers of the previous round's messages, the
-// previous round's senders (so streamed follow-ups such as end markers
-// fire), and the nodes whose wake timer names the round. Everything else is
-// quiescent and skipped, so a run costs O(messages + wake-ups + n) steps
-// rather than O(n × rounds). Wake timers are set by round-scheduled
-// programs (see Waker) and by an attached Injector (crash rounds and stall
-// releases, see inject.go).
+// in ascending vertex order, exactly the nodes that can act: the seeds in
+// round 0 (every node under Run, the given vertices under RunFrom), then
+// the receivers of the previous round's messages, the previous round's
+// senders (so streamed follow-ups such as end markers fire), and the nodes
+// whose wake timer names the round. Everything else is quiescent and
+// skipped, so a run costs O(seeds + messages + wake-ups) steps rather than
+// O(n × rounds): a Run pays n for its round-0 step, a RunFrom from one
+// vertex only for the nodes its messages reach. Wake timers are set by
+// round-scheduled programs (see Waker) and by an attached Injector (crash
+// rounds and stall releases, see inject.go).
 //
 // Bandwidth is enforced: per round, at most one message may cross each edge
 // in each direction, and each message carries at most MaxWords words, a word
@@ -21,8 +23,10 @@
 // the stamped port array, the routing table, the inboxes, the step set and
 // the timer heap — is allocated once per Network, by its first Run, and
 // reused by every later Run over the same graph, which fills no array
-// with a loop; see DESIGN.md §8 for the internals. A Network is not safe
-// for concurrent Runs.
+// with a loop and touches per-vertex state only at the nodes it steps; see
+// DESIGN.md §8 for the internals. A traced run hands its metrics to the
+// tracer in one settlement at its end. A Network is not safe for
+// concurrent Runs.
 package congest
 
 import (
@@ -63,12 +67,19 @@ type Outgoing struct {
 // network stops when every node reports done in a round with no messages
 // in flight.
 //
-// Round is called in round 0, in every round in which messages arrive, in
-// the round after the node sent, and at the rounds its wake timer names
-// (see Waker). In any other round the node is not stepped, so a program
-// must not depend on being called there: a step that receives nothing must
-// leave its state and its done report unchanged unless it is a timed step.
-// A halted node is still stepped when messages arrive.
+// Round is called in round 0 if the node is a seed of the run, in every
+// round in which messages arrive, in the round after the node sent, and at
+// the rounds its wake timer names (see Waker). In any other round the node
+// is not stepped, so a program must not depend on being called there: a
+// step that receives nothing must leave its state and its done report
+// unchanged unless it is a timed step. A halted node is still stepped when
+// messages arrive.
+//
+// Run seeds every node. RunFrom seeds only the vertices it is given and
+// counts every other node as done until a message or its wake timer steps
+// it, so a program run from seeds must be quiescent at non-seeds in round
+// 0: stepped there with no messages, it would send nothing and report
+// done. Under that condition RunFrom and Run give the same run.
 //
 // The recv slice is owned by the engine and recycled across rounds; a node
 // that retains messages beyond the current Round call must copy them.
@@ -82,7 +93,8 @@ type Node interface {
 // engine calls NextWake; a result later than round sets the node's wake
 // timer, and the node is stepped at that round whether or not a message
 // arrives. Any other result sets no timer. A pending timer never delays
-// termination.
+// termination. The engine decides whether a node is a Waker at its first
+// step in a run, so a run pays the check only for the nodes it steps.
 type Waker interface {
 	Node
 	NextWake(round int) int
@@ -158,14 +170,28 @@ var ErrRoundLimit = errors.New("congest: round limit exceeded")
 // round budget, before any node steps.
 var ErrInvalidRoundLimit = errors.New("congest: round limit must be positive")
 
+// ErrInvalidSeeds is returned when RunFrom is given a seed outside the
+// vertex range or seeds out of ascending order, before any node steps.
+var ErrInvalidSeeds = errors.New("congest: seeds must be distinct vertices in ascending order")
+
 // Run executes the nodes until global termination (all nodes done and no
 // messages in flight) or until maxRounds rounds have elapsed. It returns
-// the number of rounds executed. maxRounds must be positive.
+// the number of rounds executed. maxRounds must be positive. Run is
+// RunFrom with every vertex as a seed.
 //
 // The first Run builds the Network's round engine, and later Runs over the
 // same graph reset it in place; a Run after G was replaced or gained edges
 // rebuilds it. A Network is therefore not safe for concurrent Runs.
 func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
+	return nw.RunFrom(nodes, nw.engine().everyVertex(), maxRounds)
+}
+
+// RunFrom is Run with a seeded start: round 0 steps only the seeds, given
+// in ascending vertex order, and every other node counts as done until a
+// message or its wake timer steps it (see Node for the contract this puts
+// on the programs). Apart from the seeds it takes O(1) set-up, so a run
+// costs the nodes it steps and the messages it sends, not n or m.
+func (nw *Network) RunFrom(nodes []Node, seeds []int, maxRounds int) (int, error) {
 	n := nw.G.N()
 	if len(nodes) != n {
 		return 0, fmt.Errorf("congest: %d nodes for %d vertices", len(nodes), n)
@@ -173,10 +199,15 @@ func (nw *Network) Run(nodes []Node, maxRounds int) (int, error) {
 	if maxRounds <= 0 {
 		return 0, fmt.Errorf("%w (got %d)", ErrInvalidRoundLimit, maxRounds)
 	}
+	for i, v := range seeds {
+		if v < 0 || v >= n || (i > 0 && v <= seeds[i-1]) {
+			return 0, fmt.Errorf("%w (seed %d at position %d, %d vertices)", ErrInvalidSeeds, v, i, n)
+		}
+	}
 	nw.stats = Stats{RoundMessages: nw.stats.RoundMessages[:0]}
 	e := nw.engine()
 	e.reset(nw, nodes, maxRounds)
-	rounds, err := e.run()
+	rounds, err := e.run(seeds)
 	e.release()
 	return rounds, err
 }
@@ -202,7 +233,6 @@ type engine struct {
 	g         *graph.Graph // the graph the routing tables were built for
 	m         int          // its edge count then
 	nodes     []Node
-	wakers    []Waker // wakers[v] is nodes[v] if it is a Waker; nil when no node is
 	n         int
 	maxWords  int
 	maxRounds int
@@ -223,14 +253,24 @@ type engine struct {
 	edgeLoad []int64
 	edgeRun  []int
 	maxLoad  int64
+	// traced is whether this Run is traced; loaded lists the edges a traced
+	// Run loaded, in first-load order, for its edge-load histogram, and is
+	// allocated by the first traced Run.
+	traced bool
+	loaded []int32
 
 	// inbox[v] collects the messages v receives this round; v reads it
 	// when stepped next round, after which its slots are cleared and
-	// recycled.
+	// recycled. outboxes[v] holds what v sent this round until the
+	// round's delivery.
 	inbox    [][]Incoming
 	outboxes [][]Outgoing
-	dones    []bool
-	notDone  int
+	// A vertex's per-run state is readied at its first step in a Run
+	// (touch), which stamps seen[v] with the Run's base. A vertex not
+	// stepped yet counts as done.
+	seen    []int
+	dones   []bool
+	notDone int
 
 	round int
 	// base is the stamp of this Run's round 0: one past the last stamp of
@@ -243,14 +283,25 @@ type engine struct {
 	// round<<32 | vertex, so equal-round entries pop in vertex order. It is
 	// hand-rolled because container/heap boxes every pushed value.
 	timers []uint64
-	// armed[v] is the round of v's own pending wake timer (Wakers only),
-	// so repeating an unchanged NextWake does not grow the heap. It and
-	// wakerBuf, the backing of wakers, are allocated by the first Run with
-	// a Waker.
-	armed    []int
-	wakerBuf []Waker
+	// wakers[v] is nodes[v] if it is a Waker, set when v is touched, and
+	// wakerList lists the vertices whose entry this Run set, for release;
+	// armed[v] is the round of v's own pending wake timer, so repeating an
+	// unchanged NextWake does not grow the heap. All three are allocated by
+	// the first touch of a Waker.
+	wakers    []Waker
+	wakerList []int32
+	armed     []int
 
 	roundMsgs, roundWords, roundCong int64
+
+	// all lists every vertex, the seeds of Run; built by its first Run.
+	all []int
+	// The settlement of a traced run (see settle), allocated by the first.
+	counts   [3]trace.NamedValue
+	hists    [2]trace.NamedHistogram
+	series   [1]trace.NamedSeries
+	msgHist  trace.Histogram
+	loadHist trace.Histogram
 }
 
 // builds counts the round engines and fold program sets built, for the
@@ -312,6 +363,7 @@ func newEngine(g *graph.Graph) *engine {
 		e.inbox[v] = slots[e.off[v]:e.off[v]:e.off[v+1]]
 	}
 	e.outboxes = make([][]Outgoing, n)
+	e.seen = make([]int, n)
 	e.dones = make([]bool, n)
 	e.active = make([]int32, 0, n)
 	e.steps = newStepSet(n)
@@ -321,8 +373,9 @@ func newEngine(g *graph.Graph) *engine {
 // reset readies the engine for a Run of nodes on nw: it takes the word
 // budget, tracer and injector from nw as they are now and returns the
 // per-run state to its initial state, keeping the routing and all
-// capacity. The port stamps are not refilled: the new Run stamps above
-// every earlier one.
+// capacity. It does no per-vertex or per-edge work: the port, edge and
+// vertex stamps are not refilled, because the new Run stamps above every
+// earlier one, and each vertex's state is readied when it first steps.
 //
 //planarvet:noalloc TestNetworkRunReuseAllocs
 func (e *engine) reset(nw *Network, nodes []Node, maxRounds int) {
@@ -335,50 +388,66 @@ func (e *engine) reset(nw *Network, nodes []Node, maxRounds int) {
 	e.base += e.round + 1
 	e.round = 0
 	e.maxLoad = 0
-	clear(e.dones)
-	e.notDone = e.n
+	e.loaded = e.loaded[:0]
+	e.wakerList = e.wakerList[:0]
+	e.notDone = 0
 	e.active, e.timers = e.active[:0], e.timers[:0]
 	e.roundMsgs, e.roundWords, e.roundCong = 0, 0, 0
-	e.wakers = nil
-	for v, nd := range nodes {
-		if w, ok := nd.(Waker); ok {
-			if e.wakers == nil {
-				e.wakers = e.wakerTable()
-			}
-			e.wakers[v] = w
-		}
-	}
 }
 
-// wakerTable returns the wakers backing cleared and armed zeroed,
-// allocating both on first use.
-func (e *engine) wakerTable() []Waker {
-	if e.wakerBuf == nil {
-		e.wakerBuf = make([]Waker, e.n)
-		e.armed = make([]int, e.n)
+// everyVertex returns the vertices in ascending order, the seeds of Run,
+// building the list on first use.
+func (e *engine) everyVertex() []int {
+	if e.all == nil {
+		e.all = make([]int, e.n)
+		for v := range e.all {
+			e.all[v] = v
+		}
 	}
-	clear(e.wakerBuf)
-	clear(e.armed)
-	return e.wakerBuf
+	return e.all
+}
+
+// touch readies v's per-run state at its first step in a Run: v counts as
+// done until its step reports otherwise, and whether its program is a
+// Waker is decided here, once per Run.
+//
+//planarvet:noalloc TestNetworkRunReuseAllocs
+func (e *engine) touch(v int) {
+	e.seen[v] = e.base
+	e.dones[v] = true
+	w, _ := e.nodes[v].(Waker)
+	if w != nil && e.wakers == nil {
+		e.wakers = make([]Waker, e.n)       //planarvet:allocok once per engine, at the first Waker it steps
+		e.wakerList = make([]int32, 0, e.n) //planarvet:allocok allocated with wakers
+		e.armed = make([]int, e.n)          //planarvet:allocok allocated with wakers
+	}
+	if e.wakers == nil {
+		return
+	}
+	// A non-Waker overwrites its entry too, in case a Run that panicked
+	// never released it.
+	e.wakers[v], e.armed[v] = w, 0
+	if w != nil {
+		e.wakerList = append(e.wakerList, int32(v)) //planarvet:allocok presized to n; a vertex is touched once per Run
+	}
 }
 
 // release ends a Run: it drops every reference to the run's node programs
 // and messages (outboxes, unread inbox slots, wakers, injector), so an idle
-// Network does not pin the last run's Args. Steps clear the inbox slots
-// they read, so only the active set's inboxes can still hold messages: the
-// unstepped part of a round an error aborted, or the round after the
-// round limit.
+// Network does not pin the last run's Args. Each round drops its outboxes
+// once delivered, and steps clear the inbox slots they read, so only the
+// active set can still hold either: the part of a round an error aborted,
+// or the round after the round limit.
 //
 //planarvet:noalloc TestNetworkRunReuseAllocs
 func (e *engine) release() {
 	e.nw, e.nodes, e.inj = nil, nil, nil
-	clear(e.outboxes)
-	for _, v := range e.active {
-		e.consume(int(v))
+	for _, v := range e.wakerList {
+		e.wakers[v] = nil
 	}
-	if e.wakers != nil {
-		clear(e.wakers)
-		e.wakers = nil
+	for _, v := range e.active {
+		e.outboxes[v] = nil
+		e.consume(int(v))
 	}
 }
 
@@ -492,6 +561,9 @@ func (e *engine) load(fp int) {
 		l += e.edgeLoad[id]
 	} else {
 		e.edgeRun[id] = e.base
+		if e.traced {
+			e.loaded = append(e.loaded, id) //planarvet:allocok presized to m by the first traced Run; an edge is first loaded once per Run
+		}
 	}
 	e.edgeLoad[id] = l
 	e.maxLoad = max(e.maxLoad, l)
@@ -519,6 +591,9 @@ func (e *engine) consume(v int) {
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
 func (e *engine) step(v int) error {
+	if e.seen[v] != e.base {
+		e.touch(v)
+	}
 	if e.inj != nil && e.inj.Crashed(e.round, v) {
 		// Crash-stop: the program is not called, nothing is sent (an
 		// empty outbox delivers nothing), and the vertex counts as done.
@@ -633,6 +708,7 @@ func (e *engine) runRound() error {
 			e.steps.add(int(u))
 			e.deliver(int(u))
 		}
+		e.outboxes[u] = nil
 	}
 	for prev := -1; len(e.timers) > 0 && int(e.timers[0]>>32) == e.round+1; {
 		v := int(uint32(e.popTimer()))
@@ -656,39 +732,62 @@ func (e *engine) runRound() error {
 	return nil
 }
 
-// start makes every vertex active for round 0 and lets the injector set
-// its wake-ups.
-func (e *engine) start() {
-	for v := 0; v < e.n; v++ {
-		e.active = append(e.active, int32(v))
+// start makes the seeds, validated by RunFrom, active for round 0 and lets
+// the injector set its wake-ups.
+//
+//planarvet:noalloc TestNetworkRunReuseAllocs
+func (e *engine) start(seeds []int) {
+	for _, v := range seeds {
+		e.active = append(e.active, int32(v)) //planarvet:allocok the active slice is presized to n by newEngine and the seeds are distinct
 	}
 	if e.inj != nil {
 		e.inj.Schedule(e.wakeAt)
 	}
 }
 
-func (e *engine) run() (int, error) {
+// run executes the rounds from the seeds. A traced run emits one span per
+// round as it goes and settles its metrics at the end, finished or not.
+func (e *engine) run(seeds []int) (int, error) {
 	tr := trace.OrNop(e.nw.Tracer)
-	traced := tr.Enabled()
-	e.start()
-	for e.round = 0; ; e.round++ {
-		if e.round >= e.maxRounds {
-			return e.round, &RoundLimitError{Limit: e.maxRounds}
-		}
-		if err := e.runRound(); err != nil {
-			return e.round, err
-		}
-		e.accountRound(tr, traced)
-		if e.roundMsgs == 0 && e.notDone == 0 && (e.inj == nil || !e.inj.Pending()) {
-			break
+	e.traced = tr.Enabled()
+	var clock int64
+	if e.traced {
+		clock = tr.Now()
+		if e.loaded == nil {
+			e.loaded = make([]int32, 0, e.m)
 		}
 	}
-	return e.finishRun(tr, traced)
+	e.start(seeds)
+	err := e.loop(tr)
+	if e.traced {
+		e.settle(tr, clock, err == nil)
+	}
+	if err != nil {
+		return e.round, err
+	}
+	e.nw.stats.MaxEdgeLoad = e.maxLoad
+	return e.nw.stats.Rounds, nil
+}
+
+// loop runs rounds until termination, an error or the round limit.
+func (e *engine) loop(tr trace.Tracer) error {
+	for e.round = 0; ; e.round++ {
+		if e.round >= e.maxRounds {
+			return &RoundLimitError{Limit: e.maxRounds}
+		}
+		if err := e.runRound(); err != nil {
+			return err
+		}
+		e.accountRound(tr)
+		if e.roundMsgs == 0 && e.notDone == 0 && (e.inj == nil || !e.inj.Pending()) {
+			return nil
+		}
+	}
 }
 
 // accountRound folds one round's delivery totals into the run statistics
 // and emits the per-round trace span.
-func (e *engine) accountRound(tr trace.Tracer, traced bool) {
+func (e *engine) accountRound(tr trace.Tracer) {
 	nw := e.nw
 	nw.stats.Messages += e.roundMsgs
 	nw.stats.Words += e.roundWords
@@ -700,34 +799,67 @@ func (e *engine) accountRound(tr trace.Tracer, traced bool) {
 	}
 	nw.stats.RoundMessages = append(nw.stats.RoundMessages, e.roundMsgs)
 	nw.stats.Rounds = e.round + 1
-	if traced {
+	if e.traced {
 		sp := tr.StartSpan(trace.LayerNetwork, "round")
 		sp.SetAttr("msgs", e.roundMsgs)
 		sp.SetAttr("words", e.roundWords)
 		tr.Advance(1)
 		sp.End()
-		tr.Count("congest.rounds", 1)
-		tr.Count("congest.messages", e.roundMsgs)
-		tr.Count("congest.words", e.roundWords)
-		tr.Observe("congest.msgs_per_round", e.roundMsgs)
-		tr.Sample("congest.msgs_per_round", e.roundMsgs)
 	}
 }
 
-// finishRun records the run's largest edge load and emits the end-of-run
-// gauges. Only a traced run visits every edge, for the edge-load histogram.
-func (e *engine) finishRun(tr trace.Tracer, traced bool) (int, error) {
-	nw := e.nw
-	nw.stats.MaxEdgeLoad = e.maxLoad
-	if traced {
-		for id, l := range e.edgeLoad {
-			if e.edgeRun[id] != e.base {
-				l = 0 // last loaded by an earlier Run
-			}
-			tr.Observe("congest.edge_load", l)
-		}
-		tr.SetGauge("congest.max_edge_congestion", nw.stats.MaxEdgeCongestion)
-		tr.SetGauge("congest.max_edge_load", nw.stats.MaxEdgeLoad)
+// settle hands a traced run's metrics to the tracer in one Merge, with the
+// effect of the per-round and per-edge calls they stand for: the
+// congest.rounds, congest.messages and congest.words counters, the
+// congest.msgs_per_round histogram and time series (round r's point
+// stamped with the clock at its end, clock+r+1, as its span ends) and, for
+// a run that finished, the congest.edge_load histogram with one
+// observation per edge of the graph — the edges the run left unloaded
+// observe 0 in bulk, so it visits only the loaded ones — and the two
+// gauges. A run that accounted no round settles nothing.
+//
+//planarvet:noalloc TestTracedRunReuseAllocs
+func (e *engine) settle(tr trace.Tracer, clock int64, finished bool) {
+	st := &e.nw.stats
+	if len(st.RoundMessages) == 0 {
+		return
 	}
-	return nw.stats.Rounds, nil
+	if e.msgHist.Counts == nil {
+		e.msgHist = *trace.NewHistogram(nil)  //planarvet:allocok once per engine, at its first traced run
+		e.loadHist = *trace.NewHistogram(nil) //planarvet:allocok allocated with msgHist
+	}
+	resetHist(&e.msgHist)
+	pts := e.series[0].Points[:0]
+	for r, msgs := range st.RoundMessages {
+		e.msgHist.Observe(msgs)
+		pts = append(pts, trace.SamplePoint{Round: clock + int64(r) + 1, Val: msgs}) //planarvet:allocok the points' backing is reused by every later traced run, its capacity ramps up to the longest run once
+	}
+	e.counts[0] = trace.NamedValue{Name: "congest.rounds", Value: int64(len(st.RoundMessages))}
+	e.counts[1] = trace.NamedValue{Name: "congest.messages", Value: st.Messages}
+	e.counts[2] = trace.NamedValue{Name: "congest.words", Value: st.Words}
+	e.hists[0] = trace.NamedHistogram{Name: "congest.msgs_per_round", Hist: &e.msgHist}
+	e.series[0] = trace.NamedSeries{Name: "congest.msgs_per_round", Points: pts}
+	hists := e.hists[:1]
+	if finished {
+		resetHist(&e.loadHist)
+		for _, id := range e.loaded {
+			e.loadHist.Observe(e.edgeLoad[id])
+		}
+		e.loadHist.ObserveN(0, int64(e.m-len(e.loaded)))
+		e.hists[1] = trace.NamedHistogram{Name: "congest.edge_load", Hist: &e.loadHist}
+		hists = e.hists[:2]
+	}
+	tr.Merge(trace.Batch{Counts: e.counts[:], Hists: hists, Series: e.series[:]})
+	if finished {
+		tr.SetGauge("congest.max_edge_congestion", st.MaxEdgeCongestion)
+		tr.SetGauge("congest.max_edge_load", e.maxLoad)
+	}
+}
+
+// resetHist empties h in place, keeping its bounds and counts storage.
+//
+//planarvet:noalloc TestTracedRunReuseAllocs
+func resetHist(h *trace.Histogram) {
+	clear(h.Counts)
+	h.N, h.Sum, h.Min, h.Max = 0, 0, 0, 0
 }

@@ -210,3 +210,60 @@ func TestEdgeLoadAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFromSeeds checks the seeded start: seeds out of range or out of
+// ascending order are refused before any node steps, and a BFS, quiescent
+// away from its root in round 0, run from the root alone equals the run
+// from every vertex in its statistics, its traced exports and its tree.
+func TestRunFromSeeds(t *testing.T) {
+	g := gridGraph(t, 9, 7)
+	nw := New(g)
+	for _, seeds := range [][]int{{-1}, {g.N()}, {3, 3}, {4, 2}} {
+		nodes := make([]Node, g.N())
+		for v := range nodes {
+			nodes[v] = &silentNode{}
+		}
+		if _, err := nw.RunFrom(nodes, seeds, 4); !errors.Is(err, ErrInvalidSeeds) {
+			t.Errorf("seeds %v: got %v, want ErrInvalidSeeds", seeds, err)
+		}
+	}
+	const root = 31
+	type outcome struct {
+		rounds     int
+		stats      Stats
+		dist, par  []int
+		jsonl, chr string
+	}
+	run := func(seeded bool) outcome {
+		rec := trace.NewRecorder()
+		nw.Tracer = rec
+		nodes := NewBFSNodes(nw, root)
+		var rounds int
+		var err error
+		if seeded {
+			rounds, err = nw.RunFrom(nodes, []int{root}, 4*g.N())
+		} else {
+			rounds, err = nw.Run(nodes, 4*g.N())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{rounds: rounds, stats: nw.Stats()}
+		for _, nd := range nodes {
+			o.dist = append(o.dist, nd.(*BFSNode).Dist)
+			o.par = append(o.par, nd.(*BFSNode).ParentID)
+		}
+		var j, c bytes.Buffer
+		if err := rec.WriteJSONL(&j); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteChromeTrace(&c); err != nil {
+			t.Fatal(err)
+		}
+		o.jsonl, o.chr = j.String(), c.String()
+		return o
+	}
+	if full, seeded := run(false), run(true); !reflect.DeepEqual(seeded, full) {
+		t.Fatalf("seeded BFS %+v\nfull-start BFS %+v", seeded, full)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"planardfs/internal/graph"
 	"planardfs/internal/spanning"
+	"planardfs/internal/trace"
 )
 
 // saturatorNode sends one preallocated message on every port each round and
@@ -65,7 +66,7 @@ func TestRoundLoopZeroAlloc(t *testing.T) {
 
 		e := newEngine(g)
 		e.reset(New(g), nodes, 1<<20)
-		e.start()
+		e.start(e.everyVertex())
 		oneRound := func() {
 			if err := e.runRound(); err != nil {
 				t.Fatal(err)
@@ -112,14 +113,22 @@ func (c *onceNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	return nil, true
 }
 
+// onceWaker is a onceNode that is a Waker but never sets a timer, so a
+// run touches its Waker state without arming anything.
+type onceWaker struct{ onceNode }
+
+func (*onceWaker) NextWake(int) int { return -1 }
+
 // TestNetworkRunReuseAllocs is the runtime gate behind the
-// //planarvet:noalloc annotations on the engine's reset path (reset and
-// release): once a Network has run a one-round exchange, running it again
-// allocates nothing on grids of n = 1024 and n = 4096 alike, because the
-// routing tables, the per-run arrays, the inbox capacity and the round
-// histogram all carry over.
+// //planarvet:noalloc annotations on the engine's reset path (reset,
+// start, touch and release): once a Network has run a one-round exchange,
+// running it again allocates nothing on grids of n = 1024 and n = 4096
+// alike, from every vertex (Run) or from one seed (RunFrom), with every
+// other program a Waker, because the routing tables, the per-run arrays,
+// the Waker table, the inbox capacity and the round histogram all carry
+// over.
 func TestNetworkRunReuseAllocs(t *testing.T) {
-	perRun := func(side int) float64 {
+	perRun := func(side int, seeds []int) float64 {
 		g := gridGraph(t, side, side)
 		nodes := make([]Node, g.N())
 		for v := range nodes {
@@ -127,24 +136,91 @@ func TestNetworkRunReuseAllocs(t *testing.T) {
 			for p := range out {
 				out[p] = Outgoing{Port: p, Msg: Message{Kind: 3, Args: []int{v}}}
 			}
-			nodes[v] = &onceNode{out: out}
+			if v%2 == 0 {
+				nodes[v] = &onceNode{out: out}
+			} else {
+				nodes[v] = &onceWaker{onceNode{out: out}}
+			}
 		}
 		nw := New(g)
+		want := int64(2 * g.M())
+		if seeds != nil {
+			want = int64(g.Degree(seeds[0]))
+		}
 		run := func() {
-			rounds, err := nw.Run(nodes, 4)
+			var rounds int
+			var err error
+			if seeds == nil {
+				rounds, err = nw.Run(nodes, 4)
+			} else {
+				rounds, err = nw.RunFrom(nodes, seeds, 4)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rounds != 2 || nw.stats.Messages != int64(2*g.M()) {
-				t.Fatalf("run took %d rounds and %d messages, want 2 and %d", rounds, nw.stats.Messages, 2*g.M())
+			if rounds != 2 || nw.stats.Messages != want {
+				t.Fatalf("run took %d rounds and %d messages, want 2 and %d", rounds, nw.stats.Messages, want)
 			}
 		}
 		run() // builds the engine
 		return testing.AllocsPerRun(20, run)
 	}
 	for _, side := range []int{32, 64} {
-		if allocs := perRun(side); allocs != 0 {
-			t.Errorf("n=%d: a reused Run allocates %.1f times, want 0", side*side, allocs)
+		for _, seeds := range [][]int{nil, {side + 1}} {
+			if allocs := perRun(side, seeds); allocs != 0 {
+				t.Errorf("n=%d, seeds %v: a reused Run allocates %.1f times, want 0", side*side, seeds, allocs)
+			}
+		}
+	}
+}
+
+// discardTracer is enabled but keeps nothing, so a traced run's cost is the
+// engine's own.
+type discardTracer struct{}
+
+type discardSpan struct{}
+
+func (discardSpan) SetAttr(string, int64) {}
+func (discardSpan) End()                  {}
+
+func (discardTracer) Enabled() bool                            { return true }
+func (discardTracer) StartSpan(trace.Layer, string) trace.Span { return discardSpan{} }
+func (discardTracer) Advance(int64)                            {}
+func (discardTracer) Now() int64                               { return 0 }
+func (discardTracer) Count(string, int64)                      {}
+func (discardTracer) SetGauge(string, int64)                   {}
+func (discardTracer) Observe(string, int64)                    {}
+func (discardTracer) Sample(string, int64)                     {}
+func (discardTracer) Merge(trace.Batch)                        {}
+
+// TestTracedRunReuseAllocs is the runtime gate behind the
+// //planarvet:noalloc annotations on a traced run's settlement (settle,
+// resetHist): once a traced Run has set up the settlement's histograms,
+// loaded-edge list and point buffer, a traced Run again allocates nothing,
+// on grids of n = 1024 and n = 4096, with one settlement per run whatever
+// its edge count.
+func TestTracedRunReuseAllocs(t *testing.T) {
+	for _, side := range []int{32, 64} {
+		g := gridGraph(t, side, side)
+		tree, err := spanning.BFSTree(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := make([]int, g.N())
+		for v := range values {
+			values[v] = v % 5
+		}
+		nw := New(g)
+		nw.Tracer = discardTracer{}
+		prog := NewFoldProgram(nw, tree.Parent, 0)
+		run := func() {
+			if _, err := nw.Run(prog.Reset([]FoldLane{{Values: values, Op: OpSum}}), 2*tree.MaxDepth()+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // builds the engine and the settlement's storage
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("n=%d: a reused traced fold allocates %.1f times, want 0", g.N(), allocs)
 		}
 	}
 }

@@ -5,9 +5,10 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"planardfs/internal/graph"
 	"planardfs/internal/planar"
@@ -32,15 +33,19 @@ func (in *Instance) OuterFace() int { return in.Emb.OuterFaceOf(in.OuterDart) }
 // (starting from north, y up). It requires a straight-line plane drawing
 // (no crossing edges); validity is checked via the genus.
 //
-// The rotation is streamed into flat arrays: one vertex-major dart array
-// sorted by (tail, clockwise angle key) feeds planar.NewEmbeddingFlat
-// directly — no per-vertex neighbour slices are materialized.
+// The rotation is streamed into flat arrays: the darts are appended vertex
+// by vertex, so each vertex's segment is sorted by clockwise angle key on
+// its own, and the vertex-major array feeds planar.NewEmbeddingFlat
+// directly — no per-vertex neighbour slices are materialized. Two darts
+// of one vertex with the same key (neighbours in one direction, which no
+// straight-line plane drawing has) are an error, so the order never
+// depends on the sort algorithm.
 func embedFromCoords(g *graph.Graph, xs, ys []float64) (*planar.Embedding, error) {
 	n, m := g.N(), g.M()
 	darts := make([]int32, 0, 2*m)
 	keys := make([]float64, 2*m)
-	tails := make([]int32, 2*m)
 	off := make([]int32, n+1)
+	byAngle := func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) }
 	for v := 0; v < n; v++ {
 		for _, id := range g.IncidentEdges(v) {
 			u, _ := g.EndpointsOf(int(id))
@@ -50,21 +55,18 @@ func embedFromCoords(g *graph.Graph, xs, ys []float64) (*planar.Embedding, error
 			}
 			w := g.Other(int(id), v)
 			keys[d] = cwKey(math.Atan2(ys[w]-ys[v], xs[w]-xs[v]))
-			tails[d] = int32(v)
 			darts = append(darts, d)
 		}
 		//planarvet:narrowok degrees are < n and graph.New bounds n to MaxInt32
 		off[v+1] = off[v] + int32(g.Degree(v))
-	}
-	// One global sort: tails group darts vertex-major (matching off), the
-	// angle key orders each rotation clockwise from north.
-	sort.Slice(darts, func(i, j int) bool {
-		di, dj := darts[i], darts[j]
-		if tails[di] != tails[dj] {
-			return tails[di] < tails[dj]
+		rot := darts[off[v]:off[v+1]]
+		slices.SortFunc(rot, byAngle)
+		for i := 1; i < len(rot); i++ {
+			if keys[rot[i]] == keys[rot[i-1]] {
+				return nil, fmt.Errorf("gen: coordinate embedding invalid: vertex %d has two neighbours in one direction", v)
+			}
 		}
-		return keys[di] < keys[dj]
-	})
+	}
 	emb, err := planar.NewEmbeddingFlat(g, off, darts)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"planardfs/internal/graph"
 	"planardfs/internal/planar"
 )
 
@@ -286,5 +287,28 @@ func TestSparsePlanarOuterFaceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRotationKeysDistinct holds embedFromCoords to rotations whose order
+// cannot depend on the sort algorithm: a drawing with two neighbours of one
+// vertex in the same direction is an error, and no generator that draws
+// from coordinates produces one, on any family, size or seed.
+func TestRotationKeysDistinct(t *testing.T) {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	g.MustAddEdge(0, 2)
+	if _, err := embedFromCoords(g, []float64{0, 1, 2}, []float64{0, 0, 0}); err == nil {
+		t.Fatal("vertex 0 sees 1 and 2 in one direction, but the drawing was embedded")
+	}
+	for _, fam := range Families {
+		for _, n := range []int{4, 5, 17, 64, 300} {
+			for seed := int64(1); seed <= 3; seed++ {
+				if _, err := ByName(fam, n, seed); err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v", fam, n, seed, err)
+				}
+			}
+		}
 	}
 }

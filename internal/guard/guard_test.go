@@ -427,28 +427,27 @@ func TestVerdictHandsOverItsVerifier(t *testing.T) {
 }
 
 // TestBallResetClearsEveryField pins ballNode.reset to the literal it
-// replaced: after a probe has dirtied the programs, resetting each one must
-// give the fresh program with only the child-port backing kept.
+// replaced: after a probe has dirtied the programs, the lazy reset a node
+// takes at its first step in the next probe must give the fresh program,
+// with only its program, vertex, degree and child-port backing kept.
 func TestBallResetClearsEveryField(t *testing.T) {
 	in, err := gen.ByName("stacked", 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw := congest.New(in.G)
-	balls := make([]ballNode, in.G.N())
-	nodes := make([]congest.Node, len(balls))
-	for v := range nodes {
-		nodes[v] = &balls[v]
-	}
-	if _, _, _, _, err := probeBall(nw, balls, nodes, 7); err != nil {
+	bp := newBallProgram(nw)
+	if _, _, _, _, err := bp.run(nw, 7); err != nil {
 		t.Fatal(err)
 	}
-	for v := range balls {
-		want := ballNode{deg: in.G.Degree(v), center: v == 5, dist: -1, parentPort: -1,
-			childPorts: balls[v].childPorts[:0]}
-		balls[v].reset(in.G.Degree(v), v == 5)
-		if !reflect.DeepEqual(balls[v], want) {
-			t.Fatalf("vertex %d: reset gives %+v, want %+v", v, balls[v], want)
+	bp.probe++
+	bp.center[0] = 5
+	for v := range bp.balls {
+		bn := &bp.balls[v]
+		want := ballNode{prog: bp, id: v, deg: in.G.Degree(v), probe: bp.probe, center: v == 5, dist: -1, parentPort: -1, childPorts: bn.childPorts[:0]}
+		bn.reset()
+		if !reflect.DeepEqual(*bn, want) {
+			t.Fatalf("vertex %d: reset gives %+v, want %+v", v, *bn, want)
 		}
 	}
 }

@@ -41,12 +41,61 @@ const (
 	msgBallReport = 2
 )
 
+// ballProgram is the ball probes' programs over one network: a ballNode
+// per vertex, and two arenas from which the nodes that send carve their
+// outboxes and message words. A probe runs from its center (RunFrom) and
+// stamps itself; a node resets at its first step in a new probe, so a
+// probe touches only the nodes its messages reach, the radius-2
+// neighbourhood of its center. Each probe rewinds the arenas, which reach
+// the size of the largest ball's sends once and are reused from then on.
+type ballProgram struct {
+	balls  []ballNode
+	nodes  []congest.Node
+	probe  int    // the current probe's stamp; stamps start at 1
+	center [1]int // the current probe's center, its one seed
+	outs   []congest.Outgoing
+	words  []int
+}
+
+// newBallProgram builds the ball programs of nw's graph.
+func newBallProgram(nw *congest.Network) *ballProgram {
+	g := nw.G
+	bp := &ballProgram{balls: make([]ballNode, g.N()), nodes: make([]congest.Node, g.N())}
+	for v := range bp.balls {
+		bp.balls[v] = ballNode{prog: bp, id: v, deg: g.Degree(v)}
+		bp.nodes[v] = &bp.balls[v]
+	}
+	return bp
+}
+
+// carve takes k outbox slots and w message words from the current probe's
+// arenas. The carved storage stays valid for the rest of the probe: an
+// arena that runs out moves on to a larger backing and leaves the old one
+// to the slices already carved from it.
+func (bp *ballProgram) carve(k, w int) ([]congest.Outgoing, []int) {
+	return take(&bp.outs, k), take(&bp.words, w)
+}
+
+// take carves k elements off the end of *arena, which it regrows when full.
+func take[T any](arena *[]T, k int) []T {
+	a := *arena
+	if len(a)+k > cap(a) {
+		a = make([]T, 0, max(2*cap(a), k, 64))
+	}
+	*arena = a[:len(a)+k]
+	return a[len(a) : len(a)+k : len(a)+k]
+}
+
 // ballNode is the per-vertex program of one ball probe. It is
 // round-scheduled: membership counts are final once every flood message
 // has landed, which the program detects by the round number, so an adopted
 // member sets a wake timer for round ballRadius+2 (see NextWake).
 type ballNode struct {
-	deg    int
+	prog  *ballProgram
+	id    int
+	deg   int
+	probe int // the probe the state below belongs to
+
 	center bool
 
 	dist       int // -1 while not a member
@@ -66,11 +115,12 @@ type ballNode struct {
 	mS2    int // 2 * edges inside the ball
 }
 
-// reset readies the program for a probe, keeping its child-port backing.
-// It writes every field in place: a struct literal here is built in a
-// temporary and copied, once per vertex per probe.
-func (bn *ballNode) reset(deg int, center bool) {
-	bn.deg, bn.center = deg, center
+// reset readies the program for the current probe, keeping its child-port
+// backing. It writes every field in place: a struct literal here is built
+// in a temporary and copied.
+func (bn *ballNode) reset() {
+	p := bn.prog
+	bn.probe, bn.center = p.probe, bn.id == p.center[0]
 	bn.dist, bn.parentPort, bn.childPorts = -1, -1, bn.childPorts[:0]
 	bn.memberNbrs, bn.adopted, bn.reported = 0, false, false
 	bn.gotReports, bn.accSize, bn.accHalf = 0, 0, 0
@@ -79,6 +129,9 @@ func (bn *ballNode) reset(deg int, center bool) {
 
 // Round implements congest.Node.
 func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
+	if bn.probe != bn.prog.probe {
+		bn.reset()
+	}
 	var out []congest.Outgoing
 	if round == 0 && bn.center {
 		bn.dist = 0
@@ -132,9 +185,12 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 			bn.judged = true
 			bn.reported = true
 		} else {
-			out = append(out, congest.Outgoing{Port: bn.parentPort, Msg: congest.Message{
-				Kind: msgBallReport, Args: []int{size, half},
-			}})
+			// Adoptions announce by round ballRadius, so the report never
+			// shares a step with a grow.
+			rep, w := bn.prog.carve(1, 2)
+			w[0], w[1] = size, half
+			rep[0] = congest.Outgoing{Port: bn.parentPort, Msg: congest.Message{Kind: msgBallReport, Args: w}}
+			out = rep
 			bn.reported = true
 		}
 	}
@@ -154,15 +210,14 @@ func (bn *ballNode) NextWake(round int) int {
 // announce broadcasts the adoption: a grow on every port, with the
 // child-claim bit set toward the flood parent.
 func (bn *ballNode) announce() []congest.Outgoing {
-	out := make([]congest.Outgoing, bn.deg)
+	out, w := bn.prog.carve(bn.deg, 4)
+	w[0], w[1], w[2], w[3] = bn.dist, 0, bn.dist, 1
 	for p := range out {
-		flag := 0
+		args := w[0:2]
 		if p == bn.parentPort {
-			flag = 1
+			args = w[2:4]
 		}
-		out[p] = congest.Outgoing{Port: p, Msg: congest.Message{
-			Kind: msgBallGrow, Args: []int{bn.dist, flag},
-		}}
+		out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgBallGrow, Args: args}}
 	}
 	return out
 }
@@ -186,16 +241,14 @@ func centersFor(n int, opt Options) []int {
 	return out
 }
 
-// probeBall runs one ball program on nw and returns the center's
-// measurement. balls holds the per-vertex programs, which nodes lists; every
-// probe resets them in place, keeping their child-port backings.
-func probeBall(nw *congest.Network, balls []ballNode, nodes []congest.Node, center int) (nS, mS2, rounds int, messages int64, err error) {
-	g := nw.G
-	for v := range balls {
-		balls[v].reset(g.Degree(v), v == center)
-	}
-	cn := &balls[center]
-	r, err := nw.Run(nodes, 2*ballRadius+16)
+// run probes the ball of center on nw, running the programs from the
+// center, and returns the center's measurement.
+func (bp *ballProgram) run(nw *congest.Network, center int) (nS, mS2, rounds int, messages int64, err error) {
+	bp.probe++
+	bp.center[0] = center
+	bp.outs, bp.words = bp.outs[:0], bp.words[:0]
+	cn := &bp.balls[center]
+	r, err := nw.RunFrom(bp.nodes, bp.center[:], 2*ballRadius+16)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d: %w", center, err)
 	}
@@ -239,7 +292,9 @@ func edgeCountCheck(n, m2 int, opt Options) *Witness {
 
 // runDensityCheck probes every center's ball in sequence on nw and applies
 // the planar density bound to each induced subgraph. A nil witness means no
-// ball was dense. The probes share one flat array of ball programs.
+// ball was dense. The probes share one ball program, and each costs its
+// ball's messages, so an Exhaustive sweep costs O(Σ|ball|) beyond the
+// programs' O(n) set-up.
 func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, error) {
 	g := nw.G
 	tr := trace.OrNop(opt.Tracer)
@@ -248,15 +303,11 @@ func runDensityCheck(nw *congest.Network, opt Options) (*Witness, int, int64, er
 	centers := centersFor(g.N(), opt)
 	sp.SetAttr("centers", int64(len(centers)))
 	sp.SetAttr("radius", ballRadius)
-	balls := make([]ballNode, g.N())
-	nodes := make([]congest.Node, g.N())
-	for v := range nodes {
-		nodes[v] = &balls[v]
-	}
+	bp := newBallProgram(nw)
 	rounds := 0
 	var messages int64
 	for _, c := range centers {
-		nS, mS2, r, msgs, err := probeBall(nw, balls, nodes, c)
+		nS, mS2, r, msgs, err := bp.run(nw, c)
 		if err != nil {
 			return nil, rounds, messages, err
 		}

@@ -223,13 +223,15 @@ func rejection(vs []*cert.Verdict) error {
 // its output perturbed by the plan's structural faults and certified per
 // attempt, with Awerbuch's token DFS as the fallback. It fills Recovery,
 // DFSTrace, DFSRounds, Parent and DFS, and returns the accepted attempt's
-// DFS verdict. Both producers' attempts are certified on vf.
+// DFS verdict. Both producers' attempts are certified on vf by one
+// certifier, whose tree view of the accepted claim becomes Result.DFS.
 func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Options, res *Result, vf *cert.Verifier) (*cert.Verdict, error) {
 	g, n, root := in.G, in.G.N(), res.Root
 	cm := shortcut.PaperCost{D: res.BFS.MaxDepth(), N: n}
 	fallbacks := 0
 	find := componentFinder(eng, &fallbacks)
 	var structural chaos.Counts
+	certifier := chaos.NewDFSTreeCertifier(vf, root)
 	primary := chaos.Stage[[]int]{
 		Name:          "separator-pipeline",
 		DefaultBudget: 10*n + 100,
@@ -255,10 +257,11 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 			dtr.Charge(opts.Tracer, n, cm)
 			return parent, res.DFSRounds, nil
 		},
-		Certify: chaos.DFSCertifierOn(vf, root),
+		Certify: certifier.Certify,
 		Faults:  func() chaos.Counts { return structural },
 	}
 	fallback := chaos.AwerbuchDFSOn(vf, root, opts.Plan)
+	fallback.Certify = certifier.Certify
 	pol := chaos.Policy{MaxAttempts: opts.MaxAttempts, Tracer: opts.Tracer}
 	parent, rep, err := chaos.RunWithRecoveryContext(ctx, primary, &fallback, pol)
 	res.Recovery = rep
@@ -273,17 +276,14 @@ func runDFS(ctx context.Context, in *gen.Instance, eng sepengine.Engine, opts Op
 		return nil, err
 	}
 	res.Parent = parent
-	res.DFS, err = spanning.NewFromParents(root, parent)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: dfs tree view: %w", err)
-	}
+	res.DFS = certifier.Tree
 	return verdict, nil
 }
 
 // acceptedDFSVerdict returns the verdict of the attempt the recovery
 // runtime accepted. The runtime stops at the first accepted attempt, and
-// both producers are certified by chaos.DFSCertifierOn, so that verdict is
-// the last one collected and a passing DFS verdict.
+// both producers are certified by one chaos.DFSTreeCertifier, so that
+// verdict is the last one collected and a passing DFS verdict.
 func acceptedDFSVerdict(rep *chaos.Report) (*cert.Verdict, error) {
 	if len(rep.Verdicts) == 0 {
 		return nil, fmt.Errorf("%w (no verdicts after %d attempts)", ErrNoDFSVerdict, len(rep.Attempts))

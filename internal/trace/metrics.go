@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // DefaultBounds are the histogram bucket upper bounds used when none are
@@ -43,20 +44,48 @@ func NewHistogram(bounds []int64) *Histogram {
 }
 
 // Observe adds one observation.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN adds k observations of v; k <= 0 adds none.
+func (h *Histogram) ObserveN(v, k int64) {
+	if k <= 0 {
+		return
+	}
 	i := 0
 	for i < len(h.Bounds) && v > h.Bounds[i] {
 		i++
 	}
-	h.Counts[i]++
+	h.Counts[i] += k
 	if h.N == 0 || v < h.Min {
 		h.Min = v
 	}
 	if h.N == 0 || v > h.Max {
 		h.Max = v
 	}
-	h.N++
-	h.Sum += v
+	h.N += k
+	h.Sum += k * v
+}
+
+// Merge adds o's observations, as if each had been observed on h. The two
+// histograms must have the same bounds.
+func (h *Histogram) Merge(o *Histogram) {
+	if !slices.Equal(h.Bounds, o.Bounds) {
+		panic("trace: merging histograms with different bounds")
+	}
+	if o.N == 0 {
+		return
+	}
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
+	if h.N == 0 || o.Min < h.Min {
+		h.Min = o.Min
+	}
+	if h.N == 0 || o.Max > h.Max {
+		h.Max = o.Max
+	}
+	h.N += o.N
+	h.Sum += o.Sum
 }
 
 // Mean returns the arithmetic mean of the observations (0 when empty).

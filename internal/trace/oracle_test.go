@@ -120,6 +120,44 @@ func (r *sliceRecorder) Sample(name string, val int64) {
 	r.mu.Unlock()
 }
 
+// Merge replays the batch event by event: a Count per counter entry, and
+// per histogram and per time series the bucket, extreme and point updates
+// the Observe and Sample calls it stands for would have made.
+func (r *sliceRecorder) Merge(b Batch) {
+	for _, c := range b.Counts {
+		r.Count(c.Name, c.Value)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, nh := range b.Hists {
+		src := nh.Hist
+		if src.N == 0 {
+			continue
+		}
+		h, ok := r.hists[nh.Name]
+		if !ok {
+			h = NewHistogram(nil)
+			r.hists[nh.Name] = h
+		}
+		for i, c := range src.Counts {
+			h.Counts[i] += c
+		}
+		if h.N == 0 || src.Min < h.Min {
+			h.Min = src.Min
+		}
+		if h.N == 0 || src.Max > h.Max {
+			h.Max = src.Max
+		}
+		h.N += src.N
+		h.Sum += src.Sum
+	}
+	for _, s := range b.Series {
+		for _, p := range s.Points {
+			r.samples[s.Name] = append(r.samples[s.Name], p)
+		}
+	}
+}
+
 func (r *sliceRecorder) Spans() []SpanEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -264,6 +302,23 @@ func (r *sliceRecorder) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// MetricsSnapshot reads every counter, gauge and histogram through the
+// per-name accessors, one lock acquisition each.
+func (r *sliceRecorder) MetricsSnapshot() *MetricsSnapshot {
+	s := &MetricsSnapshot{Clock: r.Now()}
+	for _, name := range sortedNames(&r.mu, r.counters) {
+		s.Counters = append(s.Counters, NamedValue{Name: name, Value: r.Counter(name)})
+	}
+	for _, name := range sortedNames(&r.mu, r.gauges) {
+		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: r.Gauge(name)})
+	}
+	for _, name := range sortedNames(&r.mu, r.hists) {
+		h := r.Histogram(name)
+		s.Histograms = append(s.Histograms, NamedHistogram{Name: name, Hist: h, Mean: h.Mean()})
+	}
+	return s
 }
 
 func (r *sliceRecorder) WriteMetrics(w io.Writer) error {

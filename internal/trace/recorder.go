@@ -206,6 +206,32 @@ func (r *Recorder) Sample(name string, val int64) {
 	r.mu.Unlock()
 }
 
+// Merge implements Tracer: it applies the whole batch under one lock
+// acquisition.
+func (r *Recorder) Merge(b Batch) {
+	r.mu.Lock()
+	for _, c := range b.Counts {
+		r.counters[c.Name] += c.Value
+	}
+	for _, nh := range b.Hists {
+		if nh.Hist.N == 0 {
+			continue
+		}
+		h, ok := r.hists[nh.Name]
+		if !ok {
+			h = NewHistogram(nil)
+			r.hists[nh.Name] = h
+		}
+		h.Merge(nh.Hist)
+	}
+	for _, s := range b.Series {
+		if len(s.Points) > 0 {
+			r.samples[s.Name] = append(r.samples[s.Name], s.Points...)
+		}
+	}
+	r.mu.Unlock()
+}
+
 // recordAt returns the record of span id on pages.
 func recordAt(pages []*spanPage, id int) *spanRecord {
 	return &pages[id/pageSpans][id%pageSpans]

@@ -58,18 +58,41 @@ func (s *scriptRunner) run(steps int) {
 			s.tr.Advance(s.rng.Int63n(4))
 		default:
 			v := s.rng.Int63n(5000)
-			switch s.rng.Intn(4) {
+			switch s.rng.Intn(5) {
 			case 0:
 				s.tr.Count(scriptKeys[s.rng.Intn(len(scriptKeys))], v)
 			case 1:
 				s.tr.SetGauge("depth", int64(len(s.open)))
 			case 2:
 				s.tr.Observe("load", v)
+			case 3:
+				s.tr.Merge(s.batch(v))
 			default:
 				s.tr.Sample("clock", s.tr.Now())
 			}
 		}
 	}
+}
+
+// batch draws a Batch: zero to two counter deltas, a histogram of zero to
+// three observations merged into "load" or a fresh name, and a series of
+// zero to three points stamped at and after the clock.
+func (s *scriptRunner) batch(v int64) Batch {
+	var b Batch
+	for k := s.rng.Intn(3); k > 0; k-- {
+		b.Counts = append(b.Counts, NamedValue{Name: scriptKeys[s.rng.Intn(len(scriptKeys))], Value: v})
+	}
+	h := NewHistogram(nil)
+	for k := s.rng.Intn(4); k > 0; k-- {
+		h.Observe(s.rng.Int63n(5000))
+	}
+	b.Hists = []NamedHistogram{{Name: []string{"load", "merged"}[s.rng.Intn(2)], Hist: h}}
+	pts := []SamplePoint{}
+	for k := s.rng.Intn(4); k > 0; k-- {
+		pts = append(pts, SamplePoint{Round: s.tr.Now() + int64(len(pts)), Val: v})
+	}
+	b.Series = []NamedSeries{{Name: []string{"clock", "batched"}[s.rng.Intn(2)], Points: pts}}
+	return b
 }
 
 func (s *scriptRunner) end(i int) {
@@ -239,5 +262,45 @@ func TestRecorderSpanZeroAlloc(t *testing.T) {
 	root.End()
 	if per := allocs / batch; per >= 0.01 {
 		t.Fatalf("StartSpan + 2 SetAttr + End allocates %.4f times per span, want < 0.01", per)
+	}
+}
+
+// TestMergeEqualsPerEventCalls holds Merge to its contract: a batch of
+// counter deltas, locally built histograms (ObserveN included) and
+// clock-stamped points gives the exports of the Count, Observe and Sample
+// calls it stands for, made one by one as the clock advances; empty
+// histograms and series create nothing.
+func TestMergeEqualsPerEventCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	events, batched := NewRecorder(), NewRecorder()
+	events.Observe("load", 7) // merging into an existing histogram
+	batched.Observe("load", 7)
+	var b Batch
+	b.Counts = []NamedValue{{Name: "rounds"}, {Name: "msgs"}}
+	load, empty := NewHistogram(nil), NewHistogram(nil)
+	b.Hists = []NamedHistogram{{Name: "load", Hist: load}, {Name: "empty", Hist: empty}}
+	b.Series = []NamedSeries{{Name: "msgs"}, {Name: "none"}}
+	for r := int64(0); r < 40; r++ {
+		msgs := rng.Int63n(3000)
+		events.Count("rounds", 1)
+		events.Count("msgs", msgs)
+		events.Observe("load", msgs)
+		events.Advance(1)
+		events.Sample("msgs", msgs)
+		b.Counts[0].Value++
+		b.Counts[1].Value += msgs
+		load.Observe(msgs)
+		b.Series[0].Points = append(b.Series[0].Points, SamplePoint{Round: r + 1, Val: msgs})
+	}
+	for i := 0; i < 25; i++ {
+		events.Observe("load", 0)
+	}
+	load.ObserveN(0, 25)
+	batched.Advance(40)
+	batched.Merge(b)
+	gj, gc, gm := exports(t, batched)
+	wj, wc, wm := exports(t, events)
+	if !bytes.Equal(gj, wj) || !bytes.Equal(gc, wc) || !bytes.Equal(gm, wm) {
+		t.Fatalf("merged batch exports differ from per-event calls\nmerged:\n%s\nper event:\n%s", gm, wm)
 	}
 }

@@ -12,7 +12,9 @@
 //
 // The package has no dependencies beyond the standard library and costs
 // nothing when disabled: Nop implements Tracer with empty methods, and every
-// instrumented hot path guards its bookkeeping behind Enabled().
+// instrumented hot path guards its bookkeeping behind Enabled(). A hot path
+// that emits many metric events collects them in a Batch and hands them
+// over in one Merge call.
 package trace
 
 // Layer identifies the algorithm layer a span belongs to. Each layer is
@@ -107,6 +109,36 @@ type Tracer interface {
 	// Sample appends a (round, val) point to the named time series,
 	// rendered as a counter track in the Chrome export.
 	Sample(name string, val int64)
+	// Merge applies a batch of metric updates at once, with the effect of
+	// the Count, Observe and Sample calls the batch stands for (see
+	// Batch).
+	Merge(b Batch)
+}
+
+// Batch is a set of metric updates that a hot path collects without the
+// tracer and hands over in one Merge call, instead of one locked call per
+// event. Merging it has the effect of the per-event calls it stands for:
+//
+//   - Counts: Count(Name, Value) for each entry;
+//   - Hists: one Observe(Name, v) for every observation each histogram
+//     holds, so a histogram with no observations changes nothing. Each
+//     must have DefaultBounds, the buckets Observe uses (its Mean is
+//     ignored);
+//   - Series: a Sample(Name, p.Val) for each point, made when the clock
+//     read p.Round.
+//
+// The tracer copies what it keeps, so the caller may reuse the batch's
+// storage once Merge returns.
+type Batch struct {
+	Counts []NamedValue
+	Hists  []NamedHistogram
+	Series []NamedSeries
+}
+
+// NamedSeries is a run of time-series points of one name.
+type NamedSeries struct {
+	Name   string
+	Points []SamplePoint
 }
 
 // Nop is the disabled tracer: every method is empty, Enabled is false.
@@ -136,3 +168,4 @@ func (nopTracer) Count(string, int64)          {}
 func (nopTracer) SetGauge(string, int64)       {}
 func (nopTracer) Observe(string, int64)        {}
 func (nopTracer) Sample(string, int64)         {}
+func (nopTracer) Merge(Batch)                  {}
