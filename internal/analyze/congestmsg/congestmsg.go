@@ -4,7 +4,7 @@
 // The paper's round bounds assume O(log n)-bit messages: a message is a
 // kind tag plus a handful of word-sized arguments, and the simulator
 // enforces the word budget at runtime (congest.Network.MaxWords). The
-// typed payload layer (congest.Payload, congest.Pack/Unpack) makes node
+// typed payload layer (congest.Payload and congest.Unpack) makes node
 // programs declare message bodies as structs — and that is where unbounded
 // data could sneak in statically: a string, slice, map or interface field
 // has no a-priori word bound, so a payload carrying one would either blow

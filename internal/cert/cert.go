@@ -109,14 +109,14 @@ type Verifier struct {
 	fold *congest.FoldProgram
 
 	// nbr holds every vertex's neighbours in port order, vertex v's at
-	// nbr[off[v]:off[v+1]]; the exchange's receive tables and broadcasts
-	// are carved per vertex from got and out the same way.
+	// nbr[off[v]:off[v+1]]. The exchange's nodes share one receive row of
+	// the largest degree: the engine steps one node at a time, and each
+	// judges inside its step, so a row serves every vertex in turn.
 	off     []int
 	nbr     []int
 	cns     []certNode
 	nodes   []congest.Node
-	got     [][]int
-	out     []congest.Outgoing
+	row     [][]int
 	accepts []int
 }
 
@@ -296,36 +296,41 @@ func (s *Scheme) lanes() int {
 type certNode struct {
 	v      int
 	judge  judgeFunc
-	nb     []int              // nb[port]: the neighbour on port
-	got    [][]int            // got[port]: the label received on port
-	out    []congest.Outgoing // the round-0 broadcast, one message per port
+	nb     []int               // nb[port]: the neighbour on port
+	got    [][]int             // got[port]: the label received on port, a prefix of the shared row
+	out    [1]congest.Outgoing // the round-0 broadcast: the label on every port
 	accept bool
 	judged bool
 }
 
-// Round implements congest.Node.
+// Round implements congest.Node. The receive row is shared by every node,
+// so it is cleared before the judge, which leaves nil where nothing
+// arrived.
+//
+//planarvet:noalloc TestExchangeReuseAllocs
 func (cn *certNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
-	if round == 0 && len(cn.out) > 0 {
-		return cn.out, false
+	if round == 0 && len(cn.nb) > 0 {
+		return cn.out[:], false
 	}
 	if !cn.judged {
+		got := cn.got
+		clear(got)
 		for _, in := range recv {
-			if in.Msg.Kind == msgCertLabel && in.Port >= 0 && in.Port < len(cn.got) {
-				cn.got[in.Port] = in.Msg.Args
+			if in.Msg.Kind == msgCertLabel && in.Port >= 0 && in.Port < len(got) {
+				got[in.Port] = in.Msg.Args
 			}
 		}
 		// The received label slices are the senders' labels, which no step
 		// mutates; judging here (not later) respects the engine's
 		// recv-recycling contract.
-		cn.accept = cn.judge(cn.v, cn.nb, cn.got)
+		cn.accept = cn.judge(cn.v, cn.nb, got)
 		cn.judged = true
 	}
 	return nil, true
 }
 
-// exchangeNodes returns the label-exchange programs, carving the nodes,
-// their receive tables and their round-0 broadcasts from flat arrays on
-// first use.
+// exchangeNodes returns the label-exchange programs, carving the nodes and
+// their views of the shared receive row on first use.
 func (vf *Verifier) exchangeNodes() []certNode {
 	if vf.cns == nil {
 		builds.exchanges.Add(1)
@@ -333,54 +338,48 @@ func (vf *Verifier) exchangeNodes() []certNode {
 		vf.neighborTable()
 		vf.cns = make([]certNode, n)
 		vf.nodes = make([]congest.Node, n)
-		vf.got = make([][]int, len(vf.nbr))
-		vf.out = make([]congest.Outgoing, len(vf.nbr))
 		vf.accepts = make([]int, n)
+		maxDeg := 0
+		for v := 0; v < n; v++ {
+			maxDeg = max(maxDeg, vf.off[v+1]-vf.off[v])
+		}
+		vf.row = make([][]int, maxDeg)
 		for v := range vf.cns {
 			lo, hi := vf.off[v], vf.off[v+1]
-			vf.cns[v] = certNode{v: v, nb: vf.nbr[lo:hi:hi], got: vf.got[lo:hi:hi], out: vf.out[lo:hi:hi]}
-			for p := range vf.cns[v].out {
-				vf.cns[v].out[p] = congest.Outgoing{Port: p, Msg: congest.Message{Kind: msgCertLabel}}
-			}
+			vf.cns[v] = certNode{v: v, nb: vf.nbr[lo:hi:hi], got: vf.row[: hi-lo : hi-lo]}
+			vf.cns[v].out[0] = congest.Outgoing{Port: congest.EveryPort, Msg: congest.Message{Kind: msgCertLabel}}
 			vf.nodes[v] = &vf.cns[v]
 		}
 	}
 	return vf.cns
 }
 
-// runExchange executes the two-round label exchange on the Verifier's
-// network, with room for the label and its kind word, and returns the
-// per-vertex accept bits (1 accept, 0 reject). The accept bits live in the
-// Verifier and are overwritten by its next exchange.
-func (vf *Verifier) runExchange(labels [][]int, words int, judge judgeFunc) (accepts []int, rounds int, stats congest.Stats, err error) {
+// exchange executes the two-round label exchange on the Verifier's
+// network, with room for the label and its kind word, and fills the
+// per-vertex accept bits (1 accept, 0 reject), which live in the Verifier
+// and are overwritten by its next exchange; Network().Stats() then holds
+// the exchange's statistics. Each vertex sends its label as one EveryPort
+// message, so arming the exchange costs a store per vertex, not per port.
+//
+//planarvet:noalloc TestExchangeReuseAllocs
+func (vf *Verifier) exchange(labels [][]int, words int, judge judgeFunc) (rounds int, err error) {
 	nw := vf.Network()
 	nw.MaxWords = max(aggWords, words+1)
 	cns := vf.exchangeNodes()
 	for v := range cns {
 		cn := &cns[v]
 		cn.judge, cn.judged = judge, false
-		for p := range cn.out {
-			cn.out[p].Msg.Args = labels[v]
-		}
+		cn.out[0].Msg.Args = labels[v]
 	}
 	runs.exchanges.Add(1)
 	rounds, err = nw.Run(vf.nodes, 8)
 	// Drop the run's labels and judge, so an idle Verifier pins neither.
-	clear(vf.got)
-	for p := range vf.out {
-		vf.out[p].Msg.Args = nil
-	}
+	clear(vf.row)
 	for v := range cns {
-		cns[v].judge = nil
+		cns[v].judge, cns[v].out[0].Msg.Args = nil, nil
+		vf.accepts[v] = boolToInt(cns[v].accept)
 	}
-	if err != nil {
-		return nil, 0, congest.Stats{}, err
-	}
-	accepts = vf.accepts
-	for v := range cns {
-		accepts[v] = boolToInt(cns[v].accept)
-	}
-	return accepts, rounds, nw.Stats(), nil
+	return rounds, err
 }
 
 // chargeProver charges the prover phase's documented op budget under the
@@ -424,11 +423,12 @@ func (vf *Verifier) Certify(extra []congest.FoldLane, s Scheme) (*Verdict, []int
 	}
 	proverRounds := chargeProver(g, tree, tr, s.prover, s.words)
 	vsp := tr.StartSpan(trace.LayerCert, "cert.verify")
-	accepts, vrounds, stats, err := vf.runExchange(s.labels, s.words, s.judge)
+	vrounds, err := vf.exchange(s.labels, s.words, s.judge)
 	if err != nil {
 		vsp.End()
 		return nil, nil, err
 	}
+	accepts, stats := vf.accepts, vf.nw.Stats()
 	vsp.SetAttr("rounds", int64(vrounds))
 	vsp.End()
 

@@ -32,6 +32,12 @@ type BFSNode struct {
 	Dist     int
 	ParentID int
 	pending  bool // a better distance was adopted and must be re-announced
+	// out is the announce, one EveryPort send. Its word alternates between
+	// the two slots of words by round parity: a node can re-announce the
+	// round after it announced, while the receivers of the first announce
+	// still read its word, so a send never rewrites the word in flight.
+	out   [1]Outgoing
+	words [2][1]int
 }
 
 // NewBFSNodes builds the node programs for a BFS from root.
@@ -67,10 +73,7 @@ func (bn *BFSNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 		return nil, true
 	}
 	bn.pending = false
-	out := make([]Outgoing, 0, len(bn.info.Neighbors))
-	announce := Pack(msgBFS, &intPayload{Val: bn.Dist})
-	for p := range bn.info.Neighbors {
-		out = append(out, Outgoing{Port: p, Msg: announce})
-	}
-	return out, true
+	announce := intPayload{Val: bn.Dist}
+	bn.out[0] = Outgoing{Port: EveryPort, Msg: Message{Kind: msgBFS, Args: announce.AppendWords(bn.words[round&1][:0])}}
+	return bn.out[:], true
 }

@@ -33,6 +33,12 @@ type BoruvkaNode struct {
 	newFrag   int
 	fragFlood bool
 
+	// announce is the fragment announce of a phase's round 0, one EveryPort
+	// send of fragWords. A phase rewrites the words only at its own round
+	// 0, a phase after its receivers read the previous announce.
+	announce  [1]Outgoing
+	fragWords [2]int
+
 	// ForestPorts[p] reports whether port p's edge belongs to the forest.
 	ForestPorts []bool
 	// Fragment is the node's final fragment identifier.
@@ -135,10 +141,9 @@ func (bn *BoruvkaNode) Round(round int, recv []Incoming) ([]Outgoing, bool) {
 	switch {
 	case r == 0:
 		// Announce the (possibly just merged) fragment.
-		for p := range bn.info.Neighbors {
-			out = append(out, Outgoing{Port: p, Msg: Message{
-				Kind: msgBorFrag, Args: []int{bn.frag, bn.part}}})
-		}
+		bn.fragWords = [2]int{bn.frag, bn.part}
+		bn.announce[0] = Outgoing{Port: EveryPort, Msg: Message{Kind: msgBorFrag, Args: bn.fragWords[:]}}
+		out = bn.announce[:]
 	case r == 1:
 		// Determine my own MOE candidate; seed the flood.
 		bn.bestMine = borInf

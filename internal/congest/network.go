@@ -55,11 +55,19 @@ type Incoming struct {
 	Msg  Message
 }
 
-// Outgoing is a message to send on a port of the sending node.
+// Outgoing is a message to send on a port of the sending node, or on
+// every port when Port is EveryPort.
 type Outgoing struct {
 	Port int
 	Msg  Message
 }
+
+// EveryPort addresses an Outgoing to every port of the sender: one send
+// that the engine validates once and delivers as one message per port, in
+// port order. It counts, and meets the bandwidth rule, as the sends on
+// ports 0 through degree-1 it stands for, so a second send on any port is
+// a duplicate, and on a vertex with no ports it sends nothing.
+const EveryPort = -1
 
 // Node is a per-vertex CONGEST program. Round is called with the messages
 // delivered this round (sent by neighbours in the previous round); it
@@ -83,6 +91,11 @@ type Outgoing struct {
 //
 // The recv slice is owned by the engine and recycled across rounds; a node
 // that retains messages beyond the current Round call must copy them.
+//
+// The receivers of a send share its Args, and so do all the receivers of
+// an EveryPort send: the engine hands each of them the sender's slice
+// itself. A sender must therefore leave the Args of what it sent unchanged
+// until the receivers have stepped on them, the round after the send.
 type Node interface {
 	Round(round int, recv []Incoming) (send []Outgoing, done bool)
 }
@@ -585,9 +598,12 @@ func (e *engine) consume(v int) {
 
 // step advances one node and validates its sends. A valid send stamps the
 // sender-side port with the current round, which catches a second send on
-// the port and lets delivery see that an edge carries both directions.
-// Everything it writes lives in arrays allocated by newEngine; the only
-// constructions are the protocol-error values on the abort path.
+// the port and lets delivery see that an edge carries both directions. An
+// EveryPort send stamps every port, in port order, and has its words
+// checked at its first port, so it fails with the error the sends on each
+// port would have given. Everything it writes lives in arrays allocated by
+// newEngine; the only constructions are the protocol-error values on the
+// abort path.
 //
 //planarvet:noalloc TestRoundLoopZeroAlloc
 func (e *engine) step(v int) error {
@@ -606,19 +622,27 @@ func (e *engine) step(v int) error {
 	deg := e.off[v+1] - base
 	stamp := e.stamp()
 	for _, out := range send {
-		if out.Port < 0 || out.Port >= deg {
+		if out.Port != EveryPort && (out.Port < 0 || out.Port >= deg) {
 			return &ProtocolError{Kind: ErrInvalidPort, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
 		}
-		fp := base + out.Port
-		if e.portEpoch[fp] == stamp {
-			return &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: out.Port} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
+		lo, hi := portRange(out.Port, deg)
+		for p := lo; p < hi; p++ {
+			fp := base + p
+			if e.portEpoch[fp] == stamp {
+				return &ProtocolError{Kind: ErrDuplicateSend, Round: e.round, Vertex: v, Port: p} //planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
+			}
+			if p == lo && out.Msg.Words() > e.maxWords {
+				//planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
+				return &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: p,
+					Words: out.Msg.Words(), Limit: e.maxWords}
+			}
+			e.portEpoch[fp] = stamp
 		}
-		if out.Msg.Words() > e.maxWords {
-			//planarvet:allocok abort path: a protocol violation ends the run, the steady state never reaches it
-			return &ProtocolError{Kind: ErrMessageTooLarge, Round: e.round, Vertex: v, Port: out.Port,
-				Words: out.Msg.Words(), Limit: e.maxWords}
-		}
-		e.portEpoch[fp] = stamp
+	}
+	if deg == 0 {
+		// Only EveryPort sends get here from a vertex with no ports, and
+		// they send nothing, so the vertex is not a sender.
+		send = nil
 	}
 	e.outboxes[v] = send
 	e.setDone(v, done)
@@ -629,6 +653,17 @@ func (e *engine) step(v int) error {
 		}
 	}
 	return nil
+}
+
+// portRange returns the ports [lo, hi) a send on port of a vertex of
+// degree deg goes out on: port alone, or all of them for EveryPort.
+//
+//planarvet:noalloc TestRoundLoopZeroAlloc
+func portRange(port, deg int) (lo, hi int) {
+	if port == EveryPort {
+		return 0, deg
+	}
+	return port, port + 1
 }
 
 func (e *engine) setDone(v int, done bool) {
@@ -644,9 +679,12 @@ func (e *engine) setDone(v int, done bool) {
 
 // deliver pushes sender u's messages of this round, which step validated,
 // to their receivers in send order and queues the receivers for the next
-// round. Senders are delivered in ascending order, and on a simple graph a
-// receiver gets at most one message per sender, so every inbox is laid out
-// in ascending sender order whatever order each sender listed its sends in.
+// round; an EveryPort send is delivered in place as one message per port,
+// in port order, each with the same injector ruling, inbox slot, edge load
+// and congestion stamp as a send on that port. Senders are delivered in
+// ascending order, and on a simple graph a receiver gets at most one
+// message per sender, so every inbox is laid out in ascending sender order
+// whatever order each sender listed its sends in.
 //
 // Per-round edge congestion needs no per-edge bookkeeping: an edge carries
 // two messages in a round exactly when the receiver of one direction also
@@ -655,30 +693,33 @@ func (e *engine) setDone(v int, done bool) {
 //planarvet:noalloc TestRoundLoopZeroAlloc
 func (e *engine) deliver(u int) {
 	base := e.off[u]
+	deg := e.off[u+1] - base
 	stamp := e.stamp()
 	for _, out := range e.outboxes[u] {
-		p := out.Port
-		fp := base + p
-		w := int(e.peer[fp])
-		rp := int(e.rport[fp])
-		msg := out.Msg
-		if e.inj != nil {
-			m, fate := e.inj.Deliver(e.round, u, p, w, rp, msg)
-			if fate != FateDeliver {
-				continue // dropped or stalled: not delivered this round
+		lo, hi := portRange(out.Port, deg)
+		for p := lo; p < hi; p++ {
+			fp := base + p
+			w := int(e.peer[fp])
+			rp := int(e.rport[fp])
+			msg := out.Msg
+			if e.inj != nil {
+				m, fate := e.inj.Deliver(e.round, u, p, w, rp, msg)
+				if fate != FateDeliver {
+					continue // dropped or stalled: not delivered this round
+				}
+				msg = m
 			}
-			msg = m
-		}
-		e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok presized to the degree by newEngine and recycled after every step; only injector releases can outgrow it, once
-		e.steps.add(w)
-		e.roundMsgs++
-		e.roundWords += int64(msg.Words())
-		wp := e.off[w] + rp
-		e.load(wp)
-		if e.portEpoch[wp] == stamp {
-			e.roundCong = 2
-		} else if e.roundCong < 1 {
-			e.roundCong = 1
+			e.inbox[w] = append(e.inbox[w], Incoming{Port: rp, Msg: msg}) //planarvet:allocok presized to the degree by newEngine and recycled after every step; only injector releases can outgrow it, once
+			e.steps.add(w)
+			e.roundMsgs++
+			e.roundWords += int64(msg.Words())
+			wp := e.off[w] + rp
+			e.load(wp)
+			if e.portEpoch[wp] == stamp {
+				e.roundCong = 2
+			} else if e.roundCong < 1 {
+				e.roundCong = 1
+			}
 		}
 	}
 }

@@ -19,11 +19,6 @@ type Payload interface {
 	LoadWords(words []int)
 }
 
-// Pack encodes p into a Message with the given kind tag.
-func Pack(kind int, p Payload) Message {
-	return Message{Kind: kind, Args: p.AppendWords(nil)}
-}
-
 // Unpack decodes m's arguments into p. The caller has already dispatched
 // on m.Kind, so p is the matching payload type.
 func Unpack(m Message, p Payload) {

@@ -3,9 +3,9 @@ package congest
 import "testing"
 
 func TestPackUnpackRoundTrip(t *testing.T) {
-	m := Pack(msgBFS, &intPayload{Val: 42})
-	if m.Kind != msgBFS || len(m.Args) != 1 {
-		t.Fatalf("Pack(msgBFS, 42) = %+v", m)
+	m := Message{Kind: msgBFS, Args: (&intPayload{Val: 42}).AppendWords(nil)}
+	if len(m.Args) != 1 {
+		t.Fatalf("intPayload 42 packs to %+v", m)
 	}
 	var got intPayload
 	Unpack(m, &got)
@@ -13,7 +13,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %d, want 42", got.Val)
 	}
 
-	pm := Pack(msgPAPair, &pairPayload{Part: 7, Value: -3})
+	pm := Message{Kind: msgPAPair, Args: (&pairPayload{Part: 7, Value: -3}).AppendWords(nil)}
 	var gp pairPayload
 	Unpack(pm, &gp)
 	if gp.Part != 7 || gp.Value != -3 {
@@ -28,7 +28,7 @@ func TestPayloadWithinWordBudget(t *testing.T) {
 		"int":  &intPayload{Val: 1},
 		"pair": &pairPayload{Part: 1, Value: 2},
 	} {
-		if w := Pack(0, p).Words(); w > 4 {
+		if w := (Message{Args: p.AppendWords(nil)}).Words(); w > 4 {
 			t.Errorf("payload %s is %d words, exceeding the default budget", name, w)
 		}
 	}

@@ -401,6 +401,7 @@ func runCertSchemes(t *testing.T, o *goldenOut) {
 type sendLog struct {
 	inner congest.Node
 	v     int
+	deg   int // the ports an EveryPort send stands for
 	sent  []sentSlot
 }
 
@@ -409,7 +410,13 @@ type sentSlot struct{ round, v, port, args int }
 func (s *sendLog) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	out, done := s.inner.Round(round, recv)
 	for _, o := range out {
-		s.sent = append(s.sent, sentSlot{round, s.v, o.Port, len(o.Msg.Args)})
+		if o.Port != congest.EveryPort {
+			s.sent = append(s.sent, sentSlot{round, s.v, o.Port, len(o.Msg.Args)})
+			continue
+		}
+		for p := 0; p < s.deg; p++ {
+			s.sent = append(s.sent, sentSlot{round, s.v, p, len(o.Msg.Args)})
+		}
 	}
 	return out, done
 }
@@ -455,7 +462,7 @@ func placeFaults(t *testing.T, g *graph.Graph, program string, minRound int, kin
 	nodes := make([]congest.Node, len(inner))
 	logs := make([]*sendLog, len(inner))
 	for v := range inner {
-		logs[v] = &sendLog{inner: inner[v], v: v}
+		logs[v] = &sendLog{inner: inner[v], v: v, deg: g.Degree(v)}
 		nodes[v] = logs[v]
 	}
 	if _, err := nw.Run(nodes, 16*g.N()); err != nil {

@@ -426,10 +426,11 @@ func TestVerdictHandsOverItsVerifier(t *testing.T) {
 	}
 }
 
-// TestBallResetClearsEveryField pins ballNode.reset to the literal it
-// replaced: after a probe has dirtied the programs, the lazy reset a node
-// takes at its first step in the next probe must give the fresh program,
-// with only its program, vertex, degree and child-port backing kept.
+// TestBallResetClearsEveryField pins the lazy reset a vertex takes at its
+// first step in a probe to the fresh state literal: after a probe has
+// dirtied the pool, every vertex's state in the next probe must be the
+// fresh one, with only its degree and its center flag set, and must keep
+// its slot for the rest of the probe.
 func TestBallResetClearsEveryField(t *testing.T) {
 	in, err := gen.ByName("stacked", 60, 3)
 	if err != nil {
@@ -440,14 +441,21 @@ func TestBallResetClearsEveryField(t *testing.T) {
 	if _, _, _, _, err := bp.run(nw, 7); err != nil {
 		t.Fatal(err)
 	}
-	bp.probe++
-	bp.center[0] = 5
-	for v := range bp.balls {
-		bn := &bp.balls[v]
-		want := ballNode{prog: bp, id: v, deg: in.G.Degree(v), probe: bp.probe, center: v == 5, dist: -1, parentPort: -1, childPorts: bn.childPorts[:0]}
-		bn.reset()
+	if len(bp.states) == 0 || len(bp.states) == in.G.N() {
+		t.Fatalf("the probe at 7 took %d of %d pool slots, want its ball's", len(bp.states), in.G.N())
+	}
+	bp.begin(5)
+	for v := range bp.verts {
+		if bp.stateOf(v) != nil {
+			t.Fatalf("vertex %d has a state before the probe stepped it", v)
+		}
+		bn := bp.verts[v].state()
+		want := ballNode{deg: in.G.Degree(v), center: v == 5, dist: -1, parentPort: -1}
 		if !reflect.DeepEqual(*bn, want) {
 			t.Fatalf("vertex %d: reset gives %+v, want %+v", v, *bn, want)
+		}
+		if bp.stateOf(v) != bn || bp.verts[v].state() != bn {
+			t.Fatalf("vertex %d: a second lookup in the probe moved its state", v)
 		}
 	}
 }

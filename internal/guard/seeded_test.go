@@ -11,13 +11,13 @@ import (
 // steppedBall is a ball program that records the vertices the engine
 // steps; NextWake is promoted, so it stays a Waker.
 type steppedBall struct {
-	*ballNode
+	*ballVertex
 	stepped []bool
 }
 
 func (s steppedBall) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	s.stepped[s.id] = true
-	return s.ballNode.Round(round, recv)
+	return s.ballVertex.Round(round, recv)
 }
 
 // probeOutcome is everything a ball probe reports.
@@ -47,10 +47,10 @@ func TestSeededRunMatchesFullStart(t *testing.T) {
 			bp := newBallProgram(nw)
 			stepped := make([]bool, g.N())
 			for v := range bp.nodes {
-				bp.nodes[v] = steppedBall{ballNode: &bp.balls[v], stepped: stepped}
+				bp.nodes[v] = steppedBall{ballVertex: &bp.verts[v], stepped: stepped}
 			}
 			outcome := func(c, rounds int) probeOutcome {
-				cn := &bp.balls[c]
+				cn := bp.stateOf(c)
 				return probeOutcome{rounds: rounds, stats: nw.Stats(), judged: cn.judged, nS: cn.nS, mS2: cn.mS2}
 			}
 			every := make([]int, g.N())
@@ -59,8 +59,7 @@ func TestSeededRunMatchesFullStart(t *testing.T) {
 			}
 			for c := 0; c < g.N(); c++ {
 				// The all-vertex start of the probe bp.run makes.
-				bp.probe++
-				bp.center[0] = c
+				bp.begin(c)
 				r, err := nw.Run(bp.nodes, 2*ballRadius+16)
 				if err != nil {
 					t.Fatalf("%s n=%d center %d: %v", fam, n, c, err)

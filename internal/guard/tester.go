@@ -41,18 +41,23 @@ const (
 	msgBallReport = 2
 )
 
-// ballProgram is the ball probes' programs over one network: a ballNode
-// per vertex, and two arenas from which the nodes that send carve their
-// outboxes and message words. A probe runs from its center (RunFrom) and
-// stamps itself; a node resets at its first step in a new probe, so a
-// probe touches only the nodes its messages reach, the radius-2
-// neighbourhood of its center. Each probe rewinds the arenas, which reach
-// the size of the largest ball's sends once and are reused from then on.
+// ballProgram is the ball probes' programs over one network. Each vertex
+// has a ballVertex, which holds only what a step reads before it knows
+// whether its vertex belongs to the current probe; the probe state itself,
+// a ballNode, comes from a pool at the vertex's first step in a probe. A
+// probe runs from its center (RunFrom) and stamps itself, so it touches,
+// and takes pool slots for, only the nodes its messages reach, the radius-2
+// neighbourhood of its center. Each probe rewinds the pool and two arenas
+// from which the nodes that send carve their outboxes and message words;
+// all three reach the size of the largest ball once and are reused from
+// then on.
 type ballProgram struct {
-	balls  []ballNode
+	g      *graph.Graph
+	verts  []ballVertex
 	nodes  []congest.Node
-	probe  int    // the current probe's stamp; stamps start at 1
-	center [1]int // the current probe's center, its one seed
+	probe  int        // the current probe's stamp; stamps start at 1
+	center [1]int     // the current probe's center, its one seed
+	states []ballNode // the current probe's stepped vertices, in first-step order
 	outs   []congest.Outgoing
 	words  []int
 }
@@ -60,12 +65,30 @@ type ballProgram struct {
 // newBallProgram builds the ball programs of nw's graph.
 func newBallProgram(nw *congest.Network) *ballProgram {
 	g := nw.G
-	bp := &ballProgram{balls: make([]ballNode, g.N()), nodes: make([]congest.Node, g.N())}
-	for v := range bp.balls {
-		bp.balls[v] = ballNode{prog: bp, id: v, deg: g.Degree(v)}
-		bp.nodes[v] = &bp.balls[v]
+	bp := &ballProgram{g: g, verts: make([]ballVertex, g.N()), nodes: make([]congest.Node, g.N())}
+	for v := range bp.verts {
+		bp.verts[v] = ballVertex{prog: bp, id: int32(v)}
+		bp.nodes[v] = &bp.verts[v]
 	}
 	return bp
+}
+
+// begin starts the probe of center: a new stamp, and an empty pool and
+// arenas.
+func (bp *ballProgram) begin(center int) {
+	bp.probe++
+	bp.center[0] = center
+	bp.states = bp.states[:0]
+	bp.outs, bp.words = bp.outs[:0], bp.words[:0]
+}
+
+// stateOf returns v's probe state, or nil if the current probe has not
+// stepped v.
+func (bp *ballProgram) stateOf(v int) *ballNode {
+	if bv := &bp.verts[v]; bv.probe == bp.probe {
+		return &bp.states[bv.slot]
+	}
+	return nil
 }
 
 // carve takes k outbox slots and w message words from the current probe's
@@ -86,21 +109,50 @@ func take[T any](arena *[]T, k int) []T {
 	return a[len(a) : len(a)+k : len(a)+k]
 }
 
-// ballNode is the per-vertex program of one ball probe. It is
+// ballVertex is a vertex's program across probes: its vertex, and the slot
+// of its state in the pool for the probe it last stepped in.
+type ballVertex struct {
+	prog  *ballProgram
+	id    int32
+	slot  int32
+	probe int
+}
+
+// state returns the vertex's state for the current probe. At the vertex's
+// first step in the probe it takes the next pool slot, holding a fresh
+// state.
+func (bv *ballVertex) state() *ballNode {
+	p := bv.prog
+	if bv.probe != p.probe {
+		v := int(bv.id)
+		bv.probe, bv.slot = p.probe, int32(len(p.states))
+		p.states = append(p.states, ballNode{deg: p.g.Degree(v), center: v == p.center[0], dist: -1, parentPort: -1})
+	}
+	return &p.states[bv.slot]
+}
+
+// Round implements congest.Node.
+func (bv *ballVertex) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
+	return bv.state().round(bv.prog, round, recv)
+}
+
+// NextWake implements congest.Waker. The engine calls it after a step, so
+// the vertex's state is the current probe's.
+func (bv *ballVertex) NextWake(round int) int {
+	return bv.prog.states[bv.slot].nextWake(round)
+}
+
+// ballNode is a vertex's state in one ball probe. The program is
 // round-scheduled: membership counts are final once every flood message
 // has landed, which the program detects by the round number, so an adopted
-// member sets a wake timer for round ballRadius+2 (see NextWake).
+// member sets a wake timer for round ballRadius+2 (see nextWake).
 type ballNode struct {
-	prog  *ballProgram
-	id    int
-	deg   int
-	probe int // the probe the state below belongs to
-
+	deg    int
 	center bool
 
 	dist       int // -1 while not a member
 	parentPort int
-	childPorts []int
+	children   int // grows that claimed this node as their flood parent
 	memberNbrs int // ports that delivered a grow = member neighbours
 	adopted    bool
 	reported   bool
@@ -115,29 +167,14 @@ type ballNode struct {
 	mS2    int // 2 * edges inside the ball
 }
 
-// reset readies the program for the current probe, keeping its child-port
-// backing. It writes every field in place: a struct literal here is built
-// in a temporary and copied.
-func (bn *ballNode) reset() {
-	p := bn.prog
-	bn.probe, bn.center = p.probe, bn.id == p.center[0]
-	bn.dist, bn.parentPort, bn.childPorts = -1, -1, bn.childPorts[:0]
-	bn.memberNbrs, bn.adopted, bn.reported = 0, false, false
-	bn.gotReports, bn.accSize, bn.accHalf = 0, 0, 0
-	bn.judged, bn.nS, bn.mS2 = false, 0, 0
-}
-
-// Round implements congest.Node.
-func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
-	if bn.probe != bn.prog.probe {
-		bn.reset()
-	}
+// round is one step of the vertex in the probe of prog.
+func (bn *ballNode) round(prog *ballProgram, round int, recv []congest.Incoming) ([]congest.Outgoing, bool) {
 	var out []congest.Outgoing
 	if round == 0 && bn.center {
 		bn.dist = 0
 		bn.parentPort = -1
 		bn.adopted = true
-		out = bn.announce()
+		out = bn.announce(prog)
 	}
 	for _, in := range recv {
 		switch in.Msg.Kind {
@@ -148,7 +185,7 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 			}
 			bn.memberNbrs++
 			if a[1] == 1 {
-				bn.childPorts = append(bn.childPorts, in.Port)
+				bn.children++
 			}
 			if !bn.adopted && a[0]+1 <= ballRadius {
 				// BFS property: the first grow to arrive carries the
@@ -156,7 +193,7 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 				bn.dist = a[0] + 1
 				bn.parentPort = in.Port
 				bn.adopted = true
-				out = bn.announce()
+				out = bn.announce(prog)
 			}
 		case msgBallReport:
 			a := in.Msg.Args
@@ -175,8 +212,8 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 	// Flood messages are all delivered by round ballRadius+1 (adoptions
 	// happen at round == dist <= ballRadius; their announcements land one
 	// round later), so from round ballRadius+2 on, memberNbrs and
-	// childPorts are final and the convergecast can fire leaf-first.
-	if !bn.reported && round >= ballRadius+2 && bn.gotReports == len(bn.childPorts) {
+	// children are final and the convergecast can fire leaf-first.
+	if !bn.reported && round >= ballRadius+2 && bn.gotReports == bn.children {
 		size := 1 + bn.accSize
 		half := bn.memberNbrs + bn.accHalf
 		if bn.center {
@@ -187,7 +224,7 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 		} else {
 			// Adoptions announce by round ballRadius, so the report never
 			// shares a step with a grow.
-			rep, w := bn.prog.carve(1, 2)
+			rep, w := prog.carve(1, 2)
 			w[0], w[1] = size, half
 			rep[0] = congest.Outgoing{Port: bn.parentPort, Msg: congest.Message{Kind: msgBallReport, Args: w}}
 			out = rep
@@ -197,10 +234,10 @@ func (bn *ballNode) Round(round int, recv []congest.Incoming) ([]congest.Outgoin
 	return out, bn.reported
 }
 
-// NextWake implements congest.Waker: an adopted member that has not
+// nextWake is the vertex's wake timer: an adopted member that has not
 // reported wakes at round ballRadius+2, when its ball's flood is complete;
 // from then on, its children's reports wake it.
-func (bn *ballNode) NextWake(round int) int {
+func (bn *ballNode) nextWake(round int) int {
 	if !bn.adopted || bn.reported || round >= ballRadius+2 {
 		return -1
 	}
@@ -209,8 +246,8 @@ func (bn *ballNode) NextWake(round int) int {
 
 // announce broadcasts the adoption: a grow on every port, with the
 // child-claim bit set toward the flood parent.
-func (bn *ballNode) announce() []congest.Outgoing {
-	out, w := bn.prog.carve(bn.deg, 4)
+func (bn *ballNode) announce(prog *ballProgram) []congest.Outgoing {
+	out, w := prog.carve(bn.deg, 4)
 	w[0], w[1], w[2], w[3] = bn.dist, 0, bn.dist, 1
 	for p := range out {
 		args := w[0:2]
@@ -244,15 +281,13 @@ func centersFor(n int, opt Options) []int {
 // run probes the ball of center on nw, running the programs from the
 // center, and returns the center's measurement.
 func (bp *ballProgram) run(nw *congest.Network, center int) (nS, mS2, rounds int, messages int64, err error) {
-	bp.probe++
-	bp.center[0] = center
-	bp.outs, bp.words = bp.outs[:0], bp.words[:0]
-	cn := &bp.balls[center]
+	bp.begin(center)
 	r, err := nw.RunFrom(bp.nodes, bp.center[:], 2*ballRadius+16)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d: %w", center, err)
 	}
-	if !cn.judged {
+	cn := bp.stateOf(center)
+	if cn == nil || !cn.judged {
 		return 0, 0, 0, 0, fmt.Errorf("guard: ball probe at %d did not converge", center)
 	}
 	return cn.nS, cn.mS2, r, nw.Stats().Messages, nil

@@ -12,8 +12,11 @@ import (
 
 // TestRunBytesPerRun gates the host bytes one default-option Run
 // allocates on the 32×32 grid and the stacked triangulation of n = 1000.
-// Untraced: at most 2.92 MB and 3.68 MB (about 2.78 MB and 3.50 MB
-// measured, with every DFS component induced, restricted, BFS-rooted and
+// Untraced: at most 2.65 MB and 3.27 MB (about 2.52 MB and 3.11 MB
+// measured, with every label exchange sending one EveryPort message per
+// vertex and judging in one receive row per Verifier, where it kept a
+// broadcast and a receive slot per port; 2.78 MB and 3.50 MB before, with
+// every DFS component induced, restricted, BFS-rooted and
 // configured in place in one workspace per build, each phase's edges
 // split once instead of sorted per component, and each prover's labels in
 // one flat array; 4.03 MB and 4.95 MB before, with every fold a
@@ -35,7 +38,8 @@ import (
 // 6.43 MB when each phase re-walked G − T_d, 7.3 MB and 7.8 MB when each
 // component went through maps and a second BFS, 10.4 MB and 11.6 MB when
 // each certification also built its own). Traced on a trace.Recorder: at
-// most 3.03 MB and 3.76 MB (about 2.88 MB and 3.58 MB measured with the
+// most 2.75 MB and 3.36 MB (about 2.62 MB and 3.20 MB measured with
+// every-port label exchanges; 2.88 MB and 3.58 MB with the
 // per-build workspace and flat labels; 4.12 MB and 5.03 MB before; 4.32 MB
 // and 5.22 MB with part-wise aggregation folds; 5.09 MB
 // and 5.56 MB when every virtual-edge candidate was copied; 5.41 MB
@@ -44,7 +48,9 @@ import (
 // 5.87 MB and 8.18 MB when every DFS component charged its own spans).
 // Guarded (guard.ValidateInstance with seed 1, its verdict handed to Run
 // as Options.Admitted, both measured), untraced: at
-// most 3.29 MB and 4.16 MB (about 3.13 MB and 3.96 MB measured with the
+// most 2.90 MB and 3.60 MB (about 2.76 MB and 3.43 MB measured with
+// every-port label exchanges and ball probes that keep probe state only
+// for the vertices they step; 3.13 MB and 3.96 MB with the
 // per-build workspace and flat labels; 4.39 MB and 5.42 MB before, with the
 // guard folding its degree sum, Euler sum and Euler verdict once; 4.59 MB
 // and 5.62 MB with three part-wise aggregation folds; 5.04 MB and 6.22 MB at an earlier
@@ -62,12 +68,12 @@ func TestRunBytesPerRun(t *testing.T) {
 		guarded  bool
 		maxBytes float64
 	}{
-		{"grid-32x32", grid, false, false, 2.92e6},
-		{"stacked-1000", stacked, false, false, 3.68e6},
-		{"grid-32x32 traced", grid, true, false, 3.03e6},
-		{"stacked-1000 traced", stacked, true, false, 3.76e6},
-		{"grid-32x32 guarded", grid, false, true, 3.29e6},
-		{"stacked-1000 guarded", stacked, false, true, 4.16e6},
+		{"grid-32x32", grid, false, false, 2.65e6},
+		{"stacked-1000", stacked, false, false, 3.27e6},
+		{"grid-32x32 traced", grid, true, false, 2.75e6},
+		{"stacked-1000 traced", stacked, true, false, 3.36e6},
+		{"grid-32x32 guarded", grid, false, true, 2.90e6},
+		{"stacked-1000 guarded", stacked, false, true, 3.60e6},
 	} {
 		run := func() {
 			opts := Options{}
