@@ -10,10 +10,10 @@ import (
 	"planardfs/internal/congest"
 	"planardfs/internal/gen"
 	"planardfs/internal/graph"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 	"planardfs/internal/sepengine"
 	"planardfs/internal/spanning"
-	"planardfs/internal/weights"
 )
 
 // congestRows runs every program on every family at size n and, with
@@ -176,7 +176,7 @@ func certRow(scheme, family string, size int) (Row, error) {
 		}
 		certify = func() (*cert.Verdict, error) { return cert.NewVerifier(g, opt).CertifyDFSTree(0, tree.Parent) }
 	case "separator":
-		cfg, err := separatorConfig(in)
+		cfg, err := pipeline.NewConfig(in, pipeline.TreeBFS, in.Emb.FaceRoot(in.OuterDart))
 		if err != nil {
 			return Row{}, err
 		}
@@ -219,16 +219,6 @@ func certRow(scheme, family string, size int) (Row, error) {
 		},
 		Host: perOp(res),
 	}, nil
-}
-
-// separatorConfig is the weight configuration the separator schemes run
-// on: a BFS tree rooted on the outer face.
-func separatorConfig(in *gen.Instance) (*weights.Config, error) {
-	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
-	if err != nil {
-		return nil, err
-	}
-	return weights.NewConfig(in.G, in.Emb, in.OuterDart, tree)
 }
 
 // chaosScenarios are the fault plans the baseline sweeps, from quiescent
@@ -368,7 +358,7 @@ func engineRow(engine, family string, size int) (Row, error) {
 		return Row{}, err
 	}
 	g := in.G
-	cfg, err := separatorConfig(in)
+	cfg, err := pipeline.NewConfig(in, pipeline.TreeBFS, in.Emb.FaceRoot(in.OuterDart))
 	if err != nil {
 		return Row{}, err
 	}

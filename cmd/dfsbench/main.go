@@ -77,12 +77,15 @@ func run() error {
 		}
 	}
 
-	if *recoverRun {
-		return recoveryRun(fams[0], sizes[len(sizes)-1], *seed, *chaosSpec, *chaosSeed)
-	}
-
-	if *certify {
-		return certifyRun(fams[0], sizes[len(sizes)-1], *seed)
+	if *recoverRun || *certify {
+		in, err := gen.ByName(fams[0], sizes[len(sizes)-1], *seed)
+		if err != nil {
+			return err
+		}
+		if *recoverRun {
+			return recoveryRun(in, *chaosSpec, *chaosSeed)
+		}
+		return certifyRun(in, *seed)
 	}
 
 	if *traceOut != "" || *metrics {
@@ -175,15 +178,10 @@ func run() error {
 	return nil
 }
 
-// certifyRun validates one generated instance with the admission guard,
-// prints the admission line, runs the Theorem 2 pipeline on the admission
-// and prints one verdict line per certification scheme: spanning tree, DFS
-// tree and separator.
-func certifyRun(family string, n int, seed int64) error {
-	in, err := gen.ByName(family, n, seed)
-	if err != nil {
-		return err
-	}
+// certifyRun validates in with the admission guard, prints the admission
+// line, runs the Theorem 2 pipeline on the admission and prints one verdict
+// line per certification scheme: spanning tree, DFS tree and separator.
+func certifyRun(in *gen.Instance, seed int64) error {
 	fmt.Printf("certifying DFS run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), planardfs.OuterRoot(in))
 	adm, err := planardfs.ValidateEmbedding(in, planardfs.GuardOptions{Seed: seed})
 	if err != nil {
@@ -222,11 +220,7 @@ func requireFirstAttempt(w io.Writer, rep *planardfs.RecoveryReport) error {
 // the fault plan: the Theorem 2 output is perturbed, certified by the DFS
 // proof-labeling scheme, retried with decaying faults and degraded to
 // Awerbuch's token DFS if every attempt is rejected.
-func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64) error {
-	in, err := gen.ByName(family, n, seed)
-	if err != nil {
-		return err
-	}
+func recoveryRun(in *gen.Instance, spec string, chaosSeed int64) error {
 	root := planardfs.OuterRoot(in)
 	plan, err := chaos.PlanFor(spec, chaosSeed, root) // the root survives: crashes land elsewhere
 	if err != nil {
@@ -236,9 +230,6 @@ func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64)
 	res, err := planardfs.Run(context.Background(), in, planardfs.PipelineOptions{Plan: plan})
 	if res != nil && res.Recovery != nil {
 		cli.PrintReport(os.Stdout, res.Recovery)
-	}
-	if errors.Is(err, planardfs.ErrUnrecovered) {
-		return fmt.Errorf("recovery exhausted after %d attempts", len(res.Recovery.Attempts))
 	}
 	if err != nil {
 		return err

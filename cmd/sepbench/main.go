@@ -5,7 +5,7 @@
 //
 //	sepbench -experiment e1 [-sizes 64,256,1024,4096] [-families grid,stacked]
 //	sepbench -trace out.json -metrics   # instrumented separator run
-//	sepbench -certify                   # self-check one separator run
+//	sepbench -certify                   # one guarded, certified separator run
 //	sepbench -certify -engine lipton-tarjan
 //	                                    # self-check a specific engine
 //	sepbench -engine list               # print the registered engines
@@ -15,37 +15,35 @@
 //
 // -guard validates every (family, size) instance with the admission guard
 // (internal/guard) before the run and exits nonzero printing the typed
-// witness on rejection.
+// witness on rejection. -certify always guards the one instance it runs.
 //
-// -engine selects the separator backend for -certify from the
-// internal/sepengine registry; "-engine list" prints the registered
-// engines and exits. Unknown engine names fail with an error naming the
-// available set.
+// -certify, -recover, E1 and E12 run the certified Theorem 1 pipeline
+// (pipeline.Separate); -recover puts its separator stage under the fault
+// plan. -engine selects the separator backend for -certify from the
+// internal/sepengine registry (run with the pipeline's engine seed, 0);
+// "-engine list" prints the registered engines and exits.
 //
-// -certify exits nonzero when a verifier rejects; -recover exits nonzero
-// when the supervised runtime exhausts its attempts without a certified
-// separator.
+// -certify exits nonzero when the guard or a verifier rejects; -recover
+// exits nonzero when the supervised runtime exhausts its attempts without
+// a certified separator.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
 	"planardfs/internal/cli"
-	"planardfs/internal/dist"
 	"planardfs/internal/exp"
 	"planardfs/internal/gen"
-	"planardfs/internal/separator"
+	"planardfs/internal/guard"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/sepengine"
-	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
-	"planardfs/internal/weights"
 )
 
 func main() {
@@ -63,7 +61,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "base seed")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of one instrumented separator run (load in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the metrics registry of the instrumented run")
-	certify := flag.Bool("certify", false, "run the Theorem 1 separator on one instance and certify its output (tree + embedding + separator)")
+	certify := flag.Bool("certify", false, "run the guarded Theorem 1 pipeline on one instance and print its admission and certification verdicts (spanning tree + separator)")
 	chaosSpec := flag.String("chaos", "", "fault spec for -recover, e.g. structural=4 (see internal/chaos.ParseSpec)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed deriving the deterministic fault plan")
 	recoverRun := flag.Bool("recover", false, "run one supervised separator construction (certify, retry with backoff, fall back fault-free); exits nonzero on recovery exhaustion")
@@ -84,18 +82,22 @@ func run() error {
 	}
 	fams := strings.Split(*famFlag, ",")
 
-	if *guardRun {
+	// A -certify run admits the one instance it certifies itself.
+	if *guardRun && (!*certify || *recoverRun) {
 		if err := cli.GuardAdmit(os.Stdout, os.Stderr, fams, sizes, *seed); err != nil {
 			return err
 		}
 	}
 
-	if *recoverRun {
-		return recoveryRun(fams[0], sizes[len(sizes)-1], *seed, *chaosSpec, *chaosSeed)
-	}
-
-	if *certify {
-		return certifyRun(fams[0], sizes[len(sizes)-1], *seed, *engine)
+	if *recoverRun || *certify {
+		in, err := gen.ByName(fams[0], sizes[len(sizes)-1], *seed)
+		if err != nil {
+			return err
+		}
+		if *recoverRun {
+			return recoveryRun(in, *chaosSpec, *chaosSeed)
+		}
+		return certifyRun(in, *seed, *engine)
 	}
 
 	if *traceOut != "" || *metrics {
@@ -205,112 +207,48 @@ func run() error {
 	return nil
 }
 
-// certifyRun finds a cycle separator of one generated instance with the
-// named engine (empty: the Theorem 1 engine) and runs the distributed
-// certification verifiers, all on one Verifier, on the BFS tree of the
-// configuration, the embedding, and the separator itself.
-func certifyRun(family string, n int, seed int64, engine string) error {
-	in, err := gen.ByName(family, n, seed)
+// certifyRun validates in with the admission guard, runs pipeline.Separate
+// on that admission with the named engine, and prints the separator, the
+// admission line (whose Euler stage certifies the embedding) and the
+// spanning-tree and separator verdicts.
+func certifyRun(in *gen.Instance, seed int64, engine string) error {
+	adm, err := guard.ValidateInstance(in, guard.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
-	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
-	if err != nil {
+	if !adm.OK {
+		return cli.PrintAdmission(os.Stdout, os.Stderr, in, adm)
+	}
+	res, err := pipeline.Separate(context.Background(), in, pipeline.Options{Admitted: adm, Engine: engine})
+	// A rejected certificate fails in PrintVerdicts, after every verdict.
+	if err != nil && !errors.Is(err, pipeline.ErrCertRejected) {
 		return err
 	}
-	cfg, err := weights.NewConfig(in.G, in.Emb, in.OuterDart, tree)
-	if err != nil {
-		return err
-	}
-	res, err := sepengine.Find(engine, cfg, sepengine.Options{Seed: seed})
-	if err != nil {
-		return err
-	}
-	sep := res.Sep
+	sep := res.Separator
 	fmt.Printf("certifying separator run: %s n=%d m=%d engine=%s sepLen=%d phase=%s balance=%.3f rounds=%d\n",
-		in.Name, in.G.N(), in.G.M(), res.Engine, len(sep.Path), sep.Phase, res.Balance, res.Rounds)
-	vf := cert.NewVerifier(in.G, cert.Options{})
-	tv, err := vf.CertifySpanningTree(tree)
-	if err != nil {
+		in.Name, in.G.N(), in.G.M(), sep.Engine, len(sep.Sep.Path), sep.Sep.Phase, sep.Balance, sep.Rounds)
+	if err := cli.PrintAdmission(os.Stdout, os.Stderr, in, adm); err != nil {
 		return err
 	}
-	ev, err := vf.CertifyEmbedding(in.Emb)
-	if err != nil {
-		return err
-	}
-	sv, err := vf.CertifySeparator(sep)
-	if err != nil {
-		return err
-	}
-	return cli.PrintVerdicts(os.Stdout, tv, ev, sv)
+	return cli.PrintVerdicts(os.Stdout, res.Verdicts...)
 }
 
-// separatorStage wraps one Theorem 1 separator construction as a
-// supervised stage: the plan's structural faults corrupt the claimed cycle
-// path (decaying across attempts), and the separator proof-labeling scheme
-// decides acceptance on vf. A nil plan yields the fault-free fallback
-// stage.
-func separatorStage(g *gen.Instance, cfg *weights.Config, rounds int, plan *chaos.Plan, vf *cert.Verifier) chaos.Stage[*separator.Separator] {
-	var structural chaos.Counts
-	return chaos.Stage[*separator.Separator]{
-		Name:          "separator",
-		DefaultBudget: 10*g.G.N() + 100,
-		Run: func(attempt, budget int) (*separator.Separator, int, error) {
-			sep, err := separator.Find(cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			out := *sep
-			out.Path = append([]int(nil), sep.Path...)
-			structural.Structural += int64(plan.CorruptInts(attempt, g.G.N(), out.Path))
-			return &out, rounds, nil
-		},
-		Certify: func(sep *separator.Separator) (chaos.Certification, error) {
-			v, err := vf.CertifySeparator(sep)
-			if err != nil {
-				// A corrupted path can break the prover itself; that is an
-				// explicit rejection, not an infrastructure failure.
-				return chaos.Certification{Detail: "structural precheck: " + err.Error()}, nil
-			}
-			return chaos.FromVerdict(v), nil
-		},
-		Faults: func() chaos.Counts { return structural },
-	}
-}
-
-// recoveryRun executes one separator construction under the supervised
-// recovery runtime, certifying every attempt on one Verifier, and prints
-// the per-attempt report.
-func recoveryRun(family string, n int, seed int64, spec string, chaosSeed int64) error {
-	in, err := gen.ByName(family, n, seed)
+// recoveryRun runs pipeline.Separate on in with its separator stage under
+// the fault plan and prints the per-attempt report.
+func recoveryRun(in *gen.Instance, spec string, chaosSeed int64) error {
+	root := in.Emb.FaceRoot(in.OuterDart)
+	plan, err := chaos.PlanFor(spec, chaosSeed, root) // the root survives: crashes land elsewhere
 	if err != nil {
 		return err
 	}
-	tree, err := spanning.BFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
+	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), root)
+	res, err := pipeline.Separate(context.Background(), in, pipeline.Options{Plan: plan})
+	if res != nil && res.Recovery != nil {
+		cli.PrintReport(os.Stdout, res.Recovery)
+	}
 	if err != nil {
 		return err
 	}
-	cfg, err := weights.NewConfig(in.G, in.Emb, in.OuterDart, tree)
-	if err != nil {
-		return err
-	}
-	plan, err := chaos.PlanFor(spec, chaosSeed, tree.Root) // the root survives: crashes land elsewhere
-	if err != nil {
-		return err
-	}
-	rounds := dist.SeparatorOps(in.G.N()).Rounds(shortcut.PaperCost{D: tree.MaxDepth(), N: in.G.N()}, 1)
-	fmt.Printf("supervised separator run: %s n=%d m=%d root=%d\n", in.Name, in.G.N(), in.G.M(), tree.Root)
-	vf := cert.NewVerifier(in.G, cert.Options{})
-	primary := separatorStage(in, cfg, rounds, plan, vf)
-	fallback := separatorStage(in, cfg, rounds, nil, vf) // fault-free baseline
-	sep, rep, err := chaos.RunWithRecoveryContext(context.Background(), primary, &fallback, chaos.Policy{})
-	if err != nil {
-		return err
-	}
-	cli.PrintReport(os.Stdout, rep)
-	if rep.Outcome == chaos.OutcomeFailed {
-		return fmt.Errorf("recovery exhausted after %d attempts", len(rep.Attempts))
-	}
-	fmt.Printf("recovered separator: len=%d phase=%s\n", len(sep.Path), sep.Phase)
+	fmt.Printf("recovered separator: len=%d phase=%s\n", len(res.Separator.Sep.Path), res.Separator.Sep.Phase)
 	return nil
 }

@@ -46,13 +46,16 @@ recovery: outcome=degraded attempts=4 faults[drops=0 corruptions=0 stalls=0 link
 recovered separator: len=11 phase=sparse-virtual
 `
 
-// certifyGolden is the recorded stdout of the -certify run below: the three
-// verdicts, all certified on one Verifier. The aggregation rounds were
-// re-recorded (31 → 29, and 62 → 29 for the embedding's two folds, now one)
-// when verdicts began folding in 2·depth+1 rounds.
+// certifyGolden is the recorded stdout of the -certify run below: the
+// guarded Theorem 1 pipeline's separator, its admission line and its
+// spanning and separator verdicts, all certified on the admission's
+// Verifier. The aggregation rounds were re-recorded (31 → 29) when
+// verdicts began folding in 2·depth+1 rounds. The admission line replaced
+// a "certify embedding" verdict line when -certify began running the
+// admission guard, whose Euler stage certifies the embedding.
 const certifyGolden = `certifying separator run: grid-8x8 n=64 m=112 engine=theorem1 sepLen=11 phase=sparse-virtual balance=0.453 rounds=162626
+guard: accept grid-8x8 n=64 rounds=3051 msgs=667
 certify spanning: ACCEPT labelWords=3 proverRounds=1470 verifierRounds=2 aggRounds=29 msgs=224
-certify embedding: ACCEPT labelWords=2 proverRounds=2940 verifierRounds=2 aggRounds=29 msgs=224
 certify separator: ACCEPT labelWords=11 proverRounds=19117 verifierRounds=2 aggRounds=29 msgs=224
 `
 
@@ -84,9 +87,9 @@ func TestRecoverCLI(t *testing.T) {
 	}
 }
 
-// TestCertifyCLI checks the plain -certify path exits zero with ACCEPT
-// verdicts for all three schemes (tree, embedding, separator), byte for
-// byte as recorded.
+// TestCertifyCLI checks the plain -certify path exits zero with the
+// admission line and ACCEPT verdicts for the spanning tree and the
+// separator, byte for byte as recorded.
 func TestCertifyCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")

@@ -91,8 +91,11 @@ func serveInlineJob(t *testing.T, in *gen.Instance) {
 // degree sum, the Euler sum and the Euler accept bits; the dfs stage's
 // certification of the accepted tree; and the certify stage's spanning
 // tree and separator certifications. An unguarded pipeline.Run runs three
-// of each. The inputs are the first cold-stacked instance and a grid,
-// whose Theorem 2 trees are certified on their first attempt.
+// of each. A pipeline.Separate runs one of each fewer, with no DFS tree to
+// certify: three guarded, two unguarded (the separator stage's
+// certification of the accepted separator and the spanning tree's). The
+// inputs are the first cold-stacked instance and a grid, whose Theorem 2
+// trees and separators are certified on their first attempt.
 func TestBuildFoldsOncePerBoundary(t *testing.T) {
 	stacked, err := gen.ByName("stacked", 1000, rand.New(rand.NewSource(1)).Int63())
 	if err != nil {
@@ -102,9 +105,23 @@ func TestBuildFoldsOncePerBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unguarded := func(t *testing.T, in *gen.Instance) {
-		if _, err := pipeline.Run(context.Background(), in, pipeline.Options{}); err != nil {
-			t.Fatal(err)
+	type pipelineRun func(context.Context, *gen.Instance, pipeline.Options) (*pipeline.Result, error)
+	unguarded := func(run pipelineRun) func(*testing.T, *gen.Instance) {
+		return func(t *testing.T, in *gen.Instance) {
+			if _, err := run(context.Background(), in, pipeline.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	guarded := func(run pipelineRun) func(*testing.T, *gen.Instance) {
+		return func(t *testing.T, in *gen.Instance) {
+			adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(context.Background(), in, pipeline.Options{Admitted: adm}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for _, c := range []struct {
@@ -113,18 +130,13 @@ func TestBuildFoldsOncePerBoundary(t *testing.T) {
 		build func(t *testing.T, in *gen.Instance)
 		want  int64
 	}{
-		{"guarded pipeline.Run", stacked, func(t *testing.T, in *gen.Instance) {
-			adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipeline.Run(context.Background(), in, pipeline.Options{Admitted: adm}); err != nil {
-				t.Fatal(err)
-			}
-		}, 4},
+		{"guarded pipeline.Run", stacked, guarded(pipeline.Run), 4},
 		{"planard inline job", stacked, serveInlineJob, 4},
-		{"unguarded stacked pipeline.Run", stacked, unguarded, 3},
-		{"unguarded grid pipeline.Run", grid, unguarded, 3},
+		{"unguarded stacked pipeline.Run", stacked, unguarded(pipeline.Run), 3},
+		{"unguarded grid pipeline.Run", grid, unguarded(pipeline.Run), 3},
+		{"guarded pipeline.Separate", stacked, guarded(pipeline.Separate), 3},
+		{"unguarded stacked pipeline.Separate", stacked, unguarded(pipeline.Separate), 2},
+		{"unguarded grid pipeline.Separate", grid, unguarded(pipeline.Separate), 2},
 	} {
 		exchanges, folds := cert.Runs()
 		c.build(t, c.in)

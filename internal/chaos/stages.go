@@ -50,7 +50,7 @@ func AwerbuchDFSOn(vf *cert.Verifier, root int, plan *Plan) Stage[[]int] {
 			}
 			return parent, rounds, err
 		},
-		Certify: DFSCertifierOn(vf, root),
+		Certify: NewDFSTreeCertifier(vf, root).Certify,
 		Faults:  func() Counts { return fired },
 	}
 }
@@ -61,20 +61,14 @@ func AwerbuchDFSOn(vf *cert.Verifier, root int, plan *Plan) Stage[[]int] {
 // prover's structural validation before any network runs; that is an
 // explicit rejection of the claim, not an infrastructure error.
 func DFSCertifier(g *graph.Graph, root int, opt cert.Options) func([]int) (Certification, error) {
-	return DFSCertifierOn(cert.NewVerifier(g, opt), root)
+	return NewDFSTreeCertifier(cert.NewVerifier(g, opt), root).Certify
 }
 
-// DFSCertifierOn is DFSCertifier on the caller's Verifier, so a caller
-// that certifies more of the same graph shares its network, BFS tree and
-// programs with every DFS claim.
-func DFSCertifierOn(vf *cert.Verifier, root int) func([]int) (Certification, error) {
-	return NewDFSTreeCertifier(vf, root).Certify
-}
-
-// DFSTreeCertifier certifies DFS claims on one Verifier as DFSCertifierOn
-// does, and keeps the tree view it built for the last claim, so the caller
-// of a recovery run reuses the accepted attempt's view instead of building
-// it again.
+// DFSTreeCertifier certifies DFS claims on one Verifier, so a caller that
+// certifies more of the same graph shares its network, BFS tree and
+// programs with every DFS claim. It keeps the tree view it built for the
+// last claim, so the caller of a recovery run reuses the accepted
+// attempt's view instead of building it again.
 type DFSTreeCertifier struct {
 	vf   *cert.Verifier
 	root int

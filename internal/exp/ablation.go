@@ -2,6 +2,7 @@ package exp
 
 import (
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 )
 
@@ -41,8 +42,8 @@ func E13(families []string, n, trials int) ([]E13Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, kind := range []string{"bfs", "dfs"} {
-					cfg, err := configFor(in, kind)
+				for _, kind := range treeKinds {
+					cfg, err := pipeline.NewConfig(in, kind, in.Emb.FaceRoot(in.OuterDart))
 					if err != nil {
 						return nil, err
 					}

@@ -17,18 +17,24 @@ import (
 	"planardfs/internal/trace"
 )
 
-// theorem2 runs the Theorem 2 pipeline on in, recorded on tracer (nil
-// disables tracing), and accepts only the Theorem 2 tree itself: certified
-// on its first attempt, not after a retry or by the Awerbuch fallback.
-func theorem2(in *gen.Instance, tracer trace.Tracer) (*pipeline.Result, error) {
-	res, err := pipeline.Run(context.TODO(), in, pipeline.Options{Tracer: tracer})
+// certified generates the named instance and runs one pipeline on it,
+// pipeline.Run (Theorem 2) or pipeline.Separate (Theorem 1), recorded on
+// tracer (nil disables tracing). It accepts only the theorem's own output:
+// certified on its first attempt, not after a retry or by the fallback.
+func certified(run func(context.Context, *gen.Instance, pipeline.Options) (*pipeline.Result, error),
+	family string, n int, seed int64, tracer trace.Tracer) (*gen.Instance, *pipeline.Result, error) {
+	in, err := gen.ByName(family, n, seed)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", in.Name, err)
+		return nil, nil, err
+	}
+	res, err := run(context.TODO(), in, pipeline.Options{Tracer: tracer})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", in.Name, err)
 	}
 	if o := res.Recovery.Outcome; o != chaos.OutcomeCertified {
-		return nil, fmt.Errorf("%s: the Theorem 2 DFS tree was not certified on its first attempt (outcome=%s)", in.Name, o)
+		return nil, nil, fmt.Errorf("%s: the output was not certified on its first attempt (outcome=%s)", in.Name, o)
 	}
-	return res, nil
+	return in, res, nil
 }
 
 // E2Row is one sweep point of experiment E2 (Theorem 2: DFS rounds scale
@@ -57,11 +63,7 @@ func E2(families []string, sizes []int, seed int64) ([]E2Row, error) {
 	var rows []E2Row
 	for _, fam := range families {
 		for _, n := range sizes {
-			in, err := gen.ByName(fam, n, seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := theorem2(in, nil)
+			in, res, err := certified(pipeline.Run, fam, n, seed, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -104,11 +106,7 @@ type E7Row struct {
 func E7(families []string, n int, seed int64) ([]E7Row, error) {
 	var rows []E7Row
 	for _, fam := range families {
-		in, err := gen.ByName(fam, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := theorem2(in, nil)
+		in, res, err := certified(pipeline.Run, fam, n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -137,11 +135,7 @@ type E9Row struct {
 func E9(families []string, n int, seed int64) ([]E9Row, error) {
 	var rows []E9Row
 	for _, fam := range families {
-		in, err := gen.ByName(fam, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := theorem2(in, nil)
+		in, res, err := certified(pipeline.Run, fam, n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +181,7 @@ func E10(family string, n int, rates []float64, trials int, baseSeed int64) ([]E
 			if err != nil {
 				return nil, err
 			}
-			cfg, err := configFor(in, "bfs")
+			cfg, err := pipeline.NewConfig(in, pipeline.TreeBFS, in.Emb.FaceRoot(in.OuterDart))
 			if err != nil {
 				return nil, err
 			}

@@ -6,40 +6,20 @@
 package exp
 
 import (
-	"fmt"
-
 	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
-	"planardfs/internal/sepengine"
 	"planardfs/internal/shortcut"
-	"planardfs/internal/spanning"
-	"planardfs/internal/trace"
-	"planardfs/internal/weights"
 )
 
 // DefaultFamilies are the graph families used by the sweeps.
 var DefaultFamilies = []string{"grid", "cylinderish", "stacked", "sparse", "polygon"}
 
-// configFor builds the standard configuration of an instance: BFS spanning
-// tree rooted on the outer face.
-func configFor(in *gen.Instance, kind string) (*weights.Config, error) {
-	root := in.Emb.FaceRoot(in.OuterDart)
-	var tr *spanning.Tree
-	var err error
-	switch kind {
-	case "bfs":
-		tr, err = spanning.BFSTree(in.G, root)
-	case "dfs":
-		tr, err = spanning.DeepDFSTree(in.G, root)
-	default:
-		return nil, fmt.Errorf("exp: unknown tree kind %q", kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return weights.NewConfig(in.G, in.Emb, in.OuterDart, tr)
-}
+// treeKinds are the spanning trees the statistical experiments configure
+// over, rooted on the outer face: BFS (depth <= D) and deep DFS (depth up
+// to Θ(n)).
+var treeKinds = []pipeline.TreeKind{pipeline.TreeBFS, pipeline.TreeDeepDFS}
 
 // E1Row is one sweep point of experiment E1 (Theorem 1: separator rounds
 // scale with Õ(D), not with n). D is the depth of the configuration's BFS
@@ -58,22 +38,20 @@ type E1Row struct {
 	NormPaper float64
 }
 
-// E1 sweeps Theorem 1 engine calls across families and sizes. The paper
-// figure is the engine's Result.Rounds, the rounds a traced call charges;
-// the pipelined figure prices the same schedule at the same depth.
+// E1 sweeps certified Theorem 1 pipeline runs (pipeline.Separate) across
+// families and sizes. The paper figure is the separator's Result.Rounds,
+// the rounds a traced engine call charges; the pipelined figure prices the
+// same schedule at the same depth.
 func E1(families []string, sizes []int, seed int64) ([]E1Row, error) {
 	var rows []E1Row
 	for _, fam := range families {
 		for _, n := range sizes {
-			in, err := gen.ByName(fam, n, seed)
+			in, run, err := certified(pipeline.Separate, fam, n, seed, nil)
 			if err != nil {
 				return nil, err
 			}
-			cfg, res, err := theorem1(in, nil)
-			if err != nil {
-				return nil, err
-			}
-			nn, d := in.G.N(), cfg.Tree.MaxDepth()
+			res := run.Separator
+			nn, d := in.G.N(), run.BFS.MaxDepth()
 			l := shortcut.Log2Ceil(nn + 1)
 			rows = append(rows, E1Row{
 				Family: fam, N: nn, M: in.G.M(), D: d,
@@ -85,17 +63,6 @@ func E1(families []string, sizes []int, seed int64) ([]E1Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// theorem1 runs the Theorem 1 engine on the BFS-tree configuration of in,
-// recorded on tracer (nil disables tracing).
-func theorem1(in *gen.Instance, tracer trace.Tracer) (*weights.Config, *sepengine.Result, error) {
-	cfg, err := configFor(in, "bfs")
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sepengine.Find("", cfg, sepengine.Options{Tracer: tracer})
-	return cfg, res, err
 }
 
 // E3Row aggregates separator quality over many random instances
@@ -120,8 +87,8 @@ func E3(families []string, n, trials int) ([]E3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, kind := range []string{"bfs", "dfs"} {
-				cfg, err := configFor(in, kind)
+			for _, kind := range treeKinds {
+				cfg, err := pipeline.NewConfig(in, kind, in.Emb.FaceRoot(in.OuterDart))
 				if err != nil {
 					return nil, err
 				}
@@ -169,8 +136,8 @@ func E4(families []string, n int, seeds int) ([]E4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, kind := range []string{"bfs", "dfs"} {
-				cfg, err := configFor(in, kind)
+			for _, kind := range treeKinds {
+				cfg, err := pipeline.NewConfig(in, kind, in.Emb.FaceRoot(in.OuterDart))
 				if err != nil {
 					return nil, err
 				}
@@ -207,19 +174,15 @@ type E12Row struct {
 func E12(families []string, n int, seed int64) ([]E12Row, error) {
 	var rows []E12Row
 	for _, fam := range families {
-		in, err := gen.ByName(fam, n, seed)
+		in, res, err := certified(pipeline.Separate, fam, n, seed, nil)
 		if err != nil {
 			return nil, err
 		}
-		cfg, res, err := theorem1(in, nil)
-		if err != nil {
-			return nil, err
-		}
-		sep := res.Sep
-		lvl := separator.BFSLevelSeparator(in.G, cfg.Tree.Root)
+		sep := res.Separator.Sep
+		lvl := separator.BFSLevelSeparator(in.G, res.Root)
 		nn := in.G.N()
 		rows = append(rows, E12Row{
-			Family: fam, N: nn, D: cfg.Tree.MaxDepth(),
+			Family: fam, N: nn, D: res.BFS.MaxDepth(),
 			CycleSepLen:  len(sep.Path),
 			LevelSepLen:  len(lvl),
 			CycleBalance: float64(separator.VerifyBalance(in.G, sep.Path)) / float64(nn),

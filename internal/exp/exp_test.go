@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
 	"planardfs/internal/trace"
@@ -65,12 +66,8 @@ func TestExperimentRoundsAreTheRunsRounds(t *testing.T) {
 				t.Errorf("E1 %s n=%d: paper rounds %d, the traced engine call charged %d", fam, n, got, rec.Now())
 			}
 
-			in, err := gen.ByName(fam, n, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rec = trace.NewRecorder()
-			res, err := theorem2(in, rec)
+			in, res, err := certified(pipeline.Run, fam, n, 1, rec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/separator"
 	"planardfs/internal/shortcut"
 )
 
 // runTheorem2Pipeline drives the Theorem 2 pipeline (internal/pipeline)
-// end to end on one generated instance through theorem2 — BFS spanning
+// end to end on one generated instance through certified — BFS spanning
 // tree, the Theorem 2 DFS (dfs.Build's algorithm) under the certify-retry
 // runtime, certified on its first attempt, the Theorem 1 cycle separator
 // and the three proof-labeling certifications, every one accepting — and
@@ -22,19 +22,12 @@ import (
 func runTheorem2Pipeline(t *testing.T, family string, n int) {
 	t.Helper()
 	start := time.Now()
-	in, err := gen.ByName(family, n, 1)
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	t.Logf("generate %8.2fs", time.Since(start).Seconds())
-
-	start = time.Now()
-	res, err := theorem2(in, nil)
+	in, res, err := certified(pipeline.Run, family, n, 1, nil)
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
 	tr := res.DFSTrace
-	t.Logf("pipeline %8.2fs n=%d phases=%d separator_calls=%d max_join_subphases=%d rounds=%d",
+	t.Logf("generate and pipeline %8.2fs n=%d phases=%d separator_calls=%d max_join_subphases=%d rounds=%d",
 		time.Since(start).Seconds(), in.G.N(), tr.Phases,
 		tr.SeparatorCalls, tr.MaxJoinSubPhases, res.Rounds())
 

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"fmt"
+
 	"planardfs/internal/congest"
 	"planardfs/internal/dist"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
 	"planardfs/internal/shortcut"
 	"planardfs/internal/spanning"
-	"planardfs/internal/weights"
 )
 
 // E5Row measures the DFS-ORDER fragment-merging algorithm (Lemma 11):
@@ -28,14 +30,11 @@ func E5(families []string, n int, seed int64) ([]E5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := spanning.DeepDFSTree(in.G, in.Emb.FaceRoot(in.OuterDart))
+		cfg, err := pipeline.NewConfig(in, pipeline.TreeDeepDFS, in.Emb.FaceRoot(in.OuterDart))
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := weights.NewConfig(in.G, in.Emb, in.OuterDart, tr)
-		if err != nil {
-			return nil, err
-		}
+		tr := cfg.Tree
 		order := make([][]int, tr.N())
 		for v := 0; v < tr.N(); v++ {
 			order[v] = cfg.ChildOrder(v)
@@ -44,7 +43,7 @@ func E5(families []string, n int, seed int64) ([]E5Row, error) {
 		// Cross-check against the centralized orders.
 		for v := 0; v < tr.N(); v++ {
 			if res.PiL[v] != cfg.PiL[v] || res.PiR[v] != cfg.PiR[v] {
-				return nil, errMismatch(fam, v)
+				return nil, fmt.Errorf("E5: fragment-merged DFS order mismatch on %s at vertex %d", fam, v)
 			}
 		}
 		rows = append(rows, E5Row{
@@ -55,17 +54,6 @@ func E5(families []string, n int, seed int64) ([]E5Row, error) {
 	}
 	return rows, nil
 }
-
-type mismatchError struct {
-	fam string
-	v   int
-}
-
-func (e mismatchError) Error() string {
-	return "E5: fragment-merged DFS order mismatch on " + e.fam
-}
-
-func errMismatch(fam string, v int) error { return mismatchError{fam, v} }
 
 // E6Row measures MARK-PATH (Lemma 13): iterations O(log² n) versus the
 // trivial O(path length).

@@ -26,16 +26,20 @@ type TraceSummary struct {
 	Awerbuch congest.Stats
 }
 
-// TraceSeparator records on rec one Theorem 1 engine call (BFS-tree
-// configuration) on a generated instance: the engine's charge, which
-// advances the round clock by the returned Result.Rounds.
+// TraceSeparator records on rec one Theorem 1 engine call on the BFS-tree
+// configuration of a generated instance, rooted on the outer face: the
+// engine's charge, which advances the round clock by the returned
+// Result.Rounds.
 func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*sepengine.Result, error) {
 	in, err := gen.ByName(family, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := theorem1(in, rec)
-	return res, err
+	cfg, err := pipeline.NewConfig(in, pipeline.TreeBFS, in.Emb.FaceRoot(in.OuterDart))
+	if err != nil {
+		return nil, err
+	}
+	return sepengine.Find("", cfg, sepengine.Options{Tracer: rec})
 }
 
 // TraceDFS records on rec one certified Theorem 2 pipeline run of a
@@ -45,11 +49,7 @@ func TraceSeparator(family string, n int, seed int64, rec *trace.Recorder) (*sep
 // simulated round each). Same inputs produce a byte-identical trace: the
 // recorder never reads wall-clock time.
 func TraceDFS(family string, n int, seed int64, rec *trace.Recorder) (*TraceSummary, error) {
-	in, err := gen.ByName(family, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := theorem2(in, rec)
+	in, res, err := certified(pipeline.Run, family, n, seed, rec)
 	if err != nil {
 		return nil, err
 	}

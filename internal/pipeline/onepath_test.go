@@ -22,13 +22,21 @@ import (
 //   - dist.DFSBuildOps, the Theorem 2 round tally, outside internal/dfs
 //     (dfs.Trace.Ops);
 //   - a type assertion to congest.AwerbuchNode, the extraction of the
-//     token DFS's parents, outside internal/congest (congest.RunAwerbuch).
+//     token DFS's parents, outside internal/congest (congest.RunAwerbuch);
+//
+// and on every call that bypasses the one Theorem 1 path:
+//   - weights.NewConfig outside internal/pipeline (NewConfig, the one
+//     configuration builder), internal/weights and internal/separator
+//     (Lemma 1's re-configuration of a virtual-edge graph).
 func TestTheorem2HasOnePath(t *testing.T) {
 	dfsPkg, distPkg, congestPkg := module+"/internal/dfs", module+"/internal/dist", module+"/internal/congest"
+	weightsPkg, pipelinePkg := module+"/internal/weights", module+"/internal/pipeline"
 	allowed := func(fn qualified, pkg string) bool {
 		switch fn {
+		case qualified{weightsPkg, "NewConfig"}:
+			return pkg == pipelinePkg || pkg == weightsPkg || pkg == module+"/internal/separator"
 		case qualified{dfsPkg, "Build"}, qualified{dfsPkg, "BuildWithSeparator"}:
-			return pkg == dfsPkg || pkg == module+"/internal/pipeline"
+			return pkg == dfsPkg || pkg == pipelinePkg
 		case qualified{distPkg, "DFSBuildOps"}:
 			return pkg == dfsPkg
 		case qualified{congestPkg, "AwerbuchNode"}:
@@ -52,7 +60,11 @@ func TestTheorem2HasOnePath(t *testing.T) {
 				return true
 			}
 			if fn, ok := resolve(e, imports, pkg); ok && !allowed(fn, pkg) {
-				t.Errorf("%s: %s.%s bypasses the one Theorem 2 path", fset.Position(n.Pos()), path.Base(fn.pkg), fn.name)
+				theorem := 2
+				if fn.pkg == weightsPkg {
+					theorem = 1
+				}
+				t.Errorf("%s: %s.%s bypasses the one Theorem %d path", fset.Position(n.Pos()), path.Base(fn.pkg), fn.name, theorem)
 			}
 			return true
 		})

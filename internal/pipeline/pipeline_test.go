@@ -427,19 +427,29 @@ func TestRunFaultsStayCertified(t *testing.T) {
 	}
 }
 
+// runs lists both pipelines for the tests that hold them to the same checks.
+var runs = []struct {
+	name string
+	run  func(context.Context, *gen.Instance, Options) (*Result, error)
+}{{"Run", Run}, {"Separate", Separate}}
+
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, instance(t, "grid", 36, 1), Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: %v", err)
+	for _, r := range runs {
+		if _, err := r.run(ctx, instance(t, "grid", 36, 1), Options{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %s: %v", r.name, err)
+		}
 	}
 }
 
 func TestRunUnknownEngine(t *testing.T) {
-	_, err := Run(context.Background(), instance(t, "grid", 36, 1), Options{Engine: "nope"})
-	var ue *sepengine.UnknownEngineError
-	if !errors.As(err, &ue) {
-		t.Fatalf("unknown engine: %v", err)
+	for _, r := range runs {
+		_, err := r.run(context.Background(), instance(t, "grid", 36, 1), Options{Engine: "nope"})
+		var ue *sepengine.UnknownEngineError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%s with an unknown engine: %v", r.name, err)
+		}
 	}
 }
 
@@ -451,12 +461,14 @@ func TestRunEdgeless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), in, Options{})
-	if err == nil {
-		t.Fatal("edgeless instance accepted")
-	}
-	if res.BFS != nil || res.Recovery != nil {
-		t.Fatal("a stage ran on an edgeless instance")
+	for _, r := range runs {
+		res, err := r.run(context.Background(), in, Options{})
+		if err == nil {
+			t.Fatalf("%s accepted an edgeless instance", r.name)
+		}
+		if res.BFS != nil || res.Recovery != nil {
+			t.Fatalf("%s ran a stage on an edgeless instance", r.name)
+		}
 	}
 }
 
@@ -522,7 +534,7 @@ func TestDFSVerdictIsCertifiedOnce(t *testing.T) {
 
 // TestAcceptedDFSVerdictTyped pins the certify stage's guard on the dfs
 // stage's report: a run whose last verdict is missing, nil, rejecting or
-// of another scheme ends with ErrNoDFSVerdict instead of a panic.
+// of another scheme ends with ErrNoVerdict instead of a panic.
 func TestAcceptedDFSVerdictTyped(t *testing.T) {
 	accept := &cert.Verdict{Scheme: "dfs", OK: true}
 	reject := &cert.Verdict{Scheme: "dfs", Rejectors: []int{3}}
@@ -532,11 +544,11 @@ func TestAcceptedDFSVerdictTyped(t *testing.T) {
 		{Verdicts: []*cert.Verdict{accept, reject}},
 		{Verdicts: []*cert.Verdict{{Scheme: "spanning", OK: true}}},
 	} {
-		if v, err := acceptedDFSVerdict(rep); !errors.Is(err, ErrNoDFSVerdict) || v != nil {
-			t.Errorf("report %d: verdict %v, error %v; want ErrNoDFSVerdict", i, v, err)
+		if v, err := acceptedVerdict(rep, "dfs"); !errors.Is(err, ErrNoVerdict) || v != nil {
+			t.Errorf("report %d: verdict %v, error %v; want ErrNoVerdict", i, v, err)
 		}
 	}
-	v, err := acceptedDFSVerdict(&chaos.Report{Verdicts: []*cert.Verdict{reject, accept}})
+	v, err := acceptedVerdict(&chaos.Report{Verdicts: []*cert.Verdict{reject, accept}}, "dfs")
 	if err != nil || v != accept {
 		t.Fatalf("retried report: verdict %v, error %v; want the accepting verdict", v, err)
 	}
@@ -567,5 +579,119 @@ func TestRejectionTyped(t *testing.T) {
 		if !errors.Is(err, ErrCertRejected) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("error %v; want ErrCertRejected with %q", err, c.want)
 		}
+	}
+}
+
+// TestSeparateMatchesRun holds the Theorem 1 pipeline to the separator
+// stage of the Theorem 2 pipeline: on every family at n = 300, unguarded
+// and guarded, Separate gives Run's root, BFS tree, separator (path,
+// phase, rounds, balance) and spanning and separator verdicts. A traced
+// fault-free Separate ends its clock at Rounds() + Separator.Rounds, as
+// Run does.
+func TestSeparateMatchesRun(t *testing.T) {
+	for _, fam := range gen.Families {
+		for _, guarded := range []bool{false, true} {
+			in := instance(t, fam, 300, 1)
+			opts := func() Options {
+				if !guarded {
+					return Options{}
+				}
+				adm, err := guard.ValidateInstance(in, guard.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Options{Admitted: adm}
+			}
+			want, err := Run(context.Background(), in, opts())
+			if err != nil {
+				t.Fatalf("%s: Run: %v", in.Name, err)
+			}
+			got, err := Separate(context.Background(), in, opts())
+			if err != nil {
+				t.Fatalf("%s: Separate: %v", in.Name, err)
+			}
+			a, b := got.Separator, want.Separator
+			switch {
+			case got.Root != want.Root || !reflect.DeepEqual(got.BFS.Parent, want.BFS.Parent):
+				t.Errorf("%s (guarded %v): root %d, want %d, or BFS trees differ", in.Name, guarded, got.Root, want.Root)
+			case !reflect.DeepEqual(a.Sep.Path, b.Sep.Path) || a.Sep.Phase != b.Sep.Phase || a.Rounds != b.Rounds || a.Balance != b.Balance:
+				t.Errorf("%s (guarded %v): separator %v %v %d rounds balance %.3f, want %v %v %d rounds balance %.3f",
+					in.Name, guarded, a.Sep.Path, a.Sep.Phase, a.Rounds, a.Balance, b.Sep.Path, b.Sep.Phase, b.Rounds, b.Balance)
+			case len(got.Verdicts) != 2 || !reflect.DeepEqual(got.Verdicts[0], want.Verdicts[0]) || !reflect.DeepEqual(got.Verdicts[1], want.Verdicts[2]):
+				t.Errorf("%s (guarded %v): verdicts differ from Run's spanning and separator verdicts", in.Name, guarded)
+			case got.Recovery.Outcome != chaos.OutcomeCertified || got.Parent != nil || got.DFSRounds != 0:
+				t.Errorf("%s (guarded %v): outcome %v, DFS fields set", in.Name, guarded, got.Recovery.Outcome)
+			}
+		}
+	}
+
+	for _, fam := range []string{"grid", "stacked"} {
+		rec := trace.NewRecorder()
+		res, err := Separate(context.Background(), instance(t, fam, 300, 1), Options{Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Now() != int64(res.Rounds()+res.Separator.Rounds) {
+			t.Errorf("%s: clock %d, want Rounds() %d + Separator.Rounds %d", fam, rec.Now(), res.Rounds(), res.Separator.Rounds)
+		}
+	}
+}
+
+// TestSeparateRecovers drives the separator stage through structural
+// faults: corrupted paths are rejected and the run retries or degrades to
+// the fault-free engine, ending with a separator an independent
+// certification accepts, never an uncertified one. A rejecting admission
+// ends the run with its typed rejection before any stage.
+func TestSeparateRecovers(t *testing.T) {
+	in := instance(t, "grid", 64, 1)
+	res, err := Separate(context.Background(), in, Options{Plan: chaos.NewPlan(7, chaos.Spec{Structural: 6})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Recovery
+	switch rep.Outcome {
+	case chaos.OutcomeCertifiedRetry, chaos.OutcomeDegraded:
+	default:
+		t.Fatalf("outcome %v, want retry or degraded", rep.Outcome)
+	}
+	if a := rep.Attempts[0]; a.Stage != "separator" || a.Accepted || rep.Faults.Structural == 0 {
+		t.Fatalf("first attempt %+v after %d structural faults, want a rejected separator attempt", a, rep.Faults.Structural)
+	}
+	for _, v := range res.Verdicts {
+		if !v.OK {
+			t.Fatalf("%s verdict rejected", v.Scheme)
+		}
+	}
+	v, err := cert.NewVerifier(in.G, cert.Options{}).CertifySeparator(res.Separator.Sep)
+	if err != nil || !v.OK || res.Verdicts[1] != rep.Verdicts[len(rep.Verdicts)-1] {
+		t.Fatalf("the returned separator is not the certified one: %v", err)
+	}
+
+	// A corrupted path can still certify (here on the first attempt); its
+	// sides and balance are then its own, not the engine's path's.
+	wheel := instance(t, "wheel", 40, 1)
+	res, err = Separate(context.Background(), wheel, Options{Plan: chaos.NewPlan(2, chaos.Spec{Structural: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := res.Recovery.Attempts[0]; !a.Accepted || a.Faults.Structural == 0 {
+		t.Fatalf("first attempt %+v, want a corrupted path accepted", a)
+	}
+	side, maxComp, err := cert.SeparatorSides(wheel.G, res.Separator.Sep.Path)
+	if err != nil || !reflect.DeepEqual(res.Separator.Side, side) || res.Separator.Balance != float64(maxComp)/float64(wheel.G.N()) {
+		t.Fatalf("sides or balance %.3f are not the accepted path's (largest side %d): %v", res.Separator.Balance, maxComp, err)
+	}
+
+	bad := corrupted(t)
+	adm, err := guard.ValidateInstance(bad, guard.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Separate(context.Background(), bad, Options{Admitted: adm})
+	if !errors.Is(err, guard.ErrRejected) {
+		t.Fatalf("a rejecting admission: %v, want its typed rejection", err)
+	}
+	if res.Admission != adm || res.BFS != nil || res.Recovery != nil || res.Separator != nil {
+		t.Fatal("a stage after admission ran on a rejected input")
 	}
 }

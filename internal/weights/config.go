@@ -56,8 +56,8 @@ func NewConfig(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spann
 // configuration for every component of a build. After an error cfg
 // holds no configuration.
 func (cfg *Config) Reset(g *graph.Graph, emb *planar.Embedding, outerDart int, tree *spanning.Tree) error {
-	if emb.Graph() != g {
-		return fmt.Errorf("weights: embedding is over a different graph")
+	if emb == nil || tree == nil || emb.Graph() != g {
+		return fmt.Errorf("weights: configuration needs an embedding of g and a spanning tree")
 	}
 	if tree.N() != g.N() {
 		return fmt.Errorf("weights: tree over %d vertices, graph has %d", tree.N(), g.N())

@@ -37,7 +37,6 @@ package planardfs
 
 import (
 	"context"
-	"fmt"
 
 	"planardfs/internal/cert"
 	"planardfs/internal/chaos"
@@ -144,16 +143,15 @@ var (
 	NewCaterpillar = gen.Caterpillar
 )
 
-// TreeKind selects the spanning tree used by a configuration.
-type TreeKind int
+// TreeKind selects the spanning tree used by a configuration: TreeBFS
+// (depth <= D; the common choice) or TreeDeepDFS (depth up to Θ(n); the
+// stress case the paper's subroutines are designed for).
+type TreeKind = pipeline.TreeKind
 
 // Spanning tree kinds.
 const (
-	// TreeBFS uses a breadth-first tree (depth <= D; the common choice).
-	TreeBFS TreeKind = iota + 1
-	// TreeDeepDFS uses a depth-first tree (depth up to Θ(n); the stress
-	// case the paper's subroutines are designed for).
-	TreeDeepDFS
+	TreeBFS     = pipeline.TreeBFS
+	TreeDeepDFS = pipeline.TreeDeepDFS
 )
 
 // OuterRoot returns a vertex on the instance's outer face, the natural root
@@ -168,20 +166,7 @@ func OuterRoot(in *Instance) int {
 // NewConfig builds a planar configuration over the instance with a spanning
 // tree of the given kind rooted at root (which must lie on the outer face).
 func NewConfig(in *Instance, kind TreeKind, root int) (*Config, error) {
-	var tr *Tree
-	var err error
-	switch kind {
-	case TreeBFS:
-		tr, err = spanning.BFSTree(in.G, root)
-	case TreeDeepDFS:
-		tr, err = spanning.DeepDFSTree(in.G, root)
-	default:
-		return nil, fmt.Errorf("planardfs: unknown tree kind %d", kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return weights.NewConfig(in.G, in.Emb, in.OuterDart, tr)
+	return pipeline.NewConfig(in, kind, root)
 }
 
 // Multi-backend separator engines (internal/sepengine): a registry of

@@ -10,6 +10,9 @@ import (
 
 	"planardfs/internal/cert"
 	"planardfs/internal/gen"
+	"planardfs/internal/pipeline"
+	"planardfs/internal/spanning"
+	"planardfs/internal/weights"
 )
 
 func TestPublicSeparatorFlow(t *testing.T) {
@@ -429,5 +432,53 @@ func TestFindCycleSeparatorMatchesRun(t *testing.T) {
 			t.Fatalf("%s: FindCycleSeparator gave path %v, ends %d..%d, phase %v, %d rounds; Run gave %v, %d..%d, %v, %d rounds",
 				in.Name, a.Path, a.EndA, a.EndB, a.Phase, got.Rounds, b.Path, b.EndA, b.EndB, b.Phase, res.Separator.Rounds)
 		}
+	}
+}
+
+// TestRunRejectsMalformedInstance: an instance without a graph or an
+// embedding, or whose embedding is of another graph, is an error from
+// Run, the Theorem 1 pipeline and NewConfig before any stage runs, not a
+// nil dereference or a whole DFS build; weights.NewConfig refuses a nil
+// embedding the same way.
+func TestRunRejectsMalformedInstance(t *testing.T) {
+	in, err := NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name string
+		in   *Instance
+	}{
+		{"nil", nil},
+		{"empty", &Instance{}},
+		{"graph only", &Instance{G: in.G}},
+		{"embedding only", &Instance{Emb: in.Emb}},
+		{"embedding of another graph", &Instance{G: in.G, Emb: other.Emb, OuterDart: in.OuterDart}},
+	} {
+		for _, run := range []struct {
+			name string
+			run  func(context.Context, *Instance, PipelineOptions) (*PipelineResult, error)
+		}{{"Run", Run}, {"Separate", pipeline.Separate}} {
+			res, err := run.run(context.Background(), bad.in, PipelineOptions{})
+			if err == nil {
+				t.Errorf("%s: %s accepted a malformed instance", bad.name, run.name)
+			} else if res.BFS != nil || res.Recovery != nil {
+				t.Errorf("%s: %s ran a stage on a malformed instance", bad.name, run.name)
+			}
+		}
+		if _, err := NewConfig(bad.in, TreeBFS, 0); err == nil {
+			t.Errorf("%s: NewConfig accepted a malformed instance", bad.name)
+		}
+	}
+	tree, err := spanning.BFSTree(in.G, OuterRoot(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := weights.NewConfig(in.G, nil, in.OuterDart, tree); err == nil {
+		t.Error("weights.NewConfig accepted a nil embedding")
 	}
 }
